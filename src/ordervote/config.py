@@ -6,7 +6,9 @@ feeds to the sign-sensitive predicates:
 * the number of talliers D (share evaluation points are 1..D),
 * twice the expected number of voters (aggregated entries live in [-N, N]),
 * max(s, t) * (M - 1), the largest rescaled copeland score,
-* twice the largest column-sum difference, 2 * (M - 1).
+* twice the largest column-sum difference, 2 * (M - 1),
+* for kemeny, the largest ranking score N * M(M - 1) / 2, so that the
+  comparisons that pick the best ranking see unwrapped scores.
 
 Tie policy is defined once here and consumed by both the plaintext oracle and
 the MPC tally, so the two paths cannot drift: score ties go to the lowest
@@ -71,6 +73,11 @@ def rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
     """All M! tie-free rank vectors in the canonical enumeration order; entry
     m-1 is the rank of candidate m.  Kemeny ties break toward the first."""
     return itertools.permutations(range(1, m + 1))
+
+
+def kemeny_score_bound(voters: int, m: int) -> int:
+    """Largest Kemeny ranking score: every voter agrees on all M(M-1)/2 pairs."""
+    return voters * m * (m - 1) // 2
 
 
 def ranking_winners(ranks: Sequence[int], k: int) -> list[int]:
@@ -147,6 +154,9 @@ class ElectionConfig:
             "max(s,t)*(M-1) (rescaled score range)": max(s, t) * (self.m - 1),
             "2(M-1) (column-sum differences)": 2 * (self.m - 1),
         }
+        if self.rule == "kemeny":
+            bounds["N*M(M-1)/2 (largest ranking score)"] = kemeny_score_bound(
+                self.expected_voters, self.m)
         for what, bound in bounds.items():
             if self.prime <= bound:
                 raise FieldTooSmall(

@@ -1,22 +1,23 @@
 """Aggregation of validated ballots and MPC winner determination.
 
 Aggregation is pure local share addition.  Scoring touches the network only
-through the comparison/positivity/zero primitives:
+through the comparison and positivity primitives:
 
-* copeland: for every upper-triangle entry of the aggregated matrix, shares
-  of the positivity bits of P(m,m') and -P(m,m') and of the zero bit; the
-  rescaled score t*w(m) is then a local linear combination of those bits.
+* copeland: one batched LSB extraction gives the positivity bits of P(m,m')
+  and -P(m,m') for every upper-triangle entry; the zero bit is 1 minus both,
+  and the rescaled score t*w(m) is a local linear combination of the bits.
 * maximin: below-diagonal entries follow from the public accepted-ballot
-  count (P(m',m) = N_acc - P(m,m')); each candidate's minimum is an oblivious
-  fold of M-2 comparisons, M(M-2) comparisons overall.
+  count (P(m',m) = N_acc - P(m,m')); each candidate's minimum over its M-1
+  opponents is a pairwise min-tree, ceil(log2(M-1)) batched comparisons deep
+  and M(M-2) comparisons overall.
 * kemeny: all M! ranking scores are local linear combinations of the
-  aggregated entries; the argmax ranking is found with M!-1 comparisons and
-  only its identity is opened.
+  aggregated entries; an argmax tree over them opens only the winner's row.
 
-Winner selection opens candidate identities one at a time; scores stay
-secret unless the operator explicitly asks for them.  Ties everywhere follow
-the policy in ``config``: an equal challenger never displaces the incumbent,
-so the lowest index (or first-enumerated ranking) wins.
+Winner selection runs an argmax tree (n-1 comparisons in ceil(log2 n)
+batched levels) per elected candidate and opens only candidate identities;
+scores stay secret unless the operator explicitly asks for them.  A strict
+comparison keeps the left entry of each pair on a tie, so the lowest index
+(or first-enumerated ranking) wins, the tie policy of ``config``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .ballots import TallierBundle, entry_pairs, upper_pairs
-from .config import FieldTooSmall, rank_vectors, ranking_winners
+from .config import FieldTooSmall, kemeny_score_bound, rank_vectors, ranking_winners
 from .engine import PartyContext, Shares
 
 KEMENY_MAX_CANDIDATES = 6
@@ -98,6 +99,8 @@ def _check_field_bounds(ctx: PartyContext, agg: AggregatedShares,
         s, t = alpha
         if p <= max(s, t) * (agg.m - 1):
             raise FieldTooSmall(f"p = {p} must exceed max(s,t)(M-1)")
+    if agg.rule == "kemeny" and p <= kemeny_score_bound(agg.ballots, agg.m):
+        raise FieldTooSmall(f"p = {p} must exceed the largest ranking score N*M(M-1)/2")
 
 
 def copeland_scores(ctx: PartyContext, agg: AggregatedShares,
@@ -105,7 +108,8 @@ def copeland_scores(ctx: PartyContext, agg: AggregatedShares,
     """Shares of the rescaled scores t*w(m), m = 1..M.
 
     One batched LSB extraction covers all positivity bits (both signs of every
-    upper entry); the zero bits cost one Fermat ladder over the same batch.
+    upper entry).  Entries lie in [-N, N] with p > 2N, so exactly one of
+    P > 0, -P > 0 and P = 0 holds and the zero bit is 1 - sigma_+ - sigma_-.
     """
     _check_field_bounds(ctx, agg, alpha)
     s, t = alpha
@@ -118,69 +122,71 @@ def copeland_scores(ctx: PartyContext, agg: AggregatedShares,
     both_signs = Shares.concat([entries, -entries])
     pos = ctx.is_positive(both_signs)
     sigma_pos, sigma_neg = pos[:c], pos[c:]
-    sigma_zero = ctx.is_zero(entries)
+    sigma_zero = 1 - sigma_pos - sigma_neg
 
-    wins = [ctx.constant(0) for _ in range(m)]
-    ties = [ctx.constant(0) for _ in range(m)]
-    for i, (a, b) in enumerate(pairs):
-        wins[a - 1] = wins[a - 1] + sigma_pos[i]  # P(a,b) > 0: a beats b
-        wins[b - 1] = wins[b - 1] + sigma_neg[i]  # -P(a,b) > 0: b beats a
-        ties[a - 1] = ties[a - 1] + sigma_zero[i]
-        ties[b - 1] = ties[b - 1] + sigma_zero[i]
-    per_candidate = [t * wins[i] + s * ties[i] for i in range(m)]
-    return Shares.concat(per_candidate)
+    score = [ctx.constant(0) for _ in range(m)]
+    for i, (a, b) in enumerate(pairs):  # a win earns t, a tie earns s
+        score[a - 1] = score[a - 1] + t * sigma_pos[i] + s * sigma_zero[i]
+        score[b - 1] = score[b - 1] + t * sigma_neg[i] + s * sigma_zero[i]
+    return Shares.concat(score)
 
 
 def maximin_scores(ctx: PartyContext, agg: AggregatedShares) -> Shares:
     """Shares of w(m) = min over opponents of the supporting-voter counts.
 
-    All M candidate folds advance in lockstep, so each of the M-2 steps is one
-    batch of M simultaneous comparisons.
+    A min-tree over the M-1 opponent columns; all M candidates advance in
+    lockstep, ceil(log2(M-1)) batched levels and M(M-2) comparisons overall.
     """
     _check_field_bounds(ctx, agg, None)
     m = agg.m
     if m == 1:
         return ctx.constant(np.zeros(1, dtype=np.uint64))
     pos = {pair: i for i, pair in enumerate(upper_pairs(m))}
-    n_acc = agg.ballots
-    columns = []  # M-1 columns; column j holds each candidate's j-th opponent entry
-    for j in range(m - 1):
-        parts = []
-        for a in range(1, m + 1):
-            opponents = [b for b in range(1, m + 1) if b != a]
-            b = opponents[j]
-            if a < b:
-                parts.append(agg.entries[pos[(a, b)]])
-            else:
-                parts.append(n_acc - agg.entries[pos[(b, a)]])
-        columns.append(Shares.concat(parts))
-    current = columns[0]
-    for nxt in columns[1:]:
-        smaller = ctx.compare(nxt, current)  # 1 iff the challenger is smaller
-        current = ctx.select(smaller, current, nxt)
-    return current
+    ordered = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if b != a]
+    lower = np.array([a > b for a, b in ordered])  # P(a,b) = N_acc - P(b,a)
+    support = agg.entries[[pos[min(a, b), max(a, b)] for a, b in ordered]]
+    support = support * np.where(lower, -1, 1) + np.where(lower, agg.ballots, 0)
+    return _fold_columns(ctx, support.reshape(m, m - 1),
+                         lambda left, right: ctx.compare(right, left))[:, 0]
 
 
-def top_k(ctx: PartyContext, scores: Shares, k: int,
-          candidates: list[int] | None = None) -> list[int]:
-    """Elect K candidates by repeated secure-maximum tournaments.
+def _fold_columns(ctx: PartyContext, rows: Shares, right_wins) -> Shares:
+    """Tournament tree over the columns of an (r, n) sharing, ceil(log2 n) levels:
+    each level pairs adjacent columns (lower index left) and keeps the right one
+    where the batched bit ``right_wins(left, right)`` is 1; an odd one passes."""
+    while rows.values.shape[1] > 1:
+        n = rows.values.shape[1] // 2 * 2
+        left, right = rows[:, 0:n:2], rows[:, 1:n:2]
+        kept = ctx.select(right_wins(left, right), left, right)
+        rows = Shares(ctx.field, ctx.threshold,
+                      np.concatenate([kept.values, rows.values[:, n:]], axis=1))
+    return rows
 
-    Stage k runs M-k comparisons; the winner's index (never its score) is
-    opened and the candidate leaves the pool.  An equal challenger does not
-    displace the incumbent, so ties go to the lowest index.
+
+def _argmax(ctx: PartyContext, scores: Shares, labels: Shares) -> Shares:
+    """Shares of the label of the leftmost maximum score: n-1 comparisons in
+    ceil(log2 n) levels.  The strict comparison keeps the left entry on a
+    tie, so the lowest index wins."""
+    def right_wins(left: Shares, right: Shares) -> Shares:
+        bit = ctx.compare(left[0], right[0])  # 1 iff the right score is larger
+        return Shares(ctx.field, ctx.threshold, np.tile(bit.values, (2, 1)))
+
+    rows = Shares(ctx.field, ctx.threshold, np.stack([scores.values, labels.values]))
+    return _fold_columns(ctx, rows, right_wins)[1, 0]
+
+
+def top_k(ctx: PartyContext, scores: Shares, k: int) -> list[int]:
+    """Elect K candidates, one argmax tree over the remaining pool per stage.
+
+    The pool stays in ascending candidate order, so ties go to the lowest
+    index.  Stage k runs M-k comparisons in ceil(log2(M-k+1)) levels; the
+    winner's index (never its score) is opened and leaves the pool.
     """
-    m = scores.size
-    pool = list(candidates) if candidates is not None else list(range(1, m + 1))
+    pool = list(range(1, scores.size + 1))
     winners: list[int] = []
     for _ in range(k):
-        best_score = scores[pool[0] - 1]
-        best_index = ctx.constant(pool[0])
-        for cand in pool[1:]:
-            challenger = scores[cand - 1]
-            better = ctx.compare(best_score, challenger)  # strict: ties keep incumbent
-            best_score = ctx.select(better, best_score, challenger)
-            best_index = ctx.select(better, best_index, ctx.constant(cand))
-        winner = int(ctx.open(best_index, "winner_index")[0])
+        best = _argmax(ctx, scores[[c - 1 for c in pool]], ctx.constant(pool))
+        winner = int(ctx.open(best, "winner_index")[0])
         winners.append(winner)
         pool.remove(winner)
     return winners
@@ -191,8 +197,8 @@ def kemeny_winners(ctx: PartyContext, agg: AggregatedShares,
     """Best ranking by pairwise agreement; returns its top-K candidates.
 
     Scores for all M! rankings are local linear combinations of the aggregated
-    entries; the argmax tournament costs M!-1 comparisons and opens only the
-    winning ranking's identity.
+    entries; the argmax tree costs M!-1 comparisons in ceil(log2 M!) levels
+    and opens only the winning ranking's identity.
     """
     m = agg.m
     if m > KEMENY_MAX_CANDIDATES:
@@ -202,20 +208,9 @@ def kemeny_winners(ctx: PartyContext, agg: AggregatedShares,
     _check_field_bounds(ctx, agg, None)
     pairs = entry_pairs("kemeny", m)
     rankings = list(rank_vectors(m))
-    coef = np.zeros((len(rankings), len(pairs)), dtype=np.uint64)
-    for r, ranks in enumerate(rankings):
-        for i, (a, b) in enumerate(pairs):
-            if ranks[a - 1] < ranks[b - 1]:
-                coef[r, i] = 1
-    score_vals = ctx.field.reduce_vec(coef @ agg.entries.values)
-    scores = Shares(ctx.field, ctx.threshold, score_vals)
-
-    best_score = scores[0]
-    best_index = ctx.constant(0)
-    for j in range(1, len(rankings)):
-        better = ctx.compare(best_score, scores[j])
-        best_score = ctx.select(better, best_score, scores[j])
-        best_index = ctx.select(better, best_index, ctx.constant(j))
-    winner_row = int(ctx.open(best_index, "winner_index")[0])
-    ranking = rankings[winner_row]
+    coef = np.array([[ranks[a - 1] < ranks[b - 1] for a, b in pairs] for ranks in rankings],
+                    dtype=np.uint64)  # ranking r agrees with entry P(a,b)
+    scores = Shares(ctx.field, ctx.threshold, ctx.field.reduce_vec(coef @ agg.entries.values))
+    best = _argmax(ctx, scores, ctx.constant(np.arange(len(rankings))))
+    ranking = rankings[int(ctx.open(best, "winner_index")[0])]
     return ranking_winners(ranking, k), ranking

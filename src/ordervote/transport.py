@@ -254,6 +254,23 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return buf
 
 
+def _dial(endpoint: tuple[str, int], timeout: float) -> socket.socket:
+    """Connect to a listener that may not be up yet, retrying until ``timeout``
+    runs out.  Selection rounds send small frames; TCP_NODELAY keeps them from
+    waiting on the peer's delayed acknowledgements."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            sock = socket.create_connection(endpoint, timeout=5.0)
+        except OSError:
+            if time.monotonic() >= deadline:
+                raise
+            time.sleep(0.05)
+            continue
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+
 def read_frame(sock: socket.socket) -> bytes | None:
     head = _recv_exact(sock, LEN_PREFIX.size)
     if head is None:
@@ -290,6 +307,7 @@ class SocketTransport(PartyTransport):
                 conn, _ = self._listener.accept()
             except OSError:
                 return
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # ACK frames
             threading.Thread(target=self._reader, args=(conn,), daemon=True).start()
 
     def _reader(self, conn: socket.socket) -> None:
@@ -316,14 +334,10 @@ class SocketTransport(PartyTransport):
 
     def _connect(self, to: int) -> socket.socket:
         host, port = self.endpoints[to]
-        deadline = time.monotonic() + (self.timeout or DEFAULT_SOCKET_TIMEOUT)
-        while True:
-            try:
-                return socket.create_connection((host, port), timeout=5.0)
-            except OSError:
-                if time.monotonic() >= deadline:
-                    raise TransportFailure(f"T{self.party_id} cannot reach T{to} at {host}:{port}")
-                time.sleep(0.05)
+        try:
+            return _dial((host, port), self.timeout or DEFAULT_SOCKET_TIMEOUT)
+        except OSError:
+            raise TransportFailure(f"T{self.party_id} cannot reach T{to} at {host}:{port}")
 
     def send(self, to: int, msg: ProtocolMessage) -> None:
         frame = self.security.protect(msg.encode())
@@ -341,10 +355,12 @@ class SocketTransport(PartyTransport):
 
     def close(self) -> None:
         self._stop.set()
-        try:
-            self._listener.close()
+        try:  # shutdown wakes the accept() blocked on another thread
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
+        self._accept_thread.join(timeout=5.0)
         with self._out_lock:
             for sock in self._out.values():
                 try:
@@ -357,11 +373,12 @@ class SocketTransport(PartyTransport):
 def submit_ballot_socket(endpoint: tuple[str, int], session: int, payload: np.ndarray,
                          timeout: float = DEFAULT_SOCKET_TIMEOUT,
                          security: SecurityStub | None = None) -> bool:
-    """Voter-side one-shot submission over TCP; waits for the tallier's ACK."""
+    """Voter-side one-shot submission over TCP; waits for the tallier's ACK.
+    A tallier that is not listening yet is retried until ``timeout``."""
     security = security or SecurityStub()
     msg = ProtocolMessage(session, 0, 0, MessageKind.BALLOT,
                           np.asarray(payload, dtype=np.uint64))
-    with socket.create_connection(endpoint, timeout=timeout) as sock:
+    with _dial(endpoint, timeout) as sock:
         sock.sendall(security.protect(msg.encode()))
         sock.settimeout(timeout)
         frame = read_frame(sock)

@@ -215,18 +215,18 @@ def _validate_kemeny_conditions(ctx: PartyContext, values: np.ndarray,
                                 m: int) -> np.ndarray:
     """Kemeny legality: every entry in {0,1} and every opposing pair sum in
     {0,1}; all products run as one simultaneous round."""
-    batch = values.shape[0]
     entries = Shares(ctx.field, ctx.threshold, values)
     u, v = _domain_factors("kemeny", entries)
     pos = {pair: i for i, pair in enumerate(entry_pairs("kemeny", m))}
     idx_ab = [pos[(a, b)] for a, b in upper_pairs(m)]
     idx_ba = [pos[(b, a)] for a, b in upper_pairs(m)]
     sums = entries[:, idx_ab] + entries[:, idx_ba]
-    left = Shares.concat([u, sums])
-    right = Shares.concat([v, sums - 1])
-    opened = ctx.open(ctx.mul(left, right), "validation_product")
-    per_ballot = opened.reshape(batch, -1) if opened.size else opened.reshape(batch, 0)
-    return (per_ballot == 0).all(axis=1)
+    # one row per ballot: its domain factors, then its pair-sum factors
+    left = np.concatenate([u.values, sums.values], axis=1)
+    right = np.concatenate([v.values, (sums - 1).values], axis=1)
+    products = ctx.mul(Shares(ctx.field, ctx.threshold, left),
+                       Shares(ctx.field, ctx.threshold, right))
+    return (ctx.open(products, "validation_product") == 0).all(axis=1)
 
 
 def reconstruct_rejected(ctx: PartyContext, bundle: TallierBundle) -> np.ndarray:

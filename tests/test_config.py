@@ -103,3 +103,15 @@ def test_endpoint_env_overrides(monkeypatch):
     assert resolved[1] == ("10.0.0.5", 7777)
     assert resolved[2] == ("127.0.0.1", 9003)
     assert cfg.endpoints[1] == ("127.0.0.1", 9002)  # config itself untouched
+
+
+def test_kemeny_score_bound():
+    """Twenty ballots over M = 4 reach a ranking score of 20 * 6 = 120; at
+    p = 101 that would wrap, so Kemeny refuses the field while Copeland, whose
+    bounds it meets, does not."""
+    kemeny = dict(rule="kemeny", candidates=tuple("ABCD"), prime=101)
+    with pytest.raises(FieldTooSmall) as err:
+        _cfg(expected_voters=20, **kemeny).validate()
+    assert "ranking score" in str(err.value)
+    _cfg(expected_voters=16, **kemeny).validate()  # 16 * 6 = 96 < 101
+    _cfg(expected_voters=20, prime=101, candidates=tuple("ABCD")).validate()

@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import deal, run_parties
 from ordervote.ballots import ranking_to_matrix, share_ballot
-from ordervote.config import FieldTooSmall
+from ordervote.config import FieldTooSmall, rank_vectors, select_winners
 from ordervote.engine import Shares
 from ordervote.field import PrimeField
-from ordervote.oracle import PlainElection, plain_kemeny
+from ordervote.oracle import (PlainElection, kemeny_counts, kemeny_score,
+                              plain_copeland, plain_kemeny, plain_maximin)
 from ordervote.shamir import reconstruct_batch
 from ordervote.tally import (AggregatedShares, RuleMismatch, TooManyCandidates,
-                             aggregate, copeland_scores, kemeny_winners,
+                             _argmax, aggregate, copeland_scores, kemeny_winners,
                              maximin_scores, top_k)
 
 M31 = (1 << 31) - 1
@@ -232,7 +235,6 @@ def test_kemeny_random_matches_oracle(f_mersenne31):
             PlainElection("kemeny", m, m, rankings))
         assert ranking == oracle_ranking
         assert winners == oracle_winners
-        import math
         assert comps == math.factorial(m) - 1
 
 
@@ -306,3 +308,157 @@ def test_shares_reconstruct_from_any_threshold_subset(f_mersenne31):
                 reference = got
             assert np.array_equal(got, reference)
     assert reference.tolist() == [2, 1, 0]
+
+
+# -- log-depth selection trees --------------------------------------------------------
+
+def _dealt_scores(f, plain, seed):
+    mx = deal(f, np.asarray(plain, dtype=np.uint64), 2, 3, seed=seed)
+    return lambda ctx: Shares(f, 2, mx[ctx.party_id - 1].copy())
+
+
+@pytest.mark.parametrize("plain", [[5, 1, 1, 1, 5], [1, 7, 3, 7, 7, 7]])
+def test_top_k_ties_across_subtrees_go_to_lowest_index(f31, plain):
+    """Equal maxima that meet only high in the tree (at the root for
+    [5,1,1,1,5]) still elect the lowest index first."""
+    scores = _dealt_scores(f31, plain, seed=21)
+    got = run_parties(3, 2, f31, lambda ctx: top_k(ctx, scores(ctx), len(plain)))[1]
+    assert got == select_winners(plain, len(plain))
+    assert got[0] == plain.index(max(plain)) + 1
+
+
+def test_top_k_every_m_and_k_matches_select_winners(f31):
+    rng = np.random.default_rng(22)
+    cases = [(m, k, rng.integers(0, 5, size=m).tolist())
+             for m in range(1, 9) for k in range(1, m + 1)]
+    dealt = [_dealt_scores(f31, plain, seed=30 + i) for i, (_, _, plain) in enumerate(cases)]
+
+    def prog(ctx):
+        out = []
+        for (m, k, _), scores in zip(cases, dealt):
+            before = ctx.counters.comparisons
+            winners = top_k(ctx, scores(ctx), k)
+            out.append((winners, ctx.counters.comparisons - before))
+        return out
+
+    for (m, k, plain), (winners, comps) in zip(cases, run_parties(3, 2, f31, prog)[1]):
+        assert winners == select_winners(plain, k), (m, k, plain)
+        assert comps == k * m - k * (k + 1) // 2  # K(M-(K+1)/2)
+
+
+def test_selection_depth_is_log2_of_entries(f_mersenne31):
+    """One batched ctx.compare per tree level: ceil(log2 n) calls per argmax
+    over n entries, counted by wrapping compare (rejection sampling inside a
+    comparison may add rounds, so round totals are not asserted)."""
+    f = f_mersenne31
+    rng = np.random.default_rng(24)
+    plains = [rng.integers(0, 9, n).tolist() for n in range(1, 10)]
+    dealt = [_dealt_scores(f, plain, seed=40 + n) for n, plain in enumerate(plains)]
+
+    def prog(ctx):
+        calls = []
+        compare = ctx.compare
+
+        def counted(a, b):
+            calls.append(a.size)
+            return compare(a, b)
+
+        ctx.compare = counted
+
+        def depth(fn, *args):
+            del calls[:]
+            out = fn(*args)
+            return out, len(calls)
+
+        argmax = []
+        for scores, plain in zip(dealt, plains):
+            label, d = depth(_argmax, ctx, scores(ctx), ctx.constant(range(1, len(plain) + 1)))
+            argmax.append((int(ctx.open(label, "winner_index")[0]), d))
+        top2 = depth(top_k, ctx, dealt[4](ctx), 2)[1]  # n = 5, then n = 4
+        maximin = depth(maximin_scores, ctx,
+                        _agg_from(f, "maximin", ((1, 2, 3, 4, 5, 6),) * 3, 6, ctx))[1]
+        kemeny = depth(kemeny_winners, ctx, _agg_from(f, "kemeny", ((2, 1, 3),), 3, ctx), 1)[1]
+        return argmax, top2, maximin, kemeny
+
+    argmax, top2, maximin, kemeny = run_parties(3, 2, f, prog)[1]
+    for plain, (winner, d) in zip(plains, argmax):
+        assert d == math.ceil(math.log2(len(plain)))
+        assert winner == plain.index(max(plain)) + 1
+    assert top2 == 3 + 2
+    assert maximin == 3  # M-1 = 5 opponent columns
+    assert kemeny == 3  # 3! = 6 rankings
+
+
+def test_kemeny_tie_across_tree_halves_picks_first_ranking(f_mersenne31):
+    """Rankings 2 = (2,1,3) and 4 = (3,1,2) tie for the best score; the first
+    is in the left part of the tree, the second meets it only at the root."""
+    f = f_mersenne31
+    rankings = ((2, 1, 2), (3, 1, 3))
+    counts = kemeny_counts(rankings, 3)
+    all_scores = [kemeny_score(counts, r) for r in rank_vectors(3)]
+    best = max(all_scores)
+    assert [i for i, s in enumerate(all_scores) if s == best] == [2, 4]
+
+    def prog(ctx):
+        return kemeny_winners(ctx, _agg_from(f, "kemeny", rankings, 3, ctx), 3)
+
+    winners, ranking = run_parties(3, 2, f, prog)[1]
+    assert ranking == (2, 1, 3) == plain_kemeny(PlainElection("kemeny", 3, 3, rankings))[0]
+    assert winners == [2, 1, 3]
+
+
+def test_maximin_tree_matches_oracle_for_m_2_to_7(f_mersenne31):
+    f = f_mersenne31
+    rng = np.random.default_rng(23)
+    elections = {m: tuple(tuple(int(c) for c in rng.permutation(m) + 1) for _ in range(7))
+                 for m in range(2, 8)}
+
+    def prog(ctx):
+        out = {}
+        for m, rankings in elections.items():
+            before = ctx.counters.comparisons
+            scores = maximin_scores(ctx, _agg_from(f, "maximin", rankings, m, ctx))
+            out[m] = (ctx.open(scores, "final_output").tolist(),
+                      ctx.counters.comparisons - before)
+        return out
+
+    got = run_parties(3, 2, f, prog)[1]
+    for m, rankings in elections.items():
+        _, oracle_scores = plain_maximin(PlainElection("maximin", m, 1, rankings))
+        assert got[m] == (oracle_scores, m * (m - 2))
+
+
+def test_copeland_scoring_spends_gates_only_on_positivity(f_mersenne31):
+    """The zero bit is 1 - sigma_+ - sigma_-: every scoring gate lies inside
+    the one batched LSB extraction, 2 per upper entry."""
+    f = f_mersenne31
+
+    def prog(ctx):
+        agg = _agg_from(f, "copeland", ((1, 2, 3), (3, 2, 1), (2, 1, 3)), 3, ctx)
+        g0, l0, x0 = (ctx.counters.mul_gates, ctx.counters.mul_gates_in_lsb,
+                      ctx.counters.lsb_extractions)
+        scores = copeland_scores(ctx, agg, (1, 2))
+        return (ctx.open(scores, "final_output").tolist(),
+                ctx.counters.mul_gates - g0 == ctx.counters.mul_gates_in_lsb - l0,
+                ctx.counters.lsb_extractions - x0)
+
+    scores, only_lsb, extractions = run_parties(3, 2, f, prog)[1]
+    _, oracle = plain_copeland(PlainElection("copeland", 3, 1,
+                                             ((1, 2, 3), (3, 2, 1), (2, 1, 3))))
+    assert scores == oracle
+    assert only_lsb and extractions == 2 * 3
+
+
+def test_kemeny_wrapping_scores_refused():
+    """p = 101, M = 4: twenty identical ballots score 20 * 6 = 120 > p, which
+    would wrap and elect (1,2,4,3); the tally refuses instead."""
+    f = PrimeField(101)
+    rankings = ((1, 2, 3, 4),) * 20
+
+    def prog(ctx):
+        agg = _agg_from(f, "kemeny", rankings, 4, ctx)
+        with pytest.raises(FieldTooSmall, match="ranking score"):
+            kemeny_winners(ctx, agg, 1)
+        return True
+
+    assert run_parties(3, 2, f, prog)[1]

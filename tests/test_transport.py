@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -182,3 +183,43 @@ def test_transcript_determinism():
         return {d: sorted(transcripts[d]) for d in transcripts}
 
     assert run_once() == run_once()
+
+
+def test_socket_connections_set_tcp_nodelay():
+    import socket
+    nodes = _socket_mesh(2)
+    try:
+        nodes[1].send(2, ProtocolMessage(1, 0, 1, MessageKind.POINTWISE,
+                                         np.zeros(1, dtype=np.uint64)))
+        got = nodes[2].await_round(1, 0, {1})
+        assert got[1].payload.tolist() == [0]
+        assert nodes[1]._out[2].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    finally:
+        for n in nodes.values():
+            n.close()
+
+
+def test_socket_close_releases_port_and_accept_thread():
+    endpoint = _free_endpoints(1)[0]
+    for _ in range(3):  # each transport must bind the port the last one freed
+        node = SocketTransport(1, {1: endpoint}, timeout=1.0)
+        node.close()
+        assert not node._accept_thread.is_alive()
+
+
+def test_ballot_submission_waits_for_a_late_listener():
+    """A voter may dial before the tallier listens; the refused connection is
+    retried instead of losing the ballot."""
+    endpoint = _free_endpoints(1)[0]
+    out = {}
+    voter = threading.Thread(target=lambda: out.setdefault(
+        "ack", submit_ballot_socket(endpoint, 5, np.array([3], dtype=np.uint64), timeout=10.0)))
+    voter.start()
+    time.sleep(0.3)
+    node = SocketTransport(1, {1: endpoint}, timeout=10.0)
+    try:
+        voter.join(timeout=10.0)
+        assert not voter.is_alive() and out["ack"]
+        assert node.collect_ballots(5, count=1)[0].payload.tolist() == [3]
+    finally:
+        node.close()

@@ -314,3 +314,20 @@ def test_reconstruct_rejected_recovers_matrix(f31):
     res = run_parties(3, 2, f31, prog)
     assert np.array_equal(res[1], inflated.entries)
     assert np.array_equal(res[2], inflated.entries)
+
+
+def test_batch_kemeny_rows_are_per_ballot(f_mersenne31):
+    """Each ballot's domain and pair-sum products are read back on its own
+    row: a 50x-inflated ballot next to two honest ones is the only rejection,
+    exactly as when every ballot is validated alone."""
+    f = f_mersenne31
+    rng = np.random.default_rng(16)
+    honest = [legal_shared_ballot(f, "kemeny", (1, 2, 3), 3, 2, 3, 500 + i, i + 1)
+              for i in range(2)]
+    inflated = BallotMatrix("kemeny", 3, 50 * ranking_to_matrix("kemeny", (3, 2, 1), 3).entries)
+    ballots = honest + [share_ballot(inflated, f, 2, 3, rng, 3)]
+    verdicts, _, _ = _run_batch(f, ballots, "kemeny")
+    alone = [_run_batch(f, [b], "kemeny")[0][0] for b in ballots]
+    assert [v.record() for v in verdicts] == [v.record() for v in alone]
+    assert [v.accepted for v in verdicts] == [True, True, False]
+    assert verdicts[2].reason == REASON_DOMAIN
