@@ -12,16 +12,14 @@ from .engine import PartyContext, Shares
 from .field import PrimeField
 from .oracle import PlainElection, plain_copeland, plain_kemeny, plain_maximin
 from .session import ElectionOutcome, make_shared_ballots, run_local_election
-from .shamir import Polynomial, Share, ShareVector, reconstruct, share
 from .tally import TallyResult
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BallotMatrix", "ElectionConfig", "ElectionOutcome", "FieldTooSmall",
-    "PartyContext", "PlainElection", "Polynomial", "PrimeField", "Ranking",
-    "Share", "ShareVector", "SharedBallot", "Shares", "TallyResult",
-    "derived_threshold", "make_shared_ballots", "plain_copeland",
-    "plain_kemeny", "plain_maximin", "ranking_to_matrix", "reconstruct",
-    "run_local_election", "share", "share_ballot",
+    "PartyContext", "PlainElection", "PrimeField", "Ranking", "SharedBallot",
+    "Shares", "TallyResult", "derived_threshold", "make_shared_ballots",
+    "plain_copeland", "plain_kemeny", "plain_maximin", "ranking_to_matrix",
+    "run_local_election", "share_ballot",
 ]

@@ -1,7 +1,8 @@
 """Exact modular arithmetic over a prime field Z_p, specialized for Mersenne primes.
 
 Field elements are plain Python ints kept in canonical form (0 <= x < p), so
-equality is integer equality and the wire encoding is unambiguous.  The prime
+equality is integer equality; on the wire they travel inside
+``transport.ProtocolMessage`` as 8-byte little-endian words.  The prime
 is a runtime value: production runs use p = 2**31 - 1, while tests use tiny
 primes (7, 31) so that bit-level protocols can be checked exhaustively.
 
@@ -12,8 +13,6 @@ is enforced at construction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,15 +60,6 @@ def mersenne_exponent(p: int) -> int | None:
     return t if (1 << t) - 1 == p else None
 
 
-@dataclass(frozen=True)
-class FieldPrime:
-    """Description of the prime modulus: p, its bit length, Mersenne structure."""
-
-    p: int
-    ell: int
-    is_mersenne: bool
-
-
 class PrimeField:
     """Arithmetic mod a prime p < 2**32.
 
@@ -87,10 +77,6 @@ class PrimeField:
         t = mersenne_exponent(p)
         self.is_mersenne = t is not None
         self._t = t
-
-    @property
-    def describe(self) -> FieldPrime:
-        return FieldPrime(self.p, self.ell, self.is_mersenne)
 
     # -- scalar ops -------------------------------------------------------
 
@@ -110,9 +96,6 @@ class PrimeField:
     def sub(self, a: int, b: int) -> int:
         s = a - b
         return s + self.p if s < 0 else s
-
-    def neg(self, a: int) -> int:
-        return self.p - a if a else 0
 
     def mul(self, a: int, b: int) -> int:
         return self.reduce(a * b)
@@ -208,22 +191,3 @@ class PrimeField:
 
     def rand_vec(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.integers(0, self.p, size=size, dtype=np.uint64)
-
-    def to_signed(self, x: int) -> int:
-        """Canonical representative -> signed integer in (-p/2, p/2]."""
-        return x - self.p if x > self.p // 2 else x
-
-    def from_signed(self, v: int) -> int:
-        """Signed integer with |v| < p embedded as v mod p."""
-        return v % self.p
-
-
-# -- wire encoding ---------------------------------------------------------
-# A field element travels as an 8-byte little-endian unsigned integer.
-
-def encode_elements(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<u8").tobytes()
-
-
-def decode_elements(data: bytes) -> np.ndarray:
-    return np.frombuffer(data, dtype="<u8").astype(np.uint64)

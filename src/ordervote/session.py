@@ -1,18 +1,24 @@
 """Election orchestration: the tallier program and backend runners.
 
 ``tallier_program`` is the SPMD pipeline every tallier executes over its own
-context: validate the shared ballots, aggregate the accepted ones, compute
-scores, and open winner identities.  ``run_local_election`` runs all D
-talliers as threads of one process over the in-memory hub (the desk-scale
-mode); ``run_socket_tallier`` runs a single party that meets its peers over
-TCP.  With fixed seeds both backends produce identical results.
+context: validate the shared ballots (``validate_bundles``), aggregate the
+accepted ones, compute scores, and open winner identities.  Every in-process
+runner starts its talliers through one ``_run_threads``: ``run_local_election``
+runs all D talliers as threads of one process over the in-memory hub (the
+desk-scale mode), and ``run_local_validation`` and the benchmarks reuse it.
+``run_socket_tallier`` and ``run_socket_validation`` run a single party that
+meets its peers over TCP.  With fixed seeds both backends produce identical
+results.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -24,6 +30,8 @@ from .engine import PartyContext
 from .tally import (TallyResult, aggregate, copeland_scores, kemeny_winners,
                     maximin_scores, top_k)
 from .transport import (InMemoryHub, SessionChannel, SocketTransport)
+
+T = TypeVar("T")
 
 LOCAL_ROUND_TIMEOUT = 120.0  # generous; a deadlock should fail, not hang
 
@@ -57,22 +65,87 @@ def build_context(config: ElectionConfig, party_id: int, channel: SessionChannel
     return ctx
 
 
+def _run_threads(parties: int, body: Callable[[int], T]) -> dict[int, T]:
+    """Run ``body(d)`` for d = 1..parties, one thread each, and join them all;
+    returns party -> result.  The lowest failing party's error is re-raised,
+    chained as the cause."""
+    results: dict[int, T] = {}
+    errors: dict[int, BaseException] = {}
+
+    def runner(party_id: int) -> None:
+        try:
+            results[party_id] = body(party_id)
+        except BaseException as err:  # surfaced after join
+            errors[party_id] = err
+
+    threads = [threading.Thread(target=runner, args=(d,), name=f"tallier-{d}")
+               for d in range(1, parties + 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        party, err = min(errors.items())
+        raise RuntimeError(f"tallier {party} failed: {err!r}") from err
+    return results
+
+
+def _run_local(config: ElectionConfig, program: Callable[[PartyContext], T],
+               session_id: int = 1, capture: bool = False) -> dict[int, T]:
+    """Run ``program(ctx)`` for every tallier over a fresh in-memory hub."""
+    hub = InMemoryHub(config.talliers, timeout=LOCAL_ROUND_TIMEOUT)
+    return _run_threads(config.talliers, lambda d: program(build_context(
+        config, d, SessionChannel(hub.transport(d), session_id), capture)))
+
+
+@contextmanager
+def _socket_context(config: ElectionConfig, party_id: int,
+                    session_id: int) -> Iterator[PartyContext]:
+    """This party's context over TCP; the transport closes on exit."""
+    endpoints = {d + 1: tuple(e) for d, e in enumerate(config.resolved_endpoints())}
+    transport = SocketTransport(party_id, endpoints)
+    try:
+        yield build_context(config, party_id, SessionChannel(transport, session_id))
+    finally:
+        transport.close()
+
+
+def validate_bundles(ctx: PartyContext, config: ElectionConfig,
+                     bundles: list[TallierBundle],
+                     batch_size: int | None = None) -> list[validation.ValidationVerdict]:
+    """Validate ``bundles`` in batches of ``batch_size`` (default: one batch);
+    returns one verdict per bundle, by position.
+
+    Every copy of a voter id that occurs more than once is rejected as
+    ``DuplicateVoter`` without being validated, so no copy can carry an
+    illegal ballot in and the verdicts do not depend on arrival order."""
+    copies = Counter(b.voter_id for b in bundles)
+    unique = [b for b in bundles if copies[b.voter_id] == 1]
+    step = batch_size or len(unique) or 1
+    checked: list[validation.ValidationVerdict] = []
+    for start in range(0, len(unique), step):
+        checked.extend(validation.batch_validate(ctx, unique[start:start + step],
+                                                 config.rule))
+    verdicts = iter(checked)
+    duplicate = validation.REASON_DUPLICATE
+    return [next(verdicts) if copies[b.voter_id] == 1 else
+            validation.ValidationVerdict(b.voter_id, False, duplicate) for b in bundles]
+
+
 def tallier_program(ctx: PartyContext, config: ElectionConfig,
                     bundles: list[TallierBundle],
                     batch_size: int | None = None) -> tuple[TallyResult, list, dict]:
     """The full pipeline one tallier runs; returns (result, verdicts, proofs)."""
     rule, m = config.rule, config.m
-    step = batch_size or len(bundles) or 1
-    verdicts = []
-    for start in range(0, len(bundles), step):
-        verdicts.extend(validation.batch_validate(ctx, bundles[start:start + step], rule))
-    accepted_ids = {v.voter_id for v in verdicts if v.accepted}
-    accepted = [b for b in bundles if b.voter_id in accepted_ids]
+    verdicts = validate_bundles(ctx, config, bundles, batch_size)
+    accepted = [b for b, v in zip(bundles, verdicts) if v.accepted]
 
+    # A duplicate is rejected for its id, not its content: it may be a replayed
+    # honest ballot, so it is never opened as a proof.
     proofs: dict[int, np.ndarray] = {}
     if config.reconstruct_rejected:
-        for b in bundles:
-            if b.voter_id not in accepted_ids:
+        for b, v in zip(bundles, verdicts):
+            if not v.accepted and v.reason != validation.REASON_DUPLICATE:
                 proofs[b.voter_id] = validation.reconstruct_rejected(ctx, b)
 
     agg = aggregate(ctx, accepted, rule, m)
@@ -106,42 +179,22 @@ def run_local_election(config: ElectionConfig, ballots: list[SharedBallot],
                        session_id: int = 1,
                        pregenerate: tuple[int, int] | None = None) -> ElectionOutcome:
     """Run all D talliers as threads over the in-memory transport."""
-    hub = InMemoryHub(config.talliers, timeout=LOCAL_ROUND_TIMEOUT)
-    results: dict[int, tuple] = {}
-    contexts: dict[int, PartyContext] = {}
-    errors: dict[int, BaseException] = {}
+    def program(ctx: PartyContext):
+        if pregenerate:
+            ctx.pregenerate(*pregenerate)
+        bundles = [b.bundle_for(ctx.party_id) for b in ballots]
+        return (ctx, *tallier_program(ctx, config, bundles, batch_size))
 
-    def runner(party_id: int) -> None:
-        try:
-            channel = SessionChannel(hub.transport(party_id), session_id)
-            ctx = build_context(config, party_id, channel, capture)
-            contexts[party_id] = ctx
-            if pregenerate:
-                ctx.pregenerate(*pregenerate)
-            bundles = [b.bundle_for(party_id) for b in ballots]
-            results[party_id] = tallier_program(ctx, config, bundles, batch_size)
-        except BaseException as err:  # surfaced after join
-            errors[party_id] = err
-
-    threads = [threading.Thread(target=runner, args=(d,), name=f"tallier-{d}")
-               for d in range(1, config.talliers + 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        party, err = sorted(errors.items())[0]
-        raise RuntimeError(f"tallier {party} failed: {err!r}") from err
-
-    per_party = [results[d][0] for d in range(1, config.talliers + 1)]
+    runs = _run_local(config, program, session_id, capture)
+    per_party = [runs[d][1] for d in range(1, config.talliers + 1)]
     first = per_party[0]
     for other in per_party[1:]:
         if other.winners != first.winners:
             raise RuntimeError("talliers disagree on the winners; protocol bug")
-    captures = {d: contexts[d].capture_store for d in contexts} if capture else {}
-    return ElectionOutcome(result=first, verdicts=results[1][1],
-                           per_party_results=per_party, captures=captures,
-                           rejected_proofs=results[1][2])
+    captures = {d: run[0].capture_store for d, run in runs.items()} if capture else {}
+    _, _, verdicts, proofs = runs[1]
+    return ElectionOutcome(result=first, verdicts=verdicts, per_party_results=per_party,
+                           captures=captures, rejected_proofs=proofs)
 
 
 def run_socket_tallier(config: ElectionConfig, party_id: int,
@@ -151,55 +204,24 @@ def run_socket_tallier(config: ElectionConfig, party_id: int,
                        batch_size: int | None = None) -> tuple[TallyResult, list]:
     """Run one tallier over TCP.  Ballots come either from the caller (spooled
     submissions) or live off the wire when ``expect_votes`` is given."""
-    endpoints = {d + 1: tuple(e) for d, e in enumerate(config.resolved_endpoints())}
-    transport = SocketTransport(party_id, endpoints)
-    try:
-        channel = SessionChannel(transport, session_id)
-        ctx = build_context(config, party_id, channel)
+    with _socket_context(config, party_id, session_id) as ctx:
         if bundles is None:
             if expect_votes is None:
                 raise ValueError("need either spooled bundles or expect_votes")
-            messages = transport.collect_ballots(session_id, expect_votes)
+            messages = ctx.channel.transport.collect_ballots(session_id, expect_votes)
             bundles = sorted((decode_bundle(m.payload) for m in messages),
                              key=lambda b: b.voter_id)
         result, verdicts, _ = tallier_program(ctx, config, bundles, batch_size)
         return result, verdicts
-    finally:
-        transport.close()
 
 
 def run_local_validation(config: ElectionConfig, ballots: list[SharedBallot],
                          batch_size: int | None = None,
                          session_id: int = 1) -> list[validation.ValidationVerdict]:
     """Validation phase only (threads over the in-memory hub); returns verdicts."""
-    hub = InMemoryHub(config.talliers, timeout=LOCAL_ROUND_TIMEOUT)
-    results: dict[int, list] = {}
-    errors: dict[int, BaseException] = {}
-
-    def runner(party_id: int) -> None:
-        try:
-            channel = SessionChannel(hub.transport(party_id), session_id)
-            ctx = build_context(config, party_id, channel)
-            bundles = [b.bundle_for(party_id) for b in ballots]
-            step = batch_size or len(bundles) or 1
-            verdicts = []
-            for start in range(0, len(bundles), step):
-                verdicts.extend(validation.batch_validate(
-                    ctx, bundles[start:start + step], config.rule))
-            results[party_id] = verdicts
-        except BaseException as err:
-            errors[party_id] = err
-
-    threads = [threading.Thread(target=runner, args=(d,))
-               for d in range(1, config.talliers + 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        party, err = sorted(errors.items())[0]
-        raise RuntimeError(f"tallier {party} failed: {err!r}") from err
-    return results[1]
+    return _run_local(config, lambda ctx: validate_bundles(
+        ctx, config, [b.bundle_for(ctx.party_id) for b in ballots], batch_size),
+        session_id)[1]
 
 
 def run_socket_validation(config: ElectionConfig, party_id: int,
@@ -207,66 +229,35 @@ def run_socket_validation(config: ElectionConfig, party_id: int,
                           batch_size: int | None = None,
                           session_id: int = 1) -> list[validation.ValidationVerdict]:
     """Validation phase only, one party over TCP."""
-    endpoints = {d + 1: tuple(e) for d, e in enumerate(config.resolved_endpoints())}
-    transport = SocketTransport(party_id, endpoints)
-    try:
-        channel = SessionChannel(transport, session_id)
-        ctx = build_context(config, party_id, channel)
-        step = batch_size or len(bundles) or 1
-        verdicts = []
-        for start in range(0, len(bundles), step):
-            verdicts.extend(validation.batch_validate(
-                ctx, bundles[start:start + step], config.rule))
-        return verdicts
-    finally:
-        transport.close()
+    with _socket_context(config, party_id, session_id) as ctx:
+        return validate_bundles(ctx, config, bundles, batch_size)
 
 
 # -- benchmarking -----------------------------------------------------------------
 
+def _random_rankings(config: ElectionConfig, count: int,
+                     rng: np.random.Generator) -> list[tuple[int, ...]]:
+    if config.rule == "kemeny":
+        return [tuple(int(r) for r in rng.integers(1, config.m + 1, config.m))
+                for _ in range(count)]
+    return [tuple(int(c) for c in rng.permutation(config.m) + 1)
+            for _ in range(count)]
+
+
 def bench_validation(config: ElectionConfig, batch: int, repetitions: int,
                      rng: np.random.Generator) -> dict:
     """Time batch validation of ``batch`` random legal ballots."""
-    if config.rule == "kemeny":
-        rankings = [tuple(int(r) for r in rng.integers(1, config.m + 1, config.m))
-                    for _ in range(batch)]
-    else:
-        rankings = [tuple(int(c) for c in rng.permutation(config.m) + 1)
-                    for _ in range(batch)]
-    ballots = make_shared_ballots(config, rankings)
-    samples = []
-    counters = {}
-    for rep in range(repetitions):
-        hub = InMemoryHub(config.talliers, timeout=LOCAL_ROUND_TIMEOUT)
-        outcome: dict = {}
-        errors: list = []
+    ballots = make_shared_ballots(config, _random_rankings(config, batch, rng))
 
-        def runner(party_id: int) -> None:
-            try:
-                channel = SessionChannel(hub.transport(party_id), 1)
-                ctx = build_context(config, party_id, channel)
-                bundles = [b.bundle_for(party_id) for b in ballots]
-                t0 = time.perf_counter()
-                verdicts = validation.batch_validate(ctx, bundles, config.rule)
-                elapsed = time.perf_counter() - t0
-                if party_id == 1:
-                    outcome["elapsed"] = elapsed
-                    outcome["counters"] = ctx.summary()
-                    outcome["accepted"] = sum(v.accepted for v in verdicts)
-            except BaseException as err:
-                errors.append(err)
+    def program(ctx: PartyContext) -> tuple[float, dict]:
+        bundles = [b.bundle_for(ctx.party_id) for b in ballots]
+        t0 = time.perf_counter()
+        validate_bundles(ctx, config, bundles)
+        return time.perf_counter() - t0, ctx.summary()
 
-        threads = [threading.Thread(target=runner, args=(d,))
-                   for d in range(1, config.talliers + 1)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        samples.append(outcome["elapsed"])
-        counters = outcome["counters"]
-    samples.sort()
+    runs = [_run_local(config, program)[1] for _ in range(repetitions)]
+    samples = sorted(elapsed for elapsed, _ in runs)
+    counters = runs[-1][1]
     return {
         "phase": "validate",
         "rule": config.rule,
@@ -284,13 +275,7 @@ def bench_validation(config: ElectionConfig, batch: int, repetitions: int,
 def bench_tally(config: ElectionConfig, voters: int,
                 rng: np.random.Generator) -> dict:
     """Time one full pipeline (validate + aggregate + winners) for N voters."""
-    if config.rule == "kemeny":
-        rankings = [tuple(int(r) for r in rng.integers(1, config.m + 1, config.m))
-                    for _ in range(voters)]
-    else:
-        rankings = [tuple(int(c) for c in rng.permutation(config.m) + 1)
-                    for _ in range(voters)]
-    ballots = make_shared_ballots(config, rankings)
+    ballots = make_shared_ballots(config, _random_rankings(config, voters, rng))
     t0 = time.perf_counter()
     outcome = run_local_election(config, ballots)
     elapsed = time.perf_counter() - t0
@@ -311,37 +296,15 @@ def bench_tally(config: ElectionConfig, voters: int,
 
 def bench_comparison(config: ElectionConfig, repetitions: int) -> dict:
     """Microbenchmark one secure comparison (median over repetitions)."""
-    samples = []
-    for rep in range(repetitions):
-        hub = InMemoryHub(config.talliers, timeout=LOCAL_ROUND_TIMEOUT)
-        times: list = []
-        errors: list = []
+    def program(ctx: PartyContext) -> float:
+        a = ctx.constant(3)
+        b = ctx.constant(5)
+        ctx.pregenerate(doubles=2048, rand=2048)
+        t0 = time.perf_counter()
+        ctx.open(ctx.compare(a, b), "final_output")
+        return time.perf_counter() - t0
 
-        def runner(party_id: int) -> None:
-            try:
-                channel = SessionChannel(hub.transport(party_id), 1)
-                ctx = build_context(config, party_id, channel)
-                a = ctx.constant(3)
-                b = ctx.constant(5)
-                ctx.pregenerate(doubles=2048, rand=2048)
-                t0 = time.perf_counter()
-                bit = ctx.compare(a, b)
-                ctx.open(bit, "final_output")
-                if party_id == 1:
-                    times.append(time.perf_counter() - t0)
-            except BaseException as err:
-                errors.append(err)
-
-        threads = [threading.Thread(target=runner, args=(d,))
-                   for d in range(1, config.talliers + 1)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        samples.extend(times)
-    samples.sort()
+    samples = sorted(_run_local(config, program)[1] for _ in range(repetitions))
     return {
         "phase": "compare",
         "talliers": config.talliers,

@@ -1,29 +1,24 @@
-"""Shamir threshold secret sharing over Z_p.
+"""Shamir threshold secret sharing over Z_p, batched.
 
 A secret s is hidden in a uniformly random polynomial g of degree at most
 threshold-1 with g(0) = s; party d (d = 1..D) receives the share g(d).  Any
 ``threshold`` shares determine g by interpolation; fewer reveal nothing.
-Evaluation points are fixed at 1..D, so a full share vector can also be
-interpolated as a degree-(D-1) polynomial to inspect the degree the dealer
-actually used (the share-legality check relies on this).
+Evaluation points are fixed at 1..D, so a full share vector also shows the
+degree the dealer actually used (the share-legality check relies on this).
 
-Scalar entry points (``share``, ``reconstruct``, ``interpolate_full``,
-``local_lincomb``) work on Python ints.  The ``*_batch`` variants operate on
-numpy arrays, one column per independent secret, and carry the engine's
-bulk traffic.
+Every entry point works on numpy arrays with one column per independent
+secret: ``share_batch`` deals, ``reconstruct_batch`` interpolates at x = 0,
+and ``degree_at_most`` tests each column's degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .field import PrimeField
-
-ZERO_POLY_DEGREE = -1  # stands in for "degree minus infinity"
 
 
 class ShamirError(Exception):
@@ -36,83 +31,6 @@ class InvalidThreshold(ShamirError):
 
 class InsufficientShares(ShamirError):
     pass
-
-
-class DuplicateIndex(ShamirError):
-    pass
-
-
-class MixedIndices(ShamirError):
-    pass
-
-
-class Share(NamedTuple):
-    """One evaluation point of a share-generating polynomial."""
-
-    index: int
-    value: int
-
-
-@dataclass(frozen=True)
-class ShareVector:
-    """All D shares of one secret; entry d-1 is the evaluation at x = d."""
-
-    threshold: int
-    shares: tuple[int, ...]
-
-    @property
-    def party_count(self) -> int:
-        return len(self.shares)
-
-    def share_for(self, party: int) -> Share:
-        return Share(party, self.shares[party - 1])
-
-    def points(self) -> list[tuple[int, int]]:
-        return [(d + 1, v) for d, v in enumerate(self.shares)]
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Coefficients constant-term first; the zero polynomial has degree -1."""
-
-    coefficients: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        for i in range(len(self.coefficients) - 1, -1, -1):
-            if self.coefficients[i] != 0:
-                return i
-        return ZERO_POLY_DEGREE
-
-    def evaluate(self, field: PrimeField, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = field.add(field.mul(acc, x), c)
-        return acc
-
-
-def sample_polynomial(field: PrimeField, secret: int, threshold: int,
-                      rng: np.random.Generator) -> Polynomial:
-    """Uniform polynomial of degree <= threshold-1 with free coefficient = secret."""
-    coeffs = [secret % field.p]
-    coeffs += [int(v) for v in field.rand_vec(rng, threshold - 1)]
-    return Polynomial(tuple(coeffs))
-
-
-def share_polynomial(field: PrimeField, poly: Polynomial, parties: int) -> ShareVector:
-    values = tuple(poly.evaluate(field, d) for d in range(1, parties + 1))
-    return ShareVector(threshold=len(poly.coefficients), shares=values)
-
-
-def share(field: PrimeField, secret: int, threshold: int, parties: int,
-          rng: np.random.Generator) -> ShareVector:
-    """Shamir Share: D shares of ``secret`` under a threshold-out-of-parties scheme."""
-    if not 1 <= threshold <= parties:
-        raise InvalidThreshold(f"need 1 <= threshold <= parties, got {threshold}/{parties}")
-    if parties >= field.p:
-        raise InvalidThreshold(f"parties ({parties}) must be below the field size {field.p}")
-    poly = sample_polynomial(field, secret, threshold, rng)
-    return share_polynomial(field, poly, parties)
 
 
 def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties: int,
@@ -154,62 +72,16 @@ def lagrange_at_zero(field: PrimeField, xs: Sequence[int]) -> tuple[int, ...]:
     return _lagrange_at(field.p, tuple(xs), 0)
 
 
-def _check_distinct(xs: Iterable[int]) -> None:
-    seen = set()
-    for x in xs:
-        if x in seen:
-            raise DuplicateIndex(f"evaluation point {x} supplied twice")
-        seen.add(x)
-
-
-def reconstruct(field: PrimeField, points: Sequence[tuple[int, int]], threshold: int) -> int:
-    """Shamir Reconstruct: interpolate the first ``threshold`` points at x = 0."""
-    if len(points) < threshold:
-        raise InsufficientShares(f"got {len(points)} shares, need {threshold}")
-    pts = list(points)[:threshold]
-    _check_distinct(x for x, _ in pts)
-    coeffs = lagrange_at_zero(field, [x for x, _ in pts])
-    acc = 0
-    for c, (_, y) in zip(coeffs, pts):
-        acc = field.add(acc, field.mul(c, y))
-    return acc
-
-
 def reconstruct_batch(field: PrimeField, xs: Sequence[int], rows: np.ndarray) -> np.ndarray:
-    """Vectorized reconstruct: rows is (len(xs), k); returns the k secrets."""
+    """Interpolate at x = 0: rows is (len(xs), k); returns the k secrets."""
     coeffs = np.array(lagrange_at_zero(field, xs), dtype=np.uint64)
     terms = field.mul_vec(coeffs[:, None], rows)
     return field.sum_vec(terms, axis=0)
 
 
-def interpolate_full(field: PrimeField, points: Sequence[tuple[int, int]]) -> Polynomial:
-    """The unique interpolant of degree <= len(points)-1, trailing zeros stripped."""
-    _check_distinct(x for x, _ in points)
-    n = len(points)
-    acc = [0] * n
-    for i, (xi, yi) in enumerate(points):
-        # Build y_i * prod_{j != i} (x - x_j) / (x_i - x_j) coefficient by coefficient.
-        basis = [1]
-        den = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            nxt = [0] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] = field.sub(nxt[k], field.mul(c, xj))
-                nxt[k + 1] = field.add(nxt[k + 1], c)
-            basis = nxt
-            den = field.mul(den, field.sub(xi, xj))
-        scale = field.mul(yi % field.p, field.inv(den))
-        for k, c in enumerate(basis):
-            acc[k] = field.add(acc[k], field.mul(scale, c))
-    return Polynomial(tuple(acc))
-
-
 @lru_cache(maxsize=None)
 def _extension_matrix(p: int, threshold: int, parties: int) -> np.ndarray:
     """Rows predict shares at x = threshold+1..parties from shares at x = 1..threshold."""
-    field = PrimeField(p)
     rows = []
     basis = tuple(range(1, threshold + 1))
     for x in range(threshold + 1, parties + 1):
@@ -228,22 +100,3 @@ def degree_at_most(field: PrimeField, matrix: np.ndarray, threshold: int) -> np.
     for r in range(ext.shape[0]):
         predicted[r] = field.sum_vec(field.mul_vec(ext[r][:, None], matrix[:threshold]), axis=0)
     return np.all(predicted == matrix[threshold:], axis=0)
-
-
-def local_lincomb(field: PrimeField, coeffs: Sequence[int], shares: Sequence[Share],
-                  offset: int = 0) -> Share:
-    """Linear combination of one party's shares plus a public offset.
-
-    By linearity of the scheme the result is that party's share of the same
-    combination of the underlying secrets; no communication happens.
-    """
-    if len(coeffs) != len(shares):
-        raise ShamirError("coefficient/share length mismatch")
-    indices = {s.index for s in shares}
-    if len(indices) > 1:
-        raise MixedIndices(f"shares belong to different parties: {sorted(indices)}")
-    acc = offset % field.p
-    for c, s in zip(coeffs, shares):
-        acc = field.add(acc, field.mul(c % field.p, s.value))
-    index = shares[0].index if shares else 0
-    return Share(index, acc)

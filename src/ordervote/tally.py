@@ -83,6 +83,7 @@ def aggregate(ctx: PartyContext, bundles: list[TallierBundle], rule: str,
             raise RuleMismatch(f"ballot of voter {b.voter_id} belongs to a different session")
     if bundles:
         stacked = np.stack([np.asarray(b.values, dtype=np.uint64) for b in bundles])
+        stacked %= np.uint64(ctx.field.p)  # a share >= p would overflow the sum
         total = ctx.field.sum_vec(stacked, axis=0)
     else:
         total = np.zeros(k, dtype=np.uint64)

@@ -244,13 +244,16 @@ class InMemoryTransport(PartyTransport):
                                               msg.kind, payload))
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+def _recv_exact(sock: socket.socket, n: int) -> bytearray | None:
+    """Read exactly n bytes into one preallocated buffer; None on EOF."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        count = sock.recv_into(view[got:])
+        if not count:
             return None
-        buf += chunk
+        got += count
     return buf
 
 
@@ -271,7 +274,7 @@ def _dial(endpoint: tuple[str, int], timeout: float) -> socket.socket:
         return sock
 
 
-def read_frame(sock: socket.socket) -> bytes | None:
+def read_frame(sock: socket.socket) -> bytearray | None:
     head = _recv_exact(sock, LEN_PREFIX.size)
     if head is None:
         return None

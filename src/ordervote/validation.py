@@ -17,9 +17,12 @@ Three checks run against every submission, in this order:
    opened value F(Q)^2 is rule-and-M constant for every legal ballot and zero
    exactly when two sums collide.
 
-``batch_validate`` interleaves checks 2 and 3 across B ballots so each of the
-M(M-1)/2 rounds carries 2B simultaneous multiplication gates (the last round
-carries the B squarings).
+``batch_validate`` is the only entry point.  It interleaves checks 2 and 3
+across B ballots so each of the M(M-1)/2 rounds carries 2B simultaneous
+multiplication gates (the last round carries the B squarings), and returns
+one verdict per bundle, by position.  A share value >= p is reduced first:
+it stands for the same field element, and only the tallier holding it could
+see it, so rejecting it would split the talliers' verdicts.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .shamir import degree_at_most, reconstruct_batch
 REASON_DEGREE = "ShareDegree"
 REASON_DOMAIN = "EntryDomain"
 REASON_SUMS = "ColumnSums"
+REASON_DUPLICATE = "DuplicateVoter"  # assigned by session.validate_bundles
 
 
 @dataclass(frozen=True)
@@ -68,36 +72,10 @@ def masked_degree_check(ctx: PartyContext, values: np.ndarray) -> tuple[np.ndarr
     return legal, constants
 
 
-def verify_share_degree(ctx: PartyContext, entry_shares: np.ndarray) -> bool:
-    """One ballot's entries: True iff every sharing is a legal D'-out-of-D one."""
-    legal, _ = masked_degree_check(ctx, entry_shares)
-    return bool(np.all(legal))
-
-
 def _domain_factors(rule: str, entries: Shares) -> tuple[Shares, Shares]:
     if rule == "copeland":
         return entries + 1, entries - 1  # zero iff entry in {-1, 1}
     return entries, entries - 1  # zero iff entry in {0, 1}
-
-
-def verify_entry_domain(ctx: PartyContext, entry_shares: np.ndarray, rule: str,
-                        m: int) -> bool:
-    """One ballot's condition-1 check; all products in one simultaneous round."""
-    x = Shares(ctx.field, ctx.threshold, np.asarray(entry_shares, dtype=np.uint64))
-    u, v = _domain_factors(rule, x)
-    if rule == "kemeny":
-        sums = _kemeny_pair_sums(x, m)
-        u, v = Shares.concat([u, sums]), Shares.concat([v, sums - 1])
-    products = ctx.open(ctx.mul(u, v), "validation_product")
-    return bool(np.all(products == 0))
-
-
-def _kemeny_pair_sums(entries: Shares, m: int) -> Shares:
-    """Shares of P(a,b) + P(b,a) for every unordered pair; must be 0 or 1."""
-    pos = {pair: i for i, pair in enumerate(entry_pairs("kemeny", m))}
-    idx_ab = [pos[(a, b)] for a, b in upper_pairs(m)]
-    idx_ba = [pos[(b, a)] for a, b in upper_pairs(m)]
-    return entries[idx_ab] + entries[idx_ba]
 
 
 def column_sum_shares(ctx: PartyContext, entry_shares: np.ndarray, rule: str,
@@ -125,20 +103,6 @@ def column_sum_shares(ctx: PartyContext, entry_shares: np.ndarray, rule: str,
     return Shares(ctx.field, ctx.threshold, sums)
 
 
-def verify_distinct_sums(ctx: PartyContext, sums: Shares, rule: str) -> bool:
-    """One ballot's condition-4 check: F(Q)^2 opened, nonzero means distinct."""
-    m = sums.size
-    pairs = upper_pairs(m)
-    if not pairs:
-        return True
-    diffs = [sums[b - 1] - sums[a - 1] for a, b in pairs]
-    f = diffs[0]
-    for d in diffs[1:]:
-        f = ctx.mul(f, d)
-    squared = ctx.mul(f, f)  # erases the permutation-signature leak
-    return bool(ctx.open(squared, "validation_product")[0] != 0)
-
-
 def batch_validate(ctx: PartyContext, bundles: list[TallierBundle],
                    rule: str) -> list[ValidationVerdict]:
     """Validate B ballots in one session: degree first, then conditions 1 and 4
@@ -150,34 +114,27 @@ def batch_validate(ctx: PartyContext, bundles: list[TallierBundle],
     for b in bundles:
         if b.rule != rule or b.m != m or b.values.size != expected:
             raise ValueError(f"bundle of voter {b.voter_id} does not match the session")
-    voters = [b.voter_id for b in bundles]
     stacked = np.stack([np.asarray(b.values, dtype=np.uint64) for b in bundles])
+    stacked %= np.uint64(ctx.field.p)
 
     legal, _ = masked_degree_check(ctx, stacked.ravel())
     degree_ok = legal.reshape(stacked.shape).all(axis=1)
-
-    verdicts: dict[int, ValidationVerdict] = {}
-    for voter, ok in zip(voters, degree_ok):
-        if not ok:
-            verdicts[voter] = ValidationVerdict(voter, False, REASON_DEGREE)
-
+    domain_ok = np.zeros(len(bundles), dtype=bool)
+    sums_ok = np.ones(len(bundles), dtype=bool)
     live = np.flatnonzero(degree_ok)
     if live.size:
-        values = stacked[live]
         if rule == "kemeny":
-            domain_ok = _validate_kemeny_conditions(ctx, values, m)
-            sums_ok = np.ones(live.size, dtype=bool)
+            domain_ok[live] = _validate_kemeny_conditions(ctx, stacked[live], m)
         else:
-            domain_ok, sums_ok = _validate_interleaved(ctx, values, rule, m)
-        for row, idx in enumerate(live):
-            voter = voters[idx]
-            if not domain_ok[row]:
-                verdicts[voter] = ValidationVerdict(voter, False, REASON_DOMAIN)
-            elif not sums_ok[row]:
-                verdicts[voter] = ValidationVerdict(voter, False, REASON_SUMS)
-            else:
-                verdicts[voter] = ValidationVerdict(voter, True)
-    return [verdicts[v] for v in voters]
+            domain_ok[live], sums_ok[live] = _validate_interleaved(
+                ctx, stacked[live], rule, m)
+
+    verdicts = []
+    for b, degree, domain, sums in zip(bundles, degree_ok, domain_ok, sums_ok):
+        reason = (REASON_DEGREE if not degree else REASON_DOMAIN if not domain
+                  else REASON_SUMS if not sums else None)
+        verdicts.append(ValidationVerdict(b.voter_id, reason is None, reason))
+    return verdicts
 
 
 def _validate_interleaved(ctx: PartyContext, values: np.ndarray, rule: str,
@@ -233,7 +190,8 @@ def reconstruct_rejected(ctx: PartyContext, bundle: TallierBundle) -> np.ndarray
     """Recover a rejected ballot as dishonesty proof (explicit cooperation of
     >= D' talliers; here all parties broadcast their raw shares).  Returns the
     signed M x M matrix implied by the shared entries."""
-    matrix = ctx.open_share_matrix(bundle.values, "rejected_ballot_proof")
+    values = np.asarray(bundle.values, dtype=np.uint64) % np.uint64(ctx.field.p)
+    matrix = ctx.open_share_matrix(values, "rejected_ballot_proof")
     opened = reconstruct_batch(ctx.field, range(1, ctx.threshold + 1),
                                matrix[:ctx.threshold])
     half = ctx.field.p // 2

@@ -1,12 +1,11 @@
 """Shared helpers: run SPMD party programs over the in-memory transport."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from ordervote.engine import PartyContext, Shares
 from ordervote.field import PrimeField
+from ordervote.session import _run_threads
 from ordervote.shamir import share_batch
 from ordervote.transport import InMemoryHub, SessionChannel
 
@@ -23,32 +22,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def run_parties(parties, threshold, field, program, seed=7, timeout=30.0,
                 session=1, record_for=()):
     """Run ``program(ctx)`` on every party in its own thread; returns a dict
-    party_id -> return value.  Exceptions propagate to the caller."""
+    party_id -> return value.  The lowest failing party's exception
+    propagates to the caller as raised."""
     hub = InMemoryHub(parties, timeout=timeout)
-    out, errors, records = {}, {}, {}
+    records = {d: [] for d in record_for}
 
-    def runner(d):
-        try:
-            transport = hub.transport(d)
-            if d in record_for:
-                transport.recorder = records.setdefault(d, [])
-            channel = SessionChannel(transport, session)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, d]))
-            ctx = PartyContext(d, parties, threshold, field, channel, rng)
-            out[d] = program(ctx)
-        except BaseException as err:
-            errors[d] = err
+    def body(d):
+        transport = hub.transport(d)
+        if d in records:
+            transport.recorder = records[d]
+        channel = SessionChannel(transport, session)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, d]))
+        return program(PartyContext(d, parties, threshold, field, channel, rng))
 
-    threads = [threading.Thread(target=runner, args=(d,))
-               for d in range(1, parties + 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise sorted(errors.items())[0][1]
-    out_records = {d: records.get(d, []) for d in record_for}
-    return (out, out_records) if record_for else out
+    try:
+        out = _run_threads(parties, body)
+    except RuntimeError as err:
+        raise err.__cause__ from None
+    return (out, records) if record_for else out
 
 
 def deal(field, values, threshold, parties, seed=99):

@@ -1,11 +1,15 @@
 import threading
 
 import numpy as np
+import pytest
 
+from ordervote.ballots import BallotMatrix, ranking_to_matrix, share_ballot
 from ordervote.config import ElectionConfig
 from ordervote.oracle import PlainElection, plain_winners
-from ordervote.session import (make_shared_ballots, run_local_election,
-                               run_local_validation, run_socket_tallier)
+from ordervote.session import (_run_threads, make_shared_ballots,
+                               run_local_election, run_local_validation,
+                               run_socket_tallier)
+from ordervote.validation import REASON_DUPLICATE
 
 M31 = (1 << 31) - 1
 
@@ -69,6 +73,46 @@ def test_rejected_ballots_excluded_from_tally():
     assert outcome.result.winners == oracle
 
 
+def test_duplicate_voter_ids_reject_every_copy():
+    """A 50x-inflated ballot and a legal cover ballot under one voter id are
+    both rejected, in either order; only the five honest ballots count, and
+    neither copy is opened as a proof (it may be a replayed honest ballot)."""
+    cfg = _cfg(rule="copeland", m=3, k=1, seed=10, open_scores=True,
+               reconstruct_rejected=True)
+    honest = [(2, 1, 3)] * 5
+    ballots = make_shared_ballots(cfg, honest + [(1, 2, 3)])
+    cover = ballots.pop()
+    inflated = share_ballot(
+        BallotMatrix("copeland", 3, 50 * ranking_to_matrix("copeland", (1, 2, 3), 3).entries),
+        cfg.field, cfg.threshold, cfg.talliers, np.random.default_rng(1), cover.voter_id)
+    for pair in ([inflated, cover], [cover, inflated]):
+        outcome = run_local_election(cfg, ballots + pair)
+        assert all(v.accepted for v in outcome.verdicts[:5])
+        assert [v.record() for v in outcome.verdicts[5:]] == [
+            {"voter_id": 6, "accepted": False, "reason": REASON_DUPLICATE}] * 2
+        assert outcome.result.winners == [2]
+        assert outcome.result.opened_scores == [2, 4, 0]
+        assert outcome.rejected_proofs == {}
+
+
+@pytest.mark.parametrize("rule", ["copeland", "maximin"])
+def test_share_above_p_neither_aborts_nor_changes_the_tally(rule):
+    """One share stored as its value plus a multiple of p, close to 2**64:
+    every ballot is still accepted and the tally is the canonical one."""
+    cfg = _cfg(rule=rule, m=3, k=1, seed=11, open_scores=True)
+    rankings = _rankings(rule, 3, 6, seed=10)
+    ballots = make_shared_ballots(cfg, rankings)
+    expect = run_local_election(cfg, ballots).result.to_dict()
+    p = cfg.prime
+    for ceiling in ((1 << 64) - 2 * p - 1, (1 << 64) - 1):
+        shifted = [type(b)(b.voter_id, b.rule, b.m, b.bundles.copy()) for b in ballots]
+        v = int(shifted[0].bundles[1, 0])
+        shifted[0].bundles[1, 0] = v + (ceiling - v) // p * p
+        outcome = run_local_election(cfg, shifted)
+        assert all(v.accepted for v in outcome.verdicts)
+        assert outcome.result.to_dict() == expect
+
+
 def test_reconstruct_rejected_flag_produces_proof():
     cfg = _cfg(rule="copeland", m=3, k=1, seed=9, reconstruct_rejected=True)
     rankings = _rankings("copeland", 3, 3, seed=5)
@@ -130,22 +174,8 @@ def test_socket_backend_matches_memory_backend():
 
     sock_cfg = _socket_cfg("copeland", 3, 2, 3, seed=31)
     ballots = make_shared_ballots(sock_cfg, rankings)
-    results = {}
-    errors = []
-
-    def party(d):
-        try:
-            bundles = [b.bundle_for(d) for b in ballots]
-            results[d] = run_socket_tallier(sock_cfg, d, bundles)[0]
-        except BaseException as err:  # pragma: no cover - surfaced below
-            errors.append(err)
-
-    threads = [threading.Thread(target=party, args=(d,)) for d in (1, 2, 3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
+    results = _run_threads(3, lambda d: run_socket_tallier(
+        sock_cfg, d, [b.bundle_for(d) for b in ballots])[0])
     assert results[1].to_dict() == mem_outcome.result.to_dict()
     assert results[2].winners == results[1].winners
 
@@ -157,30 +187,19 @@ def test_socket_live_ballot_submission():
     cfg = _socket_cfg("maximin", 3, 1, 3, seed=41)
     rankings = _rankings("maximin", 3, 4, seed=9)
     ballots = make_shared_ballots(cfg, rankings)
-    results = {}
-    errors = []
+    acks = []
 
-    def party(d):
-        try:
-            results[d] = run_socket_tallier(cfg, d, bundles=None, expect_votes=4)[0]
-        except BaseException as err:
-            errors.append(err)
-
-    threads = [threading.Thread(target=party, args=(d,)) for d in (1, 2, 3)]
-    for t in threads:
-        t.start()
-
-    def voter():
+    def voter():  # submissions retry until each tallier listens
         for b in ballots:
             for d in (1, 2, 3):
-                assert submit_ballot_socket(cfg.endpoints[d - 1], 1,
-                                            encode_bundle(b.bundle_for(d)))
+                acks.append(submit_ballot_socket(cfg.endpoints[d - 1], 1,
+                                                 encode_bundle(b.bundle_for(d))))
 
     vt = threading.Thread(target=voter)
     vt.start()
+    results = _run_threads(3, lambda d: run_socket_tallier(
+        cfg, d, bundles=None, expect_votes=4)[0])
     vt.join()
-    for t in threads:
-        t.join()
-    assert not errors
+    assert acks == [True] * 12
     oracle = plain_winners(PlainElection("maximin", 3, 1, tuple(rankings)))
     assert results[1].winners == oracle

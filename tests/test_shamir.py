@@ -5,71 +5,82 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from conftest import run_parties
+from ordervote.engine import Shares
 from ordervote.field import PrimeField
-from ordervote.shamir import (DuplicateIndex, InsufficientShares,
-                              InvalidThreshold, MixedIndices, Polynomial,
-                              Share, degree_at_most, interpolate_full,
-                              local_lincomb, reconstruct, reconstruct_batch,
-                              share, share_batch, share_polynomial)
+from ordervote.shamir import (InsufficientShares, InvalidThreshold,
+                              degree_at_most, reconstruct_batch, share_batch)
+
+
+def _evaluate(coeffs, xs, p):
+    """Plain evaluation of the polynomial with ``coeffs`` (constant first)."""
+    return [sum(c * x ** i for i, c in enumerate(coeffs)) % p for x in xs]
 
 
 def test_known_polynomial_shares(f31):
     # g(x) = 5 + 4x at x = 1, 2, 3
-    vec = share_polynomial(f31, Polynomial((5, 4)), 3)
-    assert vec.shares == (9, 13, 17)
-    assert vec.threshold == 2
-    assert reconstruct(f31, [(1, 9), (2, 13)], 2) == 5
+    shares = np.array([[9], [13], [17]], dtype=np.uint64)
+    assert degree_at_most(f31, shares, 2).all()
+    assert reconstruct_batch(f31, [1, 2], shares[:2]).tolist() == [5]
+    assert reconstruct_batch(f31, [1, 3], shares[[0, 2]]).tolist() == [5]
+    dealt = share_batch(f31, np.array([5]), 2, 3, np.random.default_rng(0))
+    assert degree_at_most(f31, dealt, 2).all()  # a line, like g
 
 
 def test_threshold_one_gives_constant_shares(f31):
     rng = np.random.default_rng(0)
-    vec = share(f31, 17, 1, 5, rng)
-    assert vec.shares == (17,) * 5
+    matrix = share_batch(f31, np.array([17], dtype=np.uint64), 1, 5, rng)
+    assert matrix[:, 0].tolist() == [17] * 5
 
 
 def test_round_trip_every_subset(f31):
     rng = np.random.default_rng(1)
     for parties in range(1, 10):
         for threshold in range(1, parties + 1):
-            secret = int(rng.integers(0, 31))
-            vec = share(f31, secret, threshold, parties, rng)
-            for subset in itertools.combinations(vec.points(), threshold):
-                assert reconstruct(f31, list(subset), threshold) == secret
+            secrets = rng.integers(0, 31, size=4, dtype=np.uint64)
+            matrix = share_batch(f31, secrets, threshold, parties, rng)
+            for subset in itertools.combinations(range(parties), threshold):
+                got = reconstruct_batch(f31, [d + 1 for d in subset],
+                                        matrix[list(subset)])
+                assert np.array_equal(got, secrets)
 
 
 def test_reconstruct_errors(f31):
+    def prog(ctx):  # a threshold-4 sharing cannot be opened by 3 parties
+        return ctx.open(Shares(f31, 4, np.zeros(1, dtype=np.uint64)), "final_output")
+
     with pytest.raises(InsufficientShares):
-        reconstruct(f31, [(1, 9)], 2)
-    with pytest.raises(DuplicateIndex):
-        reconstruct(f31, [(1, 9), (1, 13)], 2)
+        run_parties(3, 2, f31, prog)
     with pytest.raises(InvalidThreshold):
-        share(f31, 5, 4, 3, np.random.default_rng(0))
+        share_batch(f31, np.array([5]), 4, 3, np.random.default_rng(0))
     with pytest.raises(InvalidThreshold):
-        share(f31, 5, 2, 31, np.random.default_rng(0))  # D >= p
+        share_batch(f31, np.array([5]), 2, 31, np.random.default_rng(0))  # D >= p
 
 
 def test_interpolate_full_degrees(f31):
-    assert interpolate_full(f31, [(1, 1), (2, 2), (3, 4)]).degree == 2
-    assert interpolate_full(f31, [(1, 5), (2, 5), (3, 5)]).degree == 0
-    assert interpolate_full(f31, [(1, 0), (2, 0), (3, 0)]).degree == -1  # zero poly
-    line = share_polynomial(f31, Polynomial((7, 3)), 3)
-    poly = interpolate_full(f31, line.points())
-    assert poly.degree == 1
-    assert poly.coefficients[:2] == (7, 3)
-    with pytest.raises(DuplicateIndex):
-        interpolate_full(f31, [(1, 1), (1, 2)])
+    # columns: degree 2, degree 0, the zero polynomial, and the line 7 + 3x
+    points = np.array([[1, 5, 0, 10], [2, 5, 0, 13], [4, 5, 0, 16]], dtype=np.uint64)
+    assert degree_at_most(f31, points, 3).tolist() == [True] * 4
+    assert degree_at_most(f31, points, 2).tolist() == [False, True, True, True]
+    assert degree_at_most(f31, points, 1).tolist() == [False, True, True, False]
+    assert reconstruct_batch(f31, [1, 2], points[:2, 3:]).tolist() == [7]
 
 
 def test_interpolate_recovers_generator(f31):
+    """Random polynomials of degree <= 3 evaluated at x = 1..7: the degree test
+    passes exactly from the polynomial's own degree up, and any four points
+    give back its constant term."""
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        coeffs = tuple(int(v) for v in rng.integers(0, 31, size=4))
-        poly = Polynomial(coeffs)
-        pts = [(x, poly.evaluate(f31, x)) for x in range(1, 8)]
-        got = interpolate_full(f31, pts)
-        assert got.degree == poly.degree
-        for x in range(1, 8):
-            assert got.evaluate(f31, x) == poly.evaluate(f31, x)
+    polys = [tuple(int(v) for v in rng.integers(0, 31, size=4)) for _ in range(50)]
+    polys[:2] = [(0, 0, 0, 0), (9, 0, 0, 0)]  # the zero and a constant polynomial
+    points = np.array([_evaluate(c, range(1, 8), 31) for c in polys],
+                      dtype=np.uint64).T
+    degrees = [max((i for i, c in enumerate(cs) if c), default=-1) for cs in polys]
+    for threshold in range(1, 8):
+        expect = [deg <= threshold - 1 for deg in degrees]
+        assert degree_at_most(f31, points, threshold).tolist() == expect
+    got = reconstruct_batch(f31, [2, 4, 5, 7], points[[1, 3, 4, 6]])
+    assert got.tolist() == [cs[0] for cs in polys]
 
 
 def test_share_batch_matches_scalar_reconstruct(f31):
@@ -123,24 +134,18 @@ def test_secrecy_joint_pair_uniform(f31):
 def test_lincomb_commutes_with_reconstruct(a, b, u, v, offset):
     f = PrimeField(31)
     rng = np.random.default_rng(a * 31 + b)
-    vec_u = share(f, u, 2, 3, rng)
-    vec_v = share(f, v, 2, 3, rng)
-    combined = [local_lincomb(f, [a, b], [vec_u.share_for(d), vec_v.share_for(d)],
-                              offset) for d in range(1, 4)]
-    got = reconstruct(f, [(s.index, s.value) for s in combined], 2)
-    assert got == (a * u + b * v + offset) % 31
-
-
-def test_lincomb_mixed_indices(f31):
-    with pytest.raises(MixedIndices):
-        local_lincomb(f31, [1, 1], [Share(1, 5), Share(2, 6)])
+    matrix = share_batch(f, np.array([u, v], dtype=np.uint64), 2, 3, rng)
+    # each party combines its own two shares locally, then adds the public offset
+    combined = f.add_vec(f.add_vec(f.scale_vec(a, matrix[:, 0]),
+                                   f.scale_vec(b, matrix[:, 1])), offset)
+    got = reconstruct_batch(f, [1, 2], combined[:2, None])
+    assert got.tolist() == [(a * u + b * v + offset) % 31]
+    assert degree_at_most(f, combined[:, None], 2).all()
 
 
 def test_lincomb_offset_embeds_public_shift(f31):
     # adding a public N to every share shifts the secret by N
     rng = np.random.default_rng(7)
-    vec = share(f31, 9, 2, 3, rng)
-    shifted = [local_lincomb(f31, [1], [vec.share_for(d)], offset=10)
-               for d in range(1, 4)]
-    got = reconstruct(f31, [(s.index, s.value) for s in shifted], 2)
-    assert got == 19
+    matrix = share_batch(f31, np.array([9], dtype=np.uint64), 2, 3, rng)
+    shifted = f31.add_vec(matrix, 10)
+    assert reconstruct_batch(f31, [2, 3], shifted[1:]).tolist() == [19]

@@ -6,7 +6,7 @@ import pytest
 
 from ordervote.transport import (DuplicateMessage, InMemoryHub, MessageKind,
                                  ProtocolMessage, RoundTimeout, SessionChannel,
-                                 SocketTransport, TransportFailure,
+                                 SocketTransport, TransportFailure, read_frame,
                                  submit_ballot_socket)
 
 
@@ -135,6 +135,38 @@ def test_socket_echo_large_payload():
     finally:
         for n in nodes.values():
             n.close()
+
+
+def test_read_frame_reassembles_multi_megabyte_frame_over_loopback():
+    """A 4 MB frame written in 64 KB pieces over 127.0.0.1 arrives whole and
+    bit-exact; a connection that closes mid-frame reads as None."""
+    import socket
+    payload = np.random.default_rng(1).integers(0, (1 << 31) - 1, size=500_000,
+                                                dtype=np.uint64)
+    frame = ProtocolMessage(1, 2, 3, MessageKind.BROADCAST, payload).encode()
+    listener = socket.create_server(("127.0.0.1", 0))
+    sender = socket.create_connection(listener.getsockname())
+    receiver, _ = listener.accept()
+    listener.close()
+
+    def write():
+        for start in range(0, len(frame), 1 << 16):
+            sender.sendall(frame[start:start + (1 << 16)])
+        sender.sendall(frame[:1000])  # the start of a frame that never ends
+        sender.close()
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        got = read_frame(receiver)
+        assert len(got) == len(frame) - 4 > 4_000_000
+        msg = ProtocolMessage.decode(got)
+        assert (msg.session, msg.round, msg.sender) == (1, 2, 3)
+        assert np.array_equal(msg.payload, payload)
+        assert read_frame(receiver) is None
+    finally:
+        writer.join()
+        receiver.close()
 
 
 def test_socket_ballot_submission_with_ack():

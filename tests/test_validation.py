@@ -11,9 +11,7 @@ from ordervote.oracle import legal_ballot_matrix
 from ordervote.shamir import share_batch
 from ordervote.validation import (REASON_DEGREE, REASON_DOMAIN, REASON_SUMS,
                                   batch_validate, column_sum_shares,
-                                  masked_degree_check, reconstruct_rejected,
-                                  verify_distinct_sums, verify_entry_domain,
-                                  verify_share_degree)
+                                  masked_degree_check, reconstruct_rejected)
 
 M31 = (1 << 31) - 1
 
@@ -49,30 +47,30 @@ def flip_breaking_condition4(rule, m, rng):
 
 # -- share-degree legality -----------------------------------------------------
 
+def _degree_flags(field, rows):
+    """masked_degree_check over party d's values rows[d]; party 1's flags."""
+    def prog(ctx):
+        legal, _ = masked_degree_check(ctx, np.asarray(rows[ctx.party_id - 1],
+                                                       dtype=np.uint64))
+        return legal
+
+    flags = run_parties(3, 2, field, prog)
+    assert all(np.array_equal(flags[d], flags[1]) for d in (2, 3))
+    return flags[1]
+
+
 def test_degree_check_accepts_honest_sharing(f31):
     mx = deal(f31, np.arange(12, dtype=np.uint64), 2, 3, seed=1)
-
-    def prog(ctx):
-        return verify_share_degree(ctx, mx[ctx.party_id - 1])
-
-    assert all(run_parties(3, 2, f31, prog).values())
+    assert _degree_flags(f31, mx).all()
 
 
 def test_degree_check_rejects_quadratic_shares(f31):
     # shares (1, 2, 4) at x = 1, 2, 3: the interpolant is a parabola
-    rows = {1: [1], 2: [2], 3: [4]}
-
-    def prog(ctx):
-        return verify_share_degree(ctx, np.array(rows[ctx.party_id], dtype=np.uint64))
-
-    assert not any(run_parties(3, 2, f31, prog).values())
+    assert not _degree_flags(f31, [[1], [2], [4]]).any()
 
 
 def test_degree_check_accepts_constant_shares(f31):
-    def prog(ctx):
-        return verify_share_degree(ctx, np.array([7, 7], dtype=np.uint64))
-
-    assert all(run_parties(3, 2, f31, prog).values())
+    assert _degree_flags(f31, [[7, 7]] * 3).all()
 
 
 def test_degree_check_opened_constants_are_uniform(f31):
@@ -90,41 +88,33 @@ def test_degree_check_opened_constants_are_uniform(f31):
 
 # -- entry domain ----------------------------------------------------------------
 
+def _validate_one(field, rule, m, values, seed):
+    """batch_validate with B = 1 on a ballot dealt from raw entry values."""
+    mx = deal(field, np.asarray(values, dtype=np.uint64), 2, 3, seed=seed)
+    return _run_batch(field, [SharedBallot(1, rule, m, mx)], rule)[0][0]
+
+
 def test_entry_domain_examples(f31):
     cases = [
-        ("copeland", 30, True),   # -1: ( -1+1)(-1-1) = 0
-        ("copeland", 2, False),   # 2: 3*1 = 3 != 0
-        ("maximin", 1, True),     # 1: 1*0 = 0
-        ("maximin", 2, False),
-        ("kemeny", 0, True),
-        ("kemeny", 29, False),    # -2 embeds as 29
+        ("copeland", [30], True),   # -1: ( -1+1)(-1-1) = 0
+        ("copeland", [2], False),   # 2: 3*1 = 3 != 0
+        ("maximin", [1], True),     # 1: 1*0 = 0
+        ("maximin", [2], False),
+        ("kemeny", [0, 0], True),   # a tie
+        ("kemeny", [29, 0], False),  # -2 embeds as 29
     ]
-    for rule, value, expect in cases:
-        if rule == "kemeny":
-            # a full kemeny ballot with one forced entry value
-            base = ranking_to_matrix("kemeny", (1, 2), 2)
-            vals = np.array([value, 0], dtype=np.uint64)
-        else:
-            vals = np.array([value], dtype=np.uint64)
-        mx = deal(f31, vals, 2, 3, seed=3)
-
-        def prog(ctx):
-            return verify_entry_domain(ctx, mx[ctx.party_id - 1],
-                                       rule, 2)
-
-        got = run_parties(3, 2, f31, prog)[1]
-        assert got == expect, (rule, value)
+    for rule, values, expect in cases:
+        verdict = _validate_one(f31, rule, 2, values, seed=3)
+        assert verdict.accepted == expect, (rule, values)
+        if not expect:
+            assert verdict.reason == REASON_DOMAIN
 
 
 def test_kemeny_pair_sum_check(f31):
     # entries (1, 1) for the pair (1,2),(2,1): each alone is in {0,1} but the
     # sum 2 betrays an inconsistent ballot
-    mx = deal(f31, np.array([1, 1], dtype=np.uint64), 2, 3, seed=4)
-
-    def prog(ctx):
-        return verify_entry_domain(ctx, mx[ctx.party_id - 1], "kemeny", 2)
-
-    assert not run_parties(3, 2, f31, prog)[1]
+    verdict = _validate_one(f31, "kemeny", 2, [1, 1], seed=4)
+    assert not verdict.accepted and verdict.reason == REASON_DOMAIN
 
 
 # -- column sums and distinctness ---------------------------------------------------
@@ -182,15 +172,10 @@ def test_distinct_sums_constants(f_mersenne31):
 
 
 def test_verify_distinct_sums_detects_collision(f31):
-    # column sums (1, 1, 0) share a value: F = 0
-    mx = deal(f31, np.array([1, 1, 0], dtype=np.uint64), 2, 3, seed=9)
-
-    def prog(ctx):
-        sums = ctx.constant(np.array([1, 1, 0], dtype=np.uint64))
-        return verify_distinct_sums(ctx, sums, "copeland")
-
-    assert not run_parties(3, 2, f31, prog)[1]
-    del mx
+    # the cyclic Copeland entries P(1,2), P(1,3), P(2,3) = 1, -1, 1 are each in
+    # {-1, 1}, but every column sums to 0: F = 0
+    verdict = _validate_one(f31, "copeland", 3, [1, 30, 1], seed=9)
+    assert not verdict.accepted and verdict.reason == REASON_SUMS
 
 
 # -- batch validation ------------------------------------------------------------
@@ -307,13 +292,16 @@ def test_reconstruct_rejected_recovers_matrix(f31):
     inflated = BallotMatrix("copeland", 3, 2 * q.entries)
     rng = np.random.default_rng(17)
     bad = share_ballot(inflated, PrimeField(31), 2, 3, rng, 9)
+    lifted = SharedBallot(9, "copeland", 3, bad.bundles.copy())
+    lifted.bundles[0, 0] += np.uint64(((1 << 64) - 32) // 31 * 31)  # same element
 
-    def prog(ctx):
-        return reconstruct_rejected(ctx, bad.bundle_for(ctx.party_id))
+    for ballot in (bad, lifted):
+        def prog(ctx):
+            return reconstruct_rejected(ctx, ballot.bundle_for(ctx.party_id))
 
-    res = run_parties(3, 2, f31, prog)
-    assert np.array_equal(res[1], inflated.entries)
-    assert np.array_equal(res[2], inflated.entries)
+        res = run_parties(3, 2, f31, prog)
+        assert np.array_equal(res[1], inflated.entries)
+        assert np.array_equal(res[2], inflated.entries)
 
 
 def test_batch_kemeny_rows_are_per_ballot(f_mersenne31):
@@ -331,3 +319,34 @@ def test_batch_kemeny_rows_are_per_ballot(f_mersenne31):
     assert [v.record() for v in verdicts] == [v.record() for v in alone]
     assert [v.accepted for v in verdicts] == [True, True, False]
     assert verdicts[2].reason == REASON_DOMAIN
+
+
+def test_batch_verdicts_are_positional(f_mersenne31):
+    """Two bundles under one voter id keep their own verdicts: an inflated
+    ballot is not reported accepted because a legal one shares its id."""
+    f = f_mersenne31
+    rng = np.random.default_rng(18)
+    inflated = BallotMatrix("copeland", 3, 50 * ranking_to_matrix("copeland", (1, 2, 3), 3).entries)
+    bad = share_ballot(inflated, f, 2, 3, rng, 6)
+    cover = legal_shared_ballot(f, "copeland", (1, 2, 3), 3, 2, 3, 600, 6)
+    verdicts, _, _ = _run_batch(f, [bad, cover], "copeland")
+    assert [(v.voter_id, v.accepted, v.reason) for v in verdicts] == [
+        (6, False, REASON_DOMAIN), (6, True, None)]
+
+
+def test_batch_reduces_shares_at_or_above_p(f_mersenne31):
+    """A share stored as value + k*p (up to 2**64 - 1) is the same field
+    element: the ballot gets the verdict of its canonical form."""
+    f = f_mersenne31
+    rng = np.random.default_rng(19)
+    for rule in ("copeland", "maximin", "kemeny"):
+        order = (2, 1, 3) if rule != "kemeny" else (1, 1, 2)
+        ballots = [legal_shared_ballot(f, rule, order, 3, 2, 3, 700 + i, i + 1)
+                   for i in range(2)]
+        bad = SharedBallot(3, rule, 3, ballots[0].bundles.copy())
+        v = int(bad.bundles[1, 0])
+        bad.bundles[1, 0] = v + (((1 << 64) - 1 - v) // f.p) * f.p
+        inflated = share_ballot(BallotMatrix(rule, 3, 3 * ranking_to_matrix(rule, order, 3).entries),
+                                f, 2, 3, rng, 4)
+        verdicts, _, _ = _run_batch(f, ballots + [bad, inflated], rule)
+        assert [v.accepted for v in verdicts] == [True, True, True, False], rule
