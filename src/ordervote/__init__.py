@@ -6,7 +6,7 @@ computation and publish only the K winners.  No minority coalition of
 talliers learns anything else about the ballots.
 """
 
-from .ballots import BallotMatrix, Ranking, SharedBallot, ranking_to_matrix, share_ballot
+from .ballots import BallotMatrix, SharedBallot, ranking_to_matrix, share_ballot
 from .config import ElectionConfig, FieldTooSmall, derived_threshold
 from .engine import PartyContext, Shares
 from .field import PrimeField
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallotMatrix", "ElectionConfig", "ElectionOutcome", "FieldTooSmall",
-    "PartyContext", "PlainElection", "PrimeField", "Ranking", "SharedBallot",
+    "PartyContext", "PlainElection", "PrimeField", "SharedBallot",
     "Shares", "TallyResult", "derived_threshold", "make_shared_ballots",
     "plain_copeland", "plain_kemeny", "plain_maximin", "ranking_to_matrix",
     "run_local_election", "share_ballot",

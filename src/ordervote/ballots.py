@@ -39,15 +39,6 @@ class ConfigMismatch(Exception):
 
 
 @dataclass(frozen=True)
-class Ranking:
-    """Either a strict order of candidates (copeland/maximin) or a rank vector
-    with ties allowed (kemeny)."""
-
-    order: tuple[int, ...] | None = None
-    ranks: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
 class BallotMatrix:
     rule: str
     m: int
@@ -77,15 +68,13 @@ def ranking_to_matrix(rule: str, ranking, m: int) -> BallotMatrix:
         raise WrongRule(f"unknown rule {rule!r}")
     q = np.zeros((m, m), dtype=np.int64)
     if rule == "kemeny":
-        ranks = ranking.ranks if isinstance(ranking, Ranking) else ranking
-        ranks = check_ranks(ranks, m)
+        ranks = check_ranks(ranking, m)
         for a in range(m):
             for b in range(m):
                 if a != b and ranks[a] < ranks[b]:
                     q[a, b] = 1
         return BallotMatrix(rule, m, q)
-    order = ranking.order if isinstance(ranking, Ranking) else ranking
-    order = check_order(order, m)
+    order = check_order(ranking, m)
     position = {c: i for i, c in enumerate(order)}
     for a in range(1, m + 1):
         for b in range(1, m + 1):
@@ -161,30 +150,16 @@ def share_ballot(q: BallotMatrix, field: PrimeField, threshold: int, parties: in
 
 
 # -- wire encoding of a submission ------------------------------------------
-# payload = [voter_id, rule_tag, M, count, m_1, m'_1, v_1, ..., m_k, m'_k, v_k]
-
-_RULE_TAG = {rule: i for i, rule in enumerate(RULES)}
-
+# payload = [voter_id, share_1, ..., share_C] in entry_pairs order; the session
+# fixes the rule and M, and validation rejects a bundle of the wrong length.
 
 def encode_bundle(bundle: TallierBundle) -> np.ndarray:
-    pairs = entry_pairs(bundle.rule, bundle.m)
-    out = [bundle.voter_id, _RULE_TAG[bundle.rule], bundle.m, len(pairs)]
-    for (a, b), v in zip(pairs, bundle.values):
-        out.extend((a, b, int(v)))
-    return np.array(out, dtype=np.uint64)
+    return np.concatenate([np.array([bundle.voter_id], dtype=np.uint64),
+                           np.asarray(bundle.values, dtype=np.uint64)])
 
 
-def decode_bundle(payload: np.ndarray) -> TallierBundle:
-    voter_id, tag, m, count = (int(v) for v in payload[:4])
-    rule = RULES[tag]
-    expected = entry_pairs(rule, m)
-    if count != len(expected):
-        raise ConfigMismatch(f"bundle declares {count} entries, rule needs {len(expected)}")
-    triples = payload[4:4 + 3 * count].reshape(count, 3)
-    pairs = [(int(a), int(b)) for a, b in triples[:, :2]]
-    if pairs != expected:
-        raise ConfigMismatch("bundle entries are not in canonical order")
-    return TallierBundle(voter_id, rule, m, triples[:, 2].astype(np.uint64))
+def decode_bundle(payload: np.ndarray, rule: str, m: int) -> TallierBundle:
+    return TallierBundle(int(payload[0]), rule, m, payload[1:])
 
 
 # -- CLI ballot input -----------------------------------------------------------

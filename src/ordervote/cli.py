@@ -23,13 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from .ballots import (InvalidRanking, TallierBundle, encode_bundle,
+from .ballots import (InvalidRanking, SharedBallot, TallierBundle, encode_bundle,
                       parse_order, parse_ranks, ranking_to_matrix, share_ballot)
 from .config import ConfigError, ElectionConfig
 from .session import (bench_comparison, bench_tally, bench_validation,
-                      make_shared_ballots, run_local_election,
-                      run_local_validation, run_socket_tallier,
-                      run_socket_validation)
+                      run_local_election, run_local_validation,
+                      run_socket_tallier, run_socket_validation)
 from .transport import TransportFailure, submit_ballot_socket
 
 SESSION_FILE = "session.json"
@@ -81,7 +80,7 @@ def cmd_setup(args) -> int:
     return 0
 
 
-def _next_voter_id(session: Path, config: ElectionConfig) -> int:
+def _next_voter_id(session: Path) -> int:
     existing = _read_spool(session, 1)
     return max((b.voter_id for b in existing), default=0) + 1
 
@@ -102,7 +101,7 @@ def cmd_vote(args) -> int:
     except InvalidRanking as err:
         print(f"ballot rejected: {err}", file=sys.stderr)
         return 2
-    voter_id = args.voter_id or _next_voter_id(session, config)
+    voter_id = args.voter_id or _next_voter_id(session)
     matrix = ranking_to_matrix(config.rule, ranking, config.m)
     shared = share_ballot(matrix, config.field, config.threshold, config.talliers,
                           config.voter_rng(voter_id), voter_id)
@@ -149,7 +148,6 @@ def _spooled_shared_ballots(session: Path, config: ElectionConfig):
     count = len(per_party[0])
     if any(len(lst) != count for lst in per_party):
         raise SystemExit("tallier spools disagree on ballot count")
-    from .ballots import SharedBallot
     ballots = []
     for i in range(count):
         rows = [per_party[d][i].values for d in range(config.talliers)]

@@ -32,8 +32,6 @@ from .field import MAX_PRIME, PrimeField, is_prime
 
 SCHEMA_VERSION = 1
 DEFAULT_PRIME = (1 << 31) - 1
-TIE_BREAK = "lowest-index"
-KEMENY_TIE_BREAK = "first-in-enumeration-order"
 
 
 class ConfigError(Exception):

@@ -173,9 +173,11 @@ class PartyContext:
         self.rng = rng
         self.counters = Counters()
         self.capture_store: dict | None = None
-        self._rand_pool = np.zeros(0, dtype=np.uint64)
-        self._double_pool_low = np.zeros(0, dtype=np.uint64)
-        self._double_pool_high = np.zeros(0, dtype=np.uint64)
+        # pooled sharings, one row per threshold: random (D',), double (D', 2D'-1)
+        self._rand_t = (threshold,)
+        self._double_t = (threshold, 2 * threshold - 1)
+        self._pools = {t: np.zeros((len(t), 0), dtype=np.uint64)
+                       for t in (self._rand_t, self._double_t)}
         self._lsb_depth = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -206,67 +208,58 @@ class PartyContext:
 
     # -- shared randomness ---------------------------------------------------
 
-    def _gen_rand_block(self, n: int) -> np.ndarray:
-        """Each party deals a random sharing; the share-sum is a sharing of an
-        unknown uniform value (the sum of everyone's contributions)."""
+    def _deal(self, n: int, thresholds: tuple[int, ...]) -> np.ndarray:
+        """Each party deals n random values under every threshold; summing the
+        dealt shares gives sharings of n unknown uniform values (the sums of
+        everyone's contributions), one row per threshold."""
+        if max(thresholds) > self.parties:
+            raise DegreeOverflow(f"threshold {max(thresholds)} exceeds D = {self.parties}")
         contrib = self.field.rand_vec(self.rng, n)
-        mat = share_batch(self.field, contrib, self.threshold, self.parties, self.rng)
-        got = self.channel.scatter({d: mat[d - 1] for d in self.channel.transport.peers()})
-        acc = mat[self.party_id - 1].copy()
-        for d, vals in got.items():
-            acc = self.field.add_vec(acc, vals)
-        return acc
+        dealt = [share_batch(self.field, contrib, t, self.parties, self.rng) for t in thresholds]
 
-    def _gen_double_block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        high_t = 2 * self.threshold - 1
-        if high_t > self.parties:
-            raise DegreeOverflow(f"2D'-1 = {high_t} exceeds D = {self.parties}")
-        contrib = self.field.rand_vec(self.rng, n)
-        low = share_batch(self.field, contrib, self.threshold, self.parties, self.rng)
-        high = share_batch(self.field, contrib, high_t, self.parties, self.rng)
-        payloads = {d: np.concatenate([low[d - 1], high[d - 1]])
-                    for d in range(1, self.parties + 1)}
-        got = self.channel.scatter({d: payloads[d] for d in self.channel.transport.peers()})
-        got[self.party_id] = payloads[self.party_id]
-        acc_low = np.zeros(n, dtype=np.uint64)
-        acc_high = np.zeros(n, dtype=np.uint64)
-        for vals in got.values():
-            acc_low = self.field.add_vec(acc_low, vals[:n])
-            acc_high = self.field.add_vec(acc_high, vals[n:])
-        return acc_low, acc_high
+        # Party d's payload: its shares under each threshold in turn.  Built per
+        # party, not sliced from one stacked (D, n * len(thresholds)) array: on
+        # the socket path that larger block left the process resident about
+        # 30 MB higher after each election.
+        def row(d: int) -> np.ndarray:
+            return np.concatenate([m[d - 1] for m in dealt])
+
+        peers = self.channel.transport.peers()
+        acc = row(self.party_id)
+        for vals in self.channel.scatter({d: row(d) for d in peers}).values():
+            acc = self.field.add_vec(acc, vals)
+        return acc.reshape(len(thresholds), n)
+
+    def _refill(self, thresholds: tuple[int, ...], n: int) -> None:
+        self._pools[thresholds] = np.concatenate(
+            [self._pools[thresholds], self._deal(n, thresholds)], axis=1)
+
+    def _take(self, thresholds: tuple[int, ...], k: int) -> np.ndarray:
+        """k pooled sharings per threshold, refilled in blocks of at least
+        POOL_BLOCK; returns (len(thresholds), k)."""
+        while self._pools[thresholds].shape[1] < k:
+            self._refill(thresholds, max(k - self._pools[thresholds].shape[1], POOL_BLOCK))
+        pool = self._pools[thresholds]
+        self._pools[thresholds] = pool[:, k:]
+        return pool[:, :k]
 
     def rand_shares(self, k: int) -> Shares:
         """Shares of k uniform field values unknown to any minority coalition."""
         self.counters.rand_sharings += k
-        while len(self._rand_pool) < k:
-            block = self._gen_rand_block(max(k - len(self._rand_pool), POOL_BLOCK))
-            self._rand_pool = np.concatenate([self._rand_pool, block])
-        out, self._rand_pool = self._rand_pool[:k], self._rand_pool[k:]
-        return Shares(self.field, self.threshold, out)
+        return Shares(self.field, self.threshold, self._take(self._rand_t, k)[0])
 
     def double_shares(self, k: int) -> DoubleSharing:
         """k double sharings: the same random value under thresholds D' and 2D'-1."""
         self.counters.double_sharings += k
-        while len(self._double_pool_low) < k:
-            lo, hi = self._gen_double_block(max(k - len(self._double_pool_low), POOL_BLOCK))
-            self._double_pool_low = np.concatenate([self._double_pool_low, lo])
-            self._double_pool_high = np.concatenate([self._double_pool_high, hi])
-        low = self._double_pool_low[:k]
-        high = self._double_pool_high[:k]
-        self._double_pool_low = self._double_pool_low[k:]
-        self._double_pool_high = self._double_pool_high[k:]
-        high_t = 2 * self.threshold - 1
-        return DoubleSharing(Shares(self.field, self.threshold, low),
-                             Shares(self.field, high_t, high))
+        low, high = self._take(self._double_t, k)
+        return DoubleSharing(Shares(self.field, self._double_t[0], low),
+                             Shares(self.field, self._double_t[1], high))
 
     def pregenerate(self, rand: int = 0, doubles: int = 0) -> None:
         """Fill the pools ahead of time (can run before the election starts)."""
-        if rand:
-            self._rand_pool = np.concatenate([self._rand_pool, self._gen_rand_block(rand)])
-        if doubles:
-            lo, hi = self._gen_double_block(doubles)
-            self._double_pool_low = np.concatenate([self._double_pool_low, lo])
-            self._double_pool_high = np.concatenate([self._double_pool_high, hi])
+        for thresholds, n in ((self._rand_t, rand), (self._double_t, doubles)):
+            if n:
+                self._refill(thresholds, n)
 
     # -- multiplication gate with degree reduction ---------------------------
 
@@ -340,7 +333,7 @@ class PartyContext:
         total = int(np.prod(shape))
         out = np.zeros(total, dtype=np.uint64)
         need = np.ones(total, dtype=bool)
-        inv2 = np.uint64(self.field.inv(2))
+        inv2 = np.uint64((self.field.p + 1) // 2)
         for _ in range(RETRY_LIMIT):
             if not need.any():
                 break

@@ -1,15 +1,12 @@
-"""Exact modular arithmetic over a prime field Z_p, specialized for Mersenne primes.
+"""Exact modular arithmetic over a prime field Z_p.
 
-Field elements are plain Python ints kept in canonical form (0 <= x < p), so
-equality is integer equality; on the wire they travel inside
-``transport.ProtocolMessage`` as 8-byte little-endian words.  The prime
-is a runtime value: production runs use p = 2**31 - 1, while tests use tiny
-primes (7, 31) so that bit-level protocols can be checked exhaustively.
-
-Scalar operations work on Python ints; the ``*_vec`` variants operate on
-numpy uint64 arrays and are what the multiparty engine uses on its hot paths.
-Products of two canonical elements fit in 64 bits as long as p < 2**32, which
-is enforced at construction.
+Field elements are kept in canonical form (0 <= x < p) in numpy uint64
+arrays; the ``*_vec`` ops are the one arithmetic path, and on the wire the
+elements travel inside ``transport.ProtocolMessage`` as 8-byte little-endian
+words.  The prime is a runtime value: production runs use p = 2**31 - 1,
+while tests use tiny primes (7, 13, 31) so that bit-level protocols can be
+checked exhaustively.  Products of two canonical elements fit in 64 bits as
+long as p < 2**32, which is enforced at construction.
 """
 
 from __future__ import annotations
@@ -23,10 +20,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class FieldError(Exception):
     pass
-
-
-class ZeroInverse(FieldError):
-    """Raised when inverting (or taking an inverse square root of) zero."""
 
 
 def is_prime(n: int) -> bool:
@@ -54,18 +47,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def mersenne_exponent(p: int) -> int | None:
-    """Return t if p == 2**t - 1, else None."""
-    t = p.bit_length()
-    return t if (1 << t) - 1 == p else None
-
-
 class PrimeField:
-    """Arithmetic mod a prime p < 2**32.
-
-    ``reduce`` accepts any x <= (p-1)**2 and, for Mersenne primes, folds with
-    shifts and adds instead of dividing; the result is bit-identical to x % p.
-    """
+    """Arithmetic mod a prime p < 2**32."""
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -74,48 +57,6 @@ class PrimeField:
             raise FieldError(f"modulus {p} too large; need p < 2**32 for 64-bit products")
         self.p = p
         self.ell = p.bit_length()
-        t = mersenne_exponent(p)
-        self.is_mersenne = t is not None
-        self._t = t
-
-    # -- scalar ops -------------------------------------------------------
-
-    def reduce(self, x: int) -> int:
-        if self._t is not None:
-            t, p = self._t, self.p
-            # Two folds bring any x <= (p-1)^2 below 2p.
-            x = (x >> t) + (x & p)
-            x = (x >> t) + (x & p)
-            return x - p if x >= p else x
-        return x % self.p
-
-    def add(self, a: int, b: int) -> int:
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def sub(self, a: int, b: int) -> int:
-        s = a - b
-        return s + self.p if s < 0 else s
-
-    def mul(self, a: int, b: int) -> int:
-        return self.reduce(a * b)
-
-    def pow(self, base: int, exponent: int) -> int:
-        """Square-and-multiply; at most 2*ell multiplications for exponent < 2p."""
-        if exponent == 0:
-            return 1
-        base %= self.p
-        acc = base
-        for bit in bin(exponent)[3:]:
-            acc = self.mul(acc, acc)
-            if bit == "1":
-                acc = self.mul(acc, base)
-        return acc
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroInverse("0 has no multiplicative inverse")
-        return self.pow(x, self.p - 2)
 
     def sqrt(self, a: int) -> int:
         """Canonical square root of a quadratic residue: the smaller of the two roots.
@@ -156,9 +97,6 @@ class PrimeField:
 
     # -- vector ops (numpy uint64) ----------------------------------------
 
-    def reduce_vec(self, x: np.ndarray) -> np.ndarray:
-        return x % np.uint64(self.p)
-
     def add_vec(self, a, b) -> np.ndarray:
         return (np.asarray(a, dtype=np.uint64) + np.asarray(b, dtype=np.uint64)) % np.uint64(self.p)
 
@@ -169,9 +107,6 @@ class PrimeField:
     def mul_vec(self, a, b) -> np.ndarray:
         # a, b canonical so the product stays below 2**64
         return (np.asarray(a, dtype=np.uint64) * np.asarray(b, dtype=np.uint64)) % np.uint64(self.p)
-
-    def scale_vec(self, c: int, a) -> np.ndarray:
-        return self.mul_vec(np.uint64(c % self.p), a)
 
     def sum_vec(self, a: np.ndarray, axis=None) -> np.ndarray:
         # canonical summands: safe in uint64 for up to 2**32 terms

@@ -125,7 +125,7 @@ def validate_bundles(ctx: PartyContext, config: ElectionConfig,
     checked: list[validation.ValidationVerdict] = []
     for start in range(0, len(unique), step):
         checked.extend(validation.batch_validate(ctx, unique[start:start + step],
-                                                 config.rule))
+                                                 config.rule, config.m))
     verdicts = iter(checked)
     duplicate = validation.REASON_DUPLICATE
     return [next(verdicts) if copies[b.voter_id] == 1 else
@@ -141,11 +141,13 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
     accepted = [b for b, v in zip(bundles, verdicts) if v.accepted]
 
     # A duplicate is rejected for its id, not its content: it may be a replayed
-    # honest ballot, so it is never opened as a proof.
+    # honest ballot.  A malformed bundle has no sharing to open.  Neither is
+    # opened as a proof.
     proofs: dict[int, np.ndarray] = {}
     if config.reconstruct_rejected:
         for b, v in zip(bundles, verdicts):
-            if not v.accepted and v.reason != validation.REASON_DUPLICATE:
+            if not v.accepted and v.reason not in (validation.REASON_DUPLICATE,
+                                                   validation.REASON_MALFORMED):
                 proofs[b.voter_id] = validation.reconstruct_rejected(ctx, b)
 
     agg = aggregate(ctx, accepted, rule, m)
@@ -176,12 +178,9 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
 
 def run_local_election(config: ElectionConfig, ballots: list[SharedBallot],
                        batch_size: int | None = None, capture: bool = False,
-                       session_id: int = 1,
-                       pregenerate: tuple[int, int] | None = None) -> ElectionOutcome:
+                       session_id: int = 1) -> ElectionOutcome:
     """Run all D talliers as threads over the in-memory transport."""
     def program(ctx: PartyContext):
-        if pregenerate:
-            ctx.pregenerate(*pregenerate)
         bundles = [b.bundle_for(ctx.party_id) for b in ballots]
         return (ctx, *tallier_program(ctx, config, bundles, batch_size))
 
@@ -209,7 +208,8 @@ def run_socket_tallier(config: ElectionConfig, party_id: int,
             if expect_votes is None:
                 raise ValueError("need either spooled bundles or expect_votes")
             messages = ctx.channel.transport.collect_ballots(session_id, expect_votes)
-            bundles = sorted((decode_bundle(m.payload) for m in messages),
+            bundles = sorted((decode_bundle(m.payload, config.rule, config.m)
+                              for m in messages),
                              key=lambda b: b.voter_id)
         result, verdicts, _ = tallier_program(ctx, config, bundles, batch_size)
         return result, verdicts

@@ -47,24 +47,22 @@ def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties:
     for d in range(1, parties + 1):
         acc = np.zeros(k, dtype=np.uint64)
         for j in range(threshold - 2, -1, -1):  # Horner over a_{t-1}..a_1
-            acc = field.add_vec(field.scale_vec(d, acc), coeffs[j])
-        out[d - 1] = field.add_vec(field.scale_vec(d, acc), secrets)
+            acc = field.add_vec(field.mul_vec(np.uint64(d), acc), coeffs[j])
+        out[d - 1] = field.add_vec(field.mul_vec(np.uint64(d), acc), secrets)
     return out
 
 
 @lru_cache(maxsize=None)
 def _lagrange_at(p: int, xs: tuple[int, ...], target: int) -> tuple[int, ...]:
     """Coefficients c_i with g(target) = sum c_i * g(x_i) for deg g < len(xs)."""
-    field = PrimeField(p)
     out = []
     for i, xi in enumerate(xs):
         num, den = 1, 1
         for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = field.mul(num, field.sub(target, xj))
-            den = field.mul(den, field.sub(xi, xj))
-        out.append(field.mul(num, field.inv(den)))
+            if j != i:
+                num = num * (target - xj) % p
+                den = den * (xi - xj) % p
+        out.append(num * pow(den, -1, p) % p)
     return tuple(out)
 
 

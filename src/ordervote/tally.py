@@ -211,7 +211,8 @@ def kemeny_winners(ctx: PartyContext, agg: AggregatedShares,
     rankings = list(rank_vectors(m))
     coef = np.array([[ranks[a - 1] < ranks[b - 1] for a, b in pairs] for ranks in rankings],
                     dtype=np.uint64)  # ranking r agrees with entry P(a,b)
-    scores = Shares(ctx.field, ctx.threshold, ctx.field.reduce_vec(coef @ agg.entries.values))
+    scores = Shares(ctx.field, ctx.threshold,
+                    (coef @ agg.entries.values) % np.uint64(ctx.field.p))
     best = _argmax(ctx, scores, ctx.constant(np.arange(len(rankings))))
     ranking = rankings[int(ctx.open(best, "winner_index")[0])]
     return ranking_winners(ranking, k), ranking

@@ -13,9 +13,16 @@ needs.  Two backends share the mailbox machinery:
 
 Frame layout (all little-endian): 4-byte frame length, then session (8B),
 round (4B), sender (2B), kind (1B), payload count (4B), payload (count x 8B
-field elements).  Ballot submissions are frames of kind BALLOT sent by voters
-and acknowledged with a frame of kind ACK; transport authentication (signing,
-encryption) is a deliberate no-op stub, see ``SecurityStub``.
+field elements).  A frame longer than ``MAX_FRAME`` bytes is refused before
+anything is allocated for it.  There are three kinds: POINTWISE carries one
+round's payload from one tallier to another, BALLOT carries a voter's
+submission and ACK acknowledges it.
+
+Each accepted connection is bound to the sender of its first tallier frame;
+a later frame from another sender, or a frame that does not parse, poisons
+the mailbox with a ``TransportFailure`` that names the bound sender.  A
+connection that has sent only ballots, or nothing that parses, is closed
+without poisoning, so a voter cannot abort the tally.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import numpy as np
 
 HEADER = struct.Struct("<QIHBI")  # session, round, sender, kind, count
 LEN_PREFIX = struct.Struct("<I")
+MAX_FRAME = 256 << 20  # bytes after the length prefix; larger elections use --batch
 
 DEFAULT_SOCKET_TIMEOUT = 30.0
 
@@ -52,7 +60,6 @@ class DuplicateMessage(TransportFailure):
 
 class MessageKind(IntEnum):
     POINTWISE = 0
-    BROADCAST = 1
     BALLOT = 2
     ACK = 3
 
@@ -73,27 +80,16 @@ class ProtocolMessage:
 
     @staticmethod
     def decode(frame: bytes) -> "ProtocolMessage":
+        if len(frame) < HEADER.size:
+            raise TransportFailure(f"frame of {len(frame)} bytes has no full header")
         session, rnd, sender, kind, count = HEADER.unpack_from(frame, 0)
+        if kind not in list(MessageKind):
+            raise TransportFailure(f"unknown message kind {kind}")
+        if len(frame) != HEADER.size + 8 * count:
+            raise TransportFailure("payload length does not match declared count")
         payload = np.frombuffer(frame, dtype="<u8", count=count,
                                 offset=HEADER.size).astype(np.uint64)
-        if len(payload) != count:
-            raise TransportFailure("payload length does not match declared count")
         return ProtocolMessage(session, rnd, sender, MessageKind(kind), payload)
-
-
-class SecurityStub:
-    """Extension point for per-message signing/encryption.
-
-    The protocol treats transport authentication as standard PKI machinery;
-    deployments can subclass and wrap/unwrap frames.  The default passes
-    frames through unchanged.
-    """
-
-    def protect(self, frame: bytes) -> bytes:
-        return frame
-
-    def unprotect(self, frame: bytes) -> bytes:
-        return frame
 
 
 class Mailbox:
@@ -167,14 +163,13 @@ class Mailbox:
 
 
 class PartyTransport:
-    """One party's endpoint: send/broadcast to peers, await rounds, take ballots."""
+    """One party's endpoint: send to peers, await rounds, take ballots."""
 
     def __init__(self, party_id: int, parties: int, timeout: float | None):
         self.party_id = party_id
         self.parties = parties
         self.timeout = timeout
         self.mailbox = Mailbox(party_id)
-        self.messages_sent = 0
         self.bytes_sent = 0
         self.recorder: list | None = None  # optional transcript capture on receive
 
@@ -188,11 +183,6 @@ class PartyTransport:
 
     def send(self, to: int, msg: ProtocolMessage) -> None:
         raise NotImplementedError
-
-    def broadcast(self, msg: ProtocolMessage) -> None:
-        """A broadcast is parties-1 pointwise sends with identical payloads."""
-        for d in self.peers():
-            self.send(d, msg)
 
     def await_round(self, session: int, round_no: int,
                     senders: set[int]) -> dict[int, ProtocolMessage]:
@@ -222,13 +212,6 @@ class InMemoryHub:
     def deliver(self, to: int, msg: ProtocolMessage) -> None:
         self.endpoints[to].mailbox.deliver(msg)
 
-    def submit_ballot(self, to: int, session: int, payload: np.ndarray) -> bool:
-        """Voter-side submission; the returned flag is the receipt acknowledgment."""
-        msg = ProtocolMessage(session, 0, 0, MessageKind.BALLOT,
-                              np.asarray(payload, dtype=np.uint64))
-        self.endpoints[to].mailbox.deliver(msg)
-        return True
-
 
 class InMemoryTransport(PartyTransport):
     def __init__(self, party_id: int, parties: int, timeout: float | None, hub: InMemoryHub):
@@ -236,7 +219,6 @@ class InMemoryTransport(PartyTransport):
         self._hub = hub
 
     def send(self, to: int, msg: ProtocolMessage) -> None:
-        self.messages_sent += 1
         self.bytes_sent += HEADER.size + 8 * len(msg.payload)
         payload = np.asarray(msg.payload, dtype=np.uint64)
         payload.setflags(write=False)
@@ -279,6 +261,8 @@ def read_frame(sock: socket.socket) -> bytearray | None:
     if head is None:
         return None
     (length,) = LEN_PREFIX.unpack(head)
+    if length > MAX_FRAME:
+        raise TransportFailure(f"frame of {length} bytes exceeds the {MAX_FRAME}-byte cap")
     return _recv_exact(sock, length)
 
 
@@ -287,11 +271,9 @@ class SocketTransport(PartyTransport):
     thread per accepted connection feeding the shared mailbox."""
 
     def __init__(self, party_id: int, endpoints: dict[int, tuple[str, int]],
-                 timeout: float | None = DEFAULT_SOCKET_TIMEOUT,
-                 security: SecurityStub | None = None):
+                 timeout: float | None = DEFAULT_SOCKET_TIMEOUT):
         super().__init__(party_id, len(endpoints), timeout)
         self.endpoints = endpoints
-        self.security = security or SecurityStub()
         self._out: dict[int, socket.socket] = {}
         self._out_lock = threading.Lock()
         self._stop = threading.Event()
@@ -314,24 +296,32 @@ class SocketTransport(PartyTransport):
             threading.Thread(target=self._reader, args=(conn,), daemon=True).start()
 
     def _reader(self, conn: socket.socket) -> None:
+        bound = None  # the sender of this connection's first tallier frame
         try:
             while True:
                 frame = read_frame(conn)
                 if frame is None:
                     return
-                msg = ProtocolMessage.decode(self.security.unprotect(frame))
+                msg = ProtocolMessage.decode(frame)
                 if msg.kind == MessageKind.BALLOT:
+                    if not msg.payload.size:
+                        raise TransportFailure("ballot without a voter id")
                     self.mailbox.deliver(msg)
                     ack = ProtocolMessage(msg.session, 0, self.party_id,
                                           MessageKind.ACK, np.zeros(0, dtype=np.uint64))
-                    conn.sendall(self.security.protect(ack.encode()))
+                    conn.sendall(ack.encode())
                     continue
+                if bound is None:
+                    bound = msg.sender
+                elif msg.sender != bound:
+                    raise TransportFailure(f"a frame claims sender T{msg.sender}")
                 try:
                     self.mailbox.deliver(msg)
                 except DuplicateMessage:
                     return  # mailbox is poisoned; the awaiting party surfaces it
         except (OSError, TransportFailure) as err:
-            self.mailbox.poison(TransportFailure(f"connection lost: {err}"))
+            if bound is not None:  # a voter's connection just closes
+                self.mailbox.poison(TransportFailure(f"connection of T{bound} failed: {err}"))
         finally:
             conn.close()
 
@@ -343,7 +333,7 @@ class SocketTransport(PartyTransport):
             raise TransportFailure(f"T{self.party_id} cannot reach T{to} at {host}:{port}")
 
     def send(self, to: int, msg: ProtocolMessage) -> None:
-        frame = self.security.protect(msg.encode())
+        frame = msg.encode()
         with self._out_lock:
             sock = self._out.get(to)
             if sock is None:
@@ -353,7 +343,6 @@ class SocketTransport(PartyTransport):
                 sock.sendall(frame)
             except OSError as err:
                 raise TransportFailure(f"send to T{to} failed: {err}")
-        self.messages_sent += 1
         self.bytes_sent += len(frame)
 
     def close(self) -> None:
@@ -374,20 +363,18 @@ class SocketTransport(PartyTransport):
 
 
 def submit_ballot_socket(endpoint: tuple[str, int], session: int, payload: np.ndarray,
-                         timeout: float = DEFAULT_SOCKET_TIMEOUT,
-                         security: SecurityStub | None = None) -> bool:
+                         timeout: float = DEFAULT_SOCKET_TIMEOUT) -> bool:
     """Voter-side one-shot submission over TCP; waits for the tallier's ACK.
     A tallier that is not listening yet is retried until ``timeout``."""
-    security = security or SecurityStub()
     msg = ProtocolMessage(session, 0, 0, MessageKind.BALLOT,
                           np.asarray(payload, dtype=np.uint64))
     with _dial(endpoint, timeout) as sock:
-        sock.sendall(security.protect(msg.encode()))
+        sock.sendall(msg.encode())
         sock.settimeout(timeout)
         frame = read_frame(sock)
         if frame is None:
             raise TransportFailure("tallier closed the connection before acknowledging")
-        ack = ProtocolMessage.decode(security.unprotect(frame))
+        ack = ProtocolMessage.decode(frame)
         return ack.kind == MessageKind.ACK
 
 
@@ -409,58 +396,51 @@ class SessionChannel:
         self.transport = transport
         self.session = session
         self.party_id = transport.party_id
-        self.parties = transport.parties
         self.stats = ChannelStats()
 
-    def _next_round(self) -> int:
+    def _round(self, sends: dict[int, np.ndarray],
+               senders: set[int]) -> dict[int, np.ndarray]:
+        """One communication round: number it, send each payload to its party,
+        count the messages, and wait for the payloads of ``senders``."""
         r = self.stats.rounds
         self.stats.rounds += 1
-        return r
-
-    def _msg(self, round_no: int, payload: np.ndarray,
-             kind: MessageKind = MessageKind.POINTWISE) -> ProtocolMessage:
-        return ProtocolMessage(self.session, round_no, self.party_id, kind,
-                               np.asarray(payload, dtype=np.uint64))
+        for to, payload in sends.items():
+            self.transport.send(to, ProtocolMessage(self.session, r, self.party_id,
+                                                    MessageKind.POINTWISE, payload))
+        self.stats.messages += len(sends)
+        if not senders:
+            return {}
+        got = self.transport.await_round(self.session, r, senders)
+        return {d: m.payload for d, m in got.items()}
 
     def exchange_all(self, payload: np.ndarray) -> dict[int, np.ndarray]:
         """Everyone broadcasts; returns payloads from all parties including self."""
-        r = self._next_round()
-        self.transport.broadcast(self._msg(r, payload, MessageKind.BROADCAST))
-        self.stats.messages += self.parties - 1
-        got = self.transport.await_round(self.session, r, set(self.transport.peers()))
-        out = {d: m.payload for d, m in got.items()}
-        out[self.party_id] = np.asarray(payload, dtype=np.uint64)
+        payload = np.asarray(payload, dtype=np.uint64)
+        peers = self.transport.peers()
+        out = self._round({d: payload for d in peers}, set(peers))
+        out[self.party_id] = payload
         return out
 
     def gather(self, root: int, payload: np.ndarray) -> dict[int, np.ndarray] | None:
         """Everyone sends to root; only root returns the collected payloads."""
-        r = self._next_round()
-        if self.party_id == root:
-            got = self.transport.await_round(self.session, r,
-                                             set(self.transport.peers()))
-            out = {d: m.payload for d, m in got.items()}
-            out[root] = np.asarray(payload, dtype=np.uint64)
-            return out
-        self.transport.send(root, self._msg(r, payload))
-        self.stats.messages += 1
-        return None
+        payload = np.asarray(payload, dtype=np.uint64)
+        if self.party_id != root:
+            self._round({root: payload}, set())
+            return None
+        out = self._round({}, set(self.transport.peers()))
+        out[root] = payload
+        return out
 
     def publish(self, root: int, payload: np.ndarray | None) -> np.ndarray:
         """Root broadcasts a public value; everyone returns it."""
-        r = self._next_round()
-        if self.party_id == root:
-            assert payload is not None
-            self.transport.broadcast(self._msg(r, payload, MessageKind.BROADCAST))
-            self.stats.messages += self.parties - 1
-            return np.asarray(payload, dtype=np.uint64)
-        got = self.transport.await_round(self.session, r, {root})
-        return got[root].payload
+        if self.party_id != root:
+            return self._round({}, {root})[root]
+        payload = np.asarray(payload, dtype=np.uint64)
+        self._round({d: payload for d in self.transport.peers()}, set())
+        return payload
 
     def scatter(self, payloads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Personalized all-to-all; returns what the peers sent this party."""
-        r = self._next_round()
-        for d in self.transport.peers():
-            self.transport.send(d, self._msg(r, payloads[d]))
-            self.stats.messages += 1
-        got = self.transport.await_round(self.session, r, set(self.transport.peers()))
-        return {d: m.payload for d, m in got.items()}
+        peers = self.transport.peers()
+        return self._round({d: np.asarray(payloads[d], dtype=np.uint64) for d in peers},
+                           set(peers))

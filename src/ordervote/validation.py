@@ -1,6 +1,11 @@
 """Tallier-side oblivious validation of shared ballots.
 
-Three checks run against every submission, in this order:
+A bundle whose rule, M or length does not match the session is malformed:
+its holder sends p, which is not a field element, in place of its masked
+shares in check 1, so every tallier flags that ballot alike and rejects it as
+``Malformed`` in the same round (a stand-in of zeros alone would pass as the
+legal Maximin ballot (M, ..., 1)).  Three checks run against every
+submission, in this order:
 
 1. share-degree legality: each entry's D shares must lie on a polynomial of
    degree at most D'-1.  Every tallier adds its share of a fresh joint random
@@ -38,6 +43,7 @@ from .shamir import degree_at_most, reconstruct_batch
 REASON_DEGREE = "ShareDegree"
 REASON_DOMAIN = "EntryDomain"
 REASON_SUMS = "ColumnSums"
+REASON_MALFORMED = "Malformed"
 REASON_DUPLICATE = "DuplicateVoter"  # assigned by session.validate_bundles
 
 
@@ -57,19 +63,25 @@ class ValidationVerdict:
 def masked_degree_check(ctx: PartyContext, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Degree-legality of k independent sharings held as this party's values.
 
-    Returns (legal flags, opened masked constants); the constants are uniform
-    field elements and are exposed only so tests can verify that uniformity.
+    A value >= p marks a sharing this party cannot check: it sends p in place
+    of the masked share, and every party flags each column that holds a
+    value >= p.  Returns (legal flags, opened masked constants); the
+    constants are uniform field elements, exposed only so tests can verify
+    that uniformity, and a flagged column reads p.
     """
     values = np.asarray(values, dtype=np.uint64)
     k = values.size
     if k == 0:
         return np.ones(0, dtype=bool), np.zeros(0, dtype=np.uint64)
+    p = np.uint64(ctx.field.p)
     masks = ctx.rand_shares(k)
-    masked = ctx.field.add_vec(values, masks.values)
+    masked = np.where(values < p, ctx.field.add_vec(values, masks.values), p)
     matrix = ctx.open_share_matrix(masked, "degree_check")
-    legal = degree_at_most(ctx.field, matrix, ctx.threshold)
+    flagged = (matrix >= p).any(axis=0)
+    matrix[:, flagged] = 0  # any field element: a flagged column is illegal anyway
+    legal = degree_at_most(ctx.field, matrix, ctx.threshold) & ~flagged
     constants = reconstruct_batch(ctx.field, range(1, ctx.parties + 1), matrix)
-    return legal, constants
+    return legal, np.where(flagged, p, constants)
 
 
 def _domain_factors(rule: str, entries: Shares) -> tuple[Shares, Shares]:
@@ -103,21 +115,26 @@ def column_sum_shares(ctx: PartyContext, entry_shares: np.ndarray, rule: str,
     return Shares(ctx.field, ctx.threshold, sums)
 
 
-def batch_validate(ctx: PartyContext, bundles: list[TallierBundle],
-                   rule: str) -> list[ValidationVerdict]:
-    """Validate B ballots in one session: degree first, then conditions 1 and 4
-    interleaved so every round carries 2B simultaneous multiplications."""
+def batch_validate(ctx: PartyContext, bundles: list[TallierBundle], rule: str,
+                   m: int) -> list[ValidationVerdict]:
+    """Validate B ballots of a (rule, M) session: degree first, then
+    conditions 1 and 4 interleaved so every round carries 2B simultaneous
+    multiplications."""
     if not bundles:
         return []
-    m = bundles[0].m
+    p = np.uint64(ctx.field.p)
     expected = len(entry_pairs(rule, m))
-    for b in bundles:
-        if b.rule != rule or b.m != m or b.values.size != expected:
-            raise ValueError(f"bundle of voter {b.voter_id} does not match the session")
-    stacked = np.stack([np.asarray(b.values, dtype=np.uint64) for b in bundles])
-    stacked %= np.uint64(ctx.field.p)
+    rows = [np.asarray(b.values, dtype=np.uint64) for b in bundles]
+    bad = [i for i, b in enumerate(bundles)
+           if b.rule != rule or b.m != m or rows[i].shape != (expected,)]
+    for i in bad:
+        rows[i] = np.zeros(expected, dtype=np.uint64)
+    stacked = np.stack(rows)
+    stacked %= p
+    stacked[bad] = p  # sent as p in the degree check
 
-    legal, _ = masked_degree_check(ctx, stacked.ravel())
+    legal, constants = masked_degree_check(ctx, stacked.ravel())
+    malformed = (constants >= p).reshape(stacked.shape).any(axis=1)
     degree_ok = legal.reshape(stacked.shape).all(axis=1)
     domain_ok = np.zeros(len(bundles), dtype=bool)
     sums_ok = np.ones(len(bundles), dtype=bool)
@@ -130,9 +147,10 @@ def batch_validate(ctx: PartyContext, bundles: list[TallierBundle],
                 ctx, stacked[live], rule, m)
 
     verdicts = []
-    for b, degree, domain, sums in zip(bundles, degree_ok, domain_ok, sums_ok):
-        reason = (REASON_DEGREE if not degree else REASON_DOMAIN if not domain
-                  else REASON_SUMS if not sums else None)
+    for b, bad, degree, domain, sums in zip(bundles, malformed, degree_ok, domain_ok,
+                                            sums_ok):
+        reason = (REASON_MALFORMED if bad else REASON_DEGREE if not degree
+                  else REASON_DOMAIN if not domain else REASON_SUMS if not sums else None)
         verdicts.append(ValidationVerdict(b.voter_id, reason is None, reason))
     return verdicts
 

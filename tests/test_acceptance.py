@@ -129,7 +129,7 @@ def _legal_rankings(rng, rule, m, count):
 def _validate_batch(field, ballots, rule, seed=0):
     def prog(ctx):
         bundles = [b.bundle_for(ctx.party_id) for b in ballots]
-        return batch_validate(ctx, bundles, rule)
+        return batch_validate(ctx, bundles, rule, ballots[0].m)
 
     return run_parties(3, 2, field, prog, seed=seed)[1]
 
@@ -244,7 +244,7 @@ def test_criterion_5_gate_and_round_count_identities():
     def prog(ctx):
         bundles = [b.bundle_for(ctx.party_id) for b in ballots]
         r0, g0 = ctx.counters.mul_rounds, ctx.counters.mul_gates
-        batch_validate(ctx, bundles, "copeland")
+        batch_validate(ctx, bundles, "copeland", m)
         validation_counts = (ctx.counters.mul_rounds - r0,
                              ctx.counters.mul_gates - g0)
 

@@ -24,7 +24,6 @@ def test_threshold_derivation():
 def test_large_election_accepted():
     cfg = _cfg(expected_voters=1_000_000)
     assert cfg.validate() is cfg  # 2N = 2e6 < p
-    assert cfg.field.is_mersenne
 
 
 def test_field_too_small_at_boundary():

@@ -5,6 +5,7 @@ from scipy import stats
 from conftest import deal, dealt_shares, run_parties
 from ordervote.engine import (DegreeOverflow, InconsistentOpen, MpcError,
                               PartyContext, RetryExhausted, Shares)
+from ordervote.field import PrimeField
 from ordervote.oracle import plain_primitive
 from ordervote.shamir import degree_at_most, reconstruct_batch
 from ordervote.transport import InMemoryHub, SessionChannel
@@ -164,6 +165,25 @@ def test_shared_lsb_exhaustive(f31):
     res = run_parties(3, 2, f31, prog)
     expect = np.array([plain_primitive("lsb", [int(x)], 31) for x in xs])
     assert np.array_equal(res[1], expect)
+
+
+def test_lsb_and_compare_exhaustive_at_p_1_mod_4():
+    """At p = 13 = 1 mod 4 the random bits take their square roots by
+    Tonelli-Shanks; every LSB and every comparison matches the oracle."""
+    f13 = PrimeField(13)
+    xs = np.arange(13, dtype=np.uint64)
+    av, bv = np.repeat(xs, 13), np.tile(xs, 13)
+    mx, ma, mb = (deal(f13, v, 2, 3, seed=s) for s, v in ((13, xs), (14, av), (15, bv)))
+
+    def prog(ctx):
+        x, a, b = (dealt_shares(f13, m, 2, ctx.party_id) for m in (mx, ma, mb))
+        return (ctx.open(ctx.shared_lsb(x), "final_output"),
+                ctx.open(ctx.compare(a, b), "final_output"))
+
+    lsb, less = run_parties(3, 2, f13, prog)[1]
+    assert lsb.tolist() == [plain_primitive("lsb", [int(x)], 13) for x in xs]
+    assert less.tolist() == [plain_primitive("compare", [int(a), int(b)], 13)
+                             for a, b in zip(av, bv)]
 
 
 def test_less_than_half_exhaustive(f31):

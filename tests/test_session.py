@@ -3,12 +3,14 @@ import threading
 import numpy as np
 import pytest
 
-from ordervote.ballots import BallotMatrix, ranking_to_matrix, share_ballot
+from ordervote.ballots import (BallotMatrix, TallierBundle, ranking_to_matrix,
+                               share_ballot)
 from ordervote.config import ElectionConfig
 from ordervote.oracle import PlainElection, plain_winners
-from ordervote.session import (_run_threads, make_shared_ballots,
+from ordervote.session import (_run_threads, build_context, make_shared_ballots,
                                run_local_election, run_local_validation,
-                               run_socket_tallier)
+                               run_socket_tallier, tallier_program)
+from ordervote.transport import InMemoryHub, SessionChannel
 from ordervote.validation import REASON_DUPLICATE
 
 M31 = (1 << 31) - 1
@@ -111,6 +113,44 @@ def test_share_above_p_neither_aborts_nor_changes_the_tally(rule):
         outcome = run_local_election(cfg, shifted)
         assert all(v.accepted for v in outcome.verdicts)
         assert outcome.result.to_dict() == expect
+
+
+def test_short_bundle_is_rejected_as_malformed_at_every_tallier():
+    """Voter 4's ballot is one entry short at every tallier: the tally goes
+    on, voter 4 is rejected as Malformed without a proof, and the winners are
+    the oracle's over the other ballots."""
+    cfg = _cfg(rule="maximin", m=3, k=1, seed=12, reconstruct_rejected=True)
+    rankings = _rankings("maximin", 3, 6, seed=11)
+    ballots = make_shared_ballots(cfg, rankings)
+    short = ballots[3]
+    ballots[3] = type(short)(short.voter_id, short.rule, short.m, short.bundles[:, :-1])
+    outcome = run_local_election(cfg, ballots)
+    assert [v.reason for v in outcome.verdicts] == [None] * 3 + ["Malformed"] + [None] * 2
+    assert outcome.rejected_proofs == {}
+    rest = tuple(rankings[:3] + rankings[4:])
+    assert outcome.result.winners == plain_winners(PlainElection("maximin", 3, 1, rest))
+
+
+def test_short_bundle_at_one_tallier_is_rejected_by_all():
+    """Only T1 holds a short bundle for voter 6; it sends p in the degree
+    check, so all three talliers reject that ballot alike and agree."""
+    cfg = _cfg(rule="copeland", m=4, k=2, seed=13)
+    rankings = _rankings("copeland", 4, 8, seed=12)
+    ballots = make_shared_ballots(cfg, rankings)
+    hub = InMemoryHub(3, timeout=10.0)
+
+    def body(d):
+        bundles = [b.bundle_for(d) for b in ballots]
+        if d == 1:
+            bundles[5] = TallierBundle(6, "copeland", 4, bundles[5].values[:-1])
+        ctx = build_context(cfg, d, SessionChannel(hub.transport(d), 1))
+        return tallier_program(ctx, cfg, bundles)
+
+    rest = tuple(rankings[:5] + rankings[6:])
+    oracle = plain_winners(PlainElection("copeland", 4, 2, rest))
+    for result, verdicts, _ in _run_threads(3, body).values():
+        assert [v.reason for v in verdicts] == [None] * 5 + ["Malformed"] + [None] * 2
+        assert result.winners == oracle
 
 
 def test_reconstruct_rejected_flag_produces_proof():

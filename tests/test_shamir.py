@@ -136,8 +136,8 @@ def test_lincomb_commutes_with_reconstruct(a, b, u, v, offset):
     rng = np.random.default_rng(a * 31 + b)
     matrix = share_batch(f, np.array([u, v], dtype=np.uint64), 2, 3, rng)
     # each party combines its own two shares locally, then adds the public offset
-    combined = f.add_vec(f.add_vec(f.scale_vec(a, matrix[:, 0]),
-                                   f.scale_vec(b, matrix[:, 1])), offset)
+    combined = f.add_vec(f.add_vec(f.mul_vec(a, matrix[:, 0]),
+                                   f.mul_vec(b, matrix[:, 1])), offset)
     got = reconstruct_batch(f, [1, 2], combined[:2, None])
     assert got.tolist() == [(a * u + b * v + offset) % 31]
     assert degree_at_most(f, combined[:, None], 2).all()

@@ -270,7 +270,7 @@ def test_no_intermediate_secret_opened(f_mersenne31):
     def prog(ctx):
         ballots = _ballots(f, "copeland", ORDERS, 3)
         bundles = [b.bundle_for(ctx.party_id) for b in ballots]
-        verdicts = batch_validate(ctx, bundles, "copeland")
+        verdicts = batch_validate(ctx, bundles, "copeland", 3)
         assert all(v.accepted for v in verdicts)
         agg = aggregate(ctx, bundles, "copeland", 3)
         scores = copeland_scores(ctx, agg, (1, 2))

@@ -4,10 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from ordervote.transport import (DuplicateMessage, InMemoryHub, MessageKind,
-                                 ProtocolMessage, RoundTimeout, SessionChannel,
-                                 SocketTransport, TransportFailure, read_frame,
-                                 submit_ballot_socket)
+from ordervote.transport import (HEADER, LEN_PREFIX, MAX_FRAME, DuplicateMessage,
+                                 InMemoryHub, MessageKind, ProtocolMessage,
+                                 RoundTimeout, SessionChannel, SocketTransport,
+                                 TransportFailure, read_frame, submit_ballot_socket)
 
 
 def _free_endpoints(n):
@@ -30,14 +30,78 @@ def _socket_mesh(n, timeout=10.0):
 
 def test_frame_round_trip():
     payload = np.array([0, 1, (1 << 31) - 2], dtype=np.uint64)
-    msg = ProtocolMessage(7, 3, 2, MessageKind.BROADCAST, payload)
+    msg = ProtocolMessage(7, 3, 2, MessageKind.POINTWISE, payload)
     frame = msg.encode()
     # 4B length prefix + 19B header + 3*8B payload
     assert len(frame) == 4 + 19 + 24
     decoded = ProtocolMessage.decode(frame[4:])
     assert decoded.session == 7 and decoded.round == 3 and decoded.sender == 2
-    assert decoded.kind == MessageKind.BROADCAST
+    assert decoded.kind == MessageKind.POINTWISE
     assert np.array_equal(decoded.payload, payload)
+
+
+def test_decode_rejects_malformed_frames():
+    good = ProtocolMessage(1, 2, 3, MessageKind.POINTWISE,
+                           np.arange(3, dtype=np.uint64)).encode()[4:]
+    unknown_kind = HEADER.pack(1, 2, 3, 9, 3) + good[HEADER.size:]
+    count_too_large = HEADER.pack(1, 2, 3, 0, 4) + good[HEADER.size:]
+    for frame in (good[:HEADER.size - 1], unknown_kind, count_too_large, good + b"\0"):
+        with pytest.raises(TransportFailure):
+            ProtocolMessage.decode(frame)
+
+
+def test_read_frame_refuses_a_frame_above_the_cap():
+    import socket
+    reader, writer = socket.socketpair()
+    with reader:
+        writer.sendall(LEN_PREFIX.pack(MAX_FRAME + 1))
+        writer.close()  # a reader that tried to fill the frame would see EOF
+        with pytest.raises(TransportFailure, match="cap"):
+            read_frame(reader)
+
+
+@pytest.mark.parametrize("second", ["other-sender", "garbage"])
+def test_bound_connection_that_misbehaves_poisons_the_mailbox(second):
+    """A connection is bound to the sender of its first tallier frame; a frame
+    from another sender, or one that does not parse, fails the awaiting party
+    at once with an error naming the bound sender (not a round timeout)."""
+    import socket
+    endpoints = dict(enumerate(_free_endpoints(3), start=1))
+    node = SocketTransport(1, endpoints, timeout=3.0)
+    frames = [ProtocolMessage(1, 0, 2, MessageKind.POINTWISE,
+                              np.zeros(1, dtype=np.uint64)).encode()]
+    frames.append(ProtocolMessage(1, 0, 3, MessageKind.POINTWISE,
+                                  np.zeros(1, dtype=np.uint64)).encode()
+                  if second == "other-sender" else LEN_PREFIX.pack(3) + b"xyz")
+    try:
+        with socket.create_connection(endpoints[1]) as sock:
+            sock.sendall(b"".join(frames))
+            with pytest.raises(TransportFailure) as err:
+                node.await_round(1, 1, {2})
+        assert not isinstance(err.value, RoundTimeout)
+        assert "T2" in str(err.value)
+    finally:
+        node.close()
+
+
+def test_voter_garbage_neither_poisons_nor_blocks_a_good_ballot():
+    """A voter's unparsable frame, or a ballot without a voter id, closes that
+    connection unacknowledged; the mailbox stays usable for the next ballot."""
+    import socket
+    endpoint = _free_endpoints(1)[0]
+    node = SocketTransport(1, {1: endpoint}, timeout=5.0)
+    empty_ballot = ProtocolMessage(5, 0, 0, MessageKind.BALLOT, np.zeros(0, dtype=np.uint64))
+    try:
+        for garbage in (LEN_PREFIX.pack(3) + b"xyz", empty_ballot.encode()):
+            with socket.create_connection(endpoint) as sock:
+                sock.sendall(garbage)
+                sock.settimeout(5.0)
+                assert sock.recv(1) == b""  # closed, no ACK
+        assert submit_ballot_socket(endpoint, 5, np.array([3], dtype=np.uint64), timeout=5.0)
+        assert node.collect_ballots(5, count=1)[0].payload.tolist() == [3]
+        assert node.mailbox._poison is None
+    finally:
+        node.close()
 
 
 def test_inmemory_broadcast_same_round():
@@ -100,13 +164,6 @@ def test_session_isolation():
     assert results["a2"][1][0] == 100 and results["b2"][1][0] == 300
 
 
-def test_inmemory_ballot_submission_ack():
-    hub = InMemoryHub(3)
-    assert hub.submit_ballot(2, session=1, payload=np.array([1, 2, 3], dtype=np.uint64))
-    got = hub.transport(2).collect_ballots(1, count=1)
-    assert np.array_equal(got[0].payload, [1, 2, 3])
-
-
 def test_socket_echo_large_payload():
     nodes = _socket_mesh(2, timeout=30.0)
     try:
@@ -143,7 +200,7 @@ def test_read_frame_reassembles_multi_megabyte_frame_over_loopback():
     import socket
     payload = np.random.default_rng(1).integers(0, (1 << 31) - 1, size=500_000,
                                                 dtype=np.uint64)
-    frame = ProtocolMessage(1, 2, 3, MessageKind.BROADCAST, payload).encode()
+    frame = ProtocolMessage(1, 2, 3, MessageKind.POINTWISE, payload).encode()
     listener = socket.create_server(("127.0.0.1", 0))
     sender = socket.create_connection(listener.getsockname())
     receiver, _ = listener.accept()

@@ -185,7 +185,7 @@ def _run_batch(field, ballots, rule, parties=3, threshold=2, seed=10):
         bundles = [b.bundle_for(ctx.party_id) for b in ballots]
         before_rounds = ctx.counters.mul_rounds
         before_gates = ctx.counters.mul_gates
-        verdicts = batch_validate(ctx, bundles, rule)
+        verdicts = batch_validate(ctx, bundles, rule, ballots[0].m)
         return (verdicts,
                 ctx.counters.mul_rounds - before_rounds,
                 ctx.counters.mul_gates - before_gates)
