@@ -10,10 +10,12 @@ everywhere, which keeps the implicit round numbering aligned.
 
 Primitives:
 
-* multiplication with degree reduction: local share products give a
-  (2D'-1)-threshold sharing of u*v; a double sharing of a random R masks it,
-  party 1 reconstructs and republishes w+R, and subtracting the low-threshold
-  shares of R lands back on a D'-out-of-D sharing of the product.
+* multiplication with degree reduction in one round (Damgard-Nielsen,
+  CRYPTO 2007): local share products give a (2D'-1)-threshold sharing of u*v;
+  a double sharing of a random R masks it, every party broadcasts its masked
+  share, checks that the D shares have degree at most 2D'-2 and reconstructs
+  w+R itself, and subtracting the low-threshold shares of R lands back on a
+  D'-out-of-D sharing of the product.
 * shared LSB of a secret x: jointly sample a bitwise-shared uniform r < p,
   publish c = x + r, and combine LSB(c), LSB(r) and the wraparound bit
   1_{c < r} (a bitwise circuit of public c against the shared bits of r).
@@ -281,16 +283,8 @@ class PartyContext:
         dbl = self.double_shares(k)
         local = self.field.mul_vec(u.values.ravel(), v.values.ravel())
         masked = self.field.add_vec(local, dbl.high.values)
-        got = self.channel.gather(1, masked)
-        if self.party_id == 1:
-            matrix = np.stack([got[d] for d in range(1, self.parties + 1)])
-            if self.parties > high_t and not bool(
-                    np.all(degree_at_most(self.field, matrix, high_t))):
-                raise InconsistentOpen("masked product shares exceed degree 2D'-2")
-            opened = reconstruct_batch(self.field, range(1, high_t + 1), matrix[:high_t])
-        else:
-            opened = None
-        opened = self.channel.publish(1, opened)
+        opened = self._reconstruct(self.channel.exchange_all(masked), high_t,
+                                   "masked product shares")
         out = self.field.sub_vec(opened, dbl.low.values)
         return Shares(self.field, self.threshold, out.reshape(shape))
 
@@ -306,15 +300,21 @@ class PartyContext:
         self.counters.open_log.append((purpose, x.size))
         if x.size == 0:
             return np.zeros(x.values.shape, dtype=np.uint64)
-        got = self.channel.exchange_all(x.values.ravel())
-        matrix = np.stack([got[d] for d in range(1, self.parties + 1)])
-        if self.parties > x.threshold and not bool(
-                np.all(degree_at_most(self.field, matrix, x.threshold))):
-            raise InconsistentOpen("opened shares do not lie on a single "
-                                   f"degree<={x.threshold - 1} polynomial")
-        values = reconstruct_batch(self.field, range(1, x.threshold + 1),
-                                   matrix[:x.threshold])
+        values = self._reconstruct(self.channel.exchange_all(x.values.ravel()),
+                                   x.threshold, "opened shares")
         return values.reshape(x.values.shape)
+
+    def _reconstruct(self, got: dict[int, np.ndarray], threshold: int,
+                     what: str) -> np.ndarray:
+        """The values behind every party's shares of a threshold-``threshold``
+        sharing.  With more than ``threshold`` parties the extra shares must lie
+        on the same polynomial (InconsistentOpen)."""
+        matrix = np.stack([got[d] for d in range(1, self.parties + 1)])
+        if self.parties > threshold and not bool(
+                np.all(degree_at_most(self.field, matrix, threshold))):
+            raise InconsistentOpen(f"{what} do not lie on a single "
+                                   f"degree<={threshold - 1} polynomial")
+        return reconstruct_batch(self.field, range(1, threshold + 1), matrix[:threshold])
 
     def open_share_matrix(self, values: np.ndarray, purpose: str) -> np.ndarray:
         """Broadcast raw share values and return the full (D, k) matrix, ordered

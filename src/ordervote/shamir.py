@@ -70,21 +70,26 @@ def lagrange_at_zero(field: PrimeField, xs: Sequence[int]) -> tuple[int, ...]:
     return _lagrange_at(field.p, tuple(xs), 0)
 
 
+def _combine_rows(field: PrimeField, coeffs: Sequence[int], rows: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] * rows[i] mod p for canonical rows.  A product is at most
+    (p-1)^2, so ``room`` of them add up in uint64 without wrapping and share one
+    reduction; the reductions, not the products, are the cost here."""
+    p = np.uint64(field.p)
+    room = (2**64 - 1) // (field.p - 1) ** 2
+    acc = None
+    for start in range(0, len(coeffs), room):
+        part = rows[start] * np.uint64(coeffs[start])
+        for c, row in zip(coeffs[start + 1:start + room], rows[start + 1:start + room]):
+            part += row * np.uint64(c)
+        part %= p
+        acc = part if acc is None else field.add_vec(acc, part)
+    return acc
+
+
 def reconstruct_batch(field: PrimeField, xs: Sequence[int], rows: np.ndarray) -> np.ndarray:
     """Interpolate at x = 0: rows is (len(xs), k); returns the k secrets."""
-    coeffs = np.array(lagrange_at_zero(field, xs), dtype=np.uint64)
-    terms = field.mul_vec(coeffs[:, None], rows)
-    return field.sum_vec(terms, axis=0)
-
-
-@lru_cache(maxsize=None)
-def _extension_matrix(p: int, threshold: int, parties: int) -> np.ndarray:
-    """Rows predict shares at x = threshold+1..parties from shares at x = 1..threshold."""
-    rows = []
-    basis = tuple(range(1, threshold + 1))
-    for x in range(threshold + 1, parties + 1):
-        rows.append(_lagrange_at(p, basis, x))
-    return np.array(rows, dtype=np.uint64).reshape(parties - threshold, threshold)
+    return _combine_rows(field, lagrange_at_zero(field, xs),
+                         np.asarray(rows, dtype=np.uint64))
 
 
 def degree_at_most(field: PrimeField, matrix: np.ndarray, threshold: int) -> np.ndarray:
@@ -93,8 +98,9 @@ def degree_at_most(field: PrimeField, matrix: np.ndarray, threshold: int) -> np.
     parties = matrix.shape[0]
     if threshold >= parties:
         return np.ones(matrix.shape[1], dtype=bool)
-    ext = _extension_matrix(field.p, threshold, parties)
-    predicted = np.empty((parties - threshold, matrix.shape[1]), dtype=np.uint64)
-    for r in range(ext.shape[0]):
-        predicted[r] = field.sum_vec(field.mul_vec(ext[r][:, None], matrix[:threshold]), axis=0)
-    return np.all(predicted == matrix[threshold:], axis=0)
+    basis = tuple(range(1, threshold + 1))
+    ok = np.ones(matrix.shape[1], dtype=bool)
+    for x in range(threshold + 1, parties + 1):
+        ok &= _combine_rows(field, _lagrange_at(field.p, basis, x),
+                            matrix[:threshold]) == matrix[x - 1]
+    return ok

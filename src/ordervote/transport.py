@@ -33,6 +33,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import BinaryIO
 
 import numpy as np
 
@@ -64,6 +65,9 @@ class MessageKind(IntEnum):
     ACK = 3
 
 
+_KINDS = frozenset(MessageKind)
+
+
 @dataclass
 class ProtocolMessage:
     session: int
@@ -72,23 +76,27 @@ class ProtocolMessage:
     kind: MessageKind
     payload: np.ndarray  # uint64 field elements, each < p
 
-    def encode(self) -> bytes:
-        body = np.ascontiguousarray(self.payload, dtype="<u8").tobytes()
+    def frame_parts(self) -> tuple[bytes, memoryview]:
+        """The frame as its length prefix and header, then a view of the
+        payload's bytes (no copy when the payload is contiguous uint64)."""
+        body = memoryview(np.ascontiguousarray(self.payload, dtype="<u8")).cast("B")
         head = HEADER.pack(self.session, self.round, self.sender,
                            int(self.kind), len(self.payload))
-        return LEN_PREFIX.pack(len(head) + len(body)) + head + body
+        return LEN_PREFIX.pack(len(head) + len(body)) + head, body
+
+    def encode(self) -> bytes:
+        return b"".join(self.frame_parts())
 
     @staticmethod
     def decode(frame: bytes) -> "ProtocolMessage":
         if len(frame) < HEADER.size:
             raise TransportFailure(f"frame of {len(frame)} bytes has no full header")
         session, rnd, sender, kind, count = HEADER.unpack_from(frame, 0)
-        if kind not in list(MessageKind):
+        if kind not in _KINDS:
             raise TransportFailure(f"unknown message kind {kind}")
         if len(frame) != HEADER.size + 8 * count:
             raise TransportFailure("payload length does not match declared count")
-        payload = np.frombuffer(frame, dtype="<u8", count=count,
-                                offset=HEADER.size).astype(np.uint64)
+        payload = np.frombuffer(frame, dtype="<u8", count=count, offset=HEADER.size)
         return ProtocolMessage(session, rnd, sender, MessageKind(kind), payload)
 
 
@@ -101,6 +109,9 @@ class Mailbox:
         self._messages: dict[tuple[int, int, int], ProtocolMessage] = {}
         self._ballots: dict[int, list[ProtocolMessage]] = {}
         self._poison: Exception | None = None
+        # the keys ``await_round`` still misses; its waiter is woken only once
+        # they are all in, not by each message of the round
+        self._missing: set[tuple[int, int, int]] = set()
 
     def deliver(self, msg: ProtocolMessage) -> None:
         with self._cond:
@@ -117,7 +128,10 @@ class Mailbox:
                 self._cond.notify_all()
                 raise err
             self._messages[key] = msg
-            self._cond.notify_all()
+            if key in self._missing:
+                self._missing.discard(key)
+                if not self._missing:
+                    self._cond.notify_all()
 
     def poison(self, err: Exception) -> None:
         with self._cond:
@@ -127,23 +141,23 @@ class Mailbox:
     def await_round(self, session: int, round_no: int, senders: set[int],
                     timeout: float | None) -> dict[int, ProtocolMessage]:
         deadline = None if timeout is None else time.monotonic() + timeout
+        keys = [(session, round_no, s) for s in senders]
         with self._cond:
-            while True:
-                if self._poison is not None:
-                    raise self._poison
-                got = {s: self._messages[(session, round_no, s)]
-                       for s in senders if (session, round_no, s) in self._messages}
-                if len(got) == len(senders):
-                    for s in senders:
-                        del self._messages[(session, round_no, s)]
-                    return got
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        missing = sorted(senders - set(got))
-                        raise RoundTimeout(round_no, missing)
-                self._cond.wait(remaining)
+            self._missing = {k for k in keys if k not in self._messages}
+            try:
+                while True:
+                    if self._poison is not None:
+                        raise self._poison
+                    if not self._missing:
+                        return {k[2]: self._messages.pop(k) for k in keys}
+                    remaining = None
+                    if deadline is not None:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            raise RoundTimeout(round_no, sorted(k[2] for k in self._missing))
+                    self._cond.wait(remaining)
+            finally:
+                self._missing = set()
 
     def collect_ballots(self, session: int, count: int,
                         timeout: float | None) -> list[ProtocolMessage]:
@@ -226,17 +240,10 @@ class InMemoryTransport(PartyTransport):
                                               msg.kind, payload))
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytearray | None:
+def _read_exact(stream: BinaryIO, n: int) -> bytearray | None:
     """Read exactly n bytes into one preallocated buffer; None on EOF."""
     buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        count = sock.recv_into(view[got:])
-        if not count:
-            return None
-        got += count
-    return buf
+    return buf if stream.readinto(buf) == n else None
 
 
 def _dial(endpoint: tuple[str, int], timeout: float) -> socket.socket:
@@ -256,14 +263,30 @@ def _dial(endpoint: tuple[str, int], timeout: float) -> socket.socket:
         return sock
 
 
-def read_frame(sock: socket.socket) -> bytearray | None:
-    head = _recv_exact(sock, LEN_PREFIX.size)
+def send_frame(sock: socket.socket, msg: ProtocolMessage) -> int:
+    """Write one frame without joining header and payload into a new buffer;
+    returns the bytes written."""
+    head, body = msg.frame_parts()
+    sent = sock.sendmsg([head, body])
+    if sent < len(head):
+        sock.sendall(head[sent:])
+        sent = len(head)
+    if sent < len(head) + len(body):
+        sock.sendall(body[sent - len(head):])
+    return len(head) + len(body)
+
+
+def read_frame(stream: BinaryIO) -> bytearray | None:
+    """The next frame after its length prefix from a buffered stream such as
+    ``sock.makefile("rb")``, or None on EOF.  The buffer takes a small frame
+    in one receive call, not one for the prefix and one for the rest."""
+    head = _read_exact(stream, LEN_PREFIX.size)
     if head is None:
         return None
     (length,) = LEN_PREFIX.unpack(head)
     if length > MAX_FRAME:
         raise TransportFailure(f"frame of {length} bytes exceeds the {MAX_FRAME}-byte cap")
-    return _recv_exact(sock, length)
+    return _read_exact(stream, length)
 
 
 class SocketTransport(PartyTransport):
@@ -297,9 +320,10 @@ class SocketTransport(PartyTransport):
 
     def _reader(self, conn: socket.socket) -> None:
         bound = None  # the sender of this connection's first tallier frame
+        stream = conn.makefile("rb")
         try:
             while True:
-                frame = read_frame(conn)
+                frame = read_frame(stream)
                 if frame is None:
                     return
                 msg = ProtocolMessage.decode(frame)
@@ -309,7 +333,7 @@ class SocketTransport(PartyTransport):
                     self.mailbox.deliver(msg)
                     ack = ProtocolMessage(msg.session, 0, self.party_id,
                                           MessageKind.ACK, np.zeros(0, dtype=np.uint64))
-                    conn.sendall(ack.encode())
+                    send_frame(conn, ack)
                     continue
                 if bound is None:
                     bound = msg.sender
@@ -323,6 +347,7 @@ class SocketTransport(PartyTransport):
             if bound is not None:  # a voter's connection just closes
                 self.mailbox.poison(TransportFailure(f"connection of T{bound} failed: {err}"))
         finally:
+            stream.close()  # conn.close() alone leaves the descriptor to the stream
             conn.close()
 
     def _connect(self, to: int) -> socket.socket:
@@ -333,17 +358,15 @@ class SocketTransport(PartyTransport):
             raise TransportFailure(f"T{self.party_id} cannot reach T{to} at {host}:{port}")
 
     def send(self, to: int, msg: ProtocolMessage) -> None:
-        frame = msg.encode()
         with self._out_lock:
             sock = self._out.get(to)
             if sock is None:
                 sock = self._connect(to)
                 self._out[to] = sock
             try:
-                sock.sendall(frame)
+                self.bytes_sent += send_frame(sock, msg)
             except OSError as err:
                 raise TransportFailure(f"send to T{to} failed: {err}")
-        self.bytes_sent += len(frame)
 
     def close(self) -> None:
         self._stop.set()
@@ -369,9 +392,10 @@ def submit_ballot_socket(endpoint: tuple[str, int], session: int, payload: np.nd
     msg = ProtocolMessage(session, 0, 0, MessageKind.BALLOT,
                           np.asarray(payload, dtype=np.uint64))
     with _dial(endpoint, timeout) as sock:
-        sock.sendall(msg.encode())
+        send_frame(sock, msg)
         sock.settimeout(timeout)
-        frame = read_frame(sock)
+        with sock.makefile("rb") as stream:
+            frame = read_frame(stream)
         if frame is None:
             raise TransportFailure("tallier closed the connection before acknowledging")
         ack = ProtocolMessage.decode(frame)
@@ -420,24 +444,6 @@ class SessionChannel:
         out = self._round({d: payload for d in peers}, set(peers))
         out[self.party_id] = payload
         return out
-
-    def gather(self, root: int, payload: np.ndarray) -> dict[int, np.ndarray] | None:
-        """Everyone sends to root; only root returns the collected payloads."""
-        payload = np.asarray(payload, dtype=np.uint64)
-        if self.party_id != root:
-            self._round({root: payload}, set())
-            return None
-        out = self._round({}, set(self.transport.peers()))
-        out[root] = payload
-        return out
-
-    def publish(self, root: int, payload: np.ndarray | None) -> np.ndarray:
-        """Root broadcasts a public value; everyone returns it."""
-        if self.party_id != root:
-            return self._round({}, {root})[root]
-        payload = np.asarray(payload, dtype=np.uint64)
-        self._round({d: payload for d in self.transport.peers()}, set())
-        return payload
 
     def scatter(self, payloads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Personalized all-to-all; returns what the peers sent this party."""

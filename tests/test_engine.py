@@ -3,12 +3,12 @@ import pytest
 from scipy import stats
 
 from conftest import deal, dealt_shares, run_parties
-from ordervote.engine import (DegreeOverflow, InconsistentOpen, MpcError,
-                              PartyContext, RetryExhausted, Shares)
+from ordervote.engine import (DegreeOverflow, DoubleSharing, InconsistentOpen,
+                              MpcError, PartyContext, RetryExhausted, Shares)
 from ordervote.field import PrimeField
 from ordervote.oracle import plain_primitive
 from ordervote.shamir import degree_at_most, reconstruct_batch
-from ordervote.transport import InMemoryHub, SessionChannel
+from ordervote.transport import InMemoryHub, RoundTimeout, SessionChannel
 
 M31 = (1 << 31) - 1
 
@@ -58,14 +58,48 @@ def test_mul_examples(f31):
     mu, mv = deal(f31, u, 2, 3, seed=1), deal(f31, v, 2, 3, seed=2)
 
     def prog(ctx):
+        ctx.pregenerate(doubles=5)
+        stats = ctx.channel.stats
+        rounds, messages = stats.rounds, stats.messages
         w = ctx.mul(dealt_shares(f31, mu, 2, ctx.party_id),
                     dealt_shares(f31, mv, 2, ctx.party_id))
         assert ctx.counters.mul_gates == 5 and ctx.counters.mul_rounds == 1
+        # one communication round in which every party sends to each peer
+        assert (stats.rounds - rounds, stats.messages - messages) == (1, 2)
         return w.values
 
     res = run_parties(3, 2, f31, prog)
     got = open_all(f31, res, 2)  # also asserts output degree <= D'-1
     assert np.array_equal(got, u * v % 31)
+
+
+def test_tampered_masked_product_share_is_caught_by_every_party(f31):
+    """At D = 4 (D' = 2) the four masked product shares over-determine their
+    degree-2 polynomial.  A tallier that shifts its share is caught in the
+    same round by every honest tallier, none of which waits for a peer."""
+    u = np.array([2, 5, 11], dtype=np.uint64)
+    mu = deal(f31, u, 2, 4, seed=1)
+
+    def prog(ctx):
+        if ctx.party_id == 3:
+            honest = ctx.double_shares
+
+            def shifted(k):
+                dbl = honest(k)
+                return DoubleSharing(dbl.low, dbl.high + 1)
+
+            ctx.double_shares = shifted
+        x = dealt_shares(f31, mu, 2, ctx.party_id)
+        try:
+            ctx.mul(x, x)
+        except InconsistentOpen:
+            return "caught"
+        except RoundTimeout:
+            return "timed out"
+        return "accepted"
+
+    res = run_parties(4, 2, f31, prog, timeout=3.0)
+    assert [res[d] for d in (1, 2, 4)] == ["caught"] * 3
 
 
 @pytest.mark.parametrize("parties", [3, 5, 7, 9])

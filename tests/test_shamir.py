@@ -83,6 +83,23 @@ def test_interpolate_recovers_generator(f31):
     assert got.tolist() == [cs[0] for cs in polys]
 
 
+@pytest.mark.parametrize("p", [(1 << 31) - 1, 4294967291])
+def test_interpolation_near_the_uint64_limit(p):
+    """Products of residues near 2^31 or 2^32 leave room for four or one of them
+    in a uint64 sum: seven points still interpolate exactly (against Python
+    integers) and pass or fail the degree test by the polynomial's degree."""
+    field = PrimeField(p)
+    rng = np.random.default_rng(5)
+    polys = [[int(v) for v in rng.integers(p - 9, p, size=7)] for _ in range(20)]
+    for i, cs in enumerate(polys[:7]):
+        cs[i + 1:] = [0] * (6 - i)  # degrees 0..6
+    points = np.array([_evaluate(c, range(1, 8), p) for c in polys], dtype=np.uint64).T
+    assert reconstruct_batch(field, range(1, 8), points).tolist() == [c[0] for c in polys]
+    for threshold in range(1, 8):
+        expect = [max(i for i, c in enumerate(cs) if c) <= threshold - 1 for cs in polys]
+        assert degree_at_most(field, points, threshold).tolist() == expect
+
+
 def test_share_batch_matches_scalar_reconstruct(f31):
     rng = np.random.default_rng(3)
     secrets = rng.integers(0, 31, size=64, dtype=np.uint64)

@@ -57,7 +57,7 @@ def test_read_frame_refuses_a_frame_above_the_cap():
         writer.sendall(LEN_PREFIX.pack(MAX_FRAME + 1))
         writer.close()  # a reader that tried to fill the frame would see EOF
         with pytest.raises(TransportFailure, match="cap"):
-            read_frame(reader)
+            read_frame(reader.makefile("rb"))
 
 
 @pytest.mark.parametrize("second", ["other-sender", "garbage"])
@@ -171,16 +171,17 @@ def test_socket_echo_large_payload():
             0, (1 << 31) - 1, size=1_000_000, dtype=np.uint64)
         out = {}
 
+        empty = np.zeros(0, dtype=np.uint64)
+
         def party1():
             ch = SessionChannel(nodes[1], 1)
-            got = ch.gather(1, np.zeros(0, dtype=np.uint64))
-            out["got"] = got[2]
-            ch.publish(1, got[2])  # echo back
+            out["got"] = ch.exchange_all(empty)[2]
+            ch.exchange_all(out["got"])  # echo back
 
         def party2():
             ch = SessionChannel(nodes[2], 1)
-            ch.gather(1, payload)
-            out["echo"] = ch.publish(1, None)
+            ch.exchange_all(payload)
+            out["echo"] = ch.exchange_all(empty)[1]
 
         threads = [threading.Thread(target=party1), threading.Thread(target=party2)]
         for t in threads:
@@ -215,12 +216,13 @@ def test_read_frame_reassembles_multi_megabyte_frame_over_loopback():
     writer = threading.Thread(target=write)
     writer.start()
     try:
-        got = read_frame(receiver)
+        stream = receiver.makefile("rb")
+        got = read_frame(stream)
         assert len(got) == len(frame) - 4 > 4_000_000
         msg = ProtocolMessage.decode(got)
         assert (msg.session, msg.round, msg.sender) == (1, 2, 3)
         assert np.array_equal(msg.payload, payload)
-        assert read_frame(receiver) is None
+        assert read_frame(stream) is None
     finally:
         writer.join()
         receiver.close()
