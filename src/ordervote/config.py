@@ -1,14 +1,16 @@
 """Election session configuration: parameters, bounds, seeds, tie policy.
 
 The prime modulus must exceed every quantity the protocol secret-shares or
-feeds to the sign-sensitive predicates:
+feeds to the sign-sensitive predicates.  The tally compares scores with the
+bounded comparison, which needs every compared difference below p/2, so a
+score range R needs p > 2R:
 
 * the number of talliers D (share evaluation points are 1..D),
-* twice the expected number of voters (aggregated entries live in [-N, N]),
-* max(s, t) * (M - 1), the largest rescaled copeland score,
+* twice the expected number of voters: aggregated entries live in [-N, N]
+  and maximin scores in [0, N],
+* 2 * max(s, t) * (M - 1), twice the largest rescaled copeland score,
 * twice the largest column-sum difference, 2 * (M - 1),
-* for kemeny, the largest ranking score N * M(M - 1) / 2, so that the
-  comparisons that pick the best ranking see unwrapped scores.
+* for kemeny, N * M(M - 1), twice the largest ranking score N * M(M - 1) / 2.
 
 Tie policy is defined once here and consumed by both the plaintext oracle and
 the MPC tally, so the two paths cannot drift: score ties go to the lowest
@@ -149,12 +151,13 @@ class ElectionConfig:
         bounds = {
             "D (number of talliers)": self.talliers,
             "2N (range of aggregated entries)": 2 * self.expected_voters,
-            "max(s,t)*(M-1) (rescaled score range)": max(s, t) * (self.m - 1),
+            "2max(s,t)*(M-1) (twice the rescaled score range)":
+                2 * max(s, t) * (self.m - 1),
             "2(M-1) (column-sum differences)": 2 * (self.m - 1),
         }
         if self.rule == "kemeny":
-            bounds["N*M(M-1)/2 (largest ranking score)"] = kemeny_score_bound(
-                self.expected_voters, self.m)
+            bounds["N*M(M-1) (twice the largest ranking score)"] = \
+                2 * kemeny_score_bound(self.expected_voters, self.m)
         for what, bound in bounds.items():
             if self.prime <= bound:
                 raise FieldTooSmall(

@@ -16,11 +16,21 @@ Primitives:
   share, checks that the D shares have degree at most 2D'-2 and reconstructs
   w+R itself, and subtracting the low-threshold shares of R lands back on a
   D'-out-of-D sharing of the product.
-* shared LSB of a secret x: jointly sample a bitwise-shared uniform r < p,
-  publish c = x + r, and combine LSB(c), LSB(r) and the wraparound bit
-  1_{c < r} (a bitwise circuit of public c against the shared bits of r).
-* comparison 1_{a<b} from three less-than-half bits via
-  z = 1 - x - y + xy + w(x + y - 2xy).
+* LSB masks: the bitwise-shared uniform r < p that an LSB extraction hides
+  x behind, with r recomposed from its bits.  Nothing in a mask depends on
+  the input, so masks come from a third pool, filled by one preparation
+  routine (random bits, the r < p rejection check, the recomposition); a
+  tally fills it once, before validation, with its exact extraction count
+  (Damgard et al., TCC 2006), and a short pool is topped up the same way.
+* shared LSB of a secret x: take a mask r from the pool, publish c = x + r,
+  and combine LSB(c), LSB(r) and the wraparound bit 1_{c < r} (a bitwise
+  circuit of public c against the shared bits of r).
+* bounded comparison 1_{a<b} for |a - b| < p/2: the positivity of b - a,
+  one LSB extraction and no further gates.  Every comparison of the tally
+  has bounded inputs (the field bounds of ``config`` ensure it).
+* general comparison 1_{a<b} for any canonical a, b from three
+  less-than-half bits via z = 1 - x - y + xy + w(x + y - 2xy) (Nishide-Ohta,
+  PKC 2007).
 * positivity of a signed value embedded in [-N, N]: the LSB of -2x.
 * equality to zero via Fermat: 1 - x^(p-1), a square-and-multiply ladder of
   at most 2*ell multiplication gates.
@@ -36,8 +46,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .field import PrimeField
-from .shamir import (InsufficientShares, degree_at_most, reconstruct_batch,
-                     share_batch)
+from .shamir import (InsufficientShares, combine_rows, degree_at_most,
+                     reconstruct_batch, share_batch)
 from .transport import SessionChannel
 
 RETRY_LIMIT = 32
@@ -143,6 +153,7 @@ class Counters:
     mul_gates: int = 0
     mul_gates_in_lsb: int = 0
     mul_rounds: int = 0
+    offline_rounds: int = 0  # comm rounds spent preparing LSB masks
     opens: int = 0
     lsb_extractions: int = 0
     comparisons: int = 0
@@ -158,8 +169,8 @@ class PartyContext:
     """One tallier's handle on a protocol session.
 
     Owns the party's randomness, its transport channel, instrumentation
-    counters, and pools of pre-generated random/double sharings (the pools
-    can be filled before any ballots arrive).
+    counters, and pools of pre-generated random sharings, double sharings
+    and LSB masks (the pools can be filled before any ballots arrive).
     """
 
     def __init__(self, party_id: int, parties: int, threshold: int,
@@ -180,6 +191,9 @@ class PartyContext:
         self._double_t = (threshold, 2 * threshold - 1)
         self._pools = {t: np.zeros((len(t), 0), dtype=np.uint64)
                        for t in (self._rand_t, self._double_t)}
+        # checked LSB masks, one per column: ell shared bits of r (least
+        # significant first), then shares of r itself
+        self._masks = np.zeros((field.ell + 1, 0), dtype=np.uint64)
         self._lsb_depth = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -195,6 +209,7 @@ class PartyContext:
             "mul_gates": c.mul_gates,
             "mul_rounds": c.mul_rounds,
             "comm_rounds": self.channel.stats.rounds,
+            "offline_rounds": c.offline_rounds,
             "messages": self.channel.stats.messages,
             "opens": c.opens,
             "lsb_extractions": c.lsb_extractions,
@@ -257,11 +272,14 @@ class PartyContext:
         return DoubleSharing(Shares(self.field, self._double_t[0], low),
                              Shares(self.field, self._double_t[1], high))
 
-    def pregenerate(self, rand: int = 0, doubles: int = 0) -> None:
-        """Fill the pools ahead of time (can run before the election starts)."""
+    def pregenerate(self, rand: int = 0, doubles: int = 0, masks: int = 0) -> None:
+        """Fill the pools ahead of time (can run before the election starts).
+        Masks are prepared last, so they draw on the sharings dealt here."""
         for thresholds, n in ((self._rand_t, rand), (self._double_t, doubles)):
             if n:
                 self._refill(thresholds, n)
+        if masks:
+            self._prepare_masks(masks)
 
     # -- multiplication gate with degree reduction ---------------------------
 
@@ -390,30 +408,46 @@ class PartyContext:
         return Shares(self.field, self.threshold,
                       self.field.sum_vec(terms.values, axis=0))
 
+    def _prepare_masks(self, n: int) -> None:
+        """Append n checked LSB masks to the mask pool: shared bits of a uniform
+        r < p and shares of r.  The bits of every r >= p are drawn again until
+        all n pass, so a batch pays for one random-bit layer and one r < p
+        check; the rounds spent count as ``offline_rounds``."""
+        start = self.channel.stats.rounds
+        self._lsb_depth += 1
+        try:
+            ell, p = self.field.ell, self.field.p
+            bits = self._random_bits((ell, n)).values
+            pending = np.arange(n)
+            for attempt in range(RETRY_LIMIT + 1):
+                pm1 = np.full(pending.size, p - 1, dtype=np.uint64)
+                too_big = self._lt_public(pm1, Shares(self.field, self.threshold,
+                                                      bits[:, pending]))  # 1_{r >= p}
+                pending = pending[self.open(1 - too_big, "lsb_mask") != 1]
+                if not pending.size:
+                    break
+                if attempt == RETRY_LIMIT:
+                    raise RetryExhausted("rejection sampling of r < p did not converge")
+                bits[:, pending] = self._random_bits((ell, pending.size)).values
+            r = combine_rows(self.field, [pow(2, i, p) for i in range(ell)], bits)
+            self._masks = np.concatenate([self._masks, np.vstack([bits, r])], axis=1)
+        finally:
+            self._lsb_depth -= 1
+            self.counters.offline_rounds += self.channel.stats.rounds - start
+
     def shared_lsb(self, x: Shares) -> Shares:
         """Shares of the least significant bit of the canonical representative."""
         k = x.size
         if k == 0:
             return Shares(self.field, self.threshold, x.values.copy())
         self.counters.lsb_extractions += k
+        if self._masks.shape[1] < k:
+            self._prepare_masks(k - self._masks.shape[1])
+        mask, self._masks = self._masks[:, :k], self._masks[:, k:]
         self._lsb_depth += 1
         try:
-            ell = self.field.ell
-            p = self.field.p
-            bits = self._random_bits((ell, k))
-            pm1 = np.full(k, p - 1, dtype=np.uint64)
-            for attempt in range(RETRY_LIMIT + 1):
-                too_big = self._lt_public(pm1, bits)  # 1_{r >= p}
-                ok = self.open(1 - too_big, "lsb_mask") == 1
-                if ok.all():
-                    break
-                if attempt == RETRY_LIMIT:
-                    raise RetryExhausted("rejection sampling of r < p did not converge")
-                fresh = self._random_bits((ell, int((~ok).sum())))
-                bits.values[:, ~ok] = fresh.values
-            weights = (np.uint64(1) << np.arange(ell, dtype=np.uint64))[:, None] % np.uint64(p)
-            r = Shares(self.field, self.threshold,
-                       self.field.sum_vec(self.field.mul_vec(weights, bits.values), axis=0))
+            bits = Shares(self.field, self.threshold, mask[:-1])
+            r = Shares(self.field, self.threshold, mask[-1])
             c = self.open(x.reshape(-1) + r, "lsb_mask")
             wrapped = self._lt_public(c, bits)  # 1_{c < r}, i.e. x + r overflowed p
             r0 = bits[0].reshape(-1)
@@ -432,8 +466,15 @@ class PartyContext:
         """1_{x < p/2}: the LSB of 2x is zero exactly in that case."""
         return 1 - self.shared_lsb(2 * x)
 
+    def compare_bounded(self, a: Shares, b: Shares) -> Shares:
+        """Shares of 1_{a < b} for inputs whose difference as integers satisfies
+        |a - b| < p/2: the positivity of b - a, one LSB extraction per pair
+        and no further gates."""
+        self.counters.comparisons += a.size
+        return self.is_positive(b - a)
+
     def compare(self, a: Shares, b: Shares) -> Shares:
-        """Shares of 1_{a < b} (canonical representatives).
+        """Shares of 1_{a < b} for any canonical representatives.
 
         The three less-than-half bits are extracted concurrently in the same
         rounds; combining them costs exactly two more multiplication gates.

@@ -1,8 +1,9 @@
 """Election orchestration: the tallier program and backend runners.
 
 ``tallier_program`` is the SPMD pipeline every tallier executes over its own
-context: validate the shared ballots (``validate_bundles``), aggregate the
-accepted ones, compute scores, and open winner identities.  Every in-process
+context: prepare every LSB mask the tally will use in one offline batch,
+validate the shared ballots (``validate_bundles``), aggregate the accepted
+ones, compute scores, and open winner identities.  Every in-process
 runner starts its talliers through one ``_run_threads``: ``run_local_election``
 runs all D talliers as threads of one process over the in-memory hub (the
 desk-scale mode), and ``run_local_validation`` and the benchmarks reuse it.
@@ -28,7 +29,7 @@ from .ballots import (SharedBallot, TallierBundle, decode_bundle,
 from .config import ElectionConfig
 from .engine import PartyContext
 from .tally import (TallyResult, aggregate, copeland_scores, kemeny_winners,
-                    maximin_scores, top_k)
+                    lsb_extractions, maximin_scores, top_k)
 from .transport import (InMemoryHub, SessionChannel, SocketTransport)
 
 T = TypeVar("T")
@@ -135,8 +136,11 @@ def validate_bundles(ctx: PartyContext, config: ElectionConfig,
 def tallier_program(ctx: PartyContext, config: ElectionConfig,
                     bundles: list[TallierBundle],
                     batch_size: int | None = None) -> tuple[TallyResult, list, dict]:
-    """The full pipeline one tallier runs; returns (result, verdicts, proofs)."""
+    """The full pipeline one tallier runs; returns (result, verdicts, proofs).
+    The masks do not depend on the ballots, so the whole tally's are prepared
+    first, in one batch: one random-bit layer and one r < p check."""
     rule, m = config.rule, config.m
+    ctx.pregenerate(masks=lsb_extractions(rule, m, config.num_winners))
     verdicts = validate_bundles(ctx, config, bundles, batch_size)
     accepted = [b for b, v in zip(bundles, verdicts) if v.accepted]
 
@@ -289,25 +293,35 @@ def bench_tally(config: ElectionConfig, voters: int,
         "winners": outcome.result.winners,
     }
     row.update({k: v for k, v in outcome.result.counters.items()
-                if k in ("mul_gates", "mul_rounds", "comm_rounds", "comparisons",
-                         "lsb_extractions")})
+                if k in ("mul_gates", "mul_rounds", "comm_rounds", "offline_rounds",
+                         "comparisons", "lsb_extractions")})
     return row
 
 
 def bench_comparison(config: ElectionConfig, repetitions: int) -> dict:
-    """Microbenchmark one secure comparison (median over repetitions)."""
-    def program(ctx: PartyContext) -> float:
+    """Microbenchmark one bounded comparison, the one the tally uses (median
+    time over repetitions).  Its mask is prepared offline and the pools are
+    pre-filled, so ``comm_rounds`` and the time are the online part alone;
+    ``mul_gates`` counts both parts."""
+    def program(ctx: PartyContext) -> tuple[float, int, dict]:
         a = ctx.constant(3)
         b = ctx.constant(5)
-        ctx.pregenerate(doubles=2048, rand=2048)
+        ctx.pregenerate(doubles=2048, rand=2048, masks=1)
+        rounds = ctx.channel.stats.rounds
         t0 = time.perf_counter()
-        ctx.open(ctx.compare(a, b), "final_output")
-        return time.perf_counter() - t0
+        ctx.compare_bounded(a, b)
+        return (time.perf_counter() - t0, ctx.channel.stats.rounds - rounds,
+                ctx.summary())
 
-    samples = sorted(_run_local(config, program)[1] for _ in range(repetitions))
+    runs = [_run_local(config, program)[1] for _ in range(repetitions)]
+    samples = sorted(elapsed for elapsed, _, _ in runs)
+    _, online_rounds, counters = runs[-1]
     return {
         "phase": "compare",
         "talliers": config.talliers,
         "seconds_median": samples[len(samples) // 2],
         "repetitions": repetitions,
+        "mul_gates": counters["mul_gates"],
+        "comm_rounds": online_rounds,
+        "offline_rounds": counters["offline_rounds"],
     }

@@ -8,7 +8,8 @@ degree the dealer actually used (the share-legality check relies on this).
 
 Every entry point works on numpy arrays with one column per independent
 secret: ``share_batch`` deals, ``reconstruct_batch`` interpolates at x = 0,
-and ``degree_at_most`` tests each column's degree.
+and ``degree_at_most`` tests each column's degree.  ``combine_rows``, the
+public linear combination both rest on, also recomposes shared bits.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def lagrange_at_zero(field: PrimeField, xs: Sequence[int]) -> tuple[int, ...]:
     return _lagrange_at(field.p, tuple(xs), 0)
 
 
-def _combine_rows(field: PrimeField, coeffs: Sequence[int], rows: np.ndarray) -> np.ndarray:
+def combine_rows(field: PrimeField, coeffs: Sequence[int], rows: np.ndarray) -> np.ndarray:
     """sum_i coeffs[i] * rows[i] mod p for canonical rows.  A product is at most
     (p-1)^2, so ``room`` of them add up in uint64 without wrapping and share one
     reduction; the reductions, not the products, are the cost here."""
@@ -88,7 +89,7 @@ def _combine_rows(field: PrimeField, coeffs: Sequence[int], rows: np.ndarray) ->
 
 def reconstruct_batch(field: PrimeField, xs: Sequence[int], rows: np.ndarray) -> np.ndarray:
     """Interpolate at x = 0: rows is (len(xs), k); returns the k secrets."""
-    return _combine_rows(field, lagrange_at_zero(field, xs),
+    return combine_rows(field, lagrange_at_zero(field, xs),
                          np.asarray(rows, dtype=np.uint64))
 
 
@@ -101,6 +102,6 @@ def degree_at_most(field: PrimeField, matrix: np.ndarray, threshold: int) -> np.
     basis = tuple(range(1, threshold + 1))
     ok = np.ones(matrix.shape[1], dtype=bool)
     for x in range(threshold + 1, parties + 1):
-        ok &= _combine_rows(field, _lagrange_at(field.p, basis, x),
+        ok &= combine_rows(field, _lagrange_at(field.p, basis, x),
                             matrix[:threshold]) == matrix[x - 1]
     return ok

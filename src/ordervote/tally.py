@@ -18,10 +18,16 @@ batched levels) per elected candidate and opens only candidate identities;
 scores stay secret unless the operator explicitly asks for them.  A strict
 comparison keeps the left entry of each pair on a tie, so the lowest index
 (or first-enumerated ranking) wins, the tie policy of ``config``.
+
+Every comparison is ``compare_bounded``, one LSB extraction each: the field
+bounds (``_check_field_bounds``) keep every compared difference below p/2.
+``lsb_extractions`` gives a tally's exact extraction count, so its LSB masks
+can all be prepared in one batch before the ballots are validated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -74,6 +80,25 @@ class TallyResult:
         return out
 
 
+def _check_kemeny_size(m: int) -> None:
+    if m > KEMENY_MAX_CANDIDATES:
+        raise TooManyCandidates(
+            f"kemeny enumerates M! rankings; M = {m} exceeds the guard "
+            f"({KEMENY_MAX_CANDIDATES})")
+
+
+def lsb_extractions(rule: str, m: int, k: int) -> int:
+    """LSB extractions of scoring and electing K of M candidates under
+    ``rule``: M(M-1) positivity bits for copeland scoring and M(M-2)
+    comparisons for maximin scoring, plus K(M-(K+1)/2) comparisons of top-K;
+    M!-1 comparisons for kemeny."""
+    if rule == "kemeny":
+        _check_kemeny_size(m)
+        return math.factorial(m) - 1
+    scoring = m * (m - 1) if rule == "copeland" else max(m * (m - 2), 0)
+    return scoring + k * m - k * (k + 1) // 2
+
+
 def aggregate(ctx: PartyContext, bundles: list[TallierBundle], rule: str,
               m: int) -> AggregatedShares:
     """Sum this party's shares over all accepted ballots; no communication."""
@@ -93,15 +118,19 @@ def aggregate(ctx: PartyContext, bundles: list[TallierBundle], rule: str,
 
 def _check_field_bounds(ctx: PartyContext, agg: AggregatedShares,
                         alpha: tuple[int, int] | None) -> None:
+    """The compared scores must differ by less than p/2: maximin scores lie in
+    [0, N] (p > 2N), copeland scores in [0, max(s,t)(M-1)] and kemeny scores
+    in [0, N*M(M-1)/2]."""
     p = ctx.field.p
     if p <= 2 * agg.ballots:
         raise FieldTooSmall(f"p = {p} must exceed 2N = {2 * agg.ballots}")
     if alpha is not None:
         s, t = alpha
-        if p <= max(s, t) * (agg.m - 1):
-            raise FieldTooSmall(f"p = {p} must exceed max(s,t)(M-1)")
-    if agg.rule == "kemeny" and p <= kemeny_score_bound(agg.ballots, agg.m):
-        raise FieldTooSmall(f"p = {p} must exceed the largest ranking score N*M(M-1)/2")
+        if p <= 2 * max(s, t) * (agg.m - 1):
+            raise FieldTooSmall(f"p = {p} must exceed 2max(s,t)(M-1)")
+    if agg.rule == "kemeny" and p <= 2 * kemeny_score_bound(agg.ballots, agg.m):
+        raise FieldTooSmall(
+            f"p = {p} must exceed twice the largest ranking score, N*M(M-1)")
 
 
 def copeland_scores(ctx: PartyContext, agg: AggregatedShares,
@@ -148,7 +177,7 @@ def maximin_scores(ctx: PartyContext, agg: AggregatedShares) -> Shares:
     support = agg.entries[[pos[min(a, b), max(a, b)] for a, b in ordered]]
     support = support * np.where(lower, -1, 1) + np.where(lower, agg.ballots, 0)
     return _fold_columns(ctx, support.reshape(m, m - 1),
-                         lambda left, right: ctx.compare(right, left))[:, 0]
+                         lambda left, right: ctx.compare_bounded(right, left))[:, 0]
 
 
 def _fold_columns(ctx: PartyContext, rows: Shares, right_wins) -> Shares:
@@ -169,7 +198,7 @@ def _argmax(ctx: PartyContext, scores: Shares, labels: Shares) -> Shares:
     ceil(log2 n) levels.  The strict comparison keeps the left entry on a
     tie, so the lowest index wins."""
     def right_wins(left: Shares, right: Shares) -> Shares:
-        bit = ctx.compare(left[0], right[0])  # 1 iff the right score is larger
+        bit = ctx.compare_bounded(left[0], right[0])  # 1 iff the right score is larger
         return Shares(ctx.field, ctx.threshold, np.tile(bit.values, (2, 1)))
 
     rows = Shares(ctx.field, ctx.threshold, np.stack([scores.values, labels.values]))
@@ -202,10 +231,7 @@ def kemeny_winners(ctx: PartyContext, agg: AggregatedShares,
     and opens only the winning ranking's identity.
     """
     m = agg.m
-    if m > KEMENY_MAX_CANDIDATES:
-        raise TooManyCandidates(
-            f"kemeny enumerates M! rankings; M = {m} exceeds the guard "
-            f"({KEMENY_MAX_CANDIDATES})")
+    _check_kemeny_size(m)
     _check_field_bounds(ctx, agg, None)
     pairs = entry_pairs("kemeny", m)
     rankings = list(rank_vectors(m))

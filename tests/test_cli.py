@@ -60,6 +60,10 @@ def test_maximin_demo_and_full_ranking(tmp_path, capsys):
     result = json.loads((session / "result.json").read_text())
     assert result["winners"] == [1, 2, 3]  # K = M: full ranking
     assert result["counters"]["comparisons"] == 3 * 1 + 3  # M(M-2) + M(M-1)/2
+    # one mask per comparison, prepared in one batch: bits, then the r < p check
+    offline = result["counters"]["offline_rounds"]
+    assert 9 <= offline < result["counters"]["comm_rounds"]
+    assert f"offline_rounds={offline} " in out
 
 
 def test_setup_rejects_small_field(tmp_path, capsys):
@@ -139,8 +143,18 @@ def test_bench_smoke(tmp_path, capsys):
     validate_row = rows[0]
     assert validate_row["mul_rounds"] == 3  # M(M-1)/2 for M = 3
     assert validate_row["mul_gates"] == 2 * 20 * 3
+    assert rows[1]["offline_rounds"] > 0
+    # The bounded comparison at ell = 31, its pools pre-filled.  Offline: 31
+    # squares of random bits and the r < p check (suffix products 30+29+27+23+15
+    # and 31 terms), 2 + 7 rounds.  Online: open x + r, the same 155-gate
+    # circuit against public c in 6 rounds, and one XOR gate.
+    compare_row = rows[2]
+    assert compare_row["offline_rounds"] == 9
+    assert compare_row["comm_rounds"] == 8
+    assert compare_row["mul_gates"] == (31 + 155) + (155 + 1)
     out = capsys.readouterr().out
     assert "validate" in out and "compare" in out
+    assert out.splitlines()[-1].split()[-3:] == ["342", "8", "9"]
 
 
 def test_setup_seed_override(tmp_path):

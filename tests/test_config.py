@@ -105,12 +105,25 @@ def test_endpoint_env_overrides(monkeypatch):
 
 
 def test_kemeny_score_bound():
-    """Twenty ballots over M = 4 reach a ranking score of 20 * 6 = 120; at
-    p = 101 that would wrap, so Kemeny refuses the field while Copeland, whose
-    bounds it meets, does not."""
+    """The bounded comparison needs ranking scores to differ by less than p/2,
+    so p must exceed N*M(M-1), twice the largest score.  Twenty ballots over
+    M = 4 need p > 240; at p = 101 Kemeny refuses the field while Copeland,
+    whose bounds it meets, does not.  Eight ballots need p > 96."""
     kemeny = dict(rule="kemeny", candidates=tuple("ABCD"), prime=101)
     with pytest.raises(FieldTooSmall) as err:
         _cfg(expected_voters=20, **kemeny).validate()
     assert "ranking score" in str(err.value)
-    _cfg(expected_voters=16, **kemeny).validate()  # 16 * 6 = 96 < 101
+    _cfg(expected_voters=8, **kemeny).validate()  # 8 * 12 = 96 < 101
     _cfg(expected_voters=20, prime=101, candidates=tuple("ABCD")).validate()
+
+
+def test_copeland_score_difference_bound():
+    """Copeland M = 9 with t = 2 gives scores in [0, 16]; scores 16 and 0 differ
+    by more than 31/2 and would wrap under the bounded comparison, so p = 31
+    is refused although it exceeds 2N = 30 and the largest score.  M = 8
+    (scores in [0, 14]) passes."""
+    copeland = dict(prime=31, expected_voters=15)
+    with pytest.raises(FieldTooSmall) as err:
+        _cfg(candidates=tuple("ABCDEFGHI"), **copeland).validate()
+    assert "max(s,t)" in str(err.value)
+    _cfg(candidates=tuple("ABCDEFGH"), **copeland).validate()

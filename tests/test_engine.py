@@ -220,6 +220,48 @@ def test_lsb_and_compare_exhaustive_at_p_1_mod_4():
                              for a, b in zip(av, bv)]
 
 
+@pytest.mark.parametrize("p", [13, 31])
+def test_compare_bounded_exhaustive(p):
+    """Every pair of canonical a, b with |a - b| < p/2, the domain on which the
+    tally compares: one LSB extraction per pair, no gate outside it, and the
+    same bit as the oracle's comparison."""
+    f = PrimeField(p)
+    pairs = [(a, b) for a in range(p) for b in range(p) if 2 * abs(a - b) < p]
+    av = np.array([a for a, _ in pairs], dtype=np.uint64)
+    bv = np.array([b for _, b in pairs], dtype=np.uint64)
+    ma, mb = deal(f, av, 2, 3, seed=p), deal(f, bv, 2, 3, seed=p + 1)
+
+    def prog(ctx):
+        a, b = (dealt_shares(f, m, 2, ctx.party_id) for m in (ma, mb))
+        bit = ctx.compare_bounded(a, b)
+        assert ctx.counters.comparisons == ctx.counters.lsb_extractions == len(pairs)
+        assert ctx.counters.mul_gates == ctx.counters.mul_gates_in_lsb
+        return ctx.open(bit, "final_output")
+
+    got = run_parties(3, 2, f, prog)[1]
+    assert got.tolist() == [plain_primitive("compare", [a, b], p) for a, b in pairs]
+
+
+def test_masks_are_bits_of_a_uniform_r_below_p(f31):
+    """Prepared masks hold shared bits and their recomposition r < p.  At
+    p = 31 one r in 32 is rejected, so 300 masks exercise the redraw; the
+    preparation rounds count as offline, and extractions from a full pool
+    prepare nothing more."""
+    def prog(ctx):
+        ctx.pregenerate(masks=300)
+        offline = ctx.counters.offline_rounds
+        masks = ctx.open(Shares(f31, 2, ctx._masks), "final_output")
+        ctx.shared_lsb(ctx.constant(np.arange(300)))
+        return masks, offline, ctx.counters.offline_rounds, ctx._masks.shape[1]
+
+    masks, offline, after, left = run_parties(3, 2, f31, prog)[1]
+    bits, r = masks[:-1].astype(int), masks[-1].astype(int)
+    assert set(np.unique(bits).tolist()) == {0, 1}
+    assert r.tolist() == (bits * (1 << np.arange(f31.ell))[:, None]).sum(axis=0).tolist()
+    assert r.max() < 31 and len(set(r.tolist())) > 20
+    assert offline > 0 and after == offline and left == 0
+
+
 def test_less_than_half_exhaustive(f31):
     xs = np.arange(31, dtype=np.uint64)
     mx = deal(f31, xs, 2, 3, seed=8)

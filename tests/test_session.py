@@ -7,9 +7,10 @@ from ordervote.ballots import (BallotMatrix, TallierBundle, ranking_to_matrix,
                                share_ballot)
 from ordervote.config import ElectionConfig
 from ordervote.oracle import PlainElection, plain_winners
-from ordervote.session import (_run_threads, build_context, make_shared_ballots,
-                               run_local_election, run_local_validation,
-                               run_socket_tallier, tallier_program)
+from ordervote.session import (_run_local, _run_threads, build_context,
+                               make_shared_ballots, run_local_election,
+                               run_local_validation, run_socket_tallier,
+                               tallier_program)
 from ordervote.transport import InMemoryHub, SessionChannel
 from ordervote.validation import REASON_DUPLICATE
 
@@ -243,3 +244,35 @@ def test_socket_live_ballot_submission():
     assert acks == [True] * 12
     oracle = plain_winners(PlainElection("maximin", 3, 1, tuple(rankings)))
     assert results[1].winners == oracle
+
+
+def test_tally_prepares_exactly_its_masks_before_validation():
+    """For every rule, M <= 6 and K <= M, ``tallier_program`` prepares its LSB
+    masks in one batch before any extraction, as many as the tally extracts:
+    the mask pool ends empty, so no mask is prepared online, and the general
+    comparison never runs."""
+    def general_compare(a, b):
+        raise AssertionError("the tally used the general comparison")
+
+    for rule in ("copeland", "maximin", "kemeny"):
+        for m in range(1, 7):
+            for k in range(1, m + 1):
+                cfg = _cfg(rule=rule, m=m, k=k, seed=m)
+                ballots = make_shared_ballots(cfg, _rankings(rule, m, 5, seed=k))
+
+                def program(ctx):
+                    batches = []
+                    prepare = ctx._prepare_masks
+
+                    def counted(n):
+                        batches.append((n, ctx.counters.lsb_extractions))
+                        prepare(n)
+
+                    ctx._prepare_masks = counted
+                    ctx.compare = general_compare
+                    tallier_program(ctx, cfg, [b.bundle_for(ctx.party_id) for b in ballots])
+                    return batches, ctx.counters.lsb_extractions, ctx._masks.shape[1]
+
+                batches, extractions, left = _run_local(cfg, program)[1]
+                assert batches == ([(extractions, 0)] if extractions else []), (rule, m, k)
+                assert left == 0, (rule, m, k)

@@ -13,7 +13,7 @@ from ordervote.oracle import (PlainElection, kemeny_counts, kemeny_score,
 from ordervote.shamir import reconstruct_batch
 from ordervote.tally import (AggregatedShares, RuleMismatch, TooManyCandidates,
                              _argmax, aggregate, copeland_scores, kemeny_winners,
-                             maximin_scores, top_k)
+                             lsb_extractions, maximin_scores, top_k)
 
 M31 = (1 << 31) - 1
 ORDERS = ((1, 2, 3), (1, 3, 2), (2, 1, 3))  # the running three-voter example
@@ -245,16 +245,26 @@ def test_kemeny_candidate_guard(f_mersenne31):
         agg = AggregatedShares("kemeny", 7, 1, ctx.constant(np.zeros(42)))
         with pytest.raises(TooManyCandidates):
             kemeny_winners(ctx, agg, 1)
+        with pytest.raises(TooManyCandidates):  # before 7! - 1 masks are prepared
+            lsb_extractions("kemeny", 7, 1)
         return True
 
     assert run_parties(1, 1, f, prog)[1]
 
 
 def test_field_too_small_guard(f31):
+    """Each bound that keeps compared scores less than p/2 apart is enforced
+    by the tally itself, not only by the config."""
     def prog(ctx):
         agg = AggregatedShares("copeland", 3, 20, ctx.constant(np.zeros(3)))
         with pytest.raises(FieldTooSmall):
             copeland_scores(ctx, agg, (1, 2))  # p = 31 <= 2N = 40
+        agg = AggregatedShares("copeland", 9, 15, ctx.constant(np.zeros(36)))
+        with pytest.raises(FieldTooSmall, match="max"):
+            copeland_scores(ctx, agg, (1, 2))  # scores 16 and 0: 31 <= 2 * 2 * 8
+        agg = AggregatedShares("kemeny", 3, 6, ctx.constant(np.zeros(6)))
+        with pytest.raises(FieldTooSmall, match="ranking score"):
+            kemeny_winners(ctx, agg, 1)  # scores up to 18: 31 <= 6 * 3 * 2
         return True
 
     assert run_parties(1, 1, f31, prog)[1]
@@ -347,9 +357,10 @@ def test_top_k_every_m_and_k_matches_select_winners(f31):
 
 
 def test_selection_depth_is_log2_of_entries(f_mersenne31):
-    """One batched ctx.compare per tree level: ceil(log2 n) calls per argmax
-    over n entries, counted by wrapping compare (rejection sampling inside a
-    comparison may add rounds, so round totals are not asserted)."""
+    """One batched ctx.compare_bounded per tree level: ceil(log2 n) calls per
+    argmax over n entries, counted by wrapping compare_bounded (rejection
+    sampling inside a comparison may add rounds, so round totals are not
+    asserted)."""
     f = f_mersenne31
     rng = np.random.default_rng(24)
     plains = [rng.integers(0, 9, n).tolist() for n in range(1, 10)]
@@ -357,13 +368,13 @@ def test_selection_depth_is_log2_of_entries(f_mersenne31):
 
     def prog(ctx):
         calls = []
-        compare = ctx.compare
+        compare = ctx.compare_bounded
 
         def counted(a, b):
             calls.append(a.size)
             return compare(a, b)
 
-        ctx.compare = counted
+        ctx.compare_bounded = counted
 
         def depth(fn, *args):
             del calls[:]
