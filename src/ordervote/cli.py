@@ -211,6 +211,7 @@ def cmd_tally(args) -> int:
     c = result.counters
     print(f"counters: mul_gates={c['mul_gates']} mul_rounds={c['mul_rounds']} "
           f"comm_rounds={c['comm_rounds']} offline_rounds={c['offline_rounds']} "
+          f"deal_rounds={c['deal_rounds']} "
           f"comparisons={c['comparisons']} "
           f"lsb_extractions={c['lsb_extractions']} opens={c['opens']}")
     for voter_id, matrix in proofs.items():
@@ -230,7 +231,8 @@ def cmd_bench(args) -> int:
         rows.append(bench_tally(config, args.voters, rng))
     rows.append(bench_comparison(config, max(args.reps, 3)))
     header = (f"{'phase':10s} {'M':>3s} {'D':>3s} {'B/N':>6s} "
-              f"{'seconds':>10s} {'mul_gates':>10s} {'rounds':>7s} {'offline':>7s}")
+              f"{'seconds':>10s} {'mul_gates':>10s} {'rounds':>7s} {'offline':>7s} "
+              f"{'deals':>5s}")
     print(header)
     for row in rows:
         size = row.get("batch", row.get("voters", 1))
@@ -238,7 +240,7 @@ def cmd_bench(args) -> int:
         print(f"{row['phase']:10s} {row.get('candidates', '-'):>3} "
               f"{row['talliers']:>3} {size:>6} {secs:>10.3f} "
               f"{row.get('mul_gates', 0):>10} {row.get('comm_rounds', 0):>7} "
-              f"{row.get('offline_rounds', 0):>7}")
+              f"{row.get('offline_rounds', 0):>7} {row['deal_rounds']:>5}")
     if args.out:
         Path(args.out).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     return 0

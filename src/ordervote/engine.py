@@ -35,6 +35,15 @@ Primitives:
 * equality to zero via Fermat: 1 - x^(p-1), a square-and-multiply ladder of
   at most 2*ell multiplication gates.
 
+Pools: random sharings, double sharings and LSB masks do not depend on the
+input, so each party keeps pools of them.  A caller declares (``expect``) the
+sharings a later layer will take, exactly; the next exchange (``mul``, ``open``,
+``open_share_matrix``) deals what the pools lack, each peer's shares riding
+behind the values sent to it (Damgard-Nielsen, CRYPTO 2007).  Declared one
+exchange ahead, a layer never stops for a refill.  A short pool is the
+fallback: a round that only deals (``deal_rounds``), for a phase's first
+layer, undeclared callers and the rare redraws of random bits.
+
 Multiplying by public scalars, adding shares, and adding public constants are
 local operations and never touch the network or the gate counters.
 """
@@ -154,6 +163,7 @@ class Counters:
     mul_gates_in_lsb: int = 0
     mul_rounds: int = 0
     offline_rounds: int = 0  # comm rounds spent preparing LSB masks
+    deal_rounds: int = 0  # comm rounds that only deal pool sharings
     opens: int = 0
     lsb_extractions: int = 0
     comparisons: int = 0
@@ -191,6 +201,8 @@ class PartyContext:
         self._double_t = (threshold, 2 * threshold - 1)
         self._pools = {t: np.zeros((len(t), 0), dtype=np.uint64)
                        for t in (self._rand_t, self._double_t)}
+        # per pool, the sharings declared (``expect``) for layers still to come
+        self._owed = dict.fromkeys(self._pools, 0)
         # checked LSB masks, one per column: ell shared bits of r (least
         # significant first), then shares of r itself
         self._masks = np.zeros((field.ell + 1, 0), dtype=np.uint64)
@@ -210,6 +222,7 @@ class PartyContext:
             "mul_rounds": c.mul_rounds,
             "comm_rounds": self.channel.stats.rounds,
             "offline_rounds": c.offline_rounds,
+            "deal_rounds": c.deal_rounds,
             "messages": self.channel.stats.messages,
             "opens": c.opens,
             "lsb_extractions": c.lsb_extractions,
@@ -225,39 +238,94 @@ class PartyContext:
 
     # -- shared randomness ---------------------------------------------------
 
-    def _deal(self, n: int, thresholds: tuple[int, ...]) -> np.ndarray:
-        """Each party deals n random values under every threshold; summing the
-        dealt shares gives sharings of n unknown uniform values (the sums of
-        everyone's contributions), one row per threshold."""
-        if max(thresholds) > self.parties:
-            raise DegreeOverflow(f"threshold {max(thresholds)} exceeds D = {self.parties}")
-        contrib = self.field.rand_vec(self.rng, n)
-        dealt = [share_batch(self.field, contrib, t, self.parties, self.rng) for t in thresholds]
+    def expect(self, rand: int = 0, doubles: int = 0) -> None:
+        """Declare the random and double sharings that later layers will take.
+        The next exchange deals what the pools lack of them on its way, so
+        those layers never stop for a refill round.  A negative amount
+        withdraws part of an earlier declaration."""
+        self._owed[self._rand_t] += rand
+        self._owed[self._double_t] += doubles
 
-        # Party d's payload: its shares under each threshold in turn.  Built per
-        # party, not sliced from one stacked (D, n * len(thresholds)) array: on
-        # the socket path that larger block left the process resident about
-        # 30 MB higher after each election.
-        def row(d: int) -> np.ndarray:
-            return np.concatenate([m[d - 1] for m in dealt])
+    def _due(self, thresholds: tuple[int, ...]) -> int:
+        """Sharings the declared layers still lack in the pool of ``thresholds``."""
+        return max(self._owed[thresholds] - self._pools[thresholds].shape[1], 0)
 
-        peers = self.channel.transport.peers()
-        acc = row(self.party_id)
-        for vals in self.channel.scatter({d: row(d) for d in peers}).values():
-            acc = self.field.add_vec(acc, vals)
-        return acc.reshape(len(thresholds), n)
+    def _exchange(self, values: np.ndarray, rand: int = 0, doubles: int = 0) -> np.ndarray:
+        """One communication round: every party sends ``values`` to each peer,
+        followed by that peer's shares of a deal of at least ``rand`` random
+        and ``doubles`` double sharings, and of what the declared layers lack.
+        Summing everyone's deals gives sharings of unknown uniform values,
+        which join the pools.  Returns the parties' values as a (D, k)
+        matrix, ordered by party index.  Every party runs the same program,
+        so a payload of another length is a misbehaving peer
+        (InconsistentOpen)."""
+        values = np.asarray(values, dtype=np.uint64).ravel()
+        rand = max(rand, self._due(self._rand_t))
+        doubles = max(doubles, self._due(self._double_t))
+        k, parties = values.size, range(1, self.parties + 1)
+        if rand + doubles:
+            payloads = self._payloads(values, rand, doubles)
+            got = self.channel.scatter({d: payloads[d - 1] for d in parties})
+            got[self.party_id] = payloads[self.party_id - 1]
+        else:
+            got = self.channel.exchange_all(values)
+        width = k + rand + 2 * doubles
+        for d, payload in got.items():
+            if payload.size != width:
+                raise InconsistentOpen(
+                    f"T{d} sent {payload.size} values in round "
+                    f"{self.channel.stats.rounds - 1}; T{self.party_id} expected {width}")
+        if rand + doubles:
+            dealt = np.zeros(width - k, dtype=np.uint64)
+            for d in parties:  # D canonical summands stay far below 2**64
+                dealt += got[d][k:]
+            dealt %= np.uint64(self.field.p)
+            for thresholds, new in ((self._rand_t, dealt[None, :rand]),
+                                    (self._double_t, dealt[rand:].reshape(2, doubles))):
+                self._pools[thresholds] = np.concatenate([self._pools[thresholds], new],
+                                                         axis=1)
+        return np.stack([got[d][:k] for d in parties])
 
-    def _refill(self, thresholds: tuple[int, ...], n: int) -> None:
-        self._pools[thresholds] = np.concatenate(
-            [self._pools[thresholds], self._deal(n, thresholds)], axis=1)
+    def _payloads(self, values: np.ndarray, rand: int, doubles: int) -> list[np.ndarray]:
+        """Party d's payload, for d = 1..D: ``values``, then d's shares of this
+        party's uniform contributions, ``rand`` of them under threshold D'
+        and ``doubles`` more under D' and again under 2D'-1.  The shares are
+        written straight into each party's buffer, not into one (D, n) block
+        (see ``share_batch``)."""
+        low, high = self._double_t
+        if doubles and high > self.parties:
+            raise DegreeOverflow(f"threshold {high} exceeds D = {self.parties}")
+        k = values.size
+        buffers = [np.empty(k + rand + 2 * doubles, dtype=np.uint64)
+                   for _ in range(self.parties)]
+        for buf in buffers:
+            buf[:k] = values
+        secrets = self.field.rand_vec(self.rng, rand + doubles)
+        share_batch(self.field, secrets, low, self.parties, self.rng,
+                    out=[buf[k:k + rand + doubles] for buf in buffers])
+        share_batch(self.field, secrets[rand:], high, self.parties, self.rng,
+                    out=[buf[k + rand + doubles:] for buf in buffers])
+        return buffers
+
+    def _deal(self, rand: int = 0, doubles: int = 0) -> None:
+        """A round that only deals: at least ``rand`` random and ``doubles``
+        double sharings, plus what the declared layers lack, both pools in one
+        exchange."""
+        self.counters.deal_rounds += 1
+        self._exchange(np.zeros(0, dtype=np.uint64), rand, doubles)
 
     def _take(self, thresholds: tuple[int, ...], k: int) -> np.ndarray:
-        """k pooled sharings per threshold, refilled in blocks of at least
-        POOL_BLOCK; returns (len(thresholds), k)."""
-        while self._pools[thresholds].shape[1] < k:
-            self._refill(thresholds, max(k - self._pools[thresholds].shape[1], POOL_BLOCK))
+        """k pooled sharings per threshold; returns (len(thresholds), k).
+        Declared layers find them pooled.  The fallback, a pool too short,
+        costs a round of its own (``_deal``): a declared take gets what the
+        declared layers lack, an undeclared one at least POOL_BLOCK."""
         pool = self._pools[thresholds]
+        if pool.shape[1] < k:
+            need = 0 if self._owed[thresholds] >= k else max(k - pool.shape[1], POOL_BLOCK)
+            self._deal(*((need, 0) if thresholds == self._rand_t else (0, need)))
+            pool = self._pools[thresholds]
         self._pools[thresholds] = pool[:, k:]
+        self._owed[thresholds] = max(self._owed[thresholds] - k, 0)
         return pool[:, :k]
 
     def rand_shares(self, k: int) -> Shares:
@@ -273,11 +341,11 @@ class PartyContext:
                              Shares(self.field, self._double_t[1], high))
 
     def pregenerate(self, rand: int = 0, doubles: int = 0, masks: int = 0) -> None:
-        """Fill the pools ahead of time (can run before the election starts).
-        Masks are prepared last, so they draw on the sharings dealt here."""
-        for thresholds, n in ((self._rand_t, rand), (self._double_t, doubles)):
-            if n:
-                self._refill(thresholds, n)
+        """Fill the pools ahead of time (can run before the election starts):
+        the sharings in one round, then the masks, which draw on them."""
+        self.expect(rand, doubles)
+        if self._due(self._rand_t) or self._due(self._double_t):
+            self._deal()
         if masks:
             self._prepare_masks(masks)
 
@@ -301,8 +369,7 @@ class PartyContext:
         dbl = self.double_shares(k)
         local = self.field.mul_vec(u.values.ravel(), v.values.ravel())
         masked = self.field.add_vec(local, dbl.high.values)
-        opened = self._reconstruct(self.channel.exchange_all(masked), high_t,
-                                   "masked product shares")
+        opened = self._reconstruct(self._exchange(masked), high_t, "masked product shares")
         out = self.field.sub_vec(opened, dbl.low.values)
         return Shares(self.field, self.threshold, out.reshape(shape))
 
@@ -318,16 +385,13 @@ class PartyContext:
         self.counters.open_log.append((purpose, x.size))
         if x.size == 0:
             return np.zeros(x.values.shape, dtype=np.uint64)
-        values = self._reconstruct(self.channel.exchange_all(x.values.ravel()),
-                                   x.threshold, "opened shares")
+        values = self._reconstruct(self._exchange(x.values), x.threshold, "opened shares")
         return values.reshape(x.values.shape)
 
-    def _reconstruct(self, got: dict[int, np.ndarray], threshold: int,
-                     what: str) -> np.ndarray:
-        """The values behind every party's shares of a threshold-``threshold``
-        sharing.  With more than ``threshold`` parties the extra shares must lie
-        on the same polynomial (InconsistentOpen)."""
-        matrix = np.stack([got[d] for d in range(1, self.parties + 1)])
+    def _reconstruct(self, matrix: np.ndarray, threshold: int, what: str) -> np.ndarray:
+        """The values behind the (D, k) matrix of every party's shares of a
+        threshold-``threshold`` sharing.  With more than ``threshold`` parties
+        the extra shares must lie on the same polynomial (InconsistentOpen)."""
         if self.parties > threshold and not bool(
                 np.all(degree_at_most(self.field, matrix, threshold))):
             raise InconsistentOpen(f"{what} do not lie on a single "
@@ -340,8 +404,7 @@ class PartyContext:
         every evaluation point rather than a reconstruction."""
         self.counters.opens += values.size
         self.counters.open_log.append((purpose, values.size))
-        got = self.channel.exchange_all(np.asarray(values, dtype=np.uint64).ravel())
-        return np.stack([got[d] for d in range(1, self.parties + 1)])
+        return self._exchange(values)
 
     # -- shared bit machinery ---------------------------------------------------
 
@@ -355,7 +418,9 @@ class PartyContext:
         for _ in range(RETRY_LIMIT):
             if not need.any():
                 break
-            rho = self.rand_shares(int(need.sum()))
+            k = int(need.sum())
+            self.expect(rand=k, doubles=k)  # the squares' layer is dealt with the values
+            rho = self.rand_shares(k)
             sq = self.mul(rho, rho)
             a = self.open(sq, "lsb_mask")
             ok = a != 0
@@ -381,13 +446,17 @@ class PartyContext:
 
     def _suffix_products(self, e: Shares) -> Shares:
         """f[i] = product of e[i+1:] along axis 0 (f[-1] = 1), via a parallel
-        scan of depth ceil(log2 ell) instead of a length-ell chain."""
+        scan of depth ceil(log2 ell) instead of a length-ell chain.  Each step
+        declares the layer after it: the next step, and after the last one the
+        terms of ``_lt_public``, one gate per element of f."""
         ell = e.values.shape[0]
+        cols = e.size // ell
         ones = np.ones((1,) + e.values.shape[1:], dtype=np.uint64)
         arr = Shares(self.field, self.threshold,
                      np.concatenate([e.values[1:], ones], axis=0))
         step = 1
         while step < ell:
+            self.expect(doubles=(ell - 2 * step) * cols if 2 * step < ell else e.size)
             head = self.mul(arr[:ell - step], arr[step:])
             arr = Shares(self.field, self.threshold,
                          np.concatenate([head.values, arr.values[ell - step:]], axis=0))
@@ -397,7 +466,8 @@ class PartyContext:
     def _lt_public(self, c: np.ndarray, bits: Shares) -> Shares:
         """Shares of 1_{c < r} where c is public and r is given by shared bits
         (least significant first).  Scans for the highest bit where r has 1 and
-        c has 0, guarded by a prefix of bit equalities."""
+        c has 0, guarded by a prefix of bit equalities.  The caller declares
+        the first layer, (ell-1)*k gates, one exchange ahead."""
         ell, k = bits.values.shape
         c = np.asarray(c, dtype=np.uint64)
         cb = ((c[None, :] >> np.arange(ell, dtype=np.uint64)[:, None]) & np.uint64(1))
@@ -417,18 +487,19 @@ class PartyContext:
         self._lsb_depth += 1
         try:
             ell, p = self.field.ell, self.field.p
-            bits = self._random_bits((ell, n)).values
+            bits = np.empty((ell, n), dtype=np.uint64)
             pending = np.arange(n)
-            for attempt in range(RETRY_LIMIT + 1):
+            for _ in range(RETRY_LIMIT + 1):
+                self.expect(doubles=(ell - 1) * pending.size)  # the check's first layer
+                bits[:, pending] = self._random_bits((ell, pending.size)).values
                 pm1 = np.full(pending.size, p - 1, dtype=np.uint64)
                 too_big = self._lt_public(pm1, Shares(self.field, self.threshold,
                                                       bits[:, pending]))  # 1_{r >= p}
                 pending = pending[self.open(1 - too_big, "lsb_mask") != 1]
                 if not pending.size:
                     break
-                if attempt == RETRY_LIMIT:
-                    raise RetryExhausted("rejection sampling of r < p did not converge")
-                bits[:, pending] = self._random_bits((ell, pending.size)).values
+            else:
+                raise RetryExhausted("rejection sampling of r < p did not converge")
             r = combine_rows(self.field, [pow(2, i, p) for i in range(ell)], bits)
             self._masks = np.concatenate([self._masks, np.vstack([bits, r])], axis=1)
         finally:
@@ -448,6 +519,7 @@ class PartyContext:
         try:
             bits = Shares(self.field, self.threshold, mask[:-1])
             r = Shares(self.field, self.threshold, mask[-1])
+            self.expect(doubles=self.field.ell * k)  # the scan's first layer and the XOR
             c = self.open(x.reshape(-1) + r, "lsb_mask")
             wrapped = self._lt_public(c, bits)  # 1_{c < r}, i.e. x + r overflowed p
             r0 = bits[0].reshape(-1)

@@ -273,6 +273,7 @@ def bench_validation(config: ElectionConfig, batch: int, repetitions: int,
         "mul_gates": counters.get("mul_gates", 0),
         "mul_rounds": counters.get("mul_rounds", 0),
         "comm_rounds": counters.get("comm_rounds", 0),
+        "deal_rounds": counters.get("deal_rounds", 0),
     }
 
 
@@ -294,7 +295,7 @@ def bench_tally(config: ElectionConfig, voters: int,
     }
     row.update({k: v for k, v in outcome.result.counters.items()
                 if k in ("mul_gates", "mul_rounds", "comm_rounds", "offline_rounds",
-                         "comparisons", "lsb_extractions")})
+                         "deal_rounds", "comparisons", "lsb_extractions")})
     return row
 
 
@@ -324,4 +325,5 @@ def bench_comparison(config: ElectionConfig, repetitions: int) -> dict:
         "mul_gates": counters["mul_gates"],
         "comm_rounds": online_rounds,
         "offline_rounds": counters["offline_rounds"],
+        "deal_rounds": counters["deal_rounds"],
     }

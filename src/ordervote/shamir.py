@@ -35,8 +35,10 @@ class InsufficientShares(ShamirError):
 
 
 def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Share k independent secrets at once; returns a (parties, k) uint64 matrix."""
+                rng: np.random.Generator, out=None) -> np.ndarray:
+    """Share k independent secrets at once; returns a (parties, k) uint64
+    matrix, or fills ``out``, a sequence of ``parties`` writable uint64 rows
+    of length k (party d's shares go to ``out[d - 1]``)."""
     if not 1 <= threshold <= parties:
         raise InvalidThreshold(f"need 1 <= threshold <= parties, got {threshold}/{parties}")
     if parties >= field.p:
@@ -44,12 +46,26 @@ def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties:
     secrets = np.asarray(secrets, dtype=np.uint64)
     k = secrets.shape[0]
     coeffs = field.rand_vec(rng, (threshold - 1, k))
-    out = np.empty((parties, k), dtype=np.uint64)
-    for d in range(1, parties + 1):
-        acc = np.zeros(k, dtype=np.uint64)
-        for j in range(threshold - 2, -1, -1):  # Horner over a_{t-1}..a_1
-            acc = field.add_vec(field.mul_vec(np.uint64(d), acc), coeffs[j])
-        out[d - 1] = field.add_vec(field.mul_vec(np.uint64(d), acc), secrets)
+    if out is None:
+        out = np.empty((parties, k), dtype=np.uint64)
+    p = np.uint64(field.p)
+    xs = np.arange(1, parties + 1, dtype=np.uint64)[:, None]
+    # Horner over a_{t-1}..a_1 at every x = 1..D at once: (acc + a) * x < 2pD
+    # stays below 2**64.  Columns go in chunks of about 1 MB, so a large deal
+    # allocates no (D, k) block: freeing one lifts glibc's mmap threshold,
+    # and the socket benchmark's peak RSS rose about 20%.
+    step = max(1, (1 << 17) // parties)
+    for lo in range(0, k, step):
+        cols = slice(lo, lo + step)
+        acc = np.zeros((parties, len(secrets[cols])), dtype=np.uint64)
+        for j in range(threshold - 2, -1, -1):
+            acc += coeffs[j, cols]
+            acc *= xs
+            acc %= p
+        acc += secrets[cols]
+        acc %= p
+        for row, shares in zip(out, acc):
+            row[cols] = shares
     return out
 
 

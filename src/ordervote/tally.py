@@ -187,6 +187,7 @@ def _fold_columns(ctx: PartyContext, rows: Shares, right_wins) -> Shares:
     while rows.values.shape[1] > 1:
         n = rows.values.shape[1] // 2 * 2
         left, right = rows[:, 0:n:2], rows[:, 1:n:2]
+        ctx.expect(doubles=left.size)  # the select rides on the comparison's opening
         kept = ctx.select(right_wins(left, right), left, right)
         rows = Shares(ctx.field, ctx.threshold,
                       np.concatenate([kept.values, rows.values[:, n:]], axis=1))

@@ -133,12 +133,17 @@ def batch_validate(ctx: PartyContext, bundles: list[TallierBundle], rule: str,
     stacked %= p
     stacked[bad] = p  # sent as p in the degree check
 
+    # the first product layer is dealt for every ballot with the degree
+    # check's masks; the ballots that fail the check then leave it
+    width = _first_layer_width(rule, m)
+    ctx.expect(rand=stacked.size, doubles=width * len(bundles))
     legal, constants = masked_degree_check(ctx, stacked.ravel())
     malformed = (constants >= p).reshape(stacked.shape).any(axis=1)
     degree_ok = legal.reshape(stacked.shape).all(axis=1)
     domain_ok = np.zeros(len(bundles), dtype=bool)
     sums_ok = np.ones(len(bundles), dtype=bool)
     live = np.flatnonzero(degree_ok)
+    ctx.expect(doubles=-width * (len(bundles) - live.size))
     if live.size:
         if rule == "kemeny":
             domain_ok[live] = _validate_kemeny_conditions(ctx, stacked[live], m)
@@ -153,6 +158,14 @@ def batch_validate(ctx: PartyContext, bundles: list[TallierBundle], rule: str,
                   else REASON_DOMAIN if not domain else REASON_SUMS if not sums else None)
         verdicts.append(ValidationVerdict(b.voter_id, reason is None, reason))
     return verdicts
+
+
+def _first_layer_width(rule: str, m: int) -> int:
+    """Gates per ballot in the first product layer of conditions 1 and 4."""
+    pairs = len(upper_pairs(m))
+    if rule == "kemeny":
+        return 3 * pairs  # M(M-1) entry domains and M(M-1)/2 pair sums
+    return 2 if pairs else 0  # one entry domain and one fold step of F(Q)
 
 
 def _validate_interleaved(ctx: PartyContext, values: np.ndarray, rule: str,
@@ -172,6 +185,8 @@ def _validate_interleaved(ctx: PartyContext, values: np.ndarray, rule: str,
     products = np.empty((batch, c), dtype=np.uint64)
     fold = diffs[0]
     for r in range(1, c + 1):
+        if r < c:
+            ctx.expect(doubles=2 * batch)  # the next round's gates ride on this one
         factor = diffs[r] if r < c else fold  # last step squares F
         left = Shares.concat([u_all[:, r - 1], fold])
         right = Shares.concat([v_all[:, r - 1], factor])

@@ -64,6 +64,10 @@ def test_maximin_demo_and_full_ranking(tmp_path, capsys):
     offline = result["counters"]["offline_rounds"]
     assert 9 <= offline < result["counters"]["comm_rounds"]
     assert f"offline_rounds={offline} " in out
+    # pool sharings ride on the exchanges: a round of their own only for the
+    # offline masks and for validation
+    assert result["counters"]["deal_rounds"] == 2
+    assert "deal_rounds=2 " in out
 
 
 def test_setup_rejects_small_field(tmp_path, capsys):
@@ -154,7 +158,9 @@ def test_bench_smoke(tmp_path, capsys):
     assert compare_row["mul_gates"] == (31 + 155) + (155 + 1)
     out = capsys.readouterr().out
     assert "validate" in out and "compare" in out
-    assert out.splitlines()[-1].split()[-3:] == ["342", "8", "9"]
+    # the pre-filled pools take the comparison's one deal round
+    assert compare_row["deal_rounds"] == 1
+    assert out.splitlines()[-1].split()[-4:] == ["342", "8", "9", "1"]
 
 
 def test_setup_seed_override(tmp_path):

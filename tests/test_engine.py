@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,7 +10,7 @@ from ordervote.engine import (DegreeOverflow, DoubleSharing, InconsistentOpen,
 from ordervote.field import PrimeField
 from ordervote.oracle import plain_primitive
 from ordervote.shamir import degree_at_most, reconstruct_batch
-from ordervote.transport import InMemoryHub, RoundTimeout, SessionChannel
+from ordervote.transport import HEADER, InMemoryHub, RoundTimeout, SessionChannel
 
 M31 = (1 << 31) - 1
 
@@ -100,6 +102,61 @@ def test_tampered_masked_product_share_is_caught_by_every_party(f31):
 
     res = run_parties(4, 2, f31, prog, timeout=3.0)
     assert [res[d] for d in (1, 2, 4)] == ["caught"] * 3
+
+
+@pytest.mark.parametrize("rider", [0, 3])
+def test_payload_of_the_wrong_length_names_its_sender_and_round(f31, rider):
+    """T3 sends one value short in an open of 4 shares, alone or carrying the
+    deal of 3 declared double sharings: each peer names T3 and the round."""
+    x = deal(f31, np.arange(4, dtype=np.uint64), 2, 3, seed=5)
+
+    def prog(ctx):
+        if ctx.party_id == 3:
+            send = ctx.channel.transport.send
+            ctx.channel.transport.send = lambda to, msg: send(
+                to, dataclasses.replace(msg, payload=msg.payload[:-1]))
+        if rider:
+            ctx.expect(doubles=rider)
+        try:
+            ctx.open(dealt_shares(f31, x, 2, ctx.party_id), "final_output")
+        except InconsistentOpen as err:
+            return str(err)
+        return "opened"
+
+    res = run_parties(3, 2, f31, prog, timeout=3.0)
+    width = 4 + 2 * rider
+    for d in (1, 2):
+        assert res[d] == f"T3 sent {width - 1} values in round 0; T{d} expected {width}"
+
+
+def test_declared_layers_take_dealt_sharings_without_a_round_of_their_own(f31):
+    """``pregenerate`` deals both pools in one round.  Sharings declared with
+    ``expect`` ride on the next exchange, behind its values, and the layers
+    that take them cost no round of their own; an exchange with nothing
+    declared carries no rider."""
+    x = deal(f31, np.arange(6, dtype=np.uint64), 2, 3, seed=6)
+
+    def prog(ctx):
+        stats, transport = ctx.channel.stats, ctx.channel.transport
+        ctx.pregenerate(rand=4, doubles=1)
+        assert (stats.rounds, ctx.counters.deal_rounds) == (1, 1)
+        xs = dealt_shares(f31, x, 2, ctx.party_id)
+        sent = []
+        for declared in (0, 6):
+            ctx.expect(doubles=declared)
+            before = transport.bytes_sent
+            ctx.open(xs, "final_output")
+            sent.append(transport.bytes_sent - before)
+        rounds = stats.rounds
+        ctx.mul(xs, xs)
+        ctx.mul(xs[:1], xs[:1])
+        ctx.rand_shares(4)
+        assert (stats.rounds - rounds, ctx.counters.deal_rounds) == (2, 1)
+        return sent, [pool.shape[1] for pool in ctx._pools.values()]
+
+    sent, left = run_parties(3, 2, f31, prog)[1]
+    assert sent == [2 * (HEADER.size + 8 * 6), 2 * (HEADER.size + 8 * (6 + 2 * 6))]
+    assert left == [0, 0]
 
 
 @pytest.mark.parametrize("parties", [3, 5, 7, 9])

@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from ordervote import session
 from ordervote.ballots import (BallotMatrix, TallierBundle, ranking_to_matrix,
                                share_ballot)
 from ordervote.config import ElectionConfig
@@ -12,7 +13,7 @@ from ordervote.session import (_run_local, _run_threads, build_context,
                                run_local_validation, run_socket_tallier,
                                tallier_program)
 from ordervote.transport import InMemoryHub, SessionChannel
-from ordervote.validation import REASON_DUPLICATE
+from ordervote.validation import REASON_DEGREE, REASON_DUPLICATE
 
 M31 = (1 << 31) - 1
 
@@ -276,3 +277,56 @@ def test_tally_prepares_exactly_its_masks_before_validation():
                 batches, extractions, left = _run_local(cfg, program)[1]
                 assert batches == ([(extractions, 0)] if extractions else []), (rule, m, k)
                 assert left == 0, (rule, m, k)
+
+
+def test_pool_deals_ride_on_the_exchange_before_each_layer(monkeypatch):
+    """For every rule, M <= 6 and K <= M at p = 2^31 - 1, with one ballot
+    shared at too high a degree: score and select spend no round on dealing
+    pool sharings, the offline masks and validation at most one each.  Every
+    random sharing dealt is used, and at most two double sharings per ballot
+    that fails the degree check are left over."""
+    deals = {}
+
+    def record(ctx, phase, call):
+        before = ctx.counters.deal_rounds
+        out = call()
+        key = (ctx.party_id, phase)
+        deals[key] = deals.get(key, 0) + ctx.counters.deal_rounds - before
+        return out
+
+    def wrap(fn, phase):
+        return lambda ctx, *args, **kw: record(ctx, phase, lambda: fn(ctx, *args, **kw))
+
+    for name, phase in (("validate_bundles", "validate"), ("copeland_scores", "score"),
+                        ("maximin_scores", "score"), ("top_k", "select"),
+                        ("kemeny_winners", "select")):
+        monkeypatch.setattr(session, name, wrap(getattr(session, name), phase))
+
+    for rule in ("copeland", "maximin", "kemeny"):
+        for m in range(1, 7):
+            for k in range(1, m + 1):
+                cfg = _cfg(rule=rule, m=m, k=k, seed=m)
+                ballots = make_shared_ballots(cfg, _rankings(rule, m, 5, seed=k))
+                q = ranking_to_matrix(rule, _rankings(rule, m, 1, seed=9)[0], m)
+                ballots.append(share_ballot(q, cfg.field, cfg.talliers, cfg.talliers,
+                                            cfg.voter_rng(6), 6))
+                deals.clear()
+
+                def program(ctx):
+                    prepare = ctx._prepare_masks
+                    ctx._prepare_masks = lambda n: record(ctx, "offline", lambda: prepare(n))
+                    _, verdicts, _ = tallier_program(
+                        ctx, cfg, [b.bundle_for(ctx.party_id) for b in ballots])
+                    return (ctx.counters.deal_rounds, [p.shape[1] for p in ctx._pools.values()],
+                            sum(v.reason == REASON_DEGREE for v in verdicts))
+
+                for party, (total, (rand_left, double_left), rejected) in \
+                        _run_local(cfg, program).items():
+                    phases = {ph: deals.get((party, ph), 0)
+                              for ph in ("offline", "validate", "score", "select")}
+                    case = (rule, m, k, party, phases)
+                    assert phases["score"] == phases["select"] == 0, case
+                    assert phases["offline"] <= 1 and phases["validate"] <= 1, case
+                    assert total == sum(phases.values()), case
+                    assert rejected == (m > 1), case
+                    assert rand_left == 0 and double_left <= 2 * rejected, case

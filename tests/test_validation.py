@@ -117,6 +117,18 @@ def test_kemeny_pair_sum_check(f31):
     assert not verdict.accepted and verdict.reason == REASON_DOMAIN
 
 
+def test_cyclic_kemeny_ballot_is_accepted_by_the_check_and_the_oracle(f31):
+    """The Kemeny ballot contract: entries in {0,1} and opposing pair sums in
+    {0,1}, with no transitivity.  The cycle 1 > 2 > 3 > 1 is accepted by the
+    shared check and by the plaintext oracle alike."""
+    entries = np.zeros((3, 3), dtype=np.int64)
+    entries[0, 1] = entries[1, 2] = entries[2, 0] = 1
+    q = BallotMatrix("kemeny", 3, entries)
+    ballot = share_ballot(q, f31, 2, 3, np.random.default_rng(6), 1)
+    verdict = _run_batch(f31, [ballot], "kemeny")[0][0]
+    assert verdict.accepted and legal_ballot_matrix("kemeny", entries)
+
+
 # -- column sums and distinctness ---------------------------------------------------
 
 def test_column_sums_match_hand_example(f31):
