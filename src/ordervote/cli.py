@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,7 @@ from . import oracle as oracle_mod
 from .ballots import (InvalidRanking, SharedBallot, TallierBundle, encode_bundle,
                       parse_order, parse_ranks, ranking_to_matrix, share_ballot)
 from .config import ConfigError, ElectionConfig
-from .session import (bench_comparison, bench_tally, bench_validation,
-                      run_local_election, run_local_validation,
+from .session import (make_shared_ballots, run_local_election, run_local_validation,
                       run_socket_tallier, run_socket_validation)
 from .transport import TransportFailure, submit_ballot_socket
 
@@ -182,10 +183,6 @@ def cmd_tally(args) -> int:
         config = config.with_overrides(open_scores=True)
     if args.reconstruct_rejected:
         config = config.with_overrides(reconstruct_rejected=True)
-    if args.local and args.local != config.talliers:
-        print(f"--local {args.local} does not match configured D={config.talliers}",
-              file=sys.stderr)
-        return 2
 
     if args.party:
         bundles = None if args.expect_votes else _read_spool(session, args.party)
@@ -220,29 +217,58 @@ def cmd_tally(args) -> int:
     return 0
 
 
+def _random_rankings(config: ElectionConfig, count: int,
+                     rng: np.random.Generator) -> list[tuple[int, ...]]:
+    if config.rule == "kemeny":
+        return [tuple(int(r) for r in rng.integers(1, config.m + 1, config.m))
+                for _ in range(count)]
+    return [tuple(int(c) for c in rng.permutation(config.m) + 1)
+            for _ in range(count)]
+
+
+BENCH_COLUMNS = (("rounds", "comm_rounds"), ("offline", "offline_rounds"),
+                 ("deals", "deal_rounds"), ("mul_rounds", "mul_rounds"),
+                 ("gates", "mul_gates"), ("compares", "comparisons"),
+                 ("messages", "messages"), ("bytes", "bytes_sent"))
+
+
 def cmd_bench(args) -> int:
+    """Tally ``--voters`` random legal ballots ``--reps`` times in process;
+    print party 1's counters per phase and in total, with the median wall
+    time of the whole tally (the counters repeat exactly)."""
     config = ElectionConfig.loads(Path(args.config).read_text())
     if args.seed is not None:
         config = config.with_overrides(seed=args.seed)
     config = config.validate()
-    rng = np.random.default_rng(config.seed)
-    rows = [bench_validation(config, args.batch, args.reps, rng)]
-    if args.voters:
-        rows.append(bench_tally(config, args.voters, rng))
-    rows.append(bench_comparison(config, max(args.reps, 3)))
-    header = (f"{'phase':10s} {'M':>3s} {'D':>3s} {'B/N':>6s} "
-              f"{'seconds':>10s} {'mul_gates':>10s} {'rounds':>7s} {'offline':>7s} "
-              f"{'deals':>5s}")
-    print(header)
+    if args.reps < 1:
+        print("--reps must be at least 1", file=sys.stderr)
+        return 2
+    voters = args.voters or config.expected_voters
+    rankings = _random_rankings(config, voters, np.random.default_rng(config.seed))
+    ballots = make_shared_ballots(config, rankings)
+    seconds = []
+    for _ in range(args.reps):
+        start = time.perf_counter()
+        outcome = run_local_election(config, ballots)
+        seconds.append(time.perf_counter() - start)
+    counters = dict(outcome.result.counters)
+    rows = [dict(phase=name, **c) for name, c in counters.pop("phases").items()]
+    rows.append(dict(phase="total", seconds_median=statistics.median(seconds), **counters))
+
+    print(f"{config.rule} M={config.m} K={config.num_winners} D={config.talliers} "
+          f"N={voters}, {args.reps} runs, counters of T1")
+    print(f"{'phase':10s}" + "".join(f" {title:>9s}" for title, _ in BENCH_COLUMNS)
+          + f" {'seconds':>9s}")
     for row in rows:
-        size = row.get("batch", row.get("voters", 1))
-        secs = row.get("seconds", row.get("seconds_median", 0.0))
-        print(f"{row['phase']:10s} {row.get('candidates', '-'):>3} "
-              f"{row['talliers']:>3} {size:>6} {secs:>10.3f} "
-              f"{row.get('mul_gates', 0):>10} {row.get('comm_rounds', 0):>7} "
-              f"{row.get('offline_rounds', 0):>7} {row['deal_rounds']:>5}")
+        secs = f"{row['seconds_median']:.3f}" if "seconds_median" in row else "-"
+        print(f"{row['phase']:10s}" + "".join(f" {row[key]:>9}" for _, key in BENCH_COLUMNS)
+              + f" {secs:>9s}")
     if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        report = {"rule": config.rule, "candidates": config.m,
+                  "num_winners": config.num_winners, "talliers": config.talliers,
+                  "voters": voters, "seed": config.seed, "seconds": seconds,
+                  "winners": outcome.result.winners, "rows": rows}
+        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -318,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tally", help="validate, aggregate and publish the winners")
     p.add_argument("--session", required=True)
     p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--local", type=int, default=None,
-                   help="run all D talliers as threads (default mode)")
     p.add_argument("--party", type=int, default=None,
                    help="run as a single tallier process over sockets")
     p.add_argument("--expect-votes", type=int, default=None,
@@ -329,11 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_tally)
 
-    p = sub.add_parser("bench", help="timings plus gate/round counters")
+    p = sub.add_parser("bench", help="per-phase counters and the median tally time")
     p.add_argument("--config", required=True)
-    p.add_argument("--batch", type=int, default=500)
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--voters", type=int, default=None)
+    p.add_argument("--voters", type=int, default=None,
+                   help="random ballots to tally (default: the config's expected voters)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_bench)

@@ -75,9 +75,27 @@ def rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, m + 1))
 
 
-def kemeny_score_bound(voters: int, m: int) -> int:
-    """Largest Kemeny ranking score: every voter agrees on all M(M-1)/2 pairs."""
-    return voters * m * (m - 1) // 2
+def _require_above(prime: int, bounds: dict[str, int]) -> None:
+    for what, bound in bounds.items():
+        if prime <= bound:
+            raise FieldTooSmall(f"p = {prime} must exceed {what} = {bound}")
+
+
+def check_field_bounds(prime: int, rule: str, m: int, voters: int,
+                       alpha: tuple[int, int] | None) -> None:
+    """The compared scores of N ballots must differ by less than p/2:
+    aggregated entries lie in [-N, N] and maximin scores in [0, N] (p > 2N),
+    copeland scores in [0, max(s,t)(M-1)] (checked when ``alpha`` is given)
+    and kemeny scores in [0, N*M(M-1)/2] (every voter agrees with the best
+    ranking on all M(M-1)/2 pairs).  The config checks its expected
+    voter count, the tally its accepted one."""
+    bounds = {"2N (range of aggregated entries)": 2 * voters}
+    if alpha is not None:
+        bounds["2max(s,t)*(M-1) (twice the rescaled score range)"] = \
+            2 * max(alpha) * (m - 1)
+    if rule == "kemeny":
+        bounds["N*M(M-1) (twice the largest ranking score)"] = voters * m * (m - 1)
+    _require_above(prime, bounds)
 
 
 def ranking_winners(ranks: Sequence[int], k: int) -> list[int]:
@@ -148,20 +166,12 @@ class ElectionConfig:
             raise ConfigError(f"p = {self.prime} is not prime")
         if self.prime >= MAX_PRIME:
             raise ConfigError(f"p = {self.prime} exceeds the 2**32 implementation bound")
-        bounds = {
+        _require_above(self.prime, {
             "D (number of talliers)": self.talliers,
-            "2N (range of aggregated entries)": 2 * self.expected_voters,
-            "2max(s,t)*(M-1) (twice the rescaled score range)":
-                2 * max(s, t) * (self.m - 1),
             "2(M-1) (column-sum differences)": 2 * (self.m - 1),
-        }
-        if self.rule == "kemeny":
-            bounds["N*M(M-1) (twice the largest ranking score)"] = \
-                2 * kemeny_score_bound(self.expected_voters, self.m)
-        for what, bound in bounds.items():
-            if self.prime <= bound:
-                raise FieldTooSmall(
-                    f"p = {self.prime} must exceed {what} = {bound}")
+        })
+        check_field_bounds(self.prime, self.rule, self.m, self.expected_voters,
+                           self.alpha)
         if self.backend not in ("memory", "socket"):
             raise ConfigError(f"unknown transport backend {self.backend!r}")
         if self.backend == "socket" and len(self.endpoints) != self.talliers:

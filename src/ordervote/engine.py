@@ -224,6 +224,7 @@ class PartyContext:
             "offline_rounds": c.offline_rounds,
             "deal_rounds": c.deal_rounds,
             "messages": self.channel.stats.messages,
+            "bytes_sent": self.channel.transport.bytes_sent,
             "opens": c.opens,
             "lsb_extractions": c.lsb_extractions,
             "comparisons": c.comparisons,

@@ -3,19 +3,18 @@
 ``tallier_program`` is the SPMD pipeline every tallier executes over its own
 context: prepare every LSB mask the tally will use in one offline batch,
 validate the shared ballots (``validate_bundles``), aggregate the accepted
-ones, compute scores, and open winner identities.  Every in-process
-runner starts its talliers through one ``_run_threads``: ``run_local_election``
-runs all D talliers as threads of one process over the in-memory hub (the
-desk-scale mode), and ``run_local_validation`` and the benchmarks reuse it.
-``run_socket_tallier`` and ``run_socket_validation`` run a single party that
-meets its peers over TCP.  With fixed seeds both backends produce identical
-results.
+ones, compute scores, and open winner identities, recording what each phase
+costs in the result's counters.  Every in-process runner starts its talliers
+through one ``_run_threads``: ``run_local_election`` runs all D talliers as
+threads of one process over the in-memory hub (the desk-scale mode), and
+``run_local_validation`` reuses it.  ``run_socket_tallier`` and
+``run_socket_validation`` run a single party that meets its peers over TCP.
+With fixed seeds both backends produce identical results.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
@@ -30,7 +29,7 @@ from .config import ElectionConfig
 from .engine import PartyContext
 from .tally import (TallyResult, aggregate, copeland_scores, kemeny_winners,
                     lsb_extractions, maximin_scores, top_k)
-from .transport import (InMemoryHub, SessionChannel, SocketTransport)
+from .transport import InMemoryHub, RoundTimeout, SessionChannel, SocketTransport
 
 T = TypeVar("T")
 
@@ -133,41 +132,62 @@ def validate_bundles(ctx: PartyContext, config: ElectionConfig,
             validation.ValidationVerdict(b.voter_id, False, duplicate) for b in bundles]
 
 
+@contextmanager
+def _phase(ctx: PartyContext, phases: dict[str, dict], name: str) -> Iterator[None]:
+    """Record in ``phases[name]`` how far the phase moves each ``summary()``
+    counter of this party; a round timeout in it is re-raised naming it."""
+    before = ctx.summary()
+    try:
+        yield
+    except RoundTimeout as err:
+        raise RoundTimeout(err.round_no, err.missing, name) from err
+    phases[name] = {k: v - before[k] for k, v in ctx.summary().items()}
+
+
 def tallier_program(ctx: PartyContext, config: ElectionConfig,
                     bundles: list[TallierBundle],
                     batch_size: int | None = None) -> tuple[TallyResult, list, dict]:
     """The full pipeline one tallier runs; returns (result, verdicts, proofs).
     The masks do not depend on the ballots, so the whole tally's are prepared
-    first, in one batch: one random-bit layer and one r < p check."""
+    first, in one batch: one random-bit layer and one r < p check.  The
+    result's ``counters["phases"]`` holds each phase's share of the counters:
+    offline, validate, aggregate, score (copeland and maximin) and select."""
     rule, m = config.rule, config.m
-    ctx.pregenerate(masks=lsb_extractions(rule, m, config.num_winners))
-    verdicts = validate_bundles(ctx, config, bundles, batch_size)
-    accepted = [b for b, v in zip(bundles, verdicts) if v.accepted]
+    phases: dict[str, dict] = {}
+    with _phase(ctx, phases, "offline"):
+        ctx.pregenerate(masks=lsb_extractions(rule, m, config.num_winners))
 
     # A duplicate is rejected for its id, not its content: it may be a replayed
     # honest ballot.  A malformed bundle has no sharing to open.  Neither is
     # opened as a proof.
     proofs: dict[int, np.ndarray] = {}
-    if config.reconstruct_rejected:
-        for b, v in zip(bundles, verdicts):
-            if not v.accepted and v.reason not in (validation.REASON_DUPLICATE,
-                                                   validation.REASON_MALFORMED):
-                proofs[b.voter_id] = validation.reconstruct_rejected(ctx, b)
+    with _phase(ctx, phases, "validate"):
+        verdicts = validate_bundles(ctx, config, bundles, batch_size)
+        if config.reconstruct_rejected:
+            for b, v in zip(bundles, verdicts):
+                if not v.accepted and v.reason not in (validation.REASON_DUPLICATE,
+                                                       validation.REASON_MALFORMED):
+                    proofs[b.voter_id] = validation.reconstruct_rejected(ctx, b)
 
-    agg = aggregate(ctx, accepted, rule, m)
-    ctx.capture("aggregate", agg.entries)
+    with _phase(ctx, phases, "aggregate"):
+        agg = aggregate(ctx, [b for b, v in zip(bundles, verdicts) if v.accepted],
+                        rule, m)
+        ctx.capture("aggregate", agg.entries)
 
     kemeny_ranking = None
     opened_scores = None
     if rule == "kemeny":
-        winners, kemeny_ranking = kemeny_winners(ctx, agg, config.num_winners)
+        with _phase(ctx, phases, "select"):
+            winners, kemeny_ranking = kemeny_winners(ctx, agg, config.num_winners)
     else:
-        scores = copeland_scores(ctx, agg, config.alpha) if rule == "copeland" \
-            else maximin_scores(ctx, agg)
-        ctx.capture("scores", scores)
-        winners = top_k(ctx, scores, config.num_winners)
-        if config.open_scores:
-            opened_scores = [int(v) for v in ctx.open(scores, "final_output")]
+        with _phase(ctx, phases, "score"):
+            scores = copeland_scores(ctx, agg, config.alpha) if rule == "copeland" \
+                else maximin_scores(ctx, agg)
+            ctx.capture("scores", scores)
+        with _phase(ctx, phases, "select"):
+            winners = top_k(ctx, scores, config.num_winners)
+            if config.open_scores:
+                opened_scores = [int(v) for v in ctx.open(scores, "final_output")]
 
     result = TallyResult(
         rule=rule,
@@ -175,7 +195,7 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
         winner_names=[config.candidates[w - 1] for w in winners],
         kemeny_ranking=kemeny_ranking,
         opened_scores=opened_scores,
-        counters=ctx.summary(),
+        counters=dict(ctx.summary(), phases=phases),
     )
     return result, verdicts, proofs
 
@@ -235,95 +255,3 @@ def run_socket_validation(config: ElectionConfig, party_id: int,
     """Validation phase only, one party over TCP."""
     with _socket_context(config, party_id, session_id) as ctx:
         return validate_bundles(ctx, config, bundles, batch_size)
-
-
-# -- benchmarking -----------------------------------------------------------------
-
-def _random_rankings(config: ElectionConfig, count: int,
-                     rng: np.random.Generator) -> list[tuple[int, ...]]:
-    if config.rule == "kemeny":
-        return [tuple(int(r) for r in rng.integers(1, config.m + 1, config.m))
-                for _ in range(count)]
-    return [tuple(int(c) for c in rng.permutation(config.m) + 1)
-            for _ in range(count)]
-
-
-def bench_validation(config: ElectionConfig, batch: int, repetitions: int,
-                     rng: np.random.Generator) -> dict:
-    """Time batch validation of ``batch`` random legal ballots."""
-    ballots = make_shared_ballots(config, _random_rankings(config, batch, rng))
-
-    def program(ctx: PartyContext) -> tuple[float, dict]:
-        bundles = [b.bundle_for(ctx.party_id) for b in ballots]
-        t0 = time.perf_counter()
-        validate_bundles(ctx, config, bundles)
-        return time.perf_counter() - t0, ctx.summary()
-
-    runs = [_run_local(config, program)[1] for _ in range(repetitions)]
-    samples = sorted(elapsed for elapsed, _ in runs)
-    counters = runs[-1][1]
-    return {
-        "phase": "validate",
-        "rule": config.rule,
-        "candidates": config.m,
-        "talliers": config.talliers,
-        "batch": batch,
-        "seconds_min": samples[0],
-        "seconds_median": samples[len(samples) // 2],
-        "mul_gates": counters.get("mul_gates", 0),
-        "mul_rounds": counters.get("mul_rounds", 0),
-        "comm_rounds": counters.get("comm_rounds", 0),
-        "deal_rounds": counters.get("deal_rounds", 0),
-    }
-
-
-def bench_tally(config: ElectionConfig, voters: int,
-                rng: np.random.Generator) -> dict:
-    """Time one full pipeline (validate + aggregate + winners) for N voters."""
-    ballots = make_shared_ballots(config, _random_rankings(config, voters, rng))
-    t0 = time.perf_counter()
-    outcome = run_local_election(config, ballots)
-    elapsed = time.perf_counter() - t0
-    row = {
-        "phase": "tally",
-        "rule": config.rule,
-        "candidates": config.m,
-        "talliers": config.talliers,
-        "voters": voters,
-        "seconds": elapsed,
-        "winners": outcome.result.winners,
-    }
-    row.update({k: v for k, v in outcome.result.counters.items()
-                if k in ("mul_gates", "mul_rounds", "comm_rounds", "offline_rounds",
-                         "deal_rounds", "comparisons", "lsb_extractions")})
-    return row
-
-
-def bench_comparison(config: ElectionConfig, repetitions: int) -> dict:
-    """Microbenchmark one bounded comparison, the one the tally uses (median
-    time over repetitions).  Its mask is prepared offline and the pools are
-    pre-filled, so ``comm_rounds`` and the time are the online part alone;
-    ``mul_gates`` counts both parts."""
-    def program(ctx: PartyContext) -> tuple[float, int, dict]:
-        a = ctx.constant(3)
-        b = ctx.constant(5)
-        ctx.pregenerate(doubles=2048, rand=2048, masks=1)
-        rounds = ctx.channel.stats.rounds
-        t0 = time.perf_counter()
-        ctx.compare_bounded(a, b)
-        return (time.perf_counter() - t0, ctx.channel.stats.rounds - rounds,
-                ctx.summary())
-
-    runs = [_run_local(config, program)[1] for _ in range(repetitions)]
-    samples = sorted(elapsed for elapsed, _, _ in runs)
-    _, online_rounds, counters = runs[-1]
-    return {
-        "phase": "compare",
-        "talliers": config.talliers,
-        "seconds_median": samples[len(samples) // 2],
-        "repetitions": repetitions,
-        "mul_gates": counters["mul_gates"],
-        "comm_rounds": online_rounds,
-        "offline_rounds": counters["offline_rounds"],
-        "deal_rounds": counters["deal_rounds"],
-    }

@@ -20,7 +20,8 @@ comparison keeps the left entry of each pair on a tie, so the lowest index
 (or first-enumerated ranking) wins, the tie policy of ``config``.
 
 Every comparison is ``compare_bounded``, one LSB extraction each: the field
-bounds (``_check_field_bounds``) keep every compared difference below p/2.
+bounds (``config.check_field_bounds`` over the accepted ballots) keep every
+compared difference below p/2.
 ``lsb_extractions`` gives a tally's exact extraction count, so its LSB masks
 can all be prepared in one batch before the ballots are validated.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .ballots import TallierBundle, entry_pairs, upper_pairs
-from .config import FieldTooSmall, kemeny_score_bound, rank_vectors, ranking_winners
+from .config import check_field_bounds, rank_vectors, ranking_winners
 from .engine import PartyContext, Shares
 
 KEMENY_MAX_CANDIDATES = 6
@@ -116,23 +117,6 @@ def aggregate(ctx: PartyContext, bundles: list[TallierBundle], rule: str,
                             Shares(ctx.field, ctx.threshold, total))
 
 
-def _check_field_bounds(ctx: PartyContext, agg: AggregatedShares,
-                        alpha: tuple[int, int] | None) -> None:
-    """The compared scores must differ by less than p/2: maximin scores lie in
-    [0, N] (p > 2N), copeland scores in [0, max(s,t)(M-1)] and kemeny scores
-    in [0, N*M(M-1)/2]."""
-    p = ctx.field.p
-    if p <= 2 * agg.ballots:
-        raise FieldTooSmall(f"p = {p} must exceed 2N = {2 * agg.ballots}")
-    if alpha is not None:
-        s, t = alpha
-        if p <= 2 * max(s, t) * (agg.m - 1):
-            raise FieldTooSmall(f"p = {p} must exceed 2max(s,t)(M-1)")
-    if agg.rule == "kemeny" and p <= 2 * kemeny_score_bound(agg.ballots, agg.m):
-        raise FieldTooSmall(
-            f"p = {p} must exceed twice the largest ranking score, N*M(M-1)")
-
-
 def copeland_scores(ctx: PartyContext, agg: AggregatedShares,
                     alpha: tuple[int, int] = (1, 2)) -> Shares:
     """Shares of the rescaled scores t*w(m), m = 1..M.
@@ -141,7 +125,7 @@ def copeland_scores(ctx: PartyContext, agg: AggregatedShares,
     upper entry).  Entries lie in [-N, N] with p > 2N, so exactly one of
     P > 0, -P > 0 and P = 0 holds and the zero bit is 1 - sigma_+ - sigma_-.
     """
-    _check_field_bounds(ctx, agg, alpha)
+    check_field_bounds(ctx.field.p, agg.rule, agg.m, agg.ballots, alpha)
     s, t = alpha
     m = agg.m
     pairs = upper_pairs(m)
@@ -167,7 +151,7 @@ def maximin_scores(ctx: PartyContext, agg: AggregatedShares) -> Shares:
     A min-tree over the M-1 opponent columns; all M candidates advance in
     lockstep, ceil(log2(M-1)) batched levels and M(M-2) comparisons overall.
     """
-    _check_field_bounds(ctx, agg, None)
+    check_field_bounds(ctx.field.p, agg.rule, agg.m, agg.ballots, None)
     m = agg.m
     if m == 1:
         return ctx.constant(np.zeros(1, dtype=np.uint64))
@@ -233,7 +217,7 @@ def kemeny_winners(ctx: PartyContext, agg: AggregatedShares,
     """
     m = agg.m
     _check_kemeny_size(m)
-    _check_field_bounds(ctx, agg, None)
+    check_field_bounds(ctx.field.p, agg.rule, agg.m, agg.ballots, None)
     pairs = entry_pairs("kemeny", m)
     rankings = list(rank_vectors(m))
     coef = np.array([[ranks[a - 1] < ranks[b - 1] for a, b in pairs] for ranks in rankings],

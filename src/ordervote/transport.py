@@ -49,10 +49,13 @@ class TransportFailure(Exception):
 
 
 class RoundTimeout(TransportFailure):
-    def __init__(self, round_no: int, missing: list[int]):
+    def __init__(self, round_no: int, missing: list[int], phase: str | None = None):
+        self.round_no = round_no
         self.missing = missing
+        self.phase = phase
         names = ", ".join(f"T{m}" for m in missing)
-        super().__init__(f"round {round_no} timed out waiting for {names}")
+        where = f"{phase} round {round_no}" if phase else f"round {round_no}"
+        super().__init__(f"{where} timed out waiting for {names}")
 
 
 class DuplicateMessage(TransportFailure):
@@ -184,7 +187,7 @@ class PartyTransport:
         self.parties = parties
         self.timeout = timeout
         self.mailbox = Mailbox(party_id)
-        self.bytes_sent = 0
+        self.bytes_sent = 0  # whole frames, length prefix included, on either backend
         self.recorder: list | None = None  # optional transcript capture on receive
 
     def peers(self) -> list[int]:
@@ -233,7 +236,7 @@ class InMemoryTransport(PartyTransport):
         self._hub = hub
 
     def send(self, to: int, msg: ProtocolMessage) -> None:
-        self.bytes_sent += HEADER.size + 8 * len(msg.payload)
+        self.bytes_sent += LEN_PREFIX.size + HEADER.size + 8 * len(msg.payload)
         payload = np.asarray(msg.payload, dtype=np.uint64)
         payload.setflags(write=False)
         self._hub.deliver(to, ProtocolMessage(msg.session, msg.round, msg.sender,

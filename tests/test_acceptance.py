@@ -17,8 +17,8 @@ from ordervote.config import ElectionConfig
 from ordervote.engine import Shares
 from ordervote.field import PrimeField
 from ordervote.oracle import PlainElection, plain_primitive, plain_winners
-from ordervote.session import (bench_tally, bench_validation,
-                               make_shared_ballots, run_local_election)
+from ordervote.session import (make_shared_ballots, run_local_election,
+                               run_local_validation)
 from ordervote.shamir import degree_at_most, reconstruct_batch, share_batch
 from ordervote.tally import maximin_scores, top_k
 from ordervote.validation import batch_validate, column_sum_shares
@@ -335,19 +335,28 @@ def test_criterion_7_robustness_threshold_property():
 
 
 def test_criterion_8_performance_sanity():
-    """Desk-scale bench (in-memory, M=5, D=3): one validation batch of B=500
-    in < 10 s, one full tally of N=500 in < 30 s, counters reported."""
+    """Desk-scale run (in-memory, M=5, D=3): validation of B=500 ballots in
+    < 10 s, one full tally of the same N=500 in < 30 s, its validation phase
+    M(M-1)/2 rounds of 2B gates."""
     cfg = ElectionConfig(rule="copeland", candidates=tuple("ABCDE"),
                          num_winners=1, talliers=3, prime=M31,
                          expected_voters=500, seed=17).validate()
     rng = np.random.default_rng(1)
-    val = bench_validation(cfg, batch=500, repetitions=2, rng=rng)
-    assert val["seconds_min"] < 10
-    assert val["mul_rounds"] == 10  # M(M-1)/2
-    assert val["mul_gates"] == 2 * 500 * 10  # 2B per round
-    tal = bench_tally(cfg, voters=500, rng=rng)
-    assert tal["seconds"] < 30
-    assert tal["comparisons"] == 1 * (5 - 1)  # K(M-(K+1)/2) for K=1
-    _report(8, f"B=500 validation {val['seconds_min']:.2f}s "
-               f"({val['mul_gates']} gates / {val['mul_rounds']} rounds); "
-               f"N=500 tally {tal['seconds']:.2f}s")
+    ballots = make_shared_ballots(cfg, [tuple(int(c) for c in rng.permutation(5) + 1)
+                                        for _ in range(500)])
+    start = time.perf_counter()
+    verdicts = run_local_validation(cfg, ballots)
+    validate_s = time.perf_counter() - start
+    assert validate_s < 10
+    assert all(v.accepted for v in verdicts)
+    start = time.perf_counter()
+    counters = run_local_election(cfg, ballots).result.counters
+    tally_s = time.perf_counter() - start
+    assert tally_s < 30
+    validate = counters["phases"]["validate"]
+    assert validate["mul_rounds"] == 10  # M(M-1)/2
+    assert validate["mul_gates"] == 2 * 500 * 10  # 2B per round
+    assert counters["comparisons"] == 1 * (5 - 1)  # K(M-(K+1)/2) for K=1
+    _report(8, f"B=500 validation {validate_s:.2f}s "
+               f"({validate['mul_gates']} gates / {validate['mul_rounds']} rounds); "
+               f"N=500 tally {tally_s:.2f}s")

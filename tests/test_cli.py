@@ -137,30 +137,27 @@ def test_oracle_from_ballot_file(tmp_path, capsys):
 
 
 def test_bench_smoke(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", candidates=["A", "B", "C"])
+    """One tally of 20 random ballots, twice: a row per phase and a total row
+    whose counters are the sums of the phases', printed and written alike."""
+    cfg = write_config(tmp_path / "cfg.json", candidates=["A", "B", "C"],
+                       expected_voters=20)
     out_file = tmp_path / "bench.json"
-    assert main(["bench", "--config", str(cfg), "--batch", "20", "--reps", "2",
-                 "--voters", "10", "--out", str(out_file)]) == 0
-    rows = json.loads(out_file.read_text())
-    phases = [r["phase"] for r in rows]
-    assert phases == ["validate", "tally", "compare"]
-    validate_row = rows[0]
-    assert validate_row["mul_rounds"] == 3  # M(M-1)/2 for M = 3
-    assert validate_row["mul_gates"] == 2 * 20 * 3
-    assert rows[1]["offline_rounds"] > 0
-    # The bounded comparison at ell = 31, its pools pre-filled.  Offline: 31
-    # squares of random bits and the r < p check (suffix products 30+29+27+23+15
-    # and 31 terms), 2 + 7 rounds.  Online: open x + r, the same 155-gate
-    # circuit against public c in 6 rounds, and one XOR gate.
-    compare_row = rows[2]
-    assert compare_row["offline_rounds"] == 9
-    assert compare_row["comm_rounds"] == 8
-    assert compare_row["mul_gates"] == (31 + 155) + (155 + 1)
-    out = capsys.readouterr().out
-    assert "validate" in out and "compare" in out
-    # the pre-filled pools take the comparison's one deal round
-    assert compare_row["deal_rounds"] == 1
-    assert out.splitlines()[-1].split()[-4:] == ["342", "8", "9", "1"]
+    assert main(["bench", "--config", str(cfg), "--voters", "20", "--reps", "2",
+                 "--out", str(out_file)]) == 0
+    report = json.loads(out_file.read_text())
+    assert (report["voters"], len(report["seconds"])) == (20, 2)
+    rows = {row.pop("phase"): row for row in report["rows"]}
+    assert list(rows) == ["offline", "validate", "aggregate", "score", "select", "total"]
+    assert rows["validate"]["mul_rounds"] == 3  # M(M-1)/2 for M = 3
+    assert rows["validate"]["mul_gates"] == 2 * 20 * 3
+    assert rows["offline"]["comm_rounds"] == rows["total"]["offline_rounds"] > 0
+    total = rows.pop("total")
+    assert total.pop("seconds_median") > 0
+    assert {k: sum(r[k] for r in rows.values()) for k in total} == total
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out[2:]] == [*rows, "total"]
+    assert out[-1].split()[1:4] == [str(total[k]) for k in
+                                    ("comm_rounds", "offline_rounds", "deal_rounds")]
 
 
 def test_setup_seed_override(tmp_path):
@@ -180,14 +177,6 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "setup" in proc.stdout and "tally" in proc.stdout
-
-
-def test_tally_local_flag_mismatch(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json")
-    session = tmp_path / "sess"
-    main(["setup", "--config", str(cfg), "--session", str(session)])
-    demo_votes(session, keep_plain=False)
-    assert main(["tally", "--session", str(session), "--local", "5"]) == 2
 
 
 def test_reconstruct_rejected_flag_prints_proof(tmp_path, capsys):

@@ -10,7 +10,8 @@ from ordervote.engine import (DegreeOverflow, DoubleSharing, InconsistentOpen,
 from ordervote.field import PrimeField
 from ordervote.oracle import plain_primitive
 from ordervote.shamir import degree_at_most, reconstruct_batch
-from ordervote.transport import HEADER, InMemoryHub, RoundTimeout, SessionChannel
+from ordervote.transport import (HEADER, LEN_PREFIX, InMemoryHub, RoundTimeout,
+                                 SessionChannel)
 
 M31 = (1 << 31) - 1
 
@@ -155,7 +156,8 @@ def test_declared_layers_take_dealt_sharings_without_a_round_of_their_own(f31):
         return sent, [pool.shape[1] for pool in ctx._pools.values()]
 
     sent, left = run_parties(3, 2, f31, prog)[1]
-    assert sent == [2 * (HEADER.size + 8 * 6), 2 * (HEADER.size + 8 * (6 + 2 * 6))]
+    frame = LEN_PREFIX.size + HEADER.size
+    assert sent == [2 * (frame + 8 * 6), 2 * (frame + 8 * (6 + 2 * 6))]
     assert left == [0, 0]
 
 
@@ -297,6 +299,28 @@ def test_compare_bounded_exhaustive(p):
 
     got = run_parties(3, 2, f, prog)[1]
     assert got.tolist() == [plain_primitive("compare", [a, b], p) for a, b in pairs]
+
+
+def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
+    """One bounded comparison at ell = 31, its pools pre-filled.  Offline: 31
+    squares of random bits and the r < p check (suffix products
+    30+29+27+23+15 and 31 terms), 2 + 7 rounds.  Online: open x + r, the same
+    155-gate circuit against public c in 6 rounds, and one XOR gate.  The
+    pre-filled pools take the one deal round."""
+    def prog(ctx):
+        a, b = ctx.constant(3), ctx.constant(5)
+        ctx.pregenerate(rand=2048, doubles=2048, masks=1)
+        rounds = ctx.channel.stats.rounds
+        bit = ctx.compare_bounded(a, b)
+        cost = dict(ctx.summary(), online_rounds=ctx.channel.stats.rounds - rounds)
+        return cost, int(ctx.open(bit, "final_output")[0])
+
+    cost, bit = run_parties(3, 2, f_mersenne31, prog)[1]
+    assert bit == 1
+    assert cost["mul_gates"] == (31 + 155) + (155 + 1) == 342
+    assert cost["online_rounds"] == 8
+    assert cost["offline_rounds"] == 9
+    assert cost["deal_rounds"] == 1
 
 
 def test_masks_are_bits_of_a_uniform_r_below_p(f31):

@@ -3,7 +3,6 @@ import threading
 import numpy as np
 import pytest
 
-from ordervote import session
 from ordervote.ballots import (BallotMatrix, TallierBundle, ranking_to_matrix,
                                share_ballot)
 from ordervote.config import ElectionConfig
@@ -12,7 +11,8 @@ from ordervote.session import (_run_local, _run_threads, build_context,
                                make_shared_ballots, run_local_election,
                                run_local_validation, run_socket_tallier,
                                tallier_program)
-from ordervote.transport import InMemoryHub, SessionChannel
+from ordervote.tally import lsb_extractions
+from ordervote.transport import InMemoryHub, RoundTimeout, SessionChannel
 from ordervote.validation import REASON_DEGREE, REASON_DUPLICATE
 
 M31 = (1 << 31) - 1
@@ -279,29 +279,13 @@ def test_tally_prepares_exactly_its_masks_before_validation():
                 assert left == 0, (rule, m, k)
 
 
-def test_pool_deals_ride_on_the_exchange_before_each_layer(monkeypatch):
+def test_pool_deals_ride_on_the_exchange_before_each_layer():
     """For every rule, M <= 6 and K <= M at p = 2^31 - 1, with one ballot
     shared at too high a degree: score and select spend no round on dealing
     pool sharings, the offline masks and validation at most one each.  Every
     random sharing dealt is used, and at most two double sharings per ballot
-    that fails the degree check are left over."""
-    deals = {}
-
-    def record(ctx, phase, call):
-        before = ctx.counters.deal_rounds
-        out = call()
-        key = (ctx.party_id, phase)
-        deals[key] = deals.get(key, 0) + ctx.counters.deal_rounds - before
-        return out
-
-    def wrap(fn, phase):
-        return lambda ctx, *args, **kw: record(ctx, phase, lambda: fn(ctx, *args, **kw))
-
-    for name, phase in (("validate_bundles", "validate"), ("copeland_scores", "score"),
-                        ("maximin_scores", "score"), ("top_k", "select"),
-                        ("kemeny_winners", "select")):
-        monkeypatch.setattr(session, name, wrap(getattr(session, name), phase))
-
+    that fails the degree check are left over.  Each counter of the result
+    is the sum of its phases' shares."""
     for rule in ("copeland", "maximin", "kemeny"):
         for m in range(1, 7):
             for k in range(1, m + 1):
@@ -310,23 +294,68 @@ def test_pool_deals_ride_on_the_exchange_before_each_layer(monkeypatch):
                 q = ranking_to_matrix(rule, _rankings(rule, m, 1, seed=9)[0], m)
                 ballots.append(share_ballot(q, cfg.field, cfg.talliers, cfg.talliers,
                                             cfg.voter_rng(6), 6))
-                deals.clear()
 
                 def program(ctx):
-                    prepare = ctx._prepare_masks
-                    ctx._prepare_masks = lambda n: record(ctx, "offline", lambda: prepare(n))
-                    _, verdicts, _ = tallier_program(
+                    result, verdicts, _ = tallier_program(
                         ctx, cfg, [b.bundle_for(ctx.party_id) for b in ballots])
-                    return (ctx.counters.deal_rounds, [p.shape[1] for p in ctx._pools.values()],
+                    return (result.counters, [p.shape[1] for p in ctx._pools.values()],
                             sum(v.reason == REASON_DEGREE for v in verdicts))
 
-                for party, (total, (rand_left, double_left), rejected) in \
+                for party, (counters, (rand_left, double_left), rejected) in \
                         _run_local(cfg, program).items():
-                    phases = {ph: deals.get((party, ph), 0)
+                    counters = dict(counters)
+                    ledger = counters.pop("phases")
+                    phases = {ph: ledger.get(ph, {}).get("deal_rounds", 0)
                               for ph in ("offline", "validate", "score", "select")}
                     case = (rule, m, k, party, phases)
+                    assert list(ledger) == ["offline", "validate", "aggregate"] + \
+                        (["select"] if rule == "kemeny" else ["score", "select"]), case
                     assert phases["score"] == phases["select"] == 0, case
                     assert phases["offline"] <= 1 and phases["validate"] <= 1, case
-                    assert total == sum(phases.values()), case
+                    assert counters["deal_rounds"] == sum(phases.values()), case
+                    assert counters == {key: sum(c[key] for c in ledger.values())
+                                        for key in counters}, case
                     assert rejected == (m > 1), case
                     assert rand_left == 0 and double_left <= 2 * rejected, case
+
+
+@pytest.mark.parametrize("rule, m, k, n, rounds", [
+    ("copeland", 6, 2, 200, {"offline": 10, "validate": 18, "aggregate": 0,
+                             "score": 8, "select": 56}),
+    ("maximin", 6, 2, 200, {"offline": 10, "validate": 18, "aggregate": 0,
+                            "score": 27, "select": 56}),
+    ("kemeny", 5, 2, 200, {"offline": 10, "validate": 4, "aggregate": 0, "select": 64}),
+    ("kemeny", 6, 1, 100, {"offline": 10, "validate": 4, "aggregate": 0, "select": 91}),
+])
+def test_phase_ledger_reads_the_rounds_of_each_phase(rule, m, k, n, rounds):
+    """Party 1's communication rounds per phase on legal ballots, D = 3: one
+    deal round falls in the offline masks and one in validation."""
+    cfg = ElectionConfig(rule=rule, candidates=tuple(f"C{i}" for i in range(1, m + 1)),
+                         num_winners=k, talliers=3, expected_voters=n, seed=5).validate()
+    outcome = run_local_election(cfg, make_shared_ballots(cfg, _rankings(rule, m, n, seed=5)))
+    counters = outcome.result.counters
+    assert {ph: c["comm_rounds"] for ph, c in counters["phases"].items()} == rounds
+    assert counters["comm_rounds"] == sum(rounds.values())
+    assert [counters["phases"][ph]["deal_rounds"] for ph in ("offline", "validate")] == [1, 1]
+
+
+def test_round_timeout_names_the_phase_and_the_missing_party():
+    """T3 prepares the tally's masks with its peers and then leaves: T1 and T2
+    time out in validation, and the error names the phase and T3."""
+    cfg = _cfg(rule="copeland", m=3, k=1, seed=14)
+    ballots = make_shared_ballots(cfg, _rankings("copeland", 3, 4, seed=13))
+    hub = InMemoryHub(3, timeout=1.0)
+
+    def body(d):
+        ctx = build_context(cfg, d, SessionChannel(hub.transport(d), 1))
+        if d == 3:
+            ctx.pregenerate(masks=lsb_extractions(cfg.rule, cfg.m, cfg.num_winners))
+            return None
+        with pytest.raises(RoundTimeout) as err:
+            tallier_program(ctx, cfg, [b.bundle_for(d) for b in ballots])
+        return err.value
+
+    errors = _run_threads(3, body)
+    for d in (1, 2):
+        assert (errors[d].phase, errors[d].missing) == ("validate", [3])
+        assert "validate" in str(errors[d]) and "T3" in str(errors[d])
