@@ -28,8 +28,8 @@ from . import oracle as oracle_mod
 from .ballots import (InvalidRanking, SharedBallot, TallierBundle, encode_bundle,
                       parse_order, parse_ranks, ranking_to_matrix, share_ballot)
 from .config import ConfigError, ElectionConfig
-from .session import (make_shared_ballots, run_local_election, run_local_validation,
-                      run_socket_tallier, run_socket_validation)
+from .session import (SESSION, make_shared_ballots, run_local_election,
+                      run_local_validation, run_socket_tallier, run_socket_validation)
 from .transport import TransportFailure, submit_ballot_socket
 
 SESSION_FILE = "session.json"
@@ -114,7 +114,7 @@ def cmd_vote(args) -> int:
         for d, endpoint in enumerate(config.resolved_endpoints(), start=1):
             payload = encode_bundle(shared.bundle_for(d))
             try:
-                submit_ballot_socket(tuple(endpoint), 1, payload)
+                submit_ballot_socket(tuple(endpoint), SESSION, payload)
             except (TransportFailure, OSError) as err:
                 print(f"T{d}: submission failed ({err})", file=sys.stderr)
                 return 3
@@ -162,10 +162,10 @@ def cmd_validate(args) -> int:
     config = _load_config(session)
     if args.party:
         bundles = _read_spool(session, args.party)
-        verdicts = run_socket_validation(config, args.party, bundles, args.batch)
+        verdicts = run_socket_validation(config, args.party, bundles)
     else:
         ballots = _spooled_shared_ballots(session, config)
-        verdicts = run_local_validation(config, ballots, args.batch)
+        verdicts = run_local_validation(config, ballots)
     _write_audit(session, verdicts)
     accepted = sum(v.accepted for v in verdicts)
     print(f"validated {len(verdicts)} ballots: {accepted} accepted, "
@@ -186,13 +186,11 @@ def cmd_tally(args) -> int:
 
     if args.party:
         bundles = None if args.expect_votes else _read_spool(session, args.party)
-        result, verdicts = run_socket_tallier(config, args.party, bundles,
-                                              args.expect_votes,
-                                              batch_size=args.batch)
-        proofs = {}
+        result, verdicts, proofs = run_socket_tallier(config, args.party, bundles,
+                                                      args.expect_votes)
     else:
         ballots = _spooled_shared_ballots(session, config)
-        outcome = run_local_election(config, ballots, batch_size=args.batch)
+        outcome = run_local_election(config, ballots)
         result, verdicts, proofs = outcome.result, outcome.verdicts, outcome.rejected_proofs
 
     if args.party in (None, 1):  # in socket mode T1 owns the session artifacts
@@ -336,14 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run ballot validation and write the audit log")
     p.add_argument("--session", required=True)
-    p.add_argument("--batch", type=int, default=None)
     p.add_argument("--party", type=int, default=None,
                    help="run as a single tallier process over sockets")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("tally", help="validate, aggregate and publish the winners")
     p.add_argument("--session", required=True)
-    p.add_argument("--batch", type=int, default=None)
     p.add_argument("--party", type=int, default=None,
                    help="run as a single tallier process over sockets")
     p.add_argument("--expect-votes", type=int, default=None,

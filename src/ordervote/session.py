@@ -2,14 +2,14 @@
 
 ``tallier_program`` is the SPMD pipeline every tallier executes over its own
 context: prepare every LSB mask the tally will use in one offline batch,
-validate the shared ballots (``validate_bundles``), aggregate the accepted
-ones, compute scores, and open winner identities, recording what each phase
-costs in the result's counters.  Every in-process runner starts its talliers
-through one ``_run_threads``: ``run_local_election`` runs all D talliers as
-threads of one process over the in-memory hub (the desk-scale mode), and
-``run_local_validation`` reuses it.  ``run_socket_tallier`` and
-``run_socket_validation`` run a single party that meets its peers over TCP.
-With fixed seeds both backends produce identical results.
+validate the shared ballots (``validate_bundles``, in batches that fit the
+frame cap), aggregate the accepted ones, compute scores, and open winners,
+recording what each phase costs in the result's counters.  Every in-process
+runner starts its talliers through one ``_run_threads``: ``run_local_election``
+runs all D talliers as threads of one process over the in-memory hub (the
+desk-scale mode), and ``run_local_validation`` reuses it.  ``run_socket_tallier``
+and ``run_socket_validation`` run a single party that meets its peers over
+TCP.  With fixed seeds both backends produce identical results.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .transport import InMemoryHub, RoundTimeout, SessionChannel, SocketTranspor
 T = TypeVar("T")
 
 LOCAL_ROUND_TIMEOUT = 120.0  # generous; a deadlock should fail, not hang
+SESSION = 1  # the session id of every frame and ballot submission
 
 
 @dataclass
@@ -56,13 +57,10 @@ def make_shared_ballots(config: ElectionConfig, rankings) -> list[SharedBallot]:
     return ballots
 
 
-def build_context(config: ElectionConfig, party_id: int, channel: SessionChannel,
-                  capture: bool = False) -> PartyContext:
-    ctx = PartyContext(party_id, config.talliers, config.threshold,
-                       config.field, channel, config.party_rng(party_id))
-    if capture:
-        ctx.capture_store = {}
-    return ctx
+def build_context(config: ElectionConfig, party_id: int,
+                  channel: SessionChannel) -> PartyContext:
+    return PartyContext(party_id, config.talliers, config.threshold,
+                        config.field, channel, config.party_rng(party_id))
 
 
 def _run_threads(parties: int, body: Callable[[int], T]) -> dict[int, T]:
@@ -90,38 +88,36 @@ def _run_threads(parties: int, body: Callable[[int], T]) -> dict[int, T]:
     return results
 
 
-def _run_local(config: ElectionConfig, program: Callable[[PartyContext], T],
-               session_id: int = 1, capture: bool = False) -> dict[int, T]:
+def _run_local(config: ElectionConfig,
+               program: Callable[[PartyContext], T]) -> dict[int, T]:
     """Run ``program(ctx)`` for every tallier over a fresh in-memory hub."""
     hub = InMemoryHub(config.talliers, timeout=LOCAL_ROUND_TIMEOUT)
     return _run_threads(config.talliers, lambda d: program(build_context(
-        config, d, SessionChannel(hub.transport(d), session_id), capture)))
+        config, d, SessionChannel(hub.transport(d), SESSION))))
 
 
 @contextmanager
-def _socket_context(config: ElectionConfig, party_id: int,
-                    session_id: int) -> Iterator[PartyContext]:
+def _socket_context(config: ElectionConfig, party_id: int) -> Iterator[PartyContext]:
     """This party's context over TCP; the transport closes on exit."""
     endpoints = {d + 1: tuple(e) for d, e in enumerate(config.resolved_endpoints())}
     transport = SocketTransport(party_id, endpoints)
     try:
-        yield build_context(config, party_id, SessionChannel(transport, session_id))
+        yield build_context(config, party_id, SessionChannel(transport, SESSION))
     finally:
         transport.close()
 
 
 def validate_bundles(ctx: PartyContext, config: ElectionConfig,
-                     bundles: list[TallierBundle],
-                     batch_size: int | None = None) -> list[validation.ValidationVerdict]:
-    """Validate ``bundles`` in batches of ``batch_size`` (default: one batch);
-    returns one verdict per bundle, by position.
+                     bundles: list[TallierBundle]) -> list[validation.ValidationVerdict]:
+    """Validate ``bundles`` in batches of ``validation.batch_limit``, one batch
+    unless a frame would exceed the cap; returns one verdict per bundle, by position.
 
     Every copy of a voter id that occurs more than once is rejected as
     ``DuplicateVoter`` without being validated, so no copy can carry an
     illegal ballot in and the verdicts do not depend on arrival order."""
     copies = Counter(b.voter_id for b in bundles)
     unique = [b for b in bundles if copies[b.voter_id] == 1]
-    step = batch_size or len(unique) or 1
+    step = validation.batch_limit(config.rule, config.m)
     checked: list[validation.ValidationVerdict] = []
     for start in range(0, len(unique), step):
         checked.extend(validation.batch_validate(ctx, unique[start:start + step],
@@ -145,8 +141,7 @@ def _phase(ctx: PartyContext, phases: dict[str, dict], name: str) -> Iterator[No
 
 
 def tallier_program(ctx: PartyContext, config: ElectionConfig,
-                    bundles: list[TallierBundle],
-                    batch_size: int | None = None) -> tuple[TallyResult, list, dict]:
+                    bundles: list[TallierBundle]) -> tuple[TallyResult, list, dict]:
     """The full pipeline one tallier runs; returns (result, verdicts, proofs).
     The masks do not depend on the ballots, so the whole tally's are prepared
     first, in one batch: one random-bit layer and one r < p check.  The
@@ -162,7 +157,7 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
     # opened as a proof.
     proofs: dict[int, np.ndarray] = {}
     with _phase(ctx, phases, "validate"):
-        verdicts = validate_bundles(ctx, config, bundles, batch_size)
+        verdicts = validate_bundles(ctx, config, bundles)
         if config.reconstruct_rejected:
             for b, v in zip(bundles, verdicts):
                 if not v.accepted and v.reason not in (validation.REASON_DUPLICATE,
@@ -201,14 +196,15 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
 
 
 def run_local_election(config: ElectionConfig, ballots: list[SharedBallot],
-                       batch_size: int | None = None, capture: bool = False,
-                       session_id: int = 1) -> ElectionOutcome:
+                       capture: bool = False) -> ElectionOutcome:
     """Run all D talliers as threads over the in-memory transport."""
     def program(ctx: PartyContext):
+        if capture:
+            ctx.capture_store = {}
         bundles = [b.bundle_for(ctx.party_id) for b in ballots]
-        return (ctx, *tallier_program(ctx, config, bundles, batch_size))
+        return (ctx, *tallier_program(ctx, config, bundles))
 
-    runs = _run_local(config, program, session_id, capture)
+    runs = _run_local(config, program)
     per_party = [runs[d][1] for d in range(1, config.talliers + 1)]
     first = per_party[0]
     for other in per_party[1:]:
@@ -222,36 +218,33 @@ def run_local_election(config: ElectionConfig, ballots: list[SharedBallot],
 
 def run_socket_tallier(config: ElectionConfig, party_id: int,
                        bundles: list[TallierBundle] | None = None,
-                       expect_votes: int | None = None,
-                       session_id: int = 1,
-                       batch_size: int | None = None) -> tuple[TallyResult, list]:
-    """Run one tallier over TCP.  Ballots come either from the caller (spooled
-    submissions) or live off the wire when ``expect_votes`` is given."""
-    with _socket_context(config, party_id, session_id) as ctx:
+                       expect_votes: int | None = None) -> tuple[TallyResult, list, dict]:
+    """Run one tallier over TCP; returns (result, verdicts, proofs).  Ballots
+    come either from the caller (spooled submissions) or live off the wire
+    when ``expect_votes`` is given."""
+    with _socket_context(config, party_id) as ctx:
         if bundles is None:
             if expect_votes is None:
                 raise ValueError("need either spooled bundles or expect_votes")
-            messages = ctx.channel.transport.collect_ballots(session_id, expect_votes)
+            messages = ctx.channel.transport.collect_ballots(SESSION, expect_votes)
             bundles = sorted((decode_bundle(m.payload, config.rule, config.m)
                               for m in messages),
                              key=lambda b: b.voter_id)
-        result, verdicts, _ = tallier_program(ctx, config, bundles, batch_size)
-        return result, verdicts
+        return tallier_program(ctx, config, bundles)
 
 
-def run_local_validation(config: ElectionConfig, ballots: list[SharedBallot],
-                         batch_size: int | None = None,
-                         session_id: int = 1) -> list[validation.ValidationVerdict]:
+def run_local_validation(config: ElectionConfig,
+                         ballots: list[SharedBallot]) -> list[validation.ValidationVerdict]:
     """Validation phase only (threads over the in-memory hub); returns verdicts."""
-    return _run_local(config, lambda ctx: validate_bundles(
-        ctx, config, [b.bundle_for(ctx.party_id) for b in ballots], batch_size),
-        session_id)[1]
+    def program(ctx: PartyContext):
+        with _phase(ctx, {}, "validate"):
+            return validate_bundles(ctx, config, [b.bundle_for(ctx.party_id) for b in ballots])
+
+    return _run_local(config, program)[1]
 
 
 def run_socket_validation(config: ElectionConfig, party_id: int,
-                          bundles: list[TallierBundle],
-                          batch_size: int | None = None,
-                          session_id: int = 1) -> list[validation.ValidationVerdict]:
+                          bundles: list[TallierBundle]) -> list[validation.ValidationVerdict]:
     """Validation phase only, one party over TCP."""
-    with _socket_context(config, party_id, session_id) as ctx:
-        return validate_bundles(ctx, config, bundles, batch_size)
+    with _socket_context(config, party_id) as ctx, _phase(ctx, {}, "validate"):
+        return validate_bundles(ctx, config, bundles)

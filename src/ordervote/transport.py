@@ -39,7 +39,7 @@ import numpy as np
 
 HEADER = struct.Struct("<QIHBI")  # session, round, sender, kind, count
 LEN_PREFIX = struct.Struct("<I")
-MAX_FRAME = 256 << 20  # bytes after the length prefix; larger elections use --batch
+MAX_FRAME = 256 << 20  # bytes after the length prefix; validation.batch_limit keeps under it
 
 DEFAULT_SOCKET_TIMEOUT = 30.0
 

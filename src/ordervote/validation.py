@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import transport
 from .ballots import TallierBundle, entry_pairs, upper_pairs
 from .engine import PartyContext, Shares
 from .shamir import degree_at_most, reconstruct_batch
@@ -158,6 +159,15 @@ def batch_validate(ctx: PartyContext, bundles: list[TallierBundle], rule: str,
                   else REASON_DOMAIN if not domain else REASON_SUMS if not sums else None)
         verdicts.append(ValidationVerdict(b.voter_id, reason is None, reason))
     return verdicts
+
+
+def batch_limit(rule: str, m: int) -> int:
+    """The most ballots, at least 1, whose ``batch_validate`` frames fit
+    ``transport.MAX_FRAME``: the largest deals the degree check's masks and the
+    first product layer, C + 2w words per ballot.  The cap is read per call."""
+    words = len(entry_pairs(rule, m)) + 2 * _first_layer_width(rule, m)
+    room = (transport.MAX_FRAME - transport.HEADER.size) // 8
+    return max(1, room // max(1, words))  # M = 1 shares no entry
 
 
 def _first_layer_width(rule: str, m: int) -> int:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ordervote.cli import main
 
 M31 = (1 << 31) - 1
@@ -179,8 +181,27 @@ def test_console_entry_point_runs():
     assert "setup" in proc.stdout and "tally" in proc.stdout
 
 
-def test_reconstruct_rejected_flag_prints_proof(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json")
+def _run_socket_talliers(*argv):
+    """Run ``main(argv + --party d)`` for d = 1..3 as threads; returns the exit codes."""
+    import threading
+    codes = {}
+
+    def party(d):
+        codes[d] = main([*argv, "--party", str(d)])
+
+    threads = [threading.Thread(target=party, args=(d,)) for d in (1, 2, 3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return codes
+
+
+@pytest.mark.parametrize("backend", ["memory", "socket"])
+def test_reconstruct_rejected_flag_prints_proof(tmp_path, capsys, backend):
+    sockets = {"backend": "socket", "endpoints": _free_endpoints(3)} \
+        if backend == "socket" else {}
+    cfg = write_config(tmp_path / "cfg.json", **sockets)
     session = tmp_path / "sess"
     main(["setup", "--config", str(cfg), "--session", str(session)])
     demo_votes(session, keep_plain=False)
@@ -194,7 +215,11 @@ def test_reconstruct_rejected_flag_prints_proof(tmp_path, capsys):
                 rec["values"] = [2 * v % M31 for v in rec["values"]]
             lines.append(json.dumps(rec))
         spool.write_text("\n".join(lines) + "\n")
-    assert main(["tally", "--session", str(session), "--reconstruct-rejected"]) == 0
+    argv = ["tally", "--session", str(session), "--reconstruct-rejected"]
+    if backend == "socket":
+        assert _run_socket_talliers(*argv) == {1: 0, 2: 0, 3: 0}
+    else:
+        assert main(argv) == 0
     out = capsys.readouterr().out
     assert "reconstructed rejected ballot of voter 2" in out
     audit = [json.loads(line) for line in
@@ -217,23 +242,12 @@ def _free_endpoints(n):
 
 
 def test_distributed_socket_tally_via_cli(tmp_path):
-    import threading
     cfg = write_config(tmp_path / "cfg.json", backend="socket",
                        endpoints=_free_endpoints(3))
     session = tmp_path / "sess"
     assert main(["setup", "--config", str(cfg), "--session", str(session)]) == 0
     demo_votes(session, keep_plain=False)
-    codes = {}
-
-    def party(d):
-        codes[d] = main(["tally", "--session", str(session), "--party", str(d)])
-
-    threads = [threading.Thread(target=party, args=(d,)) for d in (1, 2, 3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert codes == {1: 0, 2: 0, 3: 0}
+    assert _run_socket_talliers("tally", "--session", str(session)) == {1: 0, 2: 0, 3: 0}
     result = json.loads((session / "result.json").read_text())
     assert result["winners"] == [1]
 

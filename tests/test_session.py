@@ -3,8 +3,9 @@ import threading
 import numpy as np
 import pytest
 
-from ordervote.ballots import (BallotMatrix, TallierBundle, ranking_to_matrix,
-                               share_ballot)
+from ordervote import session, transport, validation
+from ordervote.ballots import (BallotMatrix, TallierBundle, entry_pairs,
+                               ranking_to_matrix, share_ballot)
 from ordervote.config import ElectionConfig
 from ordervote.oracle import PlainElection, plain_winners
 from ordervote.session import (_run_local, _run_threads, build_context,
@@ -12,7 +13,8 @@ from ordervote.session import (_run_local, _run_threads, build_context,
                                run_local_validation, run_socket_tallier,
                                tallier_program)
 from ordervote.tally import lsb_extractions
-from ordervote.transport import InMemoryHub, RoundTimeout, SessionChannel
+from ordervote.transport import (HEADER, InMemoryHub, InMemoryTransport, RoundTimeout,
+                                 SessionChannel)
 from ordervote.validation import REASON_DEGREE, REASON_DUPLICATE
 
 M31 = (1 << 31) - 1
@@ -43,14 +45,64 @@ def test_local_election_all_parties_agree():
     assert winners == oracle
 
 
-def test_local_election_with_batching_matches_unbatched():
+def _cap_for(monkeypatch, rule, m, batch):
+    """Lower the frame cap until ``batch_limit(rule, m)`` is ``batch``; returns it."""
+    words = len(entry_pairs(rule, m)) + 2 * validation._first_layer_width(rule, m)
+    cap = HEADER.size + 8 * batch * words
+    monkeypatch.setattr(transport, "MAX_FRAME", cap)
+    assert validation.batch_limit(rule, m) == batch
+    return cap
+
+
+def test_local_election_with_batching_matches_unbatched(monkeypatch):
     cfg = _cfg(rule="copeland", m=3, k=3, d=3)
     rankings = _rankings("copeland", 3, 10, seed=2)
     ballots = make_shared_ballots(cfg, rankings)
     full = run_local_election(cfg, ballots)
-    chunked = run_local_election(cfg, ballots, batch_size=3)
+    _cap_for(monkeypatch, "copeland", 3, 3)
+    chunked = run_local_election(cfg, ballots)
     assert full.result.winners == chunked.result.winners
     assert [v.record() for v in full.verdicts] == [v.record() for v in chunked.verdicts]
+
+
+@pytest.mark.parametrize("rule", ["copeland", "maximin", "kemeny"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_derived_batches_keep_every_validation_frame_under_the_cap(monkeypatch, rule, m):
+    """With the cap lowered to five ballots' worth, 23 ballots (one shared at
+    too high a degree) validate in five batches, each dealing once; no frame
+    sent in validation exceeds the cap, the largest fills it exactly, and the
+    verdicts and winners are those of one batch."""
+    cfg = _cfg(rule=rule, m=m, k=1, seed=m)
+    ballots = make_shared_ballots(cfg, _rankings(rule, m, 23, seed=m))
+    q = ranking_to_matrix(rule, _rankings(rule, m, 1, seed=9)[0], m)
+    ballots[11] = share_ballot(q, cfg.field, cfg.talliers, cfg.talliers,
+                               cfg.voter_rng(12), 12)
+    whole = run_local_election(cfg, ballots)
+    assert [v.reason for v in whole.verdicts].count(REASON_DEGREE) == 1
+
+    cap = _cap_for(monkeypatch, rule, m, 5)
+    inside, frames = threading.local(), []
+    validate, send = session.validate_bundles, InMemoryTransport.send
+
+    def traced_validate(*args):
+        inside.on = True
+        try:
+            return validate(*args)
+        finally:
+            inside.on = False
+
+    def traced_send(self, to, msg):
+        if getattr(inside, "on", False):
+            frames.append(HEADER.size + 8 * len(msg.payload))
+        send(self, to, msg)
+
+    monkeypatch.setattr(session, "validate_bundles", traced_validate)
+    monkeypatch.setattr(InMemoryTransport, "send", traced_send)
+    batched = run_local_election(cfg, ballots)
+    assert max(frames) == cap
+    assert batched.result.counters["phases"]["validate"]["deal_rounds"] == 5
+    assert [v.record() for v in batched.verdicts] == [v.record() for v in whole.verdicts]
+    assert batched.result.winners == whole.result.winners
 
 
 def test_validation_only_runner():
@@ -58,6 +110,22 @@ def test_validation_only_runner():
     rankings = _rankings("kemeny", 3, 6, seed=3)
     verdicts = run_local_validation(cfg, make_shared_ballots(cfg, rankings))
     assert len(verdicts) == 6 and all(v.accepted for v in verdicts)
+
+
+def test_validation_only_timeout_names_the_phase(monkeypatch):
+    """T3 skips validation: the validation-only runner fails with a timeout
+    that names the validate phase and T3, as a whole tally does."""
+    cfg = _cfg(rule="copeland", m=3, k=1, seed=15)
+    ballots = make_shared_ballots(cfg, _rankings("copeland", 3, 4, seed=14))
+    validate = session.validate_bundles
+    monkeypatch.setattr(session, "LOCAL_ROUND_TIMEOUT", 0.5)
+    monkeypatch.setattr(session, "validate_bundles", lambda ctx, config, bundles: (
+        [] if ctx.party_id == 3 else validate(ctx, config, bundles)))
+    with pytest.raises(RuntimeError) as err:
+        run_local_validation(cfg, ballots)
+    cause = err.value.__cause__
+    assert isinstance(cause, RoundTimeout)
+    assert (cause.phase, cause.missing) == ("validate", [3])
 
 
 def test_rejected_ballots_excluded_from_tally():
@@ -220,6 +288,24 @@ def test_socket_backend_matches_memory_backend():
         sock_cfg, d, [b.bundle_for(d) for b in ballots])[0])
     assert results[1].to_dict() == mem_outcome.result.to_dict()
     assert results[2].winners == results[1].winners
+
+
+def test_socket_tally_over_the_cap_validates_in_batches(monkeypatch):
+    """A 12 KiB cap is above every frame of a Copeland M=3 tally except
+    validation's at N=300: validation splits into two batches, each dealing
+    once, and the socket tally completes with the in-memory result."""
+    monkeypatch.setattr(transport, "MAX_FRAME", 12 << 10)
+    assert validation.batch_limit("copeland", 3) == 219
+    rankings = _rankings("copeland", 3, 300, seed=16)
+    mem_cfg = _cfg(rule="copeland", m=3, k=1, d=3, seed=32)
+    mem_outcome = run_local_election(mem_cfg, make_shared_ballots(mem_cfg, rankings))
+
+    sock_cfg = _socket_cfg("copeland", 3, 1, 3, seed=32)
+    ballots = make_shared_ballots(sock_cfg, rankings)
+    results = _run_threads(3, lambda d: run_socket_tallier(
+        sock_cfg, d, [b.bundle_for(d) for b in ballots])[0])
+    assert results[1].to_dict() == mem_outcome.result.to_dict()
+    assert results[1].counters["phases"]["validate"]["deal_rounds"] == 2
 
 
 def test_socket_live_ballot_submission():
