@@ -102,6 +102,9 @@ def cmd_vote(args) -> int:
     except InvalidRanking as err:
         print(f"ballot rejected: {err}", file=sys.stderr)
         return 2
+    if args.voter_id is not None and args.voter_id < 1:  # ids travel as uint64
+        print("ballot rejected: --voter-id must be at least 1", file=sys.stderr)
+        return 2
     voter_id = args.voter_id or _next_voter_id(session)
     matrix = ranking_to_matrix(config.rule, ranking, config.m)
     shared = share_ballot(matrix, config.field, config.threshold, config.talliers,
@@ -162,10 +165,10 @@ def cmd_validate(args) -> int:
     config = _load_config(session)
     if args.party:
         bundles = _read_spool(session, args.party)
-        verdicts = run_socket_validation(config, args.party, bundles)
+        verdicts, counters = run_socket_validation(config, args.party, bundles)
     else:
         ballots = _spooled_shared_ballots(session, config)
-        verdicts = run_local_validation(config, ballots)
+        verdicts, counters = run_local_validation(config, ballots)
     _write_audit(session, verdicts)
     accepted = sum(v.accepted for v in verdicts)
     print(f"validated {len(verdicts)} ballots: {accepted} accepted, "
@@ -173,7 +176,16 @@ def cmd_validate(args) -> int:
     for v in verdicts:
         if not v.accepted:
             print(f"  voter {v.voter_id}: rejected ({v.reason})")
+    _print_counters(counters)
     return 0
+
+
+def _print_counters(c: dict) -> None:
+    print(f"counters: mul_gates={c['mul_gates']} mul_rounds={c['mul_rounds']} "
+          f"comm_rounds={c['comm_rounds']} offline_rounds={c['offline_rounds']} "
+          f"deal_rounds={c['deal_rounds']} "
+          f"comparisons={c['comparisons']} "
+          f"lsb_extractions={c['lsb_extractions']} opens={c['opens']}")
 
 
 def cmd_tally(args) -> int:
@@ -203,12 +215,7 @@ def cmd_tally(args) -> int:
         print(f"winning ranking (ranks per candidate): {list(result.kemeny_ranking)}")
     if result.opened_scores is not None:
         print(f"opened scores: {result.opened_scores}")
-    c = result.counters
-    print(f"counters: mul_gates={c['mul_gates']} mul_rounds={c['mul_rounds']} "
-          f"comm_rounds={c['comm_rounds']} offline_rounds={c['offline_rounds']} "
-          f"deal_rounds={c['deal_rounds']} "
-          f"comparisons={c['comparisons']} "
-          f"lsb_extractions={c['lsb_extractions']} opens={c['opens']}")
+    _print_counters(result.counters)
     for voter_id, matrix in proofs.items():
         print(f"reconstructed rejected ballot of voter {voter_id}: "
               f"{matrix.tolist()}")

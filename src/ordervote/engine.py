@@ -17,14 +17,21 @@ Primitives:
   w+R itself, and subtracting the low-threshold shares of R lands back on a
   D'-out-of-D sharing of the product.
 * LSB masks: the bitwise-shared uniform r < p that an LSB extraction hides
-  x behind, with r recomposed from its bits.  Nothing in a mask depends on
-  the input, so masks come from a third pool, filled by one preparation
-  routine (random bits, the r < p rejection check, the recomposition); a
-  tally fills it once, before validation, with its exact extraction count
-  (Damgard et al., TCC 2006), and a short pool is topped up the same way.
+  x behind, the products q_i = r_0*r_i (i >= 1) and r recomposed from its
+  bits.  Nothing in a mask depends on the input, so masks come from a third
+  pool, filled by one preparation routine (random bits, the r < p rejection
+  check with the q in its first layer, the recomposition); a tally fills it
+  once, before validation, with its exact extraction count (Damgard et al.,
+  TCC 2006), and a short pool is topped up the same way.
 * shared LSB of a secret x: take a mask r from the pool, publish c = x + r,
-  and combine LSB(c), LSB(r) and the wraparound bit 1_{c < r} (a bitwise
-  circuit of public c against the shared bits of r).
+  and combine LSB(c), LSB(r) and the wraparound bit 1_{c < r}.  The wrap
+  bit is the carry-out of a generate/propagate tree over the bit pairs of
+  public c and shared r (Catrina-de Hoogh, SCN 2010), ceil(log2 ell)
+  layers; with the q each node also carries r_0 times its G and P, so
+  LSB(r) XOR 1_{c < r} needs no gate of its own.  At p = 2^31 - 1 one
+  extraction costs 6 rounds (the opening and 5 layers) and 110 gates
+  online, and its mask 116 gates offline; ``tally.phase_rounds`` states
+  the rounds of every phase of a tally.
 * bounded comparison 1_{a<b} for |a - b| < p/2: the positivity of b - a,
   one LSB extraction and no further gates.  Every comparison of the tally
   has bounded inputs (the field bounds of ``config`` ensure it).
@@ -61,6 +68,14 @@ from .transport import SessionChannel
 
 RETRY_LIMIT = 32
 POOL_BLOCK = 1024
+
+
+def _level_gates(nodes: int, halves: int) -> int:
+    """Gates per column of a carry-tree level over ``nodes`` nodes: P_h*G_l
+    for every pair and P_h*P_l for every pair but the lowest, once per half
+    the nodes carry (G and P, then r_0*G and r_0*P)."""
+    pairs = nodes // 2
+    return halves * (2 * pairs - 1) if pairs else 0
 
 
 class MpcError(Exception):
@@ -204,8 +219,8 @@ class PartyContext:
         # per pool, the sharings declared (``expect``) for layers still to come
         self._owed = dict.fromkeys(self._pools, 0)
         # checked LSB masks, one per column: ell shared bits of r (least
-        # significant first), then shares of r itself
-        self._masks = np.zeros((field.ell + 1, 0), dtype=np.uint64)
+        # significant first), ell-1 products q_i = r_0*r_i (i >= 1), then r
+        self._masks = np.zeros((2 * field.ell, 0), dtype=np.uint64)
         self._lsb_depth = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -409,9 +424,11 @@ class PartyContext:
 
     # -- shared bit machinery ---------------------------------------------------
 
-    def _random_bits(self, shape: tuple[int, ...]) -> Shares:
+    def _random_bits(self, shape: tuple[int, ...], then: int = 0) -> Shares:
         """Shares of uniform bits: square a shared random value, open the square,
-        divide by the public canonical root; the sign that survives is a coin."""
+        divide by the public canonical root; the sign that survives is a coin.
+        The caller's next layer, ``then`` double sharings, is declared on the
+        squares' opening."""
         total = int(np.prod(shape))
         out = np.zeros(total, dtype=np.uint64)
         need = np.ones(total, dtype=bool)
@@ -423,6 +440,8 @@ class PartyContext:
             self.expect(rand=k, doubles=k)  # the squares' layer is dealt with the values
             rho = self.rand_shares(k)
             sq = self.mul(rho, rho)
+            self.expect(doubles=then)
+            then = 0
             a = self.open(sq, "lsb_mask")
             ok = a != 0
             if ok.any():
@@ -445,70 +464,100 @@ class PartyContext:
             r = np.array([self.field.sqrt(int(v)) for v in a], dtype=np.uint64)
         return np.minimum(r, np.uint64(p) - r)
 
-    def _suffix_products(self, e: Shares) -> Shares:
-        """f[i] = product of e[i+1:] along axis 0 (f[-1] = 1), via a parallel
-        scan of depth ceil(log2 ell) instead of a length-ell chain.  Each step
-        declares the layer after it: the next step, and after the last one the
-        terms of ``_lt_public``, one gate per element of f."""
-        ell = e.values.shape[0]
-        cols = e.size // ell
-        ones = np.ones((1,) + e.values.shape[1:], dtype=np.uint64)
-        arr = Shares(self.field, self.threshold,
-                     np.concatenate([e.values[1:], ones], axis=0))
-        step = 1
-        while step < ell:
-            self.expect(doubles=(ell - 2 * step) * cols if 2 * step < ell else e.size)
-            head = self.mul(arr[:ell - step], arr[step:])
-            arr = Shares(self.field, self.threshold,
-                         np.concatenate([head.values, arr.values[ell - step:]], axis=0))
-            step *= 2
-        return arr
+    def _carry_tree(self, c: np.ndarray, bits: np.ndarray, q: np.ndarray | None = None,
+                    rider: tuple[np.ndarray, np.ndarray] | None = None):
+        """1_{c < r} for public c and r given by its shared bits (least
+        significant first), as the carry-out of a generate/propagate tree
+        over the bit pairs (Catrina-de Hoogh, SCN 2010).  Leaf i holds
+        G = (1-c_i)*r_i and P = [c_i = r_i]; a high node over a low one
+        combines to G = G_h + P_h*G_l and P = P_h*P_l, ceil(log2 ell)
+        levels of one layer each.  With q_i = r_0*r_i (i >= 1) every node
+        also carries r_0*G and r_0*P, combined with RP_h in place of P_h.
+        The node that holds bit 0 is never a high node, so it takes no P.
 
-    def _lt_public(self, c: np.ndarray, bits: Shares) -> Shares:
-        """Shares of 1_{c < r} where c is public and r is given by shared bits
-        (least significant first).  Scans for the highest bit where r has 1 and
-        c has 0, guarded by a prefix of bit equalities.  The caller declares
-        the first layer, (ell-1)*k gates, one exchange ahead."""
-        ell, k = bits.values.shape
-        c = np.asarray(c, dtype=np.uint64)
-        cb = ((c[None, :] >> np.arange(ell, dtype=np.uint64)[:, None]) & np.uint64(1))
-        eq = np.where(cb == 1, bits.values, self.field.sub_vec(np.uint64(1), bits.values))
-        f = self._suffix_products(Shares(self.field, self.threshold, eq))
-        differs = np.where(cb == 0, bits.values, np.zeros_like(bits.values))
-        terms = self.mul(f, Shares(self.field, self.threshold, differs))
-        return Shares(self.field, self.threshold,
-                      self.field.sum_vec(terms.values, axis=0))
+        Returns the root's G, and r_0*G when q is given, as a (1 or 2, k)
+        array, with the product of ``rider``, a pair of (rows, k) share
+        arrays multiplied in the first level's layer (None without one).
+        The caller declares the first level (``_level_gates``) one exchange
+        ahead; each level declares the next."""
+        f = self.field
+        ell, k = bits.shape
+        cb = (np.asarray(c, dtype=np.uint64)[None, :]
+              >> np.arange(ell, dtype=np.uint64)[:, None]) & np.uint64(1)
+        one, zero = cb == 1, np.uint64(0)
+        # state[field, node, column]: G, P and, with q, r_0*G and r_0*P
+        fields = [np.where(one, zero, bits), np.where(one, bits, f.sub_vec(np.uint64(1), bits))]
+        if q is not None:
+            rq = np.concatenate([bits[:1], q])  # r_0*r_i, with r_0*r_0 = r_0
+            fields += [np.where(one, zero, rq), np.where(one, rq, f.sub_vec(bits[:1], rq))]
+        state = np.stack(fields)
+        halves = len(fields) // 2
+        ridden = None
+        while state.shape[1] > 1:
+            nodes = state.shape[1]
+            pairs = nodes // 2
+            high, low = state[:, 1:2 * pairs:2], state[:, 0:2 * pairs:2]
+            # P_h and r_0*P_h times G_l and P_l; the lowest pair needs no P
+            shape = (halves, 2, pairs, k)
+            left = np.broadcast_to(high[1::2, None], shape)
+            right = np.broadcast_to(low[None, :2], shape)
+            need = np.ones(shape[:3], dtype=bool)
+            need[:, 1, 0] = False
+            lhs, rhs = left[need], right[need]
+            gates = lhs.shape[0]
+            if rider is not None:
+                lhs, rhs = np.concatenate([lhs, rider[0]]), np.concatenate([rhs, rider[1]])
+            self.expect(doubles=_level_gates(nodes - pairs, halves) * k)  # the next level
+            out = self.mul(Shares(f, self.threshold, lhs),
+                           Shares(f, self.threshold, rhs)).values
+            products = np.zeros(shape, dtype=np.uint64)
+            products[need] = out[:gates]
+            if rider is not None:
+                ridden, rider = out[gates:], None
+            combined = np.empty((2 * halves, pairs, k), dtype=np.uint64)
+            combined[0::2] = f.add_vec(high[0::2], products[:, 0])
+            combined[1::2] = products[:, 1]
+            state = np.concatenate([combined, state[:, 2 * pairs:]], axis=1)
+        return state[0::2, 0], ridden
 
     def _prepare_masks(self, n: int) -> None:
         """Append n checked LSB masks to the mask pool: shared bits of a uniform
-        r < p and shares of r.  The bits of every r >= p are drawn again until
-        all n pass, so a batch pays for one random-bit layer and one r < p
-        check; the rounds spent count as ``offline_rounds``."""
+        r < p, the products q_i = r_0*r_i and shares of r.  The q ride on the
+        first layer of the r < p check, a carry tree against public p-1.  The
+        bits of every r >= p are drawn again until all n pass, so a batch pays
+        for one random-bit layer and one check; the rounds spent count as
+        ``offline_rounds``."""
         start = self.channel.stats.rounds
         self._lsb_depth += 1
         try:
             ell, p = self.field.ell, self.field.p
             bits = np.empty((ell, n), dtype=np.uint64)
+            q = np.empty((ell - 1, n), dtype=np.uint64)
             pending = np.arange(n)
             for _ in range(RETRY_LIMIT + 1):
-                self.expect(doubles=(ell - 1) * pending.size)  # the check's first layer
-                bits[:, pending] = self._random_bits((ell, pending.size)).values
-                pm1 = np.full(pending.size, p - 1, dtype=np.uint64)
-                too_big = self._lt_public(pm1, Shares(self.field, self.threshold,
-                                                      bits[:, pending]))  # 1_{r >= p}
-                pending = pending[self.open(1 - too_big, "lsb_mask") != 1]
+                k = pending.size
+                first = (_level_gates(ell, 1) + ell - 1) * k  # the check's first layer
+                bits[:, pending] = drawn = self._random_bits((ell, k), then=first).values
+                pm1 = np.full(k, p - 1, dtype=np.uint64)
+                (too_big,), q[:, pending] = self._carry_tree(  # 1_{r > p-1}
+                    pm1, drawn, rider=(np.broadcast_to(drawn[:1], (ell - 1, k)), drawn[1:]))
+                pending = pending[self.open(Shares(self.field, self.threshold, too_big),
+                                            "lsb_mask") != 0]
                 if not pending.size:
                     break
             else:
                 raise RetryExhausted("rejection sampling of r < p did not converge")
             r = combine_rows(self.field, [pow(2, i, p) for i in range(ell)], bits)
-            self._masks = np.concatenate([self._masks, np.vstack([bits, r])], axis=1)
+            self._masks = np.concatenate([self._masks, np.vstack([bits, q, r])], axis=1)
         finally:
             self._lsb_depth -= 1
             self.counters.offline_rounds += self.channel.stats.rounds - start
 
     def shared_lsb(self, x: Shares) -> Shares:
-        """Shares of the least significant bit of the canonical representative."""
+        """Shares of the least significant bit of the canonical representative:
+        LSB(c) XOR r_0 XOR 1_{c < r} for c = x + r opened, where the wrap bit
+        1_{c < r} says that x + r passed p.  The carry tree gives r_0 XOR
+        1_{c < r} = r_0 + G - 2*r_0*G without a gate of its own."""
         k = x.size
         if k == 0:
             return Shares(self.field, self.threshold, x.values.copy())
@@ -516,19 +565,16 @@ class PartyContext:
         if self._masks.shape[1] < k:
             self._prepare_masks(k - self._masks.shape[1])
         mask, self._masks = self._masks[:, :k], self._masks[:, k:]
+        ell = self.field.ell
         self._lsb_depth += 1
         try:
-            bits = Shares(self.field, self.threshold, mask[:-1])
             r = Shares(self.field, self.threshold, mask[-1])
-            self.expect(doubles=self.field.ell * k)  # the scan's first layer and the XOR
+            self.expect(doubles=_level_gates(ell, 2) * k)  # the tree's first level
             c = self.open(x.reshape(-1) + r, "lsb_mask")
-            wrapped = self._lt_public(c, bits)  # 1_{c < r}, i.e. x + r overflowed p
-            r0 = bits[0].reshape(-1)
-            toggle = r0 + wrapped - 2 * self.mul(r0, wrapped)  # r0 XOR wrapped
-            c0 = (c & np.uint64(1)).astype(np.uint64)
-            out = np.where(c0 == 1,
-                           self.field.sub_vec(np.uint64(1), toggle.values),
-                           toggle.values)
+            (g, rg), _ = self._carry_tree(c, mask[:ell], mask[ell:-1])
+            f = self.field
+            toggle = f.sub_vec(f.add_vec(mask[0], g), f.add_vec(rg, rg))  # r_0 XOR 1_{c<r}
+            out = np.where((c & np.uint64(1)) == 1, f.sub_vec(np.uint64(1), toggle), toggle)
             return Shares(self.field, self.threshold, out.reshape(x.values.shape))
         finally:
             self._lsb_depth -= 1

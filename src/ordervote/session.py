@@ -2,8 +2,9 @@
 
 ``tallier_program`` is the SPMD pipeline every tallier executes over its own
 context: prepare every LSB mask the tally will use in one offline batch,
-validate the shared ballots (``validate_bundles``, in batches that fit the
-frame cap), aggregate the accepted ones, compute scores, and open winners,
+agree with the other talliers on one roster of voter ids and validate it
+(``validate_bundles``, in batches that fit the frame cap), aggregate the
+accepted ballots, compute scores, and open winners,
 recording what each phase costs in the result's counters.  Every in-process
 runner starts its talliers through one ``_run_threads``: ``run_local_election``
 runs all D talliers as threads of one process over the in-memory hub (the
@@ -15,7 +16,6 @@ TCP.  With fixed seeds both backends produce identical results.
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterator, TypeVar
@@ -107,16 +107,53 @@ def _socket_context(config: ElectionConfig, party_id: int) -> Iterator[PartyCont
         transport.close()
 
 
+def _copy_numbers(ids: np.ndarray) -> np.ndarray:
+    """For each position of ``ids``, how many earlier positions hold the same id."""
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    runs = np.diff(np.r_[starts, ids.size])
+    out = np.empty(ids.size, dtype=np.uint64)
+    out[order] = np.arange(ids.size) - np.repeat(starts, runs)
+    return out
+
+
+def _agree_roster(ctx: PartyContext,
+                  bundles: list[TallierBundle]) -> tuple[list[int], set[int]]:
+    """The voter ids every tallier validates, agreed in one round, and the
+    ids some tallier holds more than once.  Each tallier sends the ids of its
+    bundles, in its order, and the roster lists T1's ids, then each further
+    tallier's copies beyond those already listed.  So an id appears as often
+    as the tallier with the most copies holds it, every tallier derives the
+    same roster, and talliers that hold the same list get that list back."""
+    held = ctx.channel.exchange_all(np.array([b.voter_id for b in bundles],
+                                             dtype=np.uint64))
+    ids = np.concatenate([held[d] for d in sorted(held)])
+    copies = np.concatenate([_copy_numbers(held[d]) for d in sorted(held)])
+    order = np.lexsort((copies, ids))  # stable: each (id, copy) pair's first holder leads
+    ids_by, copies_by = ids[order], copies[order]
+    first = np.ones(ids.size, dtype=bool)
+    first[1:] = (ids_by[1:] != ids_by[:-1]) | (copies_by[1:] != copies_by[:-1])
+    return ids[np.sort(order[first])].tolist(), set(ids[copies > 0].tolist())
+
+
 def validate_bundles(ctx: PartyContext, config: ElectionConfig,
                      bundles: list[TallierBundle]) -> list[validation.ValidationVerdict]:
-    """Validate ``bundles`` in batches of ``validation.batch_limit``, one batch
-    unless a frame would exceed the cap; returns one verdict per bundle, by position.
+    """Validate the roster the talliers agree on (``_agree_roster``) in
+    batches of ``validation.batch_limit``, one batch unless a frame would
+    exceed the cap; returns one verdict per roster entry, in roster order.
 
-    Every copy of a voter id that occurs more than once is rejected as
-    ``DuplicateVoter`` without being validated, so no copy can carry an
-    illegal ballot in and the verdicts do not depend on arrival order."""
-    copies = Counter(b.voter_id for b in bundles)
-    unique = [b for b in bundles if copies[b.voter_id] == 1]
+    Every copy of a voter id that any tallier holds more than once is
+    rejected as ``DuplicateVoter`` without being validated, so no copy can
+    carry an illegal ballot in and the verdicts do not depend on arrival
+    order.  A tallier validates an id it does not hold with a stand-in of no
+    entries, so every tallier rejects that ballot as ``Malformed``."""
+    roster, repeated = _agree_roster(ctx, bundles)
+    held = {b.voter_id: b for b in bundles}
+    none = np.zeros(0, dtype=np.uint64)
+    unique = [held[v] if v in held else TallierBundle(v, config.rule, config.m, none)
+              for v in roster if v not in repeated]
+    del held  # not needed while the batches run, at the tally's memory peak
     step = validation.batch_limit(config.rule, config.m)
     checked: list[validation.ValidationVerdict] = []
     for start in range(0, len(unique), step):
@@ -124,8 +161,8 @@ def validate_bundles(ctx: PartyContext, config: ElectionConfig,
                                                  config.rule, config.m))
     verdicts = iter(checked)
     duplicate = validation.REASON_DUPLICATE
-    return [next(verdicts) if copies[b.voter_id] == 1 else
-            validation.ValidationVerdict(b.voter_id, False, duplicate) for b in bundles]
+    return [validation.ValidationVerdict(v, False, duplicate) if v in repeated
+            else next(verdicts) for v in roster]
 
 
 @contextmanager
@@ -154,19 +191,20 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
 
     # A duplicate is rejected for its id, not its content: it may be a replayed
     # honest ballot.  A malformed bundle has no sharing to open.  Neither is
-    # opened as a proof.
+    # opened as a proof.  Any other verdict names a voter whose bundle every
+    # tallier holds exactly once, and every tallier reaches the same verdicts.
     proofs: dict[int, np.ndarray] = {}
     with _phase(ctx, phases, "validate"):
         verdicts = validate_bundles(ctx, config, bundles)
+        held = {b.voter_id: b for b in bundles}
         if config.reconstruct_rejected:
-            for b, v in zip(bundles, verdicts):
-                if not v.accepted and v.reason not in (validation.REASON_DUPLICATE,
-                                                       validation.REASON_MALFORMED):
-                    proofs[b.voter_id] = validation.reconstruct_rejected(ctx, b)
+            ids = [v.voter_id for v in verdicts if not v.accepted and v.reason not in (
+                validation.REASON_DUPLICATE, validation.REASON_MALFORMED)]
+            proofs = dict(zip(ids, validation.reconstruct_rejected(
+                ctx, [held[v] for v in ids])))
 
     with _phase(ctx, phases, "aggregate"):
-        agg = aggregate(ctx, [b for b, v in zip(bundles, verdicts) if v.accepted],
-                        rule, m)
+        agg = aggregate(ctx, [held[v.voter_id] for v in verdicts if v.accepted], rule, m)
         ctx.capture("aggregate", agg.entries)
 
     kemeny_ranking = None
@@ -233,18 +271,26 @@ def run_socket_tallier(config: ElectionConfig, party_id: int,
         return tallier_program(ctx, config, bundles)
 
 
-def run_local_validation(config: ElectionConfig,
-                         ballots: list[SharedBallot]) -> list[validation.ValidationVerdict]:
-    """Validation phase only (threads over the in-memory hub); returns verdicts."""
-    def program(ctx: PartyContext):
-        with _phase(ctx, {}, "validate"):
-            return validate_bundles(ctx, config, [b.bundle_for(ctx.party_id) for b in ballots])
+def _validation_program(ctx: PartyContext, config: ElectionConfig,
+                        bundles: list[TallierBundle]) -> tuple[list, dict]:
+    """Validation phase only; returns (verdicts, this party's validate counters)."""
+    phases: dict[str, dict] = {}
+    with _phase(ctx, phases, "validate"):
+        verdicts = validate_bundles(ctx, config, bundles)
+    return verdicts, phases["validate"]
 
-    return _run_local(config, program)[1]
+
+def run_local_validation(config: ElectionConfig,
+                         ballots: list[SharedBallot]) -> tuple[list, dict]:
+    """Validation phase only (threads over the in-memory hub); returns T1's
+    (verdicts, validate counters)."""
+    return _run_local(config, lambda ctx: _validation_program(
+        ctx, config, [b.bundle_for(ctx.party_id) for b in ballots]))[1]
 
 
 def run_socket_validation(config: ElectionConfig, party_id: int,
-                          bundles: list[TallierBundle]) -> list[validation.ValidationVerdict]:
-    """Validation phase only, one party over TCP."""
-    with _socket_context(config, party_id) as ctx, _phase(ctx, {}, "validate"):
-        return validate_bundles(ctx, config, bundles)
+                          bundles: list[TallierBundle]) -> tuple[list, dict]:
+    """Validation phase only, one party over TCP; returns (verdicts, validate
+    counters)."""
+    with _socket_context(config, party_id) as ctx:
+        return _validation_program(ctx, config, bundles)

@@ -100,6 +100,46 @@ def lsb_extractions(rule: str, m: int, k: int) -> int:
     return scoring + k * m - k * (k + 1) // 2
 
 
+def phase_rounds(rule: str, m: int, k: int, ell: int,
+                 open_scores: bool = False) -> dict[str, int]:
+    """Communication rounds per phase of a tally of legal ballots that
+    validate in one batch, at a prime of ``ell`` bits.  An LSB extraction
+    opens x + r and runs s = ceil(log2 ell) carry-tree levels; a min or
+    argmax level adds its select; L(n) = ceil(log2 n).
+
+    * offline, when the tally extracts at all: a deal round, the random bits
+      (a square and its opening) and the r < p check (s levels and an
+      opening), 3 + (s + 1);
+    * validate: the roster round, then, when a ballot shares any entry, a
+      deal round, the degree check, the product layers (M(M-1)/2, or one for
+      kemeny) and their opening;
+    * score: s + 1 for copeland, L(M-1)(s + 2) for maximin;
+    * select: L(n)(s + 2) + 1 per argmax over n entries and the opening of
+      its winner; 1 more for ``open_scores`` (copeland and maximin).
+
+    A redraw of random bits (a zero square, or an r >= p) adds rounds, about
+    2**-ell of masks, so the model is exact at large p and a lower bound at
+    small p."""
+    s = (ell - 1).bit_length()
+
+    def levels(n: int) -> int:
+        return max(n - 1, 0).bit_length()
+
+    pairs = len(upper_pairs(m))
+    products = (1 if rule == "kemeny" else pairs) if pairs else 0
+    rounds = {"offline": 3 + (s + 1) if lsb_extractions(rule, m, k) else 0,
+              "validate": 1 + (3 + products if pairs else 0),
+              "aggregate": 0}
+    if rule == "kemeny":
+        rounds["select"] = levels(math.factorial(m)) * (s + 2) + 1
+        return rounds
+    rounds["score"] = (s + 1 if pairs else 0) if rule == "copeland" \
+        else levels(m - 1) * (s + 2)
+    rounds["select"] = sum(levels(m - j + 1) * (s + 2) + 1 for j in range(1, k + 1)) \
+        + int(open_scores)
+    return rounds
+
+
 def aggregate(ctx: PartyContext, bundles: list[TallierBundle], rule: str,
               m: int) -> AggregatedShares:
     """Sum this party's shares over all accepted ballots; no communication."""

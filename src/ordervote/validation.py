@@ -229,22 +229,29 @@ def _validate_kemeny_conditions(ctx: PartyContext, values: np.ndarray,
     return (ctx.open(products, "validation_product") == 0).all(axis=1)
 
 
-def reconstruct_rejected(ctx: PartyContext, bundle: TallierBundle) -> np.ndarray:
-    """Recover a rejected ballot as dishonesty proof (explicit cooperation of
-    >= D' talliers; here all parties broadcast their raw shares).  Returns the
-    signed M x M matrix implied by the shared entries."""
-    values = np.asarray(bundle.values, dtype=np.uint64) % np.uint64(ctx.field.p)
-    matrix = ctx.open_share_matrix(values, "rejected_ballot_proof")
+def reconstruct_rejected(ctx: PartyContext, bundles: list[TallierBundle]) -> list[np.ndarray]:
+    """Recover rejected ballots as dishonesty proofs (explicit cooperation of
+    >= D' talliers; here all parties broadcast their raw shares), all of them
+    in one round.  Returns, per bundle, the signed M x M matrix implied by its
+    shared entries."""
+    if not bundles:
+        return []
+    values = np.concatenate([np.asarray(b.values, dtype=np.uint64) for b in bundles])
+    matrix = ctx.open_share_matrix(values % np.uint64(ctx.field.p), "rejected_ballot_proof")
     opened = reconstruct_batch(ctx.field, range(1, ctx.threshold + 1),
                                matrix[:ctx.threshold])
     half = ctx.field.p // 2
     signed = np.where(opened > half, opened.astype(np.int64) - ctx.field.p,
                       opened.astype(np.int64))
-    out = np.zeros((bundle.m, bundle.m), dtype=np.int64)
-    for (a, b), val in zip(entry_pairs(bundle.rule, bundle.m), signed):
-        out[a - 1, b - 1] = val
-        if bundle.rule == "copeland":
-            out[b - 1, a - 1] = -val
-        elif bundle.rule == "maximin":
-            out[b - 1, a - 1] = 1 - val
-    return out
+    ends = np.cumsum([len(b.values) for b in bundles])[:-1]
+    proofs = []
+    for bundle, entries in zip(bundles, np.split(signed, ends)):
+        out = np.zeros((bundle.m, bundle.m), dtype=np.int64)
+        for (a, b), val in zip(entry_pairs(bundle.rule, bundle.m), entries):
+            out[a - 1, b - 1] = val
+            if bundle.rule == "copeland":
+                out[b - 1, a - 1] = -val
+            elif bundle.rule == "maximin":
+                out[b - 1, a - 1] = 1 - val
+        proofs.append(out)
+    return proofs

@@ -345,7 +345,7 @@ def test_criterion_8_performance_sanity():
     ballots = make_shared_ballots(cfg, [tuple(int(c) for c in rng.permutation(5) + 1)
                                         for _ in range(500)])
     start = time.perf_counter()
-    verdicts = run_local_validation(cfg, ballots)
+    verdicts, _ = run_local_validation(cfg, ballots)
     validate_s = time.perf_counter() - start
     assert validate_s < 10
     assert all(v.accepted for v in verdicts)

@@ -86,6 +86,18 @@ def test_vote_rejects_malformed_order(tmp_path, capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+def test_vote_rejects_a_voter_id_below_1(tmp_path, capsys):
+    """Voter ids cross the roster round as unsigned words, so a negative id
+    is refused when cast, not when the talliers meet."""
+    cfg = write_config(tmp_path / "cfg.json")
+    session = tmp_path / "sess"
+    main(["setup", "--config", str(cfg), "--session", str(session)])
+    assert main(["vote", "--session", str(session), "--order", "C1,C2,C3",
+                 "--voter-id", "-3"]) == 2
+    assert "--voter-id must be at least 1" in capsys.readouterr().err
+    assert not (session / "ballots" / "tallier_1.jsonl").exists()
+
+
 def test_kemeny_ranks_paper_example(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", rule="kemeny",
                        candidates=["Alice", "Bob", "Carol", "David"],
@@ -226,6 +238,28 @@ def test_reconstruct_rejected_flag_prints_proof(tmp_path, capsys, backend):
              (session / "audit.jsonl").read_text().splitlines()]
     assert [rec["accepted"] for rec in audit] == [True, False, True]
     assert audit[1]["reason"] == "EntryDomain"
+
+
+@pytest.mark.parametrize("backend", ["memory", "socket"])
+def test_validate_prints_its_ledger(tmp_path, capsys, backend):
+    """``validate`` prints its phase's counters as ``tally`` prints its own:
+    for Copeland M=3 and 3 ballots, the roster round, a deal round, the
+    degree check, M(M-1)/2 = 3 layers of 2B gates and their opening."""
+    sockets = {"backend": "socket", "endpoints": _free_endpoints(3)} \
+        if backend == "socket" else {}
+    cfg = write_config(tmp_path / "cfg.json", **sockets)
+    session = tmp_path / "sess"
+    main(["setup", "--config", str(cfg), "--session", str(session)])
+    demo_votes(session, keep_plain=False)
+    argv = ["validate", "--session", str(session)]
+    if backend == "socket":
+        assert _run_socket_talliers(*argv) == {1: 0, 2: 0, 3: 0}
+    else:
+        assert main(argv) == 0
+    out = capsys.readouterr().out
+    line = ("counters: mul_gates=18 mul_rounds=3 comm_rounds=7 offline_rounds=0 "
+            "deal_rounds=1 comparisons=0 lsb_extractions=0 opens=")
+    assert out.count(line) == (3 if backend == "socket" else 1)
 
 
 def _free_endpoints(n):

@@ -303,10 +303,11 @@ def test_compare_bounded_exhaustive(p):
 
 def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
     """One bounded comparison at ell = 31, its pools pre-filled.  Offline: 31
-    squares of random bits and the r < p check (suffix products
-    30+29+27+23+15 and 31 terms), 2 + 7 rounds.  Online: open x + r, the same
-    155-gate circuit against public c in 6 rounds, and one XOR gate.  The
-    pre-filled pools take the one deal round."""
+    squares of random bits and the r < p check, a carry tree of G and P
+    (29+15+7+3+1 gates) whose first layer also takes the 30 products
+    q_i = r_0*r_i, 2 + 6 rounds.  Online: open x + r, then the tree with
+    r_0*G and r_0*P folded in (58+30+14+6+2 gates) in 5 rounds, with no XOR
+    gate.  The pre-filled pools take the one deal round."""
     def prog(ctx):
         a, b = ctx.constant(3), ctx.constant(5)
         ctx.pregenerate(rand=2048, doubles=2048, masks=1)
@@ -317,17 +318,17 @@ def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
 
     cost, bit = run_parties(3, 2, f_mersenne31, prog)[1]
     assert bit == 1
-    assert cost["mul_gates"] == (31 + 155) + (155 + 1) == 342
-    assert cost["online_rounds"] == 8
-    assert cost["offline_rounds"] == 9
+    assert cost["mul_gates"] == (31 + 55 + 30) + 110 == 226
+    assert cost["online_rounds"] == 6
+    assert cost["offline_rounds"] == 8
     assert cost["deal_rounds"] == 1
 
 
 def test_masks_are_bits_of_a_uniform_r_below_p(f31):
-    """Prepared masks hold shared bits and their recomposition r < p.  At
-    p = 31 one r in 32 is rejected, so 300 masks exercise the redraw; the
-    preparation rounds count as offline, and extractions from a full pool
-    prepare nothing more."""
+    """Prepared masks hold shared bits, the products q_i = r_0*r_i (i >= 1)
+    and the bits' recomposition r < p.  At p = 31 one r in 32 is rejected,
+    so 300 masks exercise the redraw; the preparation rounds count as
+    offline, and extractions from a full pool prepare nothing more."""
     def prog(ctx):
         ctx.pregenerate(masks=300)
         offline = ctx.counters.offline_rounds
@@ -336,8 +337,10 @@ def test_masks_are_bits_of_a_uniform_r_below_p(f31):
         return masks, offline, ctx.counters.offline_rounds, ctx._masks.shape[1]
 
     masks, offline, after, left = run_parties(3, 2, f31, prog)[1]
-    bits, r = masks[:-1].astype(int), masks[-1].astype(int)
+    ell = f31.ell
+    bits, q, r = masks[:ell].astype(int), masks[ell:-1].astype(int), masks[-1].astype(int)
     assert set(np.unique(bits).tolist()) == {0, 1}
+    assert q.tolist() == (bits[:1] * bits[1:]).tolist()
     assert r.tolist() == (bits * (1 << np.arange(f31.ell))[:, None]).sum(axis=0).tolist()
     assert r.max() < 31 and len(set(r.tolist())) > 20
     assert offline > 0 and after == offline and left == 0

@@ -12,10 +12,10 @@ from ordervote.session import (_run_local, _run_threads, build_context,
                                make_shared_ballots, run_local_election,
                                run_local_validation, run_socket_tallier,
                                tallier_program)
-from ordervote.tally import lsb_extractions
+from ordervote.tally import lsb_extractions, phase_rounds
 from ordervote.transport import (HEADER, InMemoryHub, InMemoryTransport, RoundTimeout,
                                  SessionChannel)
-from ordervote.validation import REASON_DEGREE, REASON_DUPLICATE
+from ordervote.validation import REASON_DEGREE, REASON_DUPLICATE, REASON_MALFORMED
 
 M31 = (1 << 31) - 1
 
@@ -108,7 +108,7 @@ def test_derived_batches_keep_every_validation_frame_under_the_cap(monkeypatch, 
 def test_validation_only_runner():
     cfg = _cfg(rule="kemeny", m=3, k=1)
     rankings = _rankings("kemeny", 3, 6, seed=3)
-    verdicts = run_local_validation(cfg, make_shared_ballots(cfg, rankings))
+    verdicts, _ = run_local_validation(cfg, make_shared_ballots(cfg, rankings))
     assert len(verdicts) == 6 and all(v.accepted for v in verdicts)
 
 
@@ -406,12 +406,12 @@ def test_pool_deals_ride_on_the_exchange_before_each_layer():
 
 
 @pytest.mark.parametrize("rule, m, k, n, rounds", [
-    ("copeland", 6, 2, 200, {"offline": 10, "validate": 18, "aggregate": 0,
-                             "score": 8, "select": 56}),
-    ("maximin", 6, 2, 200, {"offline": 10, "validate": 18, "aggregate": 0,
-                            "score": 27, "select": 56}),
-    ("kemeny", 5, 2, 200, {"offline": 10, "validate": 4, "aggregate": 0, "select": 64}),
-    ("kemeny", 6, 1, 100, {"offline": 10, "validate": 4, "aggregate": 0, "select": 91}),
+    ("copeland", 6, 2, 200, {"offline": 9, "validate": 19, "aggregate": 0,
+                             "score": 6, "select": 44}),
+    ("maximin", 6, 2, 200, {"offline": 9, "validate": 19, "aggregate": 0,
+                            "score": 21, "select": 44}),
+    ("kemeny", 5, 2, 200, {"offline": 9, "validate": 5, "aggregate": 0, "select": 50}),
+    ("kemeny", 6, 1, 100, {"offline": 9, "validate": 5, "aggregate": 0, "select": 71}),
 ])
 def test_phase_ledger_reads_the_rounds_of_each_phase(rule, m, k, n, rounds):
     """Party 1's communication rounds per phase on legal ballots, D = 3: one
@@ -423,6 +423,116 @@ def test_phase_ledger_reads_the_rounds_of_each_phase(rule, m, k, n, rounds):
     assert {ph: c["comm_rounds"] for ph, c in counters["phases"].items()} == rounds
     assert counters["comm_rounds"] == sum(rounds.values())
     assert [counters["phases"][ph]["deal_rounds"] for ph in ("offline", "validate")] == [1, 1]
+
+
+def test_phase_ledger_meets_the_round_model():
+    """For every rule, M <= 6, K <= M and D in {3, 5} at p = 2^31 - 1, with
+    and without open scores, party 1's rounds per phase on legal ballots are
+    those of ``tally.phase_rounds``; for M = 1 nothing is compared.  A
+    Kemeny tally opens no scores, so one run serves both of its models."""
+    for rule in ("copeland", "maximin", "kemeny"):
+        for m in range(1, 7):
+            for k in range(1, m + 1):
+                for d in (3, 5):
+                    for open_scores in (False,) if rule == "kemeny" else (False, True):
+                        cfg = _cfg(rule=rule, m=m, k=k, d=d, seed=m, open_scores=open_scores)
+                        ballots = make_shared_ballots(cfg, _rankings(rule, m, 5, seed=k))
+                        phases = run_local_election(cfg, ballots).result.counters["phases"]
+                        ledger = {ph: c["comm_rounds"] for ph, c in phases.items()}
+                        models = [phase_rounds(rule, m, k, cfg.field.ell, flag) for flag in
+                                  ((False, True) if rule == "kemeny" else (open_scores,))]
+                        assert all(ledger == model for model in models), \
+                            (rule, m, k, d, open_scores)
+
+
+def _stray_vote(cfg, ranking, voter_id, party):
+    """Party ``party``'s share of a ballot no other tallier holds."""
+    matrix = ranking_to_matrix(cfg.rule, ranking, cfg.m)
+    return share_ballot(matrix, cfg.field, cfg.threshold, cfg.talliers,
+                        cfg.voter_rng(voter_id), voter_id).bundle_for(party)
+
+
+def test_stray_voter_id_at_one_tallier_leaves_every_audit_the_same():
+    """T1 holds a stray voter 99 where T2 and T3 hold voter 3.  The talliers
+    agree on one roster: voter 99, held by T1 alone, and voter 3, missing at
+    T1, are both Malformed at every tallier.  All three write the same
+    verdicts, and the winners are the oracle's over the other ballots."""
+    cfg = _cfg(rule="copeland", m=4, k=2, seed=13)
+    rankings = _rankings("copeland", 4, 8, seed=12)
+    ballots = make_shared_ballots(cfg, rankings)
+    hub = InMemoryHub(3, timeout=10.0)
+
+    def body(d):
+        bundles = [b.bundle_for(d) for b in ballots]
+        if d == 1:
+            bundles[2] = _stray_vote(cfg, rankings[0], 99, 1)
+        ctx = build_context(cfg, d, SessionChannel(hub.transport(d), 1))
+        return tallier_program(ctx, cfg, bundles)
+
+    runs = _run_threads(3, body)
+    audits = [[v.record() for v in verdicts] for _, verdicts, _ in runs.values()]
+    assert audits[0] == audits[1] == audits[2]
+    assert [(rec["voter_id"], rec.get("reason")) for rec in audits[0]] == \
+        [(1, None), (2, None), (99, REASON_MALFORMED)] + [(v, None) for v in range(4, 9)] + \
+        [(3, REASON_MALFORMED)]
+    oracle = plain_winners(PlainElection("copeland", 4, 2, tuple(rankings[:2] + rankings[3:])))
+    assert [result.winners for result, _, _ in runs.values()] == [oracle] * 3
+
+
+def test_replayed_ballot_at_one_tallier_neither_aborts_nor_splits_the_verdicts():
+    """Over sockets, voter 2's T1 bundle reaches T1 twice, the replay ahead
+    of the honest ballots, so T1's first four ballots hold two copies of
+    voter 2 and none of voter 4.  The talliers agree on one roster: voter 2
+    is a DuplicateVoter and voter 4 Malformed at every tallier, and the
+    winners are the oracle's over voters 1 and 3."""
+    from ordervote.ballots import encode_bundle
+    from ordervote.transport import submit_ballot_socket
+
+    cfg = _socket_cfg("maximin", 3, 1, 3, seed=41)
+    rankings = _rankings("maximin", 3, 4, seed=9)
+    ballots = make_shared_ballots(cfg, rankings)
+    frames = [(1, ballots[1])] + [(d, b) for b in ballots for d in (1, 2, 3)]
+    acks = []
+
+    def voter():  # submissions retry until each tallier listens
+        for d, b in frames:
+            acks.append(submit_ballot_socket(cfg.endpoints[d - 1], 1,
+                                             encode_bundle(b.bundle_for(d))))
+
+    vt = threading.Thread(target=voter)
+    vt.start()
+    runs = _run_threads(3, lambda d: run_socket_tallier(cfg, d, bundles=None, expect_votes=4))
+    vt.join(timeout=30)
+    assert not vt.is_alive() and acks == [True] * 13
+    oracle = plain_winners(PlainElection("maximin", 3, 1, (rankings[0], rankings[2])))
+    for result, verdicts, _ in runs.values():
+        assert [(v.voter_id, v.reason) for v in verdicts] == [
+            (1, None), (2, REASON_DUPLICATE), (2, REASON_DUPLICATE), (3, None),
+            (4, REASON_MALFORMED)]
+        assert result.winners == oracle
+
+
+def test_rejected_ballot_proofs_open_in_one_round():
+    """Copeland M=4, N=60 with 1, 5 or 20 ballots shared at too high a degree:
+    with proofs on, validation takes one round more than without, whatever
+    the count, and each of those ballots gets its proof."""
+    cfg = ElectionConfig(rule="copeland", candidates=("C1", "C2", "C3", "C4"),
+                         num_winners=1, talliers=3, expected_voters=60,
+                         seed=18).validate()
+    rankings = _rankings("copeland", 4, 60, seed=17)
+    rounds = []
+    for broken in (1, 5, 20):
+        ballots = make_shared_ballots(cfg, rankings)
+        for i in range(broken):
+            q = ranking_to_matrix("copeland", rankings[i], 4)
+            ballots[i] = share_ballot(q, cfg.field, cfg.talliers, cfg.talliers,
+                                      cfg.voter_rng(i + 1), i + 1)
+        plain = run_local_election(cfg, ballots)
+        proved = run_local_election(cfg.with_overrides(reconstruct_rejected=True), ballots)
+        assert sorted(proved.rejected_proofs) == list(range(1, broken + 1))
+        rounds.append([outcome.result.counters["phases"]["validate"]["comm_rounds"]
+                       for outcome in (plain, proved)])
+    assert rounds == [[rounds[0][0], rounds[0][0] + 1]] * 3
 
 
 def test_round_timeout_names_the_phase_and_the_missing_party():

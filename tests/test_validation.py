@@ -309,7 +309,7 @@ def test_reconstruct_rejected_recovers_matrix(f31):
 
     for ballot in (bad, lifted):
         def prog(ctx):
-            return reconstruct_rejected(ctx, ballot.bundle_for(ctx.party_id))
+            return reconstruct_rejected(ctx, [ballot.bundle_for(ctx.party_id)])[0]
 
         res = run_parties(3, 2, f31, prog)
         assert np.array_equal(res[1], inflated.entries)
