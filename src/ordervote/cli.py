@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from .ballots import (InvalidRanking, SharedBallot, TallierBundle, encode_bundle,
+from .ballots import (InvalidRanking, TallierBundle, encode_bundle,
                       parse_order, parse_ranks, ranking_to_matrix, share_ballot)
 from .config import ConfigError, ElectionConfig
 from .session import (SESSION, make_shared_ballots, run_local_election,
@@ -146,18 +146,10 @@ def _write_audit(session: Path, verdicts) -> None:
             fh.write(json.dumps(v.record(), sort_keys=True) + "\n")
 
 
-def _spooled_shared_ballots(session: Path, config: ElectionConfig):
-    """Re-assemble SharedBallot objects from all tallier spools (local mode)."""
-    per_party = [_read_spool(session, d) for d in range(1, config.talliers + 1)]
-    count = len(per_party[0])
-    if any(len(lst) != count for lst in per_party):
-        raise SystemExit("tallier spools disagree on ballot count")
-    ballots = []
-    for i in range(count):
-        rows = [per_party[d][i].values for d in range(config.talliers)]
-        b0 = per_party[0][i]
-        ballots.append(SharedBallot(b0.voter_id, b0.rule, b0.m, np.stack(rows)))
-    return ballots
+def _spools(session: Path, config: ElectionConfig) -> dict[int, list[TallierBundle]]:
+    """Every tallier's spooled bundles (in-process mode); the talliers pair
+    them by voter id, so the spools may list the voters in any order."""
+    return {d: _read_spool(session, d) for d in range(1, config.talliers + 1)}
 
 
 def cmd_validate(args) -> int:
@@ -167,8 +159,7 @@ def cmd_validate(args) -> int:
         bundles = _read_spool(session, args.party)
         verdicts, counters = run_socket_validation(config, args.party, bundles)
     else:
-        ballots = _spooled_shared_ballots(session, config)
-        verdicts, counters = run_local_validation(config, ballots)
+        verdicts, counters = run_local_validation(config, _spools(session, config))
     _write_audit(session, verdicts)
     accepted = sum(v.accepted for v in verdicts)
     print(f"validated {len(verdicts)} ballots: {accepted} accepted, "
@@ -201,8 +192,7 @@ def cmd_tally(args) -> int:
         result, verdicts, proofs = run_socket_tallier(config, args.party, bundles,
                                                       args.expect_votes)
     else:
-        ballots = _spooled_shared_ballots(session, config)
-        outcome = run_local_election(config, ballots)
+        outcome = run_local_election(config, _spools(session, config))
         result, verdicts, proofs = outcome.result, outcome.verdicts, outcome.rejected_proofs
 
     if args.party in (None, 1):  # in socket mode T1 owns the session artifacts
@@ -235,12 +225,16 @@ BENCH_COLUMNS = (("rounds", "comm_rounds"), ("offline", "offline_rounds"),
                  ("deals", "deal_rounds"), ("mul_rounds", "mul_rounds"),
                  ("gates", "mul_gates"), ("compares", "comparisons"),
                  ("messages", "messages"), ("bytes", "bytes_sent"))
+LATENCIES_MS = (1, 20)  # modelled one-way delay per communication round
 
 
 def cmd_bench(args) -> int:
     """Tally ``--voters`` random legal ballots ``--reps`` times in process;
-    print party 1's counters per phase and in total, with the median wall
-    time of the whole tally (the counters repeat exactly)."""
+    print party 1's counters per phase and in total (they repeat exactly),
+    the median processor seconds of party 1's thread per phase, a modelled
+    latency of those seconds plus rounds x L for each L of ``LATENCIES_MS``,
+    and the median wall time of the whole tally.  The total row's processor
+    and modelled seconds are the sums of the phases'."""
     config = ElectionConfig.loads(Path(args.config).read_text())
     if args.seed is not None:
         config = config.with_overrides(seed=args.seed)
@@ -251,23 +245,30 @@ def cmd_bench(args) -> int:
     voters = args.voters or config.expected_voters
     rankings = _random_rankings(config, voters, np.random.default_rng(config.seed))
     ballots = make_shared_ballots(config, rankings)
-    seconds = []
+    seconds, cpu = [], []
     for _ in range(args.reps):
         start = time.perf_counter()
         outcome = run_local_election(config, ballots)
         seconds.append(time.perf_counter() - start)
+        cpu.append(outcome.phase_cpu)
     counters = dict(outcome.result.counters)
-    rows = [dict(phase=name, **c) for name, c in counters.pop("phases").items()]
-    rows.append(dict(phase="total", seconds_median=statistics.median(seconds), **counters))
+    rows = [dict(phase=name, cpu_s=statistics.median(rep[name] for rep in cpu), **c)
+            for name, c in counters.pop("phases").items()]
+    for row in rows:
+        row.update({f"at_{ms}ms_s": row["cpu_s"] + row["comm_rounds"] * ms / 1000
+                    for ms in LATENCIES_MS})
+    modelled = ["cpu_s", *(f"at_{ms}ms_s" for ms in LATENCIES_MS)]
+    rows.append(dict(phase="total", seconds_median=statistics.median(seconds), **counters,
+                     **{key: sum(row[key] for row in rows) for key in modelled}))
 
     print(f"{config.rule} M={config.m} K={config.num_winners} D={config.talliers} "
-          f"N={voters}, {args.reps} runs, counters of T1")
+          f"N={voters}, {args.reps} runs, counters and processor time of T1")
     print(f"{'phase':10s}" + "".join(f" {title:>9s}" for title, _ in BENCH_COLUMNS)
-          + f" {'seconds':>9s}")
+          + "".join(f" {key[:-2]:>9s}" for key in modelled) + f" {'seconds':>9s}")
     for row in rows:
         secs = f"{row['seconds_median']:.3f}" if "seconds_median" in row else "-"
         print(f"{row['phase']:10s}" + "".join(f" {row[key]:>9}" for _, key in BENCH_COLUMNS)
-              + f" {secs:>9s}")
+              + "".join(f" {row[key]:>9.3f}" for key in modelled) + f" {secs:>9s}")
     if args.out:
         report = {"rule": config.rule, "candidates": config.m,
                   "num_winners": config.num_winners, "talliers": config.talliers,
@@ -356,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_tally)
 
-    p = sub.add_parser("bench", help="per-phase counters and the median tally time")
+    p = sub.add_parser("bench", help="per-phase counters, processor and modelled "
+                       "seconds, and the median tally time")
     p.add_argument("--config", required=True)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--voters", type=int, default=None,

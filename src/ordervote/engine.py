@@ -17,20 +17,24 @@ Primitives:
   w+R itself, and subtracting the low-threshold shares of R lands back on a
   D'-out-of-D sharing of the product.
 * LSB masks: the bitwise-shared uniform r < p that an LSB extraction hides
-  x behind, the products q_i = r_0*r_i (i >= 1) and r recomposed from its
-  bits.  Nothing in a mask depends on the input, so masks come from a third
-  pool, filled by one preparation routine (random bits, the r < p rejection
-  check with the q in its first layer, the recomposition); a tally fills it
-  once, before validation, with its exact extraction count (Damgard et al.,
+  x behind, the products of its bits within each 4-bit window, r_0 times
+  the products of the windows above the lowest, and r recomposed from its
+  bits (``mask_layout``).  Nothing in a mask depends on the input, so masks
+  come from a third pool, filled by one preparation routine (random bits,
+  two layers of window products, the r < p rejection check with the
+  r_0-products on its levels, the recomposition); a tally fills it once,
+  before validation, with its exact extraction count (Damgard et al.,
   TCC 2006), and a short pool is topped up the same way.
 * shared LSB of a secret x: take a mask r from the pool, publish c = x + r,
   and combine LSB(c), LSB(r) and the wraparound bit 1_{c < r}.  The wrap
-  bit is the carry-out of a generate/propagate tree over the bit pairs of
-  public c and shared r (Catrina-de Hoogh, SCN 2010), ceil(log2 ell)
-  layers; with the q each node also carries r_0 times its G and P, so
-  LSB(r) XOR 1_{c < r} needs no gate of its own.  At p = 2^31 - 1 one
-  extraction costs 6 rounds (the opening and 5 layers) and 110 gates
-  online, and its mask 116 gates offline; ``tally.phase_rounds`` states
+  bit is the carry-out of a generate/propagate tree over the 4-bit windows
+  of public c and shared r (Catrina-de Hoogh, SCN 2010): a window's
+  generate and propagate bits are integer combinations of its pooled
+  products (``LEAF_COEF``), so the leaves cost no gate and the tree takes
+  ceil(log2 ceil(ell/4)) layers.  Each node also carries r_0 times its G,
+  so LSB(r) XOR 1_{c < r} needs no gate of its own.  At p = 2^31 - 1 one
+  extraction costs 4 rounds (the opening and 3 layers) and 18 gates
+  online, and its mask 220 gates offline; ``tally.phase_rounds`` states
   the rounds of every phase of a tally.
 * bounded comparison 1_{a<b} for |a - b| < p/2: the positivity of b - a,
   one LSB extraction and no further gates.  Every comparison of the tally
@@ -58,6 +62,7 @@ local operations and never touch the network or the gate counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,14 +73,95 @@ from .transport import SessionChannel
 
 RETRY_LIMIT = 32
 POOL_BLOCK = 1024
+WINDOW = 4  # bits per carry-tree leaf: 8 digits and 3 levels at ell = 31
 
 
-def _level_gates(nodes: int, halves: int) -> int:
-    """Gates per column of a carry-tree level over ``nodes`` nodes: P_h*G_l
-    for every pair and P_h*P_l for every pair but the lowest, once per half
-    the nodes carry (G and P, then r_0*G and r_0*P)."""
+def _leaf_table() -> np.ndarray:
+    """Integer coefficients of the leaves over a window's bit products:
+    [ind, d, s] is the coefficient of the product of the bits in subset s
+    (a bitmask) in [x > d] (ind 0) and [x = d] (ind 1), the Moebius
+    transform of the indicator over the subsets of the window's bits."""
+    x = np.arange(1 << WINDOW)
+    table = np.stack([x[None, :] > x[:, None], x[None, :] == x[:, None]]).astype(np.int64)
+    for i in range(WINDOW):
+        has = (x >> i) & 1 == 1
+        table[:, :, has] -= table[:, :, x[has] ^ (1 << i)]
+    return table
+
+
+LEAF_COEF = _leaf_table()
+
+
+@dataclass(frozen=True)
+class MaskLayout:
+    """Where the shares of an LSB mask live, one row each: the ell bits of r
+    (least significant first), the products of two or more bits within a
+    window (pairs first), r_0 times every non-empty subset product of the
+    windows above the lowest, then r.  ``monomials[j, s]`` and
+    ``multiples[j, s]`` name the row of window j's product over subset s
+    and of r_0 times it, over the mask extended by a row of ones (``ones``)
+    and one of zeros (``ones + 1``): the empty product is 1, r_0 times it
+    is r_0, and a product over a bit past ell is 0.  The lowest window's
+    r_0-multiples are its own products.  ``layers`` are the two offline
+    product layers as (out, a, b) row arrays, pairs then triples and quads
+    as products over s minus its top two bits and those two bits;
+    ``r0_rows`` and ``r0_factors`` give each r_0-product's row and the row
+    that r_0 multiplies."""
+
+    windows: int
+    rows: int
+    ones: int
+    monomials: np.ndarray
+    multiples: np.ndarray
+    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    r0_rows: np.ndarray
+    r0_factors: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def mask_layout(ell: int) -> MaskLayout:
+    """The mask rows at a prime of ``ell`` bits (``MaskLayout``); windows are
+    bits [4j, 4j + 4) below ell, 8 of them at ell = 31 with 81 products and
+    97 r_0-products, 210 rows in all."""
+    widths = [min(WINDOW, ell - lo) for lo in range(0, ell, WINDOW)]
+    subsets = [(j, s) for j, n in enumerate(widths) for s in range(1, 1 << n)]
+    row = {(j, s): WINDOW * j + s.bit_length() - 1 for j, s in subsets if s & (s - 1) == 0}
+    products = sorted(((bin(s).count("1") > 2, j, s) for j, s in subsets if (j, s) not in row))
+    row.update({(j, s): ell + i for i, (_, j, s) in enumerate(products)})
+    above = [(j, s) for j, s in subsets if j > 0]
+    r0_rows = ell + len(products) + np.arange(len(above))
+    rows = ell + len(products) + len(above) + 1
+    ones, zeros = rows, rows + 1
+    monomials = np.full((len(widths), 1 << WINDOW), zeros)
+    monomials[:, 0] = ones
+    multiples = np.full_like(monomials, zeros)
+    multiples[:, 0] = 0  # r_0 itself
+    for (j, s), i in row.items():
+        monomials[j, s] = i
+        if j == 0:
+            multiples[0, s] = row[0, s | 1]  # r_0 * r_0 = r_0
+    multiples[[j for j, _ in above], [s for _, s in above]] = r0_rows
+    layers = []
+    for wide in (False, True):
+        out, a, b = [], [], []
+        for _, j, s in (t for t in products if t[0] == wide):
+            rest = s
+            for _ in range(2 if wide else 1):
+                rest &= ~(1 << (rest.bit_length() - 1))  # drop the top bit
+            out.append(row[j, s])
+            a.append(row[j, rest])
+            b.append(row[j, s ^ rest])
+        layers.append(tuple(np.array(v, dtype=np.intp) for v in (out, a, b)))
+    return MaskLayout(len(widths), rows, ones, monomials, multiples, tuple(layers),
+                      r0_rows, np.array([row[t] for t in above], dtype=np.intp))
+
+
+def _level_gates(nodes: int, fields: int) -> int:
+    """Gates per column of a carry-tree level over ``nodes`` nodes of
+    ``fields`` fields: P_h times every field of the low node of each pair,
+    but P_l of the lowest pair."""
     pairs = nodes // 2
-    return halves * (2 * pairs - 1) if pairs else 0
+    return fields * pairs - 1 if pairs else 0
 
 
 class MpcError(Exception):
@@ -185,6 +271,7 @@ class Counters:
     rand_sharings: int = 0
     double_sharings: int = 0
     open_log: list = dataclass_field(default_factory=list)
+    phase_cpu: dict = dataclass_field(default_factory=dict)  # seconds, by session._phase
 
     def open_purposes(self) -> set:
         return {tag for tag, _ in self.open_log}
@@ -218,9 +305,9 @@ class PartyContext:
                        for t in (self._rand_t, self._double_t)}
         # per pool, the sharings declared (``expect``) for layers still to come
         self._owed = dict.fromkeys(self._pools, 0)
-        # checked LSB masks, one per column: ell shared bits of r (least
-        # significant first), ell-1 products q_i = r_0*r_i (i >= 1), then r
-        self._masks = np.zeros((2 * field.ell, 0), dtype=np.uint64)
+        # checked LSB masks, one per column, rows as ``mask_layout`` places them
+        self._layout = mask_layout(field.ell)
+        self._masks = np.zeros((self._layout.rows, 0), dtype=np.uint64)
         self._lsb_depth = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -464,91 +551,105 @@ class PartyContext:
             r = np.array([self.field.sqrt(int(v)) for v in a], dtype=np.uint64)
         return np.minimum(r, np.uint64(p) - r)
 
-    def _carry_tree(self, c: np.ndarray, bits: np.ndarray, q: np.ndarray | None = None,
-                    rider: tuple[np.ndarray, np.ndarray] | None = None):
-        """1_{c < r} for public c and r given by its shared bits (least
-        significant first), as the carry-out of a generate/propagate tree
-        over the bit pairs (Catrina-de Hoogh, SCN 2010).  Leaf i holds
-        G = (1-c_i)*r_i and P = [c_i = r_i]; a high node over a low one
-        combines to G = G_h + P_h*G_l and P = P_h*P_l, ceil(log2 ell)
-        levels of one layer each.  With q_i = r_0*r_i (i >= 1) every node
-        also carries r_0*G and r_0*P, combined with RP_h in place of P_h.
-        The node that holds bit 0 is never a high node, so it takes no P.
+    def _window_leaves(self, c: np.ndarray, mask: np.ndarray, fields: int) -> np.ndarray:
+        """The carry-tree leaves of public c against the r of ``mask``, one per
+        window j: G = [r_j > d_j] and P = [r_j = d_j] for the window's digit
+        d_j of c and, with ``fields`` 3, r_0*G.  Each is a sum of ``LEAF_COEF``
+        multiples of the window's pooled products, so no gate is spent.
+        Returns a (fields, windows, k) array."""
+        lay = self._layout
+        k = c.size
+        digits = (np.asarray(c, dtype=np.int64)[None, :]
+                  >> (WINDOW * np.arange(lay.windows))[:, None]) & ((1 << WINDOW) - 1)
+        ext = np.concatenate([mask.astype(np.int64), np.ones((1, k), dtype=np.int64),
+                              np.zeros((1, k), dtype=np.int64)])
+        coef = LEAF_COEF[:, digits]  # (2, windows, k, 2**WINDOW), entries in {-1, 0, 1}
+        leaves = [*np.einsum("fwks,wsk->fwk", coef, ext[lay.monomials])]
+        if fields == 3:
+            leaves.append(np.einsum("wks,wsk->wk", coef[0], ext[lay.multiples]))
+        return (np.stack(leaves) % self.field.p).astype(np.uint64)
 
-        Returns the root's G, and r_0*G when q is given, as a (1 or 2, k)
-        array, with the product of ``rider``, a pair of (rows, k) share
-        arrays multiplied in the first level's layer (None without one).
-        The caller declares the first level (``_level_gates``) one exchange
-        ahead; each level declares the next."""
+    def _carry_tree(self, state: np.ndarray,
+                    riders: list[tuple[np.ndarray, np.ndarray]] = ()) -> tuple[np.ndarray, list]:
+        """The root of a generate/propagate tree over the (fields, nodes, k)
+        leaves ``state``, lowest node first (Catrina-de Hoogh, SCN 2010).
+        Fields are G and P, and optionally r_0*G.  A high node over a low one
+        combines to G = G_h + P_h*G_l, P = P_h*P_l and r_0*G = r_0*G_h +
+        P_h*r_0*G_l, ceil(log2 nodes) levels of one layer each.  The node
+        that holds the lowest digit is never a high node, so it takes no P.
+
+        Returns the root's fields as a (fields, k) array, and the products of
+        ``riders``, pairs of (rows, k) share arrays multiplied in the layers
+        of the first levels, one pair per level.  The caller declares the
+        first level (``_level_gates`` and the first rider) one exchange ahead;
+        each level declares the next."""
         f = self.field
-        ell, k = bits.shape
-        cb = (np.asarray(c, dtype=np.uint64)[None, :]
-              >> np.arange(ell, dtype=np.uint64)[:, None]) & np.uint64(1)
-        one, zero = cb == 1, np.uint64(0)
-        # state[field, node, column]: G, P and, with q, r_0*G and r_0*P
-        fields = [np.where(one, zero, bits), np.where(one, bits, f.sub_vec(np.uint64(1), bits))]
-        if q is not None:
-            rq = np.concatenate([bits[:1], q])  # r_0*r_i, with r_0*r_0 = r_0
-            fields += [np.where(one, zero, rq), np.where(one, rq, f.sub_vec(bits[:1], rq))]
-        state = np.stack(fields)
-        halves = len(fields) // 2
-        ridden = None
+        fields, _, k = state.shape
+        riders, ridden = list(riders), []
+        summed = np.arange(fields) != 1  # the fields that add the high node's
         while state.shape[1] > 1:
             nodes = state.shape[1]
             pairs = nodes // 2
             high, low = state[:, 1:2 * pairs:2], state[:, 0:2 * pairs:2]
-            # P_h and r_0*P_h times G_l and P_l; the lowest pair needs no P
-            shape = (halves, 2, pairs, k)
-            left = np.broadcast_to(high[1::2, None], shape)
-            right = np.broadcast_to(low[None, :2], shape)
-            need = np.ones(shape[:3], dtype=bool)
-            need[:, 1, 0] = False
-            lhs, rhs = left[need], right[need]
+            need = np.ones((fields, pairs), dtype=bool)
+            need[1, 0] = False
+            lhs, rhs = np.broadcast_to(high[1], low.shape)[need], low[need]
             gates = lhs.shape[0]
+            rider = riders.pop(0) if riders else None
             if rider is not None:
                 lhs, rhs = np.concatenate([lhs, rider[0]]), np.concatenate([rhs, rider[1]])
-            self.expect(doubles=_level_gates(nodes - pairs, halves) * k)  # the next level
-            out = self.mul(Shares(f, self.threshold, lhs),
-                           Shares(f, self.threshold, rhs)).values
-            products = np.zeros(shape, dtype=np.uint64)
-            products[need] = out[:gates]
+            self.expect(doubles=_level_gates(nodes - pairs, fields) * k
+                        + (riders[0][0].size if riders else 0))  # the next level
+            out = self.mul(Shares(f, self.threshold, lhs), Shares(f, self.threshold, rhs)).values
             if rider is not None:
-                ridden, rider = out[gates:], None
-            combined = np.empty((2 * halves, pairs, k), dtype=np.uint64)
-            combined[0::2] = f.add_vec(high[0::2], products[:, 0])
-            combined[1::2] = products[:, 1]
-            state = np.concatenate([combined, state[:, 2 * pairs:]], axis=1)
-        return state[0::2, 0], ridden
+                ridden.append(out[gates:])
+            products = np.zeros(low.shape, dtype=np.uint64)
+            products[need] = out[:gates]
+            products[summed] = f.add_vec(products[summed], high[summed])
+            state = np.concatenate([products, state[:, 2 * pairs:]], axis=1)
+        return state[:, 0], ridden
 
     def _prepare_masks(self, n: int) -> None:
-        """Append n checked LSB masks to the mask pool: shared bits of a uniform
-        r < p, the products q_i = r_0*r_i and shares of r.  The q ride on the
-        first layer of the r < p check, a carry tree against public p-1.  The
-        bits of every r >= p are drawn again until all n pass, so a batch pays
-        for one random-bit layer and one check; the rounds spent count as
-        ``offline_rounds``."""
+        """Append n checked LSB masks to the mask pool (``mask_layout``): shared
+        bits of a uniform r < p, their products within each window, r_0 times
+        the products of the windows above the lowest, and shares of r.  The
+        pairs take one layer and the triples and quads a second; then the
+        r < p check, a carry tree over the windows against public p-1, carries
+        the r_0-products on its levels, split evenly.  The bits of every
+        r >= p are drawn again until all n pass, so a batch pays for one
+        random-bit layer, two product layers and one check; the rounds spent
+        count as ``offline_rounds``."""
         start = self.channel.stats.rounds
         self._lsb_depth += 1
         try:
-            ell, p = self.field.ell, self.field.p
-            bits = np.empty((ell, n), dtype=np.uint64)
-            q = np.empty((ell - 1, n), dtype=np.uint64)
+            lay, ell, p = self._layout, self.field.ell, self.field.p
+            levels = (lay.windows - 1).bit_length()
+            chunks = np.array_split(np.arange(lay.r0_rows.size), levels) if levels else []
+            first = _level_gates(lay.windows, 2) + (chunks[0].size if chunks else 0)
+            (pair_layer, wide_layer), f, t = lay.layers, self.field, self.threshold
+            masks = np.empty((lay.rows, n), dtype=np.uint64)
             pending = np.arange(n)
             for _ in range(RETRY_LIMIT + 1):
                 k = pending.size
-                first = (_level_gates(ell, 1) + ell - 1) * k  # the check's first layer
-                bits[:, pending] = drawn = self._random_bits((ell, k), then=first).values
-                pm1 = np.full(k, p - 1, dtype=np.uint64)
-                (too_big,), q[:, pending] = self._carry_tree(  # 1_{r > p-1}
-                    pm1, drawn, rider=(np.broadcast_to(drawn[:1], (ell - 1, k)), drawn[1:]))
-                pending = pending[self.open(Shares(self.field, self.threshold, too_big),
-                                            "lsb_mask") != 0]
+                drawn = np.empty((lay.rows, k), dtype=np.uint64)
+                drawn[:ell] = self._random_bits((ell, k), then=pair_layer[0].size * k).values
+                for (out, a, b), then in ((pair_layer, wide_layer[0].size), (wide_layer, first)):
+                    self.expect(doubles=then * k)  # the next layer
+                    drawn[out] = self.mul(Shares(f, t, drawn[a]), Shares(f, t, drawn[b])).values
+                riders = [(np.broadcast_to(drawn[:1], (c.size, k)), drawn[lay.r0_factors[c]])
+                          for c in chunks]
+                leaves = self._window_leaves(np.full(k, p - 1), drawn, fields=2)
+                (too_big, _), ridden = self._carry_tree(leaves, riders)  # 1_{r > p-1}
+                if ridden:
+                    drawn[lay.r0_rows] = np.concatenate(ridden)
+                masks[:, pending] = drawn
+                pending = pending[self.open(Shares(f, t, too_big), "lsb_mask") != 0]
                 if not pending.size:
                     break
             else:
                 raise RetryExhausted("rejection sampling of r < p did not converge")
-            r = combine_rows(self.field, [pow(2, i, p) for i in range(ell)], bits)
-            self._masks = np.concatenate([self._masks, np.vstack([bits, q, r])], axis=1)
+            masks[-1] = combine_rows(f, [pow(2, i, p) for i in range(ell)], masks[:ell])
+            self._masks = np.concatenate([self._masks, masks], axis=1)
         finally:
             self._lsb_depth -= 1
             self.counters.offline_rounds += self.channel.stats.rounds - start
@@ -556,8 +657,9 @@ class PartyContext:
     def shared_lsb(self, x: Shares) -> Shares:
         """Shares of the least significant bit of the canonical representative:
         LSB(c) XOR r_0 XOR 1_{c < r} for c = x + r opened, where the wrap bit
-        1_{c < r} says that x + r passed p.  The carry tree gives r_0 XOR
-        1_{c < r} = r_0 + G - 2*r_0*G without a gate of its own."""
+        1_{c < r} says that x + r passed p.  The carry tree over the windows
+        gives r_0 XOR 1_{c < r} = r_0 + G - 2*r_0*G without a gate of its
+        own."""
         k = x.size
         if k == 0:
             return Shares(self.field, self.threshold, x.values.copy())
@@ -565,13 +667,12 @@ class PartyContext:
         if self._masks.shape[1] < k:
             self._prepare_masks(k - self._masks.shape[1])
         mask, self._masks = self._masks[:, :k], self._masks[:, k:]
-        ell = self.field.ell
         self._lsb_depth += 1
         try:
             r = Shares(self.field, self.threshold, mask[-1])
-            self.expect(doubles=_level_gates(ell, 2) * k)  # the tree's first level
+            self.expect(doubles=_level_gates(self._layout.windows, 3) * k)  # the first level
             c = self.open(x.reshape(-1) + r, "lsb_mask")
-            (g, rg), _ = self._carry_tree(c, mask[:ell], mask[ell:-1])
+            (g, _, rg), _ = self._carry_tree(self._window_leaves(c, mask, fields=3))
             f = self.field
             toggle = f.sub_vec(f.add_vec(mask[0], g), f.add_vec(rg, rg))  # r_0 XOR 1_{c<r}
             out = np.where((c & np.uint64(1)) == 1, f.sub_vec(np.uint64(1), toggle), toggle)

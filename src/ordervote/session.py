@@ -15,18 +15,20 @@ TCP.  With fixed seeds both backends produce identical results.
 
 from __future__ import annotations
 
+import itertools
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from . import validation
+from . import transport, validation
 from .ballots import (SharedBallot, TallierBundle, decode_bundle,
                       ranking_to_matrix, share_ballot)
 from .config import ElectionConfig
-from .engine import PartyContext
+from .engine import InconsistentOpen, PartyContext
 from .tally import (TallyResult, aggregate, copeland_scores, kemeny_winners,
                     lsb_extractions, maximin_scores, top_k)
 from .transport import InMemoryHub, RoundTimeout, SessionChannel, SocketTransport
@@ -44,6 +46,7 @@ class ElectionOutcome:
     per_party_results: list[TallyResult] = dataclass_field(default_factory=list)
     captures: dict[int, dict] = dataclass_field(default_factory=dict)
     rejected_proofs: dict[int, np.ndarray] = dataclass_field(default_factory=dict)
+    phase_cpu: dict[str, float] = dataclass_field(default_factory=dict)  # T1's, per phase
 
 
 def make_shared_ballots(config: ElectionConfig, rankings) -> list[SharedBallot]:
@@ -118,16 +121,35 @@ def _copy_numbers(ids: np.ndarray) -> np.ndarray:
     return out
 
 
+def _exchange_ids(ctx: PartyContext, ids: np.ndarray) -> dict[int, np.ndarray]:
+    """Every tallier's ``ids``, sent in chunks that fit ``transport.MAX_FRAME``,
+    each followed by a word that says whether more follow; the rounds go on
+    until no tallier has more, so lists that fit take one round."""
+    step = (transport.MAX_FRAME - transport.HEADER.size) // 8 - 1
+    held: dict[int, list[np.ndarray]] = {}
+    for start in itertools.count(0, step):
+        chunk = ids[start:start + step]
+        more = np.uint64(start + step < ids.size)
+        got = ctx.channel.exchange_all(np.append(chunk, more))
+        for d, payload in got.items():
+            if payload.size == 0:
+                raise InconsistentOpen(f"T{d} sent an empty roster frame in round "
+                                       f"{ctx.channel.stats.rounds - 1}")
+            held.setdefault(d, []).append(payload[:-1])
+        if not any(payload[-1] for payload in got.values()):
+            return {d: np.concatenate(parts) for d, parts in held.items()}
+
+
 def _agree_roster(ctx: PartyContext,
                   bundles: list[TallierBundle]) -> tuple[list[int], set[int]]:
-    """The voter ids every tallier validates, agreed in one round, and the
-    ids some tallier holds more than once.  Each tallier sends the ids of its
+    """The voter ids every tallier validates, agreed in one round whenever
+    every tallier's ids fit a frame (``_exchange_ids``), and the ids some
+    tallier holds more than once.  Each tallier sends the ids of its
     bundles, in its order, and the roster lists T1's ids, then each further
     tallier's copies beyond those already listed.  So an id appears as often
     as the tallier with the most copies holds it, every tallier derives the
     same roster, and talliers that hold the same list get that list back."""
-    held = ctx.channel.exchange_all(np.array([b.voter_id for b in bundles],
-                                             dtype=np.uint64))
+    held = _exchange_ids(ctx, np.array([b.voter_id for b in bundles], dtype=np.uint64))
     ids = np.concatenate([held[d] for d in sorted(held)])
     copies = np.concatenate([_copy_numbers(held[d]) for d in sorted(held)])
     order = np.lexsort((copies, ids))  # stable: each (id, copy) pair's first holder leads
@@ -168,13 +190,16 @@ def validate_bundles(ctx: PartyContext, config: ElectionConfig,
 @contextmanager
 def _phase(ctx: PartyContext, phases: dict[str, dict], name: str) -> Iterator[None]:
     """Record in ``phases[name]`` how far the phase moves each ``summary()``
-    counter of this party; a round timeout in it is re-raised naming it."""
-    before = ctx.summary()
+    counter of this party, and in ``ctx.counters.phase_cpu[name]`` the
+    processor time of this party's thread; a round timeout in the phase is
+    re-raised naming it."""
+    before, cpu = ctx.summary(), time.thread_time()
     try:
         yield
     except RoundTimeout as err:
         raise RoundTimeout(err.round_no, err.missing, name) from err
     phases[name] = {k: v - before[k] for k, v in ctx.summary().items()}
+    ctx.counters.phase_cpu[name] = time.thread_time() - cpu
 
 
 def tallier_program(ctx: PartyContext, config: ElectionConfig,
@@ -233,14 +258,25 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
     return result, verdicts, proofs
 
 
-def run_local_election(config: ElectionConfig, ballots: list[SharedBallot],
+Ballots = list[SharedBallot] | dict[int, list[TallierBundle]]
+
+
+def _bundles_of(ballots: Ballots, party_id: int) -> list[TallierBundle]:
+    """Tallier ``party_id``'s bundles: its share of each ballot, or its own
+    spool when ``ballots`` maps each tallier to one.  Spools need not list
+    the voters in the same order; the roster pairs them by voter id."""
+    if isinstance(ballots, dict):
+        return ballots[party_id]
+    return [b.bundle_for(party_id) for b in ballots]
+
+
+def run_local_election(config: ElectionConfig, ballots: Ballots,
                        capture: bool = False) -> ElectionOutcome:
     """Run all D talliers as threads over the in-memory transport."""
     def program(ctx: PartyContext):
         if capture:
             ctx.capture_store = {}
-        bundles = [b.bundle_for(ctx.party_id) for b in ballots]
-        return (ctx, *tallier_program(ctx, config, bundles))
+        return (ctx, *tallier_program(ctx, config, _bundles_of(ballots, ctx.party_id)))
 
     runs = _run_local(config, program)
     per_party = [runs[d][1] for d in range(1, config.talliers + 1)]
@@ -251,7 +287,8 @@ def run_local_election(config: ElectionConfig, ballots: list[SharedBallot],
     captures = {d: run[0].capture_store for d, run in runs.items()} if capture else {}
     _, _, verdicts, proofs = runs[1]
     return ElectionOutcome(result=first, verdicts=verdicts, per_party_results=per_party,
-                           captures=captures, rejected_proofs=proofs)
+                           captures=captures, rejected_proofs=proofs,
+                           phase_cpu=runs[1][0].counters.phase_cpu)
 
 
 def run_socket_tallier(config: ElectionConfig, party_id: int,
@@ -280,12 +317,11 @@ def _validation_program(ctx: PartyContext, config: ElectionConfig,
     return verdicts, phases["validate"]
 
 
-def run_local_validation(config: ElectionConfig,
-                         ballots: list[SharedBallot]) -> tuple[list, dict]:
+def run_local_validation(config: ElectionConfig, ballots: Ballots) -> tuple[list, dict]:
     """Validation phase only (threads over the in-memory hub); returns T1's
     (verdicts, validate counters)."""
     return _run_local(config, lambda ctx: _validation_program(
-        ctx, config, [b.bundle_for(ctx.party_id) for b in ballots]))[1]
+        ctx, config, _bundles_of(ballots, ctx.party_id)))[1]
 
 
 def run_socket_validation(config: ElectionConfig, party_id: int,

@@ -35,7 +35,7 @@ import numpy as np
 
 from .ballots import TallierBundle, entry_pairs, upper_pairs
 from .config import check_field_bounds, rank_vectors, ranking_winners
-from .engine import PartyContext, Shares
+from .engine import WINDOW, PartyContext, Shares
 
 KEMENY_MAX_CANDIDATES = 6
 
@@ -103,39 +103,40 @@ def lsb_extractions(rule: str, m: int, k: int) -> int:
 def phase_rounds(rule: str, m: int, k: int, ell: int,
                  open_scores: bool = False) -> dict[str, int]:
     """Communication rounds per phase of a tally of legal ballots that
-    validate in one batch, at a prime of ``ell`` bits.  An LSB extraction
-    opens x + r and runs s = ceil(log2 ell) carry-tree levels; a min or
-    argmax level adds its select; L(n) = ceil(log2 n).
+    validate in one batch, at a prime of ``ell`` >= 3 bits.  An LSB extraction
+    opens x + r and runs t = ceil(log2 ceil(ell/4)) carry-tree levels over
+    the 4-bit windows of r (``engine.WINDOW``); a min or argmax level adds
+    its select; L(n) = ceil(log2 n).
 
     * offline, when the tally extracts at all: a deal round, the random bits
-      (a square and its opening) and the r < p check (s levels and an
-      opening), 3 + (s + 1);
+      (a square and its opening), the two layers of products within windows
+      and the r < p check (t levels and an opening), 3 + (2 + t + 1);
     * validate: the roster round, then, when a ballot shares any entry, a
       deal round, the degree check, the product layers (M(M-1)/2, or one for
       kemeny) and their opening;
-    * score: s + 1 for copeland, L(M-1)(s + 2) for maximin;
-    * select: L(n)(s + 2) + 1 per argmax over n entries and the opening of
+    * score: 1 + t for copeland, L(M-1)(t + 2) for maximin;
+    * select: L(n)(t + 2) + 1 per argmax over n entries and the opening of
       its winner; 1 more for ``open_scores`` (copeland and maximin).
 
     A redraw of random bits (a zero square, or an r >= p) adds rounds, about
     2**-ell of masks, so the model is exact at large p and a lower bound at
     small p."""
-    s = (ell - 1).bit_length()
-
     def levels(n: int) -> int:
         return max(n - 1, 0).bit_length()
 
+    t = levels(-(-ell // WINDOW))
+
     pairs = len(upper_pairs(m))
     products = (1 if rule == "kemeny" else pairs) if pairs else 0
-    rounds = {"offline": 3 + (s + 1) if lsb_extractions(rule, m, k) else 0,
+    rounds = {"offline": 3 + (2 + t + 1) if lsb_extractions(rule, m, k) else 0,
               "validate": 1 + (3 + products if pairs else 0),
               "aggregate": 0}
     if rule == "kemeny":
-        rounds["select"] = levels(math.factorial(m)) * (s + 2) + 1
+        rounds["select"] = levels(math.factorial(m)) * (t + 2) + 1
         return rounds
-    rounds["score"] = (s + 1 if pairs else 0) if rule == "copeland" \
-        else levels(m - 1) * (s + 2)
-    rounds["select"] = sum(levels(m - j + 1) * (s + 2) + 1 for j in range(1, k + 1)) \
+    rounds["score"] = (1 + t if pairs else 0) if rule == "copeland" \
+        else levels(m - 1) * (t + 2)
+    rounds["select"] = sum(levels(m - j + 1) * (t + 2) + 1 for j in range(1, k + 1)) \
         + int(open_scores)
     return rounds
 

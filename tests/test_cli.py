@@ -140,6 +140,34 @@ def test_oracle_side_by_side(tmp_path, capsys):
     assert "scores (t*w): [4, 2, 0]" in out
 
 
+def test_spools_in_different_orders_pair_by_voter_id(tmp_path, capsys):
+    """T2's spool holds voters 2 and 3 in the other order, as two ``vote``
+    commands run at once can leave it.  In-process ``validate`` and ``tally``
+    pair the talliers' spools by voter id: all four ballots are accepted
+    and the winner is the oracle's, which needs voters 2 and 3."""
+    cfg = write_config(tmp_path / "cfg.json")
+    session = tmp_path / "sess"
+    assert main(["setup", "--config", str(cfg), "--session", str(session)]) == 0
+    for order in ("C1,C2,C3", "C2,C3,C1", "C2,C1,C3", "C3,C2,C1"):
+        assert main(["vote", "--session", str(session), "--order", order,
+                     "--keep-plain"]) == 0
+    spool = session / "ballots" / "tallier_2.jsonl"
+    lines = spool.read_text().splitlines()
+    spool.write_text("\n".join([lines[0], lines[2], lines[1], lines[3]]) + "\n")
+    capsys.readouterr()
+
+    assert main(["validate", "--session", str(session)]) == 0
+    assert "validated 4 ballots: 4 accepted, 0 rejected" in capsys.readouterr().out
+    assert main(["tally", "--session", str(session)]) == 0
+    assert "winner 1: C2 (C2)" in capsys.readouterr().out
+    audit = [json.loads(line) for line in
+             (session / "audit.jsonl").read_text().splitlines()]
+    assert [(rec["voter_id"], rec["accepted"]) for rec in audit] == \
+        [(1, True), (2, True), (3, True), (4, True)]
+    assert main(["oracle", "--session", str(session)]) == 0
+    assert "oracle winners: [2]" in capsys.readouterr().out
+
+
 def test_oracle_from_ballot_file(tmp_path, capsys):
     ballots = tmp_path / "ballots.json"
     ballots.write_text(json.dumps({
@@ -152,7 +180,9 @@ def test_oracle_from_ballot_file(tmp_path, capsys):
 
 def test_bench_smoke(tmp_path, capsys):
     """One tally of 20 random ballots, twice: a row per phase and a total row
-    whose counters are the sums of the phases', printed and written alike."""
+    whose counters are the sums of the phases', printed and written alike.
+    Each row holds T1's processor seconds and the modelled latency of
+    processor time plus rounds x L for L of 1 and 20 ms."""
     cfg = write_config(tmp_path / "cfg.json", candidates=["A", "B", "C"],
                        expected_voters=20)
     out_file = tmp_path / "bench.json"
@@ -168,7 +198,12 @@ def test_bench_smoke(tmp_path, capsys):
     total = rows.pop("total")
     assert total.pop("seconds_median") > 0
     assert {k: sum(r[k] for r in rows.values()) for k in total} == total
+    assert rows["validate"]["cpu_s"] > 0
+    for row in rows.values():
+        assert row["at_1ms_s"] == pytest.approx(row["cpu_s"] + 0.001 * row["comm_rounds"])
+        assert row["at_20ms_s"] == pytest.approx(row["cpu_s"] + 0.020 * row["comm_rounds"])
     out = capsys.readouterr().out.splitlines()
+    assert out[1].split()[-4:] == ["cpu", "at_1ms", "at_20ms", "seconds"]
     assert [line.split()[0] for line in out[2:]] == [*rows, "total"]
     assert out[-1].split()[1:4] == [str(total[k]) for k in
                                     ("comm_rounds", "offline_rounds", "deal_rounds")]

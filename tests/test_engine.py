@@ -5,8 +5,9 @@ import pytest
 from scipy import stats
 
 from conftest import deal, dealt_shares, run_parties
-from ordervote.engine import (DegreeOverflow, DoubleSharing, InconsistentOpen,
-                              MpcError, PartyContext, RetryExhausted, Shares)
+from ordervote.engine import (LEAF_COEF, WINDOW, DegreeOverflow, DoubleSharing,
+                              InconsistentOpen, MpcError, PartyContext, RetryExhausted,
+                              Shares, mask_layout)
 from ordervote.field import PrimeField
 from ordervote.oracle import plain_primitive
 from ordervote.shamir import degree_at_most, reconstruct_batch
@@ -301,34 +302,82 @@ def test_compare_bounded_exhaustive(p):
     assert got.tolist() == [plain_primitive("compare", [a, b], p) for a, b in pairs]
 
 
+def test_leaf_table_gives_the_window_comparisons_exhaustively():
+    """For every digit d and every 4-bit x, the leaf coefficients summed over
+    the products of x's bits give [x > d] and [x = d]; they are small
+    integers, so a leaf sums in int64 and reduces once."""
+    x = np.arange(1 << WINDOW)
+    products = (x[:, None] & x[None, :]) == x[None, :]  # [x, s]: the bits of s are set in x
+    leaves = np.einsum("ids,xs->idx", LEAF_COEF, products.astype(np.int64))
+    assert leaves[0].tolist() == (x[None, :] > x[:, None]).astype(int).tolist()
+    assert leaves[1].tolist() == (x[None, :] == x[:, None]).astype(int).tolist()
+    assert set(np.unique(LEAF_COEF).tolist()) == {-1, 0, 1}
+
+
+def test_mask_layout_at_31_bits():
+    """At ell = 31: 8 windows, the top one of 3 bits; 45 pairs and 36 triples
+    and quads within windows, 97 r_0-products and r, every row named once."""
+    lay = mask_layout(31)
+    assert lay.windows == 8
+    assert [layer[0].size for layer in lay.layers] == [45, 36]
+    assert lay.r0_rows.size == 97 and lay.rows == 31 + 81 + 97 + 1
+    named = np.concatenate([lay.monomials.ravel(), lay.multiples.ravel()])
+    assert sorted(set(named.tolist())) == [*range(lay.rows - 1), lay.ones, lay.ones + 1]
+
+
 def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
     """One bounded comparison at ell = 31, its pools pre-filled.  Offline: 31
-    squares of random bits and the r < p check, a carry tree of G and P
-    (29+15+7+3+1 gates) whose first layer also takes the 30 products
-    q_i = r_0*r_i, 2 + 6 rounds.  Online: open x + r, then the tree with
-    r_0*G and r_0*P folded in (58+30+14+6+2 gates) in 5 rounds, with no XOR
-    gate.  The pre-filled pools take the one deal round."""
+    squares of random bits, the 45 pairs and 36 triples and quads within the
+    windows, and the r < p check, a carry tree of G and P over 8 windows
+    (7+3+1 gates) whose levels also take the 97 products of r_0 with the
+    higher windows: 2 + 2 + 3 + 1 rounds.  Online: open x + r, then the tree
+    with r_0*G (11+5+2 gates) in 3 rounds, with no XOR gate.  The pre-filled
+    pools take the one deal round."""
     def prog(ctx):
         a, b = ctx.constant(3), ctx.constant(5)
         ctx.pregenerate(rand=2048, doubles=2048, masks=1)
         rounds = ctx.channel.stats.rounds
+        gates = ctx.counters.mul_gates
         bit = ctx.compare_bounded(a, b)
-        cost = dict(ctx.summary(), online_rounds=ctx.channel.stats.rounds - rounds)
+        cost = dict(ctx.summary(), online_rounds=ctx.channel.stats.rounds - rounds,
+                    online_gates=ctx.counters.mul_gates - gates)
         return cost, int(ctx.open(bit, "final_output")[0])
 
     cost, bit = run_parties(3, 2, f_mersenne31, prog)[1]
     assert bit == 1
-    assert cost["mul_gates"] == (31 + 55 + 30) + 110 == 226
-    assert cost["online_rounds"] == 6
+    assert cost["mul_gates"] == (31 + 45 + 36 + 97 + 11) + 18 == 238
+    assert cost["online_gates"] == 18
+    assert cost["online_rounds"] == 4
     assert cost["offline_rounds"] == 8
     assert cost["deal_rounds"] == 1
 
 
+def test_offline_frames_stay_within_121_words_per_mask(f_mersenne31):
+    """Preparing masks from empty pools at ell = 31, no frame carries more than
+    121 words per mask: the squares' opening with the deal of the 45 pairs."""
+    masks = 10
+
+    def prog(ctx):
+        sent = []
+        send = ctx.channel.transport.send
+
+        def recorded(to, msg):
+            sent.append(len(msg.payload))
+            send(to, msg)
+
+        ctx.channel.transport.send = recorded
+        ctx.pregenerate(masks=masks)
+        return max(sent)
+
+    assert run_parties(3, 2, f_mersenne31, prog)[1] == (31 + 2 * 45) * masks
+
+
 def test_masks_are_bits_of_a_uniform_r_below_p(f31):
-    """Prepared masks hold shared bits, the products q_i = r_0*r_i (i >= 1)
-    and the bits' recomposition r < p.  At p = 31 one r in 32 is rejected,
-    so 300 masks exercise the redraw; the preparation rounds count as
-    offline, and extractions from a full pool prepare nothing more."""
+    """Prepared masks hold shared bits, their products within each window,
+    r_0 times the products of the windows above the lowest, and the bits'
+    recomposition r < p.  At p = 31 one r in 32 is rejected, so 300 masks
+    exercise the redraw; the preparation rounds count as offline, and
+    extractions from a full pool prepare nothing more."""
     def prog(ctx):
         ctx.pregenerate(masks=300)
         offline = ctx.counters.offline_rounds
@@ -337,11 +386,20 @@ def test_masks_are_bits_of_a_uniform_r_below_p(f31):
         return masks, offline, ctx.counters.offline_rounds, ctx._masks.shape[1]
 
     masks, offline, after, left = run_parties(3, 2, f31, prog)[1]
-    ell = f31.ell
-    bits, q, r = masks[:ell].astype(int), masks[ell:-1].astype(int), masks[-1].astype(int)
+    lay, ell = mask_layout(f31.ell), f31.ell
+    assert masks.shape == (lay.rows, 300) == (5 + 11 + 1 + 1, 300)
+    bits, r = masks[:ell].astype(int), masks[-1].astype(int)
     assert set(np.unique(bits).tolist()) == {0, 1}
-    assert q.tolist() == (bits[:1] * bits[1:]).tolist()
-    assert r.tolist() == (bits * (1 << np.arange(f31.ell))[:, None]).sum(axis=0).tolist()
+    ext = np.vstack([masks.astype(int), np.ones((1, 300), dtype=int),
+                     np.zeros((1, 300), dtype=int)])
+    padded = np.vstack([bits, np.zeros((WINDOW * lay.windows - ell, 300), dtype=int)])
+    for j in range(lay.windows):
+        for s in range(1 << WINDOW):
+            product = np.prod(padded[[WINDOW * j + i for i in range(WINDOW) if s >> i & 1]],
+                              axis=0)
+            assert ext[lay.monomials[j, s]].tolist() == product.tolist(), (j, s)
+            assert ext[lay.multiples[j, s]].tolist() == (bits[0] * product).tolist(), (j, s)
+    assert r.tolist() == (bits * (1 << np.arange(ell))[:, None]).sum(axis=0).tolist()
     assert r.max() < 31 and len(set(r.tolist())) > 20
     assert offline > 0 and after == offline and left == 0
 
