@@ -130,6 +130,101 @@ class SharedBallot:
         return TallierBundle(self.voter_id, self.rule, self.m, self.bundles[party - 1])
 
 
+@dataclass(frozen=True)
+class Spool:
+    """One tallier's ballots of a (rule, M) session, held as columns.
+
+    Row i holds voter ``ids[i]``'s shares of the C entries of
+    ``entry_pairs(rule, m)``, reduced mod p.  A row whose submission does
+    not fit the session (another rule or M, a wrong length, or a value that
+    is no 64-bit word) is ``malformed`` and holds zeros; validation sends p
+    for it, so every tallier rejects it alike.  Indexing a spool with a
+    slice, an index array or a mask gives the spool of those rows.
+    """
+
+    rule: str
+    m: int
+    ids: np.ndarray  # (N,) uint64
+    shares: np.ndarray  # (N, C) uint64, each < p
+    malformed: np.ndarray  # (N,) bool
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, rows) -> Spool:
+        return Spool(self.rule, self.m, self.ids[rows], self.shares[rows], self.malformed[rows])
+
+    @classmethod
+    def build(cls, rule: str, m: int, p: int, ids, rows: list) -> Spool:
+        """The spool of ``ids``, with ``rows[i]`` voter ``ids[i]``'s shares,
+        or None when the submission is malformed; a row of the wrong length
+        is malformed too."""
+        width = len(entry_pairs(rule, m))
+        ok = np.fromiter((r is not None and len(r) == width for r in rows), bool, len(rows))
+        if ok.all():
+            shares = np.array(rows, dtype=np.uint64).reshape(len(rows), width)
+        else:
+            shares = np.zeros((len(rows), width), dtype=np.uint64)
+            if ok.any():
+                shares[ok] = np.array([r for r, good in zip(rows, ok) if good], dtype=np.uint64)
+        shares %= np.uint64(p)
+        return cls(rule, m, np.array(ids, dtype=np.uint64).reshape(-1), shares, ~ok)
+
+    @classmethod
+    def from_bundles(cls, bundles: list[TallierBundle], rule: str, m: int, p: int) -> Spool:
+        """One tallier's bundles, in their order; a bundle of another rule or
+        M is malformed."""
+        return cls.build(rule, m, p, [b.voter_id for b in bundles],
+                         [b.values if (b.rule, b.m) == (rule, m) else None for b in bundles])
+
+    @classmethod
+    def from_ballots(cls, ballots: list[SharedBallot], rule: str, m: int, p: int,
+                     parties: int) -> dict[int, Spool]:
+        """Every tallier's spool of the shared ballots, split for all talliers
+        at once: party d's shares form row d-1 of one (D, N, C) block, so each
+        spool is a contiguous view of it.  A ballot of another rule, M or
+        shape is malformed."""
+        width = len(entry_pairs(rule, m))
+        n = len(ballots)
+        ok = np.fromiter(((b.rule, b.m, b.bundles.shape) == (rule, m, (parties, width))
+                          for b in ballots), bool, n)
+        good = [b.bundles for b, fits in zip(ballots, ok) if fits]
+        block = np.concatenate(good, axis=1).astype(np.uint64, copy=False) if good \
+            else np.zeros((parties, 0), dtype=np.uint64)
+        block = block.reshape(parties, len(good), width)
+        if not ok.all():
+            full = np.zeros((parties, n, width), dtype=np.uint64)
+            full[:, ok] = block
+            block = full
+        block %= np.uint64(p)
+        ids = np.fromiter((b.voter_id for b in ballots), np.uint64, n)
+        return {d: cls(rule, m, ids, block[d - 1], ~ok) for d in range(1, parties + 1)}
+
+    def rows(self, ids) -> np.ndarray:
+        """The row that holds each of ``ids``, -1 where none does (for an id
+        held twice, its first row)."""
+        ids = np.asarray(ids, dtype=np.uint64)
+        if not len(self):
+            return np.full(ids.size, -1)
+        order = np.argsort(self.ids, kind="stable")
+        rows = order[np.minimum(np.searchsorted(self.ids[order], ids), order.size - 1)]
+        return np.where(self.ids[rows] == ids, rows, -1)
+
+    def select(self, ids) -> Spool:
+        """The rows of ``ids``, in that order; an id this spool lacks gets a
+        malformed row.  The spool itself when it holds ``ids`` in that order."""
+        ids = np.asarray(ids, dtype=np.uint64)
+        rows = self.rows(ids)
+        if rows.size == len(self) and np.array_equal(rows, np.arange(rows.size)):
+            return self
+        held = rows >= 0
+        shares = np.zeros((ids.size, self.shares.shape[1]), dtype=np.uint64)
+        shares[held] = self.shares[rows[held]]
+        malformed = ~held
+        malformed[held] = self.malformed[rows[held]]
+        return Spool(self.rule, self.m, ids, shares, malformed)
+
+
 def matrix_entry_values(q: BallotMatrix, field: PrimeField) -> np.ndarray:
     """Shared entries of the matrix in canonical order, negatives embedded mod p."""
     vals = [q.entry(a, b) % field.p for a, b in entry_pairs(q.rule, q.m)]
@@ -158,8 +253,11 @@ def encode_bundle(bundle: TallierBundle) -> np.ndarray:
                            np.asarray(bundle.values, dtype=np.uint64)])
 
 
-def decode_bundle(payload: np.ndarray, rule: str, m: int) -> TallierBundle:
-    return TallierBundle(int(payload[0]), rule, m, payload[1:])
+def decode_spool(payloads: list[np.ndarray], rule: str, m: int, p: int) -> Spool:
+    """The spool of submission payloads (``encode_bundle``), ordered by
+    voter id; the transport refuses a payload without a voter id."""
+    spool = Spool.build(rule, m, p, [pl[0] for pl in payloads], [pl[1:] for pl in payloads])
+    return spool[np.argsort(spool.ids, kind="stable")]
 
 
 # -- CLI ballot input -----------------------------------------------------------

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from .ballots import (InvalidRanking, TallierBundle, encode_bundle,
-                      parse_order, parse_ranks, ranking_to_matrix, share_ballot)
+from .ballots import (InvalidRanking, Spool, encode_bundle, parse_order, parse_ranks,
+                      ranking_to_matrix, share_ballot)
 from .config import ConfigError, ElectionConfig
 from .session import (SESSION, make_shared_ballots, run_local_election,
                       run_local_validation, run_socket_tallier, run_socket_validation)
@@ -50,16 +50,37 @@ def _spool_path(session: Path, party: int) -> Path:
     return session / "ballots" / f"tallier_{party}.jsonl"
 
 
-def _read_spool(session: Path, party: int) -> list[TallierBundle]:
+class BadSpool(Exception):
+    """A spool line that names no voter; the message gives its path and line."""
+
+
+def _is_word(value) -> bool:
+    return type(value) is int and 0 <= value < 1 << 64  # bool is no int here
+
+
+def _read_spool(session: Path, config: ElectionConfig, party: int) -> Spool:
+    """Tallier ``party``'s spool, in file order.  A line whose rule or M is
+    not the session's, or whose ``values`` are not C integers in [0, 2**64),
+    is a malformed row, which every tallier rejects as ``Malformed``.  A
+    line that is not a JSON object with an integer ``voter_id`` in
+    [1, 2**64) raises ``BadSpool``."""
     path = _spool_path(session, party)
-    bundles = []
-    if path.exists():
-        for line in path.read_text().splitlines():
+    ids, rows = [], []
+    lines = path.read_text().splitlines() if path.exists() else []
+    for number, line in enumerate(lines, start=1):
+        try:
             rec = json.loads(line)
-            bundles.append(TallierBundle(
-                voter_id=rec["voter_id"], rule=rec["rule"], m=rec["m"],
-                values=np.array(rec["values"], dtype=np.uint64)))
-    return bundles
+        except json.JSONDecodeError as err:
+            raise BadSpool(f"{path}:{number}: not JSON ({err.msg})") from None
+        voter_id = rec.get("voter_id") if isinstance(rec, dict) else None
+        if not _is_word(voter_id) or voter_id < 1:
+            raise BadSpool(f"{path}:{number}: no integer voter_id in [1, 2**64)")
+        values = rec.get("values")
+        fits = (rec.get("rule"), rec.get("m")) == (config.rule, config.m) \
+            and isinstance(values, list) and all(_is_word(v) for v in values)
+        ids.append(voter_id)
+        rows.append(values if fits else None)
+    return Spool.build(config.rule, config.m, config.prime, ids, rows)
 
 
 def cmd_setup(args) -> int:
@@ -81,9 +102,8 @@ def cmd_setup(args) -> int:
     return 0
 
 
-def _next_voter_id(session: Path) -> int:
-    existing = _read_spool(session, 1)
-    return max((b.voter_id for b in existing), default=0) + 1
+def _next_voter_id(session: Path, config: ElectionConfig) -> int:
+    return int(_read_spool(session, config, 1).ids.max(initial=0)) + 1
 
 
 def cmd_vote(args) -> int:
@@ -105,7 +125,7 @@ def cmd_vote(args) -> int:
     if args.voter_id is not None and args.voter_id < 1:  # ids travel as uint64
         print("ballot rejected: --voter-id must be at least 1", file=sys.stderr)
         return 2
-    voter_id = args.voter_id or _next_voter_id(session)
+    voter_id = args.voter_id or _next_voter_id(session, config)
     matrix = ranking_to_matrix(config.rule, ranking, config.m)
     shared = share_ballot(matrix, config.field, config.threshold, config.talliers,
                           config.voter_rng(voter_id), voter_id)
@@ -146,18 +166,18 @@ def _write_audit(session: Path, verdicts) -> None:
             fh.write(json.dumps(v.record(), sort_keys=True) + "\n")
 
 
-def _spools(session: Path, config: ElectionConfig) -> dict[int, list[TallierBundle]]:
-    """Every tallier's spooled bundles (in-process mode); the talliers pair
-    them by voter id, so the spools may list the voters in any order."""
-    return {d: _read_spool(session, d) for d in range(1, config.talliers + 1)}
+def _spools(session: Path, config: ElectionConfig) -> dict[int, Spool]:
+    """Every tallier's spool (in-process mode); the talliers pair them by
+    voter id, so the spools may list the voters in any order."""
+    return {d: _read_spool(session, config, d) for d in range(1, config.talliers + 1)}
 
 
 def cmd_validate(args) -> int:
     session = _session_dir(args.session)
     config = _load_config(session)
     if args.party:
-        bundles = _read_spool(session, args.party)
-        verdicts, counters = run_socket_validation(config, args.party, bundles)
+        verdicts, counters = run_socket_validation(
+            config, args.party, _read_spool(session, config, args.party))
     else:
         verdicts, counters = run_local_validation(config, _spools(session, config))
     _write_audit(session, verdicts)
@@ -188,7 +208,7 @@ def cmd_tally(args) -> int:
         config = config.with_overrides(reconstruct_rejected=True)
 
     if args.party:
-        bundles = None if args.expect_votes else _read_spool(session, args.party)
+        bundles = None if args.expect_votes else _read_spool(session, config, args.party)
         result, verdicts, proofs = run_socket_tallier(config, args.party, bundles,
                                                       args.expect_votes)
     else:
@@ -231,10 +251,12 @@ LATENCIES_MS = (1, 20)  # modelled one-way delay per communication round
 def cmd_bench(args) -> int:
     """Tally ``--voters`` random legal ballots ``--reps`` times in process;
     print party 1's counters per phase and in total (they repeat exactly),
-    the median processor seconds of party 1's thread per phase, a modelled
-    latency of those seconds plus rounds x L for each L of ``LATENCIES_MS``,
-    and the median wall time of the whole tally.  The total row's processor
-    and modelled seconds are the sums of the phases'."""
+    the median wall seconds party 1 was blocked waiting for its peers and
+    the median processor seconds of its thread per phase, a modelled
+    latency of those processor seconds plus rounds x L for each L of
+    ``LATENCIES_MS``, and the median wall time of the whole tally.  The total
+    row's waiting, processor and modelled seconds are the sums of the
+    phases'."""
     config = ElectionConfig.loads(Path(args.config).read_text())
     if args.seed is not None:
         config = config.with_overrides(seed=args.seed)
@@ -245,30 +267,32 @@ def cmd_bench(args) -> int:
     voters = args.voters or config.expected_voters
     rankings = _random_rankings(config, voters, np.random.default_rng(config.seed))
     ballots = make_shared_ballots(config, rankings)
-    seconds, cpu = [], []
+    seconds, wait, cpu = [], [], []
     for _ in range(args.reps):
         start = time.perf_counter()
         outcome = run_local_election(config, ballots)
         seconds.append(time.perf_counter() - start)
+        wait.append(outcome.phase_wait)
         cpu.append(outcome.phase_cpu)
     counters = dict(outcome.result.counters)
-    rows = [dict(phase=name, cpu_s=statistics.median(rep[name] for rep in cpu), **c)
+    rows = [dict(phase=name, wait_s=statistics.median(rep[name] for rep in wait),
+                 cpu_s=statistics.median(rep[name] for rep in cpu), **c)
             for name, c in counters.pop("phases").items()]
     for row in rows:
         row.update({f"at_{ms}ms_s": row["cpu_s"] + row["comm_rounds"] * ms / 1000
                     for ms in LATENCIES_MS})
-    modelled = ["cpu_s", *(f"at_{ms}ms_s" for ms in LATENCIES_MS)]
+    timed = ["wait_s", "cpu_s", *(f"at_{ms}ms_s" for ms in LATENCIES_MS)]
     rows.append(dict(phase="total", seconds_median=statistics.median(seconds), **counters,
-                     **{key: sum(row[key] for row in rows) for key in modelled}))
+                     **{key: sum(row[key] for row in rows) for key in timed}))
 
     print(f"{config.rule} M={config.m} K={config.num_winners} D={config.talliers} "
-          f"N={voters}, {args.reps} runs, counters and processor time of T1")
+          f"N={voters}, {args.reps} runs, counters, waiting and processor time of T1")
     print(f"{'phase':10s}" + "".join(f" {title:>9s}" for title, _ in BENCH_COLUMNS)
-          + "".join(f" {key[:-2]:>9s}" for key in modelled) + f" {'seconds':>9s}")
+          + "".join(f" {key[:-2]:>9s}" for key in timed) + f" {'seconds':>9s}")
     for row in rows:
         secs = f"{row['seconds_median']:.3f}" if "seconds_median" in row else "-"
         print(f"{row['phase']:10s}" + "".join(f" {row[key]:>9}" for _, key in BENCH_COLUMNS)
-              + "".join(f" {row[key]:>9.3f}" for key in modelled) + f" {secs:>9s}")
+              + "".join(f" {row[key]:>9.3f}" for key in timed) + f" {secs:>9s}")
     if args.out:
         report = {"rule": config.rule, "candidates": config.m,
                   "num_winners": config.num_winners, "talliers": config.talliers,
@@ -379,7 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BadSpool as err:
+        print(f"BadSpool: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -272,6 +272,7 @@ class Counters:
     double_sharings: int = 0
     open_log: list = dataclass_field(default_factory=list)
     phase_cpu: dict = dataclass_field(default_factory=dict)  # seconds, by session._phase
+    phase_wait: dict = dataclass_field(default_factory=dict)  # seconds, by session._phase
 
     def open_purposes(self) -> set:
         return {tag for tag, _ in self.open_log}

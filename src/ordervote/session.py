@@ -1,7 +1,8 @@
 """Election orchestration: the tallier program and backend runners.
 
 ``tallier_program`` is the SPMD pipeline every tallier executes over its own
-context: prepare every LSB mask the tally will use in one offline batch,
+context and its own ``ballots.Spool`` (voter ids and one share matrix):
+prepare every LSB mask the tally will use in one offline batch,
 agree with the other talliers on one roster of voter ids and validate it
 (``validate_bundles``, in batches that fit the frame cap), aggregate the
 accepted ballots, compute scores, and open winners,
@@ -25,7 +26,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from . import transport, validation
-from .ballots import (SharedBallot, TallierBundle, decode_bundle,
+from .ballots import (SharedBallot, Spool, TallierBundle, decode_spool,
                       ranking_to_matrix, share_ballot)
 from .config import ElectionConfig
 from .engine import InconsistentOpen, PartyContext
@@ -47,6 +48,7 @@ class ElectionOutcome:
     captures: dict[int, dict] = dataclass_field(default_factory=dict)
     rejected_proofs: dict[int, np.ndarray] = dataclass_field(default_factory=dict)
     phase_cpu: dict[str, float] = dataclass_field(default_factory=dict)  # T1's, per phase
+    phase_wait: dict[str, float] = dataclass_field(default_factory=dict)  # T1's, per phase
 
 
 def make_shared_ballots(config: ElectionConfig, rankings) -> list[SharedBallot]:
@@ -140,27 +142,26 @@ def _exchange_ids(ctx: PartyContext, ids: np.ndarray) -> dict[int, np.ndarray]:
             return {d: np.concatenate(parts) for d, parts in held.items()}
 
 
-def _agree_roster(ctx: PartyContext,
-                  bundles: list[TallierBundle]) -> tuple[list[int], set[int]]:
+def _agree_roster(ctx: PartyContext, spool: Spool) -> tuple[np.ndarray, np.ndarray]:
     """The voter ids every tallier validates, agreed in one round whenever
     every tallier's ids fit a frame (``_exchange_ids``), and the ids some
-    tallier holds more than once.  Each tallier sends the ids of its
-    bundles, in its order, and the roster lists T1's ids, then each further
+    tallier holds more than once.  Each tallier sends the ids of its spool,
+    in its order, and the roster lists T1's ids, then each further
     tallier's copies beyond those already listed.  So an id appears as often
     as the tallier with the most copies holds it, every tallier derives the
     same roster, and talliers that hold the same list get that list back."""
-    held = _exchange_ids(ctx, np.array([b.voter_id for b in bundles], dtype=np.uint64))
+    held = _exchange_ids(ctx, spool.ids)
     ids = np.concatenate([held[d] for d in sorted(held)])
     copies = np.concatenate([_copy_numbers(held[d]) for d in sorted(held)])
     order = np.lexsort((copies, ids))  # stable: each (id, copy) pair's first holder leads
     ids_by, copies_by = ids[order], copies[order]
     first = np.ones(ids.size, dtype=bool)
     first[1:] = (ids_by[1:] != ids_by[:-1]) | (copies_by[1:] != copies_by[:-1])
-    return ids[np.sort(order[first])].tolist(), set(ids[copies > 0].tolist())
+    return ids[np.sort(order[first])], ids[copies > 0]
 
 
 def validate_bundles(ctx: PartyContext, config: ElectionConfig,
-                     bundles: list[TallierBundle]) -> list[validation.ValidationVerdict]:
+                     spool: Spool) -> list[validation.ValidationVerdict]:
     """Validate the roster the talliers agree on (``_agree_roster``) in
     batches of ``validation.batch_limit``, one batch unless a frame would
     exceed the cap; returns one verdict per roster entry, in roster order.
@@ -168,48 +169,57 @@ def validate_bundles(ctx: PartyContext, config: ElectionConfig,
     Every copy of a voter id that any tallier holds more than once is
     rejected as ``DuplicateVoter`` without being validated, so no copy can
     carry an illegal ballot in and the verdicts do not depend on arrival
-    order.  A tallier validates an id it does not hold with a stand-in of no
-    entries, so every tallier rejects that ballot as ``Malformed``."""
-    roster, repeated = _agree_roster(ctx, bundles)
-    held = {b.voter_id: b for b in bundles}
-    none = np.zeros(0, dtype=np.uint64)
-    unique = [held[v] if v in held else TallierBundle(v, config.rule, config.m, none)
-              for v in roster if v not in repeated]
-    del held  # not needed while the batches run, at the tally's memory peak
+    order.  The other roster ids are mapped to rows of this tallier's spool
+    (``Spool.select``); a tallier validates an id it does not hold as a
+    malformed row, so every tallier rejects that ballot as ``Malformed``."""
+    roster, repeated = _agree_roster(ctx, spool)
+    duplicate = np.isin(roster, repeated)
+    spool = spool.select(roster[~duplicate])
     step = validation.batch_limit(config.rule, config.m)
     checked: list[validation.ValidationVerdict] = []
-    for start in range(0, len(unique), step):
-        checked.extend(validation.batch_validate(ctx, unique[start:start + step],
-                                                 config.rule, config.m))
+    for start in range(0, len(spool), step):
+        checked += validation.batch_validate(ctx, spool[start:start + step],
+                                             config.rule, config.m)
+    if not duplicate.any():
+        return checked
     verdicts = iter(checked)
-    duplicate = validation.REASON_DUPLICATE
-    return [validation.ValidationVerdict(v, False, duplicate) if v in repeated
-            else next(verdicts) for v in roster]
+    return [validation.ValidationVerdict(v, False, validation.REASON_DUPLICATE) if dup
+            else next(verdicts) for v, dup in zip(roster.tolist(), duplicate.tolist())]
 
 
 @contextmanager
 def _phase(ctx: PartyContext, phases: dict[str, dict], name: str) -> Iterator[None]:
     """Record in ``phases[name]`` how far the phase moves each ``summary()``
-    counter of this party, and in ``ctx.counters.phase_cpu[name]`` the
-    processor time of this party's thread; a round timeout in the phase is
-    re-raised naming it."""
-    before, cpu = ctx.summary(), time.thread_time()
+    counter of this party, in ``ctx.counters.phase_cpu[name]`` the
+    processor time of this party's thread and in ``phase_wait[name]`` the
+    wall time it spent blocked in ``await_round``; a round timeout in the
+    phase is re-raised naming it."""
+    before, cpu, wait = ctx.summary(), time.thread_time(), ctx.channel.stats.wait_s
     try:
         yield
     except RoundTimeout as err:
         raise RoundTimeout(err.round_no, err.missing, name) from err
     phases[name] = {k: v - before[k] for k, v in ctx.summary().items()}
     ctx.counters.phase_cpu[name] = time.thread_time() - cpu
+    ctx.counters.phase_wait[name] = ctx.channel.stats.wait_s - wait
+
+
+def _as_spool(config: ElectionConfig, bundles: Spool | list[TallierBundle]) -> Spool:
+    """A tallier's ballots as a spool; a list of bundles is converted here, once."""
+    if isinstance(bundles, Spool):
+        return bundles
+    return Spool.from_bundles(bundles, config.rule, config.m, config.prime)
 
 
 def tallier_program(ctx: PartyContext, config: ElectionConfig,
-                    bundles: list[TallierBundle]) -> tuple[TallyResult, list, dict]:
+                    bundles: Spool | list[TallierBundle]) -> tuple[TallyResult, list, dict]:
     """The full pipeline one tallier runs; returns (result, verdicts, proofs).
     The masks do not depend on the ballots, so the whole tally's are prepared
     first, in one batch: one random-bit layer and one r < p check.  The
     result's ``counters["phases"]`` holds each phase's share of the counters:
     offline, validate, aggregate, score (copeland and maximin) and select."""
     rule, m = config.rule, config.m
+    spool = _as_spool(config, bundles)
     phases: dict[str, dict] = {}
     with _phase(ctx, phases, "offline"):
         ctx.pregenerate(masks=lsb_extractions(rule, m, config.num_winners))
@@ -220,16 +230,16 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
     # tallier holds exactly once, and every tallier reaches the same verdicts.
     proofs: dict[int, np.ndarray] = {}
     with _phase(ctx, phases, "validate"):
-        verdicts = validate_bundles(ctx, config, bundles)
-        held = {b.voter_id: b for b in bundles}
+        verdicts = validate_bundles(ctx, config, spool)
         if config.reconstruct_rejected:
             ids = [v.voter_id for v in verdicts if not v.accepted and v.reason not in (
                 validation.REASON_DUPLICATE, validation.REASON_MALFORMED)]
             proofs = dict(zip(ids, validation.reconstruct_rejected(
-                ctx, [held[v] for v in ids])))
+                ctx, spool[spool.rows(ids)])))
 
     with _phase(ctx, phases, "aggregate"):
-        agg = aggregate(ctx, [held[v.voter_id] for v in verdicts if v.accepted], rule, m)
+        accepted = spool.rows([v.voter_id for v in verdicts if v.accepted])
+        agg = aggregate(ctx, spool[accepted], rule, m)
         ctx.capture("aggregate", agg.entries)
 
     kemeny_ranking = None
@@ -258,25 +268,28 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
     return result, verdicts, proofs
 
 
-Ballots = list[SharedBallot] | dict[int, list[TallierBundle]]
+Ballots = list[SharedBallot] | dict[int, Spool | list[TallierBundle]]
 
 
-def _bundles_of(ballots: Ballots, party_id: int) -> list[TallierBundle]:
-    """Tallier ``party_id``'s bundles: its share of each ballot, or its own
-    spool when ``ballots`` maps each tallier to one.  Spools need not list
+def _spools_of(config: ElectionConfig, ballots: Ballots) -> dict[int, Spool | list[TallierBundle]]:
+    """Every tallier's ballots: each tallier's own spool when ``ballots``
+    maps each tallier to one, else its shares of the shared ballots, split
+    for all talliers at once (``Spool.from_ballots``).  Spools need not list
     the voters in the same order; the roster pairs them by voter id."""
     if isinstance(ballots, dict):
-        return ballots[party_id]
-    return [b.bundle_for(party_id) for b in ballots]
+        return ballots
+    return Spool.from_ballots(ballots, config.rule, config.m, config.prime, config.talliers)
 
 
 def run_local_election(config: ElectionConfig, ballots: Ballots,
                        capture: bool = False) -> ElectionOutcome:
     """Run all D talliers as threads over the in-memory transport."""
+    spools = _spools_of(config, ballots)
+
     def program(ctx: PartyContext):
         if capture:
             ctx.capture_store = {}
-        return (ctx, *tallier_program(ctx, config, _bundles_of(ballots, ctx.party_id)))
+        return (ctx, *tallier_program(ctx, config, spools[ctx.party_id]))
 
     runs = _run_local(config, program)
     per_party = [runs[d][1] for d in range(1, config.talliers + 1)]
@@ -288,11 +301,12 @@ def run_local_election(config: ElectionConfig, ballots: Ballots,
     _, _, verdicts, proofs = runs[1]
     return ElectionOutcome(result=first, verdicts=verdicts, per_party_results=per_party,
                            captures=captures, rejected_proofs=proofs,
-                           phase_cpu=runs[1][0].counters.phase_cpu)
+                           phase_cpu=runs[1][0].counters.phase_cpu,
+                           phase_wait=runs[1][0].counters.phase_wait)
 
 
 def run_socket_tallier(config: ElectionConfig, party_id: int,
-                       bundles: list[TallierBundle] | None = None,
+                       bundles: Spool | list[TallierBundle] | None = None,
                        expect_votes: int | None = None) -> tuple[TallyResult, list, dict]:
     """Run one tallier over TCP; returns (result, verdicts, proofs).  Ballots
     come either from the caller (spooled submissions) or live off the wire
@@ -302,30 +316,31 @@ def run_socket_tallier(config: ElectionConfig, party_id: int,
             if expect_votes is None:
                 raise ValueError("need either spooled bundles or expect_votes")
             messages = ctx.channel.transport.collect_ballots(SESSION, expect_votes)
-            bundles = sorted((decode_bundle(m.payload, config.rule, config.m)
-                              for m in messages),
-                             key=lambda b: b.voter_id)
+            bundles = decode_spool([msg.payload for msg in messages], config.rule,
+                                   config.m, config.prime)
         return tallier_program(ctx, config, bundles)
 
 
 def _validation_program(ctx: PartyContext, config: ElectionConfig,
-                        bundles: list[TallierBundle]) -> tuple[list, dict]:
+                        bundles: Spool | list[TallierBundle]) -> tuple[list, dict]:
     """Validation phase only; returns (verdicts, this party's validate counters)."""
+    spool = _as_spool(config, bundles)
     phases: dict[str, dict] = {}
     with _phase(ctx, phases, "validate"):
-        verdicts = validate_bundles(ctx, config, bundles)
+        verdicts = validate_bundles(ctx, config, spool)
     return verdicts, phases["validate"]
 
 
 def run_local_validation(config: ElectionConfig, ballots: Ballots) -> tuple[list, dict]:
     """Validation phase only (threads over the in-memory hub); returns T1's
     (verdicts, validate counters)."""
+    spools = _spools_of(config, ballots)
     return _run_local(config, lambda ctx: _validation_program(
-        ctx, config, _bundles_of(ballots, ctx.party_id)))[1]
+        ctx, config, spools[ctx.party_id]))[1]
 
 
 def run_socket_validation(config: ElectionConfig, party_id: int,
-                          bundles: list[TallierBundle]) -> tuple[list, dict]:
+                          bundles: Spool | list[TallierBundle]) -> tuple[list, dict]:
     """Validation phase only, one party over TCP; returns (verdicts, validate
     counters)."""
     with _socket_context(config, party_id) as ctx:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .ballots import TallierBundle, entry_pairs, upper_pairs
+from .ballots import Spool, entry_pairs, upper_pairs
 from .config import check_field_bounds, rank_vectors, ranking_winners
 from .engine import WINDOW, PartyContext, Shares
 
@@ -141,21 +141,16 @@ def phase_rounds(rule: str, m: int, k: int, ell: int,
     return rounds
 
 
-def aggregate(ctx: PartyContext, bundles: list[TallierBundle], rule: str,
-              m: int) -> AggregatedShares:
-    """Sum this party's shares over all accepted ballots; no communication."""
-    k = len(entry_pairs(rule, m))
-    for b in bundles:
-        if b.rule != rule or b.m != m:
-            raise RuleMismatch(f"ballot of voter {b.voter_id} belongs to a different session")
-    if bundles:
-        stacked = np.stack([np.asarray(b.values, dtype=np.uint64) for b in bundles])
-        stacked %= np.uint64(ctx.field.p)  # a share >= p would overflow the sum
-        total = ctx.field.sum_vec(stacked, axis=0)
-    else:
-        total = np.zeros(k, dtype=np.uint64)
-    return AggregatedShares(rule, m, len(bundles),
-                            Shares(ctx.field, ctx.threshold, total))
+def aggregate(ctx: PartyContext, spool: Spool, rule: str, m: int) -> AggregatedShares:
+    """Sum this party's shares over every row of the spool, the accepted
+    ballots; no communication."""
+    if (spool.rule, spool.m) != (rule, m):
+        raise RuleMismatch(f"a {spool.rule} M={spool.m} spool belongs to a different session")
+    if spool.malformed.any():
+        voter = int(spool.ids[spool.malformed.argmax()])
+        raise RuleMismatch(f"ballot of voter {voter} does not fit the session")
+    total = ctx.field.sum_vec(spool.shares, axis=0)  # canonical shares: no overflow
+    return AggregatedShares(rule, m, len(spool), Shares(ctx.field, ctx.threshold, total))
 
 
 def copeland_scores(ctx: PartyContext, agg: AggregatedShares,

@@ -409,6 +409,7 @@ def submit_ballot_socket(endpoint: tuple[str, int], session: int, payload: np.nd
 class ChannelStats:
     rounds: int = 0
     messages: int = 0
+    wait_s: float = 0.0  # wall seconds blocked in ``await_round``
 
 
 class SessionChannel:
@@ -437,7 +438,9 @@ class SessionChannel:
         self.stats.messages += len(sends)
         if not senders:
             return {}
+        start = time.perf_counter()
         got = self.transport.await_round(self.session, r, senders)
+        self.stats.wait_s += time.perf_counter() - start
         return {d: m.payload for d, m in got.items()}
 
     def exchange_all(self, payload: np.ndarray) -> dict[int, np.ndarray]:

@@ -22,22 +22,23 @@ submission, in this order:
    opened value F(Q)^2 is rule-and-M constant for every legal ballot and zero
    exactly when two sums collide.
 
-``batch_validate`` is the only entry point.  It interleaves checks 2 and 3
-across B ballots so each of the M(M-1)/2 rounds carries 2B simultaneous
+``batch_validate`` is the only entry point.  It takes B ballots as a
+``ballots.Spool``, one row of shares per voter, interleaves checks 2 and 3
+across them so each of the M(M-1)/2 rounds carries 2B simultaneous
 multiplication gates (the last round carries the B squarings), and returns
-one verdict per bundle, by position.  A share value >= p is reduced first:
-it stands for the same field element, and only the tallier holding it could
-see it, so rejecting it would split the talliers' verdicts.
+one verdict per row, in row order.  The spool holds each share reduced mod
+p: a value >= p stands for the same field element, and only the tallier
+holding it could see it, so rejecting it would split the talliers' verdicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import transport
-from .ballots import TallierBundle, entry_pairs, upper_pairs
+from .ballots import ConfigMismatch, Spool, entry_pairs, upper_pairs
 from .engine import PartyContext, Shares
 from .shamir import degree_at_most, reconstruct_batch
 
@@ -48,8 +49,7 @@ REASON_MALFORMED = "Malformed"
 REASON_DUPLICATE = "DuplicateVoter"  # assigned by session.validate_bundles
 
 
-@dataclass(frozen=True)
-class ValidationVerdict:
+class ValidationVerdict(NamedTuple):
     voter_id: int
     accepted: bool
     reason: str | None = None
@@ -116,49 +116,47 @@ def column_sum_shares(ctx: PartyContext, entry_shares: np.ndarray, rule: str,
     return Shares(ctx.field, ctx.threshold, sums)
 
 
-def batch_validate(ctx: PartyContext, bundles: list[TallierBundle], rule: str,
+# a rejected row's reason, by the first check it fails; code 0 accepts
+_REASONS = np.array([None, REASON_SUMS, REASON_DOMAIN, REASON_DEGREE, REASON_MALFORMED],
+                    dtype=object)
+
+
+def batch_validate(ctx: PartyContext, spool: Spool, rule: str,
                    m: int) -> list[ValidationVerdict]:
-    """Validate B ballots of a (rule, M) session: degree first, then
-    conditions 1 and 4 interleaved so every round carries 2B simultaneous
-    multiplications."""
-    if not bundles:
+    """Validate the B ballots of a (rule, M) session's spool: degree first,
+    then conditions 1 and 4 interleaved so every round carries 2B
+    simultaneous multiplications."""
+    if (spool.rule, spool.m) != (rule, m):
+        raise ConfigMismatch(f"a {spool.rule} M={spool.m} spool in a {rule} M={m} session")
+    if not len(spool):
         return []
     p = np.uint64(ctx.field.p)
-    expected = len(entry_pairs(rule, m))
-    rows = [np.asarray(b.values, dtype=np.uint64) for b in bundles]
-    bad = [i for i, b in enumerate(bundles)
-           if b.rule != rule or b.m != m or rows[i].shape != (expected,)]
-    for i in bad:
-        rows[i] = np.zeros(expected, dtype=np.uint64)
-    stacked = np.stack(rows)
-    stacked %= p
-    stacked[bad] = p  # sent as p in the degree check
+    values = spool.shares
+    if spool.malformed.any():  # sent as p in the degree check
+        values = np.where(spool.malformed[:, None], p, values)
 
     # the first product layer is dealt for every ballot with the degree
     # check's masks; the ballots that fail the check then leave it
+    batch = len(spool)
     width = _first_layer_width(rule, m)
-    ctx.expect(rand=stacked.size, doubles=width * len(bundles))
-    legal, constants = masked_degree_check(ctx, stacked.ravel())
-    malformed = (constants >= p).reshape(stacked.shape).any(axis=1)
-    degree_ok = legal.reshape(stacked.shape).all(axis=1)
-    domain_ok = np.zeros(len(bundles), dtype=bool)
-    sums_ok = np.ones(len(bundles), dtype=bool)
+    ctx.expect(rand=values.size, doubles=width * batch)
+    legal, constants = masked_degree_check(ctx, values.ravel())
+    malformed = (constants >= p).reshape(values.shape).any(axis=1)
+    degree_ok = legal.reshape(values.shape).all(axis=1)
+    domain_ok = np.zeros(batch, dtype=bool)
+    sums_ok = np.ones(batch, dtype=bool)
     live = np.flatnonzero(degree_ok)
-    ctx.expect(doubles=-width * (len(bundles) - live.size))
+    ctx.expect(doubles=-width * (batch - live.size))
     if live.size:
         if rule == "kemeny":
-            domain_ok[live] = _validate_kemeny_conditions(ctx, stacked[live], m)
+            domain_ok[live] = _validate_kemeny_conditions(ctx, values[live], m)
         else:
             domain_ok[live], sums_ok[live] = _validate_interleaved(
-                ctx, stacked[live], rule, m)
+                ctx, values[live], rule, m)
 
-    verdicts = []
-    for b, bad, degree, domain, sums in zip(bundles, malformed, degree_ok, domain_ok,
-                                            sums_ok):
-        reason = (REASON_MALFORMED if bad else REASON_DEGREE if not degree
-                  else REASON_DOMAIN if not domain else REASON_SUMS if not sums else None)
-        verdicts.append(ValidationVerdict(b.voter_id, reason is None, reason))
-    return verdicts
+    code = np.select([malformed, ~degree_ok, ~domain_ok, ~sums_ok], [4, 3, 2, 1], 0)
+    return list(map(ValidationVerdict, spool.ids.tolist(), (code == 0).tolist(),
+                    _REASONS[code].tolist()))
 
 
 def batch_limit(rule: str, m: int) -> int:
@@ -229,29 +227,28 @@ def _validate_kemeny_conditions(ctx: PartyContext, values: np.ndarray,
     return (ctx.open(products, "validation_product") == 0).all(axis=1)
 
 
-def reconstruct_rejected(ctx: PartyContext, bundles: list[TallierBundle]) -> list[np.ndarray]:
-    """Recover rejected ballots as dishonesty proofs (explicit cooperation of
-    >= D' talliers; here all parties broadcast their raw shares), all of them
-    in one round.  Returns, per bundle, the signed M x M matrix implied by its
-    shared entries."""
-    if not bundles:
+def reconstruct_rejected(ctx: PartyContext, spool: Spool) -> list[np.ndarray]:
+    """Recover the spool's ballots as dishonesty proofs (explicit cooperation
+    of >= D' talliers; here all parties broadcast their raw shares), all of
+    them in one round.  Returns, per row, the signed M x M matrix implied by
+    its shared entries."""
+    if not len(spool):
         return []
-    values = np.concatenate([np.asarray(b.values, dtype=np.uint64) for b in bundles])
-    matrix = ctx.open_share_matrix(values % np.uint64(ctx.field.p), "rejected_ballot_proof")
+    matrix = ctx.open_share_matrix(spool.shares.ravel(), "rejected_ballot_proof")
     opened = reconstruct_batch(ctx.field, range(1, ctx.threshold + 1),
                                matrix[:ctx.threshold])
     half = ctx.field.p // 2
     signed = np.where(opened > half, opened.astype(np.int64) - ctx.field.p,
-                      opened.astype(np.int64))
-    ends = np.cumsum([len(b.values) for b in bundles])[:-1]
+                      opened.astype(np.int64)).reshape(spool.shares.shape)
+    rule, m = spool.rule, spool.m
     proofs = []
-    for bundle, entries in zip(bundles, np.split(signed, ends)):
-        out = np.zeros((bundle.m, bundle.m), dtype=np.int64)
-        for (a, b), val in zip(entry_pairs(bundle.rule, bundle.m), entries):
+    for entries in signed:
+        out = np.zeros((m, m), dtype=np.int64)
+        for (a, b), val in zip(entry_pairs(rule, m), entries):
             out[a - 1, b - 1] = val
-            if bundle.rule == "copeland":
+            if rule == "copeland":
                 out[b - 1, a - 1] = -val
-            elif bundle.rule == "maximin":
+            elif rule == "maximin":
                 out[b - 1, a - 1] = 1 - val
         proofs.append(out)
     return proofs

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import deal, dealt_shares, run_parties
-from ordervote.ballots import (BallotMatrix, SharedBallot, matrix_entry_values,
+from ordervote.ballots import (BallotMatrix, SharedBallot, Spool, matrix_entry_values,
                                ranking_to_matrix, share_ballot, upper_pairs)
 from ordervote.config import ElectionConfig
 from ordervote.engine import Shares
@@ -129,7 +129,8 @@ def _legal_rankings(rng, rule, m, count):
 def _validate_batch(field, ballots, rule, seed=0):
     def prog(ctx):
         bundles = [b.bundle_for(ctx.party_id) for b in ballots]
-        return batch_validate(ctx, bundles, rule, ballots[0].m)
+        return batch_validate(ctx, Spool.from_bundles(bundles, rule, ballots[0].m, ctx.field.p),
+                              rule, ballots[0].m)
 
     return run_parties(3, 2, field, prog, seed=seed)[1]
 
@@ -244,7 +245,8 @@ def test_criterion_5_gate_and_round_count_identities():
     def prog(ctx):
         bundles = [b.bundle_for(ctx.party_id) for b in ballots]
         r0, g0 = ctx.counters.mul_rounds, ctx.counters.mul_gates
-        batch_validate(ctx, bundles, "copeland", m)
+        batch_validate(ctx, Spool.from_bundles(bundles, "copeland", m, ctx.field.p),
+                       "copeland", m)
         validation_counts = (ctx.counters.mul_rounds - r0,
                              ctx.counters.mul_gates - g0)
 
@@ -256,8 +258,8 @@ def test_criterion_5_gate_and_round_count_identities():
             topk_counts.append((k, ctx.counters.comparisons - c0))
 
         from ordervote.tally import AggregatedShares, aggregate
-        agg = aggregate(ctx, [b.bundle_for(ctx.party_id) for b in ballots[:7]],
-                        "copeland", m)
+        agg = aggregate(ctx, Spool.from_bundles([b.bundle_for(ctx.party_id) for b in ballots[:7]],
+                                                "copeland", m, ctx.field.p), "copeland", m)
         agg = AggregatedShares("maximin", m, 7, agg.entries)  # same share layout
         c0 = ctx.counters.comparisons
         maximin_scores(ctx, agg)

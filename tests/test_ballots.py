@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordervote.ballots import (InvalidRanking, WrongRule,
-                               decode_bundle, encode_bundle, entry_pairs,
+                               decode_spool, encode_bundle, entry_pairs,
                                off_diagonal_pairs, parse_order, parse_ranks,
                                project_upper, ranking_to_matrix, share_ballot,
                                upper_pairs)
@@ -145,11 +145,11 @@ def test_bundle_wire_round_trip():
     bundle = shared.bundle_for(2)
     payload = encode_bundle(bundle)
     assert payload.tolist() == [42, *bundle.values.tolist()]  # voter id, then C shares
-    back = decode_bundle(payload, "maximin", 3)
-    assert back.voter_id == 42 and back.rule == "maximin" and back.m == 3
-    assert np.array_equal(back.values, bundle.values)
-    # a short bundle still decodes; validation rejects it as Malformed
-    assert decode_bundle(payload[:2], "maximin", 3).values.size == 1
+    back = decode_spool([payload], "maximin", 3, f.p)
+    assert back.ids.tolist() == [42] and back.rule == "maximin" and back.m == 3
+    assert np.array_equal(back.shares[0], bundle.values) and not back.malformed[0]
+    # a short bundle still decodes, as a malformed row; validation rejects it
+    assert decode_spool([payload[:2]], "maximin", 3, f.p).malformed.tolist() == [True]
 
 
 def test_parse_order_and_ranks():

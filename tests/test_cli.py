@@ -168,6 +168,40 @@ def test_spools_in_different_orders_pair_by_voter_id(tmp_path, capsys):
     assert "oracle winners: [2]" in capsys.readouterr().out
 
 
+def test_bad_spool_values_are_malformed_and_bad_lines_are_named(tmp_path, capsys):
+    """T1's spool line of voter 4 holds -1 and that of voter 5 holds 1.5:
+    each is a malformed row, so every tallier rejects the ballot as
+    ``Malformed`` and the tally goes on (a -1 used to end it with an
+    OverflowError, and a 1.5 was truncated to 1).  A line that is not JSON,
+    or has no integer voter_id >= 1, ends the command with a BadSpool error
+    that names the spool file and line."""
+    cfg = write_config(tmp_path / "cfg.json")
+    session = tmp_path / "sess"
+    assert main(["setup", "--config", str(cfg), "--session", str(session)]) == 0
+    demo_votes(session)
+    for order in ("C3,C2,C1", "C3,C1,C2"):
+        assert main(["vote", "--session", str(session), "--order", order]) == 0
+    spool = session / "ballots" / "tallier_1.jsonl"
+    lines = spool.read_text().splitlines()
+    for i, values in ((3, [-1, 0, 1]), (4, [1.5, 0, 1])):
+        rec = json.loads(lines[i])
+        lines[i] = json.dumps(dict(rec, values=values))
+    spool.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+
+    assert main(["tally", "--session", str(session)]) == 0
+    assert "winner 1: C1 (C1)" in capsys.readouterr().out
+    audit = [json.loads(line) for line in (session / "audit.jsonl").read_text().splitlines()]
+    assert [rec.get("reason") for rec in audit] == [None, None, None, "Malformed", "Malformed"]
+
+    for bad in ("{not json", '{"rule": "copeland", "m": 3, "values": [1, 1, 1]}',
+                '{"voter_id": 0, "rule": "copeland", "m": 3, "values": [1, 1, 1]}',
+                '{"voter_id": true, "rule": "copeland", "m": 3, "values": [1, 1, 1]}'):
+        spool.write_text("\n".join(lines + [bad]) + "\n")
+        assert main(["tally", "--session", str(session)]) == 2
+        assert capsys.readouterr().err.startswith(f"BadSpool: {spool}:6: ")
+
+
 def test_oracle_from_ballot_file(tmp_path, capsys):
     ballots = tmp_path / "ballots.json"
     ballots.write_text(json.dumps({
@@ -181,8 +215,9 @@ def test_oracle_from_ballot_file(tmp_path, capsys):
 def test_bench_smoke(tmp_path, capsys):
     """One tally of 20 random ballots, twice: a row per phase and a total row
     whose counters are the sums of the phases', printed and written alike.
-    Each row holds T1's processor seconds and the modelled latency of
-    processor time plus rounds x L for L of 1 and 20 ms."""
+    Each row holds T1's seconds blocked waiting for its peers, its processor
+    seconds and the modelled latency of processor time plus rounds x L for
+    L of 1 and 20 ms."""
     cfg = write_config(tmp_path / "cfg.json", candidates=["A", "B", "C"],
                        expected_voters=20)
     out_file = tmp_path / "bench.json"
@@ -199,11 +234,12 @@ def test_bench_smoke(tmp_path, capsys):
     assert total.pop("seconds_median") > 0
     assert {k: sum(r[k] for r in rows.values()) for k in total} == total
     assert rows["validate"]["cpu_s"] > 0
+    assert all(row["wait_s"] >= 0 for row in rows.values()) and rows["select"]["wait_s"] > 0
     for row in rows.values():
         assert row["at_1ms_s"] == pytest.approx(row["cpu_s"] + 0.001 * row["comm_rounds"])
         assert row["at_20ms_s"] == pytest.approx(row["cpu_s"] + 0.020 * row["comm_rounds"])
     out = capsys.readouterr().out.splitlines()
-    assert out[1].split()[-4:] == ["cpu", "at_1ms", "at_20ms", "seconds"]
+    assert out[1].split()[-5:] == ["wait", "cpu", "at_1ms", "at_20ms", "seconds"]
     assert [line.split()[0] for line in out[2:]] == [*rows, "total"]
     assert out[-1].split()[1:4] == [str(total[k]) for k in
                                     ("comm_rounds", "offline_rounds", "deal_rounds")]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ordervote import session, transport, validation
-from ordervote.ballots import (BallotMatrix, TallierBundle, entry_pairs,
+from ordervote.ballots import (BallotMatrix, Spool, TallierBundle, entry_pairs,
                                ranking_to_matrix, share_ballot)
 from ordervote.config import ElectionConfig
 from ordervote.engine import InconsistentOpen
@@ -340,7 +340,7 @@ def test_empty_roster_frame_names_its_sender():
             ctx.channel.exchange_all(np.zeros(0, dtype=np.uint64))
             return
         with pytest.raises(InconsistentOpen, match="T2 sent an empty roster frame in round 0"):
-            session._agree_roster(ctx, [])
+            session._agree_roster(ctx, Spool.from_bundles([], cfg.rule, cfg.m, cfg.prime))
 
     _run_threads(3, body)
 

@@ -1,0 +1,177 @@
+"""Columnar spools: each tallier holds its ballots as one share matrix.
+
+The pinned values below were read from the tally that kept a list of
+per-voter bundles: the same seeds must give the same verdicts, winners,
+Kemeny rankings, captured shares and phase counters."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from ordervote.ballots import (BallotMatrix, SharedBallot, Spool, TallierBundle,
+                               decode_spool, encode_bundle, ranking_to_matrix, share_ballot)
+from ordervote.config import ElectionConfig
+from ordervote.session import make_shared_ballots, run_local_election, run_local_validation
+from ordervote.validation import REASON_MALFORMED
+
+M31 = (1 << 31) - 1
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _cfg(rule, m, k, n, seed, **kw):
+    return ElectionConfig(rule=rule, candidates=tuple(f"C{i}" for i in range(1, m + 1)),
+                          num_winners=k, talliers=3, expected_voters=n, seed=seed,
+                          **kw).validate()
+
+
+def _rankings(rule, m, n, seed):
+    rng = np.random.default_rng(seed)
+    if rule == "kemeny":
+        return [tuple(int(r) for r in rng.integers(1, m + 1, m)) for _ in range(n)]
+    return [tuple(int(c) for c in rng.permutation(m) + 1) for _ in range(n)]
+
+
+def _captures(outcome) -> dict:
+    return {d: {label: values.tolist() for label, (_, values) in cap.items()}
+            for d, cap in outcome.captures.items()}
+
+
+# rule, M, K, N; winners, ranking; digests of the verdict records, every
+# party's captured shares and every party's phase counters; T1's rounds per phase
+FOUR = [
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "2b10bdde6c8c4cd4",
+     "d0d386ccfdd020ca", {"offline": 9, "validate": 19, "aggregate": 0, "score": 4,
+                          "select": 32}),
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "a5ad540a19fb942f",
+     "06cf2d2c5f8af6fd", {"offline": 9, "validate": 19, "aggregate": 0, "score": 15,
+                          "select": 32}),
+    ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "2851c951d141b86c",
+     "dd0263f9b4d248d8", {"offline": 9, "validate": 5, "aggregate": 0, "select": 36}),
+    ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "cf91e8d45a706453",
+     "04d15f67567da2ba", {"offline": 9, "validate": 5, "aggregate": 0, "select": 51}),
+]
+
+
+@pytest.mark.parametrize("rule,m,k,n,winners,ranking,verdicts,captures,phases,rounds", FOUR)
+def test_four_elections_match_the_pinned_tally(rule, m, k, n, winners, ranking, verdicts,
+                                               captures, phases, rounds):
+    cfg = _cfg(rule, m, k, n, seed=5)
+    outcome = run_local_election(cfg, make_shared_ballots(cfg, _rankings(rule, m, n, 5)),
+                                 capture=True)
+    assert outcome.result.winners == winners
+    assert (list(outcome.result.kemeny_ranking) if ranking else None) == ranking
+    assert _digest([v.record() for v in outcome.verdicts]) == verdicts
+    assert _digest(_captures(outcome)) == captures
+    assert _digest([r.counters["phases"] for r in outcome.per_party_results]) == phases
+    assert {p: c["comm_rounds"] for p, c in outcome.result.counters["phases"].items()} == rounds
+
+
+def _edge_spools():
+    """Copeland M=4, 30 voters, as each tallier's own list of bundles.
+    Voters 14, 20 and 26 cast an inflated ballot, one shared at too high a
+    degree and one whose column sums collide.  T1 holds voter 5 twice and a
+    share of voter 11 lifted by p; T2 lacks voter 7 and lists its voters in
+    reverse; T3 holds a short bundle for voter 9."""
+    cfg = _cfg("copeland", 4, 2, 30, seed=11, reconstruct_rejected=True)
+    ballots = make_shared_ballots(cfg, _rankings("copeland", 4, 30, 12))
+    legal = ranking_to_matrix("copeland", (2, 4, 1, 3), 4).entries
+    cyclic = legal.copy()
+    cyclic[0, 1], cyclic[1, 0] = -cyclic[0, 1], -cyclic[1, 0]  # C1 and C3 now tie
+    for voter, entries, degree in ((14, 2 * legal, cfg.threshold),
+                                   (20, legal, cfg.talliers), (26, cyclic, cfg.threshold)):
+        ballots[voter - 1] = share_ballot(BallotMatrix("copeland", 4, entries), cfg.field,
+                                          degree, cfg.talliers, cfg.voter_rng(voter), voter)
+    spools = {d: [b.bundle_for(d) for b in ballots] for d in (1, 2, 3)}
+    b = spools[3][8]
+    spools[3][8] = TallierBundle(9, b.rule, b.m, b.values[:-1])
+    b = spools[1][10]
+    spools[1][10] = TallierBundle(11, b.rule, b.m, b.values + np.uint64(M31))
+    spools[1].append(spools[1][4])
+    del spools[2][6]
+    spools[2].reverse()
+    return cfg, spools
+
+
+PINNED_EDGE = {"winners": [4, 2],
+               "aggregate": [698095502, 1259086667, 410404985, 889770592, 503714946, 721311163],
+               "captures": "ce3b5568f7589f86", "proofs": "fa1dade6091db023",
+               "phases": "1c808fcf3efdfd74"}
+
+
+def test_edge_spools_match_the_pinned_tally():
+    """A duplicate, a missing id, a short bundle, a share >= p and spools in
+    different orders: the verdicts, winners, captured shares, proofs and
+    phase counters of the per-bundle tally."""
+    cfg, spools = _edge_spools()
+    outcome = run_local_election(cfg, spools, capture=True)
+    assert [v.voter_id for v in outcome.verdicts] == list(range(1, 31)) + [5]
+    assert [(v.voter_id, v.reason) for v in outcome.verdicts if not v.accepted] == [
+        (5, "DuplicateVoter"), (7, "Malformed"), (9, "Malformed"), (14, "EntryDomain"),
+        (20, "ShareDegree"), (26, "ColumnSums"), (5, "DuplicateVoter")]
+    assert outcome.result.winners == PINNED_EDGE["winners"]
+    assert _captures(outcome)[1]["aggregate"] == PINNED_EDGE["aggregate"]
+    assert _digest(_captures(outcome)) == PINNED_EDGE["captures"]
+    assert sorted(outcome.rejected_proofs) == [14, 20, 26]
+    assert _digest({v: p.tolist() for v, p in outcome.rejected_proofs.items()}) == \
+        PINNED_EDGE["proofs"]
+    assert _digest([r.counters["phases"] for r in outcome.per_party_results]) == \
+        PINNED_EDGE["phases"]
+
+
+def test_shared_ballots_are_split_without_per_ballot_bundles(monkeypatch):
+    """``run_local_election`` and ``run_local_validation`` hand each tallier
+    its spool from one pass over the shared ballots, never one
+    ``bundle_for`` per ballot and tallier."""
+    cfg = _cfg("maximin", 4, 1, 40, seed=3)
+    ballots = make_shared_ballots(cfg, _rankings("maximin", 4, 40, 4))
+    bad = ballots[7]
+    ballots[7] = SharedBallot(bad.voter_id, bad.rule, bad.m, bad.bundles[:, :-1])
+    expected = run_local_election(cfg, ballots)
+
+    def refuse(self, party):
+        raise AssertionError("bundle_for called")
+
+    monkeypatch.setattr(SharedBallot, "bundle_for", refuse)
+    outcome = run_local_election(cfg, ballots)
+    verdicts, _ = run_local_validation(cfg, ballots)
+    assert [v.reason for v in outcome.verdicts] == [None] * 7 + [REASON_MALFORMED] + [None] * 32
+    assert verdicts == outcome.verdicts == expected.verdicts
+    assert outcome.result.to_dict() == expected.result.to_dict()
+
+
+def test_spool_rows_and_select():
+    spool = Spool.from_bundles(
+        [TallierBundle(7, "copeland", 3, np.array([1, 2, 3])),
+         TallierBundle(4, "copeland", 3, np.array([M31 + 4, 5, 6])),
+         TallierBundle(9, "maximin", 3, np.array([1, 1, 1])),
+         TallierBundle(2, "copeland", 3, np.array([1, 2])),
+         TallierBundle(4, "copeland", 3, np.array([8, 8, 8]))], "copeland", 3, M31)
+    assert spool.ids.tolist() == [7, 4, 9, 2, 4]
+    assert spool.shares.tolist() == [[1, 2, 3], [4, 5, 6], [0, 0, 0], [0, 0, 0], [8, 8, 8]]
+    assert spool.malformed.tolist() == [False, False, True, True, False]
+    assert spool.rows([2, 4, 5, 7]).tolist() == [3, 1, -1, 0]  # an id held twice: its first row
+
+    picked = spool.select(np.array([4, 5, 7], dtype=np.uint64))
+    assert picked.ids.tolist() == [4, 5, 7]
+    assert picked.shares.tolist() == [[4, 5, 6], [0, 0, 0], [1, 2, 3]]
+    assert picked.malformed.tolist() == [False, True, False]
+    assert picked.select(picked.ids) is picked
+    empty = Spool.from_bundles([], "copeland", 3, M31)
+    assert empty.shares.shape == (0, 3)
+    assert empty.select([3]).malformed.tolist() == [True]
+
+
+def test_live_payloads_become_a_spool_sorted_by_voter_id():
+    """Submissions decode into one spool ordered by voter id; a payload of
+    the wrong length is a malformed row."""
+    rows = [encode_bundle(TallierBundle(v, "maximin", 3, np.array(values, dtype=np.uint64)))
+            for v, values in ((3, [1, 2, 3]), (1, [4, 5, 6]), (2, [7, 8]))]
+    spool = decode_spool(rows, "maximin", 3, M31)
+    assert spool.ids.tolist() == [1, 2, 3]
+    assert spool.shares.tolist() == [[4, 5, 6], [0, 0, 0], [1, 2, 3]]
+    assert spool.malformed.tolist() == [False, True, False]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import deal, run_parties
-from ordervote.ballots import ranking_to_matrix, share_ballot
+from ordervote.ballots import Spool, ranking_to_matrix, share_ballot
 from ordervote.config import FieldTooSmall, rank_vectors, select_winners
 from ordervote.engine import Shares
 from ordervote.field import PrimeField
@@ -31,7 +31,7 @@ def _ballots(field, rule, rankings, m, parties=3, threshold=2, seed=0):
 def _agg_from(field, rule, rankings, m, ctx):
     bundles = [b.bundle_for(ctx.party_id)
                for b in _ballots(field, rule, rankings, m)]
-    return aggregate(ctx, bundles, rule, m)
+    return aggregate(ctx, Spool.from_bundles(bundles, rule, m, ctx.field.p), rule, m)
 
 
 def test_aggregate_hand_examples(f_mersenne31):
@@ -54,9 +54,11 @@ def test_aggregate_single_ballot_and_rule_mismatch(f31):
     ballots = _ballots(f, "copeland", ((2, 1, 3),), 3)
 
     def prog(ctx):
-        agg = aggregate(ctx, [ballots[0].bundle_for(ctx.party_id)], "copeland", 3)
+        spool = Spool.from_bundles([ballots[0].bundle_for(ctx.party_id)], "copeland", 3,
+                                   ctx.field.p)
+        agg = aggregate(ctx, spool, "copeland", 3)
         with pytest.raises(RuleMismatch):
-            aggregate(ctx, [ballots[0].bundle_for(ctx.party_id)], "maximin", 3)
+            aggregate(ctx, spool, "maximin", 3)
         return ctx.open(agg.entries, "final_output")
 
     got = run_parties(3, 2, f, prog)[1]
@@ -280,9 +282,10 @@ def test_no_intermediate_secret_opened(f_mersenne31):
     def prog(ctx):
         ballots = _ballots(f, "copeland", ORDERS, 3)
         bundles = [b.bundle_for(ctx.party_id) for b in ballots]
-        verdicts = batch_validate(ctx, bundles, "copeland", 3)
+        spool = Spool.from_bundles(bundles, "copeland", 3, ctx.field.p)
+        verdicts = batch_validate(ctx, spool, "copeland", 3)
         assert all(v.accepted for v in verdicts)
-        agg = aggregate(ctx, bundles, "copeland", 3)
+        agg = aggregate(ctx, spool, "copeland", 3)
         scores = copeland_scores(ctx, agg, (1, 2))
         top_k(ctx, scores, 1)
         return ctx.counters.open_purposes()
@@ -302,8 +305,8 @@ def test_shares_reconstruct_from_any_threshold_subset(f_mersenne31):
     def prog(ctx):
         ballots = _ballots(f, "maximin", ORDERS, 3, parties=parties,
                            threshold=threshold)
-        agg = aggregate(ctx, [b.bundle_for(ctx.party_id) for b in ballots],
-                        "maximin", 3)
+        agg = aggregate(ctx, Spool.from_bundles([b.bundle_for(ctx.party_id) for b in ballots],
+                                                "maximin", 3, ctx.field.p), "maximin", 3)
         scores = maximin_scores(ctx, agg)
         return agg.entries.values, scores.values
 

@@ -4,7 +4,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import deal, run_parties
-from ordervote.ballots import (BallotMatrix, SharedBallot, ranking_to_matrix,
+from ordervote.ballots import (BallotMatrix, SharedBallot, Spool, ranking_to_matrix,
                                share_ballot, upper_pairs)
 from ordervote.field import PrimeField
 from ordervote.oracle import legal_ballot_matrix
@@ -197,7 +197,8 @@ def _run_batch(field, ballots, rule, parties=3, threshold=2, seed=10):
         bundles = [b.bundle_for(ctx.party_id) for b in ballots]
         before_rounds = ctx.counters.mul_rounds
         before_gates = ctx.counters.mul_gates
-        verdicts = batch_validate(ctx, bundles, rule, ballots[0].m)
+        verdicts = batch_validate(ctx, Spool.from_bundles(bundles, rule, ballots[0].m,
+                                                          ctx.field.p), rule, ballots[0].m)
         return (verdicts,
                 ctx.counters.mul_rounds - before_rounds,
                 ctx.counters.mul_gates - before_gates)
@@ -309,7 +310,8 @@ def test_reconstruct_rejected_recovers_matrix(f31):
 
     for ballot in (bad, lifted):
         def prog(ctx):
-            return reconstruct_rejected(ctx, [ballot.bundle_for(ctx.party_id)])[0]
+            return reconstruct_rejected(ctx, Spool.from_bundles(
+                [ballot.bundle_for(ctx.party_id)], "copeland", 3, ctx.field.p))[0]
 
         res = run_parties(3, 2, f31, prog)
         assert np.array_equal(res[1], inflated.entries)
