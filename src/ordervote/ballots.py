@@ -137,9 +137,10 @@ class Spool:
     Row i holds voter ``ids[i]``'s shares of the C entries of
     ``entry_pairs(rule, m)``, reduced mod p.  A row whose submission does
     not fit the session (another rule or M, a wrong length, or a value that
-    is no 64-bit word) is ``malformed`` and holds zeros; validation sends p
-    for it, so every tallier rejects it alike.  Indexing a spool with a
-    slice, an index array or a mask gives the spool of those rows.
+    is no 64-bit word) is ``malformed`` and holds zeros; the talliers'
+    roster round (``session._agree_roster``) rejects its voter at every
+    tallier.  Indexing a spool with a slice, an index array or a mask gives
+    the spool of those rows.
     """
 
     rule: str
@@ -209,20 +210,6 @@ class Spool:
         order = np.argsort(self.ids, kind="stable")
         rows = order[np.minimum(np.searchsorted(self.ids[order], ids), order.size - 1)]
         return np.where(self.ids[rows] == ids, rows, -1)
-
-    def select(self, ids) -> Spool:
-        """The rows of ``ids``, in that order; an id this spool lacks gets a
-        malformed row.  The spool itself when it holds ``ids`` in that order."""
-        ids = np.asarray(ids, dtype=np.uint64)
-        rows = self.rows(ids)
-        if rows.size == len(self) and np.array_equal(rows, np.arange(rows.size)):
-            return self
-        held = rows >= 0
-        shares = np.zeros((ids.size, self.shares.shape[1]), dtype=np.uint64)
-        shares[held] = self.shares[rows[held]]
-        malformed = ~held
-        malformed[held] = self.malformed[rows[held]]
-        return Spool(self.rule, self.m, ids, shares, malformed)
 
 
 def matrix_entry_values(q: BallotMatrix, field: PrimeField) -> np.ndarray:

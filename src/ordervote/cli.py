@@ -84,14 +84,10 @@ def _read_spool(session: Path, config: ElectionConfig, party: int) -> Spool:
 
 
 def cmd_setup(args) -> int:
-    try:
-        config = ElectionConfig.loads(Path(args.config).read_text())
-        if args.seed is not None:
-            config = config.with_overrides(seed=args.seed)
-        config = config.validate()
-    except ConfigError as err:
-        print(f"setup rejected: {err}", file=sys.stderr)
-        return 2
+    config = ElectionConfig.loads(Path(args.config).read_text())
+    if args.seed is not None:
+        config = config.with_overrides(seed=args.seed)
+    config = config.validate()
     session = Path(args.session)
     session.mkdir(parents=True, exist_ok=True)
     (session / "ballots").mkdir(exist_ok=True)
@@ -405,8 +401,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BadSpool as err:
-        print(f"BadSpool: {err}", file=sys.stderr)
+    except (BadSpool, ConfigError) as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2
 
 

@@ -104,6 +104,15 @@ def ranking_winners(ranks: Sequence[int], k: int) -> list[int]:
     return by_rank[:k]
 
 
+# how each field of a JSON config is read; the dataclass defaults fill the rest
+_FROM_JSON = {
+    "rule": str, "candidates": tuple, "num_winners": int, "talliers": int, "prime": int,
+    "alpha": lambda a: (int(a["s"]), int(a["t"])), "expected_voters": int, "seed": int,
+    "backend": str, "endpoints": lambda es: tuple((str(h), int(port)) for h, port in es),
+    "open_scores": bool, "reconstruct_rejected": bool, "threshold": int,
+}
+
+
 @dataclass(frozen=True)
 class ElectionConfig:
     """Immutable parameters of one election session."""
@@ -208,26 +217,28 @@ class ElectionConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ElectionConfig":
+        """The config of a ``to_dict`` object.  A field absent or null takes its
+        default; a required one missing or one that does not convert raises
+        ConfigError naming it."""
+        if not isinstance(data, dict):
+            raise ConfigError("a config is a JSON object")
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {version}")
-        alpha = data.get("alpha", {"s": 1, "t": 2})
-        cfg = ElectionConfig(
-            rule=data["rule"],
-            candidates=tuple(data["candidates"]),
-            num_winners=int(data.get("num_winners", 1)),
-            talliers=int(data["talliers"]),
-            prime=int(data.get("prime", DEFAULT_PRIME)),
-            alpha=(int(alpha["s"]), int(alpha["t"])),
-            expected_voters=int(data.get("expected_voters", 1000)),
-            seed=int(data.get("seed", 1)),
-            backend=data.get("backend", "memory"),
-            endpoints=tuple((str(h), int(p)) for h, p in data.get("endpoints", [])),
-            open_scores=bool(data.get("open_scores", False)),
-            reconstruct_rejected=bool(data.get("reconstruct_rejected", False)),
-        )
-        declared = data.get("threshold")
-        if declared is not None and int(declared) != cfg.threshold:
+        fields = {"num_winners": 1}
+        for name, convert in _FROM_JSON.items():
+            if data.get(name) is None:
+                if name in ("rule", "candidates", "talliers"):
+                    raise ConfigError(f"config field {name!r} is missing")
+                continue
+            try:
+                fields[name] = convert(data[name])
+            except (KeyError, TypeError, ValueError) as err:
+                raise ConfigError(f"config field {name!r} is invalid "
+                                  f"({type(err).__name__}: {err})") from None
+        declared = fields.pop("threshold", None)
+        cfg = ElectionConfig(**fields)
+        if declared is not None and declared != cfg.threshold:
             raise BadThreshold(
                 f"threshold {declared} does not match floor((D+1)/2) = {cfg.threshold}")
         return cfg
@@ -237,7 +248,11 @@ class ElectionConfig:
 
     @staticmethod
     def loads(text: str) -> "ElectionConfig":
-        return ElectionConfig.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"config is not JSON ({err})") from None
+        return ElectionConfig.from_dict(data)
 
     def with_overrides(self, **kwargs) -> "ElectionConfig":
         return replace(self, **kwargs)

@@ -123,41 +123,57 @@ def _copy_numbers(ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exchange_ids(ctx: PartyContext, ids: np.ndarray) -> dict[int, np.ndarray]:
-    """Every tallier's ``ids``, sent in chunks that fit ``transport.MAX_FRAME``,
-    each followed by a word that says whether more follow; the rounds go on
-    until no tallier has more, so lists that fit take one round."""
+def _exchange_ids(ctx: PartyContext, spool: Spool) -> list[list[np.ndarray]]:
+    """Every tallier's voter ids and malformed ids, in party order.  Each
+    sends its spool's ids, then its malformed rows' ids, in chunks that fit
+    ``transport.MAX_FRAME``, each ending in the word 2·bad + more (bad ids
+    end the list; more: chunks follow) until no tallier has more; a final
+    word that claims unsent ids names its sender (InconsistentOpen)."""
+    bad = spool.ids[spool.malformed]
+    words = np.concatenate([spool.ids, bad])
     step = (transport.MAX_FRAME - transport.HEADER.size) // 8 - 1
     held: dict[int, list[np.ndarray]] = {}
     for start in itertools.count(0, step):
-        chunk = ids[start:start + step]
-        more = np.uint64(start + step < ids.size)
-        got = ctx.channel.exchange_all(np.append(chunk, more))
+        last = np.uint64(2 * bad.size + (start + step < words.size))
+        got = ctx.channel.exchange_all(np.append(words[start:start + step], last))
         for d, payload in got.items():
             if payload.size == 0:
                 raise InconsistentOpen(f"T{d} sent an empty roster frame in round "
                                        f"{ctx.channel.stats.rounds - 1}")
             held.setdefault(d, []).append(payload[:-1])
-        if not any(payload[-1] for payload in got.values()):
-            return {d: np.concatenate(parts) for d, parts in held.items()}
+        if not any(int(payload[-1]) & 1 for payload in got.values()):
+            break
+    out = []
+    for d in sorted(held):
+        listed, flagged = np.concatenate(held[d]), int(got[d][-1]) >> 1
+        if flagged > listed.size:
+            raise InconsistentOpen(f"T{d} claims {flagged} malformed ids but sent {listed.size}")
+        out.append(np.split(listed, [listed.size - flagged]))
+    return out
 
 
 def _agree_roster(ctx: PartyContext, spool: Spool) -> tuple[np.ndarray, np.ndarray]:
-    """The voter ids every tallier validates, agreed in one round whenever
-    every tallier's ids fit a frame (``_exchange_ids``), and the ids some
-    tallier holds more than once.  Each tallier sends the ids of its spool,
-    in its order, and the roster lists T1's ids, then each further
-    tallier's copies beyond those already listed.  So an id appears as often
-    as the tallier with the most copies holds it, every tallier derives the
-    same roster, and talliers that hold the same list get that list back."""
-    held = _exchange_ids(ctx, spool.ids)
-    ids = np.concatenate([held[d] for d in sorted(held)])
-    copies = np.concatenate([_copy_numbers(held[d]) for d in sorted(held)])
+    """The roster every tallier derives, agreed in one round whenever the ids
+    fit a frame (``_exchange_ids``), and per entry the reason it is rejected
+    unvalidated (None if validated).  It lists T1's ids, in its order, then
+    each further tallier's copies beyond those listed: an id appears as
+    often as its holder of the most copies holds it, and talliers that hold
+    the same list get that list back.  Every copy of an id some tallier
+    holds twice is a ``DuplicateVoter``; otherwise an id some tallier flags
+    as malformed or lacks is ``Malformed``."""
+    held, flagged = zip(*_exchange_ids(ctx, spool))
+    ids = np.concatenate(held)
+    copies = np.concatenate([_copy_numbers(h) for h in held])
     order = np.lexsort((copies, ids))  # stable: each (id, copy) pair's first holder leads
     ids_by, copies_by = ids[order], copies[order]
     first = np.ones(ids.size, dtype=bool)
     first[1:] = (ids_by[1:] != ids_by[:-1]) | (copies_by[1:] != copies_by[:-1])
-    return ids[np.sort(order[first])], ids[copies > 0]
+    roster = ids[np.sort(order[first])]
+    everywhere = np.logical_and.reduce([np.isin(roster, h) for h in held])
+    reasons = np.full(roster.size, None, dtype=object)
+    reasons[~everywhere | np.isin(roster, np.concatenate(flagged))] = validation.REASON_MALFORMED
+    reasons[np.isin(roster, ids[copies > 0])] = validation.REASON_DUPLICATE
+    return roster, reasons
 
 
 def validate_bundles(ctx: PartyContext, config: ElectionConfig,
@@ -165,26 +181,24 @@ def validate_bundles(ctx: PartyContext, config: ElectionConfig,
     """Validate the roster the talliers agree on (``_agree_roster``) in
     batches of ``validation.batch_limit``, one batch unless a frame would
     exceed the cap; returns one verdict per roster entry, in roster order.
-
-    Every copy of a voter id that any tallier holds more than once is
-    rejected as ``DuplicateVoter`` without being validated, so no copy can
-    carry an illegal ballot in and the verdicts do not depend on arrival
-    order.  The other roster ids are mapped to rows of this tallier's spool
-    (``Spool.select``); a tallier validates an id it does not hold as a
-    malformed row, so every tallier rejects that ballot as ``Malformed``."""
-    roster, repeated = _agree_roster(ctx, spool)
-    duplicate = np.isin(roster, repeated)
-    spool = spool.select(roster[~duplicate])
+    A ``DuplicateVoter`` or ``Malformed`` entry is rejected unvalidated, so
+    no copy can carry an illegal ballot in and the verdicts do not depend on
+    arrival order; only ids every tallier holds once and well-formed are
+    validated, from this tallier's rows of them."""
+    roster, reasons = _agree_roster(ctx, spool)
+    rejected = reasons.astype(bool)
+    rows = spool.rows(roster[~rejected])
+    spool = spool if np.array_equal(rows, np.arange(len(spool))) else spool[rows]
     step = validation.batch_limit(config.rule, config.m)
     checked: list[validation.ValidationVerdict] = []
     for start in range(0, len(spool), step):
         checked += validation.batch_validate(ctx, spool[start:start + step],
                                              config.rule, config.m)
-    if not duplicate.any():
+    if not rejected.any():
         return checked
     verdicts = iter(checked)
-    return [validation.ValidationVerdict(v, False, validation.REASON_DUPLICATE) if dup
-            else next(verdicts) for v, dup in zip(roster.tolist(), duplicate.tolist())]
+    return [validation.ValidationVerdict(v, False, why) if why else next(verdicts)
+            for v, why in zip(roster.tolist(), reasons.tolist())]
 
 
 @contextmanager

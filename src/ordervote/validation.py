@@ -1,11 +1,9 @@
 """Tallier-side oblivious validation of shared ballots.
 
-A bundle whose rule, M or length does not match the session is malformed:
-its holder sends p, which is not a field element, in place of its masked
-shares in check 1, so every tallier flags that ballot alike and rejects it as
-``Malformed`` in the same round (a stand-in of zeros alone would pass as the
-legal Maximin ballot (M, ..., 1)).  Three checks run against every
-submission, in this order:
+Validation sees only ballots that every tallier holds once and in the
+session's shape: the talliers' roster round (``session.validate_bundles``)
+rejects duplicate, malformed and missing ballots before any of this runs.
+Three checks run against every submission, in this order:
 
 1. share-degree legality: each entry's D shares must lie on a polynomial of
    degree at most D'-1.  Every tallier adds its share of a fresh joint random
@@ -45,8 +43,8 @@ from .shamir import degree_at_most, reconstruct_batch
 REASON_DEGREE = "ShareDegree"
 REASON_DOMAIN = "EntryDomain"
 REASON_SUMS = "ColumnSums"
-REASON_MALFORMED = "Malformed"
-REASON_DUPLICATE = "DuplicateVoter"  # assigned by session.validate_bundles
+REASON_MALFORMED = "Malformed"  # assigned by session._agree_roster
+REASON_DUPLICATE = "DuplicateVoter"  # assigned by session._agree_roster
 
 
 class ValidationVerdict(NamedTuple):
@@ -64,25 +62,18 @@ class ValidationVerdict(NamedTuple):
 def masked_degree_check(ctx: PartyContext, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Degree-legality of k independent sharings held as this party's values.
 
-    A value >= p marks a sharing this party cannot check: it sends p in place
-    of the masked share, and every party flags each column that holds a
-    value >= p.  Returns (legal flags, opened masked constants); the
-    constants are uniform field elements, exposed only so tests can verify
-    that uniformity, and a flagged column reads p.
+    Returns (legal flags, opened masked constants); the constants are
+    uniform field elements, exposed only so tests can verify that
+    uniformity.
     """
     values = np.asarray(values, dtype=np.uint64)
     k = values.size
     if k == 0:
         return np.ones(0, dtype=bool), np.zeros(0, dtype=np.uint64)
-    p = np.uint64(ctx.field.p)
     masks = ctx.rand_shares(k)
-    masked = np.where(values < p, ctx.field.add_vec(values, masks.values), p)
-    matrix = ctx.open_share_matrix(masked, "degree_check")
-    flagged = (matrix >= p).any(axis=0)
-    matrix[:, flagged] = 0  # any field element: a flagged column is illegal anyway
-    legal = degree_at_most(ctx.field, matrix, ctx.threshold) & ~flagged
-    constants = reconstruct_batch(ctx.field, range(1, ctx.parties + 1), matrix)
-    return legal, np.where(flagged, p, constants)
+    matrix = ctx.open_share_matrix(ctx.field.add_vec(values, masks.values), "degree_check")
+    legal = degree_at_most(ctx.field, matrix, ctx.threshold)
+    return legal, reconstruct_batch(ctx.field, range(1, ctx.parties + 1), matrix)
 
 
 def _domain_factors(rule: str, entries: Shares) -> tuple[Shares, Shares]:
@@ -117,31 +108,27 @@ def column_sum_shares(ctx: PartyContext, entry_shares: np.ndarray, rule: str,
 
 
 # a rejected row's reason, by the first check it fails; code 0 accepts
-_REASONS = np.array([None, REASON_SUMS, REASON_DOMAIN, REASON_DEGREE, REASON_MALFORMED],
-                    dtype=object)
+_REASONS = np.array([None, REASON_SUMS, REASON_DOMAIN, REASON_DEGREE], dtype=object)
 
 
 def batch_validate(ctx: PartyContext, spool: Spool, rule: str,
                    m: int) -> list[ValidationVerdict]:
-    """Validate the B ballots of a (rule, M) session's spool: degree first,
-    then conditions 1 and 4 interleaved so every round carries 2B
-    simultaneous multiplications."""
+    """Validate the B ballots of a (rule, M) session's spool, rows of
+    ballots every tallier holds well-formed: degree first, then conditions
+    1 and 4 interleaved so every round carries 2B simultaneous
+    multiplications."""
     if (spool.rule, spool.m) != (rule, m):
         raise ConfigMismatch(f"a {spool.rule} M={spool.m} spool in a {rule} M={m} session")
     if not len(spool):
         return []
-    p = np.uint64(ctx.field.p)
     values = spool.shares
-    if spool.malformed.any():  # sent as p in the degree check
-        values = np.where(spool.malformed[:, None], p, values)
 
     # the first product layer is dealt for every ballot with the degree
     # check's masks; the ballots that fail the check then leave it
     batch = len(spool)
     width = _first_layer_width(rule, m)
     ctx.expect(rand=values.size, doubles=width * batch)
-    legal, constants = masked_degree_check(ctx, values.ravel())
-    malformed = (constants >= p).reshape(values.shape).any(axis=1)
+    legal, _ = masked_degree_check(ctx, values.ravel())
     degree_ok = legal.reshape(values.shape).all(axis=1)
     domain_ok = np.zeros(batch, dtype=bool)
     sums_ok = np.ones(batch, dtype=bool)
@@ -154,7 +141,7 @@ def batch_validate(ctx: PartyContext, spool: Spool, rule: str,
             domain_ok[live], sums_ok[live] = _validate_interleaved(
                 ctx, values[live], rule, m)
 
-    code = np.select([malformed, ~degree_ok, ~domain_ok, ~sums_ok], [4, 3, 2, 1], 0)
+    code = np.select([~degree_ok, ~domain_ok, ~sums_ok], [3, 2, 1], 0)
     return list(map(ValidationVerdict, spool.ids.tolist(), (code == 0).tolist(),
                     _REASONS[code].tolist()))
 

@@ -203,8 +203,8 @@ def test_short_bundle_is_rejected_as_malformed_at_every_tallier():
 
 
 def test_short_bundle_at_one_tallier_is_rejected_by_all():
-    """Only T1 holds a short bundle for voter 6; it sends p in the degree
-    check, so all three talliers reject that ballot alike and agree."""
+    """Only T1 holds a short bundle for voter 6; its roster frame flags
+    that voter, so all three talliers reject the ballot alike and agree."""
     cfg = _cfg(rule="copeland", m=4, k=2, seed=13)
     rankings = _rankings("copeland", 4, 8, seed=12)
     ballots = make_shared_ballots(cfg, rankings)
@@ -222,6 +222,21 @@ def test_short_bundle_at_one_tallier_is_rejected_by_all():
     for result, verdicts, _ in _run_threads(3, body).values():
         assert [v.reason for v in verdicts] == [None] * 5 + ["Malformed"] + [None] * 2
         assert result.winners == oracle
+
+
+def test_malformed_row_at_one_tallier_at_m1_is_rejected_by_all(monkeypatch):
+    """At M=1 a ballot shares no entry, so no validation round can carry
+    T1's malformed row of voter 2; the roster does, and every tallier
+    rejects that voter and elects candidate 1, where T1 used to fail in
+    aggregation while its peers waited out the round timeout."""
+    monkeypatch.setattr(session, "LOCAL_ROUND_TIMEOUT", 5.0)
+    cfg = _cfg(rule="copeland", m=1, k=1, seed=15)
+    ballots = make_shared_ballots(cfg, [(1,)] * 3)
+    bundles = {d: [b.bundle_for(d) for b in ballots] for d in (1, 2, 3)}
+    bundles[1][1] = TallierBundle(2, "copeland", 1, np.array([7], dtype=np.uint64))
+    outcome = run_local_election(cfg, bundles)
+    assert [v.reason for v in outcome.verdicts] == [None, "Malformed", None]
+    assert [r.winners for r in outcome.per_party_results] == [[1]] * 3
 
 
 def test_reconstruct_rejected_flag_produces_proof():
@@ -340,6 +355,46 @@ def test_empty_roster_frame_names_its_sender():
             ctx.channel.exchange_all(np.zeros(0, dtype=np.uint64))
             return
         with pytest.raises(InconsistentOpen, match="T2 sent an empty roster frame in round 0"):
+            session._agree_roster(ctx, Spool.from_bundles([], cfg.rule, cfg.m, cfg.prime))
+
+    _run_threads(3, body)
+
+
+def test_malformed_ids_that_straddle_a_roster_chunk_reach_every_tallier(monkeypatch):
+    """Under a cap of four ids plus the final word per frame, T2 sends its
+    six voter ids and then its malformed ones, voters 2, 4 and 6, across
+    its second and third frames.  Over sockets every tallier derives the
+    same roster in three rounds, with those voters Malformed and voter 5,
+    which T3 lacks, too."""
+    cfg = _socket_cfg("copeland", 3, 1, 3, seed=34)
+    monkeypatch.setattr(transport, "MAX_FRAME", HEADER.size + 8 * 5)
+    rows = [[1, 2, 3]] * 6
+    spools = {1: Spool.build("copeland", 3, M31, range(1, 7), rows),
+              2: Spool.build("copeland", 3, M31, range(1, 7),
+                             [None if v % 2 == 0 else r for v, r in enumerate(rows, 1)]),
+              3: Spool.build("copeland", 3, M31, [1, 2, 3, 4, 6], rows[:5])}
+
+    def body(d):
+        with session._socket_context(cfg, d) as ctx:
+            roster, reasons = session._agree_roster(ctx, spools[d])
+            return roster.tolist(), reasons.tolist(), ctx.channel.stats.rounds
+
+    expected = ([1, 2, 3, 4, 5, 6], [None, REASON_MALFORMED, None] + [REASON_MALFORMED] * 3, 3)
+    assert list(_run_threads(3, body).values()) == [expected] * 3
+
+
+def test_roster_word_claiming_unsent_malformed_ids_names_its_sender():
+    """A peer whose final roster word claims more malformed ids than it sent
+    is named in an InconsistentOpen at every other tallier."""
+    cfg = _cfg()
+    hub = InMemoryHub(3, timeout=10.0)
+
+    def body(d):
+        ctx = build_context(cfg, d, SessionChannel(hub.transport(d), 1))
+        if d == 2:
+            ctx.channel.exchange_all(np.array([1, 2, 2 * 3], dtype=np.uint64))
+            return
+        with pytest.raises(InconsistentOpen, match="T2 claims 3 malformed ids"):
             session._agree_roster(ctx, Spool.from_bundles([], cfg.rule, cfg.m, cfg.prime))
 
     _run_threads(3, body)

@@ -99,8 +99,8 @@ def _edge_spools():
 
 PINNED_EDGE = {"winners": [4, 2],
                "aggregate": [698095502, 1259086667, 410404985, 889770592, 503714946, 721311163],
-               "captures": "ce3b5568f7589f86", "proofs": "fa1dade6091db023",
-               "phases": "1c808fcf3efdfd74"}
+               "captures": "4b73ee565d6ca6dc", "proofs": "fa1dade6091db023",
+               "phases": "700587d8b0e39438"}
 
 
 def test_edge_spools_match_the_pinned_tally():
@@ -144,7 +144,7 @@ def test_shared_ballots_are_split_without_per_ballot_bundles(monkeypatch):
     assert outcome.result.to_dict() == expected.result.to_dict()
 
 
-def test_spool_rows_and_select():
+def test_spool_rows():
     spool = Spool.from_bundles(
         [TallierBundle(7, "copeland", 3, np.array([1, 2, 3])),
          TallierBundle(4, "copeland", 3, np.array([M31 + 4, 5, 6])),
@@ -155,15 +155,9 @@ def test_spool_rows_and_select():
     assert spool.shares.tolist() == [[1, 2, 3], [4, 5, 6], [0, 0, 0], [0, 0, 0], [8, 8, 8]]
     assert spool.malformed.tolist() == [False, False, True, True, False]
     assert spool.rows([2, 4, 5, 7]).tolist() == [3, 1, -1, 0]  # an id held twice: its first row
-
-    picked = spool.select(np.array([4, 5, 7], dtype=np.uint64))
-    assert picked.ids.tolist() == [4, 5, 7]
-    assert picked.shares.tolist() == [[4, 5, 6], [0, 0, 0], [1, 2, 3]]
-    assert picked.malformed.tolist() == [False, True, False]
-    assert picked.select(picked.ids) is picked
     empty = Spool.from_bundles([], "copeland", 3, M31)
     assert empty.shares.shape == (0, 3)
-    assert empty.select([3]).malformed.tolist() == [True]
+    assert empty.rows([3]).tolist() == [-1]
 
 
 def test_live_payloads_become_a_spool_sorted_by_voter_id():
