@@ -42,8 +42,14 @@ def _session_dir(path: str) -> Path:
     return d
 
 
-def _load_config(session: Path) -> ElectionConfig:
-    return ElectionConfig.loads((session / SESSION_FILE).read_text()).validate()
+def _load_config(path: Path, seed: int | None = None) -> ElectionConfig:
+    """The validated config at ``path``, with ``seed`` for its own if given."""
+    try:
+        text = path.read_text()
+    except OSError as err:
+        raise ConfigError(f"cannot read {path} ({err.strerror})") from None
+    config = ElectionConfig.loads(text)
+    return (config if seed is None else config.with_overrides(seed=seed)).validate()
 
 
 def _spool_path(session: Path, party: int) -> Path:
@@ -84,10 +90,7 @@ def _read_spool(session: Path, config: ElectionConfig, party: int) -> Spool:
 
 
 def cmd_setup(args) -> int:
-    config = ElectionConfig.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        config = config.with_overrides(seed=args.seed)
-    config = config.validate()
+    config = _load_config(Path(args.config), args.seed)
     session = Path(args.session)
     session.mkdir(parents=True, exist_ok=True)
     (session / "ballots").mkdir(exist_ok=True)
@@ -104,7 +107,7 @@ def _next_voter_id(session: Path, config: ElectionConfig) -> int:
 
 def cmd_vote(args) -> int:
     session = _session_dir(args.session)
-    config = _load_config(session)
+    config = _load_config(session / SESSION_FILE)
     names = config.name_to_index()
     try:
         if config.rule == "kemeny":
@@ -170,7 +173,7 @@ def _spools(session: Path, config: ElectionConfig) -> dict[int, Spool]:
 
 def cmd_validate(args) -> int:
     session = _session_dir(args.session)
-    config = _load_config(session)
+    config = _load_config(session / SESSION_FILE)
     if args.party:
         verdicts, counters = run_socket_validation(
             config, args.party, _read_spool(session, config, args.party))
@@ -197,7 +200,7 @@ def _print_counters(c: dict) -> None:
 
 def cmd_tally(args) -> int:
     session = _session_dir(args.session)
-    config = _load_config(session)
+    config = _load_config(session / SESSION_FILE)
     if args.open_scores:
         config = config.with_overrides(open_scores=True)
     if args.reconstruct_rejected:
@@ -253,10 +256,7 @@ def cmd_bench(args) -> int:
     ``LATENCIES_MS``, and the median wall time of the whole tally.  The total
     row's waiting, processor and modelled seconds are the sums of the
     phases'."""
-    config = ElectionConfig.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        config = config.with_overrides(seed=args.seed)
-    config = config.validate()
+    config = _load_config(Path(args.config), args.seed)
     if args.reps < 1:
         print("--reps must be at least 1", file=sys.stderr)
         return 2
@@ -305,7 +305,7 @@ def _plain_rankings(args, config: ElectionConfig | None):
             data.get("num_candidates"), data.get("num_winners"), \
             tuple(data.get("alpha", (1, 2)))
     session = _session_dir(args.session)
-    config = config or _load_config(session)
+    config = config or _load_config(session / SESSION_FILE)
     plain = session / "plain.jsonl"
     if not plain.exists():
         raise SystemExit("no plain.jsonl in session; cast votes with --keep-plain")
@@ -319,7 +319,7 @@ def _plain_rankings(args, config: ElectionConfig | None):
 def cmd_oracle(args) -> int:
     config = None
     if args.session:
-        config = _load_config(_session_dir(args.session))
+        config = _load_config(_session_dir(args.session) / SESSION_FILE)
     rankings, rule, m, k, alpha = _plain_rankings(args, config)
     rule = args.rule or rule
     k = args.winners or k

@@ -24,7 +24,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -104,12 +104,22 @@ def ranking_winners(ranks: Sequence[int], k: int) -> list[int]:
     return by_rank[:k]
 
 
+def _as(kind: type, value):
+    """``value`` if it has the JSON type ``kind`` (true is no int), else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"{json.dumps(value)} is not a JSON {kind.__name__}")
+    return value
+
+
+_str, _int, _bool, _list = (partial(_as, kind) for kind in (str, int, bool, list))
+
 # how each field of a JSON config is read; the dataclass defaults fill the rest
 _FROM_JSON = {
-    "rule": str, "candidates": tuple, "num_winners": int, "talliers": int, "prime": int,
-    "alpha": lambda a: (int(a["s"]), int(a["t"])), "expected_voters": int, "seed": int,
-    "backend": str, "endpoints": lambda es: tuple((str(h), int(port)) for h, port in es),
-    "open_scores": bool, "reconstruct_rejected": bool, "threshold": int,
+    "rule": _str, "candidates": lambda cs: tuple(map(_str, _list(cs))),
+    "num_winners": _int, "talliers": _int, "prime": _int, "expected_voters": _int,
+    "alpha": lambda a: (_int(a["s"]), _int(a["t"])), "seed": _int, "backend": _str,
+    "endpoints": lambda es: tuple((_str(h), _int(port)) for h, port in _list(es)),
+    "open_scores": _bool, "reconstruct_rejected": _bool, "threshold": _int,
 }
 
 
@@ -218,8 +228,8 @@ class ElectionConfig:
     @staticmethod
     def from_dict(data: dict) -> "ElectionConfig":
         """The config of a ``to_dict`` object.  A field absent or null takes its
-        default; a required one missing or one that does not convert raises
-        ConfigError naming it."""
+        default; a required one missing, or one not of its JSON type (a list
+        of strings, true or false, an integer), raises ConfigError naming it."""
         if not isinstance(data, dict):
             raise ConfigError("a config is a JSON object")
         version = data.get("schema_version", SCHEMA_VERSION)

@@ -4,8 +4,8 @@
 context and its own ``ballots.Spool`` (voter ids and one share matrix):
 prepare every LSB mask the tally will use in one offline batch,
 agree with the other talliers on one roster of voter ids and validate it
-(``validate_bundles``, in batches that fit the frame cap), aggregate the
-accepted ballots, compute scores, and open winners,
+in one batch (``validate_bundles``; the transport splits a payload wider
+than a frame), aggregate the accepted ballots, compute scores, and open winners,
 recording what each phase costs in the result's counters.  Every in-process
 runner starts its talliers through one ``_run_threads``: ``run_local_election``
 runs all D talliers as threads of one process over the in-memory hub (the
@@ -16,7 +16,6 @@ TCP.  With fixed seeds both backends produce identical results.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from contextlib import contextmanager
@@ -25,7 +24,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from . import transport, validation
+from . import validation
 from .ballots import (SharedBallot, Spool, TallierBundle, decode_spool,
                       ranking_to_matrix, share_ballot)
 from .config import ElectionConfig
@@ -124,28 +123,18 @@ def _copy_numbers(ids: np.ndarray) -> np.ndarray:
 
 
 def _exchange_ids(ctx: PartyContext, spool: Spool) -> list[list[np.ndarray]]:
-    """Every tallier's voter ids and malformed ids, in party order.  Each
-    sends its spool's ids, then its malformed rows' ids, in chunks that fit
-    ``transport.MAX_FRAME``, each ending in the word 2·bad + more (bad ids
-    end the list; more: chunks follow) until no tallier has more; a final
-    word that claims unsent ids names its sender (InconsistentOpen)."""
+    """Every tallier's voter ids and malformed ids, in party order, in one
+    round.  Each sends its spool's ids, then its malformed rows' ids, then
+    how many malformed ids end the list; an empty payload, or a count that
+    claims unsent ids, names its sender (InconsistentOpen)."""
     bad = spool.ids[spool.malformed]
-    words = np.concatenate([spool.ids, bad])
-    step = (transport.MAX_FRAME - transport.HEADER.size) // 8 - 1
-    held: dict[int, list[np.ndarray]] = {}
-    for start in itertools.count(0, step):
-        last = np.uint64(2 * bad.size + (start + step < words.size))
-        got = ctx.channel.exchange_all(np.append(words[start:start + step], last))
-        for d, payload in got.items():
-            if payload.size == 0:
-                raise InconsistentOpen(f"T{d} sent an empty roster frame in round "
-                                       f"{ctx.channel.stats.rounds - 1}")
-            held.setdefault(d, []).append(payload[:-1])
-        if not any(int(payload[-1]) & 1 for payload in got.values()):
-            break
+    got = ctx.channel.exchange_all(np.concatenate([spool.ids, bad, [np.uint64(bad.size)]]))
     out = []
-    for d in sorted(held):
-        listed, flagged = np.concatenate(held[d]), int(got[d][-1]) >> 1
+    for d, payload in sorted(got.items()):
+        if payload.size == 0:
+            raise InconsistentOpen(f"T{d} sent an empty roster frame in round "
+                                   f"{ctx.channel.stats.rounds - 1}")
+        listed, flagged = payload[:-1], int(payload[-1])
         if flagged > listed.size:
             raise InconsistentOpen(f"T{d} claims {flagged} malformed ids but sent {listed.size}")
         out.append(np.split(listed, [listed.size - flagged]))
@@ -153,8 +142,8 @@ def _exchange_ids(ctx: PartyContext, spool: Spool) -> list[list[np.ndarray]]:
 
 
 def _agree_roster(ctx: PartyContext, spool: Spool) -> tuple[np.ndarray, np.ndarray]:
-    """The roster every tallier derives, agreed in one round whenever the ids
-    fit a frame (``_exchange_ids``), and per entry the reason it is rejected
+    """The roster every tallier derives, agreed in one round
+    (``_exchange_ids``), and per entry the reason it is rejected
     unvalidated (None if validated).  It lists T1's ids, in its order, then
     each further tallier's copies beyond those listed: an id appears as
     often as its holder of the most copies holds it, and talliers that hold
@@ -178,9 +167,8 @@ def _agree_roster(ctx: PartyContext, spool: Spool) -> tuple[np.ndarray, np.ndarr
 
 def validate_bundles(ctx: PartyContext, config: ElectionConfig,
                      spool: Spool) -> list[validation.ValidationVerdict]:
-    """Validate the roster the talliers agree on (``_agree_roster``) in
-    batches of ``validation.batch_limit``, one batch unless a frame would
-    exceed the cap; returns one verdict per roster entry, in roster order.
+    """Validate the roster the talliers agree on (``_agree_roster``) in one
+    batch; returns one verdict per roster entry, in roster order.
     A ``DuplicateVoter`` or ``Malformed`` entry is rejected unvalidated, so
     no copy can carry an illegal ballot in and the verdicts do not depend on
     arrival order; only ids every tallier holds once and well-formed are
@@ -189,11 +177,7 @@ def validate_bundles(ctx: PartyContext, config: ElectionConfig,
     rejected = reasons.astype(bool)
     rows = spool.rows(roster[~rejected])
     spool = spool if np.array_equal(rows, np.arange(len(spool))) else spool[rows]
-    step = validation.batch_limit(config.rule, config.m)
-    checked: list[validation.ValidationVerdict] = []
-    for start in range(0, len(spool), step):
-        checked += validation.batch_validate(ctx, spool[start:start + step],
-                                             config.rule, config.m)
+    checked = validation.batch_validate(ctx, spool, config.rule, config.m)
     if not rejected.any():
         return checked
     verdicts = iter(checked)

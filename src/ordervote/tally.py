@@ -102,8 +102,8 @@ def lsb_extractions(rule: str, m: int, k: int) -> int:
 
 def phase_rounds(rule: str, m: int, k: int, ell: int,
                  open_scores: bool = False) -> dict[str, int]:
-    """Communication rounds per phase of a tally of legal ballots that
-    validate in one batch, at a prime of ``ell`` >= 3 bits.  An LSB extraction
+    """Communication rounds per phase of a tally of legal ballots, at a
+    prime of ``ell`` >= 3 bits.  An LSB extraction
     opens x + r and runs t = ceil(log2 ceil(ell/4)) carry-tree levels over
     the 4-bit windows of r (``engine.WINDOW``); a min or argmax level adds
     its select; L(n) = ceil(log2 n).

@@ -14,9 +14,10 @@ needs.  Two backends share the mailbox machinery:
 Frame layout (all little-endian): 4-byte frame length, then session (8B),
 round (4B), sender (2B), kind (1B), payload count (4B), payload (count x 8B
 field elements).  A frame longer than ``MAX_FRAME`` bytes is refused before
-anything is allocated for it.  There are three kinds: POINTWISE carries one
-round's payload from one tallier to another, BALLOT carries a voter's
-submission and ACK acknowledges it.
+anything is allocated for it, and no other layer knows the cap: a round's
+payload from one tallier to another crosses as MORE frames of the most words a
+frame holds, then a POINTWISE frame with the rest (or all of it), which the
+mailbox joins.  BALLOT carries a voter's submission and ACK acknowledges it.
 
 Each accepted connection is bound to the sender of its first tallier frame;
 a later frame from another sender, or a frame that does not parse, poisons
@@ -39,7 +40,7 @@ import numpy as np
 
 HEADER = struct.Struct("<QIHBI")  # session, round, sender, kind, count
 LEN_PREFIX = struct.Struct("<I")
-MAX_FRAME = 256 << 20  # bytes after the length prefix; validation.batch_limit keeps under it
+MAX_FRAME = 256 << 20  # bytes after the length prefix; wider payloads cross as several frames
 
 DEFAULT_SOCKET_TIMEOUT = 30.0
 
@@ -64,6 +65,7 @@ class DuplicateMessage(TransportFailure):
 
 class MessageKind(IntEnum):
     POINTWISE = 0
+    MORE = 1  # a part of a payload; the POINTWISE frame of its key ends it
     BALLOT = 2
     ACK = 3
 
@@ -110,6 +112,7 @@ class Mailbox:
         self.owner = owner
         self._cond = threading.Condition()
         self._messages: dict[tuple[int, int, int], ProtocolMessage] = {}
+        self._parts: dict[tuple[int, int, int], list[np.ndarray]] = {}  # MORE frames
         self._ballots: dict[int, list[ProtocolMessage]] = {}
         self._poison: Exception | None = None
         # the keys ``await_round`` still misses; its waiter is woken only once
@@ -130,6 +133,11 @@ class Mailbox:
                 self._poison = err
                 self._cond.notify_all()
                 raise err
+            if msg.kind == MessageKind.MORE:
+                self._parts.setdefault(key, []).append(msg.payload)
+                return
+            if key in self._parts:
+                msg.payload = np.concatenate(self._parts.pop(key) + [msg.payload])
             self._messages[key] = msg
             if key in self._missing:
                 self._missing.discard(key)
@@ -432,9 +440,14 @@ class SessionChannel:
         count the messages, and wait for the payloads of ``senders``."""
         r = self.stats.rounds
         self.stats.rounds += 1
+        width = (MAX_FRAME - HEADER.size) // 8
         for to, payload in sends.items():
-            self.transport.send(to, ProtocolMessage(self.session, r, self.party_id,
-                                                    MessageKind.POINTWISE, payload))
+            last = max(len(payload) - 1, 0) // width * width  # the last frame's first word
+            for start in range(0, last + 1, width):
+                self.transport.send(to, ProtocolMessage(
+                    self.session, r, self.party_id,
+                    MessageKind.MORE if start < last else MessageKind.POINTWISE,
+                    payload[start:start + width] if last else payload))
         self.stats.messages += len(sends)
         if not senders:
             return {}

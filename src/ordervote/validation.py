@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import transport
 from .ballots import ConfigMismatch, Spool, entry_pairs, upper_pairs
 from .engine import PartyContext, Shares
 from .shamir import degree_at_most, reconstruct_batch
@@ -144,15 +143,6 @@ def batch_validate(ctx: PartyContext, spool: Spool, rule: str,
     code = np.select([~degree_ok, ~domain_ok, ~sums_ok], [3, 2, 1], 0)
     return list(map(ValidationVerdict, spool.ids.tolist(), (code == 0).tolist(),
                     _REASONS[code].tolist()))
-
-
-def batch_limit(rule: str, m: int) -> int:
-    """The most ballots, at least 1, whose ``batch_validate`` frames fit
-    ``transport.MAX_FRAME``: the largest deals the degree check's masks and the
-    first product layer, C + 2w words per ballot.  The cap is read per call."""
-    words = len(entry_pairs(rule, m)) + 2 * _first_layer_width(rule, m)
-    room = (transport.MAX_FRAME - transport.HEADER.size) // 8
-    return max(1, room // max(1, words))  # M = 1 shares no entry
 
 
 def _first_layer_width(rule: str, m: int) -> int:

@@ -79,20 +79,25 @@ def test_setup_rejects_small_field(tmp_path, capsys):
 
 
 def test_bad_config_ends_setup_and_bench_with_a_named_error(tmp_path, capsys):
-    """A config that is not JSON, lacks a field, holds a field that does not
-    convert or fails validation ends setup and bench with exit code 2 and a
-    ConfigError that names the fault, not a traceback."""
-    cfg = tmp_path / "cfg.json"
+    """A config that does not exist, is not JSON, lacks a field, holds a
+    field not of its JSON type or fails validation ends setup and bench with
+    exit code 2 and a ConfigError that names the fault, not a traceback."""
+    cfg, missing = tmp_path / "cfg.json", tmp_path / "missing.json"
     good = json.loads(write_config(cfg).read_text())
     no_rule = {k: v for k, v in good.items() if k != "rule"}
     for text, named in ((json.dumps(dict(good, talliers="x")), "field 'talliers'"),
                         (json.dumps(no_rule), "field 'rule' is missing"),
                         (json.dumps(dict(good, alpha={"s": 1})), "field 'alpha'"),
                         ("{not json", "not JSON"),
-                        (json.dumps(dict(good, prime=4)), "p = 4 is not prime")):
-        cfg.write_text(text)
+                        (json.dumps(dict(good, prime=4)), "p = 4 is not prime"),
+                        (None, f"cannot read {missing}"),
+                        (json.dumps(dict(good, candidates="ABC")), "field 'candidates'"),
+                        (json.dumps(dict(good, open_scores="false")), "field 'open_scores'"),
+                        (json.dumps(dict(good, talliers=3.9)), "field 'talliers'")):
+        if text is not None:
+            cfg.write_text(text)
         for argv in (["setup", "--session", str(tmp_path / "s")], ["bench", "--reps", "1"]):
-            assert main(argv + ["--config", str(cfg)]) == 2
+            assert main(argv + ["--config", str(cfg if text else missing)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("ConfigError: ") and named in err, (argv[0], err)
 

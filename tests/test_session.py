@@ -47,11 +47,12 @@ def test_local_election_all_parties_agree():
 
 
 def _cap_for(monkeypatch, rule, m, batch):
-    """Lower the frame cap until ``batch_limit(rule, m)`` is ``batch``; returns it."""
+    """Lower the frame cap to ``batch`` ballots' worth of validation's widest
+    payload, the deal of the degree check's masks and the first product
+    layer (C + 2w words per ballot); returns it."""
     words = len(entry_pairs(rule, m)) + 2 * validation._first_layer_width(rule, m)
     cap = HEADER.size + 8 * batch * words
     monkeypatch.setattr(transport, "MAX_FRAME", cap)
-    assert validation.batch_limit(rule, m) == batch
     return cap
 
 
@@ -70,9 +71,9 @@ def test_local_election_with_batching_matches_unbatched(monkeypatch):
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_derived_batches_keep_every_validation_frame_under_the_cap(monkeypatch, rule, m):
     """With the cap lowered to five ballots' worth, 23 ballots (one shared at
-    too high a degree) validate in five batches, each dealing once; no frame
-    sent in validation exceeds the cap, the largest fills it exactly, and the
-    verdicts and winners are those of one batch."""
+    too high a degree) still validate in one batch, dealing once: the wide
+    payloads cross as several frames, none of them above the cap, and the
+    validate rounds, verdicts and winners are those at the real cap."""
     cfg = _cfg(rule=rule, m=m, k=1, seed=m)
     ballots = make_shared_ballots(cfg, _rankings(rule, m, 23, seed=m))
     q = ranking_to_matrix(rule, _rankings(rule, m, 1, seed=9)[0], m)
@@ -100,8 +101,11 @@ def test_derived_batches_keep_every_validation_frame_under_the_cap(monkeypatch, 
     monkeypatch.setattr(session, "validate_bundles", traced_validate)
     monkeypatch.setattr(InMemoryTransport, "send", traced_send)
     batched = run_local_election(cfg, ballots)
-    assert max(frames) == cap
-    assert batched.result.counters["phases"]["validate"]["deal_rounds"] == 5
+    assert max(frames) <= cap
+    validate_phase = batched.result.counters["phases"]["validate"]
+    assert validate_phase["deal_rounds"] == 1
+    assert validate_phase["comm_rounds"] == \
+        whole.result.counters["phases"]["validate"]["comm_rounds"]
     assert [v.record() for v in batched.verdicts] == [v.record() for v in whole.verdicts]
     assert batched.result.winners == whole.result.winners
 
@@ -306,12 +310,12 @@ def test_socket_backend_matches_memory_backend():
     assert results[2].winners == results[1].winners
 
 
-def test_socket_tally_over_the_cap_validates_in_batches(monkeypatch):
+def test_socket_tally_over_the_cap_validates_in_one_batch(monkeypatch):
     """A 12 KiB cap is above every frame of a Copeland M=3 tally except
-    validation's at N=300: validation splits into two batches, each dealing
-    once, and the socket tally completes with the in-memory result."""
+    validation's at N=300: those payloads cross as several frames,
+    validation deals once, and the socket tally completes with the
+    in-memory result."""
     monkeypatch.setattr(transport, "MAX_FRAME", 12 << 10)
-    assert validation.batch_limit("copeland", 3) == 219
     rankings = _rankings("copeland", 3, 300, seed=16)
     mem_cfg = _cfg(rule="copeland", m=3, k=1, d=3, seed=32)
     mem_outcome = run_local_election(mem_cfg, make_shared_ballots(mem_cfg, rankings))
@@ -321,13 +325,44 @@ def test_socket_tally_over_the_cap_validates_in_batches(monkeypatch):
     results = _run_threads(3, lambda d: run_socket_tallier(
         sock_cfg, d, [b.bundle_for(d) for b in ballots])[0])
     assert results[1].to_dict() == mem_outcome.result.to_dict()
-    assert results[1].counters["phases"]["validate"]["deal_rounds"] == 2
+    assert results[1].counters["phases"]["validate"]["deal_rounds"] == 1
+
+
+def test_socket_tally_opens_proofs_wider_than_a_frame(monkeypatch):
+    """Under a 12 KiB cap, the proofs of 600 Copeland M=3 ballots shared at
+    degree D are 1,800 words per tallier, wider than one frame: they cross
+    as several, and the socket tally returns all 600 proofs and the
+    in-memory result (it used to end in a TransportFailure)."""
+    monkeypatch.setattr(transport, "MAX_FRAME", 12 << 10)
+    rankings = _rankings("copeland", 3, 700, seed=18)
+
+    def shared(cfg):
+        ballots = make_shared_ballots(cfg, rankings)
+        for i in range(600):
+            q = ranking_to_matrix("copeland", rankings[i], 3)
+            ballots[i] = share_ballot(q, cfg.field, cfg.talliers, cfg.talliers,
+                                      cfg.voter_rng(i + 1), i + 1)
+        return ballots
+
+    mem_cfg = _cfg(rule="copeland", m=3, k=1, d=3, seed=35, reconstruct_rejected=True)
+    mem_outcome = run_local_election(mem_cfg, shared(mem_cfg))
+    assert [v.reason for v in mem_outcome.verdicts] == [REASON_DEGREE] * 600 + [None] * 100
+
+    sock_cfg = _socket_cfg("copeland", 3, 1, 3, seed=35).with_overrides(
+        reconstruct_rejected=True)
+    ballots = shared(sock_cfg)
+    results = _run_threads(3, lambda d: run_socket_tallier(
+        sock_cfg, d, [b.bundle_for(d) for b in ballots]))
+    result, _, proofs = results[1]
+    assert result.to_dict() == mem_outcome.result.to_dict()
+    assert len(proofs) == 600
+    assert all(np.array_equal(proofs[v], mem_outcome.rejected_proofs[v]) for v in proofs)
 
 
 def test_socket_roster_over_the_cap_goes_in_chunks(monkeypatch):
-    """Under a 12 KiB cap, 2,000 voter ids do not fit one frame: the roster
-    round splits into chunks of 1,532 ids and a more-follows word, and a
-    Copeland M=3 socket tally completes with the in-memory result."""
+    """Under a 12 KiB cap, 2,000 voter ids do not fit one frame: each
+    roster payload crosses as frames of 1,533 words, and a Copeland M=3
+    socket tally completes with the in-memory result."""
     monkeypatch.setattr(transport, "MAX_FRAME", 12 << 10)
     rankings = _rankings("copeland", 3, 2000, seed=17)
     mem_cfg = _cfg(rule="copeland", m=3, k=1, d=3, seed=33)
@@ -345,7 +380,8 @@ def test_socket_roster_over_the_cap_goes_in_chunks(monkeypatch):
 
 def test_empty_roster_frame_names_its_sender():
     """A peer that sends no word at all in the roster round, not even the
-    more-follows word, is named in an InconsistentOpen at every tallier."""
+    count of its malformed ids, is named in an InconsistentOpen at every
+    tallier."""
     cfg = _cfg()
     hub = InMemoryHub(3, timeout=10.0)
 
@@ -361,13 +397,13 @@ def test_empty_roster_frame_names_its_sender():
 
 
 def test_malformed_ids_that_straddle_a_roster_chunk_reach_every_tallier(monkeypatch):
-    """Under a cap of four ids plus the final word per frame, T2 sends its
-    six voter ids and then its malformed ones, voters 2, 4 and 6, across
-    its second and third frames.  Over sockets every tallier derives the
-    same roster in three rounds, with those voters Malformed and voter 5,
+    """Under a cap of four words per frame, T2 sends its six voter ids,
+    then its malformed ones, voters 2, 4 and 6, across its second and third
+    frames, and then their count.  Over sockets every tallier derives the
+    same roster in one round, with those voters Malformed and voter 5,
     which T3 lacks, too."""
     cfg = _socket_cfg("copeland", 3, 1, 3, seed=34)
-    monkeypatch.setattr(transport, "MAX_FRAME", HEADER.size + 8 * 5)
+    monkeypatch.setattr(transport, "MAX_FRAME", HEADER.size + 8 * 4)
     rows = [[1, 2, 3]] * 6
     spools = {1: Spool.build("copeland", 3, M31, range(1, 7), rows),
               2: Spool.build("copeland", 3, M31, range(1, 7),
@@ -379,20 +415,21 @@ def test_malformed_ids_that_straddle_a_roster_chunk_reach_every_tallier(monkeypa
             roster, reasons = session._agree_roster(ctx, spools[d])
             return roster.tolist(), reasons.tolist(), ctx.channel.stats.rounds
 
-    expected = ([1, 2, 3, 4, 5, 6], [None, REASON_MALFORMED, None] + [REASON_MALFORMED] * 3, 3)
+    expected = ([1, 2, 3, 4, 5, 6], [None, REASON_MALFORMED, None] + [REASON_MALFORMED] * 3, 1)
     assert list(_run_threads(3, body).values()) == [expected] * 3
 
 
 def test_roster_word_claiming_unsent_malformed_ids_names_its_sender():
-    """A peer whose final roster word claims more malformed ids than it sent
-    is named in an InconsistentOpen at every other tallier."""
+    """A peer whose final roster word, the count of its malformed ids,
+    claims more than it sent is named in an InconsistentOpen at every other
+    tallier."""
     cfg = _cfg()
     hub = InMemoryHub(3, timeout=10.0)
 
     def body(d):
         ctx = build_context(cfg, d, SessionChannel(hub.transport(d), 1))
         if d == 2:
-            ctx.channel.exchange_all(np.array([1, 2, 2 * 3], dtype=np.uint64))
+            ctx.channel.exchange_all(np.array([1, 2, 3], dtype=np.uint64))
             return
         with pytest.raises(InconsistentOpen, match="T2 claims 3 malformed ids"):
             session._agree_roster(ctx, Spool.from_bundles([], cfg.rule, cfg.m, cfg.prime))

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from ordervote import transport
 from ordervote.transport import (HEADER, LEN_PREFIX, MAX_FRAME, DuplicateMessage,
                                  InMemoryHub, MessageKind, ProtocolMessage,
                                  RoundTimeout, SessionChannel, SocketTransport,
@@ -136,11 +137,82 @@ def test_missing_message_names_absent_party():
 
 
 def test_duplicate_message_rejected():
-    hub = InMemoryHub(2)
-    msg = ProtocolMessage(1, 0, 2, MessageKind.POINTWISE, np.array([5], dtype=np.uint64))
-    hub.deliver(1, msg)
-    with pytest.raises(DuplicateMessage):
+    """A second message for a delivered key, whole or a MORE part of one,
+    poisons the mailbox: the next await fails with DuplicateMessage."""
+    for kind in (MessageKind.POINTWISE, MessageKind.MORE):
+        hub = InMemoryHub(2)
+        msg = ProtocolMessage(1, 0, 2, MessageKind.POINTWISE, np.array([5], dtype=np.uint64))
         hub.deliver(1, msg)
+        with pytest.raises(DuplicateMessage):
+            hub.deliver(1, ProtocolMessage(1, 0, 2, kind, msg.payload))
+        with pytest.raises(DuplicateMessage):
+            hub.transport(1).await_round(1, 1, {2})
+
+
+def test_wide_payload_crosses_both_backends_as_frames_under_the_cap(monkeypatch):
+    """Under a cap of four words a frame, a payload of 2·4 + 1 words crosses
+    either backend as two MORE frames and a POINTWISE one, none above the
+    cap; it arrives whole, and both backends count the same bytes."""
+    monkeypatch.setattr(transport, "MAX_FRAME", HEADER.size + 8 * 4)
+    payload = np.arange(100, 109, dtype=np.uint64)
+    sent = {}
+    for backend in ("memory", "socket"):
+        nodes = InMemoryHub(2, timeout=10.0).endpoints if backend == "memory" \
+            else _socket_mesh(2)
+        frames, got = [], {}
+        send = nodes[1].send
+
+        def traced(to, msg):
+            frames.append((msg.kind, HEADER.size + 8 * len(msg.payload)))
+            send(to, msg)
+
+        nodes[1].send = traced
+
+        def run(d):
+            got[d] = SessionChannel(nodes[d], 1).exchange_all(payload)
+
+        threads = [threading.Thread(target=run, args=(d,)) for d in (1, 2)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            for n in nodes.values():
+                n.close()
+        assert [kind for kind, _ in frames] == [MessageKind.MORE] * 2 + [MessageKind.POINTWISE]
+        assert max(size for _, size in frames) <= transport.MAX_FRAME
+        assert np.array_equal(got[2][1], payload) and np.array_equal(got[1][2], payload)
+        sent[backend] = nodes[1].bytes_sent
+    assert sent["memory"] == sent["socket"] == 3 * LEN_PREFIX.size + 3 * HEADER.size + 8 * 9
+
+
+def test_mailbox_joins_interleaved_parts_of_many_senders():
+    """Eight senders, more than the cores, deliver their payloads in 50 MORE
+    parts and a final frame each, interleaved by a short switch interval;
+    the mailbox hands every payload over whole and in order."""
+    import sys
+    mailbox = transport.Mailbox(0)
+    payloads = {s: np.arange(51 * s, 51 * s + 51, dtype=np.uint64) for s in range(1, 9)}
+
+    def deliver(s):
+        for i, word in enumerate(payloads[s]):
+            kind = MessageKind.MORE if i < 50 else MessageKind.POINTWISE
+            mailbox.deliver(ProtocolMessage(1, 0, s, kind, word.reshape(1)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=deliver, args=(s,)) for s in payloads]
+        for t in threads:
+            t.start()
+        got = mailbox.await_round(1, 0, set(payloads), timeout=10.0)
+        for t in threads:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(got[s].payload, payloads[s]) for s in payloads)
 
 
 def test_session_isolation():

@@ -10,7 +10,7 @@ from ordervote.field import PrimeField
 from ordervote.oracle import legal_ballot_matrix
 from ordervote.shamir import share_batch
 from ordervote.validation import (REASON_DEGREE, REASON_DOMAIN, REASON_SUMS,
-                                  batch_limit, batch_validate, column_sum_shares,
+                                  batch_validate, column_sum_shares,
                                   masked_degree_check, reconstruct_rejected)
 
 M31 = (1 << 31) - 1
@@ -365,11 +365,3 @@ def test_batch_reduces_shares_at_or_above_p(f_mersenne31):
         verdicts, _, _ = _run_batch(f, ballots + [bad, inflated], rule)
         assert [v.accepted for v in verdicts] == [True, True, True, False], rule
 
-
-def test_batch_limit_at_the_real_frame_cap():
-    """Every benchmark election validates in one batch; M = 1 shares no entry
-    and still gets a positive limit."""
-    assert batch_limit("copeland", 5) == batch_limit("maximin", 5) == 2_396_744
-    assert batch_limit("kemeny", 4) == 699_050
-    assert batch_limit("kemeny", 6) == 279_620
-    assert all(batch_limit(rule, 1) >= 1 for rule in ("copeland", "maximin", "kemeny"))
