@@ -3,8 +3,11 @@
 A session lives in a directory: ``session.json`` holds the validated
 parameters, ``ballots/tallier_<d>.jsonl`` spools each tallier's received
 share bundles (one JSON line per voter), ``audit.jsonl`` streams validation
-verdicts, and ``result.json`` records the final tally deterministically
-(fixed seeds reproduce it byte for byte).
+verdicts, and ``result.json`` records the final tally.  ``vote`` and the
+talliers draw their randomness from the operating system, since the
+config's seed is no secret; the verdicts, winners and counters do not
+depend on it, so ``result.json`` reproduces byte for byte.  ``vote``
+refuses a ballot that the session's prime could not tally.
 
 Talliers run either as threads of one process (the default, in-memory
 transport) or as separate processes joining over TCP: start one
@@ -27,7 +30,7 @@ import numpy as np
 from . import oracle as oracle_mod
 from .ballots import (InvalidRanking, Spool, encode_bundle, parse_order, parse_ranks,
                       ranking_to_matrix, share_ballot)
-from .config import ConfigError, ElectionConfig
+from .config import ConfigError, ElectionConfig, check_field_bounds, fresh_rng
 from .session import (SESSION, make_shared_ballots, run_local_election,
                       run_local_validation, run_socket_tallier, run_socket_validation)
 from .transport import TransportFailure, submit_ballot_socket
@@ -42,14 +45,15 @@ def _session_dir(path: str) -> Path:
     return d
 
 
-def _load_config(path: Path, seed: int | None = None) -> ElectionConfig:
-    """The validated config at ``path``, with ``seed`` for its own if given."""
+def _load_config(path: Path, **overrides) -> ElectionConfig:
+    """The validated config at ``path``, with each override that is not None
+    for its field (``ElectionConfig.loads``)."""
     try:
         text = path.read_text()
     except OSError as err:
         raise ConfigError(f"cannot read {path} ({err.strerror})") from None
-    config = ElectionConfig.loads(text)
-    return (config if seed is None else config.with_overrides(seed=seed)).validate()
+    return ElectionConfig.loads(text, **{key: value for key, value in overrides.items()
+                                         if value is not None}).validate()
 
 
 def _spool_path(session: Path, party: int) -> Path:
@@ -90,7 +94,7 @@ def _read_spool(session: Path, config: ElectionConfig, party: int) -> Spool:
 
 
 def cmd_setup(args) -> int:
-    config = _load_config(Path(args.config), args.seed)
+    config = _load_config(Path(args.config), seed=args.seed)
     session = Path(args.session)
     session.mkdir(parents=True, exist_ok=True)
     (session / "ballots").mkdir(exist_ok=True)
@@ -99,10 +103,6 @@ def cmd_setup(args) -> int:
     print(f"rule={config.rule} M={config.m} K={config.num_winners} "
           f"D={config.talliers} D'={config.threshold} p={config.prime}")
     return 0
-
-
-def _next_voter_id(session: Path, config: ElectionConfig) -> int:
-    return int(_read_spool(session, config, 1).ids.max(initial=0)) + 1
 
 
 def cmd_vote(args) -> int:
@@ -124,10 +124,13 @@ def cmd_vote(args) -> int:
     if args.voter_id is not None and args.voter_id < 1:  # ids travel as uint64
         print("ballot rejected: --voter-id must be at least 1", file=sys.stderr)
         return 2
-    voter_id = args.voter_id or _next_voter_id(session, config)
+    spooled = _read_spool(session, config, 1)
+    voter_id = args.voter_id or int(spooled.ids.max(initial=0)) + 1
+    # any spooled ballot may be accepted, so one the prime cannot tally is refused
+    check_field_bounds(config.prime, config.rule, config.m, len(spooled) + 1, config.alpha)
     matrix = ranking_to_matrix(config.rule, ranking, config.m)
     shared = share_ballot(matrix, config.field, config.threshold, config.talliers,
-                          config.voter_rng(voter_id), voter_id)
+                          fresh_rng(), voter_id)
 
     if args.transport == "socket":
         if config.backend != "socket":
@@ -256,11 +259,12 @@ def cmd_bench(args) -> int:
     ``LATENCIES_MS``, and the median wall time of the whole tally.  The total
     row's waiting, processor and modelled seconds are the sums of the
     phases'."""
-    config = _load_config(Path(args.config), args.seed)
+    # a config that names no prime takes one that holds the voters tallied
+    config = _load_config(Path(args.config), seed=args.seed, expected_voters=args.voters)
     if args.reps < 1:
         print("--reps must be at least 1", file=sys.stderr)
         return 2
-    voters = args.voters or config.expected_voters
+    voters = config.expected_voters
     rankings = _random_rankings(config, voters, np.random.default_rng(config.seed))
     ballots = make_shared_ballots(config, rankings)
     seconds, wait, cpu = [], [], []
@@ -282,7 +286,8 @@ def cmd_bench(args) -> int:
                      **{key: sum(row[key] for row in rows) for key in timed}))
 
     print(f"{config.rule} M={config.m} K={config.num_winners} D={config.talliers} "
-          f"N={voters}, {args.reps} runs, counters, waiting and processor time of T1")
+          f"p={config.prime} N={voters}, {args.reps} runs, counters, waiting and "
+          "processor time of T1")
     print(f"{'phase':10s}" + "".join(f" {title:>9s}" for title, _ in BENCH_COLUMNS)
           + "".join(f" {key[:-2]:>9s}" for key in timed) + f" {'seconds':>9s}")
     for row in rows:
@@ -292,8 +297,8 @@ def cmd_bench(args) -> int:
     if args.out:
         report = {"rule": config.rule, "candidates": config.m,
                   "num_winners": config.num_winners, "talliers": config.talliers,
-                  "voters": voters, "seed": config.seed, "seconds": seconds,
-                  "winners": outcome.result.winners, "rows": rows}
+                  "prime": config.prime, "voters": voters, "seed": config.seed,
+                  "seconds": seconds, "winners": outcome.result.winners, "rows": rows}
         Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -401,8 +406,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (BadSpool, ConfigError) as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+    except (BadSpool, ConfigError, RuntimeError) as err:
+        # an in-process tally raises a tallier's error as a RuntimeError's cause,
+        # such as the FieldTooSmall of more accepted ballots than p holds
+        named = err.__cause__ if isinstance(err, RuntimeError) else err
+        if not isinstance(named, (BadSpool, ConfigError)):
+            raise
+        print(f"{type(named).__name__}: {named}", file=sys.stderr)
         return 2
 
 

@@ -12,6 +12,11 @@ score range R needs p > 2R:
 * twice the largest column-sum difference, 2 * (M - 1),
 * for kemeny, N * M(M - 1), twice the largest ranking score N * M(M - 1) / 2.
 
+The rounds and gates of the tally grow with the prime's bit length, so a
+config that names no prime takes the smallest of ``PRIME_LADDER`` whose
+bounds hold ``VOTER_HEADROOM`` times its expected voters (``ladder_prime``);
+the prime is then part of the config, and ``to_dict`` writes it out.
+
 Tie policy is defined once here and consumed by both the plaintext oracle and
 the MPC tally, so the two paths cannot drift: score ties go to the lowest
 candidate index, and kemeny ranking ties go to the first ranking in the
@@ -33,7 +38,10 @@ from .ballots import RULES
 from .field import MAX_PRIME, PrimeField, is_prime
 
 SCHEMA_VERSION = 1
-DEFAULT_PRIME = (1 << 31) - 1
+# ell = 16, then the Mersenne prime 2**31 - 1; both are 3 mod 4, so a square
+# root in the field is one power
+PRIME_LADDER = (65_519, (1 << 31) - 1)
+VOTER_HEADROOM = 2  # a ladder prime holds twice the expected voters
 
 
 class ConfigError(Exception):
@@ -50,6 +58,13 @@ class FieldTooSmall(ConfigError):
 
 class BadThreshold(ConfigError):
     pass
+
+
+def fresh_rng() -> np.random.Generator:
+    """A generator seeded from the operating system.  The config's seeded
+    generators (``party_rng``, ``voter_rng``) replay from the config alone,
+    so a run that must keep its ballots secret draws from this instead."""
+    return np.random.default_rng(np.random.SeedSequence())
 
 
 def derived_threshold(talliers: int) -> int:
@@ -75,10 +90,10 @@ def rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, m + 1))
 
 
-def _require_above(prime: int, bounds: dict[str, int]) -> None:
+def _require_above(prime: int, bounds: dict[str, int], remedy: str = "") -> None:
     for what, bound in bounds.items():
         if prime <= bound:
-            raise FieldTooSmall(f"p = {prime} must exceed {what} = {bound}")
+            raise FieldTooSmall(f"p = {prime} must exceed {what} = {bound}{remedy}")
 
 
 def check_field_bounds(prime: int, rule: str, m: int, voters: int,
@@ -88,14 +103,29 @@ def check_field_bounds(prime: int, rule: str, m: int, voters: int,
     copeland scores in [0, max(s,t)(M-1)] (checked when ``alpha`` is given)
     and kemeny scores in [0, N*M(M-1)/2] (every voter agrees with the best
     ranking on all M(M-1)/2 pairs).  The config checks its expected
-    voter count, the tally its accepted one."""
+    voter count, ``vote`` the ballots spooled with the one cast, and the
+    tally its accepted count."""
     bounds = {"2N (range of aggregated entries)": 2 * voters}
     if alpha is not None:
         bounds["2max(s,t)*(M-1) (twice the rescaled score range)"] = \
             2 * max(alpha) * (m - 1)
     if rule == "kemeny":
         bounds["N*M(M-1) (twice the largest ranking score)"] = voters * m * (m - 1)
-    _require_above(prime, bounds)
+    _require_above(prime, bounds, f" for N = {voters}; a session keeps the prime of "
+                   "its setup, so set up one whose config names a larger 'prime', or "
+                   "raises 'expected_voters' so that the prime it takes holds them")
+
+
+def ladder_prime(rule: str, m: int, voters: int, alpha: tuple[int, int]) -> int:
+    """The smallest prime of ``PRIME_LADDER`` that meets the field bounds of
+    ``VOTER_HEADROOM`` times ``voters``, else the largest."""
+    for prime in PRIME_LADDER[:-1]:
+        try:
+            check_field_bounds(prime, rule, m, VOTER_HEADROOM * voters, alpha)
+            return prime
+        except FieldTooSmall:
+            pass
+    return PRIME_LADDER[-1]
 
 
 def ranking_winners(ranks: Sequence[int], k: int) -> list[int]:
@@ -125,13 +155,14 @@ _FROM_JSON = {
 
 @dataclass(frozen=True)
 class ElectionConfig:
-    """Immutable parameters of one election session."""
+    """Immutable parameters of one election session.  A config built without
+    a prime takes ``ladder_prime`` of its rule, M, expected voters and alpha."""
 
     rule: str
     candidates: tuple[str, ...]
     num_winners: int
     talliers: int
-    prime: int = DEFAULT_PRIME
+    prime: int | None = None
     alpha: tuple[int, int] = (1, 2)  # copeland tie credit s/t
     expected_voters: int = 1000
     seed: int = 1
@@ -139,6 +170,11 @@ class ElectionConfig:
     endpoints: tuple[tuple[str, int], ...] = ()
     open_scores: bool = False
     reconstruct_rejected: bool = False
+
+    def __post_init__(self) -> None:
+        if self.prime is None:
+            object.__setattr__(self, "prime", ladder_prime(
+                self.rule, self.m, self.expected_voters, self.alpha))
 
     @property
     def m(self) -> int:
@@ -197,7 +233,7 @@ class ElectionConfig:
             raise ConfigError("socket backend needs one endpoint per tallier")
         return self
 
-    # -- deterministic randomness --------------------------------------------
+    # -- seeded randomness: replayed from the config alone, so no secret
 
     def party_rng(self, party_id: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, 1, party_id]))
@@ -257,11 +293,15 @@ class ElectionConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     @staticmethod
-    def loads(text: str) -> "ElectionConfig":
+    def loads(text: str, **overrides) -> "ElectionConfig":
+        """The config of JSON ``text`` with ``overrides`` for its fields, set
+        before a prime the text does not name is chosen."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not JSON ({err})") from None
+        if isinstance(data, dict):
+            data = {**data, **overrides}
         return ElectionConfig.from_dict(data)
 
     def with_overrides(self, **kwargs) -> "ElectionConfig":

@@ -24,7 +24,9 @@ Primitives:
   two layers of window products, the r < p rejection check with the
   r_0-products on its levels, the recomposition); a tally fills it once,
   before validation, with its exact extraction count (Damgard et al.,
-  TCC 2006), and a short pool is topped up the same way.
+  TCC 2006), and a short pool is topped up the same way.  A batch draws a
+  few spare masks (``spare_masks``), so the masks that fail their checks
+  cost no round of their own, at any p.
 * shared LSB of a secret x: take a mask r from the pool, publish c = x + r,
   and combine LSB(c), LSB(r) and the wraparound bit 1_{c < r}.  The wrap
   bit is the carry-out of a generate/propagate tree over the 4-bit windows
@@ -34,8 +36,9 @@ Primitives:
   ceil(log2 ceil(ell/4)) layers.  Each node also carries r_0 times its G,
   so LSB(r) XOR 1_{c < r} needs no gate of its own.  At p = 2^31 - 1 one
   extraction costs 4 rounds (the opening and 3 layers) and 18 gates
-  online, and its mask 220 gates offline; ``tally.phase_rounds`` states
-  the rounds of every phase of a tally.
+  online, and its mask 220 gates offline; at p = 65,519 (4 windows) 3
+  rounds and 7 gates, and 109 offline.  ``tally.phase_rounds`` states the
+  rounds of every phase of a tally.
 * bounded comparison 1_{a<b} for |a - b| < p/2: the positivity of b - a,
   one LSB extraction and no further gates.  Every comparison of the tally
   has bounded inputs (the field bounds of ``config`` ensure it).
@@ -53,7 +56,7 @@ sharings a later layer will take, exactly; the next exchange (``mul``, ``open``,
 behind the values sent to it (Damgard-Nielsen, CRYPTO 2007).  Declared one
 exchange ahead, a layer never stops for a refill.  A short pool is the
 fallback: a round that only deals (``deal_rounds``), for a phase's first
-layer, undeclared callers and the rare redraws of random bits.
+layer, undeclared callers and a mask batch that falls short.
 
 Multiplying by public scalars, adding shares, and adding public constants are
 local operations and never touch the network or the gate counters.
@@ -61,6 +64,7 @@ local operations and never touch the network or the gate counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -71,7 +75,8 @@ from .shamir import (InsufficientShares, combine_rows, degree_at_most,
                      reconstruct_batch, share_batch)
 from .transport import SessionChannel
 
-RETRY_LIMIT = 32
+RETRY_LIMIT = 32  # mask batches before a field is judged degenerate
+MASK_SHORTFALL = 2.0 ** -40  # the chance that a batch of masks falls short
 POOL_BLOCK = 1024
 WINDOW = 4  # bits per carry-tree leaf: 8 digits and 3 levels at ell = 31
 
@@ -154,6 +159,21 @@ def mask_layout(ell: int) -> MaskLayout:
         layers.append(tuple(np.array(v, dtype=np.intp) for v in (out, a, b)))
     return MaskLayout(len(widths), rows, ones, monomials, multiples, tuple(layers),
                       r0_rows, np.array([row[t] for t in above], dtype=np.intp))
+
+
+def spare_masks(p: int, ell: int, n: int) -> int:
+    """How many masks beyond n a batch draws: the least s for which more
+    than s failures among n + s masks have probability below
+    ``MASK_SHORTFALL``.  A mask fails when one of its ell random squares is
+    zero (1/p each) or its r >= p ((2**ell - p) / 2**ell), with probability
+    q; the union bound C(n+s, s+1) q**(s+1) over the sets of s+1 failures
+    bounds the shortfall."""
+    q = 1 - (1 - 1 / p) ** ell * p / 2 ** ell
+    s = 0
+    while (math.lgamma(n + s + 1) - math.lgamma(s + 2) - math.lgamma(n)
+           + (s + 1) * math.log(q)) >= math.log(MASK_SHORTFALL):
+        s += 1
+    return s
 
 
 def _level_gates(nodes: int, fields: int) -> int:
@@ -512,37 +532,23 @@ class PartyContext:
 
     # -- shared bit machinery ---------------------------------------------------
 
-    def _random_bits(self, shape: tuple[int, ...], then: int = 0) -> Shares:
+    def _random_bits(self, shape: tuple[int, ...], then: int = 0) -> tuple[Shares, np.ndarray]:
         """Shares of uniform bits: square a shared random value, open the square,
         divide by the public canonical root; the sign that survives is a coin.
-        The caller's next layer, ``then`` double sharings, is declared on the
-        squares' opening."""
-        total = int(np.prod(shape))
-        out = np.zeros(total, dtype=np.uint64)
-        need = np.ones(total, dtype=bool)
-        inv2 = np.uint64((self.field.p + 1) // 2)
-        for _ in range(RETRY_LIMIT):
-            if not need.any():
-                break
-            k = int(need.sum())
-            self.expect(rand=k, doubles=k)  # the squares' layer is dealt with the values
-            rho = self.rand_shares(k)
-            sq = self.mul(rho, rho)
-            self.expect(doubles=then)
-            then = 0
-            a = self.open(sq, "lsb_mask")
-            ok = a != 0
-            if ok.any():
-                roots = self._sqrt_vec(a[ok])
-                vinv = self.field.pow_vec(roots, self.field.p - 2)
-                signed = self.field.mul_vec(rho.values[ok], vinv)
-                bits = self.field.mul_vec(self.field.add_vec(signed, np.uint64(1)), inv2)
-                idx = np.flatnonzero(need)[ok]
-                out[idx] = bits
-                need[idx] = False
-        if need.any():
-            raise RetryExhausted("random bit generation kept sampling zero")
-        return Shares(self.field, self.threshold, out.reshape(shape))
+        A zero square (1/p of them) gives no bit, so the returned array says
+        which entries hold one.  The caller's next layer, ``then`` double
+        sharings, is declared on the squares' opening."""
+        f = self.field
+        k = int(np.prod(shape))
+        self.expect(rand=k, doubles=k)  # the squares' layer is dealt with the values
+        rho = self.rand_shares(k)
+        sq = self.mul(rho, rho)
+        self.expect(doubles=then)
+        a = self.open(sq, "lsb_mask")
+        ok = a != 0
+        signed = f.mul_vec(rho.values, f.pow_vec(self._sqrt_vec(a), f.p - 2))
+        bits = f.mul_vec(f.add_vec(signed, np.uint64(1)), np.uint64((f.p + 1) // 2))
+        return Shares(f, self.threshold, bits.reshape(shape)), ok.reshape(shape)
 
     def _sqrt_vec(self, a: np.ndarray) -> np.ndarray:
         p = self.field.p
@@ -613,13 +619,14 @@ class PartyContext:
     def _prepare_masks(self, n: int) -> None:
         """Append n checked LSB masks to the mask pool (``mask_layout``): shared
         bits of a uniform r < p, their products within each window, r_0 times
-        the products of the windows above the lowest, and shares of r.  The
-        pairs take one layer and the triples and quads a second; then the
-        r < p check, a carry tree over the windows against public p-1, carries
-        the r_0-products on its levels, split evenly.  The bits of every
-        r >= p are drawn again until all n pass, so a batch pays for one
-        random-bit layer, two product layers and one check; the rounds spent
-        count as ``offline_rounds``."""
+        the products of the windows above the lowest, and shares of r.  One
+        batch draws n + ``spare_masks`` masks: a random-bit layer, the pairs
+        in one product layer and the triples and quads in a second, then the
+        r < p check, a carry tree over the windows against public p-1 that
+        carries the r_0-products on its levels, split evenly.  The first n
+        masks whose bits all came out and whose r < p join the pool, the rest
+        are dropped; only a shortfall, below 2**-40, draws again for what it
+        lacks.  The rounds spent count as ``offline_rounds``."""
         start = self.channel.stats.rounds
         self._lsb_depth += 1
         try:
@@ -628,12 +635,11 @@ class PartyContext:
             chunks = np.array_split(np.arange(lay.r0_rows.size), levels) if levels else []
             first = _level_gates(lay.windows, 2) + (chunks[0].size if chunks else 0)
             (pair_layer, wide_layer), f, t = lay.layers, self.field, self.threshold
-            masks = np.empty((lay.rows, n), dtype=np.uint64)
-            pending = np.arange(n)
-            for _ in range(RETRY_LIMIT + 1):
-                k = pending.size
+            for _ in range(RETRY_LIMIT):
+                k = n + spare_masks(p, ell, n)
                 drawn = np.empty((lay.rows, k), dtype=np.uint64)
-                drawn[:ell] = self._random_bits((ell, k), then=pair_layer[0].size * k).values
+                bits, came_out = self._random_bits((ell, k), then=pair_layer[0].size * k)
+                drawn[:ell] = bits.values
                 for (out, a, b), then in ((pair_layer, wide_layer[0].size), (wide_layer, first)):
                     self.expect(doubles=then * k)  # the next layer
                     drawn[out] = self.mul(Shares(f, t, drawn[a]), Shares(f, t, drawn[b])).values
@@ -643,14 +649,15 @@ class PartyContext:
                 (too_big, _), ridden = self._carry_tree(leaves, riders)  # 1_{r > p-1}
                 if ridden:
                     drawn[lay.r0_rows] = np.concatenate(ridden)
-                masks[:, pending] = drawn
-                pending = pending[self.open(Shares(f, t, too_big), "lsb_mask") != 0]
-                if not pending.size:
+                good = came_out.all(axis=0) & (self.open(Shares(f, t, too_big), "lsb_mask") == 0)
+                kept = drawn[:, np.flatnonzero(good)[:n]]
+                kept[-1] = combine_rows(f, [pow(2, i, p) for i in range(ell)], kept[:ell])
+                self._masks = np.concatenate([self._masks, kept], axis=1)
+                n -= kept.shape[1]
+                if not n:
                     break
             else:
-                raise RetryExhausted("rejection sampling of r < p did not converge")
-            masks[-1] = combine_rows(f, [pow(2, i, p) for i in range(ell)], masks[:ell])
-            self._masks = np.concatenate([self._masks, masks], axis=1)
+                raise RetryExhausted(f"LSB masks kept failing their checks at p = {p}")
         finally:
             self._lsb_depth -= 1
             self.counters.offline_rounds += self.channel.stats.rounds - start

@@ -3,8 +3,9 @@
 Field elements are kept in canonical form (0 <= x < p) in numpy uint64
 arrays; the ``*_vec`` ops are the one arithmetic path, and on the wire the
 elements travel inside ``transport.ProtocolMessage`` as 8-byte little-endian
-words.  The prime is a runtime value: production runs use p = 2**31 - 1,
-while tests use tiny primes (7, 13, 31) so that bit-level protocols can be
+words.  The prime is a runtime value: a config takes p = 65,519 or
+2**31 - 1 by the size of its election (``config.PRIME_LADDER``), while
+tests also use tiny primes (7, 13, 31) so that bit-level protocols can be
 checked exhaustively.  Products of two canonical elements fit in 64 bits as
 long as p < 2**32, which is enforced at construction.
 """

@@ -11,7 +11,10 @@ runner starts its talliers through one ``_run_threads``: ``run_local_election``
 runs all D talliers as threads of one process over the in-memory hub (the
 desk-scale mode), and ``run_local_validation`` reuses it.  ``run_socket_tallier``
 and ``run_socket_validation`` run a single party that meets its peers over
-TCP.  With fixed seeds both backends produce identical results.
+TCP.  With fixed seeds both backends produce identical results.  The
+talliers draw their randomness from the operating system (``build_context``),
+since the config's seed is no secret; no verdict, winner or counter depends
+on it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from . import validation
 from .ballots import (SharedBallot, Spool, TallierBundle, decode_spool,
                       ranking_to_matrix, share_ballot)
-from .config import ElectionConfig
+from .config import ElectionConfig, check_field_bounds, fresh_rng
 from .engine import InconsistentOpen, PartyContext
 from .tally import (TallyResult, aggregate, copeland_scores, kemeny_winners,
                     lsb_extractions, maximin_scores, top_k)
@@ -63,8 +66,9 @@ def make_shared_ballots(config: ElectionConfig, rankings) -> list[SharedBallot]:
 
 def build_context(config: ElectionConfig, party_id: int,
                   channel: SessionChannel) -> PartyContext:
+    """Tallier ``party_id``'s context, drawing from the operating system."""
     return PartyContext(party_id, config.talliers, config.threshold,
-                        config.field, channel, config.party_rng(party_id))
+                        config.field, channel, fresh_rng())
 
 
 def _run_threads(parties: int, body: Callable[[int], T]) -> dict[int, T]:
@@ -235,8 +239,10 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
             proofs = dict(zip(ids, validation.reconstruct_rejected(
                 ctx, spool[spool.rows(ids)])))
 
+    # the accepted count is public once validation ends: refuse too many before any work
+    accepted = spool.rows([v.voter_id for v in verdicts if v.accepted])
+    check_field_bounds(config.prime, rule, m, accepted.size, config.alpha)
     with _phase(ctx, phases, "aggregate"):
-        accepted = spool.rows([v.voter_id for v in verdicts if v.accepted])
         agg = aggregate(ctx, spool[accepted], rule, m)
         ctx.capture("aggregate", agg.entries)
 

@@ -118,9 +118,9 @@ def phase_rounds(rule: str, m: int, k: int, ell: int,
     * select: L(n)(t + 2) + 1 per argmax over n entries and the opening of
       its winner; 1 more for ``open_scores`` (copeland and maximin).
 
-    A redraw of random bits (a zero square, or an r >= p) adds rounds, about
-    2**-ell of masks, so the model is exact at large p and a lower bound at
-    small p."""
+    The offline batch draws spare masks for those that fail their checks
+    (``engine.spare_masks``), so the model is exact at every p but for a
+    shortfall, below 2**-40 a tally."""
     def levels(n: int) -> int:
         return max(n - 1, 0).bit_length()
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ordervote import session
 from ordervote.engine import PartyContext, Shares
 from ordervote.field import PrimeField
 from ordervote.session import _run_threads
@@ -40,6 +41,17 @@ def run_parties(parties, threshold, field, program, seed=7, timeout=30.0,
     except RuntimeError as err:
         raise err.__cause__ from None
     return (out, records) if record_for else out
+
+
+@pytest.fixture
+def seeded_talliers(monkeypatch):
+    """Talliers that draw from ``config.party_rng`` instead of the operating
+    system, for tests that pin shares or the masks a seed draws."""
+    def build_context(config, party_id, channel):
+        return PartyContext(party_id, config.talliers, config.threshold, config.field,
+                            channel, config.party_rng(party_id))
+
+    monkeypatch.setattr(session, "build_context", build_context)
 
 
 def deal(field, values, threshold, parties, seed=99):

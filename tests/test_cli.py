@@ -1,12 +1,20 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ordervote.cli import main
+from ordervote.ballots import matrix_entry_values, ranking_to_matrix, share_ballot
+from ordervote.cli import _random_rankings, main
+from ordervote.config import ElectionConfig
+from ordervote.oracle import PlainElection, plain_winners
+from ordervote.session import make_shared_ballots
+from ordervote.shamir import reconstruct_batch
+from ordervote.tally import phase_rounds
 
 M31 = (1 << 31) - 1
 
@@ -140,15 +148,153 @@ def test_kemeny_ranks_paper_example(tmp_path, capsys):
 
 
 def test_result_file_reproducible_byte_for_byte(tmp_path):
-    blobs = []
-    for run in range(2):
-        cfg = write_config(tmp_path / f"cfg{run}.json")
-        session = tmp_path / f"sess{run}"
-        main(["setup", "--config", str(cfg), "--session", str(session)])
-        demo_votes(session, keep_plain=False)
-        main(["tally", "--session", str(session)])
-        blobs.append((session / "result.json").read_bytes())
-    assert blobs[0] == blobs[1]
+    """``vote`` and ``tally`` draw from the operating system, but the winners,
+    verdicts and counters do not depend on the random values: two runs
+    write the same result.json, at an explicit 2^31 - 1 and at the 65,519
+    a config without a prime takes, each in the rounds of ``phase_rounds``
+    (no mask batch fell short)."""
+    for prime, ell in ((M31, 31), (None, 16)):
+        blobs = []
+        for run in range(2):
+            cfg = write_config(tmp_path / f"cfg{ell}-{run}.json", prime=prime)
+            session = tmp_path / f"sess{ell}-{run}"
+            main(["setup", "--config", str(cfg), "--session", str(session)])
+            demo_votes(session, keep_plain=False)
+            main(["tally", "--session", str(session)])
+            blobs.append((session / "result.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        phases = json.loads(blobs[0])["counters"]["phases"]
+        assert {ph: c["comm_rounds"] for ph, c in phases.items()} == \
+            phase_rounds("copeland", 3, 1, ell)
+
+
+def _spool_lines(session, party):
+    return [json.loads(line) for line in
+            (session / "ballots" / f"tallier_{party}.jsonl").read_text().splitlines()]
+
+
+def _replayed(config, voter_id, values):
+    """The orders whose sharing under ``config.voter_rng(voter_id)`` gives T1
+    the shares ``values``: what whoever holds session.json learns from one
+    spool line of a seeded voter."""
+    found = []
+    for order in itertools.permutations(range(1, config.m + 1)):
+        shared = share_ballot(ranking_to_matrix(config.rule, order, config.m), config.field,
+                              config.threshold, config.talliers,
+                              config.voter_rng(voter_id), voter_id)
+        if shared.bundle_for(1).values.tolist() == values:
+            found.append(order)
+    return found
+
+
+def test_session_file_and_one_spool_give_no_ballot_away(tmp_path):
+    """session.json holds the seed.  A seeded sharing is replayed from it and
+    one tallier's shares (the check below finds a library ballot's order), but
+    ``vote`` draws from the operating system, so no spool line of T1 gives
+    its voter's order away.  The session is the README quick start's."""
+    cfg = write_config(tmp_path / "cfg.json", candidates=["Alice", "Bob", "Carol"],
+                       expected_voters=100, prime=None)
+    session = tmp_path / "sess"
+    assert main(["setup", "--config", str(cfg), "--session", str(session)]) == 0
+    for order in ("Alice,Bob,Carol", "Alice,Carol,Bob", "Bob,Alice,Carol"):
+        assert main(["vote", "--session", str(session), "--order", order]) == 0
+    config = ElectionConfig.loads((session / "session.json").read_text())
+    seeded = make_shared_ballots(config, [(2, 3, 1)])[0]
+    assert _replayed(config, 1, seeded.bundle_for(1).values.tolist()) == [(2, 3, 1)]
+    lines = _spool_lines(session, 1)
+    assert len(lines) == 3
+    assert [_replayed(config, rec["voter_id"], rec["values"]) for rec in lines] == [[]] * 3
+
+
+def test_two_votes_of_one_order_under_one_voter_id_share_differently(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json")
+    session = tmp_path / "sess"
+    assert main(["setup", "--config", str(cfg), "--session", str(session)]) == 0
+    for _ in range(2):
+        assert main(["vote", "--session", str(session), "--order", "C2,C1,C3",
+                     "--voter-id", "7"]) == 0
+    for party in (1, 2, 3):
+        first, second = _spool_lines(session, party)
+        assert first["voter_id"] == second["voter_id"] == 7
+        assert first["values"] != second["values"]
+
+
+def test_setup_pins_the_prime_and_vote_shares_at_it(tmp_path):
+    """A config without a prime takes 65,519 at ``setup`` and session.json
+    holds it; an explicit prime is kept.  ``vote`` shares at the pinned
+    prime: any D' of a voter's shares give the ballot's entries mod it."""
+    for prime, pinned in ((None, 65_519), (M31, M31), (65_521, 65_521)):
+        cfg = write_config(tmp_path / f"cfg{pinned}.json", prime=prime)
+        session = tmp_path / f"sess{pinned}"
+        assert main(["setup", "--config", str(cfg), "--session", str(session)]) == 0
+        config = ElectionConfig.loads((session / "session.json").read_text())
+        assert config.prime == pinned
+        assert main(["vote", "--session", str(session), "--order", "C2,C3,C1"]) == 0
+        shares = np.array([_spool_lines(session, d)[0]["values"] for d in (1, 2, 3)],
+                          dtype=np.uint64)
+        assert (shares < pinned).all()
+        entries = matrix_entry_values(ranking_to_matrix("copeland", (2, 3, 1), 3),
+                                      config.field)
+        for pair in ((1, 2), (1, 3), (2, 3)):
+            got = reconstruct_batch(config.field, pair, shares[[d - 1 for d in pair]])
+            assert got.tolist() == entries.tolist()
+
+
+def _kemeny6_session(tmp_path):
+    """A Kemeny M=6 session of 10 expected voters: it takes p = 65,519, which
+    holds N*M(M-1) = 30N below p for N < 2,184 accepted ballots."""
+    names = [f"C{i}" for i in range(1, 7)]
+    cfg = write_config(tmp_path / "cfg.json", rule="kemeny", candidates=names,
+                       expected_voters=10, prime=None)
+    session = tmp_path / "sess"
+    assert main(["setup", "--config", str(cfg), "--session", str(session)]) == 0
+    return session
+
+
+def test_vote_past_the_pinned_prime_is_refused(tmp_path, capsys):
+    """With 2,182 ballots spooled, ``vote`` casts the 2,183rd; the 2,184th,
+    which the session's prime could not tally, is refused with
+    FieldTooSmall and exit code 2 before it reaches a spool, and the message
+    says that a new session must name a larger prime or more voters."""
+    session = _kemeny6_session(tmp_path)
+    ranks = ",".join(f"C{i}={i}" for i in range(1, 7))
+    assert main(["vote", "--session", str(session), "--ranks", ranks]) == 0
+    for d in (1, 2, 3):
+        line = _spool_lines(session, d)[0]
+        (session / "ballots" / f"tallier_{d}.jsonl").write_text("".join(
+            json.dumps(dict(line, voter_id=v)) + "\n" for v in range(1, 2183)))
+    assert main(["vote", "--session", str(session), "--ranks", ranks]) == 0
+    assert _spool_lines(session, 1)[-1]["voter_id"] == 2183
+    capsys.readouterr()
+    assert main(["vote", "--session", str(session), "--ranks", ranks]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FieldTooSmall: p = 65519 must exceed N*M(M-1)")
+    assert "N = 2184" in err and "set up one whose config names a larger 'prime'" in err
+    assert "'expected_voters'" in err
+    assert [len(_spool_lines(session, d)) for d in (1, 2, 3)] == [2183] * 3
+
+
+def test_tally_beyond_the_pinned_prime_names_the_remedies(tmp_path, capsys):
+    """Spools written past ``vote``'s check, with 2,184 legal Kemeny M=6
+    ballots at p = 65,519: the tally ends in FieldTooSmall once validation
+    has counted the accepted ballots, exit code 2, with a message that names
+    the config's 'prime' and 'expected_voters'."""
+    session = _kemeny6_session(tmp_path)
+    config = ElectionConfig.loads((session / "session.json").read_text())
+    assert config.prime == 65_519
+    rng = np.random.default_rng(3)
+    ballots = make_shared_ballots(config, [tuple(int(r) for r in rng.integers(1, 7, 6))
+                                           for _ in range(2184)])
+    for d in (1, 2, 3):
+        (session / "ballots" / f"tallier_{d}.jsonl").write_text("".join(
+            json.dumps({"voter_id": b.voter_id, "rule": "kemeny", "m": 6,
+                        "values": b.bundle_for(d).values.tolist()}) + "\n"
+            for b in ballots))
+    capsys.readouterr()
+    assert main(["tally", "--session", str(session)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FieldTooSmall: p = 65519 must exceed N*M(M-1)")
+    assert "N = 2184" in err and "'prime'" in err and "'expected_voters'" in err
 
 
 def test_oracle_side_by_side(tmp_path, capsys):
@@ -404,3 +550,29 @@ def test_live_socket_votes_via_cli(tmp_path):
     assert codes == {1: 0, 2: 0, 3: 0}
     result = json.loads((session / "result.json").read_text())
     assert result["winners"] == [1]
+
+
+def test_bench_without_a_prime_takes_one_for_its_voters(tmp_path):
+    """A bench config that names no prime takes the ladder's prime for the
+    ``--voters`` it tallies, not for its expected voters: Kemeny M=6 with 10
+    expected voters takes 65,519 for 30 voters, and 2^31 - 1 for 2,184, which
+    65,519 could not tally.  The winners are the oracle's; a named prime is
+    kept."""
+    names = [f"C{i}" for i in range(1, 7)]
+    cfg = write_config(tmp_path / "cfg.json", rule="kemeny", candidates=names,
+                       expected_voters=10, prime=None)
+    out_file = tmp_path / "bench.json"
+    for voters, prime in ((30, 65_519), (2184, M31)):
+        assert main(["bench", "--config", str(cfg), "--voters", str(voters), "--reps", "1",
+                     "--out", str(out_file)]) == 0
+        report = json.loads(out_file.read_text())
+        assert (report["prime"], report["voters"]) == (prime, voters)
+        config = ElectionConfig.loads(cfg.read_text(), expected_voters=voters)
+        rankings = _random_rankings(config, voters, np.random.default_rng(config.seed))
+        assert report["winners"] == plain_winners(PlainElection("kemeny", 6, 1,
+                                                                tuple(rankings)))
+    named = write_config(tmp_path / "named.json", rule="kemeny", candidates=names,
+                         expected_voters=10, prime=65_521)
+    assert main(["bench", "--config", str(named), "--voters", "30", "--reps", "1",
+                 "--out", str(out_file)]) == 0
+    assert json.loads(out_file.read_text())["prime"] == 65_521

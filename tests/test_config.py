@@ -1,8 +1,9 @@
 import pytest
 
-from ordervote.config import (BadThreshold, ConfigError, ElectionConfig,
-                              FieldTooSmall, InvalidRule, derived_threshold,
-                              rank_vectors, ranking_winners, select_winners)
+from ordervote.config import (PRIME_LADDER, VOTER_HEADROOM, BadThreshold, ConfigError,
+                              ElectionConfig, FieldTooSmall, InvalidRule,
+                              check_field_bounds, derived_threshold, rank_vectors,
+                              ranking_winners, select_winners)
 
 M31 = (1 << 31) - 1
 
@@ -127,3 +128,45 @@ def test_copeland_score_difference_bound():
         _cfg(candidates=tuple("ABCDEFGHI"), **copeland).validate()
     assert "max(s,t)" in str(err.value)
     _cfg(candidates=tuple("ABCDEFGH"), **copeland).validate()
+
+
+# rule, M, the most expected voters 65,519 holds with the headroom: 2 * 2N
+# (copeland, maximin) or 2N * M(M-1) (kemeny) must stay below it
+LADDER_EDGES = [("copeland", 5, 16_379), ("maximin", 5, 16_379), ("kemeny", 4, 2_729),
+                ("kemeny", 5, 1_637), ("kemeny", 6, 1_091)]
+
+
+@pytest.mark.parametrize("rule, m, last", LADDER_EDGES)
+def test_ladder_edge(rule, m, last):
+    """A config without a prime takes 65,519 up to the edge and 2^31 - 1 one
+    voter past it; either validates, and the prime holds twice the voters."""
+    assert (PRIME_LADDER, VOTER_HEADROOM) == ((65_519, M31), 2)
+    for voters, prime in ((last, 65_519), (last + 1, M31)):
+        cfg = _cfg(rule=rule, candidates=tuple(f"C{i}" for i in range(m)), prime=None,
+                   expected_voters=voters)
+        assert cfg.validate().prime == prime, (voters, prime)
+        check_field_bounds(prime, rule, m, 2 * voters, cfg.alpha)
+    with pytest.raises(FieldTooSmall):
+        check_field_bounds(65_519, rule, m, 2 * (last + 1), (1, 2))
+
+
+def test_past_the_ladder_the_largest_prime_is_refused():
+    cfg = _cfg(rule="kemeny", candidates=tuple("ABCDEF"), prime=None,
+               expected_voters=80_000_000)  # 30N > 2^31
+    assert cfg.prime == M31
+    with pytest.raises(FieldTooSmall) as err:
+        cfg.validate()
+    assert "'prime'" in str(err.value) and "'expected_voters'" in str(err.value)
+
+
+def test_a_prime_survives_the_round_trip():
+    """An explicit prime is kept through to_dict / from_dict, even one the
+    ladder would not take; a resolved one is written out and read back."""
+    for prime in (M31, 65_521, 101):
+        cfg = _cfg(prime=prime, expected_voters=10)
+        assert ElectionConfig.from_dict(cfg.to_dict()).prime == prime
+    data = _cfg(prime=None, expected_voters=10).to_dict()
+    assert data["prime"] == 65_519
+    assert ElectionConfig.from_dict(dict(data, expected_voters=10**6)).prime == 65_519
+    data.pop("prime")
+    assert ElectionConfig.from_dict(dict(data, expected_voters=10**6)).prime == M31

@@ -7,7 +7,7 @@ from scipy import stats
 from conftest import deal, dealt_shares, run_parties
 from ordervote.engine import (LEAF_COEF, WINDOW, DegreeOverflow, DoubleSharing,
                               InconsistentOpen, MpcError, PartyContext, RetryExhausted,
-                              Shares, mask_layout)
+                              Shares, mask_layout, spare_masks)
 from ordervote.field import PrimeField
 from ordervote.oracle import plain_primitive
 from ordervote.shamir import degree_at_most, reconstruct_batch
@@ -332,7 +332,8 @@ def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
     (7+3+1 gates) whose levels also take the 97 products of r_0 with the
     higher windows: 2 + 2 + 3 + 1 rounds.  Online: open x + r, then the tree
     with r_0*G (11+5+2 gates) in 3 rounds, with no XOR gate.  The pre-filled
-    pools take the one deal round."""
+    pools take the one deal round.  The offline batch draws one spare mask
+    (``spare_masks``), so its gates count twice."""
     def prog(ctx):
         a, b = ctx.constant(3), ctx.constant(5)
         ctx.pregenerate(rand=2048, doubles=2048, masks=1)
@@ -345,7 +346,8 @@ def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
 
     cost, bit = run_parties(3, 2, f_mersenne31, prog)[1]
     assert bit == 1
-    assert cost["mul_gates"] == (31 + 45 + 36 + 97 + 11) + 18 == 238
+    assert spare_masks(f_mersenne31.p, 31, 1) == 1
+    assert cost["mul_gates"] == 2 * (31 + 45 + 36 + 97 + 11) + 18 == 458
     assert cost["online_gates"] == 18
     assert cost["online_rounds"] == 4
     assert cost["offline_rounds"] == 8
@@ -354,7 +356,8 @@ def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
 
 def test_offline_frames_stay_within_121_words_per_mask(f_mersenne31):
     """Preparing masks from empty pools at ell = 31, no frame carries more than
-    121 words per mask: the squares' opening with the deal of the 45 pairs."""
+    121 words per mask drawn, spares included: the squares' opening with the
+    deal of the 45 pairs."""
     masks = 10
 
     def prog(ctx):
@@ -369,7 +372,8 @@ def test_offline_frames_stay_within_121_words_per_mask(f_mersenne31):
         ctx.pregenerate(masks=masks)
         return max(sent)
 
-    assert run_parties(3, 2, f_mersenne31, prog)[1] == (31 + 2 * 45) * masks
+    drawn = masks + spare_masks(f_mersenne31.p, 31, masks)
+    assert run_parties(3, 2, f_mersenne31, prog)[1] == (31 + 2 * 45) * drawn == 121 * 11
 
 
 def test_masks_are_bits_of_a_uniform_r_below_p(f31):

@@ -1,3 +1,4 @@
+import itertools
 import threading
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from ordervote import session, transport, validation
 from ordervote.ballots import (BallotMatrix, Spool, TallierBundle, entry_pairs,
                                ranking_to_matrix, share_ballot)
-from ordervote.config import ElectionConfig
+from ordervote.config import PRIME_LADDER, ElectionConfig
 from ordervote.engine import InconsistentOpen
 from ordervote.oracle import PlainElection, plain_winners
 from ordervote.session import (_run_local, _run_threads, build_context,
@@ -495,16 +496,16 @@ def test_tally_prepares_exactly_its_masks_before_validation():
 
 
 def test_pool_deals_ride_on_the_exchange_before_each_layer():
-    """For every rule, M <= 6 and K <= M at p = 2^31 - 1, with one ballot
-    shared at too high a degree: score and select spend no round on dealing
-    pool sharings, the offline masks and validation at most one each.  Every
-    random sharing dealt is used, and at most two double sharings per ballot
-    that fails the degree check are left over.  Each counter of the result
-    is the sum of its phases' shares."""
-    for rule in ("copeland", "maximin", "kemeny"):
+    """For every rule, M <= 6 and K <= M at p = 65,519 and p = 2^31 - 1, with
+    one ballot shared at too high a degree: score and select spend no round
+    on dealing pool sharings, the offline masks and validation at most one
+    each.  Every random sharing dealt is used, and at most two double
+    sharings per ballot that fails the degree check are left over.  Each
+    counter of the result is the sum of its phases' shares."""
+    for prime, rule in itertools.product(PRIME_LADDER, ("copeland", "maximin", "kemeny")):
         for m in range(1, 7):
             for k in range(1, m + 1):
-                cfg = _cfg(rule=rule, m=m, k=k, seed=m)
+                cfg = _cfg(rule=rule, m=m, k=k, seed=m, prime=prime)
                 ballots = make_shared_ballots(cfg, _rankings(rule, m, 5, seed=k))
                 q = ranking_to_matrix(rule, _rankings(rule, m, 1, seed=9)[0], m)
                 ballots.append(share_ballot(q, cfg.field, cfg.talliers, cfg.talliers,
@@ -522,7 +523,7 @@ def test_pool_deals_ride_on_the_exchange_before_each_layer():
                     ledger = counters.pop("phases")
                     phases = {ph: ledger.get(ph, {}).get("deal_rounds", 0)
                               for ph in ("offline", "validate", "score", "select")}
-                    case = (rule, m, k, party, phases)
+                    case = (prime, rule, m, k, party, phases)
                     assert list(ledger) == ["offline", "validate", "aggregate"] + \
                         (["select"] if rule == "kemeny" else ["score", "select"]), case
                     assert phases["score"] == phases["select"] == 0, case
@@ -535,43 +536,64 @@ def test_pool_deals_ride_on_the_exchange_before_each_layer():
 
 
 @pytest.mark.parametrize("rule, m, k, n, rounds", [
-    ("copeland", 6, 2, 200, {"offline": 9, "validate": 19, "aggregate": 0,
-                             "score": 4, "select": 32}),
-    ("maximin", 6, 2, 200, {"offline": 9, "validate": 19, "aggregate": 0,
-                            "score": 15, "select": 32}),
-    ("kemeny", 5, 2, 200, {"offline": 9, "validate": 5, "aggregate": 0, "select": 36}),
-    ("kemeny", 6, 1, 100, {"offline": 9, "validate": 5, "aggregate": 0, "select": 51}),
+    ("copeland", 6, 2, 200, {"offline": 8, "validate": 19, "aggregate": 0,
+                             "score": 3, "select": 26}),
+    ("maximin", 6, 2, 200, {"offline": 8, "validate": 19, "aggregate": 0,
+                            "score": 12, "select": 26}),
+    ("kemeny", 5, 2, 200, {"offline": 8, "validate": 5, "aggregate": 0, "select": 29}),
+    ("kemeny", 6, 1, 100, {"offline": 8, "validate": 5, "aggregate": 0, "select": 41}),
 ])
 def test_phase_ledger_reads_the_rounds_of_each_phase(rule, m, k, n, rounds):
-    """Party 1's communication rounds per phase on legal ballots, D = 3: one
-    deal round falls in the offline masks and one in validation."""
+    """Party 1's communication rounds per phase on legal ballots, D = 3, at
+    the prime the config takes by default, 65,519: one deal round falls in
+    the offline masks and one in validation."""
     cfg = ElectionConfig(rule=rule, candidates=tuple(f"C{i}" for i in range(1, m + 1)),
                          num_winners=k, talliers=3, expected_voters=n, seed=5).validate()
+    assert cfg.prime == 65_519
     outcome = run_local_election(cfg, make_shared_ballots(cfg, _rankings(rule, m, n, seed=5)))
     counters = outcome.result.counters
     assert {ph: c["comm_rounds"] for ph, c in counters["phases"].items()} == rounds
     assert counters["comm_rounds"] == sum(rounds.values())
+    assert rounds == phase_rounds(rule, m, k, cfg.field.ell)
     assert [counters["phases"][ph]["deal_rounds"] for ph in ("offline", "validate")] == [1, 1]
 
 
 def test_phase_ledger_meets_the_round_model():
-    """For every rule, M <= 6, K <= M and D in {3, 5} at p = 2^31 - 1, with
-    and without open scores, party 1's rounds per phase on legal ballots are
-    those of ``tally.phase_rounds``; for M = 1 nothing is compared.  A
-    Kemeny tally opens no scores, so one run serves both of its models."""
-    for rule in ("copeland", "maximin", "kemeny"):
-        for m in range(1, 7):
-            for k in range(1, m + 1):
-                for d in (3, 5):
-                    for open_scores in (False,) if rule == "kemeny" else (False, True):
-                        cfg = _cfg(rule=rule, m=m, k=k, d=d, seed=m, open_scores=open_scores)
-                        ballots = make_shared_ballots(cfg, _rankings(rule, m, 5, seed=k))
-                        phases = run_local_election(cfg, ballots).result.counters["phases"]
-                        ledger = {ph: c["comm_rounds"] for ph, c in phases.items()}
-                        models = [phase_rounds(rule, m, k, cfg.field.ell, flag) for flag in
-                                  ((False, True) if rule == "kemeny" else (open_scores,))]
-                        assert all(ledger == model for model in models), \
-                            (rule, m, k, d, open_scores)
+    """For every rule, M <= 6, K <= M and D in {3, 5}, at p = 65,519 and
+    p = 2^31 - 1, with and without open scores, party 1's rounds per phase
+    on legal ballots are those of ``tally.phase_rounds``; for M = 1 nothing
+    is compared.  A Kemeny tally opens no scores, so one run serves both of
+    its models."""
+    for prime in PRIME_LADDER:
+        for rule in ("copeland", "maximin", "kemeny"):
+            for m in range(1, 7):
+                for k in range(1, m + 1):
+                    for d in (3, 5):
+                        for open_scores in (False,) if rule == "kemeny" else (False, True):
+                            cfg = _cfg(rule=rule, m=m, k=k, d=d, seed=m, prime=prime,
+                                       open_scores=open_scores)
+                            ballots = make_shared_ballots(cfg, _rankings(rule, m, 5, seed=k))
+                            phases = run_local_election(cfg, ballots).result.counters["phases"]
+                            ledger = {ph: c["comm_rounds"] for ph, c in phases.items()}
+                            models = [phase_rounds(rule, m, k, cfg.field.ell, flag) for flag in
+                                      ((False, True) if rule == "kemeny" else (open_scores,))]
+                            assert all(ledger == model for model in models), \
+                                (prime, rule, m, k, d, open_scores)
+
+
+def test_spare_masks_keep_the_offline_rounds_exact_at_16_bits(seeded_talliers):
+    """Kemeny M=6 K=1 N=100 at p = 65,519 extracts 719 times, and about 0.05%
+    of masks fail their checks.  On 20 seeds of the talliers, the tally takes
+    the rounds of ``phase_rounds`` exactly and pays two deal rounds, none for
+    a redraw."""
+    model = phase_rounds("kemeny", 6, 1, 16)
+    for seed in range(1, 21):
+        cfg = _cfg(rule="kemeny", m=6, k=1, seed=seed)
+        assert cfg.prime == 65_519
+        counters = run_local_election(cfg, make_shared_ballots(
+            cfg, _rankings("kemeny", 6, 100, seed=seed))).result.counters
+        assert {ph: c["comm_rounds"] for ph, c in counters["phases"].items()} == model, seed
+        assert counters["deal_rounds"] == 2, seed
 
 
 def _stray_vote(cfg, ranking, voter_id, party):

@@ -2,7 +2,11 @@
 
 The pinned values below were read from the tally that kept a list of
 per-voter bundles: the same seeds must give the same verdicts, winners,
-Kemeny rankings, captured shares and phase counters."""
+Kemeny rankings, captured shares and phase counters; the talliers draw
+from the config's seed (``seeded_talliers``).  The configs name no prime;
+the shares, digests and counters were read again when such a config came
+to take p = 65,519 and a mask batch its spares, and the verdicts, winners
+and rankings stayed the same."""
 
 import hashlib
 import json
@@ -42,25 +46,42 @@ def _captures(outcome) -> dict:
 
 
 # rule, M, K, N; winners, ranking; digests of the verdict records, every
-# party's captured shares and every party's phase counters; T1's rounds per phase
+# party's captured shares and every party's phase counters; T1's rounds per
+# phase.  The configs name no prime, so each takes p = 65,519; each election
+# is pinned at 2^31 - 1 too, which the ladder picks for large ones.
 FOUR = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "2b10bdde6c8c4cd4",
-     "d0d386ccfdd020ca", {"offline": 9, "validate": 19, "aggregate": 0, "score": 4,
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "76920a2e79d0552e",
+     "2e7f1ec2c09f4285", {"offline": 8, "validate": 19, "aggregate": 0, "score": 3,
+                          "select": 26}),
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "2624ca86f807501c",
+     "0d78e1e6f3403a8e", {"offline": 8, "validate": 19, "aggregate": 0, "score": 12,
+                          "select": 26}),
+    ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "5073724b4cd8c005",
+     "0c5faa5b68278bfc", {"offline": 8, "validate": 5, "aggregate": 0, "select": 29}),
+    ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "19bb15727fb03c00",
+     "58b25523bf9b0c01", {"offline": 8, "validate": 5, "aggregate": 0, "select": 41}),
+]
+FOUR_AT_M31 = [
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "c766ca50f77d2849",
+     "939213fe1c1eb169", {"offline": 9, "validate": 19, "aggregate": 0, "score": 4,
                           "select": 32}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "a5ad540a19fb942f",
-     "06cf2d2c5f8af6fd", {"offline": 9, "validate": 19, "aggregate": 0, "score": 15,
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "a00fe97eecf05876",
+     "09d091ba070123e4", {"offline": 9, "validate": 19, "aggregate": 0, "score": 15,
                           "select": 32}),
     ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "2851c951d141b86c",
-     "dd0263f9b4d248d8", {"offline": 9, "validate": 5, "aggregate": 0, "select": 36}),
+     "c8ba80c43a7be1bf", {"offline": 9, "validate": 5, "aggregate": 0, "select": 36}),
     ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "cf91e8d45a706453",
-     "04d15f67567da2ba", {"offline": 9, "validate": 5, "aggregate": 0, "select": 51}),
+     "cc5cb62acef7fb6c", {"offline": 9, "validate": 5, "aggregate": 0, "select": 51}),
 ]
 
 
-@pytest.mark.parametrize("rule,m,k,n,winners,ranking,verdicts,captures,phases,rounds", FOUR)
-def test_four_elections_match_the_pinned_tally(rule, m, k, n, winners, ranking, verdicts,
-                                               captures, phases, rounds):
-    cfg = _cfg(rule, m, k, n, seed=5)
+@pytest.mark.parametrize("rule,m,k,n,winners,ranking,verdicts,captures,phases,rounds,prime",
+                         [(*row, None) for row in FOUR] + [(*row, M31) for row in FOUR_AT_M31])
+def test_four_elections_match_the_pinned_tally(seeded_talliers, rule, m, k, n, winners,
+                                               ranking, verdicts, captures, phases, rounds,
+                                               prime):
+    cfg = _cfg(rule, m, k, n, seed=5, **({} if prime is None else {"prime": prime}))
+    assert cfg.prime == (prime or 65_519)
     outcome = run_local_election(cfg, make_shared_ballots(cfg, _rankings(rule, m, n, 5)),
                                  capture=True)
     assert outcome.result.winners == winners
@@ -90,7 +111,7 @@ def _edge_spools():
     b = spools[3][8]
     spools[3][8] = TallierBundle(9, b.rule, b.m, b.values[:-1])
     b = spools[1][10]
-    spools[1][10] = TallierBundle(11, b.rule, b.m, b.values + np.uint64(M31))
+    spools[1][10] = TallierBundle(11, b.rule, b.m, b.values + np.uint64(cfg.prime))
     spools[1].append(spools[1][4])
     del spools[2][6]
     spools[2].reverse()
@@ -98,12 +119,12 @@ def _edge_spools():
 
 
 PINNED_EDGE = {"winners": [4, 2],
-               "aggregate": [698095502, 1259086667, 410404985, 889770592, 503714946, 721311163],
-               "captures": "4b73ee565d6ca6dc", "proofs": "fa1dade6091db023",
-               "phases": "700587d8b0e39438"}
+               "aggregate": [21279, 38401, 12504, 27137, 15353, 21994],
+               "captures": "9bb64c22c5c21ebe", "proofs": "b0f777d7b2790c6c",
+               "phases": "74ba2ee5e43861f4"}
 
 
-def test_edge_spools_match_the_pinned_tally():
+def test_edge_spools_match_the_pinned_tally(seeded_talliers):
     """A duplicate, a missing id, a short bundle, a share >= p and spools in
     different orders: the verdicts, winners, captured shares, proofs and
     phase counters of the per-bundle tally."""
