@@ -53,10 +53,13 @@ Pools: random sharings, double sharings and LSB masks do not depend on the
 input, so each party keeps pools of them.  A caller declares (``expect``) the
 sharings a later layer will take, exactly; the next exchange (``mul``, ``open``,
 ``open_share_matrix``) deals what the pools lack, each peer's shares riding
-behind the values sent to it (Damgard-Nielsen, CRYPTO 2007).  Declared one
-exchange ahead, a layer never stops for a refill.  A short pool is the
-fallback: a round that only deals (``deal_rounds``), for a phase's first
-layer, undeclared callers and a mask batch that falls short.
+behind the values sent to it.  Every party deals 1/(D - t) of it, for
+t = D' - 1, and a public Vandermonde matrix (``extractor``) turns every D
+deals into D - t sharings of values that no t parties know anything of
+(Damgard-Nielsen, CRYPTO 2007).  Declared one exchange ahead, a layer never
+stops for a refill.  A short pool is the fallback: a round that only deals
+(``deal_rounds``), for a phase's first layer, undeclared callers and a mask
+batch that falls short.
 
 Multiplying by public scalars, adding shares, and adding public constants are
 local operations and never touch the network or the gate counters.
@@ -174,6 +177,32 @@ def spare_masks(p: int, ell: int, n: int) -> int:
            + (s + 1) * math.log(q)) >= math.log(MASK_SHORTFALL):
         s += 1
     return s
+
+
+@lru_cache(maxsize=None)
+def extractor(p: int, parties: int, threshold: int) -> tuple[tuple[int, ...], ...]:
+    """The public (D - t) x D matrix that extracts randomness from D deals,
+    t = threshold - 1 the most parties a coalition may hold: row j holds
+    d**j mod p for d = 1..D, so row 0 sums the deals.  Any D - t of its
+    columns form a Vandermonde matrix on distinct points below p, which is
+    invertible mod p, so the D - t outputs are uniform and independent of
+    what any t parties dealt (Damgard-Nielsen, CRYPTO 2007)."""
+    return tuple(tuple(pow(d, j, p) for d in range(1, parties + 1))
+                 for j in range(parties - threshold + 1))
+
+
+def extract(field: PrimeField, matrix: tuple[tuple[int, ...], ...], rows: list[np.ndarray],
+            out: np.ndarray) -> np.ndarray:
+    """out[j] = sum_d matrix[j][d] * rows[d] mod p for the D equally long
+    rows of dealt shares, one ``combine_rows`` per output row and column
+    chunk of about 1 MB.  The rows are never stacked into one (D, w) block
+    (see ``share_batch``)."""
+    step = 1 << 17
+    for lo in range(0, out.shape[1], step):
+        chunk = [row[lo:lo + step] for row in rows]
+        for coeffs, dst in zip(matrix, out[:, lo:lo + step]):
+            combine_rows(field, coeffs, chunk, out=dst)
+    return out
 
 
 def _level_gates(nodes: int, fields: int) -> int:
@@ -326,6 +355,7 @@ class PartyContext:
                        for t in (self._rand_t, self._double_t)}
         # per pool, the sharings declared (``expect``) for layers still to come
         self._owed = dict.fromkeys(self._pools, 0)
+        self._extractor = extractor(field.p, parties, threshold)
         # checked LSB masks, one per column, rows as ``mask_layout`` places them
         self._layout = mask_layout(field.ell)
         self._masks = np.zeros((self._layout.rows, 0), dtype=np.uint64)
@@ -376,16 +406,19 @@ class PartyContext:
 
     def _exchange(self, values: np.ndarray, rand: int = 0, doubles: int = 0) -> np.ndarray:
         """One communication round: every party sends ``values`` to each peer,
-        followed by that peer's shares of a deal of at least ``rand`` random
-        and ``doubles`` double sharings, and of what the declared layers lack.
-        Summing everyone's deals gives sharings of unknown uniform values,
-        which join the pools.  Returns the parties' values as a (D, k)
-        matrix, ordered by party index.  Every party runs the same program,
-        so a payload of another length is a misbehaving peer
-        (InconsistentOpen)."""
+        followed by that peer's shares of its deal.  The deal tops the pools
+        up by at least ``rand`` random and ``doubles`` double sharings and
+        what the declared layers lack: each party deals 1/(D - t) of that,
+        rounded up, and ``_pool_extracted`` turns the D deals into D - t
+        times as many sharings, of values that no t parties know; a surplus
+        of fewer than D - t per pool stays for later layers.  Returns the
+        parties' values as a (D, k) matrix, ordered by party index.  Every
+        party runs the same program, so a payload of another length is a
+        misbehaving peer (InconsistentOpen)."""
         values = np.asarray(values, dtype=np.uint64).ravel()
-        rand = max(rand, self._due(self._rand_t))
-        doubles = max(doubles, self._due(self._double_t))
+        outputs = len(self._extractor)
+        rand = -(-max(rand, self._due(self._rand_t)) // outputs)
+        doubles = -(-max(doubles, self._due(self._double_t)) // outputs)
         k, parties = values.size, range(1, self.parties + 1)
         if rand + doubles:
             payloads = self._payloads(values, rand, doubles)
@@ -400,15 +433,21 @@ class PartyContext:
                     f"T{d} sent {payload.size} values in round "
                     f"{self.channel.stats.rounds - 1}; T{self.party_id} expected {width}")
         if rand + doubles:
-            dealt = np.zeros(width - k, dtype=np.uint64)
-            for d in parties:  # D canonical summands stay far below 2**64
-                dealt += got[d][k:]
-            dealt %= np.uint64(self.field.p)
-            for thresholds, new in ((self._rand_t, dealt[None, :rand]),
-                                    (self._double_t, dealt[rand:].reshape(2, doubles))):
-                self._pools[thresholds] = np.concatenate([self._pools[thresholds], new],
-                                                         axis=1)
+            self._pool_extracted([got[d][k:] for d in parties], rand, doubles)
         return np.stack([got[d][:k] for d in parties])
+
+    def _pool_extracted(self, deals: list[np.ndarray], rand: int, doubles: int) -> None:
+        """Extract the D received deals, each ``rand`` random sharings and
+        ``doubles`` double sharings (their low halves, then their high ones),
+        and append the outputs to the pools.  The same extractor row applied
+        to the low and the high halves gives one value under both
+        thresholds, a double sharing.  The output rows are split as views,
+        so the block is copied only into the pools."""
+        out = np.empty((len(self._extractor), rand + 2 * doubles), dtype=np.uint64)
+        extract(self.field, self._extractor, deals, out)
+        for thresholds, new in ((self._rand_t, [row[None, :rand] for row in out]),
+                                (self._double_t, [row[rand:].reshape(2, doubles) for row in out])):
+            self._pools[thresholds] = np.concatenate([self._pools[thresholds], *new], axis=1)
 
     def _payloads(self, values: np.ndarray, rand: int, doubles: int) -> list[np.ndarray]:
         """Party d's payload, for d = 1..D: ``values``, then d's shares of this

@@ -9,7 +9,8 @@ degree the dealer actually used (the share-legality check relies on this).
 Every entry point works on numpy arrays with one column per independent
 secret: ``share_batch`` deals, ``reconstruct_batch`` interpolates at x = 0,
 and ``degree_at_most`` tests each column's degree.  ``combine_rows``, the
-public linear combination both rest on, also recomposes shared bits.
+public linear combination both rest on, also recomposes shared bits and
+extracts the talliers' dealt randomness.
 """
 
 from __future__ import annotations
@@ -87,19 +88,27 @@ def lagrange_at_zero(field: PrimeField, xs: Sequence[int]) -> tuple[int, ...]:
     return _lagrange_at(field.p, tuple(xs), 0)
 
 
-def combine_rows(field: PrimeField, coeffs: Sequence[int], rows: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[i] * rows[i] mod p for canonical rows.  A product is at most
-    (p-1)^2, so ``room`` of them add up in uint64 without wrapping and share one
-    reduction; the reductions, not the products, are the cost here."""
+def combine_rows(field: PrimeField, coeffs: Sequence[int], rows: Sequence[np.ndarray],
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """sum_i coeffs[i] * rows[i] mod p for canonical rows, written into ``out``
+    when given.  A product is at most (p-1)^2, so ``room`` of them add up in
+    uint64 without wrapping and share one reduction; the reductions, not the
+    products, are the cost here.  A row with coefficient 1 is added without
+    a product."""
     p = np.uint64(field.p)
     room = (2**64 - 1) // (field.p - 1) ** 2
     acc = None
     for start in range(0, len(coeffs), room):
-        part = rows[start] * np.uint64(coeffs[start])
+        part = np.multiply(rows[start], np.uint64(coeffs[start]),
+                           out=out if acc is None else None)
         for c, row in zip(coeffs[start + 1:start + room], rows[start + 1:start + room]):
-            part += row * np.uint64(c)
+            part += row if c == 1 else row * np.uint64(c)
         part %= p
-        acc = part if acc is None else field.add_vec(acc, part)
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+            acc %= p
     return acc
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import stats
 from conftest import deal, dealt_shares, run_parties
 from ordervote.engine import (LEAF_COEF, WINDOW, DegreeOverflow, DoubleSharing,
                               InconsistentOpen, MpcError, PartyContext, RetryExhausted,
-                              Shares, mask_layout, spare_masks)
+                              Shares, extract, extractor, mask_layout, spare_masks)
 from ordervote.field import PrimeField
 from ordervote.oracle import plain_primitive
 from ordervote.shamir import degree_at_most, reconstruct_batch
@@ -52,6 +53,50 @@ def test_double_sharing_consistency(f31):
     assert degree_at_most(f31, high, 3).all()  # degree <= 2D'-2
     assert np.array_equal(reconstruct_batch(f31, [1, 2], low[:2]),
                           reconstruct_batch(f31, [1, 2, 3], high))
+
+
+def _rank_mod(rows, p):
+    """The rank of an integer matrix over Z_p, by elimination."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                c = rows[i][col] * inv
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [31, 65_519, M31])
+@pytest.mark.parametrize("parties", [3, 4, 5, 7, 9])
+def test_every_honest_square_of_the_extractor_is_invertible(p, parties):
+    """The D - t columns of any D - t parties, t = D' - 1, form an invertible
+    square: the outputs are uniform whatever the other t parties dealt."""
+    threshold = (parties + 1) // 2
+    matrix = np.array(extractor(p, parties, threshold), dtype=object)
+    outputs = parties - threshold + 1
+    assert matrix.shape == (outputs, parties)
+    assert matrix[0].tolist() == [1] * parties  # row 0 is the sum
+    for honest in itertools.combinations(range(parties), outputs):
+        assert _rank_mod(matrix[:, honest].tolist(), p) == outputs, honest
+
+
+def test_extraction_is_a_bijection_on_the_honest_deals(f31):
+    """D = 3, p = 31: whatever word one tallier deals, the words of the
+    other two, over all 31**2 pairs, extract to every pair of outputs
+    exactly once."""
+    matrix = extractor(31, 3, 2)
+    pairs = np.array(list(itertools.product(range(31), repeat=2)), dtype=np.uint64).T
+    for corrupt in range(3):
+        rows = [*pairs]
+        rows.insert(corrupt, np.full(31 ** 2, 17, dtype=np.uint64))
+        out = extract(f31, matrix, rows, np.empty((2, 31 ** 2), dtype=np.uint64))
+        assert len(set(zip(*out.tolist()))) == 31 ** 2, corrupt
 
 
 # -- multiplication ---------------------------------------------------------------
@@ -109,7 +154,8 @@ def test_tampered_masked_product_share_is_caught_by_every_party(f31):
 @pytest.mark.parametrize("rider", [0, 3])
 def test_payload_of_the_wrong_length_names_its_sender_and_round(f31, rider):
     """T3 sends one value short in an open of 4 shares, alone or carrying the
-    deal of 3 declared double sharings: each peer names T3 and the round."""
+    deal for 3 declared double sharings, 2 of them at D - t = 2 extractor
+    outputs: each peer names T3 and the round."""
     x = deal(f31, np.arange(4, dtype=np.uint64), 2, 3, seed=5)
 
     def prog(ctx):
@@ -126,7 +172,7 @@ def test_payload_of_the_wrong_length_names_its_sender_and_round(f31, rider):
         return "opened"
 
     res = run_parties(3, 2, f31, prog, timeout=3.0)
-    width = 4 + 2 * rider
+    width = 4 + 2 * -(-rider // 2)
     for d in (1, 2):
         assert res[d] == f"T3 sent {width - 1} values in round 0; T{d} expected {width}"
 
@@ -135,7 +181,10 @@ def test_declared_layers_take_dealt_sharings_without_a_round_of_their_own(f31):
     """``pregenerate`` deals both pools in one round.  Sharings declared with
     ``expect`` ride on the next exchange, behind its values, and the layers
     that take them cost no round of their own; an exchange with nothing
-    declared carries no rider."""
+    declared carries no rider.  At D - t = 2 each party deals half of what
+    the pools lack, rounded up: the pregenerated double sharing leaves one
+    over, so the 6 declared lack 5 and each party deals 3, which leaves one
+    over again."""
     x = deal(f31, np.arange(6, dtype=np.uint64), 2, 3, seed=6)
 
     def prog(ctx):
@@ -158,8 +207,8 @@ def test_declared_layers_take_dealt_sharings_without_a_round_of_their_own(f31):
 
     sent, left = run_parties(3, 2, f31, prog)[1]
     frame = LEN_PREFIX.size + HEADER.size
-    assert sent == [2 * (frame + 8 * 6), 2 * (frame + 8 * (6 + 2 * 6))]
-    assert left == [0, 0]
+    assert sent == [2 * (frame + 8 * 6), 2 * (frame + 8 * (6 + 2 * 3))]
+    assert left == [0, 1]
 
 
 @pytest.mark.parametrize("parties", [3, 5, 7, 9])
@@ -354,10 +403,11 @@ def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
     assert cost["deal_rounds"] == 1
 
 
-def test_offline_frames_stay_within_121_words_per_mask(f_mersenne31):
+def test_offline_frames_stay_within_81_words_per_mask(f_mersenne31):
     """Preparing masks from empty pools at ell = 31, no frame carries more than
-    121 words per mask drawn, spares included: the squares' opening with the
-    deal of the 45 pairs."""
+    81 words per mask drawn, spares included: the 45 pairs' product layer
+    with the deal for the 36 triples and quads, of which each party deals
+    half at D - t = 2, so 36 words for their low and high halves."""
     masks = 10
 
     def prog(ctx):
@@ -373,7 +423,7 @@ def test_offline_frames_stay_within_121_words_per_mask(f_mersenne31):
         return max(sent)
 
     drawn = masks + spare_masks(f_mersenne31.p, 31, masks)
-    assert run_parties(3, 2, f_mersenne31, prog)[1] == (31 + 2 * 45) * drawn == 121 * 11
+    assert run_parties(3, 2, f_mersenne31, prog)[1] == (45 + 36) * drawn == 81 * 11
 
 
 def test_masks_are_bits_of_a_uniform_r_below_p(f31):

@@ -5,8 +5,10 @@ per-voter bundles: the same seeds must give the same verdicts, winners,
 Kemeny rankings, captured shares and phase counters; the talliers draw
 from the config's seed (``seeded_talliers``).  The configs name no prime;
 the shares, digests and counters were read again when such a config came
-to take p = 65,519 and a mask batch its spares, and the verdicts, winners
-and rankings stayed the same."""
+to take p = 65,519 and a mask batch its spares, and again when the talliers
+came to extract their dealt sharings instead of summing them (the shares
+and bytes moved, the Kemeny captures, which hold only aggregates, did not);
+the verdicts, winners, rankings and rounds stayed the same."""
 
 import hashlib
 import json
@@ -50,28 +52,28 @@ def _captures(outcome) -> dict:
 # phase.  The configs name no prime, so each takes p = 65,519; each election
 # is pinned at 2^31 - 1 too, which the ladder picks for large ones.
 FOUR = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "76920a2e79d0552e",
-     "2e7f1ec2c09f4285", {"offline": 8, "validate": 19, "aggregate": 0, "score": 3,
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "81e00fae4f6c178a",
+     "763a956f1ffd9841", {"offline": 8, "validate": 19, "aggregate": 0, "score": 3,
                           "select": 26}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "2624ca86f807501c",
-     "0d78e1e6f3403a8e", {"offline": 8, "validate": 19, "aggregate": 0, "score": 12,
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "af87904c34cd9172",
+     "68e4e0e0d9e4257b", {"offline": 8, "validate": 19, "aggregate": 0, "score": 12,
                           "select": 26}),
     ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "5073724b4cd8c005",
-     "0c5faa5b68278bfc", {"offline": 8, "validate": 5, "aggregate": 0, "select": 29}),
+     "ccb2ee51e70c68ed", {"offline": 8, "validate": 5, "aggregate": 0, "select": 29}),
     ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "19bb15727fb03c00",
-     "58b25523bf9b0c01", {"offline": 8, "validate": 5, "aggregate": 0, "select": 41}),
+     "2af6a56797001a65", {"offline": 8, "validate": 5, "aggregate": 0, "select": 41}),
 ]
 FOUR_AT_M31 = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "c766ca50f77d2849",
-     "939213fe1c1eb169", {"offline": 9, "validate": 19, "aggregate": 0, "score": 4,
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "0c7cd5a6fbba9f39",
+     "619c91e7eefaae7b", {"offline": 9, "validate": 19, "aggregate": 0, "score": 4,
                           "select": 32}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "a00fe97eecf05876",
-     "09d091ba070123e4", {"offline": 9, "validate": 19, "aggregate": 0, "score": 15,
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "2cfe9921bee9ad95",
+     "77d7deb7b6e18dcc", {"offline": 9, "validate": 19, "aggregate": 0, "score": 15,
                           "select": 32}),
     ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "2851c951d141b86c",
-     "c8ba80c43a7be1bf", {"offline": 9, "validate": 5, "aggregate": 0, "select": 36}),
+     "159eb75cbaa9d0b6", {"offline": 9, "validate": 5, "aggregate": 0, "select": 36}),
     ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "cf91e8d45a706453",
-     "cc5cb62acef7fb6c", {"offline": 9, "validate": 5, "aggregate": 0, "select": 51}),
+     "ab48ae4c6b7cb6a5", {"offline": 9, "validate": 5, "aggregate": 0, "select": 51}),
 ]
 
 
@@ -120,8 +122,8 @@ def _edge_spools():
 
 PINNED_EDGE = {"winners": [4, 2],
                "aggregate": [21279, 38401, 12504, 27137, 15353, 21994],
-               "captures": "9bb64c22c5c21ebe", "proofs": "b0f777d7b2790c6c",
-               "phases": "74ba2ee5e43861f4"}
+               "captures": "f342ae9a6b7df5fc", "proofs": "b0f777d7b2790c6c",
+               "phases": "9fc9fb6f69bd6b8d"}
 
 
 def test_edge_spools_match_the_pinned_tally(seeded_talliers):
