@@ -101,14 +101,6 @@ def entry_pairs(rule: str, m: int) -> list[tuple[int, int]]:
     return off_diagonal_pairs(m) if rule == "kemeny" else upper_pairs(m)
 
 
-def project_upper(q: BallotMatrix) -> list[tuple[int, int, int]]:
-    """Upper-triangle projection; with the zero diagonal and antisymmetry it
-    determines the whole copeland/maximin matrix."""
-    if q.rule == "kemeny":
-        raise WrongRule("kemeny ballots share all off-diagonal entries, not a triangle")
-    return [(a, b, q.entry(a, b)) for a, b in upper_pairs(q.m)]
-
-
 @dataclass(frozen=True)
 class TallierBundle:
     """What one tallier receives from one voter: its share of every shared entry."""

@@ -42,6 +42,7 @@ SCHEMA_VERSION = 1
 # root in the field is one power
 PRIME_LADDER = (65_519, (1 << 31) - 1)
 VOTER_HEADROOM = 2  # a ladder prime holds twice the expected voters
+KEMENY_MAX_CANDIDATES = 6  # kemeny scores all M! rankings
 
 
 class ConfigError(Exception):
@@ -57,6 +58,10 @@ class FieldTooSmall(ConfigError):
 
 
 class BadThreshold(ConfigError):
+    pass
+
+
+class TooManyCandidates(ConfigError):
     pass
 
 
@@ -114,6 +119,14 @@ def check_field_bounds(prime: int, rule: str, m: int, voters: int,
     _require_above(prime, bounds, f" for N = {voters}; a session keeps the prime of "
                    "its setup, so set up one whose config names a larger 'prime', or "
                    "raises 'expected_voters' so that the prime it takes holds them")
+
+
+def check_kemeny_size(m: int) -> None:
+    """Kemeny enumerates the M! rankings, so M may not pass the guard."""
+    if m > KEMENY_MAX_CANDIDATES:
+        raise TooManyCandidates(
+            f"kemeny enumerates M! rankings; M = {m} exceeds the guard "
+            f"({KEMENY_MAX_CANDIDATES})")
 
 
 def ladder_prime(rule: str, m: int, voters: int, alpha: tuple[int, int]) -> int:
@@ -209,6 +222,8 @@ class ElectionConfig:
             raise ConfigError("candidate names must be unique")
         if not 1 <= self.num_winners <= self.m:
             raise ConfigError(f"K={self.num_winners} must be in 1..{self.m}")
+        if self.rule == "kemeny":
+            check_kemeny_size(self.m)
         if self.talliers < 1:
             raise BadThreshold("need at least one tallier")
         dp = self.threshold

@@ -41,13 +41,9 @@ Primitives:
   rounds of every phase of a tally.
 * bounded comparison 1_{a<b} for |a - b| < p/2: the positivity of b - a,
   one LSB extraction and no further gates.  Every comparison of the tally
-  has bounded inputs (the field bounds of ``config`` ensure it).
-* general comparison 1_{a<b} for any canonical a, b from three
-  less-than-half bits via z = 1 - x - y + xy + w(x + y - 2xy) (Nishide-Ohta,
-  PKC 2007).
+  has bounded inputs (the field bounds of ``config`` ensure it), so it is
+  the engine's only comparison.
 * positivity of a signed value embedded in [-N, N]: the LSB of -2x.
-* equality to zero via Fermat: 1 - x^(p-1), a square-and-multiply ladder of
-  at most 2*ell multiplication gates.
 
 Pools: random sharings, double sharings and LSB masks do not depend on the
 input, so each party keeps pools of them.  A caller declares (``expect``) the
@@ -57,9 +53,9 @@ behind the values sent to it.  Every party deals 1/(D - t) of it, for
 t = D' - 1, and a public Vandermonde matrix (``extractor``) turns every D
 deals into D - t sharings of values that no t parties know anything of
 (Damgard-Nielsen, CRYPTO 2007).  Declared one exchange ahead, a layer never
-stops for a refill.  A short pool is the fallback: a round that only deals
-(``deal_rounds``), for a phase's first layer, undeclared callers and a mask
-batch that falls short.
+stops for a refill.  A take that finds its pool short declares itself and
+deals in a round of its own (``deal_rounds``): a phase's first layer, and a
+mask batch that falls short.
 
 Multiplying by public scalars, adding shares, and adding public constants are
 local operations and never touch the network or the gate counters.
@@ -80,7 +76,6 @@ from .transport import SessionChannel
 
 RETRY_LIMIT = 32  # mask batches before a field is judged degenerate
 MASK_SHORTFALL = 2.0 ** -40  # the chance that a batch of masks falls short
-POOL_BLOCK = 1024
 WINDOW = 4  # bits per carry-tree leaf: 8 digits and 3 levels at ell = 31
 
 
@@ -310,7 +305,6 @@ class Counters:
     """Per-party instrumentation; communication rounds live on the channel."""
 
     mul_gates: int = 0
-    mul_gates_in_lsb: int = 0
     mul_rounds: int = 0
     offline_rounds: int = 0  # comm rounds spent preparing LSB masks
     deal_rounds: int = 0  # comm rounds that only deal pool sharings
@@ -359,7 +353,6 @@ class PartyContext:
         # checked LSB masks, one per column, rows as ``mask_layout`` places them
         self._layout = mask_layout(field.ell)
         self._masks = np.zeros((self._layout.rows, 0), dtype=np.uint64)
-        self._lsb_depth = 0
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -404,21 +397,20 @@ class PartyContext:
         """Sharings the declared layers still lack in the pool of ``thresholds``."""
         return max(self._owed[thresholds] - self._pools[thresholds].shape[1], 0)
 
-    def _exchange(self, values: np.ndarray, rand: int = 0, doubles: int = 0) -> np.ndarray:
+    def _exchange(self, values: np.ndarray) -> np.ndarray:
         """One communication round: every party sends ``values`` to each peer,
-        followed by that peer's shares of its deal.  The deal tops the pools
-        up by at least ``rand`` random and ``doubles`` double sharings and
-        what the declared layers lack: each party deals 1/(D - t) of that,
-        rounded up, and ``_pool_extracted`` turns the D deals into D - t
-        times as many sharings, of values that no t parties know; a surplus
-        of fewer than D - t per pool stays for later layers.  Returns the
-        parties' values as a (D, k) matrix, ordered by party index.  Every
-        party runs the same program, so a payload of another length is a
-        misbehaving peer (InconsistentOpen)."""
+        followed by that peer's shares of its deal.  The deal is what the
+        declared layers lack (``_due``) in each pool: each party deals
+        1/(D - t) of it, rounded up, and ``_pool_extracted`` turns the D
+        deals into D - t times as many sharings, of values that no t parties
+        know; a surplus of fewer than D - t per pool stays for later layers.
+        Returns the parties' values as a (D, k) matrix, ordered by party
+        index.  Every party runs the same program, so a payload of another
+        length is a misbehaving peer (InconsistentOpen)."""
         values = np.asarray(values, dtype=np.uint64).ravel()
         outputs = len(self._extractor)
-        rand = -(-max(rand, self._due(self._rand_t)) // outputs)
-        doubles = -(-max(doubles, self._due(self._double_t)) // outputs)
+        rand = -(-self._due(self._rand_t) // outputs)
+        doubles = -(-self._due(self._double_t) // outputs)
         k, parties = values.size, range(1, self.parties + 1)
         if rand + doubles:
             payloads = self._payloads(values, rand, doubles)
@@ -470,22 +462,22 @@ class PartyContext:
                     out=[buf[k + rand + doubles:] for buf in buffers])
         return buffers
 
-    def _deal(self, rand: int = 0, doubles: int = 0) -> None:
-        """A round that only deals: at least ``rand`` random and ``doubles``
-        double sharings, plus what the declared layers lack, both pools in one
-        exchange."""
+    def _deal(self) -> None:
+        """A round that only deals: what the declared layers lack, both pools
+        in one exchange."""
         self.counters.deal_rounds += 1
-        self._exchange(np.zeros(0, dtype=np.uint64), rand, doubles)
+        self._exchange(np.zeros(0, dtype=np.uint64))
 
     def _take(self, thresholds: tuple[int, ...], k: int) -> np.ndarray:
         """k pooled sharings per threshold; returns (len(thresholds), k).
-        Declared layers find them pooled.  The fallback, a pool too short,
-        costs a round of its own (``_deal``): a declared take gets what the
-        declared layers lack, an undeclared one at least POOL_BLOCK."""
+        A layer declared one exchange ahead finds them pooled.  A pool too
+        short raises its declaration to k and deals in a round of its own
+        (``_deal``), which also deals what the other pool's declared layers
+        lack."""
         pool = self._pools[thresholds]
         if pool.shape[1] < k:
-            need = 0 if self._owed[thresholds] >= k else max(k - pool.shape[1], POOL_BLOCK)
-            self._deal(*((need, 0) if thresholds == self._rand_t else (0, need)))
+            self._owed[thresholds] = max(self._owed[thresholds], k)
+            self._deal()
             pool = self._pools[thresholds]
         self._pools[thresholds] = pool[:, k:]
         self._owed[thresholds] = max(self._owed[thresholds] - k, 0)
@@ -527,8 +519,6 @@ class PartyContext:
         shape = u.values.shape
         self.counters.mul_gates += k
         self.counters.mul_rounds += 1
-        if self._lsb_depth:
-            self.counters.mul_gates_in_lsb += k
         dbl = self.double_shares(k)
         local = self.field.mul_vec(u.values.ravel(), v.values.ravel())
         masked = self.field.add_vec(local, dbl.high.values)
@@ -667,7 +657,6 @@ class PartyContext:
         are dropped; only a shortfall, below 2**-40, draws again for what it
         lacks.  The rounds spent count as ``offline_rounds``."""
         start = self.channel.stats.rounds
-        self._lsb_depth += 1
         try:
             lay, ell, p = self._layout, self.field.ell, self.field.p
             levels = (lay.windows - 1).bit_length()
@@ -698,7 +687,6 @@ class PartyContext:
             else:
                 raise RetryExhausted(f"LSB masks kept failing their checks at p = {p}")
         finally:
-            self._lsb_depth -= 1
             self.counters.offline_rounds += self.channel.stats.rounds - start
 
     def shared_lsb(self, x: Shares) -> Shares:
@@ -714,24 +702,16 @@ class PartyContext:
         if self._masks.shape[1] < k:
             self._prepare_masks(k - self._masks.shape[1])
         mask, self._masks = self._masks[:, :k], self._masks[:, k:]
-        self._lsb_depth += 1
-        try:
-            r = Shares(self.field, self.threshold, mask[-1])
-            self.expect(doubles=_level_gates(self._layout.windows, 3) * k)  # the first level
-            c = self.open(x.reshape(-1) + r, "lsb_mask")
-            (g, _, rg), _ = self._carry_tree(self._window_leaves(c, mask, fields=3))
-            f = self.field
-            toggle = f.sub_vec(f.add_vec(mask[0], g), f.add_vec(rg, rg))  # r_0 XOR 1_{c<r}
-            out = np.where((c & np.uint64(1)) == 1, f.sub_vec(np.uint64(1), toggle), toggle)
-            return Shares(self.field, self.threshold, out.reshape(x.values.shape))
-        finally:
-            self._lsb_depth -= 1
+        r = Shares(self.field, self.threshold, mask[-1])
+        self.expect(doubles=_level_gates(self._layout.windows, 3) * k)  # the first level
+        c = self.open(x.reshape(-1) + r, "lsb_mask")
+        (g, _, rg), _ = self._carry_tree(self._window_leaves(c, mask, fields=3))
+        f = self.field
+        toggle = f.sub_vec(f.add_vec(mask[0], g), f.add_vec(rg, rg))  # r_0 XOR 1_{c<r}
+        out = np.where((c & np.uint64(1)) == 1, f.sub_vec(np.uint64(1), toggle), toggle)
+        return Shares(self.field, self.threshold, out.reshape(x.values.shape))
 
     # -- derived predicates ------------------------------------------------------
-
-    def less_than_half(self, x: Shares) -> Shares:
-        """1_{x < p/2}: the LSB of 2x is zero exactly in that case."""
-        return 1 - self.shared_lsb(2 * x)
 
     def compare_bounded(self, a: Shares, b: Shares) -> Shares:
         """Shares of 1_{a < b} for inputs whose difference as integers satisfies
@@ -740,38 +720,10 @@ class PartyContext:
         self.counters.comparisons += a.size
         return self.is_positive(b - a)
 
-    def compare(self, a: Shares, b: Shares) -> Shares:
-        """Shares of 1_{a < b} for any canonical representatives.
-
-        The three less-than-half bits are extracted concurrently in the same
-        rounds; combining them costs exactly two more multiplication gates.
-        """
-        k = a.size
-        self.counters.comparisons += k
-        stacked = Shares.concat([2 * a, 2 * b, 2 * (a - b)])
-        bits = 1 - self.shared_lsb(stacked)
-        w, xx, y = bits[:k], bits[k:2 * k], bits[2 * k:]
-        xy = self.mul(xx, y)
-        z = 1 - xx - y + xy + self.mul(w, xx + y - 2 * xy)
-        return Shares(self.field, self.threshold, z.values.reshape(a.values.shape))
-
     def is_positive(self, x: Shares) -> Shares:
         """1_{x > 0} for x encoding a signed value in [-N, N], p > 2N: a single
         LSB extraction on -2x."""
         return self.shared_lsb(-2 * x)
-
-    def is_zero(self, x: Shares) -> Shares:
-        """1_{x = 0} via Fermat: 1 - x^(p-1) with a shared square-and-multiply
-        ladder, at most 2*ell sequential multiplication gates."""
-        if x.size == 0:
-            return Shares(self.field, self.threshold, x.values.copy())
-        exponent = self.field.p - 1
-        acc = x
-        for bit in bin(exponent)[3:]:
-            acc = self.mul(acc, acc)
-            if bit == "1":
-                acc = self.mul(acc, x)
-        return 1 - acc
 
     def select(self, z: Shares, a: Shares, b: Shares) -> Shares:
         """Oblivious choice a + z*(b - a): b where the bit z is 1, else a."""

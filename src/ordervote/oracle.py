@@ -136,9 +136,6 @@ def plain_primitive(kind: str, inputs: Sequence[int], p: int) -> int:
     if kind == "lsb":
         (x,) = inputs
         return (x % p) & 1
-    if kind == "less_than_half":
-        (x,) = inputs
-        return 1 if 2 * (x % p) < p else 0
     if kind == "compare":
         a, b = inputs
         return 1 if (a % p) < (b % p) else 0
@@ -147,9 +144,6 @@ def plain_primitive(kind: str, inputs: Sequence[int], p: int) -> int:
         x %= p
         signed = x - p if x > p // 2 else x
         return 1 if signed > 0 else 0
-    if kind == "is_zero":
-        (x,) = inputs
-        return 1 if x % p == 0 else 0
     if kind == "add":
         a, b = inputs
         return (a + b) % p

@@ -34,17 +34,11 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .ballots import Spool, entry_pairs, upper_pairs
-from .config import check_field_bounds, rank_vectors, ranking_winners
+from .config import check_field_bounds, check_kemeny_size, rank_vectors, ranking_winners
 from .engine import WINDOW, PartyContext, Shares
-
-KEMENY_MAX_CANDIDATES = 6
 
 
 class RuleMismatch(Exception):
-    pass
-
-
-class TooManyCandidates(Exception):
     pass
 
 
@@ -81,20 +75,13 @@ class TallyResult:
         return out
 
 
-def _check_kemeny_size(m: int) -> None:
-    if m > KEMENY_MAX_CANDIDATES:
-        raise TooManyCandidates(
-            f"kemeny enumerates M! rankings; M = {m} exceeds the guard "
-            f"({KEMENY_MAX_CANDIDATES})")
-
-
 def lsb_extractions(rule: str, m: int, k: int) -> int:
     """LSB extractions of scoring and electing K of M candidates under
     ``rule``: M(M-1) positivity bits for copeland scoring and M(M-2)
     comparisons for maximin scoring, plus K(M-(K+1)/2) comparisons of top-K;
     M!-1 comparisons for kemeny."""
     if rule == "kemeny":
-        _check_kemeny_size(m)
+        check_kemeny_size(m)
         return math.factorial(m) - 1
     scoring = m * (m - 1) if rule == "copeland" else max(m * (m - 2), 0)
     return scoring + k * m - k * (k + 1) // 2
@@ -252,7 +239,7 @@ def kemeny_winners(ctx: PartyContext, agg: AggregatedShares,
     and opens only the winning ranking's identity.
     """
     m = agg.m
-    _check_kemeny_size(m)
+    check_kemeny_size(m)
     check_field_bounds(ctx.field.p, agg.rule, agg.m, agg.ballots, None)
     pairs = entry_pairs("kemeny", m)
     rankings = list(rank_vectors(m))

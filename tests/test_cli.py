@@ -89,25 +89,31 @@ def test_setup_rejects_small_field(tmp_path, capsys):
 def test_bad_config_ends_setup_and_bench_with_a_named_error(tmp_path, capsys):
     """A config that does not exist, is not JSON, lacks a field, holds a
     field not of its JSON type or fails validation ends setup and bench with
-    exit code 2 and a ConfigError that names the fault, not a traceback."""
+    exit code 2 and a ConfigError, or a subclass, that names the fault, not
+    a traceback.  Kemeny with M = 7 is refused here, not at the tally."""
     cfg, missing = tmp_path / "cfg.json", tmp_path / "missing.json"
     good = json.loads(write_config(cfg).read_text())
     no_rule = {k: v for k, v in good.items() if k != "rule"}
-    for text, named in ((json.dumps(dict(good, talliers="x")), "field 'talliers'"),
-                        (json.dumps(no_rule), "field 'rule' is missing"),
-                        (json.dumps(dict(good, alpha={"s": 1})), "field 'alpha'"),
-                        ("{not json", "not JSON"),
-                        (json.dumps(dict(good, prime=4)), "p = 4 is not prime"),
-                        (None, f"cannot read {missing}"),
-                        (json.dumps(dict(good, candidates="ABC")), "field 'candidates'"),
-                        (json.dumps(dict(good, open_scores="false")), "field 'open_scores'"),
-                        (json.dumps(dict(good, talliers=3.9)), "field 'talliers'")):
+    kemeny7 = dict(good, rule="kemeny", candidates=list("ABCDEFG"))
+    field = "ConfigError: config field "
+    for text, named in ((json.dumps(dict(good, talliers="x")), field + "'talliers'"),
+                        (json.dumps(no_rule), field + "'rule' is missing"),
+                        (json.dumps(dict(good, alpha={"s": 1})), field + "'alpha'"),
+                        ("{not json", "ConfigError: config is not JSON"),
+                        (json.dumps(dict(good, prime=4)), "ConfigError: p = 4 is not prime"),
+                        (None, f"ConfigError: cannot read {missing}"),
+                        (json.dumps(dict(good, candidates="ABC")), field + "'candidates'"),
+                        (json.dumps(dict(good, open_scores="false")), field + "'open_scores'"),
+                        (json.dumps(dict(good, talliers=3.9)), field + "'talliers'"),
+                        (json.dumps(kemeny7), "TooManyCandidates: kemeny enumerates M! "
+                                              "rankings; M = 7 exceeds the guard (6)")):
         if text is not None:
             cfg.write_text(text)
         for argv in (["setup", "--session", str(tmp_path / "s")], ["bench", "--reps", "1"]):
             assert main(argv + ["--config", str(cfg if text else missing)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("ConfigError: ") and named in err, (argv[0], err)
+            assert err.startswith(named), (argv[0], err)
+        assert not (tmp_path / "s").exists()
 
 
 def test_vote_rejects_malformed_order(tmp_path, capsys):

@@ -310,30 +310,27 @@ def test_shared_lsb_exhaustive(f31):
     assert np.array_equal(res[1], expect)
 
 
-def test_lsb_and_compare_exhaustive_at_p_1_mod_4():
+def test_shared_lsb_exhaustive_at_p_1_mod_4():
     """At p = 13 = 1 mod 4 the random bits take their square roots by
-    Tonelli-Shanks; every LSB and every comparison matches the oracle."""
+    Tonelli-Shanks; every LSB matches the oracle.  The comparison at p = 13
+    is ``test_compare_bounded_exhaustive``'s."""
     f13 = PrimeField(13)
     xs = np.arange(13, dtype=np.uint64)
-    av, bv = np.repeat(xs, 13), np.tile(xs, 13)
-    mx, ma, mb = (deal(f13, v, 2, 3, seed=s) for s, v in ((13, xs), (14, av), (15, bv)))
+    mx = deal(f13, xs, 2, 3, seed=13)
 
     def prog(ctx):
-        x, a, b = (dealt_shares(f13, m, 2, ctx.party_id) for m in (mx, ma, mb))
-        return (ctx.open(ctx.shared_lsb(x), "final_output"),
-                ctx.open(ctx.compare(a, b), "final_output"))
+        return ctx.open(ctx.shared_lsb(dealt_shares(f13, mx, 2, ctx.party_id)), "final_output")
 
-    lsb, less = run_parties(3, 2, f13, prog)[1]
+    lsb = run_parties(3, 2, f13, prog)[1]
     assert lsb.tolist() == [plain_primitive("lsb", [int(x)], 13) for x in xs]
-    assert less.tolist() == [plain_primitive("compare", [int(a), int(b)], 13)
-                             for a, b in zip(av, bv)]
 
 
 @pytest.mark.parametrize("p", [13, 31])
 def test_compare_bounded_exhaustive(p):
     """Every pair of canonical a, b with |a - b| < p/2, the domain on which the
-    tally compares: one LSB extraction per pair, no gate outside it, and the
-    same bit as the oracle's comparison."""
+    tally compares: one LSB extraction per pair, the gates of a bare
+    extraction of as many values, and the same bit as the oracle's
+    comparison."""
     f = PrimeField(p)
     pairs = [(a, b) for a in range(p) for b in range(p) if 2 * abs(a - b) < p]
     av = np.array([a for a, _ in pairs], dtype=np.uint64)
@@ -344,7 +341,9 @@ def test_compare_bounded_exhaustive(p):
         a, b = (dealt_shares(f, m, 2, ctx.party_id) for m in (ma, mb))
         bit = ctx.compare_bounded(a, b)
         assert ctx.counters.comparisons == ctx.counters.lsb_extractions == len(pairs)
-        assert ctx.counters.mul_gates == ctx.counters.mul_gates_in_lsb
+        gates = ctx.counters.mul_gates
+        ctx.shared_lsb(a)
+        assert ctx.counters.mul_gates == 2 * gates
         return ctx.open(bit, "final_output")
 
     got = run_parties(3, 2, f, prog)[1]
@@ -458,21 +457,6 @@ def test_masks_are_bits_of_a_uniform_r_below_p(f31):
     assert offline > 0 and after == offline and left == 0
 
 
-def test_less_than_half_exhaustive(f31):
-    xs = np.arange(31, dtype=np.uint64)
-    mx = deal(f31, xs, 2, 3, seed=8)
-
-    def prog(ctx):
-        x = dealt_shares(f31, mx, 2, ctx.party_id)
-        return ctx.open(ctx.less_than_half(x), "final_output")
-
-    res = run_parties(3, 2, f31, prog)
-    expect = np.array([plain_primitive("less_than_half", [int(x)], 31) for x in xs])
-    assert np.array_equal(res[1], expect)
-    assert res[1][0] == 1  # 0 < p/2
-    assert res[1][16] == 0  # (p+1)/2 is the first value above half
-
-
 def test_is_positive_exhaustive_signed_range(f31):
     signed = list(range(-10, 11))
     xs = np.array([v % 31 for v in signed], dtype=np.uint64)
@@ -480,12 +464,11 @@ def test_is_positive_exhaustive_signed_range(f31):
 
     def prog(ctx):
         x = dealt_shares(f31, mx, 2, ctx.party_id)
-        before_lsb = ctx.counters.lsb_extractions
-        before_out = ctx.counters.mul_gates - ctx.counters.mul_gates_in_lsb
         bit = ctx.is_positive(x)
-        assert ctx.counters.lsb_extractions - before_lsb == len(signed)  # 1 per value
-        after_out = ctx.counters.mul_gates - ctx.counters.mul_gates_in_lsb
-        assert after_out == before_out  # no gates beyond the LSB extraction
+        assert ctx.counters.lsb_extractions == len(signed)  # 1 per value
+        gates = ctx.counters.mul_gates
+        ctx.shared_lsb(x)
+        assert ctx.counters.mul_gates == 2 * gates  # no gates beyond the LSB extraction
         return ctx.open(bit, "final_output")
 
     res = run_parties(3, 2, f31, prog)
@@ -495,60 +478,6 @@ def test_is_positive_exhaustive_signed_range(f31):
     assert res[1][signed.index(0)] == 0
 
 
-def test_is_zero_exhaustive_and_gate_bound(f31):
-    xs = np.arange(31, dtype=np.uint64)
-    mx = deal(f31, xs, 2, 3, seed=10)
-
-    def prog(ctx):
-        x = dealt_shares(f31, mx, 2, ctx.party_id)
-        before = ctx.counters.mul_gates
-        bit = ctx.is_zero(x)
-        gates_per_instance = (ctx.counters.mul_gates - before) / 31
-        assert gates_per_instance <= 2 * f31.ell  # Fermat ladder bound
-        return ctx.open(bit, "final_output")
-
-    res = run_parties(3, 2, f31, prog)
-    assert np.array_equal(res[1], (xs == 0).astype(np.uint64))
-
-
-def test_compare_exhaustive_all_pairs(f31):
-    pairs = [(a, b) for a in range(31) for b in range(31)]
-    av = np.array([a for a, _ in pairs], dtype=np.uint64)
-    bv = np.array([b for _, b in pairs], dtype=np.uint64)
-    ma, mb = deal(f31, av, 2, 3, seed=11), deal(f31, bv, 2, 3, seed=12)
-
-    def prog(ctx):
-        a = dealt_shares(f31, ma, 2, ctx.party_id)
-        b = dealt_shares(f31, mb, 2, ctx.party_id)
-        bit = ctx.compare(a, b)
-        assert ctx.counters.comparisons == len(pairs)
-        assert ctx.counters.lsb_extractions == 3 * len(pairs)
-        outside = ctx.counters.mul_gates - ctx.counters.mul_gates_in_lsb
-        assert outside == 2 * len(pairs)  # exactly two gates beyond the LSBs
-        return ctx.open(bit, "final_output")
-
-    res = run_parties(3, 2, f31, prog)
-    assert np.array_equal(res[1], (av < bv).astype(np.uint64))
-
-
-def test_compare_table_row_and_irreflexivity(f31):
-    # w=1, x=0 forces z=1 regardless of y: a < p/2 <= b
-    a = np.array([3], dtype=np.uint64)
-    b = np.array([20], dtype=np.uint64)
-    ma, mb = deal(f31, a, 2, 3, seed=13), deal(f31, b, 2, 3, seed=14)
-
-    def prog(ctx):
-        sa = dealt_shares(f31, ma, 2, ctx.party_id)
-        sb = dealt_shares(f31, mb, 2, ctx.party_id)
-        z1 = ctx.open(ctx.compare(sa, sb), "final_output")
-        z2 = ctx.open(ctx.compare(sa, sa), "final_output")
-        return z1, z2
-
-    res = run_parties(3, 2, f31, prog)
-    assert res[1][0][0] == 1
-    assert res[1][1][0] == 0  # irreflexive
-
-
 def test_secret_bits_only_zero_or_one(f31):
     rng = np.random.default_rng(15)
     xs = rng.integers(0, 31, size=100, dtype=np.uint64)
@@ -556,7 +485,7 @@ def test_secret_bits_only_zero_or_one(f31):
 
     def prog(ctx):
         x = dealt_shares(f31, mx, 2, ctx.party_id)
-        bits = Shares.concat([ctx.shared_lsb(x), ctx.less_than_half(x), ctx.is_zero(x)])
+        bits = Shares.concat([ctx.shared_lsb(x), ctx.is_positive(x)])
         return ctx.open(bits, "final_output")
 
     res = run_parties(3, 2, f31, prog)
@@ -570,28 +499,23 @@ def test_primitives_randomized_at_mersenne31(f_mersenne31):
     rng = np.random.default_rng(17)
     n = 12
     xs = rng.integers(0, M31, size=n, dtype=np.uint64)
-    ys = rng.integers(0, M31, size=n, dtype=np.uint64)
+    ys, zs = rng.integers(0, M31 // 2, size=(2, n), dtype=np.uint64)  # |y - z| < p/2
     signed = rng.integers(-1000, 1001, size=n)
     sx = np.array([v % M31 for v in signed], dtype=np.uint64)
-    mx = deal(f, xs, 2, 3, seed=18)
-    my = deal(f, ys, 2, 3, seed=19)
-    ms = deal(f, sx, 2, 3, seed=20)
+    mx, my, mz, ms = (deal(f, v, 2, 3, seed=s) for s, v in ((18, xs), (19, ys), (21, zs),
+                                                           (20, sx)))
 
     def prog(ctx):
-        x = dealt_shares(f, mx, 2, ctx.party_id)
-        y = dealt_shares(f, my, 2, ctx.party_id)
-        s = dealt_shares(f, ms, 2, ctx.party_id)
+        x, y, z, s = (dealt_shares(f, m, 2, ctx.party_id) for m in (mx, my, mz, ms))
         return (ctx.open(ctx.shared_lsb(x), "final_output"),
-                ctx.open(ctx.compare(x, y), "final_output"),
-                ctx.open(ctx.is_positive(s), "final_output"),
-                ctx.open(ctx.is_zero(s), "final_output"))
+                ctx.open(ctx.compare_bounded(y, z), "final_output"),
+                ctx.open(ctx.is_positive(s), "final_output"))
 
     res = run_parties(3, 2, f, prog)
-    lsb, cmp_, pos, zero = res[1]
+    lsb, cmp_, pos = res[1]
     assert np.array_equal(lsb, xs % 2)
-    assert np.array_equal(cmp_, (xs < ys).astype(np.uint64))
+    assert np.array_equal(cmp_, (ys < zs).astype(np.uint64))
     assert np.array_equal(pos, (signed > 0).astype(np.uint64))
-    assert np.array_equal(zero, (signed == 0).astype(np.uint64))
 
 
 # -- failure paths -----------------------------------------------------------------

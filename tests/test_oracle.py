@@ -99,7 +99,6 @@ def test_plain_winners_dispatch():
 def test_primitive_oracles():
     assert plain_primitive("compare", [3, 5], 31) == 1
     assert plain_primitive("compare", [5, 3], 31) == 0
-    assert plain_primitive("is_zero", [0], 31) == 1
     assert plain_primitive("mul", [6, 6], 31) == 5
     for v in range(-10, 11):
         assert plain_primitive("is_positive", [v % 31], 31) == (1 if v > 0 else 0)
@@ -113,4 +112,3 @@ def test_half_threshold_via_doubled_lsb_at_p7():
     assert lsb == [0, 0, 0, 0, 1, 1, 1]
     for q in range(7):
         assert (lsb[q] == 0) == (q < 3.5)
-        assert plain_primitive("less_than_half", [q], 7) == (1 - lsb[q])

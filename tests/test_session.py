@@ -482,11 +482,7 @@ def test_socket_live_ballot_submission():
 def test_tally_prepares_exactly_its_masks_before_validation():
     """For every rule, M <= 6 and K <= M, ``tallier_program`` prepares its LSB
     masks in one batch before any extraction, as many as the tally extracts:
-    the mask pool ends empty, so no mask is prepared online, and the general
-    comparison never runs."""
-    def general_compare(a, b):
-        raise AssertionError("the tally used the general comparison")
-
+    the mask pool ends empty, so no mask is prepared online."""
     for rule in ("copeland", "maximin", "kemeny"):
         for m in range(1, 7):
             for k in range(1, m + 1):
@@ -502,7 +498,6 @@ def test_tally_prepares_exactly_its_masks_before_validation():
                         prepare(n)
 
                     ctx._prepare_masks = counted
-                    ctx.compare = general_compare
                     tallier_program(ctx, cfg, [b.bundle_for(ctx.party_id) for b in ballots])
                     return batches, ctx.counters.lsb_extractions, ctx._masks.shape[1]
 

@@ -78,7 +78,10 @@ FOUR_AT_M31 = [
 
 
 @pytest.mark.parametrize("rule,m,k,n,winners,ranking,verdicts,captures,phases,rounds,prime",
-                         [(*row, None) for row in FOUR] + [(*row, M31) for row in FOUR_AT_M31])
+                         [(*row, None) for row in FOUR] + [(*row, M31) for row in FOUR_AT_M31],
+                         ids=[f"{rule}-M{m}-K{k}-N{n}-p{prime}"
+                              for rows, prime in ((FOUR, 65_519), (FOUR_AT_M31, M31))
+                              for rule, m, k, n, *_ in rows])
 def test_four_elections_match_the_pinned_tally(seeded_talliers, rule, m, k, n, winners,
                                                ranking, verdicts, captures, phases, rounds,
                                                prime):
