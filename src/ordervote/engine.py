@@ -16,24 +16,34 @@ Primitives:
   share, checks that the D shares have degree at most 2D'-2 and reconstructs
   w+R itself, and subtracting the low-threshold shares of R lands back on a
   D'-out-of-D sharing of the product.
+* an opening that rides on a multiplication layer (``mul`` with ``then``):
+  each product is the public W = uv + R less the shares of R, so an affine
+  map L of the layer's products opens in the layer's own round.  Every
+  party sends its shares of L(-R) behind its masked product shares, and
+  L(uv) is their reconstruction, checked for degree like any opening, plus
+  L(W) - L(0).  R is fresh, so W is uniform and independent of u and v,
+  and the shares of L(-R) follow from the opened value and W: the view is
+  that of the layer followed by its own opening, one round sooner.
 * LSB masks: the bitwise-shared uniform r < p that an LSB extraction hides
   x behind, the products of its bits within each 4-bit window, r_0 times
   the products of the windows above the lowest, and r recomposed from its
   bits (``mask_layout``).  Nothing in a mask depends on the input, so masks
   come from a third pool, filled by one preparation routine (random bits,
-  two layers of window products, the r < p rejection check with the
-  r_0-products on its levels, the recomposition); a tally fills it once,
-  before validation, with its exact extraction count (Damgard et al.,
-  TCC 2006), and a short pool is topped up the same way.  A batch draws a
-  few spare masks (``spare_masks``), so the masks that fail their checks
-  cost no round of their own, at any p.
+  whose squares open on their own layer, two layers of window products,
+  the r < p rejection check with the r_0-products on its levels, opened on
+  its last, the recomposition); a tally fills it once, before validation,
+  with its exact extraction count (Damgard et al., TCC 2006), and a short
+  pool is topped up the same way.  A batch draws a few spare masks
+  (``spare_masks``), so the masks that fail their checks cost no round of
+  their own, at any p.
 * shared LSB of a secret x: take a mask r from the pool, publish c = x + r,
-  and combine LSB(c), LSB(r) and the wraparound bit 1_{c < r}.  The wrap
-  bit is the carry-out of a generate/propagate tree over the 4-bit windows
-  of public c and shared r (Catrina-de Hoogh, SCN 2010): a window's
-  generate and propagate bits are integer combinations of its pooled
-  products (``LEAF_COEF``), so the leaves cost no gate and the tree takes
-  ceil(log2 ceil(ell/4)) layers.  Each node also carries r_0 times its G,
+  and combine LSB(c), LSB(r) and the wraparound bit 1_{c < r}
+  (``take_masks``, then ``finish_lsb``, so that c may ride on the layer
+  before it).  The wrap bit is the carry-out of a generate/propagate tree
+  over the 4-bit windows of public c and shared r (Catrina-de Hoogh, SCN
+  2010): a window's generate and propagate bits are integer combinations
+  of its pooled products (``LEAF_COEF``), so the leaves cost no gate and
+  the tree takes ceil(log2 ceil(ell/4)) layers.  Each node also carries r_0 times its G,
   so LSB(r) XOR 1_{c < r} needs no gate of its own.  At p = 2^31 - 1 one
   extraction costs 4 rounds (the opening and 3 layers) and 18 gates
   online, and its mask 220 gates offline; at p = 65,519 (4 windows) 3
@@ -66,6 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -506,25 +517,44 @@ class PartyContext:
 
     # -- multiplication gate with degree reduction ---------------------------
 
-    def mul(self, u: Shares, v: Shares) -> Shares:
-        """Shares of u*v elementwise; one batch = one layer of simultaneous gates."""
+    def mul(self, u: Shares, v: Shares, then: Callable[[Shares], Shares] | None = None,
+            purpose: str = "") -> Shares | tuple[Shares, np.ndarray]:
+        """Shares of u*v elementwise; one batch = one layer of simultaneous gates.
+
+        With ``then``, an affine map of the products that takes nothing from a
+        pool, the same round opens then(u*v) for ``purpose``.  Each product is
+        the public W = uv + R less the shares of R, so every party sends its
+        shares of then(-R) behind its masked product shares, and the opened
+        value is their reconstruction plus then(W) - then(0).  Returns the
+        products and, with ``then``, the opened value."""
         if u.values.shape != v.values.shape:
             raise MpcError("mul operands must have the same shape")
         high_t = 2 * self.threshold - 1
         if high_t > self.parties:
             raise DegreeOverflow(f"2D'-1 = {high_t} exceeds D = {self.parties}")
-        k = u.size
+        f, k, shape = self.field, u.size, u.values.shape
         if k == 0:
-            return Shares(self.field, self.threshold, u.values.copy())
-        shape = u.values.shape
+            out = Shares(f, self.threshold, u.values.copy())
+            return out if then is None else (out, self.open(then(out), purpose))
         self.counters.mul_gates += k
         self.counters.mul_rounds += 1
         dbl = self.double_shares(k)
-        local = self.field.mul_vec(u.values.ravel(), v.values.ravel())
-        masked = self.field.add_vec(local, dbl.high.values)
-        opened = self._reconstruct(self._exchange(masked), high_t, "masked product shares")
-        out = self.field.sub_vec(opened, dbl.low.values)
-        return Shares(self.field, self.threshold, out.reshape(shape))
+        masked = f.add_vec(f.mul_vec(u.values.ravel(), v.values.ravel()), dbl.high.values)
+        if then is None:
+            w = self._reconstruct(self._exchange(masked), high_t, "masked product shares")
+            return Shares(f, self.threshold, f.sub_vec(w, dbl.low.values).reshape(shape))
+        ride = then(-dbl.low.reshape(shape))
+        self._log_open(ride.size, purpose)
+        got = self._exchange(np.concatenate([masked, ride.values.ravel()]))
+        w = self._reconstruct(got[:, :k], high_t, "masked product shares")
+
+        def public(x: np.ndarray) -> np.ndarray:
+            return then(Shares(f, self.threshold, x.reshape(shape))).values.ravel()
+
+        opened = f.add_vec(self._reconstruct(got[:, k:], ride.threshold, "opened shares"),
+                           f.sub_vec(public(w), public(np.zeros(k, dtype=np.uint64))))
+        out = Shares(f, self.threshold, f.sub_vec(w, dbl.low.values).reshape(shape))
+        return out, opened.reshape(ride.values.shape)
 
     # -- openings -------------------------------------------------------------
 
@@ -534,12 +564,15 @@ class PartyContext:
         if self.parties < x.threshold:
             raise InsufficientShares(
                 f"{self.parties} parties cannot open a threshold-{x.threshold} sharing")
-        self.counters.opens += x.size
-        self.counters.open_log.append((purpose, x.size))
+        self._log_open(x.size, purpose)
         if x.size == 0:
             return np.zeros(x.values.shape, dtype=np.uint64)
         values = self._reconstruct(self._exchange(x.values), x.threshold, "opened shares")
         return values.reshape(x.values.shape)
+
+    def _log_open(self, k: int, purpose: str) -> None:
+        self.counters.opens += k
+        self.counters.open_log.append((purpose, k))
 
     def _reconstruct(self, matrix: np.ndarray, threshold: int, what: str) -> np.ndarray:
         """The values behind the (D, k) matrix of every party's shares of a
@@ -555,25 +588,24 @@ class PartyContext:
         """Broadcast raw share values and return the full (D, k) matrix, ordered
         by party index.  Used by the share-degree legality check, which needs
         every evaluation point rather than a reconstruction."""
-        self.counters.opens += values.size
-        self.counters.open_log.append((purpose, values.size))
+        self._log_open(values.size, purpose)
         return self._exchange(values)
 
     # -- shared bit machinery ---------------------------------------------------
 
-    def _random_bits(self, shape: tuple[int, ...], then: int = 0) -> tuple[Shares, np.ndarray]:
-        """Shares of uniform bits: square a shared random value, open the square,
-        divide by the public canonical root; the sign that survives is a coin.
-        A zero square (1/p of them) gives no bit, so the returned array says
-        which entries hold one.  The caller's next layer, ``then`` double
-        sharings, is declared on the squares' opening."""
+    def _random_bits(self, shape: tuple[int, ...], ahead: int = 0) -> tuple[Shares, np.ndarray]:
+        """Shares of uniform bits: square a shared random value, open the square
+        in the squares' own round, divide by the public canonical root; the
+        sign that survives is a coin.  A zero square (1/p of them) gives no
+        bit, so the returned array says which entries hold one.  The caller's
+        next layer, ``ahead`` double sharings, is declared on the squares'
+        round."""
         f = self.field
         k = int(np.prod(shape))
         self.expect(rand=k, doubles=k)  # the squares' layer is dealt with the values
         rho = self.rand_shares(k)
-        sq = self.mul(rho, rho)
-        self.expect(doubles=then)
-        a = self.open(sq, "lsb_mask")
+        self.expect(doubles=ahead)
+        _, a = self.mul(rho, rho, then=lambda sq: sq, purpose="lsb_mask")
         ok = a != 0
         signed = f.mul_vec(rho.values, f.pow_vec(self._sqrt_vec(a), f.p - 2))
         bits = f.mul_vec(f.add_vec(signed, np.uint64(1)), np.uint64((f.p + 1) // 2))
@@ -605,8 +637,9 @@ class PartyContext:
             leaves.append(np.einsum("wks,wsk->wk", coef[0], ext[lay.multiples]))
         return (np.stack(leaves) % self.field.p).astype(np.uint64)
 
-    def _carry_tree(self, state: np.ndarray,
-                    riders: list[tuple[np.ndarray, np.ndarray]] = ()) -> tuple[np.ndarray, list]:
+    def _carry_tree(self, state: np.ndarray, riders: list[tuple[np.ndarray, np.ndarray]] = (),
+                    then: Callable[[Shares], Shares] | None = None,
+                    ) -> tuple[np.ndarray, list, np.ndarray | None]:
         """The root of a generate/propagate tree over the (fields, nodes, k)
         leaves ``state``, lowest node first (Catrina-de Hoogh, SCN 2010).
         Fields are G and P, and optionally r_0*G.  A high node over a low one
@@ -614,14 +647,16 @@ class PartyContext:
         P_h*r_0*G_l, ceil(log2 nodes) levels of one layer each.  The node
         that holds the lowest digit is never a high node, so it takes no P.
 
-        Returns the root's fields as a (fields, k) array, and the products of
+        Returns the root's fields as a (fields, k) array, the products of
         ``riders``, pairs of (rows, k) share arrays multiplied in the layers
-        of the first levels, one pair per level.  The caller declares the
-        first level (``_level_gates`` and the first rider) one exchange ahead;
-        each level declares the next."""
-        f = self.field
+        of the first levels, one pair per level, and what ``then``, an affine
+        map of the root's (fields, k) sharing, opened for "lsb_mask": on the
+        last level's round, or in a round of its own when the tree has no
+        level.  The caller declares the first level (``_level_gates`` and the
+        first rider) one exchange ahead; each level declares the next."""
+        f, t = self.field, self.threshold
         fields, _, k = state.shape
-        riders, ridden = list(riders), []
+        riders, ridden, opened = list(riders), [], None
         summed = np.arange(fields) != 1  # the fields that add the high node's
         while state.shape[1] > 1:
             nodes = state.shape[1]
@@ -636,14 +671,25 @@ class PartyContext:
                 lhs, rhs = np.concatenate([lhs, rider[0]]), np.concatenate([rhs, rider[1]])
             self.expect(doubles=_level_gates(nodes - pairs, fields) * k
                         + (riders[0][0].size if riders else 0))  # the next level
-            out = self.mul(Shares(f, self.threshold, lhs), Shares(f, self.threshold, rhs)).values
+
+            def combined(out: np.ndarray) -> np.ndarray:  # the next level's nodes
+                products = np.zeros(low.shape, dtype=np.uint64)
+                products[need] = out[:gates]
+                products[summed] = f.add_vec(products[summed], high[summed])
+                return np.concatenate([products, state[:, 2 * pairs:]], axis=1)
+
+            u, v = Shares(f, t, lhs), Shares(f, t, rhs)
+            if then is not None and nodes - pairs == 1:  # the last level
+                out, opened = self.mul(
+                    u, v, lambda x: then(Shares(f, t, combined(x.values)[:, 0])), "lsb_mask")
+            else:
+                out = self.mul(u, v)
             if rider is not None:
-                ridden.append(out[gates:])
-            products = np.zeros(low.shape, dtype=np.uint64)
-            products[need] = out[:gates]
-            products[summed] = f.add_vec(products[summed], high[summed])
-            state = np.concatenate([products, state[:, 2 * pairs:]], axis=1)
-        return state[:, 0], ridden
+                ridden.append(out.values[gates:])
+            state = combined(out.values)
+        if then is not None and opened is None:
+            opened = self.open(then(Shares(f, t, state[:, 0])), "lsb_mask")
+        return state[:, 0], ridden, opened
 
     def _prepare_masks(self, n: int) -> None:
         """Append n checked LSB masks to the mask pool (``mask_layout``): shared
@@ -666,18 +712,19 @@ class PartyContext:
             for _ in range(RETRY_LIMIT):
                 k = n + spare_masks(p, ell, n)
                 drawn = np.empty((lay.rows, k), dtype=np.uint64)
-                bits, came_out = self._random_bits((ell, k), then=pair_layer[0].size * k)
+                bits, came_out = self._random_bits((ell, k), ahead=pair_layer[0].size * k)
                 drawn[:ell] = bits.values
-                for (out, a, b), then in ((pair_layer, wide_layer[0].size), (wide_layer, first)):
-                    self.expect(doubles=then * k)  # the next layer
+                for (out, a, b), ahead in ((pair_layer, wide_layer[0].size), (wide_layer, first)):
+                    self.expect(doubles=ahead * k)  # the next layer
                     drawn[out] = self.mul(Shares(f, t, drawn[a]), Shares(f, t, drawn[b])).values
                 riders = [(np.broadcast_to(drawn[:1], (c.size, k)), drawn[lay.r0_factors[c]])
                           for c in chunks]
                 leaves = self._window_leaves(np.full(k, p - 1), drawn, fields=2)
-                (too_big, _), ridden = self._carry_tree(leaves, riders)  # 1_{r > p-1}
+                _, ridden, too_big = self._carry_tree(  # G at the root is 1_{r > p-1}
+                    leaves, riders, then=lambda root: root[0])
                 if ridden:
                     drawn[lay.r0_rows] = np.concatenate(ridden)
-                good = came_out.all(axis=0) & (self.open(Shares(f, t, too_big), "lsb_mask") == 0)
+                good = came_out.all(axis=0) & (too_big == 0)
                 kept = drawn[:, np.flatnonzero(good)[:n]]
                 kept[-1] = combine_rows(f, [pow(2, i, p) for i in range(ell)], kept[:ell])
                 self._masks = np.concatenate([self._masks, kept], axis=1)
@@ -689,27 +736,38 @@ class PartyContext:
         finally:
             self.counters.offline_rounds += self.channel.stats.rounds - start
 
-    def shared_lsb(self, x: Shares) -> Shares:
-        """Shares of the least significant bit of the canonical representative:
-        LSB(c) XOR r_0 XOR 1_{c < r} for c = x + r opened, where the wrap bit
-        1_{c < r} says that x + r passed p.  The carry tree over the windows
-        gives r_0 XOR 1_{c < r} = r_0 + G - 2*r_0*G without a gate of its
-        own."""
-        k = x.size
-        if k == 0:
-            return Shares(self.field, self.threshold, x.values.copy())
+    def take_masks(self, k: int) -> np.ndarray:
+        """The first step of k LSB extractions: count them, take k masks from
+        the pool (preparing what it lacks) and declare the first carry level,
+        so the exchange that opens c = x + r deals it.  Returns the masks as
+        (``mask_layout``.rows, k); r is the last row."""
         self.counters.lsb_extractions += k
         if self._masks.shape[1] < k:
             self._prepare_masks(k - self._masks.shape[1])
         mask, self._masks = self._masks[:, :k], self._masks[:, k:]
-        r = Shares(self.field, self.threshold, mask[-1])
         self.expect(doubles=_level_gates(self._layout.windows, 3) * k)  # the first level
-        c = self.open(x.reshape(-1) + r, "lsb_mask")
-        (g, _, rg), _ = self._carry_tree(self._window_leaves(c, mask, fields=3))
+        return mask
+
+    def finish_lsb(self, c: np.ndarray, mask: np.ndarray) -> Shares:
+        """The second step: shares of LSB(x) for the opened c = x + r of each
+        column of ``mask``, LSB(c) XOR r_0 XOR 1_{c < r}.  The wrap bit 1_{c < r}
+        says that x + r passed p; the carry tree over the windows gives
+        r_0 XOR 1_{c < r} = r_0 + G - 2*r_0*G without a gate of its own."""
+        (g, _, rg), _, _ = self._carry_tree(self._window_leaves(c, mask, fields=3))
         f = self.field
         toggle = f.sub_vec(f.add_vec(mask[0], g), f.add_vec(rg, rg))  # r_0 XOR 1_{c<r}
-        out = np.where((c & np.uint64(1)) == 1, f.sub_vec(np.uint64(1), toggle), toggle)
-        return Shares(self.field, self.threshold, out.reshape(x.values.shape))
+        return Shares(f, self.threshold,
+                      np.where((c & np.uint64(1)) == 1, f.sub_vec(np.uint64(1), toggle), toggle))
+
+    def shared_lsb(self, x: Shares) -> Shares:
+        """Shares of the least significant bit of the canonical representative
+        of x: take masks, open c = x + r in a round of its own, finish."""
+        k = x.size
+        if k == 0:
+            return Shares(self.field, self.threshold, x.values.copy())
+        mask = self.take_masks(k)
+        c = self.open(x.reshape(-1) + Shares(self.field, self.threshold, mask[-1]), "lsb_mask")
+        return self.finish_lsb(c, mask).reshape(x.values.shape)
 
     # -- derived predicates ------------------------------------------------------
 
@@ -724,7 +782,3 @@ class PartyContext:
         """1_{x > 0} for x encoding a signed value in [-N, N], p > 2N: a single
         LSB extraction on -2x."""
         return self.shared_lsb(-2 * x)
-
-    def select(self, z: Shares, a: Shares, b: Shares) -> Shares:
-        """Oblivious choice a + z*(b - a): b where the bit z is 1, else a."""
-        return a + self.mul(z, b - a)

@@ -257,9 +257,11 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
                 else maximin_scores(ctx, agg)
             ctx.capture("scores", scores)
         with _phase(ctx, phases, "select"):
-            winners = top_k(ctx, scores, config.num_winners)
             if config.open_scores:
-                opened_scores = [int(v) for v in ctx.open(scores, "final_output")]
+                winners, opened_scores = top_k(ctx, scores, config.num_winners,
+                                               return_scores=True)
+            else:
+                winners = top_k(ctx, scores, config.num_winners)
 
     result = TallyResult(
         rule=rule,

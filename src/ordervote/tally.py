@@ -19,9 +19,13 @@ scores stay secret unless the operator explicitly asks for them.  A strict
 comparison keeps the left entry of each pair on a tie, so the lowest index
 (or first-enumerated ranking) wins, the tie policy of ``config``.
 
-Every comparison is ``compare_bounded``, one LSB extraction each: the field
-bounds (``config.check_field_bounds`` over the accepted ballots) keep every
-compared difference below p/2.
+Every comparison is the positivity of an affine margin, one LSB extraction
+each: the field bounds (``config.check_field_bounds`` over the accepted
+ballots) keep every compared difference below p/2.  In a min or argmax
+tree each level's select opens the next level's masked margin, and the
+argmax root's select its winner, in the select's own round
+(``PartyContext.mul`` with ``then``), so a level costs the carry tree and
+one round.
 ``lsb_extractions`` gives a tally's exact extraction count, so its LSB masks
 can all be prepared in one batch before the ballots are validated.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import Callable
 
 import numpy as np
 
@@ -87,23 +92,28 @@ def lsb_extractions(rule: str, m: int, k: int) -> int:
     return scoring + k * m - k * (k + 1) // 2
 
 
-def phase_rounds(rule: str, m: int, k: int, ell: int,
-                 open_scores: bool = False) -> dict[str, int]:
+def phase_rounds(rule: str, m: int, k: int, ell: int) -> dict[str, int]:
     """Communication rounds per phase of a tally of legal ballots, at a
-    prime of ``ell`` >= 3 bits.  An LSB extraction
-    opens x + r and runs t = ceil(log2 ceil(ell/4)) carry-tree levels over
-    the 4-bit windows of r (``engine.WINDOW``); a min or argmax level adds
-    its select; L(n) = ceil(log2 n).
+    prime of ``ell`` >= 3 bits.  An LSB extraction opens x + r and runs
+    t = ceil(log2 ceil(ell/4)) carry-tree levels over the 4-bit windows of r
+    (``engine.WINDOW``).  A min or argmax level ends in its select, which
+    opens the next level's x + r, or the argmax's winner, in the same round
+    (``PartyContext.mul`` with ``then``); L(n) = ceil(log2 n).
 
     * offline, when the tally extracts at all: a deal round, the random bits
-      (a square and its opening), the two layers of products within windows
-      and the r < p check (t levels and an opening), 3 + (2 + t + 1);
+      (a square layer that opens its own squares), the two layers of
+      products within windows and the r < p check, t levels whose last
+      opens the check, 4 + t (5 at t = 0, where the check's opening has a
+      round of its own);
     * validate: the roster round, then, when a ballot shares any entry, a
       deal round, the degree check, the product layers (M(M-1)/2, or one for
       kemeny) and their opening;
-    * score: 1 + t for copeland, L(M-1)(t + 2) for maximin;
-    * select: L(n)(t + 2) + 1 per argmax over n entries and the opening of
-      its winner; 1 more for ``open_scores`` (copeland and maximin).
+    * score: 1 + t for copeland; for maximin, 1 + L(M-1)(t + 1), or 0 when
+      M <= 2;
+    * select: 1 + L(n)(t + 1) per argmax over n entries, its first opening
+      and its levels; the winner is opened on the last select, or alone
+      when n = 1.  Opened scores cost no round: they ride on the last
+      winner's opening (``top_k``).
 
     The offline batch draws spare masks for those that fail their checks
     (``engine.spare_masks``), so the model is exact at every p but for a
@@ -115,16 +125,15 @@ def phase_rounds(rule: str, m: int, k: int, ell: int,
 
     pairs = len(upper_pairs(m))
     products = (1 if rule == "kemeny" else pairs) if pairs else 0
-    rounds = {"offline": 3 + (2 + t + 1) if lsb_extractions(rule, m, k) else 0,
+    rounds = {"offline": 4 + max(t, 1) if lsb_extractions(rule, m, k) else 0,
               "validate": 1 + (3 + products if pairs else 0),
               "aggregate": 0}
     if rule == "kemeny":
-        rounds["select"] = levels(math.factorial(m)) * (t + 2) + 1
+        rounds["select"] = levels(math.factorial(m)) * (t + 1) + 1
         return rounds
     rounds["score"] = (1 + t if pairs else 0) if rule == "copeland" \
-        else levels(m - 1) * (t + 2)
-    rounds["select"] = sum(levels(m - j + 1) * (t + 2) + 1 for j in range(1, k + 1)) \
-        + int(open_scores)
+        else (1 + levels(m - 1) * (t + 1) if m > 2 else 0)
+    rounds["select"] = sum(levels(m - j + 1) * (t + 1) + 1 for j in range(1, k + 1))
     return rounds
 
 
@@ -184,50 +193,100 @@ def maximin_scores(ctx: PartyContext, agg: AggregatedShares) -> Shares:
     support = agg.entries[[pos[min(a, b), max(a, b)] for a, b in ordered]]
     support = support * np.where(lower, -1, 1) + np.where(lower, agg.ballots, 0)
     return _fold_columns(ctx, support.reshape(m, m - 1),
-                         lambda left, right: ctx.compare_bounded(right, left))[:, 0]
+                         lambda left, right: left - right)[0][:, 0]
 
 
-def _fold_columns(ctx: PartyContext, rows: Shares, right_wins) -> Shares:
+def _fold_columns(ctx: PartyContext, rows: Shares, margin: Callable[[Shares, Shares], Shares],
+                  then: Callable[[Shares], Shares] | None = None,
+                  purpose: str = "winner_index") -> tuple[Shares, np.ndarray | None]:
     """Tournament tree over the columns of an (r, n) sharing, ceil(log2 n) levels:
     each level pairs adjacent columns (lower index left) and keeps the right one
-    where the batched bit ``right_wins(left, right)`` is 1; an odd one passes."""
+    where the affine ``margin(left, right)`` is positive; an odd one passes.
+
+    A level compares as ``PartyContext.is_positive`` does: it takes a mask r
+    per margin entry, opens c = -2*margin + r and finishes the LSB from c
+    (``take_masks``, ``finish_lsb``).  Its select ``mul`` opens the next
+    level's c in the same round, so a level takes t + 1 rounds after the
+    first level's opening, and the root's select opens the affine ``then``
+    of the root for ``purpose``.  Each level's masks and select sharings are
+    declared before the exchange that precedes them.  Returns the (r, 1)
+    root and what ``then`` opened (None without it); with one column,
+    ``then`` is opened in a round of its own."""
+    f, t = ctx.field, ctx.threshold
+
+    def halves(values: np.ndarray) -> tuple[Shares, Shares, np.ndarray]:
+        n = values.shape[1] // 2 * 2
+        return Shares(f, t, values[:, 0:n:2]), Shares(f, t, values[:, 1:n:2]), values[:, n:]
+
+    def ahead(width: int) -> np.ndarray:
+        """The masks of the level over ``width`` columns; its select declared."""
+        left, right, _ = halves(np.zeros((rows.values.shape[0], width), dtype=np.uint64))
+        k = margin(left, right).size
+        ctx.counters.comparisons += k
+        ctx.expect(doubles=left.size)
+        return ctx.take_masks(k)
+
+    def masked(cols: Shares, mask: np.ndarray) -> Shares:  # c of the level over cols
+        return -2 * margin(*halves(cols.values)[:2]).reshape(-1) + Shares(f, t, mask[-1])
+
+    if rows.values.shape[1] == 1:
+        return rows, None if then is None else ctx.open(then(rows), purpose)
+    mask = ahead(rows.values.shape[1])
+    opened = ctx.open(masked(rows, mask), "lsb_mask")
     while rows.values.shape[1] > 1:
-        n = rows.values.shape[1] // 2 * 2
-        left, right = rows[:, 0:n:2], rows[:, 1:n:2]
-        ctx.expect(doubles=left.size)  # the select rides on the comparison's opening
-        kept = ctx.select(right_wins(left, right), left, right)
-        rows = Shares(ctx.field, ctx.threshold,
-                      np.concatenate([kept.values, rows.values[:, n:]], axis=1))
-    return rows
+        left, right, rest = halves(rows.values)
+        bit = ctx.finish_lsb(opened, mask).values.reshape(margin(left, right).values.shape)
+        z = Shares(f, t, np.broadcast_to(bit, left.values.shape))
+        width = left.values.shape[1] + rest.shape[1]
+        if width > 1:
+            mask = ahead(width)
+            ride, tag = (lambda cols: masked(cols, mask)), "lsb_mask"
+        else:
+            ride, tag = then, purpose
+
+        def kept(chosen: Shares) -> Shares:  # the next level's columns
+            return Shares(f, t, np.concatenate([(left + chosen).values, rest], axis=1))
+
+        if ride is None:
+            chosen, opened = ctx.mul(z, right - left), None
+        else:
+            chosen, opened = ctx.mul(z, right - left, lambda x: ride(kept(x)), tag)
+        rows = kept(chosen)
+    return rows, opened
 
 
-def _argmax(ctx: PartyContext, scores: Shares, labels: Shares) -> Shares:
-    """Shares of the label of the leftmost maximum score: n-1 comparisons in
-    ceil(log2 n) levels.  The strict comparison keeps the left entry on a
-    tie, so the lowest index wins."""
-    def right_wins(left: Shares, right: Shares) -> Shares:
-        bit = ctx.compare_bounded(left[0], right[0])  # 1 iff the right score is larger
-        return Shares(ctx.field, ctx.threshold, np.tile(bit.values, (2, 1)))
+def _argmax(ctx: PartyContext, scores: Shares, labels: Shares,
+            extra: Shares | None = None) -> np.ndarray:
+    """The label of the leftmost maximum score: n-1 comparisons in ceil(log2 n)
+    levels, the label opened on the root's select with the shares ``extra``
+    behind it.  The strict comparison keeps the left entry on a tie, so the
+    lowest index wins.  Returns the opened values, the label first."""
+    def then(root: Shares) -> Shares:
+        return root[1, 0] if extra is None else Shares.concat([root[1, 0], extra])
 
     rows = Shares(ctx.field, ctx.threshold, np.stack([scores.values, labels.values]))
-    return _fold_columns(ctx, rows, right_wins)[1, 0]
+    return _fold_columns(ctx, rows, lambda left, right: right[0] - left[0], then,
+                         "winner_index" if extra is None else "final_output")[1]
 
 
-def top_k(ctx: PartyContext, scores: Shares, k: int) -> list[int]:
+def top_k(ctx: PartyContext, scores: Shares, k: int,
+          return_scores: bool = False) -> list[int] | tuple[list[int], list[int]]:
     """Elect K candidates, one argmax tree over the remaining pool per stage.
 
     The pool stays in ascending candidate order, so ties go to the lowest
     index.  Stage k runs M-k comparisons in ceil(log2(M-k+1)) levels; the
-    winner's index (never its score) is opened and leaves the pool.
+    winner's index (never its score) is opened on its root's select and
+    leaves the pool.  With ``return_scores`` the scores are opened with the
+    last winner's index, and (winners, scores) is returned.
     """
     pool = list(range(1, scores.size + 1))
     winners: list[int] = []
-    for _ in range(k):
-        best = _argmax(ctx, scores[[c - 1 for c in pool]], ctx.constant(pool))
-        winner = int(ctx.open(best, "winner_index")[0])
-        winners.append(winner)
-        pool.remove(winner)
-    return winners
+    for stage in range(1, k + 1):
+        extra = scores if return_scores and stage == k else None
+        opened = _argmax(ctx, scores[[c - 1 for c in pool]], ctx.constant(pool), extra)
+        winners.append(int(opened[0]))
+        pool.remove(winners[-1])
+    return (winners, [int(v) for v in opened[1:]]) if return_scores else winners
 
 
 def kemeny_winners(ctx: PartyContext, agg: AggregatedShares,
@@ -247,6 +306,5 @@ def kemeny_winners(ctx: PartyContext, agg: AggregatedShares,
                     dtype=np.uint64)  # ranking r agrees with entry P(a,b)
     scores = Shares(ctx.field, ctx.threshold,
                     (coef @ agg.entries.values) % np.uint64(ctx.field.p))
-    best = _argmax(ctx, scores, ctx.constant(np.arange(len(rankings))))
-    ranking = rankings[int(ctx.open(best, "winner_index")[0])]
+    ranking = rankings[int(_argmax(ctx, scores, ctx.constant(np.arange(len(rankings))))[0])]
     return ranking_winners(ranking, k), ranking

@@ -211,6 +211,113 @@ def test_declared_layers_take_dealt_sharings_without_a_round_of_their_own(f31):
     assert left == [0, 1]
 
 
+REORDER = np.random.default_rng(3).permutation(169)
+
+
+def _fused_thens(offset):
+    """Three affine maps of a batch of 169 products: the identity, a public
+    multiple plus a shared offset, and a reordering concatenated with an
+    affine image of a slice."""
+    return {"identity": lambda x: x,
+            "offset": lambda x: 3 * x + offset,
+            "reorder": lambda x: Shares.concat([x[REORDER], 2 * x[:10] + 1])}
+
+
+@pytest.mark.parametrize("parties", [3, 5])
+@pytest.mark.parametrize("kind", ["identity", "offset", "reorder"])
+def test_mul_opens_an_affine_map_of_its_products_in_its_own_round(parties, kind):
+    """At p = 13, all 169 pairs (u, v) in one batch: ``mul`` with ``then``
+    gives the same product shares and opened values as ``mul`` followed by
+    ``open``, with the same counters, in one round fewer."""
+    f13 = PrimeField(13)
+    threshold = (parties + 1) // 2
+    u, v = (np.array(x, dtype=np.uint64) for x in zip(*itertools.product(range(13), repeat=2)))
+    mu, mv = deal(f13, u, threshold, parties, seed=1), deal(f13, v, threshold, parties, seed=2)
+    mo = deal(f13, np.arange(169, dtype=np.uint64) % 13, threshold, parties, seed=3)
+
+    def run(fused):
+        def prog(ctx):
+            x, y, o = (dealt_shares(f13, m, threshold, ctx.party_id) for m in (mu, mv, mo))
+            then = _fused_thens(o)[kind]
+            if fused:
+                product, opened = ctx.mul(x, y, then, "final_output")
+            else:
+                product = ctx.mul(x, y)
+                opened = ctx.open(then(product), "final_output")
+            summary = ctx.summary()
+            return product.values, opened, summary.pop("comm_rounds"), \
+                {key: summary[key] for key in ("mul_gates", "opens", "double_sharings")}
+        return run_parties(parties, threshold, f13, prog)
+
+    fused, plain = run(True), run(False)
+    for d in range(1, parties + 1):
+        assert np.array_equal(fused[d][0], plain[d][0])  # the same product shares
+        assert np.array_equal(fused[d][1], plain[d][1])
+        assert fused[d][2] == plain[d][2] - 1
+        assert fused[d][3] == plain[d][3]
+    products = open_all(f13, {d: fused[d][0] for d in fused}, threshold)
+    assert np.array_equal(products, u * v % 13)
+    offset = reconstruct_batch(f13, range(1, threshold + 1), mo[:threshold])
+    expect = {"identity": products, "offset": (3 * products + offset) % 13,
+              "reorder": np.concatenate([products[REORDER], (2 * products[:10] + 1) % 13])}[kind]
+    assert np.array_equal(fused[1][1], expect)
+
+
+def test_fused_opening_shares_a_peer_receives_are_uniform(f31):
+    """u = 2 and v = 3 fixed in 1,860 gates: the shares of then(-R) that T1
+    receives from each peer, behind the masked products, are uniform over
+    Z_31, for R is fresh."""
+    k = 31 * 60
+    mu = deal(f31, np.full(k, 2, dtype=np.uint64), 2, 3, seed=4)
+    mv = deal(f31, np.full(k, 3, dtype=np.uint64), 2, 3, seed=5)
+
+    def prog(ctx):
+        ctx.pregenerate(doubles=k)
+        rounds = ctx.channel.stats.rounds
+        ctx.mul(dealt_shares(f31, mu, 2, ctx.party_id), dealt_shares(f31, mv, 2, ctx.party_id),
+                lambda x: x, "final_output")
+        return rounds
+
+    out, records = run_parties(3, 2, f31, prog, record_for=(1,))
+    rides = [np.frombuffer(payload, dtype="<u8")[k:] for _, rnd, _, _, _, payload in records[1]
+             if rnd == out[1]]
+    assert len(rides) == 2 and all(ride.size == k for ride in rides)
+    for ride in rides:
+        assert stats.chisquare(np.bincount(ride.astype(int), minlength=31)).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("parties", [3, 5])
+def test_tampered_fused_opening_share_is_caught(f31, parties):
+    """T2 adds 1 to the first share of then(-R) it sends, and every peer
+    catches it in the same round: the D shares over-determine their
+    degree-(D'-1) polynomial at D = 3 and at D = 5."""
+    threshold = (parties + 1) // 2
+    k = 4
+    mu = deal(f31, np.arange(k, dtype=np.uint64), threshold, parties, seed=6)
+
+    def prog(ctx):
+        ctx.pregenerate(doubles=k)
+        if ctx.party_id == 2:
+            send = ctx.channel.transport.send
+
+            def shifted(to, msg):
+                payload = msg.payload.copy()
+                payload[k] = (payload[k] + 1) % 31
+                send(to, dataclasses.replace(msg, payload=payload))
+
+            ctx.channel.transport.send = shifted
+        x = dealt_shares(f31, mu, threshold, ctx.party_id)
+        try:
+            ctx.mul(x, x, lambda y: y, "final_output")
+        except InconsistentOpen as err:
+            return str(err)
+        return "accepted"
+
+    res = run_parties(parties, threshold, f31, prog, timeout=5.0)
+    caught = f"opened shares do not lie on a single degree<={threshold - 1} polynomial"
+    assert res == {d: "accepted" if d == 2 else caught for d in range(1, parties + 1)}
+
+
 @pytest.mark.parametrize("parties", [3, 5, 7, 9])
 def test_degree_reduction_many_random_gates(f31, parties):
     threshold = (parties + 1) // 2
@@ -378,10 +485,11 @@ def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
     squares of random bits, the 45 pairs and 36 triples and quads within the
     windows, and the r < p check, a carry tree of G and P over 8 windows
     (7+3+1 gates) whose levels also take the 97 products of r_0 with the
-    higher windows: 2 + 2 + 3 + 1 rounds.  Online: open x + r, then the tree
-    with r_0*G (11+5+2 gates) in 3 rounds, with no XOR gate.  The pre-filled
-    pools take the one deal round.  The offline batch draws one spare mask
-    (``spare_masks``), so its gates count twice."""
+    higher windows: 1 + 2 + 3 rounds, for the squares' layer opens the
+    squares and the check's last level opens its carry.  Online: open
+    x + r, then the tree with r_0*G (11+5+2 gates) in 3 rounds, with no XOR
+    gate.  The pre-filled pools take the one deal round.  The offline batch
+    draws one spare mask (``spare_masks``), so its gates count twice."""
     def prog(ctx):
         a, b = ctx.constant(3), ctx.constant(5)
         ctx.pregenerate(rand=2048, doubles=2048, masks=1)
@@ -398,15 +506,16 @@ def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
     assert cost["mul_gates"] == 2 * (31 + 45 + 36 + 97 + 11) + 18 == 458
     assert cost["online_gates"] == 18
     assert cost["online_rounds"] == 4
-    assert cost["offline_rounds"] == 8
+    assert cost["offline_rounds"] == 6
     assert cost["deal_rounds"] == 1
 
 
-def test_offline_frames_stay_within_81_words_per_mask(f_mersenne31):
+def test_offline_frames_stay_within_107_words_per_mask(f_mersenne31):
     """Preparing masks from empty pools at ell = 31, no frame carries more than
-    81 words per mask drawn, spares included: the 45 pairs' product layer
-    with the deal for the 36 triples and quads, of which each party deals
-    half at D - t = 2, so 36 words for their low and high halves."""
+    107 words per mask drawn, spares included: the squares' layer, 31 masked
+    squares and the 31 shares that open them per mask, with the deal for the
+    45 pairs, of which each party deals half at D - t = 2, less the one
+    double sharing the deal round left over, and 2 words for each."""
     masks = 10
 
     def prog(ctx):
@@ -422,7 +531,9 @@ def test_offline_frames_stay_within_81_words_per_mask(f_mersenne31):
         return max(sent)
 
     drawn = masks + spare_masks(f_mersenne31.p, 31, masks)
-    assert run_parties(3, 2, f_mersenne31, prog)[1] == (45 + 36) * drawn == 81 * 11
+    widest = run_parties(3, 2, f_mersenne31, prog)[1]
+    assert widest == 2 * 31 * drawn + 2 * ((45 * drawn - 1) // 2) == 1176
+    assert widest <= (2 * 31 + 45) * drawn == 107 * 11
 
 
 def test_masks_are_bits_of_a_uniform_r_below_p(f31):

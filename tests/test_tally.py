@@ -360,9 +360,9 @@ def test_top_k_every_m_and_k_matches_select_winners(f31):
 
 
 def test_selection_depth_is_log2_of_entries(f_mersenne31):
-    """One batched ctx.compare_bounded per tree level: ceil(log2 n) calls per
-    argmax over n entries, counted by wrapping compare_bounded (rejection
-    sampling inside a comparison may add rounds, so round totals are not
+    """One batch of LSB extractions per tree level: ceil(log2 n) mask takes
+    per argmax over n entries, counted by wrapping ctx.take_masks (a mask
+    batch that falls short may add rounds, so round totals are not
     asserted)."""
     f = f_mersenne31
     rng = np.random.default_rng(24)
@@ -371,13 +371,13 @@ def test_selection_depth_is_log2_of_entries(f_mersenne31):
 
     def prog(ctx):
         calls = []
-        compare = ctx.compare_bounded
+        take = ctx.take_masks
 
-        def counted(a, b):
-            calls.append(a.size)
-            return compare(a, b)
+        def counted(k):
+            calls.append(k)
+            return take(k)
 
-        ctx.compare_bounded = counted
+        ctx.take_masks = counted
 
         def depth(fn, *args):
             del calls[:]
@@ -386,8 +386,8 @@ def test_selection_depth_is_log2_of_entries(f_mersenne31):
 
         argmax = []
         for scores, plain in zip(dealt, plains):
-            label, d = depth(_argmax, ctx, scores(ctx), ctx.constant(range(1, len(plain) + 1)))
-            argmax.append((int(ctx.open(label, "winner_index")[0]), d))
+            opened, d = depth(_argmax, ctx, scores(ctx), ctx.constant(range(1, len(plain) + 1)))
+            argmax.append((int(opened[0]), d))
         top2 = depth(top_k, ctx, dealt[4](ctx), 2)[1]  # n = 5, then n = 4
         maximin = depth(maximin_scores, ctx,
                         _agg_from(f, "maximin", ((1, 2, 3, 4, 5, 6),) * 3, 6, ctx))[1]
