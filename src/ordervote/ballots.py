@@ -12,11 +12,18 @@ matrix entry (m, m') says how the voter ordered candidates m and m':
 For copeland/maximin only the upper triangle is shared (the rest follows from
 antisymmetry); kemeny shares every off-diagonal entry because ties break the
 symmetry.  Each shared entry gets its own fresh share-generating polynomial.
+
+The voter side has one path, batched: ``share_rankings`` checks a batch of
+rankings at once, builds their (N, C) entries by indexing, and deals them
+in one ``share_batch`` call, each voter drawing its coefficients from its
+own generator.  ``ranking_to_matrix`` and ``share_ballot`` are its
+one-ballot case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,30 +69,52 @@ def check_ranks(ranks, m: int) -> tuple[int, ...]:
     return ranks
 
 
-def ranking_to_matrix(rule: str, ranking, m: int) -> BallotMatrix:
-    """Build the ballot matrix a ranking induces under the given rule."""
+def _keys(rule: str, rankings, m: int) -> np.ndarray:
+    """The (N, m) preference keys of N rankings, a lower key ranked higher:
+    a kemeny ranking's ranks, or each candidate's position in an order, in
+    the smallest unsigned dtype.  Every ranking is checked at once; the
+    first one that is not a permutation of 1..m (kemeny: m ranks in 1..m)
+    raises InvalidRanking, with ``check_order``'s or ``check_ranks``'
+    message."""
     if rule not in RULES:
         raise WrongRule(f"unknown rule {rule!r}")
-    q = np.zeros((m, m), dtype=np.int64)
-    if rule == "kemeny":
-        ranks = check_ranks(ranking, m)
-        for a in range(m):
-            for b in range(m):
-                if a != b and ranks[a] < ranks[b]:
-                    q[a, b] = 1
-        return BallotMatrix(rule, m, q)
-    order = check_order(ranking, m)
-    position = {c: i for i, c in enumerate(order)}
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            if a == b:
-                continue
-            higher = position[a] < position[b]
-            if rule == "copeland":
-                q[a - 1, b - 1] = 1 if higher else -1
-            else:
-                q[a - 1, b - 1] = 1 if higher else 0
-    return BallotMatrix(rule, m, q)
+    if not isinstance(rankings, np.ndarray):
+        rankings = list(rankings)
+    if len(rankings) == 0:
+        return np.zeros((0, m), dtype=np.min_scalar_type(m))
+    try:
+        table = np.array(rankings, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):  # ragged, or not integers
+        table = None
+    if table is not None and table.shape == (len(rankings), m):
+        if rule == "kemeny":
+            ok = ((table >= 1) & (table <= m)).all(axis=1)
+        else:
+            ok = (np.sort(table, axis=1) == np.arange(1, m + 1)).all(axis=1)
+        if ok.all():
+            keys = table if rule == "kemeny" else np.argsort(table, axis=1)
+            return keys.astype(np.min_scalar_type(m))
+    check = check_ranks if rule == "kemeny" else check_order
+    for ranking in rankings:
+        check(ranking, m)
+    raise InvalidRanking(f"rankings must each hold {m} integers")
+
+
+def _entries(rule: str, keys: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entry (rows[j], cols[j]) of each ballot matrix, as an (N, len(rows))
+    int8 array: 1 where the row candidate is ranked strictly higher; -1
+    where it is lower under copeland, else 0."""
+    first, second = keys[:, rows], keys[:, cols]
+    entries = (first < second).astype(np.int8)
+    if rule == "copeland":
+        entries -= first > second
+    return entries
+
+
+def ranking_to_matrix(rule: str, ranking, m: int) -> BallotMatrix:
+    """Build the ballot matrix a ranking induces under the given rule."""
+    entries = _entries(rule, _keys(rule, [ranking], m), *np.divmod(np.arange(m * m), m))
+    return BallotMatrix(rule, m, entries.reshape(m, m).astype(np.int64))
 
 
 def upper_pairs(m: int) -> list[tuple[int, int]]:
@@ -99,6 +128,15 @@ def off_diagonal_pairs(m: int) -> list[tuple[int, int]]:
 def entry_pairs(rule: str, m: int) -> list[tuple[int, int]]:
     """The index pairs a ballot shares, in the canonical (row-major) order."""
     return off_diagonal_pairs(m) if rule == "kemeny" else upper_pairs(m)
+
+
+@lru_cache(maxsize=None)
+def _pair_index(rule: str, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based rows and columns of ``entry_pairs(rule, m)``."""
+    pairs = np.array(entry_pairs(rule, m), dtype=np.intp).reshape(-1, 2) - 1
+    rows, cols = pairs[:, 0].copy(), pairs[:, 1].copy()
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -204,23 +242,43 @@ class Spool:
         return np.where(self.ids[rows] == ids, rows, -1)
 
 
+def _embed(entries: np.ndarray, field: PrimeField) -> np.ndarray:
+    """Signed entries as canonical field elements, negatives mod p."""
+    return np.mod(entries, field.p, dtype=np.int64).view(np.uint64)
+
+
 def matrix_entry_values(q: BallotMatrix, field: PrimeField) -> np.ndarray:
     """Shared entries of the matrix in canonical order, negatives embedded mod p."""
-    vals = [q.entry(a, b) % field.p for a, b in entry_pairs(q.rule, q.m)]
-    return np.array(vals, dtype=np.uint64)
+    return _embed(np.asarray(q.entries)[_pair_index(q.rule, q.m)], field)
+
+
+def _deal(rule: str, m: int, values: np.ndarray, field: PrimeField, threshold: int,
+          parties: int, voters, rngs) -> list[SharedBallot]:
+    """Voter ``voters[i]`` shares row i of the (N, C) ``values``, drawing from
+    the i-th of ``rngs``; its bundles are a (D, C) slice of one (N, D, C)
+    block."""
+    if m < 1:
+        raise ConfigMismatch("need at least one candidate")
+    block = share_batch(field, values, threshold, parties, rngs)
+    return [SharedBallot(voter, rule, m, bundles) for voter, bundles in zip(voters, block)]
+
+
+def share_rankings(rule: str, rankings, m: int, field: PrimeField, threshold: int,
+                   parties: int, voters, rngs) -> list[SharedBallot]:
+    """Build and share the ballots of a batch of rankings in one pass: voter
+    ``voters[i]`` shares ranking i with coefficients drawn from the i-th of
+    the iterable ``rngs``, exactly as ``share_ballot`` would alone.  Every
+    ranking is checked before any is shared."""
+    keys = _keys(rule, rankings, m)
+    values = _embed(_entries(rule, keys, *_pair_index(rule, m)), field)
+    return _deal(rule, m, values, field, threshold, parties, voters, rngs)
 
 
 def share_ballot(q: BallotMatrix, field: PrimeField, threshold: int, parties: int,
                  rng: np.random.Generator, voter_id: int) -> SharedBallot:
     """Independently share each matrix entry; bundle d holds the evaluations at x=d."""
-    if q.m < 1:
-        raise ConfigMismatch("need at least one candidate")
-    values = matrix_entry_values(q, field)
-    if len(values) == 0:
-        bundles = np.zeros((parties, 0), dtype=np.uint64)
-    else:
-        bundles = share_batch(field, values, threshold, parties, rng)
-    return SharedBallot(voter_id, q.rule, q.m, bundles)
+    values = matrix_entry_values(q, field)[None]
+    return _deal(q.rule, q.m, values, field, threshold, parties, [voter_id], [rng])[0]
 
 
 # -- wire encoding of a submission ------------------------------------------

@@ -2,8 +2,10 @@
 
 A session lives in a directory: ``session.json`` holds the validated
 parameters, ``ballots/tallier_<d>.jsonl`` spools each tallier's received
-share bundles (one JSON line per voter), ``audit.jsonl`` streams validation
-verdicts, and ``result.json`` records the final tally.  ``vote`` and the
+share bundles (one JSON line per voter), ``ballots/next.json`` keeps the
+next voter id and the spooled count, so that a vote costs the same however
+long the spool is, ``audit.jsonl`` streams validation verdicts, and
+``result.json`` records the final tally.  ``vote`` and the
 talliers draw their randomness from the operating system, since the
 config's seed is no secret; the verdicts, winners and counters do not
 depend on it, so ``result.json`` reproduces byte for byte.  ``vote``
@@ -36,6 +38,7 @@ from .session import (SESSION, make_shared_ballots, run_local_election,
 from .transport import TransportFailure, submit_ballot_socket
 
 SESSION_FILE = "session.json"
+NEXT_FILE = "ballots/next.json"  # beside the spools: the next voter id and the count
 
 
 def _session_dir(path: str) -> Path:
@@ -58,6 +61,39 @@ def _load_config(path: Path, **overrides) -> ElectionConfig:
 
 def _spool_path(session: Path, party: int) -> Path:
     return session / "ballots" / f"tallier_{party}.jsonl"
+
+
+def _spool_stamp(session: Path) -> list[int] | None:
+    """T1's spool size and modification time, None while it does not exist."""
+    try:
+        st = _spool_path(session, 1).stat()
+    except FileNotFoundError:
+        return None
+    return [st.st_size, st.st_mtime_ns]
+
+
+def _write_next(session: Path, voter_id: int, spooled: int) -> None:
+    """Record ``NEXT_FILE``: the next automatic voter id and T1's spooled
+    count, stamped with T1's spool as it stands."""
+    path = session / NEXT_FILE
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps({"next_voter_id": voter_id, "spooled": spooled,
+                               "spool": _spool_stamp(session)}) + "\n")
+    tmp.replace(path)
+
+
+def _next_vote(session: Path, config: ElectionConfig) -> tuple[int, int]:
+    """The next automatic voter id and T1's spooled count, read from
+    ``NEXT_FILE`` when its stamp matches T1's spool; otherwise (an older
+    session, or a spool written by other means) from the spool itself."""
+    try:
+        rec = json.loads((session / NEXT_FILE).read_text())
+        if rec["spool"] == _spool_stamp(session):
+            return int(rec["next_voter_id"]), int(rec["spooled"])
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    spooled = _read_spool(session, config, 1)
+    return int(spooled.ids.max(initial=0)) + 1, len(spooled)
 
 
 class BadSpool(Exception):
@@ -99,6 +135,7 @@ def cmd_setup(args) -> int:
     session.mkdir(parents=True, exist_ok=True)
     (session / "ballots").mkdir(exist_ok=True)
     (session / SESSION_FILE).write_text(config.dumps())
+    _write_next(session, *_next_vote(session, config))
     print(f"session ready under {session}")
     print(f"rule={config.rule} M={config.m} K={config.num_winners} "
           f"D={config.talliers} D'={config.threshold} p={config.prime}")
@@ -124,10 +161,10 @@ def cmd_vote(args) -> int:
     if args.voter_id is not None and args.voter_id < 1:  # ids travel as uint64
         print("ballot rejected: --voter-id must be at least 1", file=sys.stderr)
         return 2
-    spooled = _read_spool(session, config, 1)
-    voter_id = args.voter_id or int(spooled.ids.max(initial=0)) + 1
+    next_id, spooled = _next_vote(session, config)
+    voter_id = args.voter_id or next_id
     # any spooled ballot may be accepted, so one the prime cannot tally is refused
-    check_field_bounds(config.prime, config.rule, config.m, len(spooled) + 1, config.alpha)
+    check_field_bounds(config.prime, config.rule, config.m, spooled + 1, config.alpha)
     matrix = ranking_to_matrix(config.rule, ranking, config.m)
     shared = share_ballot(matrix, config.field, config.threshold, config.talliers,
                           fresh_rng(), voter_id)
@@ -155,6 +192,7 @@ def cmd_vote(args) -> int:
                     "values": [int(v) for v in bundle.values]}) + "\n")
             print(f"T{d}: accepted ballot of voter {voter_id} "
                   f"({len(bundle.values)} shared entries)")
+        _write_next(session, max(next_id, voter_id + 1), spooled + 1)
     if args.keep_plain:
         key = "ranks" if config.rule == "kemeny" else "order"
         with (session / "plain.jsonl").open("a") as fh:
@@ -251,9 +289,10 @@ LATENCIES_MS = (1, 20)  # modelled one-way delay per communication round
 
 
 def cmd_bench(args) -> int:
-    """Tally ``--voters`` random legal ballots ``--reps`` times in process;
-    print party 1's counters per phase and in total (they repeat exactly),
-    the median wall seconds party 1 was blocked waiting for its peers and
+    """Share ``--voters`` random legal ballots, timing the voter side in
+    processor seconds (``share_s``), and tally them ``--reps`` times in
+    process; print party 1's counters per phase and in total (they repeat
+    exactly), the median wall seconds party 1 was blocked waiting for its peers and
     the median processor seconds of its thread per phase, a modelled
     latency of those processor seconds plus rounds x L for each L of
     ``LATENCIES_MS``, and the median wall time of the whole tally.  The total
@@ -266,7 +305,9 @@ def cmd_bench(args) -> int:
         return 2
     voters = config.expected_voters
     rankings = _random_rankings(config, voters, np.random.default_rng(config.seed))
+    start = time.process_time()
     ballots = make_shared_ballots(config, rankings)
+    share_s = time.process_time() - start
     seconds, wait, cpu = [], [], []
     for _ in range(args.reps):
         start = time.perf_counter()
@@ -287,7 +328,8 @@ def cmd_bench(args) -> int:
 
     print(f"{config.rule} M={config.m} K={config.num_winners} D={config.talliers} "
           f"p={config.prime} N={voters}, {args.reps} runs, counters, waiting and "
-          "processor time of T1")
+          f"processor time of T1; the voters shared in share_s={share_s:.3f} "
+          "processor seconds")
     print(f"{'phase':10s}" + "".join(f" {title:>9s}" for title, _ in BENCH_COLUMNS)
           + "".join(f" {key[:-2]:>9s}" for key in timed) + f" {'seconds':>9s}")
     for row in rows:
@@ -298,7 +340,8 @@ def cmd_bench(args) -> int:
         report = {"rule": config.rule, "candidates": config.m,
                   "num_winners": config.num_winners, "talliers": config.talliers,
                   "prime": config.prime, "voters": voters, "seed": config.seed,
-                  "seconds": seconds, "winners": outcome.result.winners, "rows": rows}
+                  "seconds": seconds, "share_s": share_s,
+                  "winners": outcome.result.winners, "rows": rows}
         Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 

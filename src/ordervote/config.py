@@ -254,7 +254,10 @@ class ElectionConfig:
         return np.random.default_rng(np.random.SeedSequence([self.seed, 1, party_id]))
 
     def voter_rng(self, voter_id: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence([self.seed, 2, voter_id]))
+        # the generator default_rng builds, without its dispatch: a batch of
+        # ballots makes one per voter
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([self.seed, 2, voter_id])))
 
     # -- JSON round trip -------------------------------------------------------
 

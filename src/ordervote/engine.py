@@ -328,9 +328,6 @@ class Counters:
     phase_cpu: dict = dataclass_field(default_factory=dict)  # seconds, by session._phase
     phase_wait: dict = dataclass_field(default_factory=dict)  # seconds, by session._phase
 
-    def open_purposes(self) -> set:
-        return {tag for tag, _ in self.open_log}
-
 
 class PartyContext:
     """One tallier's handle on a protocol session.

@@ -19,6 +19,7 @@ on it.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from contextlib import contextmanager
@@ -28,8 +29,9 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from . import validation
-from .ballots import (SharedBallot, Spool, TallierBundle, decode_spool,
-                      ranking_to_matrix, share_ballot)
+# share_ballot, the one-ballot case, stays importable beside make_shared_ballots
+from .ballots import (SharedBallot, Spool, TallierBundle, decode_spool,  # noqa: F401
+                      share_ballot, share_rankings)
 from .config import ElectionConfig, check_field_bounds, fresh_rng
 from .engine import InconsistentOpen, PartyContext
 from .tally import (TallyResult, aggregate, copeland_scores, kemeny_winners,
@@ -54,14 +56,12 @@ class ElectionOutcome:
 
 
 def make_shared_ballots(config: ElectionConfig, rankings) -> list[SharedBallot]:
-    """Voter-side: build and share one ballot per ranking, seeded per voter."""
-    ballots = []
-    for voter_id, ranking in enumerate(rankings, start=1):
-        matrix = ranking_to_matrix(config.rule, ranking, config.m)
-        ballots.append(share_ballot(matrix, config.field, config.threshold,
-                                    config.talliers, config.voter_rng(voter_id),
-                                    voter_id))
-    return ballots
+    """Voter-side: build and share the ballots of all rankings in one pass
+    (``ballots.share_rankings``); voter i, numbered from 1, draws from
+    ``config.voter_rng(i)`` alone, so each sharing replays by itself."""
+    return share_rankings(config.rule, rankings, config.m, config.field, config.threshold,
+                          config.talliers, itertools.count(1),
+                          map(config.voter_rng, itertools.count(1)))
 
 
 def build_context(config: ElectionConfig, party_id: int,

@@ -35,39 +35,88 @@ class InsufficientShares(ShamirError):
     pass
 
 
+CHUNK = 1 << 17  # uint64 words per Horner block, about 1 MB
+
+
 def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties: int,
-                rng: np.random.Generator, out=None) -> np.ndarray:
-    """Share k independent secrets at once; returns a (parties, k) uint64
-    matrix, or fills ``out``, a sequence of ``parties`` writable uint64 rows
-    of length k (party d's shares go to ``out[d - 1]``)."""
+                rng, out=None) -> np.ndarray:
+    """Share independent secrets at once, each under its own polynomial.
+
+    One dealer: ``secrets`` is (k,) and ``rng`` a generator; returns a
+    (parties, k) uint64 matrix, or fills ``out``, a sequence of ``parties``
+    writable uint64 rows of length k (party d's shares go to ``out[d - 1]``).
+
+    A batch of n dealers: ``secrets`` is (n, k) and ``rng`` an iterable of n
+    generators, taken one at a time; returns an (n, parties, k) block, or
+    fills ``out`` of that shape, dealer i's shares a contiguous (parties, k)
+    slice.  Either way a dealer draws its (threshold - 1, k) coefficients in
+    one call, so dealer i's shares are those ``secrets[i]`` gets alone."""
     if not 1 <= threshold <= parties:
         raise InvalidThreshold(f"need 1 <= threshold <= parties, got {threshold}/{parties}")
     if parties >= field.p:
         raise InvalidThreshold(f"parties ({parties}) must be below the field size {field.p}")
     secrets = np.asarray(secrets, dtype=np.uint64)
+    if secrets.ndim == 2:
+        return _share_rows(field, secrets, threshold, parties, iter(rng), out)
     k = secrets.shape[0]
     coeffs = field.rand_vec(rng, (threshold - 1, k))
     if out is None:
         out = np.empty((parties, k), dtype=np.uint64)
-    p = np.uint64(field.p)
-    xs = np.arange(1, parties + 1, dtype=np.uint64)[:, None]
-    # Horner over a_{t-1}..a_1 at every x = 1..D at once: (acc + a) * x < 2pD
-    # stays below 2**64.  Columns go in chunks of about 1 MB, so a large deal
-    # allocates no (D, k) block: freeing one lifts glibc's mmap threshold,
-    # and the socket benchmark's peak RSS rose about 20%.
-    step = max(1, (1 << 17) // parties)
+    # Columns go in chunks of about 1 MB, so a large deal allocates no (D, k)
+    # block: freeing one lifts glibc's mmap threshold, and the socket
+    # benchmark's peak RSS rose about 20%.
+    step = max(1, CHUNK // parties)
     for lo in range(0, k, step):
         cols = slice(lo, lo + step)
-        acc = np.zeros((parties, len(secrets[cols])), dtype=np.uint64)
-        for j in range(threshold - 2, -1, -1):
-            acc += coeffs[j, cols]
-            acc *= xs
-            acc %= p
-        acc += secrets[cols]
-        acc %= p
+        acc = np.empty((parties, len(secrets[cols])), dtype=np.uint64)
+        _horner(field, coeffs[:, cols], secrets[cols], acc)
         for row, shares in zip(out, acc):
             row[cols] = shares
     return out
+
+
+def _share_rows(field: PrimeField, secrets: np.ndarray, threshold: int, parties: int,
+                rngs, out) -> np.ndarray:
+    """``share_batch`` for (n, k) secrets, dealer i drawing from ``next(rngs)``:
+    each block of about 1 MB of shares draws its dealers' coefficients, then
+    evaluates them in place in ``out``."""
+    n, k = secrets.shape
+    if out is None:
+        out = np.empty((n, parties, k), dtype=np.uint64)
+    step = max(1, CHUNK // (parties * max(k, 1)))
+    coeffs = np.empty((threshold - 1, min(n, step), k), dtype=np.uint64)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        block = coeffs[:, :len(secrets[rows])]
+        for i in range(block.shape[1]):
+            block[:, i] = field.rand_vec(next(rngs), (threshold - 1, k))
+        _horner(field, block[:, :, None], secrets[rows, None], out[rows])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _points(parties: int) -> np.ndarray:
+    """The evaluation points 1..D as a read-only (D, 1) column."""
+    xs = np.arange(1, parties + 1, dtype=np.uint64)[:, None]
+    xs.flags.writeable = False
+    return xs
+
+
+def _horner(field: PrimeField, coeffs: np.ndarray, secrets: np.ndarray,
+            acc: np.ndarray) -> None:
+    """acc[..., d - 1, :] = g(d) for d = 1..D, in place, where g's constant
+    term is ``secrets`` and its coefficient of x^(j+1) is ``coeffs[j]`` (each
+    broadcast against ``acc``).  Horner from a_{t-1} down to the secret at
+    every x at once: acc * x + a < 2pD stays below 2**64."""
+    p = np.uint64(field.p)
+    xs = _points(acc.shape[-2])
+    terms = [*coeffs[::-1], secrets]
+    acc[...] = terms[0]
+    for term in terms[1:]:
+        acc *= xs
+        acc %= p
+        acc += term
+    acc %= p
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,10 @@ from ordervote.ballots import (InvalidRanking, WrongRule,
                                matrix_entry_values, off_diagonal_pairs, parse_order,
                                parse_ranks, ranking_to_matrix, share_ballot,
                                upper_pairs)
+from ordervote.config import ElectionConfig
 from ordervote.field import PrimeField
 from ordervote.oracle import legal_ballot_matrix
+from ordervote.session import make_shared_ballots
 from ordervote.shamir import reconstruct_batch
 
 
@@ -162,3 +164,75 @@ def test_parse_order_and_ranks():
         parse_ranks("A=1,A=2,B=1,C=1", names4)
     with pytest.raises(InvalidRanking):
         parse_ranks("A=9,B=2,C=1,D=3", names4)  # rank out of range
+
+
+def _batch_config(rule, m, talliers, prime):
+    return ElectionConfig(rule=rule, candidates=tuple(f"C{i}" for i in range(1, m + 1)),
+                          num_winners=1, talliers=talliers, prime=prime, seed=17,
+                          expected_voters=40).validate()
+
+
+def _random_rankings(rule, m, n, seed):
+    rng = np.random.default_rng(seed)
+    if rule == "kemeny":
+        return [tuple(int(r) for r in rng.integers(1, m + 1, m)) for _ in range(n)]
+    return [tuple(int(c) for c in rng.permutation(m) + 1) for _ in range(n)]
+
+
+@pytest.mark.parametrize("prime", [65_519, (1 << 31) - 1])
+@pytest.mark.parametrize("talliers", [3, 5])
+@pytest.mark.parametrize("rule", ["copeland", "maximin", "kemeny"])
+def test_batch_equals_the_per_voter_sharing(rule, talliers, prime):
+    """``make_shared_ballots`` shares the whole batch in one pass, yet each
+    ballot equals, array for array, voter i's own sharing under
+    ``voter_rng(i)``; for M = 3 it is also checked against a plain
+    evaluation of the polynomial whose coefficients voter i draws."""
+    for m in range(1, 7):
+        cfg = _batch_config(rule, m, talliers, prime)
+        rankings = _random_rankings(rule, m, 40, seed=m)
+        batch = make_shared_ballots(cfg, rankings)
+        assert len(batch) == len(rankings)
+        for voter_id, (ranking, got) in enumerate(zip(rankings, batch), start=1):
+            alone = share_ballot(ranking_to_matrix(rule, ranking, m), cfg.field,
+                                 cfg.threshold, cfg.talliers, cfg.voter_rng(voter_id),
+                                 voter_id)
+            assert (got.voter_id, got.rule, got.m) == (voter_id, rule, m)
+            assert got.bundles.dtype == alone.bundles.dtype == np.uint64
+            assert got.bundles.flags.c_contiguous
+            assert np.array_equal(got.bundles, alone.bundles)
+            if m != 3:
+                continue
+            values = matrix_entry_values(ranking_to_matrix(rule, ranking, m), cfg.field)
+            coeffs = cfg.field.rand_vec(cfg.voter_rng(voter_id),
+                                        (cfg.threshold - 1, values.size))
+            for col, secret in enumerate(values.tolist()):
+                at = [sum(int(c) * x ** (j + 1) for j, c in enumerate(coeffs[:, col]))
+                      for x in range(1, talliers + 1)]
+                assert got.bundles[:, col].tolist() == [(secret + a) % prime for a in at]
+
+
+@pytest.mark.parametrize("rule, bad", [
+    ("copeland", (1, 2)),  # ragged: one ranking too short
+    ("maximin", (1, 2, 3, 4, 5)),  # ragged: one ranking too long
+    ("copeland", (1, 1, 3, 4)),  # not a permutation
+    ("maximin", (0, 1, 2, 3)),  # not a permutation
+    ("kemeny", (1, 2)),  # ragged
+    ("kemeny", (1, 2, 5, 1)),  # a rank outside 1..M
+    ("kemeny", (0, 1, 1, 1)),
+])
+def test_a_batch_with_one_bad_ranking_raises_invalid_ranking(rule, bad):
+    """One bad ranking among good ones raises InvalidRanking, with the
+    message ``ranking_to_matrix`` gives it alone, and not a numpy error."""
+    cfg = _batch_config(rule, 4, 3, 65_519)
+    rankings = _random_rankings(rule, 4, 9, seed=1)
+    rankings[5] = bad
+    with pytest.raises(InvalidRanking) as batch_err:
+        make_shared_ballots(cfg, rankings)
+    with pytest.raises(InvalidRanking) as alone_err:
+        ranking_to_matrix(rule, bad, 4)
+    assert str(batch_err.value) == str(alone_err.value)
+
+
+def test_an_empty_batch_shares_nothing():
+    for rule in ("copeland", "maximin", "kemeny"):
+        assert make_shared_ballots(_batch_config(rule, 4, 3, 65_519), []) == []

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ordervote import cli
 from ordervote.ballots import matrix_entry_values, ranking_to_matrix, share_ballot
 from ordervote.cli import _random_rankings, main
 from ordervote.config import ElectionConfig
@@ -281,6 +282,50 @@ def test_vote_past_the_pinned_prime_is_refused(tmp_path, capsys):
     assert [len(_spool_lines(session, d)) for d in (1, 2, 3)] == [2183] * 3
 
 
+def test_vote_into_a_long_spool_does_not_read_it(tmp_path, capsys, monkeypatch):
+    """``vote`` takes the next voter id and the spooled count from
+    ``ballots/next.json``, not from T1's spool: with 2,181 Kemeny M=6 lines
+    written behind its back, one vote reads the spool once; after that,
+    votes never call ``_read_spool``.  The automatic id stays above a
+    ``--voter-id``, and the FieldTooSmall refusal fires at the same count as
+    when the spool is read (2,184 ballots at p = 65,519)."""
+    session = _kemeny6_session(tmp_path)
+    assert json.loads((session / "ballots" / "next.json").read_text())["next_voter_id"] == 1
+    ranks = ",".join(f"C{i}={i}" for i in range(1, 7))
+    assert main(["vote", "--session", str(session), "--ranks", ranks]) == 0
+    for d in (1, 2, 3):
+        line = _spool_lines(session, d)[0]
+        (session / "ballots" / f"tallier_{d}.jsonl").write_text("".join(
+            json.dumps(dict(line, voter_id=v)) + "\n" for v in range(1, 2182)))
+    assert main(["vote", "--session", str(session), "--ranks", ranks]) == 0  # reads it
+    assert _spool_lines(session, 1)[-1]["voter_id"] == 2182
+
+    def no_read(*args):
+        raise AssertionError("vote read the spool")
+
+    monkeypatch.setattr(cli, "_read_spool", no_read)
+    assert main(["vote", "--session", str(session), "--ranks", ranks,
+                 "--voter-id", "5000"]) == 0
+    capsys.readouterr()
+    assert main(["vote", "--session", str(session), "--ranks", ranks]) == 2
+    assert capsys.readouterr().err.startswith("FieldTooSmall: p = 65519 must exceed N*M(M-1)")
+    assert [rec["voter_id"] for rec in _spool_lines(session, 1)[-2:]] == [2182, 5000]
+    assert json.loads((session / "ballots" / "next.json").read_text())["next_voter_id"] == 5001
+    assert [len(_spool_lines(session, d)) for d in (1, 2, 3)] == [2183] * 3
+
+
+def test_vote_after_a_voter_id_takes_the_next_one(tmp_path, monkeypatch):
+    """Without reading the spool, the automatic id follows the largest id cast
+    so far, a ``--voter-id`` too."""
+    cfg = write_config(tmp_path / "cfg.json")
+    session = tmp_path / "sess"
+    assert main(["setup", "--config", str(cfg), "--session", str(session)]) == 0
+    monkeypatch.setattr(cli, "_read_spool", None)  # a call would fail
+    for extra in ([], ["--voter-id", "9"], [], ["--voter-id", "4"], []):
+        assert main(["vote", "--session", str(session), "--order", "C1,C2,C3", *extra]) == 0
+    assert [rec["voter_id"] for rec in _spool_lines(session, 1)] == [1, 9, 10, 4, 11]
+
+
 def test_tally_beyond_the_pinned_prime_names_the_remedies(tmp_path, capsys):
     """Spools written past ``vote``'s check, with 2,184 legal Kemeny M=6
     ballots at p = 65,519: the tally ends in FieldTooSmall once validation
@@ -402,6 +447,7 @@ def test_bench_smoke(tmp_path, capsys):
                  "--out", str(out_file)]) == 0
     report = json.loads(out_file.read_text())
     assert (report["voters"], len(report["seconds"])) == (20, 2)
+    assert report["share_s"] > 0  # the voter side, in processor seconds
     rows = {row.pop("phase"): row for row in report["rows"]}
     assert list(rows) == ["offline", "validate", "aggregate", "score", "select", "total"]
     assert rows["validate"]["mul_rounds"] == 3  # M(M-1)/2 for M = 3
@@ -416,6 +462,7 @@ def test_bench_smoke(tmp_path, capsys):
         assert row["at_1ms_s"] == pytest.approx(row["cpu_s"] + 0.001 * row["comm_rounds"])
         assert row["at_20ms_s"] == pytest.approx(row["cpu_s"] + 0.020 * row["comm_rounds"])
     out = capsys.readouterr().out.splitlines()
+    assert f"share_s={report['share_s']:.3f} " in out[0]
     assert out[1].split()[-5:] == ["wait", "cpu", "at_1ms", "at_20ms", "seconds"]
     assert [line.split()[0] for line in out[2:]] == [*rows, "total"]
     assert out[-1].split()[1:4] == [str(total[k]) for k in

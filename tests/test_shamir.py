@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from conftest import run_parties
+from ordervote import shamir as shamir_mod
 from ordervote.engine import Shares
 from ordervote.field import PrimeField
 from ordervote.shamir import (InsufficientShares, InvalidThreshold,
@@ -166,3 +167,25 @@ def test_lincomb_offset_embeds_public_shift(f31):
     matrix = share_batch(f31, np.array([9], dtype=np.uint64), 2, 3, rng)
     shifted = f31.add_vec(matrix, 10)
     assert reconstruct_batch(f31, [2, 3], shifted[1:]).tolist() == [19]
+
+
+def test_a_batch_of_dealers_deals_each_row_as_one_dealer_would(monkeypatch):
+    """(n, k) secrets with one generator per row give an (n, D, k) block whose
+    row i is what ``secrets[i]`` gets alone from the same generator, also when
+    the rows and columns cross the chunks the deal works in."""
+    f = PrimeField(65_519)
+    secrets = np.random.default_rng(4).integers(0, f.p, size=(23, 7), dtype=np.uint64)
+    for chunk in (shamir_mod.CHUNK, 30):
+        monkeypatch.setattr(shamir_mod, "CHUNK", chunk)
+        for threshold, parties in ((1, 3), (2, 3), (3, 5)):
+            block = share_batch(f, secrets, threshold, parties,
+                                (np.random.default_rng(i) for i in range(23)))
+            assert block.shape == (23, parties, 7) and block.dtype == np.uint64
+            for i, row in enumerate(secrets):
+                alone = share_batch(f, row, threshold, parties, np.random.default_rng(i))
+                assert np.array_equal(block[i], alone)
+                coeffs = f.rand_vec(np.random.default_rng(i), (threshold - 1, 7))
+                for col in range(7):
+                    poly = [int(row[col]), *(int(c) for c in coeffs[:, col])]
+                    assert block[i, :, col].tolist() == _evaluate(poly, range(1, parties + 1), f.p)
+    assert share_batch(f, secrets[:0], 2, 3, iter(())).shape == (0, 3, 7)
