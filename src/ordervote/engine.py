@@ -31,11 +31,15 @@ Primitives:
   come from a third pool, filled by one preparation routine (random bits,
   whose squares open on their own layer, two layers of window products,
   the r < p rejection check with the r_0-products on its levels, opened on
-  its last, the recomposition); a tally fills it once, before validation,
-  with its exact extraction count (Damgard et al., TCC 2006), and a short
-  pool is topped up the same way.  A batch draws a few spare masks
-  (``spare_masks``), so the masks that fail their checks cost no round of
-  their own, at any p.
+  its last, the recomposition; Damgard et al., TCC 2006).  It runs as a
+  second stream of layers beside the foreground's (``prepare_masks``):
+  each exchange carries the stream's next part behind its own values, so
+  a batch started before validation rides validation's rounds, and what
+  is left runs in rounds of its own before the first extraction
+  (``finish_masks``).  A tally starts one batch of its exact extraction
+  count, and a short pool is topped up the same way.  A batch draws a few
+  spare masks (``spare_masks``), so the masks that fail their checks cost
+  no round of their own, at any p.
 * shared LSB of a secret x: take a mask r from the pool, publish c = x + r,
   and combine LSB(c), LSB(r) and the wraparound bit 1_{c < r}
   (``take_masks``, then ``finish_lsb``, so that c may ride on the layer
@@ -49,11 +53,11 @@ Primitives:
   online, and its mask 220 gates offline; at p = 65,519 (4 windows) 3
   rounds and 7 gates, and 109 offline.  ``tally.phase_rounds`` states the
   rounds of every phase of a tally.
-* bounded comparison 1_{a<b} for |a - b| < p/2: the positivity of b - a,
-  one LSB extraction and no further gates.  Every comparison of the tally
-  has bounded inputs (the field bounds of ``config`` ensure it), so it is
-  the engine's only comparison.
-* positivity of a signed value embedded in [-N, N]: the LSB of -2x.
+* positivity of a signed value embedded in [-N, N]: the LSB of -2x.  The
+  comparison 1_{a<b} for |a - b| < p/2 is the positivity of b - a, one LSB
+  extraction and no further gates; every comparison of the tally has
+  bounded inputs (the field bounds of ``config`` ensure it), so it is the
+  engine's only comparison.
 
 Pools: random sharings, double sharings and LSB masks do not depend on the
 input, so each party keeps pools of them.  A caller declares (``expect``) the
@@ -63,9 +67,16 @@ behind the values sent to it.  Every party deals 1/(D - t) of it, for
 t = D' - 1, and a public Vandermonde matrix (``extractor``) turns every D
 deals into D - t sharings of values that no t parties know anything of
 (Damgard-Nielsen, CRYPTO 2007).  Declared one exchange ahead, a layer never
-stops for a refill.  A take that finds its pool short declares itself and
-deals in a round of its own (``deal_rounds``): a phase's first layer, and a
-mask batch that falls short.
+stops for a refill.  A mask batch declares all its layers at once, so
+neither stream finds a pool short in the middle of a merge, and the
+batch's deal rides only its first exchange.  A take that finds its pool
+short declares itself and deals on the next exchange that carries nothing
+else (``deal_rounds``): a phase's first layer, and a mask batch's first.
+
+Every primitive that exchanges is written once, as a generator of layers
+(``Layers``): it yields each layer's part and receives its columns of the
+(D, k) matrix.  ``_run`` drives one in the foreground, an exchange per
+part, and ``_exchange`` drives the mask stream, a part per exchange.
 
 Multiplying by public scalars, adding shares, and adding public constants are
 local operations and never touch the network or the gate counters.
@@ -76,7 +87,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Generator, TypeVar
 
 import numpy as np
 
@@ -88,6 +99,11 @@ from .transport import SessionChannel
 RETRY_LIMIT = 32  # mask batches before a field is judged degenerate
 MASK_SHORTFALL = 2.0 ** -40  # the chance that a batch of masks falls short
 WINDOW = 4  # bits per carry-tree leaf: 8 digits and 3 levels at ell = 31
+
+T = TypeVar("T")
+# a primitive's layers: each yields its part of an exchange's frame and
+# receives its columns of the parties' (D, k) matrix; returns the result
+Layers = Generator[np.ndarray, np.ndarray, T]
 
 
 def _leaf_table() -> np.ndarray:
@@ -317,7 +333,7 @@ class Counters:
 
     mul_gates: int = 0
     mul_rounds: int = 0
-    offline_rounds: int = 0  # comm rounds spent preparing LSB masks
+    offline_rounds: int = 0  # comm rounds that carry a mask batch's layer
     deal_rounds: int = 0  # comm rounds that only deal pool sharings
     opens: int = 0
     lsb_extractions: int = 0
@@ -327,6 +343,10 @@ class Counters:
     open_log: list = dataclass_field(default_factory=list)
     phase_cpu: dict = dataclass_field(default_factory=dict)  # seconds, by session._phase
     phase_wait: dict = dataclass_field(default_factory=dict)  # seconds, by session._phase
+
+
+# the counters of the work a mask batch does, which ``mask_counters`` keeps
+MASK_WORK = ("mul_gates", "mul_rounds", "opens", "rand_sharings", "double_sharings")
 
 
 class PartyContext:
@@ -349,6 +369,7 @@ class PartyContext:
         self.channel = channel
         self.rng = rng
         self.counters = Counters()
+        self.mask_counters = Counters()  # the mask batches' work (``mask_work``)
         self.capture_store: dict | None = None
         # pooled sharings, one row per threshold: random (D',), double (D', 2D'-1)
         self._rand_t = (threshold,)
@@ -361,6 +382,9 @@ class PartyContext:
         # checked LSB masks, one per column, rows as ``mask_layout`` places them
         self._layout = mask_layout(field.ell)
         self._masks = np.zeros((self._layout.rows, 0), dtype=np.uint64)
+        # the mask stream (``prepare_masks``) and the part it sends next
+        self._stream: Layers[None] | None = None
+        self._part: np.ndarray | None = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -370,8 +394,10 @@ class PartyContext:
             self.capture_store[label] = (shares.threshold, shares.values.copy())
 
     def summary(self) -> dict:
+        """Every counter of this party: its rounds, messages and bytes, and
+        the work of both streams (``mask_work``)."""
         c = self.counters
-        return {
+        out = {
             "mul_gates": c.mul_gates,
             "mul_rounds": c.mul_rounds,
             "comm_rounds": self.channel.stats.rounds,
@@ -385,6 +411,15 @@ class PartyContext:
             "rand_sharings": c.rand_sharings,
             "double_sharings": c.double_sharings,
         }
+        for key, value in self.mask_work().items():
+            out[key] += value
+        return out
+
+    def mask_work(self) -> dict:
+        """The work of the mask batches (``_mask_layers``), counted apart in
+        ``mask_counters``: their gates, layers, openings and the sharings
+        they take, as ``summary`` keys."""
+        return {key: getattr(self.mask_counters, key) for key in MASK_WORK}
 
     def constant(self, values) -> Shares:
         """Public constant as a degree-0 sharing (every party holds the value)."""
@@ -407,34 +442,62 @@ class PartyContext:
 
     def _exchange(self, values: np.ndarray) -> np.ndarray:
         """One communication round: every party sends ``values`` to each peer,
-        followed by that peer's shares of its deal.  The deal is what the
-        declared layers lack (``_due``) in each pool: each party deals
-        1/(D - t) of it, rounded up, and ``_pool_extracted`` turns the D
-        deals into D - t times as many sharings, of values that no t parties
-        know; a surplus of fewer than D - t per pool stays for later layers.
+        then the mask stream's next part when one is pending
+        (``prepare_masks``), then that peer's shares of its deal.  The deal is
+        what the declared layers lack (``_due``) in each pool: each party
+        deals 1/(D - t) of it, rounded up, and ``_pool_extracted`` turns the
+        D deals into D - t times as many sharings, of values that no t
+        parties know; a surplus of fewer than D - t per pool stays for later
+        layers.  The stream then gets its columns and runs to its next part.
         Returns the parties' values as a (D, k) matrix, ordered by party
-        index.  Every party runs the same program, so a payload of another
+        index.  Every party runs the same program, so a frame of another
         length is a misbehaving peer (InconsistentOpen)."""
         values = np.asarray(values, dtype=np.uint64).ravel()
+        part = self._part
+        head = [values] if part is None else [values, part]
         outputs = len(self._extractor)
         rand = -(-self._due(self._rand_t) // outputs)
         doubles = -(-self._due(self._double_t) // outputs)
         k, parties = values.size, range(1, self.parties + 1)
+        carried = k + (0 if part is None else part.size)
         if rand + doubles:
-            payloads = self._payloads(values, rand, doubles)
+            payloads = self._payloads(head, rand, doubles)
             got = self.channel.scatter({d: payloads[d - 1] for d in parties})
             got[self.party_id] = payloads[self.party_id - 1]
         else:
-            got = self.channel.exchange_all(values)
-        width = k + rand + 2 * doubles
+            got = self.channel.exchange_all(values if part is None else np.concatenate(head))
+        width = carried + rand + 2 * doubles
         for d, payload in got.items():
             if payload.size != width:
                 raise InconsistentOpen(
                     f"T{d} sent {payload.size} values in round "
                     f"{self.channel.stats.rounds - 1}; T{self.party_id} expected {width}")
         if rand + doubles:
-            self._pool_extracted([got[d][k:] for d in parties], rand, doubles)
+            self.counters.deal_rounds += not carried
+            self._pool_extracted([got[d][carried:] for d in parties], rand, doubles)
+        if part is not None:
+            self._advance(np.stack([got[d][k:carried] for d in parties]))
         return np.stack([got[d][:k] for d in parties])
+
+    def _advance(self, columns: np.ndarray) -> None:
+        """Hand the mask stream its columns of the last exchange; it runs to
+        its next part, or ends.  A stream that raises is dropped."""
+        stream, self._stream, self._part = self._stream, None, None
+        try:
+            self._part = stream.send(columns)
+        except StopIteration:
+            return
+        self._stream = stream
+
+    def _run(self, layers: Layers[T]) -> T:
+        """Run a primitive's layers in the foreground, one exchange per part;
+        returns what they return."""
+        try:
+            part = next(layers)
+            while True:
+                part = layers.send(self._exchange(part))
+        except StopIteration as done:
+            return done.value
 
     def _pool_extracted(self, deals: list[np.ndarray], rand: int, doubles: int) -> None:
         """Extract the D received deals, each ``rand`` random sharings and
@@ -449,20 +512,21 @@ class PartyContext:
                                 (self._double_t, [row[rand:].reshape(2, doubles) for row in out])):
             self._pools[thresholds] = np.concatenate([self._pools[thresholds], *new], axis=1)
 
-    def _payloads(self, values: np.ndarray, rand: int, doubles: int) -> list[np.ndarray]:
-        """Party d's payload, for d = 1..D: ``values``, then d's shares of this
-        party's uniform contributions, ``rand`` of them under threshold D'
-        and ``doubles`` more under D' and again under 2D'-1.  The shares are
-        written straight into each party's buffer, not into one (D, n) block
-        (see ``share_batch``)."""
+    def _payloads(self, head: list[np.ndarray], rand: int, doubles: int) -> list[np.ndarray]:
+        """Party d's payload, for d = 1..D: the arrays of ``head`` (the values,
+        then the stream's part), then d's shares of this party's uniform
+        contributions, ``rand`` of them under threshold D' and ``doubles``
+        more under D' and again under 2D'-1.  Everything is written straight
+        into each party's buffer, not into one (D, n) block (see
+        ``share_batch``)."""
         low, high = self._double_t
         if doubles and high > self.parties:
             raise DegreeOverflow(f"threshold {high} exceeds D = {self.parties}")
-        k = values.size
+        k = sum(h.size for h in head)
         buffers = [np.empty(k + rand + 2 * doubles, dtype=np.uint64)
                    for _ in range(self.parties)]
         for buf in buffers:
-            buf[:k] = values
+            np.concatenate(head, out=buf[:k])
         secrets = self.field.rand_vec(self.rng, rand + doubles)
         share_batch(self.field, secrets, low, self.parties, self.rng,
                     out=[buf[k:k + rand + doubles] for buf in buffers])
@@ -471,22 +535,26 @@ class PartyContext:
         return buffers
 
     def _deal(self) -> None:
-        """A round that only deals: what the declared layers lack, both pools
-        in one exchange."""
-        self.counters.deal_rounds += 1
+        """A round that carries no values of the foreground: what the declared
+        layers lack, behind the stream's next part if one is pending."""
         self._exchange(np.zeros(0, dtype=np.uint64))
 
+    def _stocked(self, need: dict[tuple[int, ...], int]) -> Layers[None]:
+        """The layers that leave ``need[thresholds]`` sharings in each pool:
+        none when the pools hold them, else one deal-only part, after each
+        short pool has raised its declaration to what it needs.  A layer
+        declared one exchange ahead finds them pooled."""
+        short = [t for t, k in need.items() if self._pools[t].shape[1] < k]
+        for t in short:
+            self._owed[t] = max(self._owed[t], need[t])
+        if short:
+            yield np.zeros(0, dtype=np.uint64)
+
     def _take(self, thresholds: tuple[int, ...], k: int) -> np.ndarray:
-        """k pooled sharings per threshold; returns (len(thresholds), k).
-        A layer declared one exchange ahead finds them pooled.  A pool too
-        short raises its declaration to k and deals in a round of its own
-        (``_deal``), which also deals what the other pool's declared layers
-        lack."""
+        """k pooled sharings per threshold; returns (len(thresholds), k).  A
+        pool too short deals first (``_stocked``)."""
+        self._run(self._stocked({thresholds: k}))
         pool = self._pools[thresholds]
-        if pool.shape[1] < k:
-            self._owed[thresholds] = max(self._owed[thresholds], k)
-            self._deal()
-            pool = self._pools[thresholds]
         self._pools[thresholds] = pool[:, k:]
         self._owed[thresholds] = max(self._owed[thresholds] - k, 0)
         return pool[:, :k]
@@ -504,13 +572,14 @@ class PartyContext:
                              Shares(self.field, self._double_t[1], high))
 
     def pregenerate(self, rand: int = 0, doubles: int = 0, masks: int = 0) -> None:
-        """Fill the pools ahead of time (can run before the election starts):
-        the sharings in one round, then the masks, which draw on them."""
+        """Fill the pools in rounds of their own: the sharings in one round,
+        then ``masks`` LSB masks, which draw on them.  A tally does not call
+        it: its masks ride its validation's rounds (``prepare_masks``)."""
         self.expect(rand, doubles)
         if self._due(self._rand_t) or self._due(self._double_t):
             self._deal()
         if masks:
-            self._prepare_masks(masks)
+            self._run(self._mask_layers(masks))
 
     # -- multiplication gate with degree reduction ---------------------------
 
@@ -524,6 +593,12 @@ class PartyContext:
         shares of then(-R) behind its masked product shares, and the opened
         value is their reconstruction plus then(W) - then(0).  Returns the
         products and, with ``then``, the opened value."""
+        return self._run(self._mul_layer(u, v, then, purpose))
+
+    def _mul_layer(self, u: Shares, v: Shares, then: Callable[[Shares], Shares] | None = None,
+                   purpose: str = "") -> Layers[Shares | tuple[Shares, np.ndarray]]:
+        """The layer of ``mul``; with pools short of its double sharings, a
+        deal-only part first."""
         if u.values.shape != v.values.shape:
             raise MpcError("mul operands must have the same shape")
         high_t = 2 * self.threshold - 1
@@ -532,25 +607,27 @@ class PartyContext:
         f, k, shape = self.field, u.size, u.values.shape
         if k == 0:
             out = Shares(f, self.threshold, u.values.copy())
-            return out if then is None else (out, self.open(then(out), purpose))
-        self.counters.mul_gates += k
-        self.counters.mul_rounds += 1
+            if then is None:
+                return out
+            return out, (yield from self._open_layer(then(out), purpose))
+        yield from self._stocked({self._double_t: k})
         dbl = self.double_shares(k)
         masked = f.add_vec(f.mul_vec(u.values.ravel(), v.values.ravel()), dbl.high.values)
-        if then is None:
-            w = self._reconstruct(self._exchange(masked), high_t, "masked product shares")
-            return Shares(f, self.threshold, f.sub_vec(w, dbl.low.values).reshape(shape))
-        ride = then(-dbl.low.reshape(shape))
-        self._log_open(ride.size, purpose)
-        got = self._exchange(np.concatenate([masked, ride.values.ravel()]))
+        ride = None if then is None else then(-dbl.low.reshape(shape))
+        got = yield masked if ride is None else np.concatenate([masked, ride.values.ravel()])
+        self.counters.mul_gates += k
+        self.counters.mul_rounds += 1
         w = self._reconstruct(got[:, :k], high_t, "masked product shares")
+        out = Shares(f, self.threshold, f.sub_vec(w, dbl.low.values).reshape(shape))
+        if ride is None:
+            return out
+        self._log_open(ride.size, purpose)
 
         def public(x: np.ndarray) -> np.ndarray:
             return then(Shares(f, self.threshold, x.reshape(shape))).values.ravel()
 
         opened = f.add_vec(self._reconstruct(got[:, k:], ride.threshold, "opened shares"),
                            f.sub_vec(public(w), public(np.zeros(k, dtype=np.uint64))))
-        out = Shares(f, self.threshold, f.sub_vec(w, dbl.low.values).reshape(shape))
         return out, opened.reshape(ride.values.shape)
 
     # -- openings -------------------------------------------------------------
@@ -558,13 +635,16 @@ class PartyContext:
     def open(self, x: Shares, purpose: str) -> np.ndarray:
         """Reconstruct x at every party.  With more than ``threshold`` shares the
         extras must lie on the same low-degree polynomial (InconsistentOpen)."""
+        return self._run(self._open_layer(x, purpose))
+
+    def _open_layer(self, x: Shares, purpose: str) -> Layers[np.ndarray]:
+        """The layer of ``open``; none for an empty x."""
         if self.parties < x.threshold:
             raise InsufficientShares(
                 f"{self.parties} parties cannot open a threshold-{x.threshold} sharing")
+        values = np.zeros(0, dtype=np.uint64) if x.size == 0 else \
+            self._reconstruct((yield x.values), x.threshold, "opened shares")
         self._log_open(x.size, purpose)
-        if x.size == 0:
-            return np.zeros(x.values.shape, dtype=np.uint64)
-        values = self._reconstruct(self._exchange(x.values), x.threshold, "opened shares")
         return values.reshape(x.values.shape)
 
     def _log_open(self, k: int, purpose: str) -> None:
@@ -590,19 +670,18 @@ class PartyContext:
 
     # -- shared bit machinery ---------------------------------------------------
 
-    def _random_bits(self, shape: tuple[int, ...], ahead: int = 0) -> tuple[Shares, np.ndarray]:
+    def _random_bits(self, shape: tuple[int, ...]) -> Layers[tuple[Shares, np.ndarray]]:
         """Shares of uniform bits: square a shared random value, open the square
         in the squares' own round, divide by the public canonical root; the
         sign that survives is a coin.  A zero square (1/p of them) gives no
-        bit, so the returned array says which entries hold one.  The caller's
-        next layer, ``ahead`` double sharings, is declared on the squares'
-        round."""
+        bit, so the returned array says which entries hold one.  The caller
+        declares the random values and the squares' layer; pools that lack
+        them deal on a deal-only part first."""
         f = self.field
         k = int(np.prod(shape))
-        self.expect(rand=k, doubles=k)  # the squares' layer is dealt with the values
+        yield from self._stocked({self._rand_t: k, self._double_t: k})
         rho = self.rand_shares(k)
-        self.expect(doubles=ahead)
-        _, a = self.mul(rho, rho, then=lambda sq: sq, purpose="lsb_mask")
+        _, a = yield from self._mul_layer(rho, rho, then=lambda sq: sq, purpose="lsb_mask")
         ok = a != 0
         signed = f.mul_vec(rho.values, f.pow_vec(self._sqrt_vec(a), f.p - 2))
         bits = f.mul_vec(f.add_vec(signed, np.uint64(1)), np.uint64((f.p + 1) // 2))
@@ -635,8 +714,8 @@ class PartyContext:
         return (np.stack(leaves) % self.field.p).astype(np.uint64)
 
     def _carry_tree(self, state: np.ndarray, riders: list[tuple[np.ndarray, np.ndarray]] = (),
-                    then: Callable[[Shares], Shares] | None = None,
-                    ) -> tuple[np.ndarray, list, np.ndarray | None]:
+                    then: Callable[[Shares], Shares] | None = None, declared: bool = False,
+                    ) -> Layers[tuple[np.ndarray, list, np.ndarray | None]]:
         """The root of a generate/propagate tree over the (fields, nodes, k)
         leaves ``state``, lowest node first (Catrina-de Hoogh, SCN 2010).
         Fields are G and P, and optionally r_0*G.  A high node over a low one
@@ -650,7 +729,8 @@ class PartyContext:
         map of the root's (fields, k) sharing, opened for "lsb_mask": on the
         last level's round, or in a round of its own when the tree has no
         level.  The caller declares the first level (``_level_gates`` and the
-        first rider) one exchange ahead; each level declares the next."""
+        first rider) one exchange ahead; each level declares the next, unless
+        the caller has ``declared`` the whole tree."""
         f, t = self.field, self.threshold
         fields, _, k = state.shape
         riders, ridden, opened = list(riders), [], None
@@ -666,8 +746,9 @@ class PartyContext:
             rider = riders.pop(0) if riders else None
             if rider is not None:
                 lhs, rhs = np.concatenate([lhs, rider[0]]), np.concatenate([rhs, rider[1]])
-            self.expect(doubles=_level_gates(nodes - pairs, fields) * k
-                        + (riders[0][0].size if riders else 0))  # the next level
+            if not declared:
+                self.expect(doubles=_level_gates(nodes - pairs, fields) * k
+                            + (riders[0][0].size if riders else 0))  # the next level
 
             def combined(out: np.ndarray) -> np.ndarray:  # the next level's nodes
                 products = np.zeros(low.shape, dtype=np.uint64)
@@ -677,105 +758,158 @@ class PartyContext:
 
             u, v = Shares(f, t, lhs), Shares(f, t, rhs)
             if then is not None and nodes - pairs == 1:  # the last level
-                out, opened = self.mul(
+                out, opened = yield from self._mul_layer(
                     u, v, lambda x: then(Shares(f, t, combined(x.values)[:, 0])), "lsb_mask")
             else:
-                out = self.mul(u, v)
+                out = yield from self._mul_layer(u, v)
             if rider is not None:
                 ridden.append(out.values[gates:])
             state = combined(out.values)
         if then is not None and opened is None:
-            opened = self.open(then(Shares(f, t, state[:, 0])), "lsb_mask")
+            opened = yield from self._open_layer(then(Shares(f, t, state[:, 0])), "lsb_mask")
         return state[:, 0], ridden, opened
 
-    def _prepare_masks(self, n: int) -> None:
-        """Append n checked LSB masks to the mask pool (``mask_layout``): shared
-        bits of a uniform r < p, their products within each window, r_0 times
-        the products of the windows above the lowest, and shares of r.  One
-        batch draws n + ``spare_masks`` masks: a random-bit layer, the pairs
-        in one product layer and the triples and quads in a second, then the
-        r < p check, a carry tree over the windows against public p-1 that
-        carries the r_0-products on its levels, split evenly.  The first n
-        masks whose bits all came out and whose r < p join the pool, the rest
-        are dropped; only a shortfall, below 2**-40, draws again for what it
-        lacks.  The rounds spent count as ``offline_rounds``."""
-        start = self.channel.stats.rounds
-        try:
-            lay, ell, p = self._layout, self.field.ell, self.field.p
-            levels = (lay.windows - 1).bit_length()
-            chunks = np.array_split(np.arange(lay.r0_rows.size), levels) if levels else []
-            first = _level_gates(lay.windows, 2) + (chunks[0].size if chunks else 0)
-            (pair_layer, wide_layer), f, t = lay.layers, self.field, self.threshold
-            for _ in range(RETRY_LIMIT):
-                k = n + spare_masks(p, ell, n)
-                drawn = np.empty((lay.rows, k), dtype=np.uint64)
-                bits, came_out = self._random_bits((ell, k), ahead=pair_layer[0].size * k)
-                drawn[:ell] = bits.values
-                for (out, a, b), ahead in ((pair_layer, wide_layer[0].size), (wide_layer, first)):
-                    self.expect(doubles=ahead * k)  # the next layer
-                    drawn[out] = self.mul(Shares(f, t, drawn[a]), Shares(f, t, drawn[b])).values
-                riders = [(np.broadcast_to(drawn[:1], (c.size, k)), drawn[lay.r0_factors[c]])
-                          for c in chunks]
-                leaves = self._window_leaves(np.full(k, p - 1), drawn, fields=2)
-                _, ridden, too_big = self._carry_tree(  # G at the root is 1_{r > p-1}
-                    leaves, riders, then=lambda root: root[0])
-                if ridden:
-                    drawn[lay.r0_rows] = np.concatenate(ridden)
-                good = came_out.all(axis=0) & (too_big == 0)
-                kept = drawn[:, np.flatnonzero(good)[:n]]
-                kept[-1] = combine_rows(f, [pow(2, i, p) for i in range(ell)], kept[:ell])
-                self._masks = np.concatenate([self._masks, kept], axis=1)
-                n -= kept.shape[1]
-                if not n:
-                    break
-            else:
-                raise RetryExhausted(f"LSB masks kept failing their checks at p = {p}")
-        finally:
-            self.counters.offline_rounds += self.channel.stats.rounds - start
+    def _prepare_masks(self, n: int) -> Layers[None]:
+        """The layers that append n checked LSB masks to the mask pool
+        (``mask_layout``): shared bits of a uniform r < p, their products
+        within each window, r_0 times the products of the windows above the
+        lowest, and shares of r.  One batch draws n + ``spare_masks`` masks: a
+        deal-only part when the pools lack its random bits, a random-bit
+        layer, the pairs in one product layer and the triples and quads in a
+        second, then the r < p check, a carry tree over the windows against
+        public p-1 that carries the r_0-products on its levels, split evenly.
+        The first n masks whose bits all came out and whose r < p join the
+        pool, the rest are dropped; only a shortfall, below 2**-40, draws
+        again for what it lacks.  A batch declares all its sharings at once,
+        so they are dealt on its first exchange and none of its later layers
+        adds a deal to the exchange it rides: a frame without a deal of its
+        own goes to every peer as one array, not as D copies of it."""
+        lay, ell, p = self._layout, self.field.ell, self.field.p
+        levels = (lay.windows - 1).bit_length()
+        chunks = np.array_split(np.arange(lay.r0_rows.size), levels) if levels else []
+        (pair_layer, wide_layer), f, t = lay.layers, self.field, self.threshold
+        gates = ell + pair_layer[0].size + wide_layer[0].size + lay.r0_rows.size
+        nodes = lay.windows
+        while nodes > 1:  # the r < p check's levels
+            gates += _level_gates(nodes, 2)
+            nodes -= nodes // 2
+        for _ in range(RETRY_LIMIT):
+            k = n + spare_masks(p, ell, n)
+            self.expect(rand=ell * k, doubles=gates * k)
+            drawn = np.empty((lay.rows, k), dtype=np.uint64)
+            bits, came_out = yield from self._random_bits((ell, k))
+            drawn[:ell] = bits.values
+            for out, a, b in (pair_layer, wide_layer):
+                u, v = Shares(f, t, drawn[a]), Shares(f, t, drawn[b])
+                drawn[out] = (yield from self._mul_layer(u, v)).values
+            riders = [(np.broadcast_to(drawn[:1], (c.size, k)), drawn[lay.r0_factors[c]])
+                      for c in chunks]
+            leaves = self._window_leaves(np.full(k, p - 1), drawn, fields=2)
+            _, ridden, too_big = yield from self._carry_tree(  # G at the root is 1_{r > p-1}
+                leaves, riders, then=lambda root: root[0], declared=True)
+            if ridden:
+                drawn[lay.r0_rows] = np.concatenate(ridden)
+            good = came_out.all(axis=0) & (too_big == 0)
+            kept = drawn[:, np.flatnonzero(good)[:n]]
+            kept[-1] = combine_rows(f, [pow(2, i, p) for i in range(ell)], kept[:ell])
+            self._masks = np.concatenate([self._masks, kept], axis=1)
+            n -= kept.shape[1]
+            if not n:
+                return
+        raise RetryExhausted(f"LSB masks kept failing their checks at p = {p}")
+
+    def _mask_layers(self, n: int) -> Layers[None]:
+        """``_prepare_masks``, its work counted in ``mask_counters`` and each
+        round that carries one of its parts in ``offline_rounds``."""
+        layers, columns = self._prepare_masks(n), None
+        while True:
+            fore, self.counters = self.counters, self.mask_counters
+            try:
+                part = layers.send(columns)
+            except StopIteration:
+                return
+            finally:
+                self.counters = fore
+            columns = yield part
+            self.counters.offline_rounds += 1
+
+    def prepare_masks(self, n: int) -> None:
+        """Start preparing n LSB masks (``_prepare_masks``) as a stream of
+        layers beside the foreground's.  It takes no round of its own: each
+        exchange that follows carries its next part behind the foreground's
+        values, so it rides whatever rounds the program makes, and its masks
+        join the pool when it ends.  A stream still pending is run out
+        first."""
+        self.finish_masks()
+        if n:
+            self._stream = self._mask_layers(n)
+            self._part = next(self._stream)
+
+    def finish_masks(self) -> None:
+        """Run what the mask stream has left in rounds of its own."""
+        while self._stream is not None:
+            self._deal()
 
     def take_masks(self, k: int) -> np.ndarray:
-        """The first step of k LSB extractions: count them, take k masks from
-        the pool (preparing what it lacks) and declare the first carry level,
-        so the exchange that opens c = x + r deals it.  Returns the masks as
+        """The first step of k LSB extractions: count them, run the mask
+        stream out (``finish_masks``), take k masks from the pool (preparing
+        what it lacks) and declare the first carry level, so the exchange
+        that opens c = x + r deals it.  Returns the masks as
         (``mask_layout``.rows, k); r is the last row."""
         self.counters.lsb_extractions += k
+        self.finish_masks()
         if self._masks.shape[1] < k:
-            self._prepare_masks(k - self._masks.shape[1])
+            self._run(self._mask_layers(k - self._masks.shape[1]))
         mask, self._masks = self._masks[:, :k], self._masks[:, k:]
         self.expect(doubles=_level_gates(self._layout.windows, 3) * k)  # the first level
         return mask
 
-    def finish_lsb(self, c: np.ndarray, mask: np.ndarray) -> Shares:
+    def finish_lsb(self, c: np.ndarray, mask: np.ndarray,
+                   then: Callable[[Shares], Shares] | None = None
+                   ) -> Shares | tuple[Shares, np.ndarray]:
         """The second step: shares of LSB(x) for the opened c = x + r of each
         column of ``mask``, LSB(c) XOR r_0 XOR 1_{c < r}.  The wrap bit 1_{c < r}
         says that x + r passed p; the carry tree over the windows gives
-        r_0 XOR 1_{c < r} = r_0 + G - 2*r_0*G without a gate of its own."""
-        (g, _, rg), _, _ = self._carry_tree(self._window_leaves(c, mask, fields=3))
-        f = self.field
-        toggle = f.sub_vec(f.add_vec(mask[0], g), f.add_vec(rg, rg))  # r_0 XOR 1_{c<r}
-        return Shares(f, self.threshold,
-                      np.where((c & np.uint64(1)) == 1, f.sub_vec(np.uint64(1), toggle), toggle))
+        r_0 XOR 1_{c < r} = r_0 + G - 2*r_0*G without a gate of its own.  The
+        bits are affine in the tree's root for public c, so with ``then``, an
+        affine map of the bits, the tree's last level opens then(bits) for
+        "lsb_mask" (``_carry_tree``); returns the bits and, with ``then``,
+        the opened value."""
+        f, t = self.field, self.threshold
 
-    def shared_lsb(self, x: Shares) -> Shares:
+        def bits(root: Shares) -> Shares:
+            g, _, rg = root.values
+            toggle = f.sub_vec(f.add_vec(mask[0], g), f.add_vec(rg, rg))  # r_0 XOR 1_{c<r}
+            return Shares(f, t, np.where((c & np.uint64(1)) == 1,
+                                         f.sub_vec(np.uint64(1), toggle), toggle))
+
+        root, _, opened = self._run(self._carry_tree(
+            self._window_leaves(c, mask, fields=3),
+            then=None if then is None else lambda root: then(bits(root))))
+        out = bits(Shares(f, t, root))
+        return out if then is None else (out, opened)
+
+    def shared_lsb(self, x: Shares, then: Callable[[Shares], Shares] | None = None
+                   ) -> Shares | tuple[Shares, np.ndarray]:
         """Shares of the least significant bit of the canonical representative
-        of x: take masks, open c = x + r in a round of its own, finish."""
-        k = x.size
-        if k == 0:
+        of x: take masks, open c = x + r in a round of its own, finish; with
+        ``then``, an affine map of the bits, the last round opens it too
+        (``finish_lsb``)."""
+        k, shape = x.size, x.values.shape
+        if k == 0 and then is None:
             return Shares(self.field, self.threshold, x.values.copy())
         mask = self.take_masks(k)
         c = self.open(x.reshape(-1) + Shares(self.field, self.threshold, mask[-1]), "lsb_mask")
-        return self.finish_lsb(c, mask).reshape(x.values.shape)
+        if then is None:
+            return self.finish_lsb(c, mask).reshape(shape)
+        out, opened = self.finish_lsb(c, mask, lambda bits: then(bits.reshape(shape)))
+        return out.reshape(shape), opened
 
     # -- derived predicates ------------------------------------------------------
 
-    def compare_bounded(self, a: Shares, b: Shares) -> Shares:
-        """Shares of 1_{a < b} for inputs whose difference as integers satisfies
-        |a - b| < p/2: the positivity of b - a, one LSB extraction per pair
-        and no further gates."""
-        self.counters.comparisons += a.size
-        return self.is_positive(b - a)
-
-    def is_positive(self, x: Shares) -> Shares:
+    def is_positive(self, x: Shares, then: Callable[[Shares], Shares] | None = None
+                    ) -> Shares | tuple[Shares, np.ndarray]:
         """1_{x > 0} for x encoding a signed value in [-N, N], p > 2N: a single
-        LSB extraction on -2x."""
-        return self.shared_lsb(-2 * x)
+        LSB extraction on -2x (``shared_lsb``, ``then`` included).  So
+        1_{a < b} for |a - b| < p/2 is the positivity of b - a."""
+        return self.shared_lsb(-2 * x, then)

@@ -2,14 +2,16 @@
 
 ``tallier_program`` is the SPMD pipeline every tallier executes over its own
 context and its own ``ballots.Spool`` (voter ids and one share matrix):
-prepare every LSB mask the tally will use in one offline batch,
-agree with the other talliers on one roster of voter ids and validate it
-in one batch (``validate_bundles``; the transport splits a payload wider
-than a frame), aggregate the accepted ballots, compute scores, and open winners,
-recording what each phase costs in the result's counters.  Every in-process
-runner starts its talliers through one ``_run_threads``: ``run_local_election``
-runs all D talliers as threads of one process over the in-memory hub (the
-desk-scale mode), and ``run_local_validation`` reuses it.  ``run_socket_tallier``
+start preparing every LSB mask the tally will use, in one batch that rides
+the rounds that follow (``PartyContext.prepare_masks``), agree with the
+other talliers on one roster of voter ids and validate it in one batch
+(``validate_bundles``; the transport splits a payload wider than a frame),
+run what the mask batch has left, aggregate the accepted ballots, compute
+scores, and open winners, recording what each phase costs in the result's
+counters.  Every in-process runner starts its talliers through one
+``_run_threads``: ``run_local_election`` runs all D talliers as threads of
+one process over the in-memory hub (the desk-scale mode), and
+``run_local_validation`` reuses it.  ``run_socket_tallier``
 and ``run_socket_validation`` run a single party that meets its peers over
 TCP.  With fixed seeds both backends produce identical results.  The
 talliers draw their randomness from the operating system (``build_context``),
@@ -35,7 +37,7 @@ from .ballots import (SharedBallot, Spool, TallierBundle, decode_spool,  # noqa:
 from .config import ElectionConfig, check_field_bounds, fresh_rng
 from .engine import InconsistentOpen, PartyContext
 from .tally import (TallyResult, aggregate, copeland_scores, kemeny_winners,
-                    lsb_extractions, maximin_scores, top_k)
+                    lsb_extractions, maximin_scores, select_ahead, top_k)
 from .transport import InMemoryHub, RoundTimeout, SessionChannel, SocketTransport
 
 T = TypeVar("T")
@@ -192,16 +194,20 @@ def validate_bundles(ctx: PartyContext, config: ElectionConfig,
 @contextmanager
 def _phase(ctx: PartyContext, phases: dict[str, dict], name: str) -> Iterator[None]:
     """Record in ``phases[name]`` how far the phase moves each ``summary()``
-    counter of this party, in ``ctx.counters.phase_cpu[name]`` the
-    processor time of this party's thread and in ``phase_wait[name]`` the
-    wall time it spent blocked in ``await_round``; a round timeout in the
-    phase is re-raised naming it."""
-    before, cpu, wait = ctx.summary(), time.thread_time(), ctx.channel.stats.wait_s
+    counter of this party, less the mask batches' work (``mask_work``),
+    which ``tallier_program`` books to the offline phase; in
+    ``ctx.counters.phase_cpu[name]`` the processor time of this party's
+    thread and in ``phase_wait[name]`` the wall time it spent blocked in
+    ``await_round``.  A round timeout in the phase is re-raised naming it."""
+    before, masks = ctx.summary(), ctx.mask_work()
+    cpu, wait = time.thread_time(), ctx.channel.stats.wait_s
     try:
         yield
     except RoundTimeout as err:
         raise RoundTimeout(err.round_no, err.missing, name) from err
-    phases[name] = {k: v - before[k] for k, v in ctx.summary().items()}
+    after, masks_after = ctx.summary(), ctx.mask_work()
+    phases[name] = {k: v - before[k] - masks_after.get(k, 0) + masks.get(k, 0)
+                    for k, v in after.items()}
     ctx.counters.phase_cpu[name] = time.thread_time() - cpu
     ctx.counters.phase_wait[name] = ctx.channel.stats.wait_s - wait
 
@@ -216,15 +222,19 @@ def _as_spool(config: ElectionConfig, bundles: Spool | list[TallierBundle]) -> S
 def tallier_program(ctx: PartyContext, config: ElectionConfig,
                     bundles: Spool | list[TallierBundle]) -> tuple[TallyResult, list, dict]:
     """The full pipeline one tallier runs; returns (result, verdicts, proofs).
-    The masks do not depend on the ballots, so the whole tally's are prepared
-    first, in one batch: one random-bit layer and one r < p check.  The
-    result's ``counters["phases"]`` holds each phase's share of the counters:
-    offline, validate, aggregate, score (copeland and maximin) and select."""
+    The masks do not depend on the ballots, so the whole tally's are started
+    first, in one batch that takes no round of its own: its deal rides
+    validation's deal round and its layers the rounds after it, and the
+    offline phase runs only what is left.  The result's
+    ``counters["phases"]`` holds each phase's share of the counters, in
+    order: validate, offline, aggregate, score (copeland and maximin) and
+    select.  Rounds, messages and bytes go to the phase that spends them;
+    the work of a round, gates, layers, openings and sharings, to the
+    stream that does it, so the offline phase holds the mask batch's."""
     rule, m = config.rule, config.m
     spool = _as_spool(config, bundles)
     phases: dict[str, dict] = {}
-    with _phase(ctx, phases, "offline"):
-        ctx.pregenerate(masks=lsb_extractions(rule, m, config.num_winners))
+    ctx.prepare_masks(lsb_extractions(rule, m, config.num_winners))
 
     # A duplicate is rejected for its id, not its content: it may be a replayed
     # honest ballot.  A malformed bundle has no sharing to open.  Neither is
@@ -238,6 +248,8 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
                 validation.REASON_DUPLICATE, validation.REASON_MALFORMED)]
             proofs = dict(zip(ids, validation.reconstruct_rejected(
                 ctx, spool[spool.rows(ids)])))
+    with _phase(ctx, phases, "offline"):
+        ctx.finish_masks()
 
     # the accepted count is public once validation ends: refuse too many before any work
     accepted = spool.rows([v.voter_id for v in verdicts if v.accepted])
@@ -253,16 +265,20 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
             winners, kemeny_ranking = kemeny_winners(ctx, agg, config.num_winners)
     else:
         with _phase(ctx, phases, "score"):
-            scores = copeland_scores(ctx, agg, config.alpha) if rule == "copeland" \
-                else maximin_scores(ctx, agg)
+            # top-K's first level takes its masks now: the scores' last layer opens its c
+            mask, ride = select_ahead(ctx, m)
+            scores, opened = copeland_scores(ctx, agg, config.alpha, ride) \
+                if rule == "copeland" else maximin_scores(ctx, agg, ride)
             ctx.capture("scores", scores)
         with _phase(ctx, phases, "select"):
             if config.open_scores:
                 winners, opened_scores = top_k(ctx, scores, config.num_winners,
-                                               return_scores=True)
+                                               return_scores=True, first=(mask, opened))
             else:
-                winners = top_k(ctx, scores, config.num_winners)
+                winners = top_k(ctx, scores, config.num_winners, first=(mask, opened))
 
+    for key, value in ctx.mask_work().items():  # the batch's work, wherever it rode
+        phases["offline"][key] += value
     result = TallyResult(
         rule=rule,
         winners=winners,

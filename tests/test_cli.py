@@ -12,6 +12,7 @@ from ordervote import cli
 from ordervote.ballots import matrix_entry_values, ranking_to_matrix, share_ballot
 from ordervote.cli import _random_rankings, main
 from ordervote.config import ElectionConfig
+from ordervote.engine import spare_masks
 from ordervote.oracle import PlainElection, plain_winners
 from ordervote.session import make_shared_ballots
 from ordervote.shamir import reconstruct_batch
@@ -76,10 +77,10 @@ def test_maximin_demo_and_full_ranking(tmp_path, capsys):
     offline = result["counters"]["offline_rounds"]
     assert offline == 7 < result["counters"]["comm_rounds"]
     assert f"offline_rounds={offline} " in out
-    # pool sharings ride on the exchanges: a round of their own only for the
-    # offline masks and for validation
-    assert result["counters"]["deal_rounds"] == 2
-    assert "deal_rounds=2 " in out
+    # pool sharings ride on the exchanges: a round of their own only for
+    # validation, whose deal also carries the mask batch's
+    assert result["counters"]["deal_rounds"] == 1
+    assert "deal_rounds=1 " in out
 
 
 def test_setup_rejects_small_field(tmp_path, capsys):
@@ -449,10 +450,15 @@ def test_bench_smoke(tmp_path, capsys):
     assert (report["voters"], len(report["seconds"])) == (20, 2)
     assert report["share_s"] > 0  # the voter side, in processor seconds
     rows = {row.pop("phase"): row for row in report["rows"]}
-    assert list(rows) == ["offline", "validate", "aggregate", "score", "select", "total"]
+    assert list(rows) == ["validate", "offline", "aggregate", "score", "select", "total"]
     assert rows["validate"]["mul_rounds"] == 3  # M(M-1)/2 for M = 3
     assert rows["validate"]["mul_gates"] == 2 * 20 * 3
-    assert rows["offline"]["comm_rounds"] == rows["total"]["offline_rounds"] > 0
+    # at p = 2^31 - 1 the mask batch has 4 + 3 layers: 6 ride validation's
+    # rounds after the roster round and the last runs alone, but all its
+    # work is the offline phase's: 220 gates a mask, spares included
+    assert rows["validate"]["offline_rounds"] == 6
+    assert rows["offline"]["comm_rounds"] == rows["offline"]["offline_rounds"] == 1
+    assert rows["offline"]["mul_gates"] == 220 * (8 + spare_masks(M31, 31, 8))
     total = rows.pop("total")
     assert total.pop("seconds_median") > 0
     assert {k: sum(r[k] for r in rows.values()) for k in total} == total

@@ -420,7 +420,7 @@ def test_shared_lsb_exhaustive(f31):
 def test_shared_lsb_exhaustive_at_p_1_mod_4():
     """At p = 13 = 1 mod 4 the random bits take their square roots by
     Tonelli-Shanks; every LSB matches the oracle.  The comparison at p = 13
-    is ``test_compare_bounded_exhaustive``'s."""
+    is ``test_bounded_comparison_exhaustive``'s."""
     f13 = PrimeField(13)
     xs = np.arange(13, dtype=np.uint64)
     mx = deal(f13, xs, 2, 3, seed=13)
@@ -433,11 +433,11 @@ def test_shared_lsb_exhaustive_at_p_1_mod_4():
 
 
 @pytest.mark.parametrize("p", [13, 31])
-def test_compare_bounded_exhaustive(p):
+def test_bounded_comparison_exhaustive(p):
     """Every pair of canonical a, b with |a - b| < p/2, the domain on which the
-    tally compares: one LSB extraction per pair, the gates of a bare
-    extraction of as many values, and the same bit as the oracle's
-    comparison."""
+    tally compares, as the positivity of b - a: one LSB extraction per pair,
+    the gates of a bare extraction of as many values, and the same bit as
+    the oracle's comparison."""
     f = PrimeField(p)
     pairs = [(a, b) for a in range(p) for b in range(p) if 2 * abs(a - b) < p]
     av = np.array([a for a, _ in pairs], dtype=np.uint64)
@@ -446,8 +446,8 @@ def test_compare_bounded_exhaustive(p):
 
     def prog(ctx):
         a, b = (dealt_shares(f, m, 2, ctx.party_id) for m in (ma, mb))
-        bit = ctx.compare_bounded(a, b)
-        assert ctx.counters.comparisons == ctx.counters.lsb_extractions == len(pairs)
+        bit = ctx.is_positive(b - a)
+        assert ctx.counters.lsb_extractions == len(pairs)
         gates = ctx.counters.mul_gates
         ctx.shared_lsb(a)
         assert ctx.counters.mul_gates == 2 * gates
@@ -495,7 +495,7 @@ def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
         ctx.pregenerate(rand=2048, doubles=2048, masks=1)
         rounds = ctx.channel.stats.rounds
         gates = ctx.counters.mul_gates
-        bit = ctx.compare_bounded(a, b)
+        bit = ctx.is_positive(b - a)
         cost = dict(ctx.summary(), online_rounds=ctx.channel.stats.rounds - rounds,
                     online_gates=ctx.counters.mul_gates - gates)
         return cost, int(ctx.open(bit, "final_output")[0])
@@ -510,12 +510,12 @@ def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
     assert cost["deal_rounds"] == 1
 
 
-def test_offline_frames_stay_within_107_words_per_mask(f_mersenne31):
+def test_offline_frames_stay_within_236_words_per_mask(f_mersenne31):
     """Preparing masks from empty pools at ell = 31, no frame carries more than
-    107 words per mask drawn, spares included: the squares' layer, 31 masked
-    squares and the 31 shares that open them per mask, with the deal for the
-    45 pairs, of which each party deals half at D - t = 2, less the one
-    double sharing the deal round left over, and 2 words for each."""
+    236 words per mask drawn, spares included: the batch declares all its
+    sharings at once, so its first exchange deals 31 random and 220 double
+    sharings a mask, of which each party deals half at D - t = 2, and 2
+    words for each double sharing; the later frames carry no deal."""
     masks = 10
 
     def prog(ctx):
@@ -528,12 +528,13 @@ def test_offline_frames_stay_within_107_words_per_mask(f_mersenne31):
 
         ctx.channel.transport.send = recorded
         ctx.pregenerate(masks=masks)
-        return max(sent)
+        return sent
 
     drawn = masks + spare_masks(f_mersenne31.p, 31, masks)
-    widest = run_parties(3, 2, f_mersenne31, prog)[1]
-    assert widest == 2 * 31 * drawn + 2 * ((45 * drawn - 1) // 2) == 1176
-    assert widest <= (2 * 31 + 45) * drawn == 107 * 11
+    sent = run_parties(3, 2, f_mersenne31, prog)[1]
+    assert max(sent) == sent[0] == -(-31 * drawn // 2) + 2 * -(-220 * drawn // 2) == 2591
+    assert max(sent) <= 236 * drawn
+    assert max(sent[2:]) == 2 * 31 * drawn  # the squares and their opening, no deal
 
 
 def test_masks_are_bits_of_a_uniform_r_below_p(f31):
@@ -566,6 +567,55 @@ def test_masks_are_bits_of_a_uniform_r_below_p(f31):
     assert r.tolist() == (bits * (1 << np.arange(ell))[:, None]).sum(axis=0).tolist()
     assert r.max() < 31 and len(set(r.tolist())) > 20
     assert offline > 0 and after == offline and left == 0
+
+
+def test_mask_stream_rides_the_exchanges_and_drains_before_an_extraction(f_mersenne31):
+    """A mask batch started with ``prepare_masks`` takes no round of its own
+    while the foreground exchanges: its S = 4 + t = 7 layers at ell = 31 ride
+    behind the values of the next exchanges, and a frame then holds both
+    streams.  ``take_masks`` runs what is left in rounds of its own, so an
+    extraction after two foreground openings pays the 5 remaining layers,
+    then its own opening and 3 levels, and each bit is right."""
+    xs = np.arange(6, dtype=np.uint64)
+    mx = deal(f_mersenne31, xs, 2, 3, seed=23)
+
+    def prog(ctx):
+        x = dealt_shares(f_mersenne31, mx, 2, ctx.party_id)
+        rounds = ctx.channel.stats.rounds
+        ctx.prepare_masks(6)
+        assert ctx.channel.stats.rounds == rounds
+        opened = [ctx.open(x, "final_output") for _ in range(2)]
+        merged = (ctx.channel.stats.rounds - rounds, ctx.counters.offline_rounds)
+        bits = ctx.open(ctx.shared_lsb(x), "final_output")
+        return (opened, merged, ctx.channel.stats.rounds - rounds,
+                ctx.counters.offline_rounds, ctx.counters.deal_rounds, bits)
+
+    opened, merged, rounds, offline, deals, bits = run_parties(3, 2, f_mersenne31, prog)[1]
+    assert [v.tolist() for v in opened] == [xs.tolist()] * 2
+    assert merged == (2, 2)
+    assert (rounds, offline, deals) == (2 + 5 + 1 + 3 + 1, 7, 0)
+    assert bits.tolist() == (xs % 2).tolist()
+
+
+def test_a_merged_frame_without_the_mask_part_names_its_sender(f31):
+    """T3 drops the mask stream's part from the frame of round 1, the one
+    that carries the random bits' squares behind an opening: T1 and T2 name
+    T3 (InconsistentOpen), for the width check covers the whole frame."""
+    def prog(ctx):
+        x = ctx.constant(np.arange(4))
+        ctx.prepare_masks(3)
+        ctx.open(x, "final_output")  # round 0: the batch's deal rides it
+        if ctx.party_id == 3:
+            ctx._part = ctx._part[:0]
+        try:
+            ctx.open(x, "final_output")
+        except InconsistentOpen as err:
+            return str(err)
+        return "opened"
+
+    res = run_parties(3, 2, f31, prog, timeout=3.0)
+    for d in (1, 2):
+        assert res[d].startswith("T3 sent ") and f"in round 1; T{d} expected" in res[d]
 
 
 def test_is_positive_exhaustive_signed_range(f31):
@@ -619,7 +669,7 @@ def test_primitives_randomized_at_mersenne31(f_mersenne31):
     def prog(ctx):
         x, y, z, s = (dealt_shares(f, m, 2, ctx.party_id) for m in (mx, my, mz, ms))
         return (ctx.open(ctx.shared_lsb(x), "final_output"),
-                ctx.open(ctx.compare_bounded(y, z), "final_output"),
+                ctx.open(ctx.is_positive(z - y), "final_output"),
                 ctx.open(ctx.is_positive(s), "final_output"))
 
     res = run_parties(3, 2, f, prog)

@@ -14,7 +14,7 @@ from ordervote.session import (_run_local, _run_threads, build_context,
                                make_shared_ballots, run_local_election,
                                run_local_validation, run_socket_tallier,
                                tallier_program)
-from ordervote.tally import lsb_extractions, phase_rounds
+from ordervote.tally import phase_rounds
 from ordervote.transport import (HEADER, InMemoryHub, InMemoryTransport, RoundTimeout,
                                  SessionChannel)
 from ordervote.validation import REASON_DEGREE, REASON_DUPLICATE, REASON_MALFORMED
@@ -480,7 +480,7 @@ def test_socket_live_ballot_submission():
 
 
 def test_tally_prepares_exactly_its_masks_before_validation():
-    """For every rule, M <= 6 and K <= M, ``tallier_program`` prepares its LSB
+    """For every rule, M <= 6 and K <= M, ``tallier_program`` starts its LSB
     masks in one batch before any extraction, as many as the tally extracts:
     the mask pool ends empty, so no mask is prepared online."""
     for rule in ("copeland", "maximin", "kemeny"):
@@ -491,13 +491,14 @@ def test_tally_prepares_exactly_its_masks_before_validation():
 
                 def program(ctx):
                     batches = []
-                    prepare = ctx._prepare_masks
+                    prepare = ctx.prepare_masks
 
                     def counted(n):
-                        batches.append((n, ctx.counters.lsb_extractions))
+                        if n:
+                            batches.append((n, ctx.counters.lsb_extractions))
                         prepare(n)
 
-                    ctx._prepare_masks = counted
+                    ctx.prepare_masks = counted
                     tallier_program(ctx, cfg, [b.bundle_for(ctx.party_id) for b in ballots])
                     return batches, ctx.counters.lsb_extractions, ctx._masks.shape[1]
 
@@ -509,11 +510,12 @@ def test_tally_prepares_exactly_its_masks_before_validation():
 def test_pool_deals_ride_on_the_exchange_before_each_layer():
     """For every rule, M <= 6 and K <= M at p = 65,519 and p = 2^31 - 1, with
     one ballot shared at too high a degree: score and select spend no round
-    on dealing pool sharings, the offline masks and validation at most one
-    each.  Of the random sharings dealt, fewer than D - t are left over, a
-    deal's surplus of extractor outputs, and of the double sharings fewer
-    than D - t beyond two per ballot that fails the degree check.  Each
-    counter of the result is the sum of its phases' shares."""
+    on dealing pool sharings, and validation at most one; the mask batch's
+    deal rides validation's, so the offline phase spends none.  Of the
+    random sharings dealt, fewer than D - t are left over, a deal's surplus
+    of extractor outputs, and of the double sharings fewer than D - t
+    beyond two per ballot that fails the degree check.  Each counter of the
+    result is the sum of its phases' shares."""
     for prime, rule in itertools.product(PRIME_LADDER, ("copeland", "maximin", "kemeny")):
         for m in range(1, 7):
             for k in range(1, m + 1):
@@ -537,10 +539,10 @@ def test_pool_deals_ride_on_the_exchange_before_each_layer():
                     phases = {ph: ledger.get(ph, {}).get("deal_rounds", 0)
                               for ph in ("offline", "validate", "score", "select")}
                     case = (prime, rule, m, k, party, phases)
-                    assert list(ledger) == ["offline", "validate", "aggregate"] + \
+                    assert list(ledger) == ["validate", "offline", "aggregate"] + \
                         (["select"] if rule == "kemeny" else ["score", "select"]), case
-                    assert phases["score"] == phases["select"] == 0, case
-                    assert phases["offline"] <= 1 and phases["validate"] <= 1, case
+                    assert phases["offline"] == phases["score"] == phases["select"] == 0, case
+                    assert phases["validate"] <= 1, case
                     assert counters["deal_rounds"] == sum(phases.values()), case
                     assert counters == {key: sum(c[key] for c in ledger.values())
                                         for key in counters}, case
@@ -550,17 +552,20 @@ def test_pool_deals_ride_on_the_exchange_before_each_layer():
 
 
 @pytest.mark.parametrize("rule, m, k, n, rounds", [
-    ("copeland", 6, 2, 200, {"offline": 6, "validate": 19, "aggregate": 0,
-                             "score": 3, "select": 20}),
-    ("maximin", 6, 2, 200, {"offline": 6, "validate": 19, "aggregate": 0,
-                            "score": 10, "select": 20}),
-    ("kemeny", 5, 2, 200, {"offline": 6, "validate": 5, "aggregate": 0, "select": 22}),
-    ("kemeny", 6, 1, 100, {"offline": 6, "validate": 5, "aggregate": 0, "select": 31}),
+    ("copeland", 6, 2, 200, {"validate": 19, "offline": 0, "aggregate": 0,
+                             "score": 3, "select": 19}),
+    ("maximin", 6, 2, 200, {"validate": 19, "offline": 0, "aggregate": 0,
+                            "score": 10, "select": 19}),
+    ("kemeny", 5, 2, 200, {"validate": 5, "offline": 2, "aggregate": 0, "select": 22}),
+    ("kemeny", 6, 1, 100, {"validate": 5, "offline": 2, "aggregate": 0, "select": 31}),
 ])
 def test_phase_ledger_reads_the_rounds_of_each_phase(rule, m, k, n, rounds):
     """Party 1's communication rounds per phase on legal ballots, D = 3, at
-    the prime the config takes by default, 65,519: one deal round falls in
-    the offline masks and one in validation."""
+    the prime the config takes by default, 65,519.  The mask batch's 6
+    layers ride validation's rounds from its deal round on, so only Kemeny's
+    5 validate rounds leave 2 to the offline phase, and the one deal round
+    falls in validation.  Top-K's first opening rides the scores' last
+    layer, a round less in select."""
     cfg = ElectionConfig(rule=rule, candidates=tuple(f"C{i}" for i in range(1, m + 1)),
                          num_winners=k, talliers=3, expected_voters=n, seed=5).validate()
     assert cfg.prime == 65_519
@@ -569,7 +574,8 @@ def test_phase_ledger_reads_the_rounds_of_each_phase(rule, m, k, n, rounds):
     assert {ph: c["comm_rounds"] for ph, c in counters["phases"].items()} == rounds
     assert counters["comm_rounds"] == sum(rounds.values())
     assert rounds == phase_rounds(rule, m, k, cfg.field.ell)
-    assert [counters["phases"][ph]["deal_rounds"] for ph in ("offline", "validate")] == [1, 1]
+    assert [counters["phases"][ph]["deal_rounds"] for ph in ("offline", "validate")] == [0, 1]
+    assert counters["offline_rounds"] == 6
 
 
 def test_phase_ledger_meets_the_round_model():
@@ -593,11 +599,72 @@ def test_phase_ledger_meets_the_round_model():
                                 (prime, rule, m, k, d, open_scores)
 
 
+def test_mask_layers_ride_the_frames_of_every_round(monkeypatch):
+    """For every rule, M <= 6 and K <= M at D = 3, every tallier sends
+    exactly D - 1 frames in every round of the tally, so no mask layer costs
+    a frame of its own, and the rounds are those of ``phase_rounds``, which
+    count the mask batch only where it runs alone."""
+    frames, send = {}, InMemoryTransport.send
+
+    def counted(self, to, msg):
+        key = (msg.sender, msg.round)
+        frames[key] = frames.get(key, 0) + 1
+        send(self, to, msg)
+
+    monkeypatch.setattr(InMemoryTransport, "send", counted)
+    for rule in ("copeland", "maximin", "kemeny"):
+        for m in range(1, 7):
+            for k in range(1, m + 1):
+                cfg = _cfg(rule=rule, m=m, k=k, seed=m)
+                frames.clear()
+                counters = run_local_election(cfg, make_shared_ballots(
+                    cfg, _rankings(rule, m, 5, seed=k))).result.counters
+                case = (rule, m, k)
+                assert counters["comm_rounds"] == sum(
+                    phase_rounds(rule, m, k, cfg.field.ell).values()), case
+                assert counters["messages"] == 2 * counters["comm_rounds"], case
+                assert sorted(frames) == [(d, r) for d in (1, 2, 3)
+                                          for r in range(counters["comm_rounds"])], case
+                assert set(frames.values()) == {2}, case
+
+
+@pytest.mark.parametrize("rule, m, k", [("copeland", 4, 2), ("maximin", 4, 1),
+                                        ("kemeny", 4, 2)])
+def test_a_short_validation_leaves_the_masks_to_the_offline_phase(rule, m, k):
+    """Two elections whose validation ends before the mask batch does: one
+    whose every ballot fails the degree check, so validation stops after
+    the check, and one with an empty spool, whose validation takes only the
+    roster round.  The batch finishes in rounds of its own, S = 4 + t = 6
+    layers at p = 65,519 in all, and the winners are the oracle's for no
+    accepted ballot."""
+    cfg = _cfg(rule=rule, m=m, k=k, seed=4)
+    assert cfg.prime == 65_519
+    rankings = _rankings(rule, m, 3, seed=4)
+    broken = [share_ballot(ranking_to_matrix(rule, r, m), cfg.field, cfg.talliers,
+                           cfg.talliers, cfg.voter_rng(v), v)
+              for v, r in enumerate(rankings, 1)]
+    expected = plain_winners(PlainElection(rule, m, k, ()))
+    for ballots, rode in ((broken, 2), ([], 0)):
+        def program(ctx):
+            return (ctx, *tallier_program(ctx, cfg, [b.bundle_for(ctx.party_id)
+                                                     for b in ballots]))
+
+        ctx, result, verdicts, _ = _run_local(cfg, program)[1]
+        phases = result.counters["phases"]
+        assert [v.reason for v in verdicts] == [REASON_DEGREE] * (3 if rode else 0)
+        assert result.winners == expected
+        assert phases["validate"]["offline_rounds"] == rode
+        assert phases["offline"]["comm_rounds"] == phases["offline"]["offline_rounds"] == 6 - rode
+        assert result.counters["offline_rounds"] == 6
+        assert result.counters["deal_rounds"] == 1
+        assert ctx._masks.shape[1] == 0 and ctx._stream is None
+
+
 def test_spare_masks_keep_the_offline_rounds_exact_at_16_bits(seeded_talliers):
     """Kemeny M=6 K=1 N=100 at p = 65,519 extracts 719 times, and about 0.05%
     of masks fail their checks.  On 20 seeds of the talliers, the tally takes
-    the rounds of ``phase_rounds`` exactly and pays two deal rounds, none for
-    a redraw."""
+    the rounds of ``phase_rounds`` exactly and pays one deal round, shared by
+    validation and the mask batch, none for a redraw."""
     model = phase_rounds("kemeny", 6, 1, 16)
     for seed in range(1, 21):
         cfg = _cfg(rule="kemeny", m=6, k=1, seed=seed)
@@ -605,7 +672,7 @@ def test_spare_masks_keep_the_offline_rounds_exact_at_16_bits(seeded_talliers):
         counters = run_local_election(cfg, make_shared_ballots(
             cfg, _rankings("kemeny", 6, 100, seed=seed))).result.counters
         assert {ph: c["comm_rounds"] for ph, c in counters["phases"].items()} == model, seed
-        assert counters["deal_rounds"] == 2, seed
+        assert counters["deal_rounds"] == 1, seed
 
 
 def _stray_vote(cfg, ranking, voter_id, party):
@@ -699,8 +766,8 @@ def test_rejected_ballot_proofs_open_in_one_round():
 
 
 def test_round_timeout_names_the_phase_and_the_missing_party():
-    """T3 prepares the tally's masks with its peers and then leaves: T1 and T2
-    time out in validation, and the error names the phase and T3."""
+    """T3 agrees the roster with its peers and then leaves: T1 and T2 time
+    out in validation's next round, and the error names the phase and T3."""
     cfg = _cfg(rule="copeland", m=3, k=1, seed=14)
     ballots = make_shared_ballots(cfg, _rankings("copeland", 3, 4, seed=13))
     hub = InMemoryHub(3, timeout=1.0)
@@ -708,7 +775,8 @@ def test_round_timeout_names_the_phase_and_the_missing_party():
     def body(d):
         ctx = build_context(cfg, d, SessionChannel(hub.transport(d), 1))
         if d == 3:
-            ctx.pregenerate(masks=lsb_extractions(cfg.rule, cfg.m, cfg.num_winners))
+            session._agree_roster(ctx, Spool.from_bundles(
+                [b.bundle_for(d) for b in ballots], cfg.rule, cfg.m, cfg.prime))
             return None
         with pytest.raises(RoundTimeout) as err:
             tallier_program(ctx, cfg, [b.bundle_for(d) for b in ballots])

@@ -11,7 +11,11 @@ and bytes moved, the Kemeny captures, which hold only aggregates, did not);
 the verdicts, winners, rankings and rounds stayed the same.  The rounds,
 messages and bytes, and so the phase digests, were read again when each
 select came to open the next comparison in its own round; the verdicts,
-winners, rankings and captures stayed the same."""
+winners, rankings and captures stayed the same.  They were read again, with
+the captured scores, when the mask batch came to ride validation's rounds
+and top-K's first opening the scores' last layer: the masks' draws now
+interleave with validation's, and the verdicts, winners, rankings, proofs
+and aggregates stayed the same."""
 
 import hashlib
 import json
@@ -55,28 +59,28 @@ def _captures(outcome) -> dict:
 # phase.  The configs name no prime, so each takes p = 65,519; each election
 # is pinned at 2^31 - 1 too, which the ladder picks for large ones.
 FOUR = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "81e00fae4f6c178a",
-     "3a74225c55789bcd", {"offline": 6, "validate": 19, "aggregate": 0, "score": 3,
-                          "select": 20}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "af87904c34cd9172",
-     "819a0c0b6879251e", {"offline": 6, "validate": 19, "aggregate": 0, "score": 10,
-                          "select": 20}),
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "0170edd239561a92",
+     "9e2b0b902ea0fd73", {"validate": 19, "offline": 0, "aggregate": 0, "score": 3,
+                          "select": 19}),
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "b8aa40a64c455bb7",
+     "e551aa7c9ca79eb7", {"validate": 19, "offline": 0, "aggregate": 0, "score": 10,
+                          "select": 19}),
     ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "5073724b4cd8c005",
-     "3df2252cec3c000b", {"offline": 6, "validate": 5, "aggregate": 0, "select": 22}),
+     "fa3971f9da827a27", {"validate": 5, "offline": 2, "aggregate": 0, "select": 22}),
     ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "19bb15727fb03c00",
-     "b594a2844ca96ba1", {"offline": 6, "validate": 5, "aggregate": 0, "select": 31}),
+     "5bd0537a36c1f116", {"validate": 5, "offline": 2, "aggregate": 0, "select": 31}),
 ]
 FOUR_AT_M31 = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "0c7cd5a6fbba9f39",
-     "ddee6ad6d53f7a9c", {"offline": 7, "validate": 19, "aggregate": 0, "score": 4,
-                          "select": 26}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "2cfe9921bee9ad95",
-     "9f6ed160670e7da8", {"offline": 7, "validate": 19, "aggregate": 0, "score": 13,
-                          "select": 26}),
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "21616878ef5ff025",
+     "12ef1467fe95c569", {"validate": 19, "offline": 0, "aggregate": 0, "score": 4,
+                          "select": 25}),
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "e6042a0ef1edeff2",
+     "14544145af74643d", {"validate": 19, "offline": 0, "aggregate": 0, "score": 13,
+                          "select": 25}),
     ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "2851c951d141b86c",
-     "72dca1d5a7877987", {"offline": 7, "validate": 5, "aggregate": 0, "select": 29}),
+     "8b19ada05c131109", {"validate": 5, "offline": 3, "aggregate": 0, "select": 29}),
     ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "cf91e8d45a706453",
-     "6ee82ec3b3cc8181", {"offline": 7, "validate": 5, "aggregate": 0, "select": 41}),
+     "c598e5958b73ea6e", {"validate": 5, "offline": 3, "aggregate": 0, "select": 41}),
 ]
 
 
@@ -128,8 +132,8 @@ def _edge_spools():
 
 PINNED_EDGE = {"winners": [4, 2],
                "aggregate": [21279, 38401, 12504, 27137, 15353, 21994],
-               "captures": "f342ae9a6b7df5fc", "proofs": "b0f777d7b2790c6c",
-               "phases": "8d39e2e12567ec77"}
+               "captures": "a33f6fc4402428a1", "proofs": "b0f777d7b2790c6c",
+               "phases": "9bdfd74ad4e0d66a"}
 
 
 def test_edge_spools_match_the_pinned_tally(seeded_talliers):
