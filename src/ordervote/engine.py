@@ -74,9 +74,10 @@ short declares itself and deals on the next exchange that carries nothing
 else (``deal_rounds``): a phase's first layer, and a mask batch's first.
 
 Every primitive that exchanges is written once, as a generator of layers
-(``Layers``): it yields each layer's part and receives its columns of the
-(D, k) matrix.  ``_run`` drives one in the foreground, an exchange per
-part, and ``_exchange`` drives the mask stream, a part per exchange.
+(``Layers``): it yields each layer's part and receives the D parties' rows
+of it, views into the frames received, never stacked into a (D, k) copy.
+``_run`` drives one in the foreground, an exchange per part, and
+``_exchange`` drives the mask stream, a part per exchange.
 
 Multiplying by public scalars, adding shares, and adding public constants are
 local operations and never touch the network or the gate counters.
@@ -102,8 +103,9 @@ WINDOW = 4  # bits per carry-tree leaf: 8 digits and 3 levels at ell = 31
 
 T = TypeVar("T")
 # a primitive's layers: each yields its part of an exchange's frame and
-# receives its columns of the parties' (D, k) matrix; returns the result
-Layers = Generator[np.ndarray, np.ndarray, T]
+# receives the parties' rows of it, one view per party in party order;
+# returns the result
+Layers = Generator[np.ndarray, list[np.ndarray], T]
 
 
 def _leaf_table() -> np.ndarray:
@@ -440,7 +442,7 @@ class PartyContext:
         """Sharings the declared layers still lack in the pool of ``thresholds``."""
         return max(self._owed[thresholds] - self._pools[thresholds].shape[1], 0)
 
-    def _exchange(self, values: np.ndarray) -> np.ndarray:
+    def _exchange(self, values: np.ndarray) -> list[np.ndarray]:
         """One communication round: every party sends ``values`` to each peer,
         then the mask stream's next part when one is pending
         (``prepare_masks``), then that peer's shares of its deal.  The deal is
@@ -448,10 +450,11 @@ class PartyContext:
         deals 1/(D - t) of it, rounded up, and ``_pool_extracted`` turns the
         D deals into D - t times as many sharings, of values that no t
         parties know; a surplus of fewer than D - t per pool stays for later
-        layers.  The stream then gets its columns and runs to its next part.
-        Returns the parties' values as a (D, k) matrix, ordered by party
-        index.  Every party runs the same program, so a frame of another
-        length is a misbehaving peer (InconsistentOpen)."""
+        layers.  The stream then gets its rows and runs to its next part.
+        Returns the parties' values as D rows, ordered by party index: views
+        into the frames received, which nothing writes to.  Every party runs
+        the same program, so a frame of another length is a misbehaving peer
+        (InconsistentOpen)."""
         values = np.asarray(values, dtype=np.uint64).ravel()
         part = self._part
         head = [values] if part is None else [values, part]
@@ -476,15 +479,15 @@ class PartyContext:
             self.counters.deal_rounds += not carried
             self._pool_extracted([got[d][carried:] for d in parties], rand, doubles)
         if part is not None:
-            self._advance(np.stack([got[d][k:carried] for d in parties]))
-        return np.stack([got[d][:k] for d in parties])
+            self._advance([got[d][k:carried] for d in parties])
+        return [got[d][:k] for d in parties]
 
-    def _advance(self, columns: np.ndarray) -> None:
-        """Hand the mask stream its columns of the last exchange; it runs to
+    def _advance(self, rows: list[np.ndarray]) -> None:
+        """Hand the mask stream its rows of the last exchange; it runs to
         its next part, or ends.  A stream that raises is dropped."""
         stream, self._stream, self._part = self._stream, None, None
         try:
-            self._part = stream.send(columns)
+            self._part = stream.send(rows)
         except StopIteration:
             return
         self._stream = stream
@@ -612,12 +615,14 @@ class PartyContext:
             return out, (yield from self._open_layer(then(out), purpose))
         yield from self._stocked({self._double_t: k})
         dbl = self.double_shares(k)
-        masked = f.add_vec(f.mul_vec(u.values.ravel(), v.values.ravel()), dbl.high.values)
+        masked = np.multiply(u.values.ravel(), v.values.ravel())
+        masked += dbl.high.values  # u*v + R <= (p - 1) * p < 2**64: one reduction
+        masked %= np.uint64(f.p)
         ride = None if then is None else then(-dbl.low.reshape(shape))
         got = yield masked if ride is None else np.concatenate([masked, ride.values.ravel()])
         self.counters.mul_gates += k
         self.counters.mul_rounds += 1
-        w = self._reconstruct(got[:, :k], high_t, "masked product shares")
+        w = self._reconstruct([row[:k] for row in got], high_t, "masked product shares")
         out = Shares(f, self.threshold, f.sub_vec(w, dbl.low.values).reshape(shape))
         if ride is None:
             return out
@@ -626,7 +631,8 @@ class PartyContext:
         def public(x: np.ndarray) -> np.ndarray:
             return then(Shares(f, self.threshold, x.reshape(shape))).values.ravel()
 
-        opened = f.add_vec(self._reconstruct(got[:, k:], ride.threshold, "opened shares"),
+        opened = f.add_vec(self._reconstruct([row[k:] for row in got], ride.threshold,
+                                             "opened shares"),
                            f.sub_vec(public(w), public(np.zeros(k, dtype=np.uint64))))
         return out, opened.reshape(ride.values.shape)
 
@@ -651,20 +657,20 @@ class PartyContext:
         self.counters.opens += k
         self.counters.open_log.append((purpose, k))
 
-    def _reconstruct(self, matrix: np.ndarray, threshold: int, what: str) -> np.ndarray:
-        """The values behind the (D, k) matrix of every party's shares of a
+    def _reconstruct(self, rows: list[np.ndarray], threshold: int, what: str) -> np.ndarray:
+        """The values behind the D rows of every party's shares of a
         threshold-``threshold`` sharing.  With more than ``threshold`` parties
         the extra shares must lie on the same polynomial (InconsistentOpen)."""
         if self.parties > threshold and not bool(
-                np.all(degree_at_most(self.field, matrix, threshold))):
+                np.all(degree_at_most(self.field, rows, threshold))):
             raise InconsistentOpen(f"{what} do not lie on a single "
                                    f"degree<={threshold - 1} polynomial")
-        return reconstruct_batch(self.field, range(1, threshold + 1), matrix[:threshold])
+        return reconstruct_batch(self.field, range(1, threshold + 1), rows[:threshold])
 
-    def open_share_matrix(self, values: np.ndarray, purpose: str) -> np.ndarray:
-        """Broadcast raw share values and return the full (D, k) matrix, ordered
-        by party index.  Used by the share-degree legality check, which needs
-        every evaluation point rather than a reconstruction."""
+    def open_share_matrix(self, values: np.ndarray, purpose: str) -> list[np.ndarray]:
+        """Broadcast raw share values and return every party's row of them,
+        ordered by party index.  Used by the share-degree legality check,
+        which needs every evaluation point rather than a reconstruction."""
         self._log_open(values.size, purpose)
         return self._exchange(values)
 
@@ -821,16 +827,16 @@ class PartyContext:
     def _mask_layers(self, n: int) -> Layers[None]:
         """``_prepare_masks``, its work counted in ``mask_counters`` and each
         round that carries one of its parts in ``offline_rounds``."""
-        layers, columns = self._prepare_masks(n), None
+        layers, rows = self._prepare_masks(n), None
         while True:
             fore, self.counters = self.counters, self.mask_counters
             try:
-                part = layers.send(columns)
+                part = layers.send(rows)
             except StopIteration:
                 return
             finally:
                 self.counters = fore
-            columns = yield part
+            rows = yield part
             self.counters.offline_rounds += 1
 
     def prepare_masks(self, n: int) -> None:

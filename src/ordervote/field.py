@@ -8,6 +8,15 @@ words.  The prime is a runtime value: a config takes p = 65,519 or
 tests also use tiny primes (7, 13, 31) so that bit-level protocols can be
 checked exhaustively.  Products of two canonical elements fit in 64 bits as
 long as p < 2**32, which is enforced at construction.
+
+Every op takes canonical operands and returns canonical results, with one
+reduction per value: a sum or difference of two canonical elements is
+within p of the range, so ``add_vec`` and ``sub_vec`` pick min(s, s - p) or
+min(d, d + p) on the wrapped uint64 word and never divide.  A uint64 ``%``
+costs about ten times a multiply or an add, so the kernels on validation's
+path (``shamir.share_batch``, ``shamir.combine_rows``, the masked product
+of ``engine.PartyContext.mul``) let a sum grow while it provably fits in
+64 bits and reduce it once.
 """
 
 from __future__ import annotations
@@ -99,11 +108,17 @@ class PrimeField:
     # -- vector ops (numpy uint64) ----------------------------------------
 
     def add_vec(self, a, b) -> np.ndarray:
-        return (np.asarray(a, dtype=np.uint64) + np.asarray(b, dtype=np.uint64)) % np.uint64(self.p)
+        """a + b mod p for canonical a and b: the sum s < 2p, and s - p wraps
+        past s exactly when s < p, so min(s, s - p) is the canonical sum."""
+        s = np.asarray(np.add(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)))
+        return np.minimum(s, np.subtract(s, np.uint64(self.p)), out=s)
 
     def sub_vec(self, a, b) -> np.ndarray:
-        pv = np.uint64(self.p)
-        return (np.asarray(a, dtype=np.uint64) + pv - np.asarray(b, dtype=np.uint64) % pv) % pv
+        """a - b mod p for canonical a and b: the wrapped difference d is
+        a - b when a >= b, and d + p wraps back to a - b + p when a < b, so
+        min(d, d + p) is the canonical difference."""
+        d = np.asarray(np.subtract(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)))
+        return np.minimum(d, np.add(d, np.uint64(self.p)), out=d)
 
     def mul_vec(self, a, b) -> np.ndarray:
         # a, b canonical so the product stays below 2**64

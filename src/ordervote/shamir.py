@@ -8,9 +8,12 @@ degree the dealer actually used (the share-legality check relies on this).
 
 Every entry point works on numpy arrays with one column per independent
 secret: ``share_batch`` deals, ``reconstruct_batch`` interpolates at x = 0,
-and ``degree_at_most`` tests each column's degree.  ``combine_rows``, the
+and ``degree_at_most`` tests each column's degree.  The last two take the
+parties' shares as rows, one per evaluation point, read where they lie: a
+(D, k) array or the D rows an exchange received.  ``combine_rows``, the
 public linear combination both rest on, also recomposes shared bits and
-extracts the talliers' dealt randomness.
+extracts the talliers' dealt randomness.  Operands are canonical and every
+result is, with one reduction per value (see ``field``).
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ class InsufficientShares(ShamirError):
     pass
 
 
-CHUNK = 1 << 17  # uint64 words per Horner block, about 1 MB
+CHUNK = 1 << 17  # uint64 words of shares per column chunk, about 1 MB
 
 
 def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties: int,
                 rng, out=None) -> np.ndarray:
-    """Share independent secrets at once, each under its own polynomial.
+    """Share independent canonical secrets at once, each under its own polynomial.
 
     One dealer: ``secrets`` is (k,) and ``rng`` a generator; returns a
     (parties, k) uint64 matrix, or fills ``out``, a sequence of ``parties``
@@ -50,7 +53,11 @@ def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties:
     generators, taken one at a time; returns an (n, parties, k) block, or
     fills ``out`` of that shape, dealer i's shares a contiguous (parties, k)
     slice.  Either way a dealer draws its (threshold - 1, k) coefficients in
-    one call, so dealer i's shares are those ``secrets[i]`` gets alone."""
+    one call, so dealer i's shares are those ``secrets[i]`` gets alone.
+
+    Shares are evaluated in place where they are returned, in chunks of about
+    1 MB of them, and reduced once each: Horner's sums grow unreduced while
+    (p - 1) * sum_j D**j stays below 2**64 (``_horner``)."""
     if not 1 <= threshold <= parties:
         raise InvalidThreshold(f"need 1 <= threshold <= parties, got {threshold}/{parties}")
     if parties >= field.p:
@@ -62,16 +69,13 @@ def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties:
     coeffs = field.rand_vec(rng, (threshold - 1, k))
     if out is None:
         out = np.empty((parties, k), dtype=np.uint64)
-    # Columns go in chunks of about 1 MB, so a large deal allocates no (D, k)
-    # block: freeing one lifts glibc's mmap threshold, and the socket
-    # benchmark's peak RSS rose about 20%.
+    # a chunk's coefficients stay in cache while every party's row of it is
+    # evaluated
     step = max(1, CHUNK // parties)
     for lo in range(0, k, step):
         cols = slice(lo, lo + step)
-        acc = np.empty((parties, len(secrets[cols])), dtype=np.uint64)
-        _horner(field, coeffs[:, cols], secrets[cols], acc)
-        for row, shares in zip(out, acc):
-            row[cols] = shares
+        for x, row in enumerate(out, start=1):
+            _horner(field, coeffs[:, cols], secrets[cols], row[cols], np.uint64(x), parties)
     return out
 
 
@@ -90,7 +94,8 @@ def _share_rows(field: PrimeField, secrets: np.ndarray, threshold: int, parties:
         block = coeffs[:, :len(secrets[rows])]
         for i in range(block.shape[1]):
             block[:, i] = field.rand_vec(next(rngs), (threshold - 1, k))
-        _horner(field, block[:, :, None], secrets[rows, None], out[rows])
+        _horner(field, block[:, :, None], secrets[rows, None], out[rows], _points(parties),
+                parties)
     return out
 
 
@@ -103,20 +108,28 @@ def _points(parties: int) -> np.ndarray:
 
 
 def _horner(field: PrimeField, coeffs: np.ndarray, secrets: np.ndarray,
-            acc: np.ndarray) -> None:
-    """acc[..., d - 1, :] = g(d) for d = 1..D, in place, where g's constant
-    term is ``secrets`` and its coefficient of x^(j+1) is ``coeffs[j]`` (each
-    broadcast against ``acc``).  Horner from a_{t-1} down to the secret at
-    every x at once: acc * x + a < 2pD stays below 2**64."""
-    p = np.uint64(field.p)
-    xs = _points(acc.shape[-2])
+            acc: np.ndarray, x, parties: int) -> None:
+    """acc = g(x) mod p in place, where g's constant term is ``secrets`` and
+    its coefficient of x^(j+1) is ``coeffs[j]`` (each canonical and broadcast
+    against ``acc``), at a point x <= D = ``parties`` or the column of points
+    1..D (``_points``).  Horner from a_{t-1} down to the secret: after j
+    steps acc is at most (p - 1) * sum_{i<=j} D**i, so acc is reduced once,
+    at the end, unless the next step could pass 2**64; then it is reduced
+    first (never for D <= 9 at p < 2**32; at p near 2**32 and D = 17 from
+    t = 9 on)."""
+    p = field.p
     terms = [*coeffs[::-1], secrets]
     acc[...] = terms[0]
+    bound = p - 1
     for term in terms[1:]:
-        acc *= xs
-        acc %= p
+        if bound * parties + p - 1 >= 1 << 64:
+            acc %= np.uint64(p)
+            bound = p - 1
+        acc *= x
         acc += term
-    acc %= p
+        bound = bound * parties + p - 1
+    if bound >= p:
+        acc %= np.uint64(p)
 
 
 @lru_cache(maxsize=None)
@@ -161,21 +174,22 @@ def combine_rows(field: PrimeField, coeffs: Sequence[int], rows: Sequence[np.nda
     return acc
 
 
-def reconstruct_batch(field: PrimeField, xs: Sequence[int], rows: np.ndarray) -> np.ndarray:
-    """Interpolate at x = 0: rows is (len(xs), k); returns the k secrets."""
+def reconstruct_batch(field: PrimeField, xs: Sequence[int],
+                      rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Interpolate at x = 0 from the rows of shares at the points xs, one
+    row of k per point (a (len(xs), k) array serves too); returns the k
+    secrets.  The rows are read where they lie, never stacked."""
     return combine_rows(field, lagrange_at_zero(field, xs),
-                         np.asarray(rows, dtype=np.uint64))
+                        [np.asarray(row, dtype=np.uint64) for row in rows])
 
 
-def degree_at_most(field: PrimeField, matrix: np.ndarray, threshold: int) -> np.ndarray:
-    """Boolean per column of the (D, k) share matrix: does the interpolant through
-    points 1..D have degree <= threshold-1?  Columns are independent sharings."""
-    parties = matrix.shape[0]
-    if threshold >= parties:
-        return np.ones(matrix.shape[1], dtype=bool)
+def degree_at_most(field: PrimeField, rows: Sequence[np.ndarray], threshold: int) -> np.ndarray:
+    """Boolean per column of the rows of shares at the points 1..D, one row
+    per point (a (D, k) array serves too): does the interpolant through
+    them have degree <= threshold-1?  Columns are independent sharings."""
+    ok = np.ones(len(rows[0]), dtype=bool)
     basis = tuple(range(1, threshold + 1))
-    ok = np.ones(matrix.shape[1], dtype=bool)
-    for x in range(threshold + 1, parties + 1):
+    for x in range(threshold + 1, len(rows) + 1):  # none when threshold >= D
         ok &= combine_rows(field, _lagrange_at(field.p, basis, x),
-                            matrix[:threshold]) == matrix[x - 1]
+                           rows[:threshold]) == rows[x - 1]
     return ok

@@ -31,6 +31,7 @@ holding it could see it, so rejecting it would split the talliers' verdicts.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -58,21 +59,18 @@ class ValidationVerdict(NamedTuple):
         return out
 
 
-def masked_degree_check(ctx: PartyContext, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-legality of k independent sharings held as this party's values.
-
-    Returns (legal flags, opened masked constants); the constants are
-    uniform field elements, exposed only so tests can verify that
-    uniformity.
-    """
+def masked_degree_check(ctx: PartyContext, values: np.ndarray) -> np.ndarray:
+    """Degree-legality of k independent sharings held as this party's
+    values: one flag per sharing.  The masked constants the opened rows
+    determine are uniform field elements, and nothing here reconstructs
+    them."""
     values = np.asarray(values, dtype=np.uint64)
     k = values.size
     if k == 0:
-        return np.ones(0, dtype=bool), np.zeros(0, dtype=np.uint64)
+        return np.ones(0, dtype=bool)
     masks = ctx.rand_shares(k)
-    matrix = ctx.open_share_matrix(ctx.field.add_vec(values, masks.values), "degree_check")
-    legal = degree_at_most(ctx.field, matrix, ctx.threshold)
-    return legal, reconstruct_batch(ctx.field, range(1, ctx.parties + 1), matrix)
+    rows = ctx.open_share_matrix(ctx.field.add_vec(values, masks.values), "degree_check")
+    return degree_at_most(ctx.field, rows, ctx.threshold)
 
 
 def _domain_factors(rule: str, entries: Shares) -> tuple[Shares, Shares]:
@@ -127,8 +125,7 @@ def batch_validate(ctx: PartyContext, spool: Spool, rule: str,
     batch = len(spool)
     width = _first_layer_width(rule, m)
     ctx.expect(rand=values.size, doubles=width * batch)
-    legal, _ = masked_degree_check(ctx, values.ravel())
-    degree_ok = legal.reshape(values.shape).all(axis=1)
+    degree_ok = masked_degree_check(ctx, values.ravel()).reshape(values.shape).all(axis=1)
     domain_ok = np.zeros(batch, dtype=bool)
     sums_ok = np.ones(batch, dtype=bool)
     live = np.flatnonzero(degree_ok)
@@ -141,8 +138,10 @@ def batch_validate(ctx: PartyContext, spool: Spool, rule: str,
                 ctx, values[live], rule, m)
 
     code = np.select([~degree_ok, ~domain_ok, ~sums_ok], [3, 2, 1], 0)
-    return list(map(ValidationVerdict, spool.ids.tolist(), (code == 0).tolist(),
-                    _REASONS[code].tolist()))
+    # tuple.__new__ builds each verdict from its fields in C, without the
+    # Python-level __new__ that NamedTuple generates
+    return list(map(partial(tuple.__new__, ValidationVerdict),
+                    zip(spool.ids.tolist(), (code == 0).tolist(), _REASONS[code].tolist())))
 
 
 def _first_layer_width(rule: str, m: int) -> int:
@@ -211,9 +210,8 @@ def reconstruct_rejected(ctx: PartyContext, spool: Spool) -> list[np.ndarray]:
     its shared entries."""
     if not len(spool):
         return []
-    matrix = ctx.open_share_matrix(spool.shares.ravel(), "rejected_ballot_proof")
-    opened = reconstruct_batch(ctx.field, range(1, ctx.threshold + 1),
-                               matrix[:ctx.threshold])
+    rows = ctx.open_share_matrix(spool.shares.ravel(), "rejected_ballot_proof")
+    opened = reconstruct_batch(ctx.field, range(1, ctx.threshold + 1), rows[:ctx.threshold])
     half = ctx.field.p // 2
     signed = np.where(opened > half, opened.astype(np.int64) - ctx.field.p,
                       opened.astype(np.int64)).reshape(spool.shares.shape)

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordervote.engine import Shares
 from ordervote.field import FieldError, PrimeField, is_prime
 from ordervote.transport import HEADER, MessageKind, ProtocolMessage
 
@@ -94,3 +97,33 @@ def test_wire_encoding_round_trip():
     assert len(frame) == 4 + HEADER.size + 8000
     assert body[:8] == int(xs[0]).to_bytes(8, "little")
     assert np.array_equal(ProtocolMessage.decode(frame[4:]).payload, xs)
+
+
+@pytest.mark.parametrize("p", [65_519, M31, 4_294_967_291])
+def test_canonical_ops_agree_with_python_integers(p):
+    """add_vec, sub_vec, Shares negation and mul_vec on canonical operands,
+    random ones and the edges 0, 1 and p - 1, array with array and array
+    with scalar: canonical results equal to Python's, and no overflow
+    warning from the wrapped uint64 words they pass through."""
+    f = PrimeField(p)
+    edges = np.array([0, 1, p - 1], dtype=np.uint64)
+    rng = np.random.default_rng(p)
+    a = np.concatenate([np.repeat(edges, 3), f.rand_vec(rng, 2000)])
+    b = np.concatenate([np.tile(edges, 3), f.rand_vec(rng, 2000)])
+    ops = {"add": (f.add_vec, lambda x, y: (x + y) % p),
+           "sub": (f.sub_vec, lambda x, y: (x - y) % p),
+           "mul": (f.mul_vec, lambda x, y: x * y % p)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for vec, exact in ops.values():
+            got = vec(a, b)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [exact(int(x), int(y)) for x, y in zip(a, b)]
+            for y in (*(int(e) for e in edges), int(b[-1])):
+                for scalar in (y, np.uint64(y)):
+                    assert vec(a, scalar).tolist() == [exact(int(x), y) for x in a]
+                    assert vec(scalar, a).tolist() == [exact(y, int(x)) for x in a]
+                    assert int(vec(scalar, scalar)) == exact(y, y)
+        neg = -Shares(f, 2, a)
+        assert neg.values.dtype == np.uint64
+        assert neg.values.tolist() == [-int(x) % p for x in a]

@@ -189,3 +189,34 @@ def test_a_batch_of_dealers_deals_each_row_as_one_dealer_would(monkeypatch):
                     poly = [int(row[col]), *(int(c) for c in coeffs[:, col])]
                     assert block[i, :, col].tolist() == _evaluate(poly, range(1, parties + 1), f.p)
     assert share_batch(f, secrets[:0], 2, 3, iter(())).shape == (0, 3, 7)
+
+
+@pytest.mark.parametrize("parties", [3, 5, 9, 17])
+def test_shares_equal_python_integer_evaluation_near_2_to_32(parties):
+    """Every threshold 1..D at p = 4,294,967,291, one dealer and a batch of
+    dealers: each share is the dealt polynomial evaluated in Python
+    integers.  Shares are reduced once, so the unreduced Horner sums come
+    close to 2**64; at D = 17 they would pass it from threshold 9 on, and
+    with every coefficient p - 1 they take the largest value they can."""
+    f = PrimeField(4_294_967_291)
+    p = f.p
+    secrets = np.array([0, 1, p - 1, *f.rand_vec(np.random.default_rng(parties), 9)],
+                       dtype=np.uint64)
+    xs = range(1, parties + 1)
+    worst = PrimeField(p)
+    worst.rand_vec = lambda rng, size: np.full(size, p - 1, dtype=np.uint64)
+    for threshold in range(1, parties + 1):
+        for field in (f, worst):
+            one = share_batch(field, secrets, threshold, parties, np.random.default_rng(threshold))
+            coeffs = field.rand_vec(np.random.default_rng(threshold), (threshold - 1, secrets.size))
+            for col, secret in enumerate(secrets):
+                poly = [int(secret), *(int(c) for c in coeffs[:, col])]
+                assert one[:, col].tolist() == _evaluate(poly, xs, p)
+            rows = secrets.reshape(3, 4)
+            block = share_batch(field, rows, threshold, parties,
+                                (np.random.default_rng(i) for i in range(3)))
+            for i, row in enumerate(rows):
+                coeffs = field.rand_vec(np.random.default_rng(i), (threshold - 1, 4))
+                for col, secret in enumerate(row):
+                    poly = [int(secret), *(int(c) for c in coeffs[:, col])]
+                    assert block[i, :, col].tolist() == _evaluate(poly, xs, p)

@@ -8,7 +8,7 @@ from ordervote.ballots import (BallotMatrix, SharedBallot, Spool, ranking_to_mat
                                share_ballot, upper_pairs)
 from ordervote.field import PrimeField
 from ordervote.oracle import legal_ballot_matrix
-from ordervote.shamir import share_batch
+from ordervote.shamir import reconstruct_batch, share_batch
 from ordervote.validation import (REASON_DEGREE, REASON_DOMAIN, REASON_SUMS,
                                   batch_validate, column_sum_shares,
                                   masked_degree_check, reconstruct_rejected)
@@ -50,9 +50,7 @@ def flip_breaking_condition4(rule, m, rng):
 def _degree_flags(field, rows):
     """masked_degree_check over party d's values rows[d]; party 1's flags."""
     def prog(ctx):
-        legal, _ = masked_degree_check(ctx, np.asarray(rows[ctx.party_id - 1],
-                                                       dtype=np.uint64))
-        return legal
+        return masked_degree_check(ctx, np.asarray(rows[ctx.party_id - 1], dtype=np.uint64))
 
     flags = run_parties(3, 2, field, prog)
     assert all(np.array_equal(flags[d], flags[1]) for d in (2, 3))
@@ -74,12 +72,21 @@ def test_degree_check_accepts_constant_shares(f31):
 
 
 def test_degree_check_opened_constants_are_uniform(f31):
+    # the masked constants behind the rows the check opens are uniform
     mx = deal(f31, np.full(31 * 60, 13, dtype=np.uint64), 2, 3, seed=2)
 
     def prog(ctx):
-        legal, constants = masked_degree_check(ctx, mx[ctx.party_id - 1])
-        assert legal.all()
-        return constants
+        opened = []
+        open_share_matrix = ctx.open_share_matrix
+
+        def capture(values, purpose):
+            opened.append(open_share_matrix(values, purpose))
+            return opened[-1]
+
+        ctx.open_share_matrix = capture
+        assert masked_degree_check(ctx, mx[ctx.party_id - 1]).all()
+        (rows,) = opened
+        return reconstruct_batch(ctx.field, range(1, ctx.parties + 1), rows)
 
     res = run_parties(3, 2, f31, prog)
     counts = np.bincount(res[1].astype(int), minlength=31)
