@@ -16,6 +16,13 @@ Primitives:
   share, checks that the D shares have degree at most 2D'-2 and reconstructs
   w+R itself, and subtracting the low-threshold shares of R lands back on a
   D'-out-of-D sharing of the product.
+* an opened-product layer (``open_products``), for products that are only
+  ever revealed: each party broadcasts its share product plus its share of
+  a sharing z of zero under threshold 2D'-1, and every party reconstructs
+  u*v at that threshold in the same round, checking the degree as above.
+  The broadcast polynomial is uniform among those whose constant is u*v,
+  so the view is that of a multiplication followed by its opening.  The
+  same frame may degree-reduce other gates, as ``mul`` does.
 * an opening that rides on a multiplication layer (``mul`` with ``then``):
   each product is the public W = uv + R less the shares of R, so an affine
   map L of the layer's products opens in the layer's own round.  Every
@@ -28,7 +35,7 @@ Primitives:
   x behind, the products of its bits within each 4-bit window, r_0 times
   the products of the windows above the lowest, and r recomposed from its
   bits (``mask_layout``).  Nothing in a mask depends on the input, so masks
-  come from a third pool, filled by one preparation routine (random bits,
+  come from a pool of their own, filled by one preparation routine (random bits,
   whose squares open on their own layer, two layers of window products,
   the r < p rejection check with the r_0-products on its levels, opened on
   its last, the recomposition; Damgard et al., TCC 2006).  It runs as a
@@ -59,15 +66,17 @@ Primitives:
   bounded inputs (the field bounds of ``config`` ensure it), so it is the
   engine's only comparison.
 
-Pools: random sharings, double sharings and LSB masks do not depend on the
-input, so each party keeps pools of them.  A caller declares (``expect``) the
-sharings a later layer will take, exactly; the next exchange (``mul``, ``open``,
-``open_share_matrix``) deals what the pools lack, each peer's shares riding
-behind the values sent to it.  Every party deals 1/(D - t) of it, for
-t = D' - 1, and a public Vandermonde matrix (``extractor``) turns every D
-deals into D - t sharings of values that no t parties know anything of
-(Damgard-Nielsen, CRYPTO 2007).  Declared one exchange ahead, a layer never
-stops for a refill.  A mask batch declares all its layers at once, so
+Pools: random sharings, double sharings, sharings of zero and LSB masks do
+not depend on the input, so each party keeps pools of them.  A caller
+declares (``expect``) the sharings a later layer will take, exactly; the
+next exchange (``mul``, ``open``, ``open_share_matrix``) deals what the
+pools lack, each peer's shares riding behind the values sent to it.
+Every party deals 1/(D - t) of it, for t = D' - 1, and a public Vandermonde
+matrix (``extractor``) turns every D deals into D - t sharings of values
+that no t parties know anything of (Damgard-Nielsen, CRYPTO 2007); applied
+to D deals of zero, it gives D - t sharings of zero whose polynomials are
+uniform and independent of what any t parties dealt.  Declared one
+exchange ahead, a layer never stops for a refill.  A mask batch declares all its layers at once, so
 neither stream finds a pool short in the middle of a merge, and the
 batch's deal rides only its first exchange.  A take that finds its pool
 short declares itself and deals on the next exchange that carries nothing
@@ -342,6 +351,7 @@ class Counters:
     comparisons: int = 0
     rand_sharings: int = 0
     double_sharings: int = 0
+    zero_sharings: int = 0
     open_log: list = dataclass_field(default_factory=list)
     phase_cpu: dict = dataclass_field(default_factory=dict)  # seconds, by session._phase
     phase_wait: dict = dataclass_field(default_factory=dict)  # seconds, by session._phase
@@ -355,8 +365,9 @@ class PartyContext:
     """One tallier's handle on a protocol session.
 
     Owns the party's randomness, its transport channel, instrumentation
-    counters, and pools of pre-generated random sharings, double sharings
-    and LSB masks (the pools can be filled before any ballots arrive).
+    counters, and pools of pre-generated random sharings, double sharings,
+    sharings of zero and LSB masks (the pools can be filled before any
+    ballots arrive).
     """
 
     def __init__(self, party_id: int, parties: int, threshold: int,
@@ -373,11 +384,10 @@ class PartyContext:
         self.counters = Counters()
         self.mask_counters = Counters()  # the mask batches' work (``mask_work``)
         self.capture_store: dict | None = None
-        # pooled sharings, one row per threshold: random (D',), double (D', 2D'-1)
-        self._rand_t = (threshold,)
-        self._double_t = (threshold, 2 * threshold - 1)
-        self._pools = {t: np.zeros((len(t), 0), dtype=np.uint64)
-                       for t in (self._rand_t, self._double_t)}
+        # pooled sharings, one row per threshold: random (D'), double (D' and
+        # 2D'-1) and zero (2D'-1)
+        self._pools = {pool: np.zeros((rows, 0), dtype=np.uint64)
+                       for pool, rows in (("rand", 1), ("double", 2), ("zero", 1))}
         # per pool, the sharings declared (``expect``) for layers still to come
         self._owed = dict.fromkeys(self._pools, 0)
         self._extractor = extractor(field.p, parties, threshold)
@@ -412,6 +422,7 @@ class PartyContext:
             "comparisons": c.comparisons,
             "rand_sharings": c.rand_sharings,
             "double_sharings": c.double_sharings,
+            "zero_sharings": c.zero_sharings,
         }
         for key, value in self.mask_work().items():
             out[key] += value
@@ -430,17 +441,18 @@ class PartyContext:
 
     # -- shared randomness ---------------------------------------------------
 
-    def expect(self, rand: int = 0, doubles: int = 0) -> None:
-        """Declare the random and double sharings that later layers will take.
-        The next exchange deals what the pools lack of them on its way, so
-        those layers never stop for a refill round.  A negative amount
-        withdraws part of an earlier declaration."""
-        self._owed[self._rand_t] += rand
-        self._owed[self._double_t] += doubles
+    def expect(self, rand: int = 0, doubles: int = 0, zeros: int = 0) -> None:
+        """Declare the random, double and zero sharings that later layers
+        will take.  The next exchange deals what the pools lack of them on
+        its way, so those layers never stop for a refill round.  A negative
+        amount withdraws part of an earlier declaration."""
+        self._owed["rand"] += rand
+        self._owed["double"] += doubles
+        self._owed["zero"] += zeros
 
-    def _due(self, thresholds: tuple[int, ...]) -> int:
-        """Sharings the declared layers still lack in the pool of ``thresholds``."""
-        return max(self._owed[thresholds] - self._pools[thresholds].shape[1], 0)
+    def _due(self, pool: str) -> int:
+        """Sharings the declared layers still lack in ``pool``."""
+        return max(self._owed[pool] - self._pools[pool].shape[1], 0)
 
     def _exchange(self, values: np.ndarray) -> list[np.ndarray]:
         """One communication round: every party sends ``values`` to each peer,
@@ -448,9 +460,10 @@ class PartyContext:
         (``prepare_masks``), then that peer's shares of its deal.  The deal is
         what the declared layers lack (``_due``) in each pool: each party
         deals 1/(D - t) of it, rounded up, and ``_pool_extracted`` turns the
-        D deals into D - t times as many sharings, of values that no t
-        parties know; a surplus of fewer than D - t per pool stays for later
-        layers.  The stream then gets its rows and runs to its next part.
+        D deals into D - t times as many sharings, of values (or, for the
+        zero pool, of polynomials) that no t parties know; a surplus of
+        fewer than D - t per pool stays for later layers.  The stream then
+        gets its rows and runs to its next part.
         Returns the parties' values as D rows, ordered by party index: views
         into the frames received, which nothing writes to.  Every party runs
         the same program, so a frame of another length is a misbehaving peer
@@ -459,25 +472,25 @@ class PartyContext:
         part = self._part
         head = [values] if part is None else [values, part]
         outputs = len(self._extractor)
-        rand = -(-self._due(self._rand_t) // outputs)
-        doubles = -(-self._due(self._double_t) // outputs)
+        rand, doubles, zeros = (-(-self._due(pool) // outputs) for pool in self._pools)
+        dealt = rand + 2 * doubles + zeros
         k, parties = values.size, range(1, self.parties + 1)
         carried = k + (0 if part is None else part.size)
-        if rand + doubles:
-            payloads = self._payloads(head, rand, doubles)
+        if dealt:
+            payloads = self._payloads(head, rand, doubles, zeros)
             got = self.channel.scatter({d: payloads[d - 1] for d in parties})
             got[self.party_id] = payloads[self.party_id - 1]
         else:
             got = self.channel.exchange_all(values if part is None else np.concatenate(head))
-        width = carried + rand + 2 * doubles
+        width = carried + dealt
         for d, payload in got.items():
             if payload.size != width:
                 raise InconsistentOpen(
                     f"T{d} sent {payload.size} values in round "
                     f"{self.channel.stats.rounds - 1}; T{self.party_id} expected {width}")
-        if rand + doubles:
+        if dealt:
             self.counters.deal_rounds += not carried
-            self._pool_extracted([got[d][carried:] for d in parties], rand, doubles)
+            self._pool_extracted([got[d][carried:] for d in parties], rand, doubles, zeros)
         if part is not None:
             self._advance([got[d][k:carried] for d in parties])
         return [got[d][:k] for d in parties]
@@ -502,39 +515,47 @@ class PartyContext:
         except StopIteration as done:
             return done.value
 
-    def _pool_extracted(self, deals: list[np.ndarray], rand: int, doubles: int) -> None:
-        """Extract the D received deals, each ``rand`` random sharings and
-        ``doubles`` double sharings (their low halves, then their high ones),
-        and append the outputs to the pools.  The same extractor row applied
-        to the low and the high halves gives one value under both
-        thresholds, a double sharing.  The output rows are split as views,
-        so the block is copied only into the pools."""
-        out = np.empty((len(self._extractor), rand + 2 * doubles), dtype=np.uint64)
+    def _pool_extracted(self, deals: list[np.ndarray], rand: int, doubles: int,
+                        zeros: int) -> None:
+        """Extract the D received deals, each ``rand`` random sharings,
+        ``doubles`` double sharings (their low halves, then their high ones)
+        and ``zeros`` sharings of zero, and append the outputs to the pools.
+        The same extractor row applied to the low and the high halves gives
+        one value under both thresholds, a double sharing, and applied to
+        sharings of zero a sharing of zero.  The output rows are split as
+        views, so the block is copied only into the pools."""
+        out = np.empty((len(self._extractor), rand + 2 * doubles + zeros), dtype=np.uint64)
         extract(self.field, self._extractor, deals, out)
-        for thresholds, new in ((self._rand_t, [row[None, :rand] for row in out]),
-                                (self._double_t, [row[rand:].reshape(2, doubles) for row in out])):
-            self._pools[thresholds] = np.concatenate([self._pools[thresholds], *new], axis=1)
+        paired = rand + 2 * doubles
+        for pool, new in (("rand", [row[None, :rand] for row in out]),
+                          ("double", [row[rand:paired].reshape(2, doubles) for row in out]),
+                          ("zero", [row[None, paired:] for row in out])):
+            self._pools[pool] = np.concatenate([self._pools[pool], *new], axis=1)
 
-    def _payloads(self, head: list[np.ndarray], rand: int, doubles: int) -> list[np.ndarray]:
+    def _payloads(self, head: list[np.ndarray], rand: int, doubles: int,
+                  zeros: int) -> list[np.ndarray]:
         """Party d's payload, for d = 1..D: the arrays of ``head`` (the values,
-        then the stream's part), then d's shares of this party's uniform
-        contributions, ``rand`` of them under threshold D' and ``doubles``
-        more under D' and again under 2D'-1.  Everything is written straight
-        into each party's buffer, not into one (D, n) block (see
-        ``share_batch``)."""
-        low, high = self._double_t
-        if doubles and high > self.parties:
+        then the stream's part), then d's shares of this party's
+        contributions: ``rand`` uniform values under threshold D',
+        ``doubles`` more under D' and again under 2D'-1, and ``zeros``
+        zeros under 2D'-1.  Everything is written straight into each
+        party's buffer, not into one (D, n) block (see ``share_batch``)."""
+        low, high = self.threshold, 2 * self.threshold - 1
+        if doubles + zeros and high > self.parties:
             raise DegreeOverflow(f"threshold {high} exceeds D = {self.parties}")
         k = sum(h.size for h in head)
-        buffers = [np.empty(k + rand + 2 * doubles, dtype=np.uint64)
-                   for _ in range(self.parties)]
+        paired = k + rand + 2 * doubles
+        buffers = [np.empty(paired + zeros, dtype=np.uint64) for _ in range(self.parties)]
         for buf in buffers:
             np.concatenate(head, out=buf[:k])
         secrets = self.field.rand_vec(self.rng, rand + doubles)
         share_batch(self.field, secrets, low, self.parties, self.rng,
                     out=[buf[k:k + rand + doubles] for buf in buffers])
         share_batch(self.field, secrets[rand:], high, self.parties, self.rng,
-                    out=[buf[k + rand + doubles:] for buf in buffers])
+                    out=[buf[k + rand + doubles:paired] for buf in buffers])
+        if zeros:
+            share_batch(self.field, np.zeros(zeros, dtype=np.uint64), high, self.parties,
+                        self.rng, out=[buf[paired:] for buf in buffers])
         return buffers
 
     def _deal(self) -> None:
@@ -542,44 +563,51 @@ class PartyContext:
         layers lack, behind the stream's next part if one is pending."""
         self._exchange(np.zeros(0, dtype=np.uint64))
 
-    def _stocked(self, need: dict[tuple[int, ...], int]) -> Layers[None]:
-        """The layers that leave ``need[thresholds]`` sharings in each pool:
-        none when the pools hold them, else one deal-only part, after each
-        short pool has raised its declaration to what it needs.  A layer
-        declared one exchange ahead finds them pooled."""
-        short = [t for t, k in need.items() if self._pools[t].shape[1] < k]
-        for t in short:
-            self._owed[t] = max(self._owed[t], need[t])
+    def _stocked(self, need: dict[str, int]) -> Layers[None]:
+        """The layers that leave ``need[pool]`` sharings in each pool: none
+        when the pools hold them, else one deal-only part, after each short
+        pool has raised its declaration to what it needs.  A layer declared
+        one exchange ahead finds them pooled."""
+        short = [pool for pool, k in need.items() if self._pools[pool].shape[1] < k]
+        for pool in short:
+            self._owed[pool] = max(self._owed[pool], need[pool])
         if short:
             yield np.zeros(0, dtype=np.uint64)
 
-    def _take(self, thresholds: tuple[int, ...], k: int) -> np.ndarray:
-        """k pooled sharings per threshold; returns (len(thresholds), k).  A
-        pool too short deals first (``_stocked``)."""
-        self._run(self._stocked({thresholds: k}))
-        pool = self._pools[thresholds]
-        self._pools[thresholds] = pool[:, k:]
-        self._owed[thresholds] = max(self._owed[thresholds] - k, 0)
-        return pool[:, :k]
+    def _take(self, pool: str, k: int) -> np.ndarray:
+        """k sharings from ``pool``, one row per threshold: (1, k), or (2, k)
+        for double sharings.  A pool too short deals first (``_stocked``)."""
+        self._run(self._stocked({pool: k}))
+        taken = self._pools[pool]
+        self._pools[pool] = taken[:, k:]
+        self._owed[pool] = max(self._owed[pool] - k, 0)
+        return taken[:, :k]
 
     def rand_shares(self, k: int) -> Shares:
         """Shares of k uniform field values unknown to any minority coalition."""
         self.counters.rand_sharings += k
-        return Shares(self.field, self.threshold, self._take(self._rand_t, k)[0])
+        return Shares(self.field, self.threshold, self._take("rand", k)[0])
 
     def double_shares(self, k: int) -> DoubleSharing:
         """k double sharings: the same random value under thresholds D' and 2D'-1."""
         self.counters.double_sharings += k
-        low, high = self._take(self._double_t, k)
-        return DoubleSharing(Shares(self.field, self._double_t[0], low),
-                             Shares(self.field, self._double_t[1], high))
+        low, high = self._take("double", k)
+        return DoubleSharing(Shares(self.field, self.threshold, low),
+                             Shares(self.field, 2 * self.threshold - 1, high))
+
+    def zero_shares(self, k: int) -> Shares:
+        """k sharings of zero under threshold 2D'-1, each uniform among them
+        and unknown beyond their shares to any minority coalition."""
+        self.counters.zero_sharings += k
+        return Shares(self.field, 2 * self.threshold - 1, self._take("zero", k)[0])
 
     def pregenerate(self, rand: int = 0, doubles: int = 0, masks: int = 0) -> None:
         """Fill the pools in rounds of their own: the sharings in one round,
-        then ``masks`` LSB masks, which draw on them.  A tally does not call
-        it: its masks ride its validation's rounds (``prepare_masks``)."""
+        with any declared before, then ``masks`` LSB masks, which draw on
+        them.  A tally does not call it: its masks ride its validation's
+        rounds (``prepare_masks``)."""
         self.expect(rand, doubles)
-        if self._due(self._rand_t) or self._due(self._double_t):
+        if any(self._due(pool) for pool in self._pools):
             self._deal()
         if masks:
             self._run(self._mask_layers(masks))
@@ -613,7 +641,7 @@ class PartyContext:
             if then is None:
                 return out
             return out, (yield from self._open_layer(then(out), purpose))
-        yield from self._stocked({self._double_t: k})
+        yield from self._stocked({"double": k})
         dbl = self.double_shares(k)
         masked = np.multiply(u.values.ravel(), v.values.ravel())
         masked += dbl.high.values  # u*v + R <= (p - 1) * p < 2**64: one reduction
@@ -635,6 +663,52 @@ class PartyContext:
                                              "opened shares"),
                            f.sub_vec(public(w), public(np.zeros(k, dtype=np.uint64))))
         return out, opened.reshape(ride.values.shape)
+
+    def open_products(self, u: Shares, v: Shares, purpose: str,
+                      reduce: tuple[Shares, Shares] | None = None
+                      ) -> np.ndarray | tuple[np.ndarray, Shares]:
+        """Open u*v elementwise for ``purpose`` in one layer, with no double
+        sharing and no opening round.  Every party broadcasts its share
+        product masked by its share of a sharing of zero under threshold
+        2D'-1, and reconstructs u*v at that threshold.  With ``reduce``, a
+        pair (x, y), the same frame also multiplies x*y as ``mul`` does.
+        Returns the opened products and, with ``reduce``, the shares of x*y."""
+        return self._run(self._product_layer(u, v, purpose, reduce))
+
+    def _product_layer(self, u: Shares, v: Shares, purpose: str,
+                       reduce: tuple[Shares, Shares] | None
+                       ) -> Layers[np.ndarray | tuple[np.ndarray, Shares]]:
+        """The layer of ``open_products``; with pools short of its zero or
+        double sharings, a deal-only part first.  The k opened gates come
+        first in the frame, then the degree-reduced ones."""
+        x, y = (u[:0], v[:0]) if reduce is None else reduce
+        if u.values.shape != v.values.shape or x.values.shape != y.values.shape:
+            raise MpcError("mul operands must have the same shape")
+        high_t = 2 * self.threshold - 1
+        if high_t > self.parties:
+            raise DegreeOverflow(f"2D'-1 = {high_t} exceeds D = {self.parties}")
+        f, k, j = self.field, u.size, x.size
+        if k + j == 0:
+            opened, out = u.values.copy(), Shares(f, self.threshold, x.values.copy())
+            return opened if reduce is None else (opened, out)
+        yield from self._stocked({"zero": k, "double": j})
+        zeros, dbl = self.zero_shares(k), self.double_shares(j)
+        masked = np.empty(k + j, dtype=np.uint64)
+        np.multiply(u.values.ravel(), v.values.ravel(), out=masked[:k])
+        np.multiply(x.values.ravel(), y.values.ravel(), out=masked[k:])
+        masked[:k] += zeros.values  # u*v + z <= (p - 1) * p < 2**64: one reduction
+        masked[k:] += dbl.high.values
+        masked %= np.uint64(f.p)
+        got = yield masked
+        self.counters.mul_gates += k + j
+        self.counters.mul_rounds += 1
+        w = self._reconstruct(got, high_t, "product shares")
+        self._log_open(k, purpose)
+        opened = w[:k].reshape(u.values.shape)
+        if reduce is None:
+            return opened
+        return opened, Shares(f, self.threshold,
+                              f.sub_vec(w[k:], dbl.low.values).reshape(x.values.shape))
 
     # -- openings -------------------------------------------------------------
 
@@ -685,7 +759,7 @@ class PartyContext:
         them deal on a deal-only part first."""
         f = self.field
         k = int(np.prod(shape))
-        yield from self._stocked({self._rand_t: k, self._double_t: k})
+        yield from self._stocked({"rand": k, "double": k})
         rho = self.rand_shares(k)
         _, a = yield from self._mul_layer(rho, rho, then=lambda sq: sq, purpose="lsb_mask")
         ok = a != 0

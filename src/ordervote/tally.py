@@ -105,8 +105,8 @@ def phase_rounds(rule: str, m: int, k: int, ell: int) -> dict[str, int]:
     (``PartyContext.mul`` with ``then``); L(n) = ceil(log2 n).
 
     * validate: the roster round, then, when a ballot shares any entry, a
-      deal round, the degree check, the product layers (M(M-1)/2, or one for
-      kemeny) and their opening: V rounds;
+      deal round, the degree check and the product layers (M(M-1)/2, or one
+      for kemeny), the last of which opens what is left to open: V rounds;
     * offline, the rounds in which the mask stream runs alone: it has
       S = 4 + t layers when the tally extracts at all (a deal, the random
       bits, whose squares open on their own layer, the two layers of
@@ -133,7 +133,7 @@ def phase_rounds(rule: str, m: int, k: int, ell: int) -> dict[str, int]:
 
     pairs = len(upper_pairs(m))
     products = (1 if rule == "kemeny" else pairs) if pairs else 0
-    validate = 1 + (3 + products if pairs else 0)
+    validate = 1 + (2 + products if pairs else 0)
     stream = 4 + max(t, 1) if lsb_extractions(rule, m, k) else 0
     rounds = {"validate": validate, "offline": max(stream - (validate - 1), 0),
               "aggregate": 0}

@@ -11,9 +11,9 @@ Three checks run against every submission, in this order:
    has the same degree as the dealer's polynomial, while its free coefficient
    is uniformly random, so nothing about the entry leaks.
 2. entry domain (condition 1): a shared x is in {-1,1} iff (x+1)(x-1) = 0 and
-   in {0,1} iff x(x-1) = 0; one multiplication gate per entry, all entries in
-   the same round, products opened and compared with zero.  Kemeny ballots
-   additionally check every opposing pair sum against {0,1} the same way.
+   in {0,1} iff x(x-1) = 0; one multiplication gate per entry, its product
+   opened and compared with zero.  Kemeny ballots additionally check every
+   opposing pair sum against {0,1} the same way.
 3. distinct column sums (condition 4, copeland/maximin): shares of the column
    sums come from local linear algebra; the product of all pairwise
    differences F(Q) is folded one factor per round and finally squared, so the
@@ -23,10 +23,15 @@ Three checks run against every submission, in this order:
 ``batch_validate`` is the only entry point.  It takes B ballots as a
 ``ballots.Spool``, one row of shares per voter, interleaves checks 2 and 3
 across them so each of the M(M-1)/2 rounds carries 2B simultaneous
-multiplication gates (the last round carries the B squarings), and returns
-one verdict per row, in row order.  The spool holds each share reduced mod
-p: a value >= p stands for the same field element, and only the tallier
-holding it could see it, so rejecting it would split the talliers' verdicts.
+multiplication gates, and returns one verdict per row, in row order.  Only
+the domain products and F(Q)^2 are ever revealed, so they open straight
+from their product shares (``PartyContext.open_products``): round r opens
+entry r's domain product and multiplies fold step r in the same frame, and
+the last round opens the last domain product and F(Q)^2, with no opening
+round after it.  Kemeny's products all open in one round.  The spool holds
+each share reduced mod p: a value >= p stands for the same field element,
+and only the tallier holding it could see it, so rejecting it would split
+the talliers' verdicts.
 """
 
 from __future__ import annotations
@@ -123,13 +128,14 @@ def batch_validate(ctx: PartyContext, spool: Spool, rule: str,
     # the first product layer is dealt for every ballot with the degree
     # check's masks; the ballots that fail the check then leave it
     batch = len(spool)
-    width = _first_layer_width(rule, m)
-    ctx.expect(rand=values.size, doubles=width * batch)
+    opened, reduced = _first_layer(rule, m)
+    ctx.expect(rand=values.size, zeros=opened * batch, doubles=reduced * batch)
     degree_ok = masked_degree_check(ctx, values.ravel()).reshape(values.shape).all(axis=1)
     domain_ok = np.zeros(batch, dtype=bool)
     sums_ok = np.ones(batch, dtype=bool)
     live = np.flatnonzero(degree_ok)
-    ctx.expect(doubles=-width * (batch - live.size))
+    failed = batch - live.size
+    ctx.expect(zeros=-opened * failed, doubles=-reduced * failed)
     if live.size:
         if rule == "kemeny":
             domain_ok[live] = _validate_kemeny_conditions(ctx, values[live], m)
@@ -144,19 +150,23 @@ def batch_validate(ctx: PartyContext, spool: Spool, rule: str,
                     zip(spool.ids.tolist(), (code == 0).tolist(), _REASONS[code].tolist())))
 
 
-def _first_layer_width(rule: str, m: int) -> int:
-    """Gates per ballot in the first product layer of conditions 1 and 4."""
+def _first_layer(rule: str, m: int) -> tuple[int, int]:
+    """Gates per ballot in the first product layer of conditions 1 and 4,
+    as (opened, degree-reduced)."""
     pairs = len(upper_pairs(m))
     if rule == "kemeny":
-        return 3 * pairs  # M(M-1) entry domains and M(M-1)/2 pair sums
-    return 2 if pairs else 0  # one entry domain and one fold step of F(Q)
+        return 3 * pairs, 0  # M(M-1) entry domains and M(M-1)/2 pair sums
+    if pairs == 1:
+        return 2, 0  # the only entry domain and F(Q)^2
+    return (1, 1) if pairs else (0, 0)  # an entry domain, and a fold step of F(Q)
 
 
 def _validate_interleaved(ctx: PartyContext, values: np.ndarray, rule: str,
                           m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Copeland/maximin conditions over a (B, C) value matrix: C rounds of 2B
-    gates; round r pairs entry r's domain product with fold step r of F(Q),
-    the final fold step being the squaring."""
+    """Copeland/maximin conditions over a (B, C) value matrix: C layers of 2B
+    gates.  Layer r < C opens entry r's domain product and multiplies fold
+    step r of F(Q); layer C opens the last domain product and F(Q)^2, the
+    squaring of the fold."""
     batch, c = values.shape
     if c == 0:
         return np.ones(batch, dtype=bool), np.ones(batch, dtype=bool)
@@ -166,29 +176,24 @@ def _validate_interleaved(ctx: PartyContext, values: np.ndarray, rule: str,
     pairs = upper_pairs(m)
     diffs = [sums[:, b - 1] - sums[:, a - 1] for a, b in pairs]
 
-    products = np.empty((batch, c), dtype=np.uint64)
+    domain_ok = np.ones(batch, dtype=bool)
     fold = diffs[0]
-    for r in range(1, c + 1):
-        if r < c:
-            ctx.expect(doubles=2 * batch)  # the next round's gates ride on this one
-        factor = diffs[r] if r < c else fold  # last step squares F
-        left = Shares.concat([u_all[:, r - 1], fold])
-        right = Shares.concat([v_all[:, r - 1], factor])
-        out = ctx.mul(left, right)
-        products[:, r - 1] = out.values[:batch]
-        fold = out[batch:]
-    opened = ctx.open(
-        Shares.concat([Shares(ctx.field, ctx.threshold, products.ravel()), fold]),
-        "validation_product").reshape(-1)
-    domain_ok = (opened[:batch * c].reshape(batch, c) == 0).all(axis=1)
-    sums_ok = opened[batch * c:] != 0
-    return domain_ok, sums_ok
+    for r in range(1, c):
+        last = r + 1 == c  # the next layer's sharings are dealt on this one
+        ctx.expect(zeros=(2 if last else 1) * batch, doubles=(0 if last else 1) * batch)
+        opened, fold = ctx.open_products(u_all[:, r - 1], v_all[:, r - 1],
+                                         "validation_product", (fold, diffs[r]))
+        domain_ok &= opened == 0
+    opened = ctx.open_products(Shares.concat([u_all[:, c - 1], fold]),
+                               Shares.concat([v_all[:, c - 1], fold]), "validation_product")
+    domain_ok &= opened[:batch] == 0
+    return domain_ok, opened[batch:] != 0
 
 
 def _validate_kemeny_conditions(ctx: PartyContext, values: np.ndarray,
                                 m: int) -> np.ndarray:
     """Kemeny legality: every entry in {0,1} and every opposing pair sum in
-    {0,1}; all products run as one simultaneous round."""
+    {0,1}; all products open in one layer."""
     entries = Shares(ctx.field, ctx.threshold, values)
     u, v = _domain_factors("kemeny", entries)
     pos = {pair: i for i, pair in enumerate(entry_pairs("kemeny", m))}
@@ -198,9 +203,9 @@ def _validate_kemeny_conditions(ctx: PartyContext, values: np.ndarray,
     # one row per ballot: its domain factors, then its pair-sum factors
     left = np.concatenate([u.values, sums.values], axis=1)
     right = np.concatenate([v.values, (sums - 1).values], axis=1)
-    products = ctx.mul(Shares(ctx.field, ctx.threshold, left),
-                       Shares(ctx.field, ctx.threshold, right))
-    return (ctx.open(products, "validation_product") == 0).all(axis=1)
+    products = ctx.open_products(Shares(ctx.field, ctx.threshold, left),
+                                 Shares(ctx.field, ctx.threshold, right), "validation_product")
+    return (products == 0).all(axis=1)
 
 
 def reconstruct_rejected(ctx: PartyContext, spool: Spool) -> list[np.ndarray]:

@@ -453,11 +453,11 @@ def test_bench_smoke(tmp_path, capsys):
     assert list(rows) == ["validate", "offline", "aggregate", "score", "select", "total"]
     assert rows["validate"]["mul_rounds"] == 3  # M(M-1)/2 for M = 3
     assert rows["validate"]["mul_gates"] == 2 * 20 * 3
-    # at p = 2^31 - 1 the mask batch has 4 + 3 layers: 6 ride validation's
-    # rounds after the roster round and the last runs alone, but all its
+    # at p = 2^31 - 1 the mask batch has 4 + 3 layers: 5 ride validation's
+    # rounds after the roster round and the last 2 run alone, but all its
     # work is the offline phase's: 220 gates a mask, spares included
-    assert rows["validate"]["offline_rounds"] == 6
-    assert rows["offline"]["comm_rounds"] == rows["offline"]["offline_rounds"] == 1
+    assert rows["validate"]["offline_rounds"] == 5
+    assert rows["offline"]["comm_rounds"] == rows["offline"]["offline_rounds"] == 2
     assert rows["offline"]["mul_gates"] == 220 * (8 + spare_masks(M31, 31, 8))
     total = rows.pop("total")
     assert total.pop("seconds_median") > 0
@@ -545,7 +545,8 @@ def test_reconstruct_rejected_flag_prints_proof(tmp_path, capsys, backend):
 def test_validate_prints_its_ledger(tmp_path, capsys, backend):
     """``validate`` prints its phase's counters as ``tally`` prints its own:
     for Copeland M=3 and 3 ballots, the roster round, a deal round, the
-    degree check, M(M-1)/2 = 3 layers of 2B gates and their opening."""
+    degree check and M(M-1)/2 = 3 layers of 2B gates, which open their
+    products themselves."""
     sockets = {"backend": "socket", "endpoints": _free_endpoints(3)} \
         if backend == "socket" else {}
     cfg = write_config(tmp_path / "cfg.json", **sockets)
@@ -558,7 +559,7 @@ def test_validate_prints_its_ledger(tmp_path, capsys, backend):
     else:
         assert main(argv) == 0
     out = capsys.readouterr().out
-    line = ("counters: mul_gates=18 mul_rounds=3 comm_rounds=7 offline_rounds=0 "
+    line = ("counters: mul_gates=18 mul_rounds=3 comm_rounds=6 offline_rounds=0 "
             "deal_rounds=1 comparisons=0 lsb_extractions=0 opens=")
     assert out.count(line) == (3 if backend == "socket" else 1)
 

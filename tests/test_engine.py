@@ -55,6 +55,28 @@ def test_double_sharing_consistency(f31):
                           reconstruct_batch(f31, [1, 2, 3], high))
 
 
+@pytest.mark.parametrize("parties", [3, 4, 5, 7, 9])
+def test_extracted_zero_sharings_open_to_zero_at_degree_at_most_2t(parties):
+    """At p = 2^31 - 1, 300 sharings of zero dealt and extracted by D
+    talliers: each party holds them under threshold 2D' - 1, the D shares
+    of each lie on one polynomial of degree at most 2D' - 2 whose constant
+    is 0, and no polynomial is the zero one."""
+    f = PrimeField(M31)
+    threshold = (parties + 1) // 2
+    high = 2 * threshold - 1
+
+    def prog(ctx):
+        zeros = ctx.zero_shares(300)
+        assert zeros.threshold == high and ctx.counters.zero_sharings == 300
+        return zeros.values
+
+    res = run_parties(parties, threshold, f, prog)
+    matrix = np.stack([res[d] for d in range(1, parties + 1)])
+    assert degree_at_most(f, matrix, high).all()
+    assert not reconstruct_batch(f, range(1, high + 1), matrix[:high]).any()
+    assert matrix.any(axis=0).all()
+
+
 def _rank_mod(rows, p):
     """The rank of an integer matrix over Z_p, by elimination."""
     rows, rank = [list(r) for r in rows], 0
@@ -122,6 +144,97 @@ def test_mul_examples(f31):
     assert np.array_equal(got, u * v % 31)
 
 
+@pytest.mark.parametrize("parties", range(3, 10))
+def test_opened_product_layer_returns_the_products(parties):
+    """At p = 2^31 - 1, 50 random products opened in one layer: every party
+    gets u*v and counts 50 gates, one layer, 50 openings and 50 sharings of
+    zero, and no double sharing.  Nothing was declared ahead, so the layer
+    deals its sharings of zero on a deal-only round first."""
+    f = PrimeField(M31)
+    threshold = (parties + 1) // 2
+    rng = np.random.default_rng(parties)
+    u, v = f.rand_vec(rng, 50), f.rand_vec(rng, 50)
+    mu, mv = deal(f, u, threshold, parties, seed=1), deal(f, v, threshold, parties, seed=2)
+    keys = ("mul_gates", "mul_rounds", "opens", "zero_sharings", "double_sharings",
+            "comm_rounds", "deal_rounds")
+
+    def prog(ctx):
+        opened = ctx.open_products(dealt_shares(f, mu, threshold, ctx.party_id),
+                                   dealt_shares(f, mv, threshold, ctx.party_id), "final_output")
+        summary = ctx.summary()
+        return opened, [summary[key] for key in keys], ctx.counters.open_log
+
+    res = run_parties(parties, threshold, f, prog)
+    want = [a * b % M31 for a, b in zip(u.tolist(), v.tolist())]
+    for d in range(1, parties + 1):
+        opened, counts, log = res[d]
+        assert opened.tolist() == want
+        assert dict(zip(keys, counts)) == {"mul_gates": 50, "mul_rounds": 1, "opens": 50,
+                                           "zero_sharings": 50, "double_sharings": 0,
+                                           "comm_rounds": 2, "deal_rounds": 1}
+        assert log == [("final_output", 50)]
+
+
+@pytest.mark.parametrize("parties", [3, 4, 5])
+def test_a_frame_opens_some_products_and_degree_reduces_others(parties):
+    """At p = 13, the products of all 169 pairs (u, v) open as a 13 x 13
+    matrix in the same frame that multiplies u by v + 1 with degree
+    reduction, with their sharings declared and dealt ahead: one round, 338
+    gates in one layer, 169 openings, 169 sharings of zero and 169 double
+    sharings.  The opened matrix is u*v, and the reduced shares lie at
+    degree D' - 1 and open to u*(v + 1)."""
+    f13 = PrimeField(13)
+    threshold = (parties + 1) // 2
+    u, v = (np.array(x, dtype=np.uint64) for x in zip(*itertools.product(range(13), repeat=2)))
+    mu, mv = deal(f13, u, threshold, parties, seed=1), deal(f13, v, threshold, parties, seed=2)
+
+    def prog(ctx):
+        x, y = (dealt_shares(f13, m, threshold, ctx.party_id) for m in (mu, mv))
+        ctx.expect(zeros=169, doubles=169)
+        ctx.pregenerate()
+        before = ctx.summary()
+        opened, product = ctx.open_products(x.reshape(13, 13), y.reshape(13, 13), "final_output",
+                                            (x, y + 1))
+        after = ctx.summary()
+        return opened, product.values, {key: after[key] - before[key] for key in after}
+
+    res = run_parties(parties, threshold, f13, prog)
+    for d in range(1, parties + 1):
+        opened, _, moved = res[d]
+        assert np.array_equal(opened, (u * v % 13).reshape(13, 13))
+        assert {key: moved[key] for key in ("comm_rounds", "deal_rounds", "mul_gates",
+                                            "mul_rounds", "opens", "zero_sharings",
+                                            "double_sharings")} == {
+            "comm_rounds": 1, "deal_rounds": 0, "mul_gates": 338, "mul_rounds": 1,
+            "opens": 169, "zero_sharings": 169, "double_sharings": 169}
+    products = open_all(f13, {d: res[d][1] for d in res}, threshold)
+    assert np.array_equal(products, u * (v + 1) % 13)
+
+
+def test_tampered_zero_share_is_caught_by_every_party(f31):
+    """At D = 4 (D' = 2) the four masked shares of an opened product
+    over-determine their degree-2 polynomial: a tallier that shifts its
+    share of zero is caught in the same round by every honest tallier."""
+    mu = deal(f31, np.array([2, 5, 11], dtype=np.uint64), 2, 4, seed=1)
+
+    def prog(ctx):
+        if ctx.party_id == 3:
+            honest = ctx.zero_shares
+            ctx.zero_shares = lambda k: honest(k) + 1
+        x = dealt_shares(f31, mu, 2, ctx.party_id)
+        try:
+            ctx.open_products(x, x, "final_output")
+        except InconsistentOpen as err:
+            return str(err)
+        except RoundTimeout:
+            return "timed out"
+        return "accepted"
+
+    res = run_parties(4, 2, f31, prog, timeout=3.0)
+    caught = "product shares do not lie on a single degree<=2 polynomial"
+    assert [res[d] for d in (1, 2, 4)] == [caught] * 3
+
+
 def test_tampered_masked_product_share_is_caught_by_every_party(f31):
     """At D = 4 (D' = 2) the four masked product shares over-determine their
     degree-2 polynomial.  A tallier that shifts its share is caught in the
@@ -184,7 +297,8 @@ def test_declared_layers_take_dealt_sharings_without_a_round_of_their_own(f31):
     declared carries no rider.  At D - t = 2 each party deals half of what
     the pools lack, rounded up: the pregenerated double sharing leaves one
     over, so the 6 declared lack 5 and each party deals 3, which leaves one
-    over again."""
+    over again.  Nothing is declared of the pool of zeros, which stays
+    empty."""
     x = deal(f31, np.arange(6, dtype=np.uint64), 2, 3, seed=6)
 
     def prog(ctx):
@@ -208,7 +322,7 @@ def test_declared_layers_take_dealt_sharings_without_a_round_of_their_own(f31):
     sent, left = run_parties(3, 2, f31, prog)[1]
     frame = LEN_PREFIX.size + HEADER.size
     assert sent == [2 * (frame + 8 * 6), 2 * (frame + 8 * (6 + 2 * 3))]
-    assert left == [0, 1]
+    assert left == [0, 1, 0]
 
 
 REORDER = np.random.default_rng(3).permutation(169)

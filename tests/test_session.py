@@ -64,10 +64,12 @@ def test_even_and_wide_extractors_tally_the_oracle_winners(rule, m, k, d):
 
 
 def _cap_for(monkeypatch, rule, m, batch):
-    """Lower the frame cap to ``batch`` times C + 2w words, a bound on what
-    validation's widest payload, the deal of the degree check's masks and
-    the first product layer, takes per ballot; returns it."""
-    words = len(entry_pairs(rule, m)) + 2 * validation._first_layer_width(rule, m)
+    """Lower the frame cap to ``batch`` times C + z + 2w words, a bound on
+    what validation's widest payload, the deal of the degree check's masks
+    and of the first product layer's z sharings of zero and w double
+    sharings, takes per ballot; returns it."""
+    zeros, doubles = validation._first_layer(rule, m)
+    words = len(entry_pairs(rule, m)) + zeros + 2 * doubles
     cap = HEADER.size + 8 * batch * words
     monkeypatch.setattr(transport, "MAX_FRAME", cap)
     return cap
@@ -513,9 +515,11 @@ def test_pool_deals_ride_on_the_exchange_before_each_layer():
     on dealing pool sharings, and validation at most one; the mask batch's
     deal rides validation's, so the offline phase spends none.  Of the
     random sharings dealt, fewer than D - t are left over, a deal's surplus
-    of extractor outputs, and of the double sharings fewer than D - t
-    beyond two per ballot that fails the degree check.  Each counter of the
-    result is the sum of its phases' shares."""
+    of extractor outputs, of the double sharings fewer than D - t beyond
+    two per ballot that fails the degree check, and of the sharings of zero
+    fewer than D - t beyond the first product layer's opened gates of each
+    such ballot.  Each counter of the result is the sum of its phases'
+    shares."""
     for prime, rule in itertools.product(PRIME_LADDER, ("copeland", "maximin", "kemeny")):
         for m in range(1, 7):
             for k in range(1, m + 1):
@@ -532,7 +536,8 @@ def test_pool_deals_ride_on_the_exchange_before_each_layer():
                     return (result.counters, [p.shape[1] for p in ctx._pools.values()],
                             sum(v.reason == REASON_DEGREE for v in verdicts))
 
-                for party, (counters, (rand_left, double_left), rejected) in \
+                opened = validation._first_layer(rule, m)[0]
+                for party, (counters, (rand_left, double_left, zero_left), rejected) in \
                         _run_local(cfg, program).items():
                     counters = dict(counters)
                     ledger = counters.pop("phases")
@@ -549,21 +554,51 @@ def test_pool_deals_ride_on_the_exchange_before_each_layer():
                     assert rejected == (m > 1), case
                     assert rand_left < outputs, case
                     assert double_left < 2 * rejected + outputs, case
+                    assert zero_left < opened * rejected + outputs, case
+
+
+@pytest.mark.parametrize("rule", ["copeland", "maximin", "kemeny"])
+def test_a_batch_that_fails_the_degree_check_withdraws_its_zeros(rule):
+    """Every ballot of an M=4 K=2 tally at p = 65,519 shared at too high a
+    degree: validation declared the first product layer's sharings of zero
+    and withdraws them, so none is taken and none stays declared.  The mask
+    batch rides validation's two rounds after the roster and finishes in
+    the offline phase, and the winners are the oracle's for no ballots."""
+    cfg = _cfg(rule=rule, m=4, k=2, seed=8)
+    ballots = [share_ballot(ranking_to_matrix(rule, r, 4), cfg.field, cfg.talliers,
+                            cfg.talliers, cfg.voter_rng(v), v)
+               for v, r in enumerate(_rankings(rule, 4, 6, seed=8), start=1)]
+
+    def program(ctx):
+        result, verdicts, _ = tallier_program(
+            ctx, cfg, [b.bundle_for(ctx.party_id) for b in ballots])
+        return result, [v.reason for v in verdicts], dict(ctx._owed)
+
+    for party, (result, reasons, owed) in _run_local(cfg, program).items():
+        phases = result.counters["phases"]
+        assert reasons == [REASON_DEGREE] * 6, party
+        assert owed == {"rand": 0, "double": 0, "zero": 0}, party
+        assert result.counters["zero_sharings"] == 0, party
+        assert (phases["validate"]["comm_rounds"], phases["validate"]["mul_gates"]) == (3, 0)
+        assert phases["validate"]["offline_rounds"] == 2, party
+        assert phases["offline"]["comm_rounds"] == phases["offline"]["offline_rounds"] == \
+            result.counters["offline_rounds"] - 2 > 0, party
+        assert result.winners == plain_winners(PlainElection(rule, 4, 2, ())), party
 
 
 @pytest.mark.parametrize("rule, m, k, n, rounds", [
-    ("copeland", 6, 2, 200, {"validate": 19, "offline": 0, "aggregate": 0,
+    ("copeland", 6, 2, 200, {"validate": 18, "offline": 0, "aggregate": 0,
                              "score": 3, "select": 19}),
-    ("maximin", 6, 2, 200, {"validate": 19, "offline": 0, "aggregate": 0,
+    ("maximin", 6, 2, 200, {"validate": 18, "offline": 0, "aggregate": 0,
                             "score": 10, "select": 19}),
-    ("kemeny", 5, 2, 200, {"validate": 5, "offline": 2, "aggregate": 0, "select": 22}),
-    ("kemeny", 6, 1, 100, {"validate": 5, "offline": 2, "aggregate": 0, "select": 31}),
+    ("kemeny", 5, 2, 200, {"validate": 4, "offline": 3, "aggregate": 0, "select": 22}),
+    ("kemeny", 6, 1, 100, {"validate": 4, "offline": 3, "aggregate": 0, "select": 31}),
 ])
 def test_phase_ledger_reads_the_rounds_of_each_phase(rule, m, k, n, rounds):
     """Party 1's communication rounds per phase on legal ballots, D = 3, at
     the prime the config takes by default, 65,519.  The mask batch's 6
     layers ride validation's rounds from its deal round on, so only Kemeny's
-    5 validate rounds leave 2 to the offline phase, and the one deal round
+    4 validate rounds leave 3 to the offline phase, and the one deal round
     falls in validation.  Top-K's first opening rides the scores' last
     layer, a round less in select."""
     cfg = ElectionConfig(rule=rule, candidates=tuple(f"C{i}" for i in range(1, m + 1)),

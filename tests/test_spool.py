@@ -15,7 +15,11 @@ winners, rankings and captures stayed the same.  They were read again, with
 the captured scores, when the mask batch came to ride validation's rounds
 and top-K's first opening the scores' last layer: the masks' draws now
 interleave with validation's, and the verdicts, winners, rankings, proofs
-and aggregates stayed the same."""
+and aggregates stayed the same.  The rounds, messages and bytes, the phase
+digests and the captured scores were read again when validation's products
+came to open from their product shares, masked by sharings of zero: the
+talliers now deal those, and validation takes a round fewer; the verdicts,
+winners, rankings, proofs and aggregates stayed the same."""
 
 import hashlib
 import json
@@ -59,28 +63,28 @@ def _captures(outcome) -> dict:
 # phase.  The configs name no prime, so each takes p = 65,519; each election
 # is pinned at 2^31 - 1 too, which the ladder picks for large ones.
 FOUR = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "0170edd239561a92",
-     "9e2b0b902ea0fd73", {"validate": 19, "offline": 0, "aggregate": 0, "score": 3,
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "92945f7497276d7e",
+     "6d328258b59b5b21", {"validate": 18, "offline": 0, "aggregate": 0, "score": 3,
                           "select": 19}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "b8aa40a64c455bb7",
-     "e551aa7c9ca79eb7", {"validate": 19, "offline": 0, "aggregate": 0, "score": 10,
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "d282ff3b6965068c",
+     "a62352c54ec7c6ca", {"validate": 18, "offline": 0, "aggregate": 0, "score": 10,
                           "select": 19}),
     ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "5073724b4cd8c005",
-     "fa3971f9da827a27", {"validate": 5, "offline": 2, "aggregate": 0, "select": 22}),
+     "4b9961fff8cf3ccb", {"validate": 4, "offline": 3, "aggregate": 0, "select": 22}),
     ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "19bb15727fb03c00",
-     "5bd0537a36c1f116", {"validate": 5, "offline": 2, "aggregate": 0, "select": 31}),
+     "ab2a99a5cf045895", {"validate": 4, "offline": 3, "aggregate": 0, "select": 31}),
 ]
 FOUR_AT_M31 = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "21616878ef5ff025",
-     "12ef1467fe95c569", {"validate": 19, "offline": 0, "aggregate": 0, "score": 4,
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "10baa3138171107d",
+     "c478fc86d5c2164d", {"validate": 18, "offline": 0, "aggregate": 0, "score": 4,
                           "select": 25}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "e6042a0ef1edeff2",
-     "14544145af74643d", {"validate": 19, "offline": 0, "aggregate": 0, "score": 13,
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "c66e7df3ee55c872",
+     "5aee854fac36c118", {"validate": 18, "offline": 0, "aggregate": 0, "score": 13,
                           "select": 25}),
     ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "2851c951d141b86c",
-     "8b19ada05c131109", {"validate": 5, "offline": 3, "aggregate": 0, "select": 29}),
+     "e3853a66e7fabf04", {"validate": 4, "offline": 4, "aggregate": 0, "select": 29}),
     ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "cf91e8d45a706453",
-     "c598e5958b73ea6e", {"validate": 5, "offline": 3, "aggregate": 0, "select": 41}),
+     "cf05100a57817ce7", {"validate": 4, "offline": 4, "aggregate": 0, "select": 41}),
 ]
 
 
@@ -132,8 +136,8 @@ def _edge_spools():
 
 PINNED_EDGE = {"winners": [4, 2],
                "aggregate": [21279, 38401, 12504, 27137, 15353, 21994],
-               "captures": "a33f6fc4402428a1", "proofs": "b0f777d7b2790c6c",
-               "phases": "9bdfd74ad4e0d66a"}
+               "captures": "9cb17702a0654db7", "proofs": "b0f777d7b2790c6c",
+               "phases": "89ef6a4b4607dbff"}
 
 
 def test_edge_spools_match_the_pinned_tally(seeded_talliers):

@@ -307,6 +307,95 @@ def test_soundness_exhaustive_m3_copeland(f31):
         assert verdicts[0].accepted == legal_ballot_matrix("copeland", entries)
 
 
+def _product_rows(field, ballots, rule):
+    """batch_validate over the ballots at D = 3; for party 1, the D rows of
+    every opened-product layer, as (D, width) arrays, and the counters that
+    validation moved, ``open_log`` included."""
+    def prog(ctx):
+        layers, reconstruct = [], ctx._reconstruct
+
+        def capture(rows, threshold, what):
+            if what == "product shares":
+                layers.append(np.stack(rows))
+            return reconstruct(rows, threshold, what)
+
+        ctx._reconstruct = capture
+        before = ctx.summary()
+        verdicts = batch_validate(ctx, Spool.from_bundles(
+            [b.bundle_for(ctx.party_id) for b in ballots], rule, ballots[0].m, ctx.field.p),
+            rule, ballots[0].m)
+        after = ctx.summary()
+        moved = {key: after[key] - before[key] for key in after}
+        log = [k for purpose, k in ctx.counters.open_log if purpose == "validation_product"]
+        return verdicts, layers, dict(moved, open_log=log)
+
+    return run_parties(3, 2, field, prog, seed=21)[1]
+
+
+def test_opened_product_polynomials_are_uniform_but_for_their_constants(f31):
+    """Copeland and Maximin M=3, 120 legal ballots each at p = 31: the rows
+    that the opened-product layers broadcast define degree-2 polynomials.
+    The constants of the opened gates are what an opening of the products
+    would reveal, 0 for every entry domain and F(Q)^2 (256 = 8 mod 31 for
+    Copeland, 4 for Maximin) for the squares; their other coefficients are
+    uniform over Z_31, for the sharings of zero are."""
+    m, batch, c = 3, 120, 3
+    rng = np.random.default_rng(20)
+    vander = np.vander([1, 2, 3], 3, increasing=True)  # det 2: 2 V^-1 is integral
+    inverse = np.rint(2 * np.linalg.inv(vander)).astype(np.int64) * pow(2, -1, 31) % 31
+    assert (inverse @ vander % 31 == np.eye(3)).all()
+    rest = []
+    for rule, square in (("copeland", 256 % 31), ("maximin", 4)):
+        ballots = [legal_shared_ballot(f31, rule, tuple(int(x) for x in rng.permutation(m) + 1),
+                                       m, 2, 3, seed=900 + i, voter=i + 1)
+                   for i in range(batch)]
+        verdicts, layers, _ = _product_rows(f31, ballots, rule)
+        assert all(v.accepted for v in verdicts) and len(layers) == c
+        opened = [layer[:, :batch] for layer in layers[:-1]] + [layers[-1]]
+        for rows in opened:
+            coeffs = inverse @ rows.astype(np.int64) % 31
+            constants = coeffs[0].reshape(-1, batch)
+            assert not constants[0].any(), rule  # an entry domain
+            if constants.shape[0] == 2:
+                assert (constants[1] == square).all(), rule
+            rest.append(coeffs[1:].ravel())
+    counts = np.bincount(np.concatenate(rest), minlength=31)
+    assert counts.sum() == 2 * 2 * batch * (c + 1)
+    assert stats.chisquare(counts).pvalue > 1e-4
+
+
+def test_validation_opens_its_products_in_its_layers():
+    """B = 7 legal ballots at p = 2^31 - 1, for M = 2..6.  Copeland and
+    Maximin take C = M(M-1)/2 layers of 2B gates and no round after the last
+    (a deal round, the degree check and the layers); layer r < C opens B
+    products and degree-reduces B, the last opens 2B, so validation takes
+    B(C - 1) double sharings and B(C + 1) sharings of zero.  At M = 2 the
+    one layer opens both gates of every ballot.  Kemeny opens its 3CB
+    products in one layer, with no double sharing."""
+    f = PrimeField(M31)
+    batch = 7
+    rng = np.random.default_rng(22)
+    for rule, m in itertools.product(("copeland", "maximin", "kemeny"), range(2, 7)):
+        c = m * (m - 1) // 2
+        ballots = [legal_shared_ballot(
+            f, rule, tuple(int(x) for x in (rng.integers(1, m + 1, m) if rule == "kemeny"
+                                            else rng.permutation(m) + 1)),
+            m, 2, 3, seed=950 + i, voter=i + 1) for i in range(batch)]
+        verdicts, layers, moved = _product_rows(f, ballots, rule)
+        assert all(v.accepted for v in verdicts), (rule, m)
+        if rule == "kemeny":
+            want = {"comm_rounds": 3, "mul_rounds": 1, "mul_gates": 3 * c * batch,
+                    "double_sharings": 0, "zero_sharings": 3 * c * batch,
+                    "open_log": [3 * c * batch]}
+        else:
+            want = {"comm_rounds": 2 + c, "mul_rounds": c, "mul_gates": 2 * batch * c,
+                    "double_sharings": batch * (c - 1), "zero_sharings": batch * (c + 1),
+                    "open_log": [batch] * (c - 1) + [2 * batch]}
+        assert {key: moved[key] for key in want} == want, (rule, m)
+        assert [layer.shape[1] for layer in layers] == [want["mul_gates"] // want["mul_rounds"]] \
+            * want["mul_rounds"], (rule, m)
+
+
 def test_reconstruct_rejected_recovers_matrix(f31):
     q = ranking_to_matrix("copeland", (3, 1, 2), 3)
     inflated = BallotMatrix("copeland", 3, 2 * q.entries)
