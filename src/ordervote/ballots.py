@@ -216,10 +216,11 @@ class Spool:
         spool is a contiguous view of it.  A ballot of another rule, M or
         shape is malformed."""
         width = len(entry_pairs(rule, m))
+        shape = (parties, width)
         n = len(ballots)
-        ok = np.fromiter(((b.rule, b.m, b.bundles.shape) == (rule, m, (parties, width))
+        ok = np.fromiter((b.rule == rule and b.m == m and b.bundles.shape == shape
                           for b in ballots), bool, n)
-        good = [b.bundles for b, fits in zip(ballots, ok) if fits]
+        good = [b.bundles for b, fits in zip(ballots, ok.tolist()) if fits]
         block = np.concatenate(good, axis=1).astype(np.uint64, copy=False) if good \
             else np.zeros((parties, 0), dtype=np.uint64)
         block = block.reshape(parties, len(good), width)

@@ -8,12 +8,17 @@ other talliers on one roster of voter ids and validate it in one batch
 (``validate_bundles``; the transport splits a payload wider than a frame),
 run what the mask batch has left, aggregate the accepted ballots, compute
 scores, and open winners, recording what each phase costs in the result's
-counters.  Every in-process runner starts its talliers through one
-``_run_threads``: ``run_local_election`` runs all D talliers as threads of
-one process over the in-memory hub (the desk-scale mode), and
-``run_local_validation`` reuses it.  ``run_socket_tallier``
-and ``run_socket_validation`` run a single party that meets its peers over
-TCP.  With fixed seeds both backends produce identical results.  The
+counters.  The roster's verdicts stay columns (``validation.Verdicts``: a
+voter id and a reason code per roster entry) beside the spool row each
+validated entry came from, so the accepted rows and the proof rows are
+picked by array operations.  Every in-process runner starts its talliers
+through one ``_run_threads``: ``run_local_election`` runs all D talliers as
+threads of one process over the in-memory hub (the desk-scale mode), checks
+that every tallier reached the same verdicts and winners, and returns T1's
+verdicts as a list of ``ValidationVerdict``, built once; ``run_local_validation``
+reuses it.  ``run_socket_tallier`` and ``run_socket_validation`` run a
+single party that meets its peers over TCP and return its list.  With fixed
+seeds both backends produce identical results.  The
 talliers draw their randomness from the operating system (``build_context``),
 since the config's seed is no secret; no verdict, winner or counter depends
 on it.
@@ -149,13 +154,14 @@ def _exchange_ids(ctx: PartyContext, spool: Spool) -> list[list[np.ndarray]]:
 
 def _agree_roster(ctx: PartyContext, spool: Spool) -> tuple[np.ndarray, np.ndarray]:
     """The roster every tallier derives, agreed in one round
-    (``_exchange_ids``), and per entry the reason it is rejected
-    unvalidated (None if validated).  It lists T1's ids, in its order, then
-    each further tallier's copies beyond those listed: an id appears as
-    often as its holder of the most copies holds it, and talliers that hold
-    the same list get that list back.  Every copy of an id some tallier
-    holds twice is a ``DuplicateVoter``; otherwise an id some tallier flags
-    as malformed or lacks is ``Malformed``."""
+    (``_exchange_ids``), and per entry the reason code
+    (``validation.REASONS``) it is rejected with unvalidated, 0 if it is
+    validated.  It lists T1's ids, in its order, then each further
+    tallier's copies beyond those listed: an id appears as often as its
+    holder of the most copies holds it, and talliers that hold the same list
+    get that list back.  Every copy of an id some tallier holds twice is a
+    ``DuplicateVoter``; otherwise an id some tallier flags as malformed or
+    lacks is ``Malformed``."""
     held, flagged = zip(*_exchange_ids(ctx, spool))
     ids = np.concatenate(held)
     copies = np.concatenate([_copy_numbers(h) for h in held])
@@ -165,30 +171,32 @@ def _agree_roster(ctx: PartyContext, spool: Spool) -> tuple[np.ndarray, np.ndarr
     first[1:] = (ids_by[1:] != ids_by[:-1]) | (copies_by[1:] != copies_by[:-1])
     roster = ids[np.sort(order[first])]
     everywhere = np.logical_and.reduce([np.isin(roster, h) for h in held])
-    reasons = np.full(roster.size, None, dtype=object)
-    reasons[~everywhere | np.isin(roster, np.concatenate(flagged))] = validation.REASON_MALFORMED
-    reasons[np.isin(roster, ids[copies > 0])] = validation.REASON_DUPLICATE
-    return roster, reasons
+    codes = np.zeros(roster.size, dtype=np.int8)
+    codes[~everywhere | np.isin(roster, np.concatenate(flagged))] = validation.CODE_MALFORMED
+    codes[np.isin(roster, ids[copies > 0])] = validation.CODE_DUPLICATE
+    return roster, codes
 
 
 def validate_bundles(ctx: PartyContext, config: ElectionConfig,
-                     spool: Spool) -> list[validation.ValidationVerdict]:
+                     spool: Spool) -> tuple[validation.Verdicts, np.ndarray]:
     """Validate the roster the talliers agree on (``_agree_roster``) in one
-    batch; returns one verdict per roster entry, in roster order.
-    A ``DuplicateVoter`` or ``Malformed`` entry is rejected unvalidated, so
-    no copy can carry an illegal ballot in and the verdicts do not depend on
-    arrival order; only ids every tallier holds once and well-formed are
-    validated, from this tallier's rows of them."""
-    roster, reasons = _agree_roster(ctx, spool)
-    rejected = reasons.astype(bool)
-    rows = spool.rows(roster[~rejected])
-    spool = spool if np.array_equal(rows, np.arange(len(spool))) else spool[rows]
-    checked = validation.batch_validate(ctx, spool, config.rule, config.m)
-    if not rejected.any():
-        return checked
-    verdicts = iter(checked)
-    return [validation.ValidationVerdict(v, False, why) if why else next(verdicts)
-            for v, why in zip(roster.tolist(), reasons.tolist())]
+    batch.  Returns the roster's verdicts, one voter id and one reason code
+    per entry in roster order, and per entry the spool row it was validated
+    from, -1 where it was not.  A ``DuplicateVoter`` or ``Malformed`` entry
+    is rejected unvalidated, so no copy can carry an illegal ballot in and
+    the verdicts do not depend on arrival order; only ids every tallier
+    holds once and well-formed are validated, from this tallier's rows of
+    them."""
+    roster, codes = _agree_roster(ctx, spool)
+    validated = codes == 0
+    ids = roster[validated]
+    whole = np.array_equal(ids, spool.ids)  # the spool's own rows, in order
+    rows = np.full(roster.size, -1, dtype=np.intp)
+    rows[validated] = np.arange(len(spool)) if whole else spool.rows(ids)
+    checked = validation.batch_validate(ctx, spool if whole else spool[rows[validated]],
+                                        config.rule, config.m)
+    codes[validated] = checked.codes
+    return validation.Verdicts(roster, codes), rows
 
 
 @contextmanager
@@ -220,7 +228,8 @@ def _as_spool(config: ElectionConfig, bundles: Spool | list[TallierBundle]) -> S
 
 
 def tallier_program(ctx: PartyContext, config: ElectionConfig,
-                    bundles: Spool | list[TallierBundle]) -> tuple[TallyResult, list, dict]:
+                    bundles: Spool | list[TallierBundle]
+                    ) -> tuple[TallyResult, validation.Verdicts, dict]:
     """The full pipeline one tallier runs; returns (result, verdicts, proofs).
     The masks do not depend on the ballots, so the whole tally's are started
     first, in one batch that takes no round of its own: its deal rides
@@ -242,17 +251,16 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
     # tallier holds exactly once, and every tallier reaches the same verdicts.
     proofs: dict[int, np.ndarray] = {}
     with _phase(ctx, phases, "validate"):
-        verdicts = validate_bundles(ctx, config, spool)
+        verdicts, rows = validate_bundles(ctx, config, spool)
         if config.reconstruct_rejected:
-            ids = [v.voter_id for v in verdicts if not v.accepted and v.reason not in (
-                validation.REASON_DUPLICATE, validation.REASON_MALFORMED)]
-            proofs = dict(zip(ids, validation.reconstruct_rejected(
-                ctx, spool[spool.rows(ids)])))
+            proven = (verdicts.codes != 0) & (rows >= 0)  # validated and rejected
+            proofs = dict(zip(verdicts.ids[proven].tolist(), validation.reconstruct_rejected(
+                ctx, spool[rows[proven]])))
     with _phase(ctx, phases, "offline"):
         ctx.finish_masks()
 
     # the accepted count is public once validation ends: refuse too many before any work
-    accepted = spool.rows([v.voter_id for v in verdicts if v.accepted])
+    accepted = rows[verdicts.codes == 0]
     check_field_bounds(config.prime, rule, m, accepted.size, config.alpha)
     with _phase(ctx, phases, "aggregate"):
         agg = aggregate(ctx, spool[accepted], rule, m)
@@ -316,12 +324,16 @@ def run_local_election(config: ElectionConfig, ballots: Ballots,
     runs = _run_local(config, program)
     per_party = [runs[d][1] for d in range(1, config.talliers + 1)]
     first = per_party[0]
-    for other in per_party[1:]:
-        if other.winners != first.winners:
+    _, _, verdicts, proofs = runs[1]
+    for d in range(2, config.talliers + 1):
+        voter = verdicts.first_split(runs[d][2])
+        if voter is not None:
+            raise RuntimeError(f"talliers disagree on the verdict of voter {voter}; "
+                               "protocol bug")
+        if per_party[d - 1].winners != first.winners:
             raise RuntimeError("talliers disagree on the winners; protocol bug")
     captures = {d: run[0].capture_store for d, run in runs.items()} if capture else {}
-    _, _, verdicts, proofs = runs[1]
-    return ElectionOutcome(result=first, verdicts=verdicts, per_party_results=per_party,
+    return ElectionOutcome(result=first, verdicts=verdicts.tolist(), per_party_results=per_party,
                            captures=captures, rejected_proofs=proofs,
                            phase_cpu=runs[1][0].counters.phase_cpu,
                            phase_wait=runs[1][0].counters.phase_wait)
@@ -330,9 +342,10 @@ def run_local_election(config: ElectionConfig, ballots: Ballots,
 def run_socket_tallier(config: ElectionConfig, party_id: int,
                        bundles: Spool | list[TallierBundle] | None = None,
                        expect_votes: int | None = None) -> tuple[TallyResult, list, dict]:
-    """Run one tallier over TCP; returns (result, verdicts, proofs).  Ballots
-    come either from the caller (spooled submissions) or live off the wire
-    when ``expect_votes`` is given."""
+    """Run one tallier over TCP; returns (result, verdicts as a list of
+    ``ValidationVerdict``, proofs).  Ballots come either from the caller
+    (spooled submissions) or live off the wire when ``expect_votes`` is
+    given."""
     with _socket_context(config, party_id) as ctx:
         if bundles is None:
             if expect_votes is None:
@@ -340,25 +353,28 @@ def run_socket_tallier(config: ElectionConfig, party_id: int,
             messages = ctx.channel.transport.collect_ballots(SESSION, expect_votes)
             bundles = decode_spool([msg.payload for msg in messages], config.rule,
                                    config.m, config.prime)
-        return tallier_program(ctx, config, bundles)
+        result, verdicts, proofs = tallier_program(ctx, config, bundles)
+        return result, verdicts.tolist(), proofs
 
 
 def _validation_program(ctx: PartyContext, config: ElectionConfig,
-                        bundles: Spool | list[TallierBundle]) -> tuple[list, dict]:
+                        bundles: Spool | list[TallierBundle]
+                        ) -> tuple[validation.Verdicts, dict]:
     """Validation phase only; returns (verdicts, this party's validate counters)."""
     spool = _as_spool(config, bundles)
     phases: dict[str, dict] = {}
     with _phase(ctx, phases, "validate"):
-        verdicts = validate_bundles(ctx, config, spool)
+        verdicts, _ = validate_bundles(ctx, config, spool)
     return verdicts, phases["validate"]
 
 
 def run_local_validation(config: ElectionConfig, ballots: Ballots) -> tuple[list, dict]:
     """Validation phase only (threads over the in-memory hub); returns T1's
-    (verdicts, validate counters)."""
+    (verdicts as a list of ``ValidationVerdict``, validate counters)."""
     spools = _spools_of(config, ballots)
-    return _run_local(config, lambda ctx: _validation_program(
+    verdicts, counters = _run_local(config, lambda ctx: _validation_program(
         ctx, config, spools[ctx.party_id]))[1]
+    return verdicts.tolist(), counters
 
 
 def run_socket_validation(config: ElectionConfig, party_id: int,
@@ -366,4 +382,5 @@ def run_socket_validation(config: ElectionConfig, party_id: int,
     """Validation phase only, one party over TCP; returns (verdicts, validate
     counters)."""
     with _socket_context(config, party_id) as ctx:
-        return _validation_program(ctx, config, bundles)
+        verdicts, counters = _validation_program(ctx, config, bundles)
+        return verdicts.tolist(), counters

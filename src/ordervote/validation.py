@@ -23,7 +23,10 @@ Three checks run against every submission, in this order:
 ``batch_validate`` is the only entry point.  It takes B ballots as a
 ``ballots.Spool``, one row of shares per voter, interleaves checks 2 and 3
 across them so each of the M(M-1)/2 rounds carries 2B simultaneous
-multiplication gates, and returns one verdict per row, in row order.  Only
+multiplication gates, and returns the rows' verdicts as columns
+(``Verdicts``): their voter ids and one int8 reason code per row, in row
+order, indices into ``REASONS``.  A ``ValidationVerdict`` object is built
+only when a caller reads one; the tally itself never does.  Only
 the domain products and F(Q)^2 are ever revealed, so they open straight
 from their product shares (``PartyContext.open_products``): round r opens
 entry r's domain product and multiplies fold step r in the same frame, and
@@ -36,6 +39,7 @@ the talliers' verdicts.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import partial
 from typing import NamedTuple
 
@@ -62,6 +66,64 @@ class ValidationVerdict(NamedTuple):
         if self.reason is not None:
             out["reason"] = self.reason
         return out
+
+
+# a verdict's reason code indexes REASONS; code 0 accepts, codes 1-3 are
+# validation's, by the first check a ballot fails, and 4-5 the roster's
+REASONS = (None, REASON_SUMS, REASON_DOMAIN, REASON_DEGREE, REASON_MALFORMED, REASON_DUPLICATE)
+CODE_MALFORMED = REASONS.index(REASON_MALFORMED)
+CODE_DUPLICATE = REASONS.index(REASON_DUPLICATE)
+_REASONS = np.array(REASONS, dtype=object)
+
+
+class Verdicts(Sequence[ValidationVerdict]):
+    """Verdicts held as columns: voter ``ids`` (uint64) and reason
+    ``codes`` (int8, indices into ``REASONS``), one of each per ballot.
+    Indexing gives a ``ValidationVerdict``, built only when asked; a slice
+    gives the ``Verdicts`` of those rows."""
+
+    __slots__ = ("ids", "codes")
+
+    def __init__(self, ids, codes) -> None:
+        self.ids = np.asarray(ids, dtype=np.uint64)
+        self.codes = np.asarray(codes, dtype=np.int8)
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Verdicts(self.ids[i], self.codes[i])
+        code = int(self.codes[i])
+        return ValidationVerdict(int(self.ids[i]), code == 0, REASONS[code])
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __repr__(self) -> str:
+        return f"Verdicts({self.tolist()!r})"
+
+    def tolist(self) -> list[ValidationVerdict]:
+        """Every verdict as a ``ValidationVerdict``, in row order."""
+        # tuple.__new__ builds each verdict from its fields in C, without the
+        # Python-level __new__ that NamedTuple generates
+        return list(map(partial(tuple.__new__, ValidationVerdict), zip(
+            self.ids.tolist(), (self.codes == 0).tolist(), _REASONS[self.codes].tolist())))
+
+    def records(self) -> list[dict]:
+        """Every verdict's ``record()``, in row order."""
+        return [v.record() for v in self.tolist()]
+
+    def first_split(self, other: Verdicts) -> int | None:
+        """The first voter id at which ``other`` holds another verdict, or
+        lists another voter or none; None when the two are the same."""
+        if np.array_equal(self.codes, other.codes) and np.array_equal(self.ids, other.ids):
+            return None
+        n = min(len(self), len(other))
+        split = np.flatnonzero((self.ids[:n] != other.ids[:n])
+                               | (self.codes[:n] != other.codes[:n]))
+        at = split[0] if split.size else n
+        return int((self.ids if at < len(self) else other.ids)[at])
 
 
 def masked_degree_check(ctx: PartyContext, values: np.ndarray) -> np.ndarray:
@@ -109,20 +171,15 @@ def column_sum_shares(ctx: PartyContext, entry_shares: np.ndarray, rule: str,
     return Shares(ctx.field, ctx.threshold, sums)
 
 
-# a rejected row's reason, by the first check it fails; code 0 accepts
-_REASONS = np.array([None, REASON_SUMS, REASON_DOMAIN, REASON_DEGREE], dtype=object)
-
-
-def batch_validate(ctx: PartyContext, spool: Spool, rule: str,
-                   m: int) -> list[ValidationVerdict]:
+def batch_validate(ctx: PartyContext, spool: Spool, rule: str, m: int) -> Verdicts:
     """Validate the B ballots of a (rule, M) session's spool, rows of
     ballots every tallier holds well-formed: degree first, then conditions
     1 and 4 interleaved so every round carries 2B simultaneous
-    multiplications."""
+    multiplications.  Returns the verdicts of the spool's rows, in order."""
     if (spool.rule, spool.m) != (rule, m):
         raise ConfigMismatch(f"a {spool.rule} M={spool.m} spool in a {rule} M={m} session")
     if not len(spool):
-        return []
+        return Verdicts(spool.ids, np.zeros(0, dtype=np.int8))
     values = spool.shares
 
     # the first product layer is dealt for every ballot with the degree
@@ -143,11 +200,7 @@ def batch_validate(ctx: PartyContext, spool: Spool, rule: str,
             domain_ok[live], sums_ok[live] = _validate_interleaved(
                 ctx, values[live], rule, m)
 
-    code = np.select([~degree_ok, ~domain_ok, ~sums_ok], [3, 2, 1], 0)
-    # tuple.__new__ builds each verdict from its fields in C, without the
-    # Python-level __new__ that NamedTuple generates
-    return list(map(partial(tuple.__new__, ValidationVerdict),
-                    zip(spool.ids.tolist(), (code == 0).tolist(), _REASONS[code].tolist())))
+    return Verdicts(spool.ids, np.select([~degree_ok, ~domain_ok, ~sums_ok], [3, 2, 1], 0))
 
 
 def _first_layer(rule: str, m: int) -> tuple[int, int]:

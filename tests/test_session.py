@@ -431,8 +431,9 @@ def test_malformed_ids_that_straddle_a_roster_chunk_reach_every_tallier(monkeypa
 
     def body(d):
         with session._socket_context(cfg, d) as ctx:
-            roster, reasons = session._agree_roster(ctx, spools[d])
-            return roster.tolist(), reasons.tolist(), ctx.channel.stats.rounds
+            roster, codes = session._agree_roster(ctx, spools[d])
+            return (roster.tolist(), [validation.REASONS[c] for c in codes.tolist()],
+                    ctx.channel.stats.rounds)
 
     expected = ([1, 2, 3, 4, 5, 6], [None, REASON_MALFORMED, None] + [REASON_MALFORMED] * 3, 1)
     assert list(_run_threads(3, body).values()) == [expected] * 3
