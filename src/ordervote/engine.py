@@ -454,7 +454,7 @@ class PartyContext:
         """Sharings the declared layers still lack in ``pool``."""
         return max(self._owed[pool] - self._pools[pool].shape[1], 0)
 
-    def _exchange(self, values: np.ndarray) -> list[np.ndarray]:
+    def _exchange(self, values: np.ndarray, ragged: bool = False) -> list[np.ndarray]:
         """One communication round: every party sends ``values`` to each peer,
         then the mask stream's next part when one is pending
         (``prepare_masks``), then that peer's shares of its deal.  The deal is
@@ -466,8 +466,10 @@ class PartyContext:
         gets its rows and runs to its next part.
         Returns the parties' values as D rows, ordered by party index: views
         into the frames received, which nothing writes to.  Every party runs
-        the same program, so a frame of another length is a misbehaving peer
-        (InconsistentOpen)."""
+        the same program, so the part and the deal that end a frame have one
+        width at every party, and a frame of another length is a misbehaving
+        peer (InconsistentOpen); ``ragged`` values may have a length of each
+        party's own, which is what precedes that width."""
         values = np.asarray(values, dtype=np.uint64).ravel()
         part = self._part
         head = [values] if part is None else [values, part]
@@ -475,25 +477,27 @@ class PartyContext:
         rand, doubles, zeros = (-(-self._due(pool) // outputs) for pool in self._pools)
         dealt = rand + 2 * doubles + zeros
         k, parties = values.size, range(1, self.parties + 1)
-        carried = k + (0 if part is None else part.size)
+        stream = 0 if part is None else part.size
+        tail = stream + dealt  # one width at every party
         if dealt:
             payloads = self._payloads(head, rand, doubles, zeros)
             got = self.channel.scatter({d: payloads[d - 1] for d in parties})
             got[self.party_id] = payloads[self.party_id - 1]
         else:
             got = self.channel.exchange_all(values if part is None else np.concatenate(head))
-        width = carried + dealt
         for d, payload in got.items():
-            if payload.size != width:
+            if payload.size < tail or not ragged and payload.size != k + tail:
                 raise InconsistentOpen(
                     f"T{d} sent {payload.size} values in round "
-                    f"{self.channel.stats.rounds - 1}; T{self.party_id} expected {width}")
+                    f"{self.channel.stats.rounds - 1}; T{self.party_id} expected "
+                    f"{'at least ' if ragged else ''}{(0 if ragged else k) + tail}")
+        ends = {d: got[d].size - tail for d in parties}  # where each party's values end
         if dealt:
-            self.counters.deal_rounds += not carried
-            self._pool_extracted([got[d][carried:] for d in parties], rand, doubles, zeros)
+            self.counters.deal_rounds += not k + stream
+            self._pool_extracted([got[d][ends[d] + stream:] for d in parties], rand, doubles, zeros)
         if part is not None:
-            self._advance([got[d][k:carried] for d in parties])
-        return [got[d][:k] for d in parties]
+            self._advance([got[d][ends[d]:ends[d] + stream] for d in parties])
+        return [got[d][:ends[d]] for d in parties]
 
     def _advance(self, rows: list[np.ndarray]) -> None:
         """Hand the mask stream its rows of the last exchange; it runs to
@@ -740,6 +744,12 @@ class PartyContext:
             raise InconsistentOpen(f"{what} do not lie on a single "
                                    f"degree<={threshold - 1} polynomial")
         return reconstruct_batch(self.field, range(1, threshold + 1), rows[:threshold])
+
+    def broadcast(self, values: np.ndarray) -> list[np.ndarray]:
+        """Send ``values``, of a length of this party's own, to every peer and
+        return every party's, ordered by party index.  The round carries the
+        mask stream's part and a deal as any exchange does (``_exchange``)."""
+        return self._exchange(values, ragged=True)
 
     def open_share_matrix(self, values: np.ndarray, purpose: str) -> list[np.ndarray]:
         """Broadcast raw share values and return every party's row of them,

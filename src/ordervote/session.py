@@ -135,13 +135,14 @@ def _copy_numbers(ids: np.ndarray) -> np.ndarray:
 
 def _exchange_ids(ctx: PartyContext, spool: Spool) -> list[list[np.ndarray]]:
     """Every tallier's voter ids and malformed ids, in party order, in one
-    round.  Each sends its spool's ids, then its malformed rows' ids, then
-    how many malformed ids end the list; an empty payload, or a count that
-    claims unsent ids, names its sender (InconsistentOpen)."""
+    round, which carries the mask batch's deal (``PartyContext.broadcast``).
+    Each sends its spool's ids, then its malformed rows' ids, then how many
+    malformed ids end the list; an empty list, or a count that claims
+    unsent ids, names its sender (InconsistentOpen)."""
     bad = spool.ids[spool.malformed]
-    got = ctx.channel.exchange_all(np.concatenate([spool.ids, bad, [np.uint64(bad.size)]]))
+    got = ctx.broadcast(np.concatenate([spool.ids, bad, [np.uint64(bad.size)]]))
     out = []
-    for d, payload in sorted(got.items()):
+    for d, payload in enumerate(got, 1):
         if payload.size == 0:
             raise InconsistentOpen(f"T{d} sent an empty roster frame in round "
                                    f"{ctx.channel.stats.rounds - 1}")

@@ -106,7 +106,12 @@ class ProtocolMessage:
 
 
 class Mailbox:
-    """Thread-safe store of incoming messages keyed by (session, round, sender)."""
+    """Thread-safe store of incoming messages keyed by (session, round, sender).
+
+    Rounds are awaited in order, so it remembers per (session, sender) the
+    last round ``await_round`` handed out: a frame for that round or an
+    earlier one is a second message for its key, whether or not the first
+    is still stored, and poisons the mailbox (``DuplicateMessage``)."""
 
     def __init__(self, owner: int):
         self.owner = owner
@@ -118,6 +123,7 @@ class Mailbox:
         # the keys ``await_round`` still misses; its waiter is woken only once
         # they are all in, not by each message of the round
         self._missing: set[tuple[int, int, int]] = set()
+        self._handed: dict[tuple[int, int], int] = {}  # (session, sender) -> last round out
 
     def deliver(self, msg: ProtocolMessage) -> None:
         with self._cond:
@@ -126,7 +132,8 @@ class Mailbox:
                 self._cond.notify_all()
                 return
             key = (msg.session, msg.round, msg.sender)
-            if key in self._messages:
+            if key in self._messages or \
+                    msg.round <= self._handed.get((msg.session, msg.sender), -1):
                 err = DuplicateMessage(
                     f"T{self.owner} got a second message from T{msg.sender} "
                     f"for session {msg.session} round {msg.round}")
@@ -160,6 +167,9 @@ class Mailbox:
                     if self._poison is not None:
                         raise self._poison
                     if not self._missing:
+                        for s in senders:
+                            self._handed[session, s] = max(round_no,
+                                                           self._handed.get((session, s), -1))
                         return {k[2]: self._messages.pop(k) for k in keys}
                     remaining = None
                     if deadline is not None:

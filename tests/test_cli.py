@@ -77,10 +77,11 @@ def test_maximin_demo_and_full_ranking(tmp_path, capsys):
     offline = result["counters"]["offline_rounds"]
     assert offline == 7 < result["counters"]["comm_rounds"]
     assert f"offline_rounds={offline} " in out
-    # pool sharings ride on the exchanges: a round of their own only for
-    # validation, whose deal also carries the mask batch's
-    assert result["counters"]["deal_rounds"] == 1
-    assert "deal_rounds=1 " in out
+    # pool sharings ride on the exchanges, none in a round of its own: the
+    # roster round carries the mask batch's deal, and validation's deal
+    # round a mask layer
+    assert result["counters"]["deal_rounds"] == 0
+    assert "deal_rounds=0 " in out
 
 
 def test_setup_rejects_small_field(tmp_path, capsys):
@@ -453,11 +454,11 @@ def test_bench_smoke(tmp_path, capsys):
     assert list(rows) == ["validate", "offline", "aggregate", "score", "select", "total"]
     assert rows["validate"]["mul_rounds"] == 3  # M(M-1)/2 for M = 3
     assert rows["validate"]["mul_gates"] == 2 * 20 * 3
-    # at p = 2^31 - 1 the mask batch has 4 + 3 layers: 5 ride validation's
-    # rounds after the roster round and the last 2 run alone, but all its
+    # at p = 2^31 - 1 the mask batch has 4 + 3 layers: 6 ride validation's
+    # rounds from the roster round on and the last runs alone, but all its
     # work is the offline phase's: 220 gates a mask, spares included
-    assert rows["validate"]["offline_rounds"] == 5
-    assert rows["offline"]["comm_rounds"] == rows["offline"]["offline_rounds"] == 2
+    assert rows["validate"]["offline_rounds"] == 6
+    assert rows["offline"]["comm_rounds"] == rows["offline"]["offline_rounds"] == 1
     assert rows["offline"]["mul_gates"] == 220 * (8 + spare_masks(M31, 31, 8))
     total = rows.pop("total")
     assert total.pop("seconds_median") > 0

@@ -14,7 +14,7 @@ from ordervote.session import (_run_local, _run_threads, build_context,
                                make_shared_ballots, run_local_election,
                                run_local_validation, run_socket_tallier,
                                tallier_program)
-from ordervote.tally import phase_rounds
+from ordervote.tally import lsb_extractions, phase_rounds
 from ordervote.transport import (HEADER, InMemoryHub, InMemoryTransport, RoundTimeout,
                                  SessionChannel)
 from ordervote.validation import REASON_DEGREE, REASON_DUPLICATE, REASON_MALFORMED
@@ -122,7 +122,7 @@ def test_derived_batches_keep_every_validation_frame_under_the_cap(monkeypatch, 
     batched = run_local_election(cfg, ballots)
     assert max(frames) <= cap
     validate_phase = batched.result.counters["phases"]["validate"]
-    assert validate_phase["deal_rounds"] == 1
+    assert validate_phase["deal_rounds"] == 0  # its deal round carries a mask layer
     assert validate_phase["comm_rounds"] == \
         whole.result.counters["phases"]["validate"]["comm_rounds"]
     assert [v.record() for v in batched.verdicts] == [v.record() for v in whole.verdicts]
@@ -332,8 +332,8 @@ def test_socket_backend_matches_memory_backend():
 def test_socket_tally_over_the_cap_validates_in_one_batch(monkeypatch):
     """A 12 KiB cap is above every frame of a Copeland M=3 tally except
     validation's at N=300: those payloads cross as several frames,
-    validation deals once, and the socket tally completes with the
-    in-memory result."""
+    validation spends no round on a deal alone, and the socket tally
+    completes with the in-memory result."""
     monkeypatch.setattr(transport, "MAX_FRAME", 12 << 10)
     rankings = _rankings("copeland", 3, 300, seed=16)
     mem_cfg = _cfg(rule="copeland", m=3, k=1, d=3, seed=32)
@@ -344,7 +344,7 @@ def test_socket_tally_over_the_cap_validates_in_one_batch(monkeypatch):
     results = _run_threads(3, lambda d: run_socket_tallier(
         sock_cfg, d, [b.bundle_for(d) for b in ballots])[0])
     assert results[1].to_dict() == mem_outcome.result.to_dict()
-    assert results[1].counters["phases"]["validate"]["deal_rounds"] == 1
+    assert results[1].counters["phases"]["validate"]["deal_rounds"] == 0
 
 
 def test_socket_tally_opens_proofs_wider_than_a_frame(monkeypatch):
@@ -563,8 +563,8 @@ def test_a_batch_that_fails_the_degree_check_withdraws_its_zeros(rule):
     """Every ballot of an M=4 K=2 tally at p = 65,519 shared at too high a
     degree: validation declared the first product layer's sharings of zero
     and withdraws them, so none is taken and none stays declared.  The mask
-    batch rides validation's two rounds after the roster and finishes in
-    the offline phase, and the winners are the oracle's for no ballots."""
+    batch rides validation's three rounds from the roster on and finishes
+    in the offline phase, and the winners are the oracle's for no ballots."""
     cfg = _cfg(rule=rule, m=4, k=2, seed=8)
     ballots = [share_ballot(ranking_to_matrix(rule, r, 4), cfg.field, cfg.talliers,
                             cfg.talliers, cfg.voter_rng(v), v)
@@ -581,9 +581,9 @@ def test_a_batch_that_fails_the_degree_check_withdraws_its_zeros(rule):
         assert owed == {"rand": 0, "double": 0, "zero": 0}, party
         assert result.counters["zero_sharings"] == 0, party
         assert (phases["validate"]["comm_rounds"], phases["validate"]["mul_gates"]) == (3, 0)
-        assert phases["validate"]["offline_rounds"] == 2, party
+        assert phases["validate"]["offline_rounds"] == 3, party
         assert phases["offline"]["comm_rounds"] == phases["offline"]["offline_rounds"] == \
-            result.counters["offline_rounds"] - 2 > 0, party
+            result.counters["offline_rounds"] - 3 > 0, party
         assert result.winners == plain_winners(PlainElection(rule, 4, 2, ())), party
 
 
@@ -592,16 +592,17 @@ def test_a_batch_that_fails_the_degree_check_withdraws_its_zeros(rule):
                              "score": 3, "select": 19}),
     ("maximin", 6, 2, 200, {"validate": 18, "offline": 0, "aggregate": 0,
                             "score": 10, "select": 19}),
-    ("kemeny", 5, 2, 200, {"validate": 4, "offline": 3, "aggregate": 0, "select": 22}),
-    ("kemeny", 6, 1, 100, {"validate": 4, "offline": 3, "aggregate": 0, "select": 31}),
+    ("kemeny", 5, 2, 200, {"validate": 4, "offline": 2, "aggregate": 0, "select": 16}),
+    ("kemeny", 6, 1, 100, {"validate": 4, "offline": 2, "aggregate": 0, "select": 21}),
 ])
 def test_phase_ledger_reads_the_rounds_of_each_phase(rule, m, k, n, rounds):
     """Party 1's communication rounds per phase on legal ballots, D = 3, at
     the prime the config takes by default, 65,519.  The mask batch's 6
-    layers ride validation's rounds from its deal round on, so only Kemeny's
-    4 validate rounds leave 3 to the offline phase, and the one deal round
-    falls in validation.  Top-K's first opening rides the scores' last
-    layer, a round less in select."""
+    layers ride validation's rounds from the roster round on, so only
+    Kemeny's 4 validate rounds leave 2 to the offline phase, and no round
+    only deals.  Top-K's first opening rides the scores' last layer, a
+    round less in select, and Kemeny's argmax compares in groups
+    (``KEMENY_GROUPS``)."""
     cfg = ElectionConfig(rule=rule, candidates=tuple(f"C{i}" for i in range(1, m + 1)),
                          num_winners=k, talliers=3, expected_voters=n, seed=5).validate()
     assert cfg.prime == 65_519
@@ -610,7 +611,7 @@ def test_phase_ledger_reads_the_rounds_of_each_phase(rule, m, k, n, rounds):
     assert {ph: c["comm_rounds"] for ph, c in counters["phases"].items()} == rounds
     assert counters["comm_rounds"] == sum(rounds.values())
     assert rounds == phase_rounds(rule, m, k, cfg.field.ell)
-    assert [counters["phases"][ph]["deal_rounds"] for ph in ("offline", "validate")] == [0, 1]
+    assert [counters["phases"][ph]["deal_rounds"] for ph in ("offline", "validate")] == [0, 0]
     assert counters["offline_rounds"] == 6
 
 
@@ -670,9 +671,9 @@ def test_a_short_validation_leaves_the_masks_to_the_offline_phase(rule, m, k):
     """Two elections whose validation ends before the mask batch does: one
     whose every ballot fails the degree check, so validation stops after
     the check, and one with an empty spool, whose validation takes only the
-    roster round.  The batch finishes in rounds of its own, S = 4 + t = 6
-    layers at p = 65,519 in all, and the winners are the oracle's for no
-    accepted ballot."""
+    roster round.  The batch rides those rounds from the roster on and
+    finishes in rounds of its own, S = 4 + t = 6 layers at p = 65,519 in
+    all, and the winners are the oracle's for no accepted ballot."""
     cfg = _cfg(rule=rule, m=m, k=k, seed=4)
     assert cfg.prime == 65_519
     rankings = _rankings(rule, m, 3, seed=4)
@@ -680,27 +681,28 @@ def test_a_short_validation_leaves_the_masks_to_the_offline_phase(rule, m, k):
                            cfg.talliers, cfg.voter_rng(v), v)
               for v, r in enumerate(rankings, 1)]
     expected = plain_winners(PlainElection(rule, m, k, ()))
-    for ballots, rode in ((broken, 2), ([], 0)):
+    for ballots, rode in ((broken, 3), ([], 1)):
         def program(ctx):
             return (ctx, *tallier_program(ctx, cfg, [b.bundle_for(ctx.party_id)
                                                      for b in ballots]))
 
         ctx, result, verdicts, _ = _run_local(cfg, program)[1]
         phases = result.counters["phases"]
-        assert [v.reason for v in verdicts] == [REASON_DEGREE] * (3 if rode else 0)
+        assert [v.reason for v in verdicts] == [REASON_DEGREE] * len(ballots)
         assert result.winners == expected
         assert phases["validate"]["offline_rounds"] == rode
         assert phases["offline"]["comm_rounds"] == phases["offline"]["offline_rounds"] == 6 - rode
         assert result.counters["offline_rounds"] == 6
-        assert result.counters["deal_rounds"] == 1
+        assert result.counters["deal_rounds"] == 0
         assert ctx._masks.shape[1] == 0 and ctx._stream is None
 
 
 def test_spare_masks_keep_the_offline_rounds_exact_at_16_bits(seeded_talliers):
     """Kemeny M=6 K=1 N=100 at p = 65,519 extracts 719 times, and about 0.05%
     of masks fail their checks.  On 20 seeds of the talliers, the tally takes
-    the rounds of ``phase_rounds`` exactly and pays one deal round, shared by
-    validation and the mask batch, none for a redraw."""
+    the rounds of ``phase_rounds`` exactly and pays no round that only
+    deals: the roster round carries the mask batch's deal, and validation's
+    deal round a mask layer; none goes to a redraw."""
     model = phase_rounds("kemeny", 6, 1, 16)
     for seed in range(1, 21):
         cfg = _cfg(rule="kemeny", m=6, k=1, seed=seed)
@@ -708,7 +710,7 @@ def test_spare_masks_keep_the_offline_rounds_exact_at_16_bits(seeded_talliers):
         counters = run_local_election(cfg, make_shared_ballots(
             cfg, _rankings("kemeny", 6, 100, seed=seed))).result.counters
         assert {ph: c["comm_rounds"] for ph, c in counters["phases"].items()} == model, seed
-        assert counters["deal_rounds"] == 1, seed
+        assert counters["deal_rounds"] == 0, seed
 
 
 def _stray_vote(cfg, ranking, voter_id, party):
@@ -802,8 +804,9 @@ def test_rejected_ballot_proofs_open_in_one_round():
 
 
 def test_round_timeout_names_the_phase_and_the_missing_party():
-    """T3 agrees the roster with its peers and then leaves: T1 and T2 time
-    out in validation's next round, and the error names the phase and T3."""
+    """T3 agrees the roster with its peers, its frame carrying the mask
+    batch's deal as theirs does, and then leaves: T1 and T2 time out in
+    validation's next round, and the error names the phase and T3."""
     cfg = _cfg(rule="copeland", m=3, k=1, seed=14)
     ballots = make_shared_ballots(cfg, _rankings("copeland", 3, 4, seed=13))
     hub = InMemoryHub(3, timeout=1.0)
@@ -811,6 +814,7 @@ def test_round_timeout_names_the_phase_and_the_missing_party():
     def body(d):
         ctx = build_context(cfg, d, SessionChannel(hub.transport(d), 1))
         if d == 3:
+            ctx.prepare_masks(lsb_extractions(cfg.rule, cfg.m, cfg.num_winners))
             session._agree_roster(ctx, Spool.from_bundles(
                 [b.bundle_for(d) for b in ballots], cfg.rule, cfg.m, cfg.prime))
             return None

@@ -19,7 +19,15 @@ and aggregates stayed the same.  The rounds, messages and bytes, the phase
 digests and the captured scores were read again when validation's products
 came to open from their product shares, masked by sharings of zero: the
 talliers now deal those, and validation takes a round fewer; the verdicts,
-winners, rankings, proofs and aggregates stayed the same."""
+winners, rankings, proofs and aggregates stayed the same.  The phase
+digests, the captured scores and the Kemeny rounds were read again when
+the roster round came to carry the mask batch's deal, so that no round
+only deals and the talliers draw the masks' sharings before validation's,
+when a tree level's products came to be laid out term by term, and when
+Kemeny's argmax came to compare within groups wider than pairs
+(``tally.KEMENY_GROUPS``): fewer select rounds for more comparisons, and
+one offline round fewer; the verdicts, winners, rankings, proofs,
+aggregates and the rounds of Copeland and Maximin stayed the same."""
 
 import hashlib
 import json
@@ -63,28 +71,28 @@ def _captures(outcome) -> dict:
 # phase.  The configs name no prime, so each takes p = 65,519; each election
 # is pinned at 2^31 - 1 too, which the ladder picks for large ones.
 FOUR = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "92945f7497276d7e",
-     "6d328258b59b5b21", {"validate": 18, "offline": 0, "aggregate": 0, "score": 3,
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "53f39c520a2da766",
+     "5d482b3484e9c3ee", {"validate": 18, "offline": 0, "aggregate": 0, "score": 3,
                           "select": 19}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "d282ff3b6965068c",
-     "a62352c54ec7c6ca", {"validate": 18, "offline": 0, "aggregate": 0, "score": 10,
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "04102fd642837814",
+     "640f260200e06816", {"validate": 18, "offline": 0, "aggregate": 0, "score": 10,
                           "select": 19}),
     ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "5073724b4cd8c005",
-     "4b9961fff8cf3ccb", {"validate": 4, "offline": 3, "aggregate": 0, "select": 22}),
+     "3640db4e55a5ad26", {"validate": 4, "offline": 2, "aggregate": 0, "select": 16}),
     ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "19bb15727fb03c00",
-     "ab2a99a5cf045895", {"validate": 4, "offline": 3, "aggregate": 0, "select": 31}),
+     "06ce9d3f5853dce4", {"validate": 4, "offline": 2, "aggregate": 0, "select": 21}),
 ]
 FOUR_AT_M31 = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "10baa3138171107d",
-     "c478fc86d5c2164d", {"validate": 18, "offline": 0, "aggregate": 0, "score": 4,
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "8fbd36f5e9fbb843",
+     "a6953601eb07a130", {"validate": 18, "offline": 0, "aggregate": 0, "score": 4,
                           "select": 25}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "c66e7df3ee55c872",
-     "5aee854fac36c118", {"validate": 18, "offline": 0, "aggregate": 0, "score": 13,
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "dd8626566bcbda8b",
+     "c5a587ee89101070", {"validate": 18, "offline": 0, "aggregate": 0, "score": 13,
                           "select": 25}),
     ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "2851c951d141b86c",
-     "e3853a66e7fabf04", {"validate": 4, "offline": 4, "aggregate": 0, "select": 29}),
+     "5dabfd9883f3c2b5", {"validate": 4, "offline": 3, "aggregate": 0, "select": 20}),
     ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "cf91e8d45a706453",
-     "cf05100a57817ce7", {"validate": 4, "offline": 4, "aggregate": 0, "select": 41}),
+     "68f2c801542f5ae4", {"validate": 4, "offline": 3, "aggregate": 0, "select": 26}),
 ]
 
 
@@ -136,8 +144,8 @@ def _edge_spools():
 
 PINNED_EDGE = {"winners": [4, 2],
                "aggregate": [21279, 38401, 12504, 27137, 15353, 21994],
-               "captures": "9cb17702a0654db7", "proofs": "b0f777d7b2790c6c",
-               "phases": "89ef6a4b4607dbff"}
+               "captures": "158584e2ab6b1103", "proofs": "b0f777d7b2790c6c",
+               "phases": "870a559565e15c88"}
 
 
 def test_edge_spools_match_the_pinned_tally(seeded_talliers):

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import deal, run_parties
 from ordervote.ballots import Spool, ranking_to_matrix, share_ballot
-from ordervote.config import FieldTooSmall, TooManyCandidates, rank_vectors, select_winners
+from ordervote.config import (PRIME_LADDER, FieldTooSmall, TooManyCandidates, rank_vectors,
+                              select_winners)
 from ordervote.engine import Shares
 from ordervote.field import PrimeField
 from ordervote.oracle import (PlainElection, kemeny_counts, kemeny_score,
@@ -237,7 +238,7 @@ def test_kemeny_random_matches_oracle(f_mersenne31):
             PlainElection("kemeny", m, m, rankings))
         assert ranking == oracle_ranking
         assert winners == oracle_winners
-        assert comps == math.factorial(m) - 1
+        assert comps == lsb_extractions("kemeny", m, k=m)
 
 
 def test_kemeny_candidate_guard(f_mersenne31):
@@ -400,12 +401,12 @@ def test_selection_depth_is_log2_of_entries(f_mersenne31):
         assert winner == plain.index(max(plain)) + 1
     assert top2 == 3 + 2
     assert maximin == 3  # M-1 = 5 opponent columns
-    assert kemeny == 3  # 3! = 6 rankings
+    assert kemeny == 1  # 3! = 6 rankings in one group (KEMENY_GROUPS)
 
 
 def test_kemeny_tie_across_tree_halves_picks_first_ranking(f_mersenne31):
-    """Rankings 2 = (2,1,3) and 4 = (3,1,2) tie for the best score; the first
-    is in the left part of the tree, the second meets it only at the root."""
+    """Rankings 2 = (2,1,3) and 4 = (3,1,2) tie for the best score; the
+    lower index wins their group, the argmax's only level at M = 3."""
     f = f_mersenne31
     rankings = ((2, 1, 2), (3, 1, 3))
     counts = kemeny_counts(rankings, 3)
@@ -419,6 +420,73 @@ def test_kemeny_tie_across_tree_halves_picks_first_ranking(f_mersenne31):
     winners, ranking = run_parties(3, 2, f, prog)[1]
     assert ranking == (2, 1, 3) == plain_kemeny(PlainElection("kemeny", 3, 3, rankings))[0]
     assert winners == [2, 1, 3]
+
+
+@pytest.mark.parametrize("prime", PRIME_LADDER)
+def test_kemeny_every_m_matches_the_oracle_at_both_ladder_primes(prime):
+    """Kemeny for M = 1..6 at both primes of the ladder: the ranking and the
+    winners are the oracle's, and the argmax makes the comparisons of its
+    plan (``KEMENY_GROUPS``) that ``lsb_extractions`` counts."""
+    f = PrimeField(prime)
+    rng = np.random.default_rng(prime % 1000)
+    for m in range(1, 7):
+        k = int(rng.integers(1, m + 1))
+        rankings = tuple(tuple(int(r) for r in rng.integers(1, m + 1, m)) for _ in range(7))
+
+        def prog(ctx):
+            agg = _agg_from(f, "kemeny", rankings, m, ctx)
+            out = kemeny_winners(ctx, agg, k)
+            return out, ctx.counters.comparisons
+
+        (winners, ranking), comps = run_parties(3, 2, f, prog, seed=m)[1]
+        oracle_ranking, oracle_winners, _ = plain_kemeny(PlainElection("kemeny", m, k, rankings))
+        assert (ranking, winners) == (oracle_ranking, oracle_winners), (prime, m)
+        assert comps == lsb_extractions("kemeny", m, k), (prime, m)
+
+
+@pytest.mark.parametrize("groups", [(3,), (4,), (2, 4), (4, 2), (3, 3), (8,)])
+def test_wider_levels_elect_the_lowest_index_of_the_maximum(f31, groups):
+    """Argmax trees whose levels compare within groups wider than pairs:
+    ties within a group, ties between the winners of different groups, and
+    a last group shorter than the rest, or a column alone, all elect the
+    lowest index of the maximum."""
+    rng = np.random.default_rng(sum(groups))
+    plains = [[5] * 9, [1, 4, 4, 2, 0, 4, 3, 4], [0, 1, 2, 3, 2, 3, 3], [6, 0, 0, 0, 6],
+              [0, 2, 1, 2, 0, 0, 0, 0, 2, 2], [3, 1]]
+    plains += [rng.integers(0, 3, n).tolist() for n in range(2, 12)]
+    dealt = [_dealt_scores(f31, plain, seed=60 + i) for i, plain in enumerate(plains)]
+
+    def prog(ctx):
+        return [int(_argmax(ctx, scores(ctx), ctx.constant(range(1, len(plain) + 1)),
+                            groups=groups)[0]) for scores, plain in zip(dealt, plains)]
+
+    got = run_parties(3, 2, f31, prog)[1]
+    assert got == [plain.index(max(plain)) + 1 for plain in plains]
+
+
+@pytest.mark.parametrize("m, levels", [(4, [36, 15]), (5, [60, 30, 43, 28]),
+                                       (6, [360, 180, 270, 108, 28])])
+def test_kemeny_opens_only_the_masked_margins_and_the_winning_label(f_mersenne31, m, levels):
+    """With the masks prepared ahead, a Kemeny argmax opens one masked
+    margin c per comparison, level by level in its plan's groups, and then
+    the winning ranking's label, nothing else: no score, no comparison bit
+    and no label of a losing ranking."""
+    f = f_mersenne31
+    rankings = tuple(tuple(int(r) for r in rng_row)
+                     for rng_row in np.random.default_rng(m).integers(1, m + 1, (5, m)))
+
+    def prog(ctx):
+        agg = _agg_from(f, "kemeny", rankings, m, ctx)
+        ctx.prepare_masks(lsb_extractions("kemeny", m, 1))
+        ctx.finish_masks()
+        before = len(ctx.counters.open_log)
+        ranking = kemeny_winners(ctx, agg, 1)[1]
+        return ranking, ctx.counters.open_log[before:]
+
+    ranking, opened = run_parties(3, 2, f, prog)[1]
+    assert ranking == plain_kemeny(PlainElection("kemeny", m, 1, rankings))[0]
+    assert opened == [("lsb_mask", n) for n in levels] + [("winner_index", 1)]
+    assert sum(levels) == lsb_extractions("kemeny", m, 1)
 
 
 def test_maximin_tree_matches_oracle_for_m_2_to_7(f_mersenne31):

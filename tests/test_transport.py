@@ -149,6 +149,53 @@ def test_duplicate_message_rejected():
             hub.transport(1).await_round(1, 1, {2})
 
 
+def test_a_frame_for_a_round_already_handed_out_poisons_the_mailbox():
+    """Once ``await_round`` has handed out a sender's round, a frame for it,
+    whole or a MORE part, or for an earlier round, is a second message for
+    its key: it poisons the mailbox, and the next await fails with
+    DuplicateMessage instead of waiting out its timeout."""
+    for kind, late in ((MessageKind.POINTWISE, 3), (MessageKind.MORE, 3),
+                       (MessageKind.POINTWISE, 1)):
+        hub = InMemoryHub(2, timeout=2.0)
+        t1 = hub.transport(1)
+        for rnd in range(4):
+            hub.deliver(1, ProtocolMessage(1, rnd, 2, MessageKind.POINTWISE,
+                                           np.array([rnd], dtype=np.uint64)))
+            assert t1.await_round(1, rnd, {2})[2].payload.tolist() == [rnd]
+        with pytest.raises(DuplicateMessage):
+            hub.deliver(1, ProtocolMessage(1, late, 2, kind, np.array([9], dtype=np.uint64)))
+        with pytest.raises(DuplicateMessage):
+            t1.await_round(1, 4, {2})
+        hub = InMemoryHub(2, timeout=2.0)  # another session's rounds are its own
+        hub.deliver(1, ProtocolMessage(1, 0, 2, MessageKind.POINTWISE, np.zeros(1, np.uint64)))
+        hub.transport(1).await_round(1, 0, {2})
+        hub.deliver(1, ProtocolMessage(2, 0, 2, MessageKind.POINTWISE, np.ones(1, np.uint64)))
+        assert hub.transport(1).await_round(2, 0, {2})[2].payload.tolist() == [1]
+
+
+def test_a_forged_frame_taken_before_the_real_one_aborts_the_tally():
+    """An outsider reaches T1's port and sends a session 1, round 0 frame as
+    T2 before T2 does; T1 takes it for round 0, as frames are not
+    authenticated.  When T2's real frame arrives, T1's mailbox is poisoned,
+    so the tally cannot go on as if nothing happened: T1's next round fails
+    with DuplicateMessage, not a round timeout."""
+    import socket
+    nodes = _socket_mesh(2, timeout=3.0)
+    try:
+        forged = ProtocolMessage(1, 0, 2, MessageKind.POINTWISE,
+                                 np.array([7, 7, 7], dtype=np.uint64))
+        with socket.create_connection(nodes[1].endpoints[1]) as outsider:
+            outsider.sendall(forged.encode())
+            assert nodes[1].await_round(1, 0, {2})[2].payload.tolist() == [7, 7, 7]
+        nodes[2].send(1, ProtocolMessage(1, 0, 2, MessageKind.POINTWISE,
+                                         np.array([1, 2, 3], dtype=np.uint64)))
+        with pytest.raises(DuplicateMessage):
+            nodes[1].await_round(1, 1, {2})
+    finally:
+        for node in nodes.values():
+            node.close()
+
+
 def test_wide_payload_crosses_both_backends_as_frames_under_the_cap(monkeypatch):
     """Under a cap of four words a frame, a payload of 2·4 + 1 words crosses
     either backend as two MORE frames and a POINTWISE one, none above the
