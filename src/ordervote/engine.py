@@ -81,6 +81,14 @@ neither stream finds a pool short in the middle of a merge, and the
 batch's deal rides only its first exchange.  A take that finds its pool
 short declares itself and deals on the next exchange that carries nothing
 else (``deal_rounds``): a phase's first layer, and a mask batch's first.
+A party's deal is ``shamir.share_batch``'s one-dealer path, in evaluation
+form: it draws its secrets and the shares at the points 1..t-1 with
+``PrimeField.draw`` (full-range words split into lanes, the cheapest
+exact draw for the hundreds of thousands of values a large validation
+deals) and interpolates the shares at t..D through (0, secret).  For a
+fixed secret the coefficients of a polynomial of degree <= t-1 map one to
+one onto its values at t-1 distinct nonzero points (a Vandermonde matrix),
+so the deal is distributed exactly as one with uniform coefficients.
 
 Every primitive that exchanges is written once, as a generator of layers
 (``Layers``): it yields each layer's part and receives the D parties' rows
@@ -543,7 +551,8 @@ class PartyContext:
         contributions: ``rand`` uniform values under threshold D',
         ``doubles`` more under D' and again under 2D'-1, and ``zeros``
         zeros under 2D'-1.  Everything is written straight into each
-        party's buffer, not into one (D, n) block (see ``share_batch``)."""
+        party's buffer, not into one (D, n) block, by ``share_batch``'s
+        deal in evaluation form; the secrets come from ``PrimeField.draw``."""
         low, high = self.threshold, 2 * self.threshold - 1
         if doubles + zeros and high > self.parties:
             raise DegreeOverflow(f"threshold {high} exceeds D = {self.parties}")
@@ -552,7 +561,8 @@ class PartyContext:
         buffers = [np.empty(paired + zeros, dtype=np.uint64) for _ in range(self.parties)]
         for buf in buffers:
             np.concatenate(head, out=buf[:k])
-        secrets = self.field.rand_vec(self.rng, rand + doubles)
+        secrets = np.empty(rand + doubles, dtype=np.uint64)
+        self.field.draw(self.rng, secrets)
         share_batch(self.field, secrets, low, self.parties, self.rng,
                     out=[buf[k:k + rand + doubles] for buf in buffers])
         share_batch(self.field, secrets[rand:], high, self.parties, self.rng,
@@ -649,7 +659,7 @@ class PartyContext:
         dbl = self.double_shares(k)
         masked = np.multiply(u.values.ravel(), v.values.ravel())
         masked += dbl.high.values  # u*v + R <= (p - 1) * p < 2**64: one reduction
-        masked %= np.uint64(f.p)
+        f.reduce(masked)
         ride = None if then is None else then(-dbl.low.reshape(shape))
         got = yield masked if ride is None else np.concatenate([masked, ride.values.ravel()])
         self.counters.mul_gates += k
@@ -702,7 +712,7 @@ class PartyContext:
         np.multiply(x.values.ravel(), y.values.ravel(), out=masked[k:])
         masked[:k] += zeros.values  # u*v + z <= (p - 1) * p < 2**64: one reduction
         masked[k:] += dbl.high.values
-        masked %= np.uint64(f.p)
+        f.reduce(masked)
         got = yield masked
         self.counters.mul_gates += k + j
         self.counters.mul_rounds += 1

@@ -31,7 +31,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -163,7 +163,28 @@ def _agree_roster(ctx: PartyContext, spool: Spool) -> tuple[np.ndarray, np.ndarr
     get that list back.  Every copy of an id some tallier holds twice is a
     ``DuplicateVoter``; otherwise an id some tallier flags as malformed or
     lacks is ``Malformed``."""
-    held, flagged = zip(*_exchange_ids(ctx, spool))
+    return _roster(*zip(*_exchange_ids(ctx, spool)))
+
+
+def _roster(held: Sequence[np.ndarray], flagged: Sequence[np.ndarray]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """``_agree_roster``'s roster and codes from every tallier's ids and
+    malformed ids, in party order.  When every tallier holds T1's list, no
+    id is flagged and T1's ids have no repeat, the rule gives T1's list
+    with zero codes; an ``array_equal`` per tallier and one sort of T1's
+    ids show that without the general rule's sorts over every tallier's
+    ids (``_roster_by_rule``)."""
+    first = held[0]
+    if not any(f.size for f in flagged) and all(np.array_equal(first, h) for h in held[1:]):
+        ranked = np.sort(first)
+        if not bool(np.any(ranked[1:] == ranked[:-1])):
+            return first.copy(), np.zeros(first.size, dtype=np.int8)
+    return _roster_by_rule(held, flagged)
+
+
+def _roster_by_rule(held: Sequence[np.ndarray], flagged: Sequence[np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``_roster`` for any lists, by the rule ``_agree_roster`` states."""
     ids = np.concatenate(held)
     copies = np.concatenate([_copy_numbers(h) for h in held])
     order = np.lexsort((copies, ids))  # stable: each (id, copy) pair's first holder leads

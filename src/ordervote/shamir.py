@@ -14,6 +14,14 @@ parties' shares as rows, one per evaluation point, read where they lie: a
 public linear combination both rest on, also recomposes shared bits and
 extracts the talliers' dealt randomness.  Operands are canonical and every
 result is, with one reduction per value (see ``field``).
+
+``share_batch`` deals two ways.  A tallier, one dealer of many sharings,
+deals in evaluation form: it draws the shares at 1..t-1 with
+``PrimeField.draw`` and interpolates the rest, a few array passes per
+share, distributed exactly as uniform coefficients are.  The voters, many
+dealers of a few sharings each, draw coefficients with
+``PrimeField.rand_vec`` and evaluate by Horner, so each voter's sharing
+replays from its own seed.
 """
 
 from __future__ import annotations
@@ -45,19 +53,33 @@ def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties:
                 rng, out=None) -> np.ndarray:
     """Share independent canonical secrets at once, each under its own polynomial.
 
-    One dealer: ``secrets`` is (k,) and ``rng`` a generator; returns a
-    (parties, k) uint64 matrix, or fills ``out``, a sequence of ``parties``
-    writable uint64 rows of length k (party d's shares go to ``out[d - 1]``).
+    One dealer, the talliers' deal: ``secrets`` is (k,) and ``rng`` a
+    generator; returns a (parties, k) uint64 matrix, or fills ``out``, a
+    sequence of ``parties`` writable uint64 rows of length k (party d's
+    shares go to ``out[d - 1]``).  The deal is in evaluation form: the
+    shares at the points 1..t-1, t = ``threshold``, are drawn uniformly
+    (``PrimeField.draw``) straight into their rows, and those at t..D are
+    the polynomial of degree <= t-1 through (0, secret) and them, evaluated
+    by ``combine_rows`` with cached Lagrange coefficients; secrets that are
+    all zero drop their term.  For a fixed secret s, the coefficients
+    a_1..a_{t-1} of g(x) = s + sum_j a_j x**j map one-to-one onto the values
+    g(1)..g(t-1), since g(i) - s = sum_j a_j i**j and the matrix (i**j) is
+    diag(i) times a Vandermonde matrix on distinct nonzero points, which is
+    invertible mod p.  So uniform values at 1..t-1 give exactly the
+    distribution of uniform coefficients, and any t-1 shares are uniform
+    and independent of s: the secrecy is perfect, as before.
 
-    A batch of n dealers: ``secrets`` is (n, k) and ``rng`` an iterable of n
-    generators, taken one at a time; returns an (n, parties, k) block, or
-    fills ``out`` of that shape, dealer i's shares a contiguous (parties, k)
-    slice.  Either way a dealer draws its (threshold - 1, k) coefficients in
-    one call, so dealer i's shares are those ``secrets[i]`` gets alone.
+    A batch of n dealers, the voters' deal: ``secrets`` is (n, k) and
+    ``rng`` an iterable of n generators, taken one at a time; returns an
+    (n, parties, k) block, or fills ``out`` of that shape, dealer i's shares
+    a contiguous (parties, k) slice.  Dealer i draws its (threshold - 1, k)
+    coefficients in one ``PrimeField.rand_vec`` call, so its shares are
+    those a one-row batch of ``secrets[i]`` gets, and they are evaluated by
+    Horner (``_horner``).
 
-    Shares are evaluated in place where they are returned, in chunks of about
-    1 MB of them, and reduced once each: Horner's sums grow unreduced while
-    (p - 1) * sum_j D**j stays below 2**64 (``_horner``)."""
+    Either path works in chunks of about 1 MB of shares, so a chunk's
+    inputs stay in cache while every party's row of it is computed, and
+    reduces each share once."""
     if not 1 <= threshold <= parties:
         raise InvalidThreshold(f"need 1 <= threshold <= parties, got {threshold}/{parties}")
     if parties >= field.p:
@@ -66,16 +88,20 @@ def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties:
     if secrets.ndim == 2:
         return _share_rows(field, secrets, threshold, parties, iter(rng), out)
     k = secrets.shape[0]
-    coeffs = field.rand_vec(rng, (threshold - 1, k))
     if out is None:
         out = np.empty((parties, k), dtype=np.uint64)
-    # a chunk's coefficients stay in cache while every party's row of it is
-    # evaluated
+    drop = threshold > 1 and not secrets.any()  # sharings of zero
+    basis = tuple(range(threshold))  # 0, then the drawn points
+    rows = [(_lagrange_at(field.p, basis, x)[drop:], out[x - 1])
+            for x in range(threshold, parties + 1)]
     step = max(1, CHUNK // parties)
     for lo in range(0, k, step):
         cols = slice(lo, lo + step)
-        for x, row in enumerate(out, start=1):
-            _horner(field, coeffs[:, cols], secrets[cols], row[cols], np.uint64(x), parties)
+        drawn = [row[cols] for row in out[:threshold - 1]]
+        field.draw(rng, *drawn)
+        terms = [secrets[cols], *drawn][drop:]
+        for coeffs, row in rows:
+            combine_rows(field, coeffs, terms, out=row[cols])
     return out
 
 
@@ -94,8 +120,7 @@ def _share_rows(field: PrimeField, secrets: np.ndarray, threshold: int, parties:
         block = coeffs[:, :len(secrets[rows])]
         for i in range(block.shape[1]):
             block[:, i] = field.rand_vec(next(rngs), (threshold - 1, k))
-        _horner(field, block[:, :, None], secrets[rows, None], out[rows], _points(parties),
-                parties)
+        _horner(field, block[:, :, None], secrets[rows, None], out[rows], parties)
     return out
 
 
@@ -108,28 +133,28 @@ def _points(parties: int) -> np.ndarray:
 
 
 def _horner(field: PrimeField, coeffs: np.ndarray, secrets: np.ndarray,
-            acc: np.ndarray, x, parties: int) -> None:
-    """acc = g(x) mod p in place, where g's constant term is ``secrets`` and
-    its coefficient of x^(j+1) is ``coeffs[j]`` (each canonical and broadcast
-    against ``acc``), at a point x <= D = ``parties`` or the column of points
-    1..D (``_points``).  Horner from a_{t-1} down to the secret: after j
-    steps acc is at most (p - 1) * sum_{i<=j} D**i, so acc is reduced once,
-    at the end, unless the next step could pass 2**64; then it is reduced
-    first (never for D <= 9 at p < 2**32; at p near 2**32 and D = 17 from
-    t = 9 on)."""
-    p = field.p
+            acc: np.ndarray, parties: int) -> None:
+    """acc = g(x) mod p in place at the column of points x = 1..D
+    (``_points``), D = ``parties``, where g's constant term is ``secrets``
+    and its coefficient of x^(j+1) is ``coeffs[j]`` (each canonical and
+    broadcast against ``acc``).  Horner from a_{t-1} down to the secret:
+    after j steps acc is at most (p - 1) * sum_{i<=j} D**i, so acc is
+    reduced once, at the end, unless the next step could pass 2**64; then
+    it is reduced first (never for D <= 9 at p < 2**32; at p near 2**32 and
+    D = 17 from t = 9 on)."""
+    p, x = field.p, _points(parties)
     terms = [*coeffs[::-1], secrets]
     acc[...] = terms[0]
     bound = p - 1
     for term in terms[1:]:
         if bound * parties + p - 1 >= 1 << 64:
-            acc %= np.uint64(p)
+            field.reduce(acc)
             bound = p - 1
         acc *= x
         acc += term
         bound = bound * parties + p - 1
     if bound >= p:
-        acc %= np.uint64(p)
+        field.reduce(acc)
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +182,6 @@ def combine_rows(field: PrimeField, coeffs: Sequence[int], rows: Sequence[np.nda
     uint64 without wrapping and share one reduction; the reductions, not the
     products, are the cost here.  A row with coefficient 1 is added without
     a product."""
-    p = np.uint64(field.p)
     room = (2**64 - 1) // (field.p - 1) ** 2
     acc = None
     for start in range(0, len(coeffs), room):
@@ -165,12 +189,12 @@ def combine_rows(field: PrimeField, coeffs: Sequence[int], rows: Sequence[np.nda
                            out=out if acc is None else None)
         for c, row in zip(coeffs[start + 1:start + room], rows[start + 1:start + room]):
             part += row if c == 1 else row * np.uint64(c)
-        part %= p
+        field.reduce(part)
         if acc is None:
             acc = part
         else:
             acc += part
-            acc %= p
+            field.reduce(acc)
     return acc
 
 

@@ -77,6 +77,29 @@ def test_extracted_zero_sharings_open_to_zero_at_degree_at_most_2t(parties):
     assert matrix.any(axis=0).all()
 
 
+@pytest.mark.parametrize("p", [31, 65_519, M31, 4_294_967_291])
+def test_dealt_double_and_zero_sharings_open_to_one_value_and_to_zero(p):
+    """Three talliers deal in evaluation form and extract: the low and high
+    halves of each double sharing lie on polynomials of degree at most
+    D' - 1 and 2D' - 2 and open to one value, each sharing of zero opens to
+    0 at threshold 2D' - 1, and the random sharings open to more than one
+    value."""
+    f = PrimeField(p)
+
+    def prog(ctx):
+        dbl, zeros = ctx.double_shares(300), ctx.zero_shares(300)
+        return dbl.low.values, dbl.high.values, zeros.values, ctx.rand_shares(300).values
+
+    res = run_parties(3, 2, f, prog)
+    low, high, zeros, rand = (np.stack([res[d][i] for d in (1, 2, 3)]) for i in range(4))
+    assert degree_at_most(f, low, 2).all() and degree_at_most(f, rand, 2).all()
+    assert degree_at_most(f, high, 3).all() and degree_at_most(f, zeros, 3).all()
+    assert np.array_equal(reconstruct_batch(f, [1, 2], low[:2]),
+                          reconstruct_batch(f, [1, 2, 3], high))
+    assert not reconstruct_batch(f, [1, 2, 3], zeros).any()
+    assert len(set(reconstruct_batch(f, [2, 3], rand[1:]).tolist())) > 1
+
+
 def _rank_mod(rows, p):
     """The rank of an integer matrix over Z_p, by elimination."""
     rows, rank = [list(r) for r in rows], 0

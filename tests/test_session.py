@@ -439,6 +439,51 @@ def test_malformed_ids_that_straddle_a_roster_chunk_reach_every_tallier(monkeypa
     assert list(_run_threads(3, body).values()) == [expected] * 3
 
 
+def test_the_roster_fast_path_agrees_with_the_rule(monkeypatch):
+    """Seeded random rosters of three talliers: lists with duplicates,
+    missing ids, ids no other tallier holds, malformed ids and another
+    order, and clean lists, every tallier's equal to T1's, ascending or
+    not.  ``_roster`` gives what the general rule gives, ids and codes, and
+    a clean roster never reaches the rule."""
+    rule = session._roster_by_rule
+    calls = []
+    monkeypatch.setattr(session, "_roster_by_rule",
+                        lambda held, flagged: calls.append(1) or rule(held, flagged))
+    rng = np.random.default_rng(27)
+    none = np.zeros(0, dtype=np.uint64)
+    clean = 0
+    for trial in range(300):
+        n = int(rng.integers(0, 30))
+        base = np.arange(1, n + 1, dtype=np.uint64)
+        if trial % 2:
+            base = rng.permutation(base)
+        held, flagged = [base.copy() for _ in range(3)], [none] * 3
+        touched = trial % 3 and n
+        for d in range(3) if touched else ():
+            ids = held[d]
+            for edit in np.flatnonzero(rng.random(5) < 0.4):
+                pick = ids[rng.integers(0, ids.size)] if ids.size else np.uint64(1)
+                if edit == 0:  # a duplicate
+                    ids = np.insert(ids, rng.integers(0, ids.size + 1), pick)
+                elif edit == 1 and ids.size:  # a missing id
+                    ids = np.delete(ids, rng.integers(0, ids.size))
+                elif edit == 2:  # an id no one else holds
+                    ids = np.append(ids, np.uint64(100 + d))
+                elif edit == 3:  # a malformed id
+                    flagged[d] = np.array([pick], dtype=np.uint64)
+                else:  # another order
+                    ids = rng.permutation(ids)
+            held[d] = ids
+        before = len(calls)
+        got = session._roster(held, flagged)
+        want = rule(held, flagged)
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+        if not touched:
+            clean += 1
+            assert len(calls) == before  # the fast path
+    assert clean >= 100 and len(calls) >= 150  # both paths ran
+
+
 def test_roster_word_claiming_unsent_malformed_ids_names_its_sender():
     """A peer whose final roster word, the count of its malformed ids,
     claims more than it sent is named in an InconsistentOpen at every other

@@ -27,7 +27,12 @@ when a tree level's products came to be laid out term by term, and when
 Kemeny's argmax came to compare within groups wider than pairs
 (``tally.KEMENY_GROUPS``): fewer select rounds for more comparisons, and
 one offline round fewer; the verdicts, winners, rankings, proofs,
-aggregates and the rounds of Copeland and Maximin stayed the same."""
+aggregates and the rounds of Copeland and Maximin stayed the same.  The
+captured scores of Copeland and Maximin, at both primes, and the edge
+captures were read again when the talliers came to deal their sharings in
+evaluation form from full-range words (``PrimeField.draw``): the shares
+they deal moved, and the verdicts, winners, rankings, proofs, aggregates,
+Kemeny captures and phase digests stayed the same."""
 
 import hashlib
 import json
@@ -71,10 +76,10 @@ def _captures(outcome) -> dict:
 # phase.  The configs name no prime, so each takes p = 65,519; each election
 # is pinned at 2^31 - 1 too, which the ladder picks for large ones.
 FOUR = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "53f39c520a2da766",
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "996adf2bfc9491ca",
      "5d482b3484e9c3ee", {"validate": 18, "offline": 0, "aggregate": 0, "score": 3,
                           "select": 19}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "04102fd642837814",
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "0e132b570f255721",
      "640f260200e06816", {"validate": 18, "offline": 0, "aggregate": 0, "score": 10,
                           "select": 19}),
     ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "5073724b4cd8c005",
@@ -83,10 +88,10 @@ FOUR = [
      "06ce9d3f5853dce4", {"validate": 4, "offline": 2, "aggregate": 0, "select": 21}),
 ]
 FOUR_AT_M31 = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "8fbd36f5e9fbb843",
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "be86df27dda04429",
      "a6953601eb07a130", {"validate": 18, "offline": 0, "aggregate": 0, "score": 4,
                           "select": 25}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "dd8626566bcbda8b",
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "3e13bacf71cfb703",
      "c5a587ee89101070", {"validate": 18, "offline": 0, "aggregate": 0, "score": 13,
                           "select": 25}),
     ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "2851c951d141b86c",
@@ -144,7 +149,7 @@ def _edge_spools():
 
 PINNED_EDGE = {"winners": [4, 2],
                "aggregate": [21279, 38401, 12504, 27137, 15353, 21994],
-               "captures": "158584e2ab6b1103", "proofs": "b0f777d7b2790c6c",
+               "captures": "2c9f9a26b95e0520", "proofs": "b0f777d7b2790c6c",
                "phases": "870a559565e15c88"}
 
 
