@@ -34,7 +34,7 @@ from .ballots import (InvalidRanking, Spool, encode_bundle, parse_order, parse_r
                       ranking_to_matrix, share_ballot)
 from .config import ConfigError, ElectionConfig, check_field_bounds, fresh_rng
 from .session import (SESSION, make_shared_ballots, run_local_election,
-                      run_local_validation, run_socket_tallier, run_socket_validation)
+                      run_local_validation, run_socket_tallier)
 from .transport import TransportFailure, submit_ballot_socket
 
 SESSION_FILE = "session.json"
@@ -212,12 +212,26 @@ def _spools(session: Path, config: ElectionConfig) -> dict[int, Spool]:
     return {d: _read_spool(session, config, d) for d in range(1, config.talliers + 1)}
 
 
+def _refuse_party(config: ElectionConfig, party: int | None) -> bool:
+    """Say on stderr why ``--party`` cannot run, and return True, when it
+    cannot: a single tallier meets its peers over TCP, so the config needs
+    socket endpoints and the party a number in 1..D."""
+    if party is None or config.backend == "socket" and 1 <= party <= config.talliers:
+        return False
+    print("config has no socket endpoints" if config.backend != "socket"
+          else f"--party must name a tallier in 1..{config.talliers}", file=sys.stderr)
+    return True
+
+
 def cmd_validate(args) -> int:
     session = _session_dir(args.session)
     config = _load_config(session / SESSION_FILE)
-    if args.party:
-        verdicts, counters = run_socket_validation(
-            config, args.party, _read_spool(session, config, args.party))
+    if _refuse_party(config, args.party):
+        return 2
+    if args.party is not None:
+        result, verdicts, _ = run_socket_tallier(
+            config, args.party, _read_spool(session, config, args.party), validate_only=True)
+        counters = result.counters["phases"]["validate"]
     else:
         verdicts, counters = run_local_validation(config, _spools(session, config))
     _write_audit(session, verdicts)
@@ -246,8 +260,10 @@ def cmd_tally(args) -> int:
         config = config.with_overrides(open_scores=True)
     if args.reconstruct_rejected:
         config = config.with_overrides(reconstruct_rejected=True)
+    if _refuse_party(config, args.party):
+        return 2
 
-    if args.party:
+    if args.party is not None:
         bundles = None if args.expect_votes else _read_spool(session, config, args.party)
         result, verdicts, proofs = run_socket_tallier(config, args.party, bundles,
                                                       args.expect_votes)

@@ -10,19 +10,17 @@ everywhere, which keeps the implicit round numbering aligned.
 
 Primitives:
 
-* multiplication with degree reduction in one round (Damgard-Nielsen,
-  CRYPTO 2007): local share products give a (2D'-1)-threshold sharing of u*v;
-  a double sharing of a random R masks it, every party broadcasts its masked
-  share, checks that the D shares have degree at most 2D'-2 and reconstructs
-  w+R itself, and subtracting the low-threshold shares of R lands back on a
-  D'-out-of-D sharing of the product.
-* an opened-product layer (``open_products``), for products that are only
-  ever revealed: each party broadcasts its share product plus its share of
-  a sharing z of zero under threshold 2D'-1, and every party reconstructs
-  u*v at that threshold in the same round, checking the degree as above.
-  The broadcast polynomial is uniform among those whose constant is u*v,
-  so the view is that of a multiplication followed by its opening.  The
-  same frame may degree-reduce other gates, as ``mul`` does.
+* one layer of multiplication gates in one round (``_gate_layer``;
+  Damgard-Nielsen, CRYPTO 2007).  Local share products are sharings under
+  threshold 2D'-1, and each party's frame holds, in order: u*v + z for the
+  gates that open (``open_products``), z a sharing of zero under 2D'-1;
+  x*y + R for the gates that are degree-reduced (``mul``), R the high half
+  of a double sharing; then the rider of an opening (below).  Every party
+  checks that each gate's D shares have degree at most 2D'-2 and
+  reconstructs the gate itself: u*v, whose polynomial is uniform among
+  those with that constant, so the view is that of a multiplication
+  followed by its opening; and W = xy + R, which less the low-threshold
+  shares of R is a D'-out-of-D sharing of x*y.
 * an opening that rides on a multiplication layer (``mul`` with ``then``):
   each product is the public W = uv + R less the shares of R, so an affine
   map L of the layer's products opens in the layer's own round.  Every
@@ -615,18 +613,7 @@ class PartyContext:
         self.counters.zero_sharings += k
         return Shares(self.field, 2 * self.threshold - 1, self._take("zero", k)[0])
 
-    def pregenerate(self, rand: int = 0, doubles: int = 0, masks: int = 0) -> None:
-        """Fill the pools in rounds of their own: the sharings in one round,
-        with any declared before, then ``masks`` LSB masks, which draw on
-        them.  A tally does not call it: its masks ride its validation's
-        rounds (``prepare_masks``)."""
-        self.expect(rand, doubles)
-        if any(self._due(pool) for pool in self._pools):
-            self._deal()
-        if masks:
-            self._run(self._mask_layers(masks))
-
-    # -- multiplication gate with degree reduction ---------------------------
+    # -- multiplication gates ------------------------------------------------
 
     def mul(self, u: Shares, v: Shares, then: Callable[[Shares], Shares] | None = None,
             purpose: str = "") -> Shares | tuple[Shares, np.ndarray]:
@@ -642,41 +629,8 @@ class PartyContext:
 
     def _mul_layer(self, u: Shares, v: Shares, then: Callable[[Shares], Shares] | None = None,
                    purpose: str = "") -> Layers[Shares | tuple[Shares, np.ndarray]]:
-        """The layer of ``mul``; with pools short of its double sharings, a
-        deal-only part first."""
-        if u.values.shape != v.values.shape:
-            raise MpcError("mul operands must have the same shape")
-        high_t = 2 * self.threshold - 1
-        if high_t > self.parties:
-            raise DegreeOverflow(f"2D'-1 = {high_t} exceeds D = {self.parties}")
-        f, k, shape = self.field, u.size, u.values.shape
-        if k == 0:
-            out = Shares(f, self.threshold, u.values.copy())
-            if then is None:
-                return out
-            return out, (yield from self._open_layer(then(out), purpose))
-        yield from self._stocked({"double": k})
-        dbl = self.double_shares(k)
-        masked = np.multiply(u.values.ravel(), v.values.ravel())
-        masked += dbl.high.values  # u*v + R <= (p - 1) * p < 2**64: one reduction
-        f.reduce(masked)
-        ride = None if then is None else then(-dbl.low.reshape(shape))
-        got = yield masked if ride is None else np.concatenate([masked, ride.values.ravel()])
-        self.counters.mul_gates += k
-        self.counters.mul_rounds += 1
-        w = self._reconstruct([row[:k] for row in got], high_t, "masked product shares")
-        out = Shares(f, self.threshold, f.sub_vec(w, dbl.low.values).reshape(shape))
-        if ride is None:
-            return out
-        self._log_open(ride.size, purpose)
-
-        def public(x: np.ndarray) -> np.ndarray:
-            return then(Shares(f, self.threshold, x.reshape(shape))).values.ravel()
-
-        opened = f.add_vec(self._reconstruct([row[k:] for row in got], ride.threshold,
-                                             "opened shares"),
-                           f.sub_vec(public(w), public(np.zeros(k, dtype=np.uint64))))
-        return out, opened.reshape(ride.values.shape)
+        """The layer of ``mul``."""
+        return (yield from self._gate_layer(None, (u, v), then, purpose))
 
     def open_products(self, u: Shares, v: Shares, purpose: str,
                       reduce: tuple[Shares, Shares] | None = None
@@ -687,24 +641,38 @@ class PartyContext:
         2D'-1, and reconstructs u*v at that threshold.  With ``reduce``, a
         pair (x, y), the same frame also multiplies x*y as ``mul`` does.
         Returns the opened products and, with ``reduce``, the shares of x*y."""
-        return self._run(self._product_layer(u, v, purpose, reduce))
+        return self._run(self._gate_layer((u, v), reduce, purpose=purpose))
 
-    def _product_layer(self, u: Shares, v: Shares, purpose: str,
-                       reduce: tuple[Shares, Shares] | None
-                       ) -> Layers[np.ndarray | tuple[np.ndarray, Shares]]:
-        """The layer of ``open_products``; with pools short of its zero or
-        double sharings, a deal-only part first.  The k opened gates come
-        first in the frame, then the degree-reduced ones."""
-        x, y = (u[:0], v[:0]) if reduce is None else reduce
+    def _gate_layer(self, opened: tuple[Shares, Shares] | None,
+                    reduced: tuple[Shares, Shares] | None,
+                    then: Callable[[Shares], Shares] | None = None, purpose: str = ""
+                    ) -> Layers:
+        """One layer of gates: the pair ``opened`` multiplied and opened, the
+        pair ``reduced`` multiplied with degree reduction, and with ``then``
+        an affine map of the reduced products opened for ``purpose``.  The
+        frame holds the k masked products u*v + z, the j masked products
+        x*y + R and the shares of then(-R); with pools short of the zero or
+        double sharings, a deal-only part comes first, and with no gate at
+        all, then(x*y) opens in a round of its own.  Returns what was asked
+        for in that order, one alone bare: the opened u*v, the shares of
+        x*y and the opened then(x*y)."""
+        f, t, high_t = self.field, self.threshold, 2 * self.threshold - 1
+        none = Shares(f, t, np.zeros(0, dtype=np.uint64))
+        (u, v), (x, y) = opened or (none, none), reduced or (none, none)
         if u.values.shape != v.values.shape or x.values.shape != y.values.shape:
             raise MpcError("mul operands must have the same shape")
-        high_t = 2 * self.threshold - 1
         if high_t > self.parties:
             raise DegreeOverflow(f"2D'-1 = {high_t} exceeds D = {self.parties}")
-        f, k, j = self.field, u.size, x.size
+        k, j, shape = u.size, x.size, x.values.shape
+
+        def asked(*results):
+            results = [r for r, want in zip(results, (opened, reduced, then)) if want is not None]
+            return results[0] if len(results) == 1 else tuple(results)
+
         if k + j == 0:
-            opened, out = u.values.copy(), Shares(f, self.threshold, x.values.copy())
-            return opened if reduce is None else (opened, out)
+            out = Shares(f, t, x.values.copy())
+            shown = None if then is None else (yield from self._open_layer(then(out), purpose))
+            return asked(u.values.copy(), out, shown)
         yield from self._stocked({"zero": k, "double": j})
         zeros, dbl = self.zero_shares(k), self.double_shares(j)
         masked = np.empty(k + j, dtype=np.uint64)
@@ -713,16 +681,25 @@ class PartyContext:
         masked[:k] += zeros.values  # u*v + z <= (p - 1) * p < 2**64: one reduction
         masked[k:] += dbl.high.values
         f.reduce(masked)
-        got = yield masked
+        rider = None if then is None else then(-dbl.low.reshape(shape))
+        got = yield masked if rider is None else np.concatenate([masked, rider.values.ravel()])
         self.counters.mul_gates += k + j
         self.counters.mul_rounds += 1
-        w = self._reconstruct(got, high_t, "product shares")
-        self._log_open(k, purpose)
-        opened = w[:k].reshape(u.values.shape)
-        if reduce is None:
-            return opened
-        return opened, Shares(f, self.threshold,
-                              f.sub_vec(w[k:], dbl.low.values).reshape(x.values.shape))
+        w = self._reconstruct([row[:k + j] for row in got], high_t, "product shares")
+        if opened is not None:
+            self._log_open(k, purpose)
+        out, shown = Shares(f, t, f.sub_vec(w[k:], dbl.low.values).reshape(shape)), None
+        if rider is not None:
+            self._log_open(rider.size, purpose)
+
+            def public(z: np.ndarray) -> np.ndarray:
+                return then(Shares(f, t, z.reshape(shape))).values.ravel()
+
+            shown = f.add_vec(self._reconstruct([row[k + j:] for row in got], rider.threshold,
+                                                "opened shares"),
+                              f.sub_vec(public(w[k:]), public(np.zeros(j, dtype=np.uint64)))
+                              ).reshape(rider.values.shape)
+        return asked(w[:k].reshape(u.values.shape), out, shown)
 
     # -- openings -------------------------------------------------------------
 

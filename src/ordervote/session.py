@@ -11,13 +11,14 @@ scores, and open winners, recording what each phase costs in the result's
 counters.  The roster's verdicts stay columns (``validation.Verdicts``: a
 voter id and a reason code per roster entry) beside the spool row each
 validated entry came from, so the accepted rows and the proof rows are
-picked by array operations.  Every in-process runner starts its talliers
-through one ``_run_threads``: ``run_local_election`` runs all D talliers as
-threads of one process over the in-memory hub (the desk-scale mode), checks
-that every tallier reached the same verdicts and winners, and returns T1's
-verdicts as a list of ``ValidationVerdict``, built once; ``run_local_validation``
-reuses it.  ``run_socket_tallier`` and ``run_socket_validation`` run a
-single party that meets its peers over TCP and return its list.  With fixed
+picked by array operations.  With ``validate_only`` the program stops
+after the validate phase.  Two runners start it: ``run_local_election``
+runs all D talliers as threads of one process over the in-memory hub (the
+desk-scale mode), checks that every tallier reached the same verdicts and
+winners, and returns T1's verdicts as a list of ``ValidationVerdict``,
+built once; ``run_socket_tallier`` runs a single party that meets its peers
+over TCP and returns its list.  Both pass ``validate_only`` through, and
+``run_local_validation`` is the local runner with it set.  With fixed
 seeds both backends produce identical results.  The
 talliers draw their randomness from the operating system (``build_context``),
 since the config's seed is no secret; no verdict, winner or counter depends
@@ -250,9 +251,11 @@ def _as_spool(config: ElectionConfig, bundles: Spool | list[TallierBundle]) -> S
 
 
 def tallier_program(ctx: PartyContext, config: ElectionConfig,
-                    bundles: Spool | list[TallierBundle]
+                    bundles: Spool | list[TallierBundle], validate_only: bool = False
                     ) -> tuple[TallyResult, validation.Verdicts, dict]:
     """The full pipeline one tallier runs; returns (result, verdicts, proofs).
+    With ``validate_only`` it stops after the validate phase: it prepares no
+    masks, opens no proofs and elects no one, so the result has no winners.
     The masks do not depend on the ballots, so the whole tally's are started
     first, in one batch that takes no round of its own: its deal rides
     validation's deal round and its layers the rounds after it, and the
@@ -265,7 +268,8 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
     rule, m = config.rule, config.m
     spool = _as_spool(config, bundles)
     phases: dict[str, dict] = {}
-    ctx.prepare_masks(lsb_extractions(rule, m, config.num_winners))
+    if not validate_only:
+        ctx.prepare_masks(lsb_extractions(rule, m, config.num_winners))
 
     # A duplicate is rejected for its id, not its content: it may be a replayed
     # honest ballot.  A malformed bundle has no sharing to open.  Neither is
@@ -274,10 +278,12 @@ def tallier_program(ctx: PartyContext, config: ElectionConfig,
     proofs: dict[int, np.ndarray] = {}
     with _phase(ctx, phases, "validate"):
         verdicts, rows = validate_bundles(ctx, config, spool)
-        if config.reconstruct_rejected:
+        if config.reconstruct_rejected and not validate_only:
             proven = (verdicts.codes != 0) & (rows >= 0)  # validated and rejected
             proofs = dict(zip(verdicts.ids[proven].tolist(), validation.reconstruct_rejected(
                 ctx, spool[rows[proven]])))
+    if validate_only:
+        return TallyResult(rule, [], counters=dict(ctx.summary(), phases=phases)), verdicts, proofs
     with _phase(ctx, phases, "offline"):
         ctx.finish_masks()
 
@@ -333,15 +339,16 @@ def _spools_of(config: ElectionConfig, ballots: Ballots) -> dict[int, Spool | li
     return Spool.from_ballots(ballots, config.rule, config.m, config.prime, config.talliers)
 
 
-def run_local_election(config: ElectionConfig, ballots: Ballots,
-                       capture: bool = False) -> ElectionOutcome:
-    """Run all D talliers as threads over the in-memory transport."""
+def run_local_election(config: ElectionConfig, ballots: Ballots, capture: bool = False,
+                       validate_only: bool = False) -> ElectionOutcome:
+    """Run all D talliers as threads over the in-memory transport, through
+    validation alone with ``validate_only`` (``tallier_program``)."""
     spools = _spools_of(config, ballots)
 
     def program(ctx: PartyContext):
         if capture:
             ctx.capture_store = {}
-        return (ctx, *tallier_program(ctx, config, spools[ctx.party_id]))
+        return (ctx, *tallier_program(ctx, config, spools[ctx.party_id], validate_only))
 
     runs = _run_local(config, program)
     per_party = [runs[d][1] for d in range(1, config.talliers + 1)]
@@ -363,11 +370,13 @@ def run_local_election(config: ElectionConfig, ballots: Ballots,
 
 def run_socket_tallier(config: ElectionConfig, party_id: int,
                        bundles: Spool | list[TallierBundle] | None = None,
-                       expect_votes: int | None = None) -> tuple[TallyResult, list, dict]:
-    """Run one tallier over TCP; returns (result, verdicts as a list of
-    ``ValidationVerdict``, proofs).  Ballots come either from the caller
-    (spooled submissions) or live off the wire when ``expect_votes`` is
-    given."""
+                       expect_votes: int | None = None,
+                       validate_only: bool = False) -> tuple[TallyResult, list, dict]:
+    """Run one tallier over TCP, through validation alone with
+    ``validate_only`` (``tallier_program``); returns (result, verdicts as a
+    list of ``ValidationVerdict``, proofs).  Ballots come either from the
+    caller (spooled submissions) or live off the wire when ``expect_votes``
+    is given."""
     with _socket_context(config, party_id) as ctx:
         if bundles is None:
             if expect_votes is None:
@@ -375,34 +384,13 @@ def run_socket_tallier(config: ElectionConfig, party_id: int,
             messages = ctx.channel.transport.collect_ballots(SESSION, expect_votes)
             bundles = decode_spool([msg.payload for msg in messages], config.rule,
                                    config.m, config.prime)
-        result, verdicts, proofs = tallier_program(ctx, config, bundles)
+        result, verdicts, proofs = tallier_program(ctx, config, bundles, validate_only)
         return result, verdicts.tolist(), proofs
 
 
-def _validation_program(ctx: PartyContext, config: ElectionConfig,
-                        bundles: Spool | list[TallierBundle]
-                        ) -> tuple[validation.Verdicts, dict]:
-    """Validation phase only; returns (verdicts, this party's validate counters)."""
-    spool = _as_spool(config, bundles)
-    phases: dict[str, dict] = {}
-    with _phase(ctx, phases, "validate"):
-        verdicts, _ = validate_bundles(ctx, config, spool)
-    return verdicts, phases["validate"]
-
-
 def run_local_validation(config: ElectionConfig, ballots: Ballots) -> tuple[list, dict]:
-    """Validation phase only (threads over the in-memory hub); returns T1's
-    (verdicts as a list of ``ValidationVerdict``, validate counters)."""
-    spools = _spools_of(config, ballots)
-    verdicts, counters = _run_local(config, lambda ctx: _validation_program(
-        ctx, config, spools[ctx.party_id]))[1]
-    return verdicts.tolist(), counters
-
-
-def run_socket_validation(config: ElectionConfig, party_id: int,
-                          bundles: Spool | list[TallierBundle]) -> tuple[list, dict]:
-    """Validation phase only, one party over TCP; returns (verdicts, validate
+    """Validation phase only (``run_local_election`` with ``validate_only``);
+    returns T1's (verdicts as a list of ``ValidationVerdict``, validate
     counters)."""
-    with _socket_context(config, party_id) as ctx:
-        verdicts, counters = _validation_program(ctx, config, bundles)
-        return verdicts.tolist(), counters
+    outcome = run_local_election(config, ballots, validate_only=True)
+    return outcome.verdicts, outcome.result.counters["phases"]["validate"]

@@ -547,22 +547,62 @@ def test_validate_prints_its_ledger(tmp_path, capsys, backend):
     """``validate`` prints its phase's counters as ``tally`` prints its own:
     for Copeland M=3 and 3 ballots, the roster round, a deal round, the
     degree check and M(M-1)/2 = 3 layers of 2B gates, which open their
-    products themselves."""
+    products themselves.  With voter 2's T1 share altered, its ballot is
+    rejected as ``ShareDegree`` and leaves the layers; ``validate`` opens no
+    proof of it even when the session sets ``reconstruct_rejected``, so the
+    ledger is the same with the flag as without it."""
+    def ledger(name, alter=False, reconstruct=False):
+        sockets = {"backend": "socket", "endpoints": _free_endpoints(3)} \
+            if backend == "socket" else {}
+        cfg = write_config(tmp_path / f"{name}.json", reconstruct_rejected=reconstruct,
+                           **sockets)
+        session = tmp_path / name
+        main(["setup", "--config", str(cfg), "--session", str(session)])
+        demo_votes(session, keep_plain=False)
+        if alter:
+            spool = session / "ballots" / "tallier_1.jsonl"
+            recs = [json.loads(line) for line in spool.read_text().splitlines()]
+            recs[1]["values"][0] = (recs[1]["values"][0] + 1) % M31
+            spool.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        capsys.readouterr()
+        argv = ["validate", "--session", str(session)]
+        if backend == "socket":
+            assert _run_socket_talliers(*argv) == {1: 0, 2: 0, 3: 0}
+        else:
+            assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert ("voter 2: rejected (ShareDegree)" in out) == alter
+        lines = [line for line in out.splitlines() if line.startswith("counters: ")]
+        assert len(lines) == (3 if backend == "socket" else 1) and len(set(lines)) == 1
+        return lines[0]
+
+    rounds = "comm_rounds=6 offline_rounds=0 deal_rounds=1 comparisons=0 lsb_extractions=0"
+    assert ledger("legal").startswith(f"counters: mul_gates=18 mul_rounds=3 {rounds} opens=")
+    without = ledger("altered", alter=True)
+    assert without.startswith(f"counters: mul_gates=12 mul_rounds=3 {rounds} opens=")
+    assert ledger("altered-proofs", alter=True, reconstruct=True) == without
+
+
+@pytest.mark.parametrize("command", ["validate", "tally"])
+@pytest.mark.parametrize("backend, party", [("memory", 1), ("memory", 0), ("socket", 4),
+                                            ("socket", -1), ("socket", 0)])
+def test_a_party_the_session_cannot_run_is_refused(tmp_path, capsys, command, backend, party):
+    """``--party d`` runs tallier d alone over TCP, so ``validate`` and
+    ``tally`` refuse it with exit code 2 and a message, before reading a
+    spool, when the session has no socket endpoints or d is not in 1..D;
+    ``--party 0`` does not fall back to running every tallier in process."""
     sockets = {"backend": "socket", "endpoints": _free_endpoints(3)} \
         if backend == "socket" else {}
     cfg = write_config(tmp_path / "cfg.json", **sockets)
     session = tmp_path / "sess"
     main(["setup", "--config", str(cfg), "--session", str(session)])
     demo_votes(session, keep_plain=False)
-    argv = ["validate", "--session", str(session)]
-    if backend == "socket":
-        assert _run_socket_talliers(*argv) == {1: 0, 2: 0, 3: 0}
-    else:
-        assert main(argv) == 0
-    out = capsys.readouterr().out
-    line = ("counters: mul_gates=18 mul_rounds=3 comm_rounds=6 offline_rounds=0 "
-            "deal_rounds=1 comparisons=0 lsb_extractions=0 opens=")
-    assert out.count(line) == (3 if backend == "socket" else 1)
+    capsys.readouterr()
+    assert main([command, "--session", str(session), "--party", str(party)]) == 2
+    assert capsys.readouterr().err.strip() == ("config has no socket endpoints"
+                                               if backend == "memory"
+                                               else "--party must name a tallier in 1..3")
+    assert not (session / "audit.jsonl").exists()
 
 
 def _free_endpoints(n):

@@ -152,7 +152,8 @@ def test_mul_examples(f31):
     mu, mv = deal(f31, u, 2, 3, seed=1), deal(f31, v, 2, 3, seed=2)
 
     def prog(ctx):
-        ctx.pregenerate(doubles=5)
+        ctx.expect(doubles=5)
+        ctx._deal()
         stats = ctx.channel.stats
         rounds, messages = stats.rounds, stats.messages
         w = ctx.mul(dealt_shares(f31, mu, 2, ctx.party_id),
@@ -214,7 +215,7 @@ def test_a_frame_opens_some_products_and_degree_reduces_others(parties):
     def prog(ctx):
         x, y = (dealt_shares(f13, m, threshold, ctx.party_id) for m in (mu, mv))
         ctx.expect(zeros=169, doubles=169)
-        ctx.pregenerate()
+        ctx._deal()
         before = ctx.summary()
         opened, product = ctx.open_products(x.reshape(13, 13), y.reshape(13, 13), "final_output",
                                             (x, y + 1))
@@ -314,11 +315,11 @@ def test_payload_of_the_wrong_length_names_its_sender_and_round(f31, rider):
 
 
 def test_declared_layers_take_dealt_sharings_without_a_round_of_their_own(f31):
-    """``pregenerate`` deals both pools in one round.  Sharings declared with
-    ``expect`` ride on the next exchange, behind its values, and the layers
-    that take them cost no round of their own; an exchange with nothing
-    declared carries no rider.  At D - t = 2 each party deals half of what
-    the pools lack, rounded up: the pregenerated double sharing leaves one
+    """A deal-only exchange deals both pools in one round.  Sharings declared
+    with ``expect`` ride on the next exchange, behind its values, and the
+    layers that take them cost no round of their own; an exchange with
+    nothing declared carries no rider.  At D - t = 2 each party deals half of
+    what the pools lack, rounded up: the double sharing dealt first leaves one
     over, so the 6 declared lack 5 and each party deals 3, which leaves one
     over again.  Nothing is declared of the pool of zeros, which stays
     empty."""
@@ -326,7 +327,8 @@ def test_declared_layers_take_dealt_sharings_without_a_round_of_their_own(f31):
 
     def prog(ctx):
         stats, transport = ctx.channel.stats, ctx.channel.transport
-        ctx.pregenerate(rand=4, doubles=1)
+        ctx.expect(rand=4, doubles=1)
+        ctx._deal()
         assert (stats.rounds, ctx.counters.deal_rounds) == (1, 1)
         xs = dealt_shares(f31, x, 2, ctx.party_id)
         sent = []
@@ -409,7 +411,8 @@ def test_fused_opening_shares_a_peer_receives_are_uniform(f31):
     mv = deal(f31, np.full(k, 3, dtype=np.uint64), 2, 3, seed=5)
 
     def prog(ctx):
-        ctx.pregenerate(doubles=k)
+        ctx.expect(doubles=k)
+        ctx._deal()
         rounds = ctx.channel.stats.rounds
         ctx.mul(dealt_shares(f31, mu, 2, ctx.party_id), dealt_shares(f31, mv, 2, ctx.party_id),
                 lambda x: x, "final_output")
@@ -433,7 +436,8 @@ def test_tampered_fused_opening_share_is_caught(f31, parties):
     mu = deal(f31, np.arange(k, dtype=np.uint64), threshold, parties, seed=6)
 
     def prog(ctx):
-        ctx.pregenerate(doubles=k)
+        ctx.expect(doubles=k)
+        ctx._deal()
         if ctx.party_id == 2:
             send = ctx.channel.transport.send
 
@@ -629,7 +633,10 @@ def test_bounded_comparison_cost_with_its_pools_prefilled(f_mersenne31):
     draws one spare mask (``spare_masks``), so its gates count twice."""
     def prog(ctx):
         a, b = ctx.constant(3), ctx.constant(5)
-        ctx.pregenerate(rand=2048, doubles=2048, masks=1)
+        ctx.expect(rand=2048, doubles=2048)
+        ctx._deal()
+        ctx.prepare_masks(1)
+        ctx.finish_masks()
         rounds = ctx.channel.stats.rounds
         gates = ctx.counters.mul_gates
         bit = ctx.is_positive(b - a)
@@ -664,7 +671,8 @@ def test_offline_frames_stay_within_236_words_per_mask(f_mersenne31):
             send(to, msg)
 
         ctx.channel.transport.send = recorded
-        ctx.pregenerate(masks=masks)
+        ctx.prepare_masks(masks)
+        ctx.finish_masks()
         return sent
 
     drawn = masks + spare_masks(f_mersenne31.p, 31, masks)
@@ -681,7 +689,8 @@ def test_masks_are_bits_of_a_uniform_r_below_p(f31):
     exercise the redraw; the preparation rounds count as offline, and
     extractions from a full pool prepare nothing more."""
     def prog(ctx):
-        ctx.pregenerate(masks=300)
+        ctx.prepare_masks(300)
+        ctx.finish_masks()
         offline = ctx.counters.offline_rounds
         masks = ctx.open(Shares(f31, 2, ctx._masks), "final_output")
         ctx.shared_lsb(ctx.constant(np.arange(300)))
