@@ -15,9 +15,9 @@ symmetry.  Each shared entry gets its own fresh share-generating polynomial.
 
 The voter side has one path, batched: ``share_rankings`` checks a batch of
 rankings at once, builds their (N, C) entries by indexing, and deals them
-in one ``share_batch`` call, each voter drawing its coefficients from its
-own generator.  ``ranking_to_matrix`` and ``share_ballot`` are its
-one-ballot case.
+in one ``share_batch`` call, each voter drawing its shares at the points
+1..D'-1 from its own generator.  ``ranking_to_matrix`` and
+``share_ballot`` are its one-ballot case.
 """
 
 from __future__ import annotations
@@ -267,8 +267,8 @@ def _deal(rule: str, m: int, values: np.ndarray, field: PrimeField, threshold: i
 def share_rankings(rule: str, rankings, m: int, field: PrimeField, threshold: int,
                    parties: int, voters, rngs) -> list[SharedBallot]:
     """Build and share the ballots of a batch of rankings in one pass: voter
-    ``voters[i]`` shares ranking i with coefficients drawn from the i-th of
-    the iterable ``rngs``, exactly as ``share_ballot`` would alone.  Every
+    ``voters[i]`` shares ranking i with shares drawn from the i-th of the
+    iterable ``rngs``, exactly as ``share_ballot`` would alone.  Every
     ranking is checked before any is shared."""
     keys = _keys(rule, rankings, m)
     values = _embed(_entries(rule, keys, *_pair_index(rule, m)), field)

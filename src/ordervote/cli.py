@@ -212,14 +212,23 @@ def _spools(session: Path, config: ElectionConfig) -> dict[int, Spool]:
     return {d: _read_spool(session, config, d) for d in range(1, config.talliers + 1)}
 
 
-def _refuse_party(config: ElectionConfig, party: int | None) -> bool:
-    """Say on stderr why ``--party`` cannot run, and return True, when it
-    cannot: a single tallier meets its peers over TCP, so the config needs
-    socket endpoints and the party a number in 1..D."""
-    if party is None or config.backend == "socket" and 1 <= party <= config.talliers:
+def _refuse_party(config: ElectionConfig, party: int | None,
+                  expect_votes: int | None = None) -> bool:
+    """Say on stderr why ``--party`` or ``--expect-votes`` cannot run, and
+    return True, when one cannot: a single tallier meets its peers over TCP,
+    so the config needs socket endpoints and the party a number in 1..D;
+    only such a tallier collects live submissions, at least one of them."""
+    if party is not None and config.backend != "socket":
+        message = "config has no socket endpoints"
+    elif party is not None and not 1 <= party <= config.talliers:
+        message = f"--party must name a tallier in 1..{config.talliers}"
+    elif expect_votes is not None and party is None:
+        message = "--expect-votes needs --party"
+    elif expect_votes is not None and expect_votes < 1:
+        message = "--expect-votes must be at least 1"
+    else:
         return False
-    print("config has no socket endpoints" if config.backend != "socket"
-          else f"--party must name a tallier in 1..{config.talliers}", file=sys.stderr)
+    print(message, file=sys.stderr)
     return True
 
 
@@ -234,7 +243,8 @@ def cmd_validate(args) -> int:
         counters = result.counters["phases"]["validate"]
     else:
         verdicts, counters = run_local_validation(config, _spools(session, config))
-    _write_audit(session, verdicts)
+    if args.party in (None, 1):  # in socket mode T1 owns the session artifacts
+        _write_audit(session, verdicts)
     accepted = sum(v.accepted for v in verdicts)
     print(f"validated {len(verdicts)} ballots: {accepted} accepted, "
           f"{len(verdicts) - accepted} rejected")
@@ -260,11 +270,12 @@ def cmd_tally(args) -> int:
         config = config.with_overrides(open_scores=True)
     if args.reconstruct_rejected:
         config = config.with_overrides(reconstruct_rejected=True)
-    if _refuse_party(config, args.party):
+    if _refuse_party(config, args.party, args.expect_votes):
         return 2
 
     if args.party is not None:
-        bundles = None if args.expect_votes else _read_spool(session, config, args.party)
+        bundles = None if args.expect_votes is not None \
+            else _read_spool(session, config, args.party)
         result, verdicts, proofs = run_socket_tallier(config, args.party, bundles,
                                                       args.expect_votes)
     else:

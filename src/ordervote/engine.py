@@ -79,14 +79,12 @@ neither stream finds a pool short in the middle of a merge, and the
 batch's deal rides only its first exchange.  A take that finds its pool
 short declares itself and deals on the next exchange that carries nothing
 else (``deal_rounds``): a phase's first layer, and a mask batch's first.
-A party's deal is ``shamir.share_batch``'s one-dealer path, in evaluation
-form: it draws its secrets and the shares at the points 1..t-1 with
-``PrimeField.draw`` (full-range words split into lanes, the cheapest
-exact draw for the hundreds of thousands of values a large validation
-deals) and interpolates the shares at t..D through (0, secret).  For a
-fixed secret the coefficients of a polynomial of degree <= t-1 map one to
-one onto its values at t-1 distinct nonzero points (a Vandermonde matrix),
-so the deal is distributed exactly as one with uniform coefficients.
+A party deals with ``shamir.share_batch``, as the voters do: it draws its
+secrets and the shares at the points 1..t-1 with ``PrimeField.draw``
+(full-range words split into lanes, the cheapest exact draw for the
+hundreds of thousands of values a large validation deals) and
+interpolates the shares at t..D through (0, secret), which is distributed
+exactly as a deal with uniform coefficients (see ``share_batch``).
 
 Every primitive that exchanges is written once, as a generator of layers
 (``Layers``): it yields each layer's part and receives the D parties' rows
@@ -108,7 +106,7 @@ from typing import Callable, Generator, TypeVar
 import numpy as np
 
 from .field import PrimeField
-from .shamir import (InsufficientShares, combine_rows, degree_at_most,
+from .shamir import (CHUNK, InsufficientShares, combine_rows, degree_at_most,
                      reconstruct_batch, share_batch)
 from .transport import SessionChannel
 
@@ -236,10 +234,9 @@ def extract(field: PrimeField, matrix: tuple[tuple[int, ...], ...], rows: list[n
     rows of dealt shares, one ``combine_rows`` per output row and column
     chunk of about 1 MB.  The rows are never stacked into one (D, w) block
     (see ``share_batch``)."""
-    step = 1 << 17
-    for lo in range(0, out.shape[1], step):
-        chunk = [row[lo:lo + step] for row in rows]
-        for coeffs, dst in zip(matrix, out[:, lo:lo + step]):
+    for lo in range(0, out.shape[1], CHUNK):
+        chunk = [row[lo:lo + CHUNK] for row in rows]
+        for coeffs, dst in zip(matrix, out[:, lo:lo + CHUNK]):
             combine_rows(field, coeffs, chunk, out=dst)
     return out
 
@@ -549,8 +546,8 @@ class PartyContext:
         contributions: ``rand`` uniform values under threshold D',
         ``doubles`` more under D' and again under 2D'-1, and ``zeros``
         zeros under 2D'-1.  Everything is written straight into each
-        party's buffer, not into one (D, n) block, by ``share_batch``'s
-        deal in evaluation form; the secrets come from ``PrimeField.draw``."""
+        party's buffer, not into one (D, n) block, by ``share_batch``; the
+        secrets come from ``PrimeField.draw``."""
         low, high = self.threshold, 2 * self.threshold - 1
         if doubles + zeros and high > self.parties:
             raise DegreeOverflow(f"threshold {high} exceeds D = {self.parties}")

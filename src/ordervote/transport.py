@@ -206,25 +206,16 @@ class PartyTransport:
         self.timeout = timeout
         self.mailbox = Mailbox(party_id)
         self.bytes_sent = 0  # whole frames, length prefix included, on either backend
-        self.recorder: list | None = None  # optional transcript capture on receive
 
     def peers(self) -> list[int]:
         return [d for d in range(1, self.parties + 1) if d != self.party_id]
-
-    def _record(self, msg: ProtocolMessage) -> None:
-        if self.recorder is not None:
-            self.recorder.append((msg.session, msg.round, msg.sender, self.party_id,
-                                  int(msg.kind), msg.payload.tobytes()))
 
     def send(self, to: int, msg: ProtocolMessage) -> None:
         raise NotImplementedError
 
     def await_round(self, session: int, round_no: int,
                     senders: set[int]) -> dict[int, ProtocolMessage]:
-        got = self.mailbox.await_round(session, round_no, senders, self.timeout)
-        for m in got.values():
-            self._record(m)
-        return got
+        return self.mailbox.await_round(session, round_no, senders, self.timeout)
 
     def collect_ballots(self, session: int, count: int) -> list[ProtocolMessage]:
         return self.mailbox.collect_ballots(session, count, self.timeout)

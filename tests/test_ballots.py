@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import on_one_polynomial
 from ordervote.ballots import (InvalidRanking, WrongRule,
                                decode_spool, encode_bundle, entry_pairs,
                                matrix_entry_values, off_diagonal_pairs, parse_order,
@@ -185,8 +186,9 @@ def _random_rankings(rule, m, n, seed):
 def test_batch_equals_the_per_voter_sharing(rule, talliers, prime):
     """``make_shared_ballots`` shares the whole batch in one pass, yet each
     ballot equals, array for array, voter i's own sharing under
-    ``voter_rng(i)``; for M = 3 it is also checked against a plain
-    evaluation of the polynomial whose coefficients voter i draws."""
+    ``voter_rng(i)``; for M = 3 its shares at 1..D'-1 are also checked to be
+    voter i's ``rand_vec`` draw, and each entry's D shares to lie with the
+    entry on one polynomial of degree <= D'-1."""
     for m in range(1, 7):
         cfg = _batch_config(rule, m, talliers, prime)
         rankings = _random_rankings(rule, m, 40, seed=m)
@@ -203,12 +205,11 @@ def test_batch_equals_the_per_voter_sharing(rule, talliers, prime):
             if m != 3:
                 continue
             values = matrix_entry_values(ranking_to_matrix(rule, ranking, m), cfg.field)
-            coeffs = cfg.field.rand_vec(cfg.voter_rng(voter_id),
-                                        (cfg.threshold - 1, values.size))
-            for col, secret in enumerate(values.tolist()):
-                at = [sum(int(c) * x ** (j + 1) for j, c in enumerate(coeffs[:, col]))
-                      for x in range(1, talliers + 1)]
-                assert got.bundles[:, col].tolist() == [(secret + a) % prime for a in at]
+            drawn = cfg.field.rand_vec(cfg.voter_rng(voter_id),
+                                       (cfg.threshold - 1, values.size))
+            assert np.array_equal(got.bundles[:cfg.threshold - 1], drawn)
+            for col, secret in enumerate(values):
+                assert on_one_polynomial(got.bundles[:, col], secret, cfg.threshold, prime)
 
 
 @pytest.mark.parametrize("rule, bad", [

@@ -184,15 +184,16 @@ def _spool_lines(session, party):
 
 
 def _replayed(config, voter_id, values):
-    """The orders whose sharing under ``config.voter_rng(voter_id)`` gives T1
-    the shares ``values``: what whoever holds session.json learns from one
-    spool line of a seeded voter."""
+    """The orders whose sharing under ``config.voter_rng(voter_id)`` gives
+    T_{D'} the shares ``values``: what whoever holds session.json learns
+    from one spool line of a seeded voter.  (The shares at 1..D'-1 are
+    bare draws, the same for every order.)"""
     found = []
     for order in itertools.permutations(range(1, config.m + 1)):
         shared = share_ballot(ranking_to_matrix(config.rule, order, config.m), config.field,
                               config.threshold, config.talliers,
                               config.voter_rng(voter_id), voter_id)
-        if shared.bundle_for(1).values.tolist() == values:
+        if shared.bundle_for(config.threshold).values.tolist() == values:
             found.append(order)
     return found
 
@@ -200,8 +201,8 @@ def _replayed(config, voter_id, values):
 def test_session_file_and_one_spool_give_no_ballot_away(tmp_path):
     """session.json holds the seed.  A seeded sharing is replayed from it and
     one tallier's shares (the check below finds a library ballot's order), but
-    ``vote`` draws from the operating system, so no spool line of T1 gives
-    its voter's order away.  The session is the README quick start's."""
+    ``vote`` draws from the operating system, so no spool line of T_{D'}
+    gives its voter's order away.  The session is the README quick start's."""
     cfg = write_config(tmp_path / "cfg.json", candidates=["Alice", "Bob", "Carol"],
                        expected_voters=100, prime=None)
     session = tmp_path / "sess"
@@ -210,8 +211,9 @@ def test_session_file_and_one_spool_give_no_ballot_away(tmp_path):
         assert main(["vote", "--session", str(session), "--order", order]) == 0
     config = ElectionConfig.loads((session / "session.json").read_text())
     seeded = make_shared_ballots(config, [(2, 3, 1)])[0]
-    assert _replayed(config, 1, seeded.bundle_for(1).values.tolist()) == [(2, 3, 1)]
-    lines = _spool_lines(session, 1)
+    party = config.threshold
+    assert _replayed(config, 1, seeded.bundle_for(party).values.tolist()) == [(2, 3, 1)]
+    lines = _spool_lines(session, party)
     assert len(lines) == 3
     assert [_replayed(config, rec["voter_id"], rec["values"]) for rec in lines] == [[]] * 3
 
@@ -495,13 +497,15 @@ def test_console_entry_point_runs():
     assert "setup" in proc.stdout and "tally" in proc.stdout
 
 
-def _run_socket_talliers(*argv):
-    """Run ``main(argv + --party d)`` for d = 1..3 as threads; returns the exit codes."""
+def _run_socket_talliers(*argv, sessions=None):
+    """Run ``main(argv + --party d)`` for d = 1..3 as threads, party d with
+    ``--session sessions[d]`` when given; returns the exit codes."""
     import threading
     codes = {}
 
     def party(d):
-        codes[d] = main([*argv, "--party", str(d)])
+        where = ["--session", str(sessions[d])] if sessions else []
+        codes[d] = main([*argv, *where, "--party", str(d)])
 
     threads = [threading.Thread(target=party, args=(d,)) for d in (1, 2, 3)]
     for t in threads:
@@ -583,14 +587,33 @@ def test_validate_prints_its_ledger(tmp_path, capsys, backend):
     assert ledger("altered-proofs", alter=True, reconstruct=True) == without
 
 
-@pytest.mark.parametrize("command", ["validate", "tally"])
-@pytest.mark.parametrize("backend, party", [("memory", 1), ("memory", 0), ("socket", 4),
-                                            ("socket", -1), ("socket", 0)])
-def test_a_party_the_session_cannot_run_is_refused(tmp_path, capsys, command, backend, party):
+NO_SOCKETS, NO_TALLIER = "config has no socket endpoints", "--party must name a tallier in 1..3"
+REFUSALS = [pytest.param(command, backend, ["--party", str(party)], message,
+                         id=f"{backend}-{party}-{command}")
+            for backend, party, message in (("memory", 1, NO_SOCKETS), ("memory", 0, NO_SOCKETS),
+                                            ("socket", 4, NO_TALLIER), ("socket", -1, NO_TALLIER),
+                                            ("socket", 0, NO_TALLIER))
+            for command in ("validate", "tally")] + [
+    pytest.param("tally", backend, argv, message, id=f"{backend}-{name}-tally")
+    for backend, name, argv, message in (
+        ("memory", "expect3", ["--expect-votes", "3"], "--expect-votes needs --party"),
+        ("socket", "expect3", ["--expect-votes", "3"], "--expect-votes needs --party"),
+        ("socket", "1-expect0", ["--party", "1", "--expect-votes", "0"],
+         "--expect-votes must be at least 1"),
+        ("socket", "1-expect-3", ["--party", "1", "--expect-votes", "-3"],
+         "--expect-votes must be at least 1"))]
+
+
+@pytest.mark.parametrize("command, backend, argv, message", REFUSALS)
+def test_a_party_the_session_cannot_run_is_refused(tmp_path, capsys, command, backend, argv,
+                                                   message):
     """``--party d`` runs tallier d alone over TCP, so ``validate`` and
     ``tally`` refuse it with exit code 2 and a message, before reading a
     spool, when the session has no socket endpoints or d is not in 1..D;
-    ``--party 0`` does not fall back to running every tallier in process."""
+    ``--party 0`` does not fall back to running every tallier in process.
+    ``tally --expect-votes V`` is refused the same way without ``--party``,
+    where no tallier collects, and for V < 1 (V = 0 does not fall back to
+    the spool)."""
     sockets = {"backend": "socket", "endpoints": _free_endpoints(3)} \
         if backend == "socket" else {}
     cfg = write_config(tmp_path / "cfg.json", **sockets)
@@ -598,11 +621,25 @@ def test_a_party_the_session_cannot_run_is_refused(tmp_path, capsys, command, ba
     main(["setup", "--config", str(cfg), "--session", str(session)])
     demo_votes(session, keep_plain=False)
     capsys.readouterr()
-    assert main([command, "--session", str(session), "--party", str(party)]) == 2
-    assert capsys.readouterr().err.strip() == ("config has no socket endpoints"
-                                               if backend == "memory"
-                                               else "--party must name a tallier in 1..3")
+    assert main([command, "--session", str(session), *argv]) == 2
+    assert capsys.readouterr().err.strip() == message
     assert not (session / "audit.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "tally"])
+def test_only_party_1_writes_the_audit_log(tmp_path, command):
+    """``validate --party d`` and ``tally --party d`` write audit.jsonl at
+    party 1 alone, so talliers that share a session directory do not write
+    one file at once: here each runs in its own copy of the session."""
+    import shutil
+    cfg = write_config(tmp_path / "cfg.json", backend="socket", endpoints=_free_endpoints(3))
+    session = tmp_path / "sess"
+    main(["setup", "--config", str(cfg), "--session", str(session)])
+    demo_votes(session, keep_plain=False)
+    copies = {d: shutil.copytree(session, tmp_path / f"T{d}") for d in (1, 2, 3)}
+    assert _run_socket_talliers(command, sessions=copies) == {1: 0, 2: 0, 3: 0}
+    assert [(copies[d] / "audit.jsonl").exists() for d in (1, 2, 3)] == [True, False, False]
+    assert len((copies[1] / "audit.jsonl").read_text().splitlines()) == 3
 
 
 def _free_endpoints(n):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from conftest import run_parties
+from conftest import on_one_polynomial, run_parties
 from ordervote import shamir as shamir_mod
 from ordervote.engine import Shares
 from ordervote.field import PrimeField
@@ -173,7 +173,9 @@ def test_a_batch_of_dealers_deals_each_row_as_one_dealer_would(monkeypatch):
     """(n, k) secrets with one generator per row give an (n, D, k) block whose
     row i is what a one-row batch of ``secrets[i]`` (``share_ballot``'s
     deal) gets from the same generator, also when the rows and columns
-    cross the chunks the deal works in."""
+    cross the chunks the deal works in: its shares at 1..t-1 are that
+    generator's ``rand_vec`` draw, and each of its columns lies with
+    (0, secret) on one polynomial of degree <= t-1."""
     f = PrimeField(65_519)
     secrets = np.random.default_rng(4).integers(0, f.p, size=(23, 7), dtype=np.uint64)
     for chunk in (shamir_mod.CHUNK, 30):
@@ -186,64 +188,40 @@ def test_a_batch_of_dealers_deals_each_row_as_one_dealer_would(monkeypatch):
                 alone = share_batch(f, row[None], threshold, parties,
                                     [np.random.default_rng(i)])[0]
                 assert np.array_equal(block[i], alone)
-                coeffs = f.rand_vec(np.random.default_rng(i), (threshold - 1, 7))
-                for col in range(7):
-                    poly = [int(row[col]), *(int(c) for c in coeffs[:, col])]
-                    assert block[i, :, col].tolist() == _evaluate(poly, range(1, parties + 1), f.p)
+                drawn = f.rand_vec(np.random.default_rng(i), (threshold - 1, 7))
+                assert np.array_equal(block[i, :threshold - 1], drawn)
+                for col, secret in enumerate(row):
+                    assert on_one_polynomial(block[i, :, col], secret, threshold, f.p)
     assert share_batch(f, secrets[:0], 2, 3, iter(())).shape == (0, 3, 7)
-
-
-def _through(points, x, p):
-    """The polynomial of degree < len(points) through the (x_i, y_i)
-    ``points``, evaluated at x in Python integers."""
-    total = 0
-    for i, (xi, yi) in enumerate(points):
-        num = den = 1
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                num, den = num * (x - xj), den * (xi - xj)
-        total += yi * num * pow(den, -1, p)
-    return total % p
-
-
-def _on_one_polynomial(shares, secret, threshold, p):
-    """Do the shares at 1..D lie, with (0, secret), on one polynomial of
-    degree <= threshold - 1?  Checked in Python integers."""
-    shares = [int(v) for v in shares]
-    points = [(0, int(secret)), *((x, shares[x - 1]) for x in range(1, threshold))]
-    return all(v < p for v in shares) and all(
-        shares[x - 1] == _through(points, x, p) for x in range(threshold, len(shares) + 1))
 
 
 @pytest.mark.parametrize("parties", [3, 5, 9, 17])
 def test_shares_equal_python_integer_evaluation_near_2_to_32(parties):
-    """Every threshold 1..D at p = 4,294,967,291.  One dealer: each sharing
-    lies on one polynomial of degree <= t-1 through (0, secret), in Python
-    integers.  A batch of dealers: each share is the dealt polynomial
-    evaluated in Python integers.  Those shares are reduced once, so the
-    unreduced Horner sums come close to 2**64; at D = 17 they would pass it
-    from threshold 9 on, and with every coefficient p - 1 they take the
-    largest value they can."""
+    """Every threshold 1..D at p = 4,294,967,291: each sharing lies on one
+    polynomial of degree <= t-1 through (0, secret), in Python integers,
+    from one dealer and from a batch of dealers, whose row i holds its
+    dealer's ``rand_vec`` draw at 1..t-1.  At this p ``combine_rows`` adds
+    only one product (p - 1)**2 before it reduces; a batch whose every
+    drawn share is p - 1 makes each product the largest it can be."""
     f = PrimeField(4_294_967_291)
     p = f.p
     secrets = np.array([0, 1, p - 1, *f.rand_vec(np.random.default_rng(parties), 9)],
                        dtype=np.uint64)
-    xs = range(1, parties + 1)
     worst = PrimeField(p)
     worst.rand_vec = lambda rng, size: np.full(size, p - 1, dtype=np.uint64)
     for threshold in range(1, parties + 1):
         one = share_batch(f, secrets, threshold, parties, np.random.default_rng(threshold))
         for col, secret in enumerate(secrets):
-            assert _on_one_polynomial(one[:, col], secret, threshold, p)
+            assert on_one_polynomial(one[:, col], secret, threshold, p)
         for field in (f, worst):
             rows = secrets.reshape(3, 4)
             block = share_batch(field, rows, threshold, parties,
                                 (np.random.default_rng(i) for i in range(3)))
             for i, row in enumerate(rows):
-                coeffs = field.rand_vec(np.random.default_rng(i), (threshold - 1, 4))
+                drawn = field.rand_vec(np.random.default_rng(i), (threshold - 1, 4))
+                assert np.array_equal(block[i, :threshold - 1], drawn)
                 for col, secret in enumerate(row):
-                    poly = [int(secret), *(int(c) for c in coeffs[:, col])]
-                    assert block[i, :, col].tolist() == _evaluate(poly, xs, p)
+                    assert on_one_polynomial(block[i, :, col], secret, threshold, p)
 
 
 @pytest.mark.parametrize("p", [31, 65_519, (1 << 31) - 1, 4_294_967_291])
@@ -264,7 +242,7 @@ def test_one_dealer_shares_lie_on_one_polynomial_through_the_secret(monkeypatch,
                 dealt = share_batch(f, batch, threshold, parties, np.random.default_rng(threshold))
                 assert dealt.shape == (parties, batch.size) and dealt.dtype == np.uint64
                 for col, secret in enumerate(batch):
-                    assert _on_one_polynomial(dealt[:, col], secret, threshold, p)
+                    assert on_one_polynomial(dealt[:, col], secret, threshold, p)
                 rows = [np.empty(batch.size, dtype=np.uint64) for _ in range(parties)]
                 share_batch(f, batch, threshold, parties, np.random.default_rng(threshold),
                             out=rows)

@@ -32,7 +32,13 @@ captured scores of Copeland and Maximin, at both primes, and the edge
 captures were read again when the talliers came to deal their sharings in
 evaluation form from full-range words (``PrimeField.draw``): the shares
 they deal moved, and the verdicts, winners, rankings, proofs, aggregates,
-Kemeny captures and phase digests stayed the same."""
+Kemeny captures and phase digests stayed the same.  Every election's
+captures, the edge aggregate and the edge proofs were read again when the
+voters came to deal in evaluation form as the talliers do, drawing their
+shares at 1..D'-1 instead of their coefficients: the voters' shares moved,
+and so did the proof of voter 20, whose ballot dealt at degree D-1
+reconstructs from D' shares to other values; the verdicts, winners,
+rankings, phase digests and rounds stayed the same."""
 
 import hashlib
 import json
@@ -76,27 +82,27 @@ def _captures(outcome) -> dict:
 # phase.  The configs name no prime, so each takes p = 65,519; each election
 # is pinned at 2^31 - 1 too, which the ladder picks for large ones.
 FOUR = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "996adf2bfc9491ca",
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "eb8eb9a200df3d11",
      "5d482b3484e9c3ee", {"validate": 18, "offline": 0, "aggregate": 0, "score": 3,
                           "select": 19}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "0e132b570f255721",
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "eb4c20fcd0977a64",
      "640f260200e06816", {"validate": 18, "offline": 0, "aggregate": 0, "score": 10,
                           "select": 19}),
-    ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "5073724b4cd8c005",
+    ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "9b38b9979d9f18ed",
      "3640db4e55a5ad26", {"validate": 4, "offline": 2, "aggregate": 0, "select": 16}),
-    ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "19bb15727fb03c00",
+    ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "2882e7b4b2e9e746",
      "06ce9d3f5853dce4", {"validate": 4, "offline": 2, "aggregate": 0, "select": 21}),
 ]
 FOUR_AT_M31 = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "be86df27dda04429",
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "156acde3c48f4c90",
      "a6953601eb07a130", {"validate": 18, "offline": 0, "aggregate": 0, "score": 4,
                           "select": 25}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "3e13bacf71cfb703",
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "b3664f2bf71babee",
      "c5a587ee89101070", {"validate": 18, "offline": 0, "aggregate": 0, "score": 13,
                           "select": 25}),
-    ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "2851c951d141b86c",
+    ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "767f8c6b54087c3a",
      "5dabfd9883f3c2b5", {"validate": 4, "offline": 3, "aggregate": 0, "select": 20}),
-    ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "cf91e8d45a706453",
+    ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "42042bb79f733f69",
      "68f2c801542f5ae4", {"validate": 4, "offline": 3, "aggregate": 0, "select": 26}),
 ]
 
@@ -148,8 +154,8 @@ def _edge_spools():
 
 
 PINNED_EDGE = {"winners": [4, 2],
-               "aggregate": [21279, 38401, 12504, 27137, 15353, 21994],
-               "captures": "2c9f9a26b95e0520", "proofs": "b0f777d7b2790c6c",
+               "aggregate": [21285, 38401, 12508, 27133, 15355, 21996],
+               "captures": "9776028654b887d1", "proofs": "5ef7356d850137f8",
                "phases": "870a559565e15c88"}
 
 

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import record_rounds
 from ordervote import transport
 from ordervote.transport import (HEADER, LEN_PREFIX, MAX_FRAME, DuplicateMessage,
                                  InMemoryHub, MessageKind, ProtocolMessage,
@@ -377,7 +378,7 @@ def test_transcript_determinism():
         hub = InMemoryHub(3)
         transcripts = {d: [] for d in (1, 2, 3)}
         for d in (1, 2, 3):
-            hub.transport(d).recorder = transcripts[d]
+            record_rounds(hub.transport(d), transcripts[d])
         channels = {d: SessionChannel(hub.transport(d), 1) for d in (1, 2, 3)}
 
         def run(d):
@@ -392,7 +393,8 @@ def test_transcript_determinism():
             t.join()
         return {d: sorted(transcripts[d]) for d in transcripts}
 
-    assert run_once() == run_once()
+    first = run_once()
+    assert all(first.values()) and first == run_once()
 
 
 def test_socket_connections_set_tcp_nodelay():
