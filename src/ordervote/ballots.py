@@ -15,9 +15,10 @@ symmetry.  Each shared entry gets its own fresh share-generating polynomial.
 
 The voter side has one path, batched: ``share_rankings`` checks a batch of
 rankings at once, builds their (N, C) entries by indexing, and deals them
-in one ``share_batch`` call, each voter drawing its shares at the points
-1..D'-1 from its own generator.  ``ranking_to_matrix`` and
-``share_ballot`` are its one-ballot case.
+in one ``share_batch`` call, voter i drawing its shares at the points
+1..D'-1 from stream i of one Philox key (``field.PrimeField.draw_batch``).
+``ranking_to_matrix`` and ``share_ballot``, which deals one ballot from
+one generator, are its one-ballot case.
 """
 
 from __future__ import annotations
@@ -253,33 +254,36 @@ def matrix_entry_values(q: BallotMatrix, field: PrimeField) -> np.ndarray:
     return _embed(np.asarray(q.entries)[_pair_index(q.rule, q.m)], field)
 
 
-def _deal(rule: str, m: int, values: np.ndarray, field: PrimeField, threshold: int,
-          parties: int, voters, rngs) -> list[SharedBallot]:
-    """Voter ``voters[i]`` shares row i of the (N, C) ``values``, drawing from
-    the i-th of ``rngs``; its bundles are a (D, C) slice of one (N, D, C)
-    block."""
+def _deal(m: int, values: np.ndarray, field: PrimeField, threshold: int, parties: int,
+          rng) -> np.ndarray:
+    """``shamir.share_batch`` of ``values``: one voter's (D, C) shares from
+    the generator ``rng``, or a batch's (N, D, C) block from the Philox
+    streams ``rng`` = (key, ids) name."""
     if m < 1:
         raise ConfigMismatch("need at least one candidate")
-    block = share_batch(field, values, threshold, parties, rngs)
-    return [SharedBallot(voter, rule, m, bundles) for voter, bundles in zip(voters, block)]
+    return share_batch(field, values, threshold, parties, rng)
 
 
 def share_rankings(rule: str, rankings, m: int, field: PrimeField, threshold: int,
-                   parties: int, voters, rngs) -> list[SharedBallot]:
+                   parties: int, voter_key: int) -> list[SharedBallot]:
     """Build and share the ballots of a batch of rankings in one pass: voter
-    ``voters[i]`` shares ranking i with shares drawn from the i-th of the
-    iterable ``rngs``, exactly as ``share_ballot`` would alone.  Every
-    ranking is checked before any is shared."""
+    i, numbered from 1, shares the i-th ranking from stream i of the Philox
+    key ``voter_key``, exactly as ``share_ballot`` would alone from
+    ``stream_rng(voter_key, i)`` (see ``field``); its bundles are a (D, C)
+    slice of one (N, D, C) block.  Every ranking is checked before any is
+    shared."""
     keys = _keys(rule, rankings, m)
     values = _embed(_entries(rule, keys, *_pair_index(rule, m)), field)
-    return _deal(rule, m, values, field, threshold, parties, voters, rngs)
+    ids = np.arange(1, len(values) + 1, dtype=np.uint64)
+    block = _deal(m, values, field, threshold, parties, (voter_key, ids))
+    return [SharedBallot(voter, rule, m, bundles) for voter, bundles in enumerate(block, 1)]
 
 
 def share_ballot(q: BallotMatrix, field: PrimeField, threshold: int, parties: int,
                  rng: np.random.Generator, voter_id: int) -> SharedBallot:
     """Independently share each matrix entry; bundle d holds the evaluations at x=d."""
-    values = matrix_entry_values(q, field)[None]
-    return _deal(q.rule, q.m, values, field, threshold, parties, [voter_id], [rng])[0]
+    bundles = _deal(q.m, matrix_entry_values(q, field), field, threshold, parties, rng)
+    return SharedBallot(voter_id, q.rule, q.m, bundles)
 
 
 # -- wire encoding of a submission ------------------------------------------

@@ -29,13 +29,13 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .ballots import RULES
-from .field import MAX_PRIME, PrimeField, is_prime
+from .field import MAX_PRIME, PrimeField, is_prime, stream_rng
 
 SCHEMA_VERSION = 1
 # ell = 16, then the Mersenne prime 2**31 - 1; both are 3 mod 4, so a square
@@ -67,8 +67,9 @@ class TooManyCandidates(ConfigError):
 
 def fresh_rng() -> np.random.Generator:
     """A generator seeded from the operating system.  The config's seeded
-    generators (``party_rng``, ``voter_rng``) replay from the config alone,
-    so a run that must keep its ballots secret draws from this instead."""
+    generators (``party_rng``, and ``voter_rng``, voter i's stream of the
+    config's ``voter_key``) replay from the config alone, so a run that
+    must keep its ballots secret draws from this instead."""
     return np.random.default_rng(np.random.SeedSequence())
 
 
@@ -253,11 +254,16 @@ class ElectionConfig:
     def party_rng(self, party_id: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, 1, party_id]))
 
+    @cached_property
+    def voter_key(self) -> int:
+        """The 128-bit Philox key of the seeded voters' streams."""
+        low, high = np.random.SeedSequence([self.seed, 2]).generate_state(2, np.uint64)
+        return int(high) << 64 | int(low)
+
     def voter_rng(self, voter_id: int) -> np.random.Generator:
-        # the generator default_rng builds, without its dispatch: a batch of
-        # ballots makes one per voter
-        return np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([self.seed, 2, voter_id])))
+        """Voter ``voter_id``'s stream of ``voter_key``: what
+        ``PrimeField.draw_batch`` computes for a batch of voters at once."""
+        return stream_rng(self.voter_key, voter_id)
 
     # -- JSON round trip -------------------------------------------------------
 

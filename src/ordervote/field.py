@@ -20,18 +20,23 @@ three passes cost about 2.0 ms per million words against 3.4 ms for one
 ``shamir.combine_rows``, the masked products of ``engine.PartyContext``)
 also let a sum grow while it provably fits in 64 bits and reduce it once.
 
-Two draws give uniform elements.  ``rand_vec`` is numpy's bounded
-``integers(0, p)``, which the voters use (``shamir.share_batch`` with many
-dealers): a voter draws a few values at a time, where one bounded call
-costs least (about 6 us for a ballot's entries, against 10 us through
-lanes), and each voter's sharing replays from its seed as before.
-``draw`` fills rows from full-range 64-bit words, each split into two
-32-bit lanes masked to ell bits, and redraws the lanes >= p; each value is
-the first lane below p of its own sequence of uniform ell-bit lanes, so it
-is exactly uniform.  At p = 2**31 - 1 it costs about 2.5 ms per million
-values against 10 ms for ``integers(0, p)``, so the talliers, who deal up
-to hundreds of thousands of sharings at a time (``engine.PartyContext``),
-draw with it.
+One draw gives uniform elements.  ``draw`` fills rows from full-range
+64-bit words, each split into two 32-bit lanes masked to ell bits, and
+redraws the lanes >= p; each value is the first lane below p of its own
+sequence of uniform ell-bit lanes, so it is exactly uniform.  At
+p = 2**31 - 1 it costs about 2.5 ms per million values against 10 ms for
+``integers(0, p)``.  Every dealer draws with it: a tallier, or a voter
+who votes alone, from a generator the operating system seeds, and voter i
+of a config's seeded ballots from stream i of the config's Philox4x64-10
+key (``stream_rng``: counter (0, 0, i, 0)).
+
+``draw_batch`` is the batch form of ``draw`` for many such streams under
+one key, the seeded voters' draw: Philox is counter based, so
+``philox_words`` computes the first words of every stream at once in a few
+array passes (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011), where building a generator costs over 10 us per voter.  A
+row whose lanes include one >= p is recomputed through ``draw`` on its own
+stream, so every row equals what its voter draws alone.
 """
 
 from __future__ import annotations
@@ -167,13 +172,9 @@ class PrimeField:
                 acc = self.mul_vec(acc, b)
         return acc
 
-    def rand_vec(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Uniform elements from numpy's bounded draw: the voters' draw."""
-        return rng.integers(0, self.p, size=size, dtype=np.uint64)
-
     def draw(self, rng: np.random.Generator, *rows: np.ndarray) -> None:
-        """Fill each writable uint64 row of ``rows`` with uniform elements:
-        the talliers' draw, one ``integers`` call for all the rows."""
+        """Fill each writable uint64 row of ``rows`` with uniform elements,
+        one ``integers`` call for all the rows, in their order."""
         lanes = self._lanes(rng, sum(len(row) for row in rows))
         start = 0
         for row in rows:
@@ -190,3 +191,79 @@ class PrimeField:
         if redraw.size:
             lanes[redraw] = self._lanes(rng, redraw.size)
         return lanes
+
+    def draw_batch(self, key: int, ids, n: int) -> np.ndarray:
+        """The batch form of ``draw``: a (len(ids), n) uint64 array whose
+        row i is what ``draw(stream_rng(key, ids[i]), row)`` writes into a
+        row of n.  Each row takes its stream's first ceil(n/2) words, two
+        lanes each; a row with a lane >= p, which ``draw`` would replace,
+        is recomputed through ``draw`` on its own stream."""
+        ids = np.asarray(ids, dtype=np.uint64)
+        lanes = philox_words(key, ids, (n + 1) // 2).view(np.uint32)[:, :n]
+        lanes &= self._lane_mask
+        out = lanes.astype(np.uint64)
+        for i in np.flatnonzero((lanes >= self._p32).any(axis=1)).tolist():
+            self.draw(stream_rng(key, int(ids[i])), out[i])
+        return out
+
+
+# -- Philox4x64-10 --------------------------------------------------------------
+# numpy's Philox, after Random123: a block is ten rounds of two 64x64 -> 128
+# bit products of the counter words by _MUL, the other two counter words and
+# the key xored into the high halves, and the key bumped by _WEYL between
+# rounds.  numpy increments the counter's first word before each block, so
+# stream i's block j (from 0) is that of the counter (j + 1, 0, i, 0).
+
+_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD = (1 << 64) - 1
+_LOW = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+
+
+def stream_rng(key: int, i: int) -> np.random.Generator:
+    """Stream i under the 128-bit ``key``: numpy's Philox4x64-10 from the
+    counter (0, 0, i, 0)."""
+    # an array: numpy reads a list that holds i >= 2**63 as float64
+    counter = np.array([0, 0, i, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def philox_words(key: int, ids, w: int) -> np.ndarray:
+    """A (len(ids), w) uint64 array whose row i is the first w raw words of
+    ``stream_rng(key, ids[i])``, computed for every stream at once."""
+    ids = np.asarray(ids, dtype=np.uint64).reshape(-1)
+    blocks = -(-w // 4)
+    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), ids.size)
+    c1 = np.zeros_like(c0)
+    c2 = np.repeat(ids, blocks)
+    c3 = np.zeros_like(c0)
+    k0, k1 = key & _WORD, key >> 64 & _WORD
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_MUL[0], c0)
+        hi1, lo1 = _mulhilo(_MUL[1], c2)
+        hi1 ^= c1 ^ np.uint64(k0)
+        hi0 ^= c3 ^ np.uint64(k1)
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+        k0, k1 = (k0 + _WEYL[0]) & _WORD, (k1 + _WEYL[1]) & _WORD
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(ids.size, 4 * blocks)[:, :w]
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products m * x, the high word
+    from the four products of 32-bit halves, each below 2**64."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo = x & _LOW
+    x_hi = x >> _HALF
+    lh = x_hi * m_lo
+    hl = x_lo * m_hi
+    carry = x_lo * m_lo
+    carry >>= _HALF
+    carry += lh & _LOW
+    carry += hl & _LOW
+    carry >>= _HALF
+    hi = x_hi * m_hi
+    hi += lh >> _HALF
+    hi += hl >> _HALF
+    hi += carry
+    return hi, x * np.uint64(m)

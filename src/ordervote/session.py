@@ -27,7 +27,6 @@ on it.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from contextlib import contextmanager
@@ -65,11 +64,12 @@ class ElectionOutcome:
 
 def make_shared_ballots(config: ElectionConfig, rankings) -> list[SharedBallot]:
     """Voter-side: build and share the ballots of all rankings in one pass
-    (``ballots.share_rankings``); voter i, numbered from 1, draws from
-    ``config.voter_rng(i)`` alone, so each sharing replays by itself."""
+    (``ballots.share_rankings``); voter i, numbered from 1, draws from stream
+    i of ``config.voter_key``, the whole batch's draws computed at once, and
+    its sharing equals ``share_ballot``'s under ``config.voter_rng(i)``, so
+    each sharing replays by itself."""
     return share_rankings(config.rule, rankings, config.m, config.field, config.threshold,
-                          config.talliers, itertools.count(1),
-                          map(config.voter_rng, itertools.count(1)))
+                          config.talliers, config.voter_key)
 
 
 def build_context(config: ElectionConfig, party_id: int,

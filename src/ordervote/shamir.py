@@ -18,10 +18,11 @@ result is, with one reduction per value (see ``field``).
 ``share_batch`` deals one way, in evaluation form: it draws the shares at
 1..t-1 and interpolates the rest through (0, secret), a few array passes
 per share, distributed exactly as uniform coefficients are.  Only the draw
-depends on the dealer: a tallier, one dealer of many sharings, draws with
-``PrimeField.draw``; the voters, many dealers of a few sharings each, draw
-with ``PrimeField.rand_vec``, each from its own generator, so each voter's
-sharing replays from its own seed.
+depends on the dealer: one dealer of many sharings (a tallier, or a voter
+alone) draws with ``PrimeField.draw`` from its generator; a batch of
+seeded voters, many dealers of a few sharings each, draws with its batch
+form ``PrimeField.draw_batch``, voter i from stream i of one Philox key,
+so each voter's sharing still replays from its own stream alone.
 """
 
 from __future__ import annotations
@@ -53,13 +54,14 @@ def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties:
                 rng, out=None) -> np.ndarray:
     """Share independent canonical secrets at once, each under its own polynomial.
 
-    One dealer, the talliers' deal: ``secrets`` is (k,) and ``rng`` a
-    generator; returns a (parties, k) uint64 matrix, or fills ``out``, a
-    sequence of ``parties`` writable uint64 rows of length k (party d's
-    shares go to ``out[d - 1]``).  A batch of n dealers, the voters' deal:
-    ``secrets`` is (n, k) and ``rng`` an iterable of n generators, taken one
-    at a time; returns an (n, parties, k) block, or fills ``out`` of that
-    shape, dealer i's shares a contiguous (parties, k) slice.
+    One dealer: ``secrets`` is (k,) and ``rng`` a generator; returns a
+    (parties, k) uint64 matrix, or fills ``out``, a sequence of ``parties``
+    writable uint64 rows of length k (party d's shares go to ``out[d - 1]``).
+    A batch of n dealers, the seeded voters' deal: ``secrets`` is (n, k)
+    and ``rng`` a pair (key, ids), dealer i drawing from the Philox stream
+    ``stream_rng(key, ids[i])`` (see ``field``); returns an (n, parties, k)
+    block, or fills ``out`` of that shape, dealer i's shares a contiguous
+    (parties, k) slice.
 
     Both deal in evaluation form: the shares at the points 1..t-1,
     t = ``threshold``, are drawn uniformly straight into their rows, and
@@ -74,20 +76,24 @@ def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties:
     t-1 shares are uniform and independent of s: the secrecy is perfect.
 
     The draw is the only difference.  One dealer fills its rows with
-    ``PrimeField.draw``; dealer i of a batch draws its (t - 1, k) shares in
-    one ``PrimeField.rand_vec`` call on the i-th generator, so its sharing
-    replays from that generator alone and equals what a one-row batch of
-    ``secrets[i]`` gets.  Either works in chunks of about 1 MB of shares,
-    so a chunk's inputs stay in cache while every party's row of it is
-    computed, and reduces each share once."""
+    ``PrimeField.draw``, row after row; a batch draws each chunk's dealers
+    at once with ``PrimeField.draw_batch``, whose row i is the same
+    (t - 1) * k lanes in the same order.  So dealer i's sharing is the
+    matrix one dealer of ``secrets[i]`` deals alone from
+    ``stream_rng(key, ids[i])`` whenever one chunk holds its k secrets
+    (k <= CHUNK / parties, as for every ballot), and depends on no other
+    dealer.  Either works in chunks of about 1 MB of shares, so a chunk's
+    inputs stay in cache while every party's row of it is computed, and
+    reduces each share once."""
     if not 1 <= threshold <= parties:
         raise InvalidThreshold(f"need 1 <= threshold <= parties, got {threshold}/{parties}")
     if parties >= field.p:
         raise InvalidThreshold(f"parties ({parties}) must be below the field size {field.p}")
     secrets = np.asarray(secrets, dtype=np.uint64)
-    many = secrets.ndim == 2  # a batch of dealers, one generator each
+    many = secrets.ndim == 2  # a batch of dealers, one Philox stream each
     if many:
-        rng = iter(rng)
+        key, ids = rng
+        ids = np.asarray(ids, dtype=np.uint64)
     width = secrets.shape[1] if many else 1  # a party's shares per row of secrets
     if out is None:
         out = np.empty((*secrets.shape[:-1], parties, secrets.shape[-1]), dtype=np.uint64)
@@ -101,8 +107,9 @@ def share_batch(field: PrimeField, secrets: np.ndarray, threshold: int, parties:
         cols = slice(lo, lo + step)
         drawn = [row[cols] for row in by_party[:threshold - 1]]
         if many:
-            for dealt in out[cols]:
-                dealt[:threshold - 1] = field.rand_vec(next(rng), (threshold - 1, width))
+            dealt = out[cols, :threshold - 1]
+            lanes = field.draw_batch(key, ids[cols], (threshold - 1) * width)
+            dealt[...] = lanes.reshape(dealt.shape)
         else:
             field.draw(rng, *drawn)
         terms = [secrets[cols], *drawn][drop:]

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ordervote.ballots import (InvalidRanking, WrongRule,
                                parse_ranks, ranking_to_matrix, share_ballot,
                                upper_pairs)
 from ordervote.config import ElectionConfig
-from ordervote.field import PrimeField
+from ordervote.field import PrimeField, philox_words
 from ordervote.oracle import legal_ballot_matrix
 from ordervote.session import make_shared_ballots
 from ordervote.shamir import reconstruct_batch
@@ -180,36 +181,65 @@ def _random_rankings(rule, m, n, seed):
     return [tuple(int(c) for c in rng.permutation(m) + 1) for _ in range(n)]
 
 
-@pytest.mark.parametrize("prime", [65_519, (1 << 31) - 1])
+@pytest.mark.parametrize("prime", [7, 13, 65_519, (1 << 31) - 1])
 @pytest.mark.parametrize("talliers", [3, 5])
 @pytest.mark.parametrize("rule", ["copeland", "maximin", "kemeny"])
 def test_batch_equals_the_per_voter_sharing(rule, talliers, prime):
-    """``make_shared_ballots`` shares the whole batch in one pass, yet each
-    ballot equals, array for array, voter i's own sharing under
-    ``voter_rng(i)``; for M = 3 its shares at 1..D'-1 are also checked to be
-    voter i's ``rand_vec`` draw, and each entry's D shares to lie with the
-    entry on one polynomial of degree <= D'-1."""
+    """``make_shared_ballots`` shares the whole batch in one pass, here
+    from an iterator of rankings, yet each ballot equals, array for array,
+    voter i's own sharing under ``voter_rng(i)``; for M = 3 its shares at
+    1..D'-1 are also checked to be the ``draw`` lanes of voter i's stream,
+    and each entry's D shares to lie with the entry on one polynomial of
+    degree <= D'-1.  M = 1 shares no entry and draws nothing.  At p = 7
+    and 13, which no config of these elections accepts, a lane is >= p
+    one time in eight and three times in sixteen, so most rows of the
+    batch are recomputed on their own stream."""
     for m in range(1, 7):
-        cfg = _batch_config(rule, m, talliers, prime)
+        cfg = replace(_batch_config(rule, m, talliers, 65_519), prime=prime)
         rankings = _random_rankings(rule, m, 40, seed=m)
-        batch = make_shared_ballots(cfg, rankings)
+        batch = make_shared_ballots(cfg, iter(rankings))
         assert len(batch) == len(rankings)
         for voter_id, (ranking, got) in enumerate(zip(rankings, batch), start=1):
             alone = share_ballot(ranking_to_matrix(rule, ranking, m), cfg.field,
                                  cfg.threshold, cfg.talliers, cfg.voter_rng(voter_id),
                                  voter_id)
             assert (got.voter_id, got.rule, got.m) == (voter_id, rule, m)
+            assert got.bundles.shape == (talliers, len(entry_pairs(rule, m)))
             assert got.bundles.dtype == alone.bundles.dtype == np.uint64
             assert got.bundles.flags.c_contiguous
             assert np.array_equal(got.bundles, alone.bundles)
             if m != 3:
                 continue
             values = matrix_entry_values(ranking_to_matrix(rule, ranking, m), cfg.field)
-            drawn = cfg.field.rand_vec(cfg.voter_rng(voter_id),
-                                       (cfg.threshold - 1, values.size))
+            drawn = np.empty((cfg.threshold - 1, values.size), dtype=np.uint64)
+            cfg.field.draw(cfg.voter_rng(voter_id), *drawn)
             assert np.array_equal(got.bundles[:cfg.threshold - 1], drawn)
             for col, secret in enumerate(values):
                 assert on_one_polynomial(got.bundles[:, col], secret, cfg.threshold, prime)
+
+
+@pytest.mark.parametrize("prime", [7, (1 << 31) - 1])
+def test_a_batch_builds_a_generator_only_for_a_row_it_recomputes(monkeypatch, prime):
+    """A batch of 1,000 Copeland M=5 ballots computes every voter's ten
+    lanes at once and builds a generator, one Philox, only for a voter
+    with a lane >= p: at p = 2^31 - 1, where a lane is that large about
+    once in 2^31, it builds none; at p = 7, where a lane is >= p one time
+    in eight, it builds one for each of the voters whose lanes hold such
+    a lane, about 1 - (7/8)^10 = 74% of them."""
+    cfg = replace(_batch_config("copeland", 5, 3, 65_519), prime=prime)
+    lanes = philox_words(cfg.voter_key, np.arange(1, 1001), 5).view(np.uint32)
+    lanes &= np.uint32((1 << cfg.field.ell) - 1)
+    recomputed = int((lanes >= prime).any(axis=1).sum())
+    assert recomputed > 600 if prime == 7 else recomputed == 0
+    built = []
+    for name in ("SeedSequence", "PCG64", "Philox", "Generator"):
+        real = getattr(np.random, name)
+        monkeypatch.setattr(np.random, name,
+                            lambda *a, _real=real, _name=name, **kw:
+                            built.append(_name) or _real(*a, **kw))
+    batch = make_shared_ballots(cfg, _random_rankings("copeland", 5, 1000, seed=5))
+    assert len(batch) == 1000
+    assert built == ["Philox", "Generator"] * recomputed
 
 
 @pytest.mark.parametrize("rule, bad", [

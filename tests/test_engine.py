@@ -176,8 +176,8 @@ def test_opened_product_layer_returns_the_products(parties):
     deals its sharings of zero on a deal-only round first."""
     f = PrimeField(M31)
     threshold = (parties + 1) // 2
-    rng = np.random.default_rng(parties)
-    u, v = f.rand_vec(rng, 50), f.rand_vec(rng, 50)
+    u, v = np.empty((2, 50), dtype=np.uint64)
+    f.draw(np.random.default_rng(parties), u, v)
     mu, mv = deal(f, u, threshold, parties, seed=1), deal(f, v, threshold, parties, seed=2)
     keys = ("mul_gates", "mul_rounds", "opens", "zero_sharings", "double_sharings",
             "comm_rounds", "deal_rounds")

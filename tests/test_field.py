@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordervote.config import PRIME_LADDER
 from ordervote.engine import Shares
-from ordervote.field import FieldError, PrimeField, is_prime
+from ordervote.field import FieldError, PrimeField, is_prime, philox_words, stream_rng
 from ordervote.transport import HEADER, MessageKind, ProtocolMessage
 
 M31 = (1 << 31) - 1
@@ -108,9 +108,10 @@ def test_canonical_ops_agree_with_python_integers(p):
     warning from the wrapped uint64 words they pass through."""
     f = PrimeField(p)
     edges = np.array([0, 1, p - 1], dtype=np.uint64)
-    rng = np.random.default_rng(p)
-    a = np.concatenate([np.repeat(edges, 3), f.rand_vec(rng, 2000)])
-    b = np.concatenate([np.tile(edges, 3), f.rand_vec(rng, 2000)])
+    drawn = np.empty((2, 2000), dtype=np.uint64)
+    f.draw(np.random.default_rng(p), *drawn)
+    a = np.concatenate([np.repeat(edges, 3), drawn[0]])
+    b = np.concatenate([np.tile(edges, 3), drawn[1]])
     ops = {"add": (f.add_vec, lambda x, y: (x + y) % p),
            "sub": (f.sub_vec, lambda x, y: (x - y) % p),
            "mul": (f.mul_vec, lambda x, y: x * y % p)}
@@ -181,3 +182,45 @@ def test_draw_redraws_every_lane_at_or_above_p():
     f.draw(rng, *rows)
     assert rows[0].tolist() == [3, 1, 1, 2] and rows[1].tolist() == [4, 0]
     assert rng.sizes == [3, 1, 1, 1] and not rng.draws
+
+
+@pytest.mark.parametrize("w", [0, 1, 4, 5, 9])
+def test_philox_words_equal_numpys_philox(w):
+    """The first w raw words of numpy's Philox4x64-10 at the counter
+    (0, 0, i, 0), for random 128-bit keys and for stream ids 1, 2,
+    2**32 + 5, 2**63 and 2**64 - 1, computed at once for every stream; a
+    stream's words do not depend on the others, and ``stream_rng`` is
+    that generator."""
+    ids = [1, 2, (1 << 32) + 5, 1 << 63, (1 << 64) - 1]
+    rng = np.random.default_rng(w)
+    for key in (0, (1 << 128) - 1, *(int(rng.integers(0, 1 << 64, dtype=np.uint64)) << 64
+                                    | int(rng.integers(0, 1 << 64, dtype=np.uint64))
+                                    for _ in range(3))):
+        got = philox_words(key, ids, w)
+        assert got.shape == (len(ids), w) and got.dtype == np.uint64
+        for i, row in zip(ids, got):
+            counter = np.array([0, 0, i, 0], dtype=np.uint64)
+            want = np.random.Philox(key=key, counter=counter).random_raw(w)
+            assert np.array_equal(row, want)
+            assert np.array_equal(philox_words(key, [i], w)[0], want)
+            assert np.array_equal(stream_rng(key, i).integers(0, 1 << 64, size=w,
+                                                              dtype=np.uint64), want)
+    assert philox_words(5, [], w).shape == (0, w)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 65_519, M31, 4_294_967_291])
+def test_draw_batch_rows_equal_each_streams_draw(p):
+    """Row i of ``draw_batch`` is what ``draw`` writes from stream i alone,
+    for 0, 1, 9 and 30 lanes: at p = 5, 7 and 13 most rows hold a lane
+    >= p and are recomputed on their own stream."""
+    f = PrimeField(p)
+    key = 0x0123456789ABCDEF_FEDCBA9876543210
+    ids = np.arange(1, 201, dtype=np.uint64)
+    for n in (0, 1, 9, 30):
+        got = f.draw_batch(key, ids, n)
+        assert got.shape == (ids.size, n) and got.dtype == np.uint64
+        for i, row in zip(ids.tolist(), got):
+            alone = np.empty(n, dtype=np.uint64)
+            f.draw(stream_rng(key, i), alone)
+            assert np.array_equal(row, alone)
+    assert f.draw_batch(key, ids[:0], 4).shape == (0, 4)

@@ -8,9 +8,11 @@ from scipy import stats
 from conftest import on_one_polynomial, run_parties
 from ordervote import shamir as shamir_mod
 from ordervote.engine import Shares
-from ordervote.field import PrimeField
+from ordervote.field import PrimeField, stream_rng
 from ordervote.shamir import (InsufficientShares, InvalidThreshold,
                               degree_at_most, reconstruct_batch, share_batch)
+
+KEY = 0x243F6A8885A308D3_13198A2E03707344  # a Philox key for the batch deals
 
 
 def _evaluate(coeffs, xs, p):
@@ -170,55 +172,62 @@ def test_lincomb_offset_embeds_public_shift(f31):
 
 
 def test_a_batch_of_dealers_deals_each_row_as_one_dealer_would(monkeypatch):
-    """(n, k) secrets with one generator per row give an (n, D, k) block whose
-    row i is what a one-row batch of ``secrets[i]`` (``share_ballot``'s
-    deal) gets from the same generator, also when the rows and columns
-    cross the chunks the deal works in: its shares at 1..t-1 are that
-    generator's ``rand_vec`` draw, and each of its columns lies with
-    (0, secret) on one polynomial of degree <= t-1."""
+    """(n, k) secrets with a Philox key and one stream id per row give an
+    (n, D, k) block whose row i is what one dealer of ``secrets[i]``
+    (``share_ballot``'s deal) gets from ``stream_rng(key, ids[i])``, also
+    when the batch crosses the chunks the deal works in: its shares at
+    1..t-1 are that stream's ``draw`` lanes, and each of its columns lies
+    with (0, secret) on one polynomial of degree <= t-1."""
     f = PrimeField(65_519)
     secrets = np.random.default_rng(4).integers(0, f.p, size=(23, 7), dtype=np.uint64)
-    for chunk in (shamir_mod.CHUNK, 30):
-        monkeypatch.setattr(shamir_mod, "CHUNK", chunk)
-        for threshold, parties in ((1, 3), (2, 3), (3, 5)):
-            block = share_batch(f, secrets, threshold, parties,
-                                (np.random.default_rng(i) for i in range(23)))
+    ids = np.array([*range(1, 21), 1 << 32, 1 << 40, (1 << 64) - 1], dtype=np.uint64)
+    full = shamir_mod.CHUNK
+    for threshold, parties in ((1, 3), (2, 3), (3, 5)):
+        monkeypatch.setattr(shamir_mod, "CHUNK", full)
+        alone = [share_batch(f, row, threshold, parties, stream_rng(KEY, int(i)))
+                 for row, i in zip(secrets, ids)]
+        for chunk in (full, 30):
+            monkeypatch.setattr(shamir_mod, "CHUNK", chunk)
+            block = share_batch(f, secrets, threshold, parties, (KEY, ids))
             assert block.shape == (23, parties, 7) and block.dtype == np.uint64
             for i, row in enumerate(secrets):
-                alone = share_batch(f, row[None], threshold, parties,
-                                    [np.random.default_rng(i)])[0]
-                assert np.array_equal(block[i], alone)
-                drawn = f.rand_vec(np.random.default_rng(i), (threshold - 1, 7))
+                assert np.array_equal(block[i], alone[i])
+                drawn = np.empty((threshold - 1, 7), dtype=np.uint64)
+                f.draw(stream_rng(KEY, int(ids[i])), *drawn)
                 assert np.array_equal(block[i, :threshold - 1], drawn)
                 for col, secret in enumerate(row):
                     assert on_one_polynomial(block[i, :, col], secret, threshold, f.p)
-    assert share_batch(f, secrets[:0], 2, 3, iter(())).shape == (0, 3, 7)
+    assert share_batch(f, secrets[:0], 2, 3, (KEY, ids[:0])).shape == (0, 3, 7)
 
 
 @pytest.mark.parametrize("parties", [3, 5, 9, 17])
 def test_shares_equal_python_integer_evaluation_near_2_to_32(parties):
     """Every threshold 1..D at p = 4,294,967,291: each sharing lies on one
     polynomial of degree <= t-1 through (0, secret), in Python integers,
-    from one dealer and from a batch of dealers, whose row i holds its
-    dealer's ``rand_vec`` draw at 1..t-1.  At this p ``combine_rows`` adds
-    only one product (p - 1)**2 before it reduces; a batch whose every
-    drawn share is p - 1 makes each product the largest it can be."""
+    from one dealer and from a batch of dealers, whose row i holds the
+    ``draw`` lanes of its dealer's stream at 1..t-1.  At this p
+    ``combine_rows`` adds only one product (p - 1)**2 before it reduces; a
+    field whose every drawn share is p - 1 makes each product the largest
+    it can be."""
     f = PrimeField(4_294_967_291)
     p = f.p
-    secrets = np.array([0, 1, p - 1, *f.rand_vec(np.random.default_rng(parties), 9)],
-                       dtype=np.uint64)
+    secrets = np.array([0, 1, p - 1, *range(9)], dtype=np.uint64)
+    f.draw(np.random.default_rng(parties), secrets[3:])
     worst = PrimeField(p)
-    worst.rand_vec = lambda rng, size: np.full(size, p - 1, dtype=np.uint64)
+    worst.draw = lambda rng, *rows: [row.fill(p - 1) for row in rows]
+    worst.draw_batch = lambda key, ids, n: np.full((len(ids), n), p - 1, dtype=np.uint64)
+    ids = np.arange(1, 4, dtype=np.uint64)
     for threshold in range(1, parties + 1):
-        one = share_batch(f, secrets, threshold, parties, np.random.default_rng(threshold))
-        for col, secret in enumerate(secrets):
-            assert on_one_polynomial(one[:, col], secret, threshold, p)
         for field in (f, worst):
+            one = share_batch(field, secrets, threshold, parties,
+                              np.random.default_rng(threshold))
+            for col, secret in enumerate(secrets):
+                assert on_one_polynomial(one[:, col], secret, threshold, p)
             rows = secrets.reshape(3, 4)
-            block = share_batch(field, rows, threshold, parties,
-                                (np.random.default_rng(i) for i in range(3)))
+            block = share_batch(field, rows, threshold, parties, (KEY, ids))
             for i, row in enumerate(rows):
-                drawn = field.rand_vec(np.random.default_rng(i), (threshold - 1, 4))
+                drawn = np.empty((threshold - 1, 4), dtype=np.uint64)
+                field.draw(stream_rng(KEY, int(ids[i])), *drawn)
                 assert np.array_equal(block[i, :threshold - 1], drawn)
                 for col, secret in enumerate(row):
                     assert on_one_polynomial(block[i, :, col], secret, threshold, p)
@@ -233,8 +242,8 @@ def test_one_dealer_shares_lie_on_one_polynomial_through_the_secret(monkeypatch,
     random ones, and for a batch of zeros, whose term the deal drops.
     Rows handed in as ``out`` get the same shares as the matrix returned."""
     f = PrimeField(p)
-    secrets = np.array([0, 1, p - 1, *f.rand_vec(np.random.default_rng(p), 40)],
-                       dtype=np.uint64)
+    secrets = np.array([0, 1, p - 1, *range(40)], dtype=np.uint64)
+    f.draw(np.random.default_rng(p), secrets[3:])
     for chunk in (shamir_mod.CHUNK, 7):
         monkeypatch.setattr(shamir_mod, "CHUNK", chunk)
         for threshold in range(1, parties + 1):

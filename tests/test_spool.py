@@ -38,7 +38,12 @@ voters came to deal in evaluation form as the talliers do, drawing their
 shares at 1..D'-1 instead of their coefficients: the voters' shares moved,
 and so did the proof of voter 20, whose ballot dealt at degree D-1
 reconstructs from D' shares to other values; the verdicts, winners,
-rankings, phase digests and rounds stayed the same."""
+rankings, phase digests and rounds stayed the same.  Every election's
+captures, the edge aggregate and the edge proofs were read again when the
+seeded voters came to draw from one Philox key, voter i from its stream i
+(``config.voter_rng``), instead of one PCG64 generator each: the voters'
+shares moved; the verdicts, winners, rankings, phase digests and rounds
+stayed the same."""
 
 import hashlib
 import json
@@ -82,27 +87,27 @@ def _captures(outcome) -> dict:
 # phase.  The configs name no prime, so each takes p = 65,519; each election
 # is pinned at 2^31 - 1 too, which the ladder picks for large ones.
 FOUR = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "eb8eb9a200df3d11",
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "2f15ccf6d193e2b0",
      "5d482b3484e9c3ee", {"validate": 18, "offline": 0, "aggregate": 0, "score": 3,
                           "select": 19}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "eb4c20fcd0977a64",
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "c0cb9454e0e90a65",
      "640f260200e06816", {"validate": 18, "offline": 0, "aggregate": 0, "score": 10,
                           "select": 19}),
-    ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "9b38b9979d9f18ed",
+    ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "a4f3cf2ff685c40b",
      "3640db4e55a5ad26", {"validate": 4, "offline": 2, "aggregate": 0, "select": 16}),
-    ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "2882e7b4b2e9e746",
+    ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "ed53683df2dc1a95",
      "06ce9d3f5853dce4", {"validate": 4, "offline": 2, "aggregate": 0, "select": 21}),
 ]
 FOUR_AT_M31 = [
-    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "156acde3c48f4c90",
+    ("copeland", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "55d1f4e10a6b27ee",
      "a6953601eb07a130", {"validate": 18, "offline": 0, "aggregate": 0, "score": 4,
                           "select": 25}),
-    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "b3664f2bf71babee",
+    ("maximin", 6, 2, 200, [2, 5], None, "25d91f77f6bd1c82", "5d26f45873b671ab",
      "c5a587ee89101070", {"validate": 18, "offline": 0, "aggregate": 0, "score": 13,
                           "select": 25}),
-    ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "767f8c6b54087c3a",
+    ("kemeny", 5, 2, 200, [1, 3], [1, 4, 2, 5, 3], "25d91f77f6bd1c82", "be478ee27b0e3b91",
      "5dabfd9883f3c2b5", {"validate": 4, "offline": 3, "aggregate": 0, "select": 20}),
-    ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "42042bb79f733f69",
+    ("kemeny", 6, 1, 100, [4], [6, 5, 2, 1, 3, 4], "cc467d2666746bbd", "d4ce8abde30c0b64",
      "68f2c801542f5ae4", {"validate": 4, "offline": 3, "aggregate": 0, "select": 26}),
 ]
 
@@ -154,8 +159,8 @@ def _edge_spools():
 
 
 PINNED_EDGE = {"winners": [4, 2],
-               "aggregate": [21285, 38401, 12508, 27133, 15355, 21996],
-               "captures": "9776028654b887d1", "proofs": "5ef7356d850137f8",
+               "aggregate": [47964, 61901, 63546, 50056, 7651, 44687],
+               "captures": "6e3c5d53426e6883", "proofs": "0bf7e6e9e2ef27c6",
                "phases": "870a559565e15c88"}
 
 
